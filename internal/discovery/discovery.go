@@ -34,7 +34,10 @@
 //     deletable-summary direction of the IBLT line of work in PAPERS.md);
 //     tombstoned columns are skipped at probe time and physically dropped by
 //     compaction, which merges sealed segments in the background once enough
-//     garbage or fragmentation accumulates.
+//     garbage or fragmentation accumulates. A tombstone that lands while a
+//     merge is in flight is carried over to the merged segment and reclaimed
+//     by the next one, so a compaction holds the writer lock only to swap
+//     segment lists and re-key tombstones, never to rebuild a segment.
 //
 // Ingestion and queries run through the shared lazy column-profile layer
 // (internal/profile): AddProfiled and SearchProfiled accept an
@@ -162,6 +165,14 @@ type Index struct {
 	compactMu  sync.Mutex
 	compacting atomic.Bool
 	compactWG  sync.WaitGroup
+	// compactions counts published compactions since open; spliceMaxUS is
+	// the longest a compaction's splice held wmu — both surfaced in Stats.
+	compactions atomic.Int64
+	spliceMaxUS atomic.Int64
+	// afterMerge, when non-nil, runs between Compact's merge and its splice:
+	// the in-package test seam for landing writes "during" a merge. Set
+	// before concurrent use.
+	afterMerge func()
 
 	// lineage identifies this catalog's snapshot history: segment ids are
 	// only unique within one lineage, so SaveSnapshot must not reuse
@@ -375,6 +386,12 @@ type Stats struct {
 	// next compaction reclaims).
 	Tombstones        int `json:"tombstones"`
 	TombstonedColumns int `json:"tombstoned_columns"`
+	// Compactions counts compactions published since the catalog was opened;
+	// CompactSpliceMaxUS is the longest any of them held the writer lock to
+	// splice its merged segment in — the whole time a compaction can make a
+	// write wait.
+	Compactions        int64 `json:"compactions"`
+	CompactSpliceMaxUS int64 `json:"compact_splice_max_us"`
 	// DictEntries/DictBytes size the catalog's append-only value dictionary
 	// (distinct values ever ingested, with memoized MinHash base hashes).
 	DictEntries int   `json:"dict_entries"`
@@ -417,7 +434,9 @@ func (ix *Index) Stats() Stats {
 		SealedSegments:      len(sn.sealed),
 		MemTables:           memTables,
 		Tombstones:          len(sn.tombs),
-		TombstonedColumns:   sn.tombstonedCols(),
+		TombstonedColumns:   sn.deadCols,
+		Compactions:         ix.compactions.Load(),
+		CompactSpliceMaxUS:  ix.spliceMaxUS.Load(),
 		DictEntries:         ds.Entries,
 		DictBytes:           ds.Bytes,
 		HeapSegmentBytes:    heapBytes,

@@ -8,6 +8,7 @@ package discovery
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"valentine/internal/profile"
 	"valentine/internal/table"
@@ -160,7 +161,7 @@ func (ix *Index) apply(ops []rawOp) []error {
 	sealed := append([]*segment(nil), cur.sealed...)
 	tombs := cur.tombs
 	tombsOwned := false
-	nTables, nCols := cur.nTables, cur.nCols
+	nTables, nCols, deadCols := cur.nTables, cur.nCols, cur.deadCols
 
 	ensureTombs := func() {
 		if tombsOwned {
@@ -208,7 +209,9 @@ func (ix *Index) apply(ops []rawOp) []error {
 			}
 			ensureTombs()
 			tombs[key] = struct{}{}
-			nCols -= seg.tableLen(name)
+			n := seg.tableLen(name)
+			nCols -= n
+			deadCols += n
 			nTables--
 			return true
 		}
@@ -249,12 +252,13 @@ func (ix *Index) apply(ops []rawOp) []error {
 	}
 
 	next := &snapshot{
-		sealed:  sealed,
-		mem:     mem,
-		tombs:   tombs,
-		epoch:   cur.epoch + 1,
-		nTables: nTables,
-		nCols:   nCols,
+		sealed:   sealed,
+		mem:      mem,
+		tombs:    tombs,
+		epoch:    cur.epoch + 1,
+		nTables:  nTables,
+		nCols:    nCols,
+		deadCols: deadCols,
 	}
 	ix.snap.Store(next)
 	ix.wmu.Unlock()
@@ -268,7 +272,7 @@ func (ix *Index) apply(ops []rawOp) []error {
 // (tombstoned columns rivaling the live corpus). At most one compaction
 // runs at a time.
 func (ix *Index) maybeCompact(sn *snapshot) {
-	garbage := sn.tombstonedCols()
+	garbage := sn.deadCols
 	if len(sn.sealed) <= maxSealedSegments && (garbage == 0 || garbage*2 < sn.nCols) {
 		return
 	}
@@ -287,10 +291,12 @@ func (ix *Index) maybeCompact(sn *snapshot) {
 // (tests and orderly shutdown).
 func (ix *Index) WaitCompaction() { ix.compactWG.Wait() }
 
-// Compact merges all sealed segments into one, physically dropping
-// tombstoned columns, and publishes the compacted catalog as a new epoch.
-// Searches are never blocked: they keep reading whichever snapshot they
-// pinned. Compact is safe to call concurrently with writers; concurrent
+// Compact merges all sealed segments into one, physically dropping the
+// columns of tables that were tombstoned when the merge started, and
+// publishes the compacted catalog as a new epoch. Searches are never
+// blocked: they keep reading whichever snapshot they pinned. Writers are
+// blocked only for the splice — O(#tombstones) map work, never a segment
+// rebuild. Compact is safe to call concurrently with writers; concurrent
 // Compact calls serialize.
 func (ix *Index) Compact() {
 	ix.compactMu.Lock()
@@ -312,10 +318,12 @@ func (ix *Index) Compact() {
 	ix.nextSeg++
 	ix.wmu.Unlock()
 	merged := newSegment(mergedID, ix.bands)
+	reclaimed := 0 // columns of the tombstoned occurrences this merge drops
 	for _, seg := range cur.sealed {
 		prefixIDs[seg.id] = struct{}{}
 		for _, name := range seg.tableNames() {
 			if cur.dead(seg, name) {
+				reclaimed += seg.tableLen(name)
 				continue
 			}
 			// tableProfiles materializes mapped columns onto the heap (and
@@ -324,26 +332,29 @@ func (ix *Index) Compact() {
 			merged.add(strings.Clone(name), seg.tableProfiles(name), ix.rows)
 		}
 	}
+	if ix.afterMerge != nil {
+		ix.afterMerge()
+	}
 
 	// Phase 2 (writer lock): splice the merged segment in place of the
-	// prefix. Tombstones that arrived during the merge and hit the prefix
-	// are applied by rebuilding the (already deduplicated) merged segment.
+	// prefix. A prefix tombstone already present at merge time was applied
+	// by the cur.dead skip above and is consumed. One that arrived during
+	// the merge is carried, not applied: it targets exactly the occurrence
+	// phase 1 merged (that occurrence was live in cur, and a name is live at
+	// most once, so merged.tables holds at most one occurrence per name —
+	// this one), so re-keying it to the merged segment shadows the same
+	// columns, and the next merge drops them. Lookups, removals, searches
+	// and the manifest all work per {segment, table} and need nothing else.
 	ix.wmu.Lock()
+	locked := time.Now()
 	latest := ix.snap.Load()
-	tombs := make(map[tombKey]struct{})
+	tombs := make(map[tombKey]struct{}, len(latest.tombs))
 	for key := range latest.tombs {
 		if _, inPrefix := prefixIDs[key.seg]; inPrefix {
-			// Tombstones already present at merge time were applied by the
-			// cur.dead skip in phase 1; re-applying them here could kill a
-			// live re-added occurrence that merged from another prefix
-			// segment. Only tombstones that arrived during the merge still
-			// shadow a column inside the merged slab.
-			if _, old := cur.tombs[key]; !old {
-				if _, ok := merged.tables[key.table]; ok {
-					merged = merged.without(key.table, ix.rows)
-				}
+			if _, old := cur.tombs[key]; old {
+				continue
 			}
-			continue // consumed either way: the occurrence is gone
+			key.seg = merged.id
 		}
 		tombs[key] = struct{}{}
 	}
@@ -353,13 +364,20 @@ func (ix *Index) Compact() {
 	}
 	sealed = append(sealed, latest.sealed[prefix:]...)
 	next := &snapshot{
-		sealed:  sealed,
-		mem:     latest.mem,
-		tombs:   tombs,
-		epoch:   latest.epoch + 1,
-		nTables: latest.nTables,
-		nCols:   latest.nCols,
+		sealed:   sealed,
+		mem:      latest.mem,
+		tombs:    tombs,
+		epoch:    latest.epoch + 1,
+		nTables:  latest.nTables,
+		nCols:    latest.nCols,
+		deadCols: latest.deadCols - reclaimed,
 	}
 	ix.snap.Store(next)
+	held := time.Since(locked)
 	ix.wmu.Unlock()
+
+	ix.compactions.Add(1)
+	if us := held.Microseconds(); us > ix.spliceMaxUS.Load() {
+		ix.spliceMaxUS.Store(us) // compactMu held: no concurrent updater
+	}
 }

@@ -214,8 +214,14 @@ func TestAutoCompactionTriggersOnGarbage(t *testing.T) {
 	}
 	ix.WaitCompaction()
 	st := ix.Stats()
-	if st.Tombstones != 0 {
+	if st.Compactions == 0 {
 		t.Errorf("auto-compaction did not run: %+v", st)
+	}
+	// The trigger fires on the second removal, so that merge drops at least
+	// t0 and t1; a later removal that lands while it is in flight is carried
+	// to the merged segment and waits for the next cycle.
+	if st.Tombstones > 2 {
+		t.Errorf("auto-compaction left %d tombstones, want at most the 2 it could have carried: %+v", st.Tombstones, st)
 	}
 	if st.Tables != 2 {
 		t.Errorf("live tables = %d, want 2", st.Tables)
@@ -264,6 +270,64 @@ func TestApplyBatchPerOpErrors(t *testing.T) {
 	}
 }
 
+// checkDeadCols holds the tombstoned-column count the write path maintains
+// to a recount over the same snapshot.
+func checkDeadCols(t *testing.T, at string, ix *Index) {
+	t.Helper()
+	if sn := ix.snap.Load(); sn.deadCols != sn.tombstonedCols() {
+		t.Fatalf("%s: maintained deadCols = %d, recount = %d", at, sn.deadCols, sn.tombstonedCols())
+	}
+}
+
+// checkLiveConformance holds a mutated catalog to the acceptance criterion:
+// Search top-k equals SearchBruteForce, the segmented/tombstoned brute force
+// equals a clean-room rebuild over the live corpus, scores and all, and the
+// maintained tombstoned-column count equals a recount.
+func checkLiveConformance(t *testing.T, at string, ix *Index, live map[string]*table.Table, q *table.Table) {
+	t.Helper()
+	checkDeadCols(t, at, ix)
+	fast, err := ix.Search(q, ModeJoin, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow, err := ix.SearchBruteForce(q, ModeJoin, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fast) != len(slow) {
+		t.Fatalf("%s: %d indexed vs %d brute results", at, len(fast), len(slow))
+	}
+	for i := range fast {
+		if fast[i].Table != slow[i].Table || math.Abs(fast[i].Score-slow[i].Score) > 1e-12 {
+			t.Fatalf("%s rank %d: indexed %+v, brute %+v", at, i+1, fast[i], slow[i])
+		}
+	}
+	// Clean-room rebuild over the live corpus: the mutated, segmented,
+	// tombstoned catalog must be indistinguishable from it.
+	fresh := New(Options{})
+	for _, tab := range live {
+		if err := fresh.Add(tab); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := fresh.SearchBruteForce(q, ModeJoin, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ix.SearchBruteForce(q, ModeJoin, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: live corpus has %d rankable tables, rebuild has %d", at, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Table != want[i].Table || math.Abs(got[i].Score-want[i].Score) > 1e-12 {
+			t.Fatalf("%s rank %d: catalog %+v, rebuild %+v", at, i+1, got[i], want[i])
+		}
+	}
+}
+
 // TestRandomizedLiveConformance is the acceptance criterion: after any
 // interleaving of Add/Upsert/Remove, the catalog's searches agree with a
 // freshly built index over the same live corpus — Search top-k equals
@@ -292,47 +356,7 @@ func TestRandomizedLiveConformance(t *testing.T) {
 
 	check := func(step int) {
 		t.Helper()
-		q := makeTable("query")
-		fast, err := ix.Search(q, ModeJoin, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		slow, err := ix.SearchBruteForce(q, ModeJoin, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(fast) != len(slow) {
-			t.Fatalf("step %d: %d indexed vs %d brute results", step, len(fast), len(slow))
-		}
-		for i := range fast {
-			if fast[i].Table != slow[i].Table || math.Abs(fast[i].Score-slow[i].Score) > 1e-12 {
-				t.Fatalf("step %d rank %d: indexed %+v, brute %+v", step, i+1, fast[i], slow[i])
-			}
-		}
-		// Clean-room rebuild over the live corpus: the mutated, segmented,
-		// tombstoned catalog must be indistinguishable from it.
-		fresh := New(Options{})
-		for _, tab := range live {
-			if err := fresh.Add(tab); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want, err := fresh.SearchBruteForce(q, ModeJoin, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ix.SearchBruteForce(q, ModeJoin, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("step %d: live corpus has %d rankable tables, rebuild has %d", step, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Table != want[i].Table || math.Abs(got[i].Score-want[i].Score) > 1e-12 {
-				t.Fatalf("step %d rank %d: catalog %+v, rebuild %+v", step, i+1, got[i], want[i])
-			}
-		}
+		checkLiveConformance(t, fmt.Sprintf("step %d", step), ix, live, makeTable("query"))
 	}
 
 	steps := 150
@@ -375,6 +399,7 @@ func TestRandomizedLiveConformance(t *testing.T) {
 		if n := ix.NumTables(); n != len(live) {
 			t.Fatalf("step %d: NumTables = %d, want %d", step, n, len(live))
 		}
+		checkDeadCols(t, fmt.Sprintf("step %d", step), ix)
 		if step%25 == 24 {
 			ix.WaitCompaction()
 			check(step)
@@ -386,6 +411,131 @@ func TestRandomizedLiveConformance(t *testing.T) {
 	}
 	ix.WaitCompaction()
 	check(steps)
+}
+
+// TestCompactCarriesLateTombstones lands removals, a replacement and a
+// remove-then-re-add on tables of the merging prefix while a merge is "in
+// flight" (between Compact's merge and its splice). The splice must carry
+// each of those tombstones over to the merged segment — not rebuild it —
+// and the catalog must stay indistinguishable from a clean-room rebuild
+// through the splice, a snapshot round trip and the compaction that finally
+// drops the dead columns.
+func TestCompactCarriesLateTombstones(t *testing.T) {
+	mk := func(name string, lo int) *table.Table {
+		return table.New(name).
+			AddColumn("a", vals("u", lo, lo+90)).
+			AddColumn("b", vals("u", lo+40, lo+130))
+	}
+	ix := New(Options{SealAfter: 2})
+	live := make(map[string]*table.Table)
+	put := func(name string, lo int) {
+		t.Helper()
+		tab := mk(name, lo)
+		if err := ix.Upsert(tab); err != nil {
+			t.Fatal(err)
+		}
+		live[name] = tab
+	}
+	drop := func(name string) {
+		t.Helper()
+		if err := ix.Remove(name); err != nil {
+			t.Fatal(err)
+		}
+		delete(live, name)
+	}
+	for i := 0; i < 12; i++ { // six sealed segments, all twelve tables live
+		put(fmt.Sprintf("t%02d", i), i*4) // near-duplicates: every one would rank for the query
+	}
+	put("mem", 200)
+	drop("t00") // tombstoned before the merge: dropped by it, not carried
+
+	ix.afterMerge = func() {
+		ix.afterMerge = nil
+		drop("mem")     // memtable removal: no tombstone at all
+		drop("t01")     // late removal
+		put("t02", 300) // late replacement: tombstone + a new copy
+		drop("t04")     // late remove, then re-add under the same name
+		put("t04", 320)
+	}
+	// Sized so these writes trip neither background trigger (seven sealed
+	// segments, 8 dead columns against 20 live): the one compaction counted
+	// below is the explicit one.
+	ix.Compact()
+	ix.WaitCompaction()
+
+	q := mk("query", 20)
+	st := ix.Stats()
+	if st.Compactions != 1 {
+		t.Fatalf("compactions = %d, want 1", st.Compactions)
+	}
+	if st.Tombstones != 3 || st.TombstonedColumns != 6 {
+		t.Fatalf("after the splice: %d tombstones over %d columns, want the 3 late ones over 6 (stats %+v)",
+			st.Tombstones, st.TombstonedColumns, st)
+	}
+	sn := ix.snap.Load()
+	merged := sn.sealed[0]
+	if n := merged.numCols(); n != 22 {
+		t.Errorf("merged segment holds %d columns, want 22: the 11 tables live at merge time, late-dead ones included", n)
+	}
+	for key := range sn.tombs {
+		if key.seg != merged.id {
+			t.Errorf("tombstone %+v not re-keyed to merged segment %d", key, merged.id)
+		}
+	}
+	checkLiveConformance(t, "after the splice", ix, live, q)
+	if n := ix.NumTables(); n != len(live) {
+		t.Errorf("NumTables = %d, want %d", n, len(live))
+	}
+	occurrences := 0
+	for _, name := range ix.Tables() {
+		if name == "t04" {
+			occurrences++
+		}
+	}
+	if occurrences != 1 {
+		t.Errorf("re-added t04 is live %d times, want once", occurrences)
+	}
+	fresh := New(Options{})
+	if err := fresh.Add(live["t04"]); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ix.Profiles("t04"), fresh.Profiles("t04"); len(got) != 2 ||
+		!reflect.DeepEqual(got[0].Signature, want[0].Signature) || !reflect.DeepEqual(got[1].Signature, want[1].Signature) {
+		t.Errorf("t04 not served from its re-added content: %+v", got)
+	}
+	if err := ix.Remove("t01"); err == nil {
+		t.Error("removing a table whose tombstone was carried should fail: it is already gone")
+	}
+
+	// The carried tombstones survive a snapshot round trip like any other.
+	dir := t.TempDir()
+	if err := ix.SaveSnapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadSnapshot(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
+	if ls := loaded.Stats(); ls.Tombstones != 3 || ls.TombstonedColumns != 6 || ls.Tables != len(live) {
+		t.Fatalf("reloaded stats %+v, want 3 tombstones over 6 columns and %d tables", ls, len(live))
+	}
+	if !reflect.DeepEqual(loaded.Tables(), ix.Tables()) {
+		t.Fatalf("reloaded tables %v != %v", loaded.Tables(), ix.Tables())
+	}
+	checkLiveConformance(t, "after the round trip", loaded, live, q)
+
+	// One more cycle reclaims what the splice carried.
+	for name, c := range map[string]*Index{"live": ix, "reloaded": loaded} {
+		c.Compact()
+		if cs := c.Stats(); cs.Tombstones != 0 || cs.TombstonedColumns != 0 {
+			t.Errorf("%s: second compaction left %d tombstones over %d columns", name, cs.Tombstones, cs.TombstonedColumns)
+		}
+		checkLiveConformance(t, name+" after the second compaction", c, live, q)
+	}
+	if got := ix.Stats().Compactions; got != 2 {
+		t.Errorf("compactions = %d, want 2", got)
+	}
 }
 
 // TestAnonymousQuerySeesTableNamedQuery: an empty-named query must not be

@@ -673,6 +673,7 @@ func LoadSnapshotWith(dir string, o LoadOptions) (ret *Index, err error) {
 		tombs[tombKey{t.Seg, t.Table}] = struct{}{}
 	}
 	sn.tombs = tombs
+	sn.deadCols = sn.tombstonedCols()
 	for _, seg := range sn.segments() {
 		for _, name := range seg.tableNames() {
 			if sn.dead(seg, name) {

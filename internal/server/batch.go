@@ -1,11 +1,19 @@
 package server
 
-// The ingest micro-batcher: concurrent PUT/DELETE requests profile their
-// tables in their own goroutines, then queue catalog ops here. A single
-// background loop gathers ops that arrive within one batch window (or up to
-// the batch cap) and applies them as one discovery.Apply call — one
-// copy-on-write memtable rebuild and one epoch publish per batch instead of
-// per request — then fans the per-op results back to the waiting handlers.
+// The ingest batcher: concurrent PUT/DELETE requests profile their tables in
+// their own goroutines, then queue catalog ops here. A single background
+// loop takes the first queued op, drains whatever else is already queued
+// (up to the batch cap) without waiting, and applies the lot as one
+// discovery.Apply call — one copy-on-write memtable rebuild and one epoch
+// publish per batch instead of per request — then fans the per-op results
+// back to the waiting handlers.
+//
+// This is natural group commit: there is no gathering window and no timer.
+// While one batch is being logged and applied, later arrivals queue; the
+// next batch is whatever queued meanwhile, so the previous batch's fsync is
+// the gathering window. A lone writer is acknowledged after exactly one WAL
+// append of its own op; N concurrent writers still share one record and one
+// fsync per round.
 //
 // Durability rides the same chokepoint: when a write-ahead log is attached,
 // the loop converts each batch to its replay form, appends one WAL record,
@@ -25,7 +33,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"valentine/internal/discovery"
 	"valentine/internal/wal"
@@ -43,7 +50,6 @@ type ingestOp struct {
 type batcher struct {
 	ix     *discovery.Index
 	log    *wal.Log // nil: no durability logging
-	window time.Duration
 	maxOps int
 
 	ch      chan ingestOp
@@ -72,14 +78,13 @@ type batcher struct {
 	shed    atomic.Int64
 }
 
-func newBatcher(ix *discovery.Index, log *wal.Log, window time.Duration, maxOps, queueDepth int) *batcher {
+func newBatcher(ix *discovery.Index, log *wal.Log, maxOps, queueDepth int) *batcher {
 	if queueDepth < maxOps {
 		queueDepth = maxOps
 	}
 	b := &batcher{
 		ix:      ix,
 		log:     log,
-		window:  window,
 		maxOps:  maxOps,
 		ch:      make(chan ingestOp, queueDepth),
 		stop:    make(chan struct{}),
@@ -142,48 +147,33 @@ func (b *batcher) close() {
 func (b *batcher) loop() {
 	defer close(b.drained)
 	for {
-		// Wait for the first op of the next batch.
-		var first ingestOp
 		select {
-		case first = <-b.ch:
+		case first := <-b.ch:
+			b.apply(b.gather([]ingestOp{first}))
 		case <-b.stop:
-			b.flushQueued()
-			return
-		}
-		batch := []ingestOp{first}
-		// Gather companions until the window closes or the batch is full.
-		timer := time.NewTimer(b.window)
-	gather:
-		for len(batch) < b.maxOps {
-			select {
-			case op := <-b.ch:
-				batch = append(batch, op)
-			case <-timer.C:
-				break gather
-			case <-b.stop:
-				break gather
-			}
-		}
-		timer.Stop()
-		b.apply(batch)
-	}
-}
-
-// flushQueued applies any ops still queued at shutdown, so an accepted
-// ingest is never silently dropped.
-func (b *batcher) flushQueued() {
-	var batch []ingestOp
-	for {
-		select {
-		case op := <-b.ch:
-			batch = append(batch, op)
-		default:
-			if len(batch) > 0 {
+			// Apply everything still queued, so an accepted ingest is never
+			// silently dropped.
+			for batch := b.gather(nil); len(batch) > 0; batch = b.gather(nil) {
 				b.apply(batch)
 			}
 			return
 		}
 	}
+}
+
+// gather tops batch up with ops that are already queued, never waiting for
+// one: whatever arrived while the previous batch was being logged and
+// applied rides together, and an op alone in the queue goes at once.
+func (b *batcher) gather(batch []ingestOp) []ingestOp {
+	for len(batch) < b.maxOps {
+		select {
+		case op := <-b.ch:
+			batch = append(batch, op)
+		default:
+			return batch
+		}
+	}
+	return batch
 }
 
 // apply converts one batch to replay form, logs it (when a WAL is attached),

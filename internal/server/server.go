@@ -20,12 +20,13 @@
 // with the engine's options installed on its context, so long scoring work
 // is cancellable mid-flight. Searches hit the catalog's lock-free snapshot
 // path and are never blocked by ingest. Concurrent PUT/DELETE requests are
-// micro-batched (Config.BatchWindow/BatchMaxOps): ops arriving within one
-// window are applied as a single catalog write — one memtable rebuild, one
-// epoch publish — which keeps write amplification flat under concurrent
-// ingest. Profiling still happens per-request, before the op enters the
-// batch, so the expensive work is parallel and the serialized section stays
-// small.
+// group-committed (batch.go): the ops that queued while the previous batch
+// was being logged and applied go in as a single catalog write — one WAL
+// record, one memtable rebuild, one epoch publish, capped at
+// Config.BatchMaxOps — which keeps write amplification flat under concurrent
+// ingest while a lone writer waits for nothing but its own append. Profiling
+// still happens per-request, before the op enters the batch, so the
+// expensive work is parallel and the serialized section stays small.
 package server
 
 import (
@@ -59,10 +60,9 @@ type Config struct {
 	// Parallelism is the engine worker-pool size per request (default
 	// GOMAXPROCS).
 	Parallelism int
-	// BatchWindow is how long an ingest op waits for companions before the
-	// batch is applied (default 2ms). BatchMaxOps caps one batch (default
-	// 64) so a flood cannot delay the first op unboundedly.
-	BatchWindow time.Duration
+	// BatchMaxOps caps how many queued ingest ops one batch — one WAL
+	// record, one catalog write — takes (default 64), so a flood cannot
+	// delay the first op's acknowledgement unboundedly.
 	BatchMaxOps int
 	// MaxBodyBytes bounds request bodies (default 64 MiB).
 	MaxBodyBytes int64
@@ -97,9 +97,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
-	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
 	}
 	if c.BatchMaxOps <= 0 {
 		c.BatchMaxOps = 64
@@ -225,7 +222,7 @@ func New(cfg Config) (*Server, error) {
 		s.walRecovered = len(recovered)
 		s.walTorn = res.TornBytes
 	}
-	s.batcher = newBatcher(cfg.Index, s.wal, cfg.BatchWindow, cfg.BatchMaxOps, cfg.IngestQueueDepth)
+	s.batcher = newBatcher(cfg.Index, s.wal, cfg.BatchMaxOps, cfg.IngestQueueDepth)
 	if len(recovered) > 0 {
 		s.state.Store(stateRecovering)
 		s.recoveryDone = make(chan struct{})

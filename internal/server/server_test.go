@@ -5,16 +5,22 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"valentine/internal/discovery"
+	"valentine/internal/faultfs"
 	"valentine/internal/profile"
 	"valentine/internal/table"
+	"valentine/internal/wal"
 )
 
 // vals renders [lo, hi) as deterministic value strings so overlap between
@@ -241,30 +247,138 @@ func TestServerStatsCounters(t *testing.T) {
 	}
 }
 
-// TestServerMicroBatchesConcurrentIngest: many concurrent PUTs arriving
-// within the batch window must collapse into far fewer catalog writes.
-func TestServerMicroBatchesConcurrentIngest(t *testing.T) {
-	srv, ts := testServer(t, Config{BatchWindow: 20 * time.Millisecond})
-	const n = 24
+// gateFS is the real filesystem with one seam: while armed, a file Sync
+// announces itself on entered and parks until release is closed — a stalled
+// fsync, which is where a WAL append under policy "always" spends its time.
+type gateFS struct {
+	faultfs.FS
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func newGateFS() *gateFS {
+	return &gateFS{FS: faultfs.OS, entered: make(chan struct{}, 1), release: make(chan struct{})}
+}
+
+func (g *gateFS) OpenFile(name string, flag int, perm fs.FileMode) (faultfs.File, error) {
+	f, err := g.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &gateFile{File: f, g: g}, nil
+}
+
+type gateFile struct {
+	faultfs.File
+	g *gateFS
+}
+
+func (f *gateFile) Sync() error {
+	if f.g.armed.CompareAndSwap(true, false) {
+		f.g.entered <- struct{}{}
+		<-f.g.release
+	}
+	return f.File.Sync()
+}
+
+// TestServerGroupCommitsConcurrentIngest: the batcher has no gathering
+// window — the previous batch's fsync is the window. With the first batch's
+// WAL append stalled in fsync, N PUTs queue behind it; once it completes they
+// must go out together (one or two further batches, not N), every one
+// acknowledged, and applied in the order they were queued: the last version
+// queued under a name is the one served.
+func TestServerGroupCommitsConcurrentIngest(t *testing.T) {
+	gate := newGateFS()
+	srv, ts := testServer(t, Config{
+		WALPath: filepath.Join(t.TempDir(), "ops.wal"), WALSync: wal.SyncAlways, WALFS: gate,
+	})
+	put := func(name string, rows int) int {
+		return doJSON(t, http.MethodPut, ts.URL+"/v1/tables/"+name, upsertBody(name+"_", 0, rows), nil)
+	}
+	gate.armed.Store(true)
+	first := make(chan int, 1)
+	go func() { first <- put("first", 20) }()
+	<-gate.entered // batch 1 is in its fsync; the loop gathers nothing meanwhile
+
+	const n, names = 24, 8
 	var wg sync.WaitGroup
+	codes := make([]int, n)
+	deadline := time.Now().Add(10 * time.Second)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			name := fmt.Sprintf("bulk%02d", i)
-			if code := doJSON(t, http.MethodPut, ts.URL+"/v1/tables/"+name,
-				upsertBody(fmt.Sprintf("p%d_", i), 0, 40), nil); code != http.StatusOK {
-				t.Errorf("upsert %s: status %d", name, code)
-			}
+			codes[i] = put(fmt.Sprintf("bulk%d", i%names), 20+i) // version i has 20+i distinct values
 		}(i)
+		// Queue strictly one after the other, so "submission order" is defined.
+		for len(srv.batcher.ch) != i+1 {
+			if time.Now().After(deadline) {
+				t.Fatalf("PUT %d never reached the ingest queue", i)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
 	}
+	if got := srv.batcher.batches.Load(); got != 0 {
+		t.Fatalf("%d batches completed while the first append was stalled", got)
+	}
+	close(gate.release)
 	wg.Wait()
-	if got := srv.Index().NumTables(); got != n {
-		t.Fatalf("tables = %d, want %d", got, n)
+	if code := <-first; code != http.StatusOK {
+		t.Errorf("first upsert: status %d", code)
 	}
-	batches := srv.batcher.batches.Load()
-	if batches >= n {
-		t.Errorf("batcher used %d writes for %d concurrent upserts — no batching happened", batches, n)
+	for i, code := range codes {
+		if code != http.StatusOK {
+			t.Errorf("queued upsert %d: status %d", i, code)
+		}
+	}
+	if got := srv.batcher.ops.Load(); got != n+1 {
+		t.Errorf("batcher applied %d ops, want %d", got, n+1)
+	}
+	if got := srv.batcher.batches.Load(); got < 2 || got > 3 {
+		t.Errorf("%d PUTs queued behind one stalled append went out in %d further batches, want 1 or 2", n, got-1)
+	}
+	if got := srv.Index().NumTables(); got != names+1 {
+		t.Fatalf("tables = %d, want %d", got, names+1)
+	}
+	for j := 0; j < names; j++ {
+		name := fmt.Sprintf("bulk%d", j)
+		last := n - names + j // the last version queued under this name
+		if got := srv.Index().Profiles(name); len(got) != 1 || got[0].Distinct != 20+last {
+			t.Errorf("%s serves %+v, want version %d (%d distinct values)", name, got, last, 20+last)
+		}
+	}
+}
+
+// TestServerLoneWriterOneBatchPerOp: a writer that waits for each ack before
+// sending the next op never shares a batch and never waits out a window — one
+// op, one WAL record, one catalog write. The timer check is on the source:
+// the batcher must have no way to wait on a clock at all.
+func TestServerLoneWriterOneBatchPerOp(t *testing.T) {
+	srv, ts := testServer(t, Config{WALPath: filepath.Join(t.TempDir(), "ops.wal"), WALSync: wal.SyncAlways})
+	const n = 12
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("seq%d", i%5)
+		if i%4 == 3 {
+			doJSON(t, http.MethodDelete, ts.URL+"/v1/tables/"+name, nil, nil) // may 404: still one op, one batch
+			continue
+		}
+		if code := doJSON(t, http.MethodPut, ts.URL+"/v1/tables/"+name, upsertBody("s", i, i+30), nil); code != http.StatusOK {
+			t.Fatalf("upsert %d: status %d", i, code)
+		}
+	}
+	if ops, batches := srv.batcher.ops.Load(), srv.batcher.batches.Load(); ops != n || batches != n {
+		t.Errorf("sequential writer: %d ops in %d batches, want %d in %d", ops, batches, n, n)
+	}
+	if got := srv.wal.LastSeq(); got != n {
+		t.Errorf("WAL holds %d records for %d sequential ops", got, n)
+	}
+	src, err := os.ReadFile("batch.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(src, []byte(`"time"`)) {
+		t.Error("batch.go imports time: an ack must wait for nothing but its own WAL append, never a timer")
 	}
 }
 
@@ -344,7 +458,7 @@ func TestServerAnonymousSearchSeesTableNamedQuery(t *testing.T) {
 func TestBatcherCloseConcurrentSubmit(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		ix := discovery.New(discovery.Options{})
-		b := newBatcher(ix, nil, time.Millisecond, 8, 64)
+		b := newBatcher(ix, nil, 8, 64)
 		var wg sync.WaitGroup
 		const n = 8
 		outcomes := make([]error, n)

@@ -514,14 +514,35 @@ func (l *Log) SnapEpoch() uint64 {
 // Policy returns the log's fsync policy.
 func (l *Log) Policy() SyncPolicy { return l.policy }
 
+// replayBatchOps caps how many ops ReplayInto hands the catalog per write.
+// Each catalog write clones the memtable and publishes an epoch whatever its
+// size, so replaying a log of one-op records one write per record spends
+// most of a restart on those fixed costs; 64 is the serving batcher's
+// default cap, the largest write the catalog sees live.
+const replayBatchOps = 64
+
 // ReplayInto applies recovered records to the catalog in order: each
-// record's dictionary delta is re-interned and position-verified, then its
-// ops are applied as one batch. Removes of unknown tables are ignored —
+// record's dictionary delta is re-interned and position-verified, and the
+// ops of consecutive records are applied together, up to replayBatchOps per
+// catalog write (ops apply in order within a write, so the outcome is the
+// record-by-record one). Removes of unknown tables are ignored —
 // at-least-once replay over a snapshot that already contains the batch's
-// effects must be a no-op, not an error. Any dictionary fence violation
-// aborts the replay: the catalog underneath does not match the log.
+// effects must be a no-op, not an error; any other op error names its
+// record. Any dictionary fence violation aborts the replay: the catalog
+// underneath does not match the log.
 func ReplayInto(ix *discovery.Index, recs []Record) error {
 	dict := ix.Dict()
+	var ops []discovery.ReplayOp
+	var seqs []uint64 // seqs[i]: the record ops[i] came from
+	flush := func() error {
+		for i, err := range ix.ApplyReplayOps(ops) {
+			if err != nil && ops[i].Remove == "" {
+				return fmt.Errorf("wal: record %d: %w", seqs[i], err)
+			}
+		}
+		ops, seqs = ops[:0], seqs[:0]
+		return nil
+	}
 	for _, rec := range recs {
 		for j, v := range rec.DictVals {
 			want := uint32(rec.DictStart + j)
@@ -530,13 +551,17 @@ func ReplayInto(ix *discovery.Index, recs []Record) error {
 					rec.Seq, v, got, want)
 			}
 		}
-		for i, err := range ix.ApplyReplayOps(rec.Ops) {
-			if err != nil && rec.Ops[i].Remove == "" {
-				return fmt.Errorf("wal: record %d op %d: %w", rec.Seq, i, err)
+		if len(ops) > 0 && len(ops)+len(rec.Ops) > replayBatchOps {
+			if err := flush(); err != nil {
+				return err
 			}
 		}
+		ops = append(ops, rec.Ops...)
+		for range rec.Ops {
+			seqs = append(seqs, rec.Seq)
+		}
 	}
-	return nil
+	return flush()
 }
 
 // encodeFrame gob-encodes v and wraps it in a length+CRC32C frame.

@@ -289,6 +289,64 @@ func TestDictFenceAbortsWrongCatalogReplay(t *testing.T) {
 	}
 }
 
+// TestReplayCoalescesRecordsIntoCatalogWrites: a log of one-op records —
+// what a sequential writer leaves — replays as a few catalog writes of up to
+// replayBatchOps ops, not one per record, and lands exactly where
+// record-by-record application did: replaces, removes, re-adds and removes of
+// tables the catalog never held included. A bad upsert still names its record.
+func TestReplayCoalescesRecordsIntoCatalogWrites(t *testing.T) {
+	ref := discovery.New(discovery.Options{SealAfter: 4})
+	var recs []Record
+	log := func(rop discovery.ReplayOp, lo int, delta []string) {
+		recs = append(recs, Record{Seq: uint64(len(recs) + 1), Ops: []discovery.ReplayOp{rop}, DictStart: lo, DictVals: delta})
+		ref.ApplyReplayOps([]discovery.ReplayOp{rop})
+	}
+	const n = 150
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("t%d", i%40) // names recur: later upserts replace
+		switch i % 5 {
+		case 3:
+			log(discovery.ReplayOp{Remove: name}, ref.Dict().Len(), nil)
+		case 4:
+			log(discovery.ReplayOp{Remove: "never-indexed"}, ref.Dict().Len(), nil)
+		default:
+			rop, lo, delta := upsertOp(t, ref, name, i*7, i*7+25)
+			log(rop, lo, delta)
+		}
+	}
+	ref.WaitCompaction()
+
+	got := discovery.New(discovery.Options{SealAfter: 4})
+	if err := ReplayInto(got, recs); err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	got.WaitCompaction()
+	if !reflect.DeepEqual(got.Tables(), ref.Tables()) {
+		t.Fatalf("replayed tables %v != reference %v", got.Tables(), ref.Tables())
+	}
+	for _, name := range ref.Tables() {
+		if !reflect.DeepEqual(got.Profiles(name), ref.Profiles(name)) {
+			t.Fatalf("table %s replayed with different content", name)
+		}
+	}
+	if got.Dict().Len() != ref.Dict().Len() {
+		t.Fatalf("replayed dict %d entries != reference %d", got.Dict().Len(), ref.Dict().Len())
+	}
+	// Every catalog write and every compaction publishes one epoch.
+	st := got.Stats()
+	if writes, max := int64(st.Epoch)-st.Compactions, int64((n+replayBatchOps-1)/replayBatchOps); writes > max {
+		t.Errorf("replay of %d one-op records took %d catalog writes, want <= %d", n, writes, max)
+	}
+
+	bad := recs[n-1]
+	bad.Seq = 4242
+	bad.Ops = []discovery.ReplayOp{{Name: "short", Cols: []discovery.ColumnProfile{{Table: "short", Column: "k", Signature: []uint64{1}}}}}
+	bad.DictStart, bad.DictVals = got.Dict().Len(), nil
+	if err := ReplayInto(got, []Record{bad}); err == nil || !strings.Contains(err.Error(), "record 4242") {
+		t.Fatalf("bad upsert error = %v, want one naming record 4242", err)
+	}
+}
+
 // countFS wraps a filesystem and counts Sync calls on its files — the
 // observable difference between the three fsync policies.
 type countFS struct {
