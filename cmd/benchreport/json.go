@@ -53,12 +53,6 @@ type jsonReport struct {
 	// verified, mean/p50/p99 latency per arm (see cascade.go); absent when
 	// the measurement is skipped.
 	Cascade *jsonCascade `json:"cascade,omitempty"`
-	// Segments records the sealed-segment persistence formats head to head —
-	// v1 gob decode vs v2 columnar mmap: snapshot bytes, cold-restart
-	// latency, verified-identical search latency, and the zero-alloc kernel
-	// probe against mapped sets (see segments.go); absent when the
-	// measurement is skipped.
-	Segments *jsonSegments `json:"segments,omitempty"`
 	// Durability records the write-ahead log's cost/recovery profile —
 	// acked-ingest latency per fsync policy (always/batch/none) and recovery
 	// time as a function of surviving WAL length, with every acked batch

@@ -9,7 +9,6 @@
 //	benchreport -json BENCH_2.json  # machine-readable trajectory file
 //	benchreport -scenario -json out.json  # scenario replay section only (fast)
 //	benchreport -cascade            # planner cascade vs full fidelity only
-//	benchreport -segments           # v1 vs v2 snapshot restart + mapped search
 //	benchreport -durability         # WAL ingest latency by fsync policy + recovery time
 //	benchreport -check out.json     # validate a written scenario section
 //	benchreport -check out.json -baseline BENCH_7.json  # + p99 regression gate
@@ -52,7 +51,6 @@ func main() {
 		scenF    = flag.Bool("scenario", false, "scenario section: open-loop replay against an in-process server")
 		scenFile = flag.String("scenario-file", defaultScenarioFile, "scenario file for -scenario")
 		cascF    = flag.Bool("cascade", false, "cascade section: bound-then-refine planner vs full fidelity on a skewed corpus")
-		segF     = flag.Bool("segments", false, "segments section: v1 gob vs v2 columnar mmap snapshots — cold restart, search conformance, mapped kernel allocs")
 		durF     = flag.Bool("durability", false, "durability section: WAL acked-ingest latency per fsync policy, recovery time vs log length")
 		checkF   = flag.String("check", "", "validate the scenario section of an existing -json file and exit")
 		baseF    = flag.String("baseline", "", "with -check: fail if scenario p99s regress beyond -baseline-tolerance vs this trajectory file")
@@ -70,20 +68,20 @@ func main() {
 	}
 	detailedCSV = *csvOut
 	jsonOut = *jsonOutF
-	if !(*table1 || *table2 || *table3 || *table4 || *table5 || *fig4 || *fig5 || *fig6 || *fig7 || *scenF || *cascF || *segF || *durF) {
+	if !(*table1 || *table2 || *table3 || *table4 || *table5 || *fig4 || *fig5 || *fig6 || *fig7 || *scenF || *cascF || *durF) {
 		*all = true
 	}
 	if *all {
 		*table1, *table2, *table3, *table4, *table5 = true, true, true, true, true
-		*fig4, *fig5, *fig6, *fig7, *scenF, *cascF, *segF, *durF = true, true, true, true, true, true, true, true
+		*fig4, *fig5, *fig6, *fig7, *scenF, *cascF, *durF = true, true, true, true, true, true, true
 	}
-	if err := run(*rows, *seeds, *table1, *table2, *table3, *table4, *table5, *fig4, *fig5, *fig6, *fig7, *scenF, *cascF, *segF, *durF, *scenFile); err != nil {
+	if err := run(*rows, *seeds, *table1, *table2, *table3, *table4, *table5, *fig4, *fig5, *fig6, *fig7, *scenF, *cascF, *durF, *scenFile); err != nil {
 		fmt.Fprintln(os.Stderr, "benchreport:", err)
 		os.Exit(1)
 	}
 }
 
-func run(rows, seeds int, table1, table2, table3, table4, table5, fig4, fig5, fig6, fig7, scen, casc, seg, dur bool, scenFile string) error {
+func run(rows, seeds int, table1, table2, table3, table4, table5, fig4, fig5, fig6, fig7, scen, casc, dur bool, scenFile string) error {
 	ctx := context.Background()
 	cfg := report.Config{Rows: rows, Seeds: seeds}
 
@@ -101,7 +99,7 @@ func run(rows, seeds int, table1, table2, table3, table4, table5, fig4, fig5, fi
 	// Section-only runs (`-scenario -json …`, `-cascade -json …`) skip it so
 	// they stay fast enough for CI smoke legs.
 	var fabricated []experiment.Result
-	needFab := fig4 || fig5 || fig6 || table5 || (jsonOut != "" && !scen && !casc && !seg && !dur)
+	needFab := fig4 || fig5 || fig6 || table5 || (jsonOut != "" && !scen && !casc && !dur)
 	if needFab {
 		fmt.Fprintf(os.Stderr, "running fabricated-pair experiments (rows=%d seeds=%d)...\n", rows, seeds)
 		var err error
@@ -201,18 +199,6 @@ func run(rows, seeds int, table1, table2, table3, table4, table5, fig4, fig5, fi
 		}
 		fmt.Println(formatCascade(cascRep))
 	}
-	// The segments section fails hard as well: cross-format search divergence
-	// or an allocating mapped-kernel probe is a correctness regression.
-	var segRep *jsonSegments
-	if seg {
-		fmt.Fprintln(os.Stderr, "measuring v1 vs v2 snapshot restart and mapped-search conformance...")
-		var err error
-		segRep, err = measureSegments()
-		if err != nil {
-			return err
-		}
-		fmt.Println(formatSegments(segRep))
-	}
 	// The durability section fails hard: its acked-batches-survive-recovery
 	// check at every fsync policy is the WAL's conformance gate, not a
 	// best-effort number.
@@ -230,7 +216,6 @@ func run(rows, seeds int, table1, table2, table3, table4, table5, fig4, fig5, fi
 		rep := buildJSONReport(rows, seeds, fabricated)
 		rep.Scenario = scenRep
 		rep.Cascade = cascRep
-		rep.Segments = segRep
 		rep.Durability = durRep
 		if needFab {
 			// The engine section is best-effort: a measurement failure must

@@ -18,54 +18,20 @@ import (
 
 // cmdIndex builds a persistent discovery index from a directory of CSVs:
 // every column is profiled and MinHash-sketched once, so subsequent
-// `valentine search` queries never rescan the corpus. With -append the
-// tables are upserted into an existing index file instead of rebuilding the
-// whole corpus from scratch. With -migrate an existing index (flat file or
-// snapshot directory, either segment format) is re-encoded into -format at
-// -out without touching any CSVs.
+// `valentine search` queries never rescan the corpus. The index is written
+// to -out as a snapshot directory. With -append the tables are upserted
+// into the existing -out index instead of rebuilding the whole corpus from
+// scratch.
 func cmdIndex(args []string) error {
 	fs := flag.NewFlagSet("index", flag.ExitOnError)
 	dir := fs.String("dir", ".", "directory of CSVs to index")
-	out := fs.String("out", "valentine.idx", "output index file or snapshot directory")
+	out := fs.String("out", "valentine.idx", "output index (a snapshot directory)")
 	appendF := fs.Bool("append", false, "upsert into the existing -out index instead of rebuilding")
-	format := fs.String("format", "", "output format: flat (single file), v1 (snapshot dir, gob segments), v2 (snapshot dir, columnar mmap segments); default matches -out")
-	migrate := fs.String("migrate", "", "existing index (file or snapshot dir) to re-encode into -format at -out")
 	signature := fs.Int("signature", 0, "MinHash signature length (default 128)")
 	bands := fs.Int("bands", 0, "LSH bands (default 32)")
 	tokenBoost := fs.Float64("token-boost", 0, "blend column-name token overlap into scores")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *migrate != "" {
-		// The migrated index keeps its corpus and options wholesale; flags
-		// that would imply re-profiling or re-configuring must not silently
-		// lose their meaning.
-		var conflicting []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "append", "dir", "signature", "bands", "token-boost":
-				conflicting = append(conflicting, "-"+f.Name)
-			}
-		})
-		if len(conflicting) > 0 {
-			return fmt.Errorf("index: %s cannot be combined with -migrate (the source index keeps its corpus and options)",
-				strings.Join(conflicting, ", "))
-		}
-		ix, err := valentine.LoadDiscoveryIndexFile(*migrate)
-		if err != nil {
-			return fmt.Errorf("index -migrate: loading %s: %w", *migrate, err)
-		}
-		defer ix.Close()
-		if err := saveIndexAs(ix, *out, *format); err != nil {
-			return err
-		}
-		size, err := indexBytes(*out)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("migrated %d tables (%d columns) from %s → %s (%d bytes)\n",
-			ix.NumTables(), ix.NumColumns(), *migrate, *out, size)
-		return nil
 	}
 	var ix *valentine.DiscoveryIndex
 	action := "indexed"
@@ -85,10 +51,11 @@ func cmdIndex(args []string) error {
 				strings.Join(conflicting, ", "))
 		}
 		var err error
-		ix, err = valentine.LoadDiscoveryIndexFile(*out)
+		ix, err = valentine.LoadDiscoverySnapshot(*out)
 		if err != nil {
 			return fmt.Errorf("index -append: loading %s: %w", *out, err)
 		}
+		defer ix.Close()
 		action = "appended"
 	} else {
 		ix = valentine.NewDiscoveryIndex(valentine.DiscoveryOptions{
@@ -111,7 +78,7 @@ func cmdIndex(args []string) error {
 			fmt.Fprintf(os.Stderr, "index: skipping %s: %v\n", t.Name, err)
 		}
 	}
-	if err := saveIndexAs(ix, *out, *format); err != nil {
+	if err := ix.SaveSnapshot(*out); err != nil {
 		return err
 	}
 	size, err := indexBytes(*out)
@@ -123,37 +90,9 @@ func cmdIndex(args []string) error {
 	return nil
 }
 
-// saveIndexAs persists ix at out in the requested format. The default
-// follows what out already is — a snapshot directory keeps its (manifest-
-// pinned) segment format, anything else gets the flat single file — so
-// plain `valentine index` and `-append` runs never change representation
-// under the user.
-func saveIndexAs(ix *valentine.DiscoveryIndex, out, format string) error {
-	switch format {
-	case "":
-		if info, err := os.Stat(out); err == nil && info.IsDir() {
-			return ix.SaveSnapshot(out)
-		}
-		return ix.SaveFile(out)
-	case "flat":
-		return ix.SaveFile(out)
-	case discovery.SegmentFormatV1, discovery.SegmentFormatV2:
-		return ix.SaveSnapshotFormat(out, format)
-	default:
-		return fmt.Errorf("index: unknown -format %q (want flat, v1 or v2)", format)
-	}
-}
-
-// indexBytes sizes a persisted index: the file itself, or the sum of a
-// snapshot directory's files.
+// indexBytes sizes a persisted index: the sum of the snapshot directory's
+// files.
 func indexBytes(out string) (int64, error) {
-	info, err := os.Stat(out)
-	if err != nil {
-		return 0, err
-	}
-	if !info.IsDir() {
-		return info.Size(), nil
-	}
 	entries, err := os.ReadDir(out)
 	if err != nil {
 		return 0, err
@@ -171,7 +110,7 @@ func indexBytes(out string) (int64, error) {
 // index — the served fast path: no corpus I/O, no pairwise matching.
 func cmdSearch(args []string) error {
 	fs := flag.NewFlagSet("search", flag.ExitOnError)
-	indexPath := fs.String("index", "valentine.idx", "index file written by `valentine index`")
+	indexPath := fs.String("index", "valentine.idx", "index (snapshot directory) written by `valentine index`")
 	query := fs.String("query", "", "query CSV (required)")
 	mode := fs.String("mode", "join", "join|union")
 	top := fs.Int("top", 10, "results to print")
@@ -196,10 +135,11 @@ func cmdSearch(args []string) error {
 	if err != nil {
 		return err
 	}
-	ix, err := valentine.LoadDiscoveryIndexFile(*indexPath)
+	ix, err := valentine.LoadDiscoverySnapshot(*indexPath)
 	if err != nil {
 		return err
 	}
+	defer ix.Close()
 	q, err := valentine.ReadCSVFile(*query)
 	if err != nil {
 		return err

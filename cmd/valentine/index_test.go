@@ -1,7 +1,6 @@
 package main
 
 import (
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -64,6 +63,9 @@ func TestIndexSearchDiscoverEndToEnd(t *testing.T) {
 	if !strings.Contains(out, "indexed 3 tables") {
 		t.Errorf("index output: %s", out)
 	}
+	if _, err := os.Stat(filepath.Join(idxPath, "MANIFEST.gob")); err != nil {
+		t.Errorf("index -out is not a snapshot directory: %v", err)
+	}
 
 	out = captureStdout(t, func() error {
 		return cmdSearch([]string{"-index", idxPath, "-query", queryPath, "-mode", "join", "-top", "5"})
@@ -117,93 +119,6 @@ func TestDiscoverUnionScoresValueDisjointTables(t *testing.T) {
 	}
 }
 
-// TestIndexFormatAndMigrate: -format selects the persistence encoding and
-// -migrate re-encodes an existing index without touching CSVs; every
-// representation must answer the same search identically.
-func TestIndexFormatAndMigrate(t *testing.T) {
-	dir, queryPath := writeLake(t)
-	// Pad the lake past the default seal threshold (16 tables) so the
-	// snapshot formats actually write sealed segment files.
-	for i := 0; i < 16; i++ {
-		csv := fmt.Sprintf("fill_%02d_k,fill_%02d_v\nf%d-1,f%d-a\nf%d-2,f%d-b\n", i, i, i, i, i, i)
-		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("fill_%02d.csv", i)), []byte(csv), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	base := t.TempDir()
-	flat := filepath.Join(base, "lake.idx")
-	v2dir := filepath.Join(base, "snap-v2")
-	v1dir := filepath.Join(base, "snap-v1")
-
-	out := captureStdout(t, func() error {
-		return cmdIndex([]string{"-dir", dir, "-out", flat})
-	})
-	if !strings.Contains(out, "indexed 19 tables") {
-		t.Errorf("index output: %s", out)
-	}
-	// Flat → v2 snapshot directory, then v2 → v1.
-	out = captureStdout(t, func() error {
-		return cmdIndex([]string{"-migrate", flat, "-out", v2dir, "-format", "v2"})
-	})
-	if !strings.Contains(out, "migrated 19 tables") {
-		t.Errorf("migrate output: %s", out)
-	}
-	if m, _ := filepath.Glob(filepath.Join(v2dir, "seg-*.seg")); len(m) == 0 {
-		t.Error("v2 migration wrote no columnar segment files")
-	}
-	out = captureStdout(t, func() error {
-		return cmdIndex([]string{"-migrate", v2dir, "-out", v1dir, "-format", "v1"})
-	})
-	if !strings.Contains(out, "migrated 19 tables") {
-		t.Errorf("migrate output: %s", out)
-	}
-	if m, _ := filepath.Glob(filepath.Join(v1dir, "seg-*.gob")); len(m) == 0 {
-		t.Error("v1 migration wrote no gob segment files")
-	}
-
-	var want string
-	for _, idx := range []string{flat, v2dir, v1dir} {
-		got := captureStdout(t, func() error {
-			return cmdSearch([]string{"-index", idx, "-query", queryPath, "-mode", "join", "-top", "5"})
-		})
-		if want == "" {
-			want = got
-		} else if got != want {
-			t.Errorf("search against %s diverged:\n got %s\nwant %s", idx, got, want)
-		}
-		if !strings.Contains(got, "crm_extract") {
-			t.Errorf("search against %s lost the joinable fragment:\n%s", idx, got)
-		}
-	}
-
-	// Default format follows what -out already is: -append into the v2
-	// snapshot directory must keep it a snapshot directory.
-	extra := filepath.Join(dir, "extra.csv")
-	if err := os.WriteFile(extra, []byte("zz_id,zz_v\n1,a\n2,b\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out = captureStdout(t, func() error {
-		return cmdIndex([]string{"-dir", dir, "-out", v2dir, "-append"})
-	})
-	if !strings.Contains(out, "appended 20 tables") {
-		t.Errorf("append output: %s", out)
-	}
-	if _, err := os.Stat(filepath.Join(v2dir, "MANIFEST.gob")); err != nil {
-		t.Errorf("append flattened the snapshot directory: %v", err)
-	}
-
-	// Conflicting and invalid flag combinations fail loudly.
-	if err := cmdIndex([]string{"-migrate", flat, "-out", v1dir, "-append"}); err == nil {
-		t.Error("-migrate with -append should fail")
-	}
-	if err := cmdIndex([]string{"-migrate", flat, "-out", v1dir, "-dir", dir}); err == nil {
-		t.Error("-migrate with -dir should fail")
-	}
-	if err := cmdIndex([]string{"-dir", dir, "-out", flat, "-format", "v3"}); err == nil {
-		t.Error("unknown -format should fail")
-	}
-}
-
 func TestSearchErrors(t *testing.T) {
 	if err := cmdSearch([]string{"-index", "does-not-exist.idx", "-query", "also-missing.csv"}); err == nil {
 		t.Error("missing query flag file should fail")
@@ -216,7 +131,7 @@ func TestSearchErrors(t *testing.T) {
 	}
 	dir, queryPath := writeLake(t)
 	if err := cmdSearch([]string{"-index", filepath.Join(dir, "none.idx"), "-query", queryPath}); err == nil {
-		t.Error("missing index file should fail")
+		t.Error("missing index should fail")
 	}
 	if err := cmdDiscover([]string{"-query", queryPath, "-dir", dir, "-mode", "sideways"}); err == nil {
 		t.Error("bad mode should fail")

@@ -9,8 +9,7 @@
 //	valentine match -method coma-schema -source a.csv -target b.csv [-top 10] [-param k=v] [-budget 50ms] [-cascade on|off]
 //	valentine evaluate -method coma-schema -source a.csv -target b.csv -truth gt.csv
 //	valentine experiment -source TPC-DI -rows 120 [-methods m1,m2]
-//	valentine index -dir lake/ -out lake.idx [-append] [-format flat|v1|v2] [-signature 128 -bands 32]
-//	valentine index -migrate lake.idx -out snap/ -format v2
+//	valentine index -dir lake/ -out lake.idx [-append] [-signature 128 -bands 32]
 //	valentine search -index lake.idx -query q.csv [-mode join|union] [-top 10]
 //	valentine discover -query q.csv -dir lake/ [-mode join|union] [-method m] [-top 10]
 //	valentine serve -addr :8080 [-index lake.idx] [-dir lake/] [-snapshot snap/]

@@ -1,10 +1,11 @@
 package main
 
 // valentine serve: the long-running serving mode — a live discovery catalog
-// behind an HTTP API. Tables can be loaded from an index file/snapshot or a
-// CSV directory at startup, then upserted/removed over HTTP while searches
-// run; the catalog periodically snapshots to disk and a final snapshot is
-// written on graceful shutdown (SIGINT/SIGTERM drain in-flight requests).
+// behind an HTTP API. Tables can be loaded from an index (a snapshot
+// directory) or a CSV directory at startup, then upserted/removed over HTTP
+// while searches run; the catalog periodically snapshots to disk and a final
+// snapshot is written on graceful shutdown (SIGINT/SIGTERM drain in-flight
+// requests).
 
 import (
 	"context"
@@ -38,7 +39,7 @@ var serveHooks struct {
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")
-	indexPath := fs.String("index", "", "index file or snapshot directory to serve (optional)")
+	indexPath := fs.String("index", "", "index (snapshot directory) to serve (optional)")
 	dir := fs.String("dir", "", "directory of CSVs to ingest at startup (optional)")
 	snapshotDir := fs.String("snapshot", "", "directory for periodic catalog snapshots (optional; resumed from if it exists)")
 	snapshotEvery := fs.Duration("snapshot-every", 30*time.Second, "interval between periodic snapshots")
@@ -84,7 +85,7 @@ func cmdServe(args []string) error {
 		if err := rejectCatalogFlags("-index"); err != nil {
 			return err
 		}
-		ix, err = valentine.LoadDiscoveryIndexFile(*indexPath)
+		ix, err = valentine.LoadDiscoverySnapshot(*indexPath)
 		if err != nil {
 			return err
 		}

@@ -205,10 +205,11 @@ func TestIndexAppend(t *testing.T) {
 	}
 
 	// The appended index serves both old and new content.
-	ix, err := discovery.LoadFile(idxPath)
+	ix, err := discovery.LoadSnapshot(idxPath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer ix.Close()
 	names := strings.Join(ix.Tables(), ",")
 	for _, want := range []string{"parts", "assay", "crm_extract", "query"} {
 		if !strings.Contains(names, want) {
@@ -221,7 +222,7 @@ func TestIndexAppend(t *testing.T) {
 		t.Errorf("assay profiles after append = %+v", ps)
 	}
 
-	// -append on a missing index file fails loudly rather than silently
+	// -append on a missing index fails loudly rather than silently
 	// rebuilding.
 	if err := cmdIndex([]string{"-dir", dir2, "-out", filepath.Join(t.TempDir(), "none.idx"), "-append"}); err == nil {
 		t.Error("append to a missing index should fail")
@@ -256,15 +257,7 @@ func TestServeRejectsCatalogFlagsOnLoad(t *testing.T) {
 		t.Errorf("serve -index with -signature should fail naming the flag, got %v", err)
 	}
 	// Resuming from an existing snapshot dir conflicts the same way.
-	snap := filepath.Join(t.TempDir(), "snap")
-	ix, err := discovery.LoadFile(idxPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.SaveSnapshot(snap); err != nil {
-		t.Fatal(err)
-	}
-	err = cmdServe([]string{"-snapshot", snap, "-seal-after", "4"})
+	err = cmdServe([]string{"-snapshot", idxPath, "-seal-after", "4"})
 	if err == nil || !strings.Contains(err.Error(), "-seal-after") {
 		t.Errorf("serve resume with -seal-after should fail naming the flag, got %v", err)
 	}

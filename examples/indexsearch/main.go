@@ -3,8 +3,9 @@
 // is ingested into a DiscoveryIndex once — per-column MinHash signatures
 // and profiles, sharded across LSH band buckets — and then top-k
 // joinability and unionability queries probe the buckets for candidates,
-// never touching unrelated tables. The index round-trips through a file,
-// the deployment shape: index the lake offline, serve searches online.
+// never touching unrelated tables. The index round-trips through a snapshot
+// directory, the deployment shape: index the lake offline, serve searches
+// online.
 //
 //	go run ./examples/indexsearch
 package main
@@ -101,14 +102,15 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "lake.idx")
-	if err := ix.SaveFile(path); err != nil {
+	if err := ix.SaveSnapshot(path); err != nil {
 		log.Fatal(err)
 	}
-	loaded, err := valentine.LoadDiscoveryIndexFile(path)
+	loaded, err := valentine.LoadDiscoverySnapshot(path)
 	if err != nil {
 		log.Fatal(err)
 	}
-	info, err := os.Stat(path)
+	defer loaded.Close()
+	files, err := os.ReadDir(path)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -116,6 +118,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("round-trip through %d-byte index file: top join candidate %s (%.3f)\n",
-		info.Size(), reres[0].Table, reres[0].Score)
+	fmt.Printf("round-trip through a %d-file snapshot directory: top join candidate %s (%.3f)\n",
+		len(files), reres[0].Table, reres[0].Score)
 }

@@ -64,17 +64,9 @@ const (
 // tables per memtable segment).
 func NewDiscoveryIndex(opts DiscoveryOptions) *DiscoveryIndex { return discovery.New(opts) }
 
-// LoadDiscoveryIndex reads an index previously written with Save.
-func LoadDiscoveryIndex(r io.Reader) (*DiscoveryIndex, error) { return discovery.Load(r) }
-
-// LoadDiscoveryIndexFile reads an index from a single file written with
-// SaveFile (or the `valentine index` command), or from a snapshot directory
-// written with SaveSnapshot (or `valentine serve -snapshot`).
-func LoadDiscoveryIndexFile(path string) (*DiscoveryIndex, error) { return discovery.LoadFile(path) }
-
 // LoadDiscoverySnapshot reads a snapshot directory written with
-// DiscoveryIndex.SaveSnapshot: segment layout, tombstones and epoch are
-// restored exactly.
+// DiscoveryIndex.SaveSnapshot (or `valentine index` / `valentine serve
+// -snapshot`): segment layout, tombstones and epoch are restored exactly.
 func LoadDiscoverySnapshot(dir string) (*DiscoveryIndex, error) { return discovery.LoadSnapshot(dir) }
 
 // ServeOptions configures a catalog Server (see NewServer). The zero value

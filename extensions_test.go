@@ -117,13 +117,6 @@ func TestLiveCatalogThroughAPI(t *testing.T) {
 	if got := strings.Join(loaded.Tables(), ","); got != "batchA,orders" {
 		t.Fatalf("snapshot tables = %s", got)
 	}
-	viaFile, err := LoadDiscoveryIndexFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaFile.NumTables() != 2 {
-		t.Fatalf("LoadDiscoveryIndexFile(dir) tables = %d", viaFile.NumTables())
-	}
 
 	// HTTP layer over the same catalog.
 	srv, err := NewServer(ServeOptions{Index: ix})

@@ -45,11 +45,11 @@
 // never re-profiled here — the same distinct sets, name tokens and MinHash
 // signatures the matchers consume feed the index.
 //
-// Indexes persist two ways: Save/Load stream the flat live column list (the
-// compact single-file format, unchanged since v1), and SaveSnapshot/
-// LoadSnapshot write a segment manifest plus one immutable file per sealed
-// segment, so periodic snapshots of a long-running catalog rewrite only the
-// memtable and manifest. LoadFile accepts both.
+// Indexes persist one way: SaveSnapshot/LoadSnapshot write a snapshot
+// directory — a segment manifest, one immutable columnar file per sealed
+// segment and the memtable in the same encoding — so periodic snapshots of
+// a long-running catalog rewrite only the memtable and manifest (see
+// persist.go and segv2.go).
 package discovery
 
 import (
@@ -115,14 +115,6 @@ type Options struct {
 	// sealed into an immutable segment (default 16). Smaller values bound
 	// per-write copy cost tighter; larger values reduce fragmentation.
 	SealAfter int
-	// SegmentFormat selects the sealed-segment encoding SaveSnapshot
-	// writes: SegmentFormatV2 (the default when empty; columnar files the
-	// loader memory-maps and searches in place) or SegmentFormatV1 (gob
-	// files fully decoded onto the heap on load — the opt-out for catalogs
-	// that must stay readable by pre-v2 binaries). Loads auto-detect the
-	// format on disk regardless, and the option is persisted with the
-	// snapshot, so a resumed catalog keeps its choice.
-	SegmentFormat string
 }
 
 // ColumnProfile is the indexed summary of one column: identity, lightweight
@@ -137,11 +129,9 @@ type ColumnProfile struct {
 	Tokens    []string // lowercase name tokens ("customerID" → [customer id])
 	Signature []uint64
 	// SetIDs is the column's distinct values as sorted interned ids in the
-	// catalog dictionary's id space — the exact-kernel payload the v2
-	// columnar segment format persists. Only populated when the column was
-	// profiled against this catalog's dictionary (ingest always is); empty
-	// otherwise, and nil in the flat v1 file format, whose loads mint a
-	// fresh dictionary.
+	// catalog dictionary's id space — the exact-kernel payload the columnar
+	// segment format persists. Only populated when the column was profiled
+	// against this catalog's dictionary (ingest always is); empty otherwise.
 	SetIDs []uint32
 }
 
@@ -279,12 +269,11 @@ func (ix *Index) QuarantinedSegments() (int, []string) {
 	return ix.quarantined, ix.quarantineLog
 }
 
-// Close releases the memory mappings of every mapped v2 segment the index
+// Close releases the memory mappings of every mapped segment the index
 // loaded, after waiting for any background compaction to finish. The index
 // must not be used afterwards: searches over mapped segments would read
-// unmapped pages. Indexes without mapped segments (fresh, flat-loaded, or
-// heap-fallback) need no Close, but calling it is always safe, including
-// twice.
+// unmapped pages. Indexes without mapped segments (fresh or heap-fallback)
+// need no Close, but calling it is always safe, including twice.
 func (ix *Index) Close() error {
 	ix.compactWG.Wait()
 	ix.wmu.Lock()
@@ -353,8 +342,8 @@ func (ix *Index) Profiles(tableName string) []ColumnProfile {
 // columns as zero-copy intern.Set views — kernel-ready without copying a
 // single id out of a mapped segment. Nil when the table is unknown or
 // removed; individual sets are empty when the catalog holds no interned
-// payloads for them (flat-format loads). Views over mapped segments are
-// valid until Close.
+// payloads for them (columns profiled against another dictionary). Views
+// over mapped segments are valid until Close.
 func (ix *Index) InternedColumnSets(tableName string) []intern.Set {
 	sn := ix.snap.Load()
 	seg, ids := sn.lookup(tableName)

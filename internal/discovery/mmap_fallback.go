@@ -1,11 +1,11 @@
-//go:build !linux || valentine_nommap
+//go:build !linux
 
 package discovery
 
-// Portable arm of the mmap gate: platforms without the Linux mmap path (or
-// builds tagged valentine_nommap) read v2 segment files into aligned heap
-// buffers instead. Every byte past the read is served by the same
-// mappedSeg code, so behavior is identical — only memory residency differs.
+// Portable arm of the mmap gate: platforms without the Linux mmap path read
+// segment files into aligned heap buffers instead. Every byte past the read
+// is served by the same mappedSeg code, so behavior is identical — only
+// memory residency differs.
 
 const mmapAvailable = false
 
@@ -17,6 +17,6 @@ func mapSegmentFile(path string) (data []byte, unmap func() error, err error) {
 
 // mincoreResidentBytes has nothing to probe without mmap: heap buffers are
 // always resident, so the honest estimate is the full length. (Only reached
-// via the heap-read v2 arm, which residentMappedBytes short-circuits the
-// same way — kept total for symbol parity.)
+// via the heap-read arm, which residentMappedBytes short-circuits the same
+// way — kept total for symbol parity.)
 func mincoreResidentBytes(data []byte) int64 { return int64(len(data)) }

@@ -1,12 +1,12 @@
-//go:build linux && !valentine_nommap
+//go:build linux
 
 package discovery
 
-// Memory mapping for v2 segment files on Linux. The mapping is read-only
-// and shared: segment bytes live in the page cache, not on the Go heap, so
-// a catalog's resident size is bounded by the working set the kernel keeps
-// hot — not by the corpus. Build with -tags valentine_nommap to force the
-// portable heap-read arm (mmap_fallback.go) for testing or exotic targets.
+// Memory mapping for sealed segment files on Linux. The mapping is
+// read-only and shared: segment bytes live in the page cache, not on the Go
+// heap, so a catalog's resident size is bounded by the working set the
+// kernel keeps hot — not by the corpus. Other platforms take the portable
+// heap-read arm (mmap_fallback.go).
 
 import (
 	"fmt"

@@ -6,6 +6,7 @@ package discovery
 // serves.
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -104,28 +105,95 @@ func TestQuarantineLoadServesRest(t *testing.T) {
 	}
 }
 
+// failOpenFS fails read-only opens of paths containing substr with err —
+// the read-side fault faultfs's mutation-point rules do not model.
+type failOpenFS struct {
+	faultfs.FS
+	substr string
+	err    error
+}
+
+func (f failOpenFS) Open(name string) (faultfs.File, error) {
+	if strings.Contains(name, f.substr) {
+		return nil, &os.PathError{Op: "open", Path: name, Err: f.err}
+	}
+	return f.FS.Open(name)
+}
+
+// TestQuarantineMemtable: the memtable is one more segment file behind the
+// same decoder and the same LoadOptions.FS, so damage to mem.seg — or a
+// read error the filesystem injects — fails a strict load with the named
+// error and degrades a quarantine load to the sealed segments.
 func TestQuarantineMemtable(t *testing.T) {
-	ref, dir := buildV2Snapshot(t)
-	defer ref.Close()
-	memPath := filepath.Join(dir, memName)
-	if _, err := os.Stat(memPath); err != nil {
-		t.Skipf("snapshot has no memtable file: %v", err)
+	cases := []struct {
+		name    string
+		damage  func(t *testing.T, ref *Index, memPath string) faultfs.FS
+		wantErr error
+	}{
+		{"corrupt", func(t *testing.T, _ *Index, memPath string) faultfs.FS {
+			corruptFile(t, memPath)
+			return nil
+		}, ErrSegmentMagic},
+		{"bit flipped under the save (faultfs rule)", func(t *testing.T, ref *Index, memPath string) faultfs.FS {
+			ff := faultfs.New(nil)
+			ff.AddRule(faultfs.Rule{Op: faultfs.OpWrite, Path: memName, Fault: faultfs.BitFlip(0)})
+			ref.SetFS(ff)
+			if err := ref.SaveSnapshot(filepath.Dir(memPath)); err != nil {
+				t.Fatal(err)
+			}
+			return nil
+		}, ErrSegmentMagic},
+		{"truncated", func(t *testing.T, _ *Index, memPath string) faultfs.FS {
+			info, err := os.Stat(memPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(memPath, info.Size()/2); err != nil {
+				t.Fatal(err)
+			}
+			return nil
+		}, ErrSegmentTruncated},
+		{"read error through LoadOptions.FS", func(t *testing.T, _ *Index, memPath string) faultfs.FS {
+			return failOpenFS{FS: faultfs.OS, substr: memName, err: syscall.EIO}
+		}, syscall.EIO},
 	}
-	corruptFile(t, memPath)
-	ix, err := LoadSnapshotWith(dir, LoadOptions{Quarantine: true})
-	if err != nil {
-		t.Fatalf("quarantine load: %v", err)
-	}
-	defer ix.Close()
-	if n, _ := ix.QuarantinedSegments(); n != 1 {
-		t.Fatalf("quarantined = %d, want 1 (memtable)", n)
-	}
-	if _, err := os.Stat(memPath + ".quarantined"); err != nil {
-		t.Fatalf("quarantined memtable missing: %v", err)
-	}
-	// Ingest still works on the fresh memtable.
-	if err := ix.Add(snapshotQuery()); err != nil {
-		t.Fatalf("add after memtable quarantine: %v", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ref, dir := buildV2Snapshot(t)
+			defer ref.Close()
+			memPath := filepath.Join(dir, memName)
+			fsys := tc.damage(t, ref, memPath)
+
+			if ix, err := LoadSnapshotWith(dir, LoadOptions{FS: fsys}); err == nil {
+				ix.Close()
+				t.Fatal("strict load succeeded over a damaged memtable")
+			} else if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("strict load error = %v, want %v", err, tc.wantErr)
+			}
+
+			ix, err := LoadSnapshotWith(dir, LoadOptions{FS: fsys, Quarantine: true})
+			if err != nil {
+				t.Fatalf("quarantine load: %v", err)
+			}
+			defer ix.Close()
+			if n, _ := ix.QuarantinedSegments(); n != 1 {
+				t.Fatalf("quarantined = %d, want 1 (memtable)", n)
+			}
+			if _, err := os.Stat(memPath + ".quarantined"); err != nil {
+				t.Fatalf("quarantined memtable missing: %v", err)
+			}
+			// The sealed segments still serve, minus the memtable's table.
+			if got, want := ix.NumTables(), ref.NumTables()-ref.Stats().MemTables; got != want {
+				t.Fatalf("degraded catalog serves %d tables, want %d", got, want)
+			}
+			if _, err := ix.Search(snapshotQuery(), ModeJoin, 5); err != nil {
+				t.Fatalf("search over degraded catalog: %v", err)
+			}
+			// Ingest still works on the fresh memtable.
+			if err := ix.Add(snapshotQuery()); err != nil {
+				t.Fatalf("add after memtable quarantine: %v", err)
+			}
+		})
 	}
 }
 

@@ -261,7 +261,7 @@ func (s *segment) colSet(id int32) intern.Set {
 
 // colProfile returns a deep copy of one column's profile — strings cloned,
 // slices fresh — safe to retain past any snapshot or mapping lifetime.
-// Compaction, Profiles and the persistence writers materialize through it.
+// Compaction and Profiles materialize through it.
 func (s *segment) colProfile(id int32) ColumnProfile {
 	if s.mapped != nil {
 		return s.mapped.colProfile(id)
@@ -273,9 +273,9 @@ func (s *segment) colProfile(id int32) ColumnProfile {
 	return p
 }
 
-// tableProfiles materializes the named table's column profiles for merging
-// into a new heap segment (compaction) or a persistence writer. Heap
-// segments share the profile structs as before — they are immutable; mapped
+// tableProfiles materializes the named table's column profiles for adding
+// to a new heap segment (compaction's merge, the memtable rebuild on load).
+// Heap segments share the profile structs — they are immutable; mapped
 // segments deep-copy out of the mapping.
 func (s *segment) tableProfiles(name string) []ColumnProfile {
 	ids := s.colIDs(name)

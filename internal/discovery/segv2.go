@@ -1,11 +1,12 @@
 package discovery
 
-// The v2 sealed-segment on-disk format: one columnar file per segment,
-// little-endian, fixed-width sections, designed so a reader never decodes —
-// it validates the section table once and then serves every search, LSH
-// probe and kernel call as slice views straight over the file bytes
-// (typically an mmap of the page cache; see mmap_linux.go for the mapping
-// and mmap_fallback.go for the portable heap-read arm).
+// The segment on-disk format ("v2" in the magic and the manifest; the gob
+// v1 it replaced is retired): one columnar file per segment — sealed or
+// memtable — little-endian, fixed-width sections, designed so a reader
+// never decodes — it validates the section table once and then serves every
+// search, LSH probe and kernel call as slice views straight over the file
+// bytes (typically an mmap of the page cache; see mmap_linux.go for the
+// mapping and readFileAligned for the portable heap-read arm).
 //
 // Layout (all offsets from file start, every section 8-byte aligned):
 //
@@ -52,11 +53,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strings"
 	"unsafe"
 
+	"valentine/internal/faultfs"
 	"valentine/internal/table"
 )
 
@@ -100,9 +101,9 @@ const (
 
 // --- writer ---
 
-// encodeSegV2 serializes a heap segment to the v2 columnar layout. Mapped
-// segments are not re-encoded through here — their file bytes are already
-// the v2 layout and are copied verbatim by SaveSnapshot.
+// encodeSegV2 serializes a heap segment — sealed or memtable — to the
+// columnar layout. Mapped segments are not re-encoded through here — their
+// file bytes are already the layout and are copied verbatim by SaveSnapshot.
 func encodeSegV2(s *segment, k int) ([]byte, error) {
 	if s.mapped != nil {
 		return nil, fmt.Errorf("discovery: encodeSegV2 on a mapped segment")
@@ -470,11 +471,25 @@ func openSegV2(data []byte, unmap func() error) (*mappedSeg, error) {
 			return fail(ErrSegmentCorrupt, "token %d string index %d out of %d", i, s, m.nStrings)
 		}
 	}
+	// A segment holds a table at most once: the directory, the live counts
+	// and the memtable rebuild all key on the name.
 	m.dir = make(map[string]uint32, m.nTables)
 	for t := 0; t < m.nTables; t++ {
-		m.dir[m.str(m.tblRecs[t*tblRecWords])] = uint32(t)
+		name := m.tableName(uint32(t))
+		if _, dup := m.dir[name]; dup {
+			return fail(ErrSegmentCorrupt, "table %d repeats name %q", t, name)
+		}
+		m.dir[name] = uint32(t)
 	}
 	return m, nil
+}
+
+// release drops the mapping behind a segment the loader rejected after
+// openSegV2 accepted it (no-op for the heap-read arm).
+func (m *mappedSeg) release() {
+	if m.unmap != nil {
+		m.unmap()
+	}
 }
 
 // id reads the segment id from the header.
@@ -585,8 +600,8 @@ func (m *mappedSeg) probe(b int, key uint64) []int32 {
 // readFileAligned reads path into an 8-byte-aligned heap buffer (backed by
 // a []uint64, since a plain []byte allocation guarantees no alignment) — the
 // portable arm behind the mmap gate, and byte-identical input to openSegV2.
-func readFileAligned(path string) ([]byte, error) {
-	f, err := os.Open(path)
+func readFileAligned(fsys faultfs.FS, path string) ([]byte, error) {
+	f, err := fsys.Open(path)
 	if err != nil {
 		return nil, err
 	}
@@ -610,11 +625,12 @@ func readFileAligned(path string) ([]byte, error) {
 	return buf, nil
 }
 
-// loadSegV2 opens a v2 segment file, memory-mapping it when the platform
+// loadSegV2 opens a segment file, memory-mapping it when the platform
 // supports it (and noMap is unset), falling back to an aligned heap read
-// otherwise. The fallback shares every code path past the []byte, so the
-// two arms are bit-identical in behavior — only residency differs.
-func loadSegV2(path string, noMap bool) (*mappedSeg, error) {
+// through fsys otherwise. The fallback shares every code path past the
+// []byte, so the two arms are bit-identical in behavior — only residency
+// differs.
+func loadSegV2(fsys faultfs.FS, path string, noMap bool) (*mappedSeg, error) {
 	if !noMap && mmapAvailable {
 		if data, unmap, err := mapSegmentFile(path); err == nil {
 			m, err := openSegV2(data, unmap)
@@ -626,7 +642,7 @@ func loadSegV2(path string, noMap bool) (*mappedSeg, error) {
 		// Mapping failed (exotic filesystem, resource limits): fall through
 		// to the heap read, which serves identically.
 	}
-	data, err := readFileAligned(path)
+	data, err := readFileAligned(fsys, path)
 	if err != nil {
 		return nil, err
 	}

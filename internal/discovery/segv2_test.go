@@ -1,10 +1,10 @@
 package discovery
 
-// v2 columnar segment tests: the exactness contract (mapped search ≡ heap
-// search ≡ v1-loaded search, bit-identical results after arbitrary
-// mutation interleavings), the corruption contract (named errors, never a
-// panic, crash tails ignored), and the zero-copy contract (kernel probes
-// against mapped sets at 0 allocs/op).
+// Columnar segment tests: the exactness contract (mapped search ≡ heap-read
+// search ≡ the live in-memory catalog, bit-identical results after
+// arbitrary mutation interleavings), the corruption contract (named errors,
+// never a panic, crash tails ignored), and the zero-copy contract (kernel
+// probes against mapped sets at 0 allocs/op).
 
 import (
 	"errors"
@@ -13,33 +13,18 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
+	"unsafe"
 
 	"valentine/internal/intern"
 	"valentine/internal/table"
 )
 
-// saveBothFormats snapshots ix to fresh v1 and v2 directories under base.
-func saveBothFormats(t *testing.T, ix *Index, base string) (v1dir, v2dir string) {
-	t.Helper()
-	v1dir = filepath.Join(base, "v1")
-	v2dir = filepath.Join(base, "v2")
-	if err := ix.SaveSnapshotFormat(v1dir, SegmentFormatV1); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.SaveSnapshotFormat(v2dir, SegmentFormatV2); err != nil {
-		t.Fatal(err)
-	}
-	return v1dir, v2dir
-}
-
-// TestSegV2RandomizedConformance is the tentpole's acceptance criterion:
+// TestSegV2RandomizedConformance is the format's acceptance criterion:
 // after an arbitrary interleaving of Add/Upsert/Remove/Compact, a catalog
-// snapshotted in both formats and loaded three ways — v1 gob (heap), v2
-// mapped, v2 heap-read fallback — answers every search bit-identically to
-// the original, full Result structs included. Runs under -race in CI's
-// serving leg.
+// snapshotted and loaded both ways — mapped and heap-read — answers every
+// search bit-identically to the live in-memory original, full Result
+// structs included. Runs under -race in CI's serving leg.
 func TestSegV2RandomizedConformance(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	makeTable := func(name string) *table.Table {
@@ -61,22 +46,21 @@ func TestSegV2RandomizedConformance(t *testing.T) {
 
 	check := func(step int) {
 		t.Helper()
-		ix.WaitCompaction() // freeze the layout both snapshots must share
-		v1dir, v2dir := saveBothFormats(t, ix, filepath.Join(t.TempDir(), fmt.Sprintf("s%d", step)))
-		fromV1, err := LoadSnapshot(v1dir)
-		if err != nil {
-			t.Fatalf("step %d: load v1: %v", step, err)
+		ix.WaitCompaction() // freeze the layout the snapshot records
+		dir := filepath.Join(t.TempDir(), fmt.Sprintf("s%d", step))
+		if err := ix.SaveSnapshot(dir); err != nil {
+			t.Fatal(err)
 		}
-		mapped, err := loadSnapshot(v2dir, false)
+		mapped, err := loadSnapshot(dir, false)
 		if err != nil {
-			t.Fatalf("step %d: load v2 mapped: %v", step, err)
+			t.Fatalf("step %d: load mapped: %v", step, err)
 		}
 		defer mapped.Close()
-		heap, err := loadSnapshot(v2dir, true)
+		heap, err := loadSnapshot(dir, true)
 		if err != nil {
-			t.Fatalf("step %d: load v2 heap: %v", step, err)
+			t.Fatalf("step %d: load heap-read: %v", step, err)
 		}
-		loads := map[string]*Index{"v1": fromV1, "v2-mapped": mapped, "v2-heap": heap}
+		loads := map[string]*Index{"mapped": mapped, "heap-read": heap}
 		for qi := 0; qi < 3; qi++ {
 			q := makeTable("query")
 			for _, mode := range []Mode{ModeJoin, ModeUnion} {
@@ -139,14 +123,13 @@ func TestSegV2RandomizedConformance(t *testing.T) {
 	check(steps)
 }
 
-// buildV2Snapshot builds a small multi-segment catalog and snapshots it in
-// v2 format, returning the index, the directory, and the first sealed
-// segment file's path.
+// buildV2Snapshot builds a small multi-segment catalog and snapshots it,
+// returning the index and the directory.
 func buildV2Snapshot(t *testing.T) (*Index, string) {
 	t.Helper()
 	ix := liveCatalog(t)
 	dir := filepath.Join(t.TempDir(), "snap")
-	if err := ix.SaveSnapshotFormat(dir, SegmentFormatV2); err != nil {
+	if err := ix.SaveSnapshot(dir); err != nil {
 		t.Fatal(err)
 	}
 	return ix, dir
@@ -156,7 +139,7 @@ func firstSegFile(t *testing.T, dir string) string {
 	t.Helper()
 	matches, err := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
 	if err != nil || len(matches) == 0 {
-		t.Fatalf("no v2 segment files in %s (err %v)", dir, err)
+		t.Fatalf("no segment files in %s (err %v)", dir, err)
 	}
 	return matches[0]
 }
@@ -214,6 +197,12 @@ func TestSegV2CorruptFilesRejected(t *testing.T) {
 		}, ErrSegmentCorrupt},
 		{"oversized column count", func(b []byte) []byte {
 			b[32], b[33], b[34], b[35] = 0xff, 0xff, 0xff, 0x0f
+			return b
+		}, ErrSegmentCorrupt},
+		{"repeated table name", func(b []byte) []byte {
+			// Point the second table record's name at the first's.
+			recs := leU64(b[segV2Header+secTblRecs*16:])
+			copy(b[recs+tblRecWords*4:recs+tblRecWords*4+4], b[recs:recs+4])
 			return b
 		}, ErrSegmentCorrupt},
 	}
@@ -383,78 +372,76 @@ func TestMappedKernelProbesZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSnapshotFormatMigration: v1 → v2 → v1 in place, each save rewriting
-// the segment files into the requested encoding, pruning the other's, and
-// round-tripping searches exactly.
-func TestSnapshotFormatMigration(t *testing.T) {
-	ix := liveCatalog(t)
-	dir := filepath.Join(t.TempDir(), "snap")
-	want, err := ix.Search(snapshotQuery(), ModeJoin, 0)
-	if err != nil {
-		t.Fatal(err)
+// fuzzSeedSegments encodes the two shapes of segment file a snapshot holds —
+// a sealed segment and a memtable — as FuzzOpenSegV2's seeds.
+func fuzzSeedSegments(t testing.TB) [][]byte {
+	ix := New(Options{Signature: 16, Bands: 4, SealAfter: 2})
+	for i := 0; i < 3; i++ {
+		tab := table.New(fmt.Sprintf("t%d", i)).
+			AddColumn("customer_id", vals("u", i*4, i*4+12)).
+			AddColumn("v", vals("p", 0, 12))
+		if err := ix.Add(tab); err != nil {
+			t.Fatal(err)
+		}
 	}
-	countFiles := func() (gob, seg int) {
-		entries, err := os.ReadDir(dir)
+	sn := ix.snap.Load()
+	var seeds [][]byte
+	for _, seg := range []*segment{sn.sealed[0], sn.mem} {
+		data, err := encodeSegV2(seg, ix.k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range entries {
-			if !strings.HasPrefix(e.Name(), "seg-") {
-				continue
-			}
-			switch {
-			case strings.HasSuffix(e.Name(), ".gob"):
-				gob++
-			case strings.HasSuffix(e.Name(), ".seg"):
-				seg++
-			}
-		}
-		return gob, seg
+		seeds = append(seeds, data)
 	}
-	step := func(format string, wantGob, wantSeg bool) *Index {
-		t.Helper()
-		cur, err := LoadSnapshot(dir)
-		if err != nil {
-			t.Fatalf("%s: reload: %v", format, err)
-		}
-		if err := cur.SaveSnapshotFormat(dir, format); err != nil {
-			t.Fatalf("%s: save: %v", format, err)
-		}
-		gob, seg := countFiles()
-		if (gob > 0) != wantGob || (seg > 0) != wantSeg {
-			t.Fatalf("%s: %d gob / %d seg segment files on disk", format, gob, seg)
-		}
-		cur.Close()
-		re, err := LoadSnapshot(dir)
-		if err != nil {
-			t.Fatalf("%s: load after migrate: %v", format, err)
-		}
-		got, err := re.Search(snapshotQuery(), ModeJoin, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: search diverged after migration:\n got %+v\nwant %+v", format, got, want)
-		}
-		return re
-	}
-	if err := ix.SaveSnapshotFormat(dir, SegmentFormatV1); err != nil {
-		t.Fatal(err)
-	}
-	step(SegmentFormatV2, false, true).Close()
-	step(SegmentFormatV1, true, false).Close()
-	// Unknown formats are rejected before touching the directory.
-	if err := ix.SaveSnapshotFormat(dir, "v3"); err == nil {
-		t.Error("unknown segment format accepted")
-	}
+	return seeds
 }
 
-// TestLoadFileNamesRawSegmentFiles: pointing LoadFile at a bare .seg file
-// produces the targeted error, not a gob decode failure.
-func TestLoadFileNamesRawSegmentFiles(t *testing.T) {
-	_, dir := buildV2Snapshot(t)
-	_, err := LoadFile(firstSegFile(t, dir))
-	if err == nil || !strings.Contains(err.Error(), "raw v2 segment file") {
-		t.Fatalf("error = %v, want the raw-segment-file explanation", err)
+// FuzzOpenSegV2 holds the one decoder every column byte off disk goes
+// through to its contract on arbitrary input: a typed ErrSegment* error, or
+// a segment whose every accessor — the table directory, each column's
+// profile and views, a probe of every band — runs without panicking.
+// TestSegV2RandomCorruptionNeverPanics is the deterministic leg.
+func FuzzOpenSegV2(f *testing.F) {
+	for _, seed := range fuzzSeedSegments(f) {
+		f.Add(seed)
 	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// openSegV2 requires 8-byte alignment, as both load arms provide.
+		words := make([]uint64, (len(data)+7)/8)
+		aligned := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), len(data))
+		copy(aligned, data)
+		ms, err := openSegV2(aligned, nil)
+		if err != nil {
+			if !errors.Is(err, ErrSegmentMagic) && !errors.Is(err, ErrSegmentTruncated) && !errors.Is(err, ErrSegmentCorrupt) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		seg := &segment{id: ms.segID(), mapped: ms}
+		if names := seg.tableNames(); len(names) != seg.numTables() {
+			t.Fatalf("%d table names for %d tables", len(names), seg.numTables())
+		}
+		for _, name := range seg.tableNames() {
+			if !seg.hasTable(name) {
+				t.Fatalf("directory lost table %q", name)
+			}
+			for _, p := range seg.tableProfiles(name) {
+				if len(p.Signature) != ms.k {
+					t.Fatalf("column %s.%s has %d signature slots, header says %d", p.Table, p.Column, len(p.Signature), ms.k)
+				}
+			}
+		}
+		for id := int32(0); int(id) < seg.numCols(); id++ {
+			_, _, _ = seg.colTable(id), seg.colName(id), seg.colTokens(id)
+			set := seg.colSet(id)
+			_ = set.Len()
+			_ = seg.colProfile(id)
+		}
+		for b := 0; b < ms.bands; b++ {
+			for _, key := range ms.bandKeys[ms.keyStart[b]:ms.keyStart[b+1]] {
+				_ = seg.probe(b, key)
+			}
+			_ = seg.probe(b, ^uint64(0))
+		}
+	})
 }

@@ -74,6 +74,19 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(loaded.Tables(), ix.Tables()) {
 		t.Errorf("tables = %v, want %v", loaded.Tables(), ix.Tables())
 	}
+	// The memtable is non-empty (t6 never sealed) and travels as a columnar
+	// mem.seg: its profiles — and every sealed table's — come back exactly.
+	if magic, err := os.ReadFile(filepath.Join(dir, memName)); err != nil || !strings.HasPrefix(string(magic), segV2Magic) {
+		t.Errorf("mem.seg is not a columnar segment file (err %v)", err)
+	}
+	if st := ix.Stats(); st.MemTables == 0 {
+		t.Fatalf("fixture has an empty memtable: %+v", st)
+	}
+	for _, name := range ix.Tables() {
+		if got, want := loaded.Profiles(name), ix.Profiles(name); !reflect.DeepEqual(got, want) {
+			t.Errorf("profiles of %s diverged after round trip:\n got %+v\nwant %+v", name, got, want)
+		}
+	}
 	q := snapshotQuery()
 	for _, mode := range []Mode{ModeJoin, ModeUnion} {
 		want, err := ix.Search(q, mode, 0)
@@ -173,10 +186,10 @@ func TestSnapshotIsIncremental(t *testing.T) {
 }
 
 // TestSnapshotCrashOrphanNotAdopted: a crash between writing segment files
-// and the manifest leaves orphan seg-<id>.gob files. Their ids must never
-// be reallocated — otherwise a later SaveSnapshot's "file exists → skip"
-// fast path would adopt the stale orphan — and the next successful
-// snapshot prunes them.
+// and the manifest leaves orphan seg-<id>.seg files (and, between Create and
+// Rename, seg-<id>.seg.tmp files). Orphan ids must never be reallocated —
+// otherwise a later SaveSnapshot's "file exists → skip" fast path would
+// adopt the stale orphan — and the next successful snapshot prunes both.
 func TestSnapshotCrashOrphanNotAdopted(t *testing.T) {
 	ix := liveCatalog(t)
 	dir := filepath.Join(t.TempDir(), "snap")
@@ -190,8 +203,16 @@ func TestSnapshotCrashOrphanNotAdopted(t *testing.T) {
 		Table: "ghost", Column: "k", Rows: 1, Distinct: 1,
 		Signature: make([]uint64, ix.k),
 	}}, ix.rows)
-	if err := writeGob(faultfs.OS, filepath.Join(dir, segFileName(9)), segToFile(ghost)); err != nil {
+	if err := writeSegV2(faultfs.OS, filepath.Join(dir, segFileName(9)), ghost, ix.k); err != nil {
 		t.Fatal(err)
+	}
+	// And the temp file of a segment write the crash cut short — one whose
+	// id is live now and compacted away before the next save (the
+	// g-upserts below force a compaction), one the orphan's own.
+	for _, id := range []uint64{1, 9} {
+		if err := os.WriteFile(filepath.Join(dir, segFileName(id)+".tmp"), []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	loaded, err := LoadSnapshot(dir)
@@ -229,6 +250,9 @@ func TestSnapshotCrashOrphanNotAdopted(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, segFileName(9))); !os.IsNotExist(err) {
 		t.Error("orphan segment file survived the next successful snapshot")
 	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "seg-*.tmp")); len(left) != 0 {
+		t.Errorf("crashed saves' temp files survived the next successful snapshot: %v", left)
+	}
 }
 
 // TestSnapshotForeignDirectoryOverwritten: snapshotting a catalog into a
@@ -237,7 +261,7 @@ func TestSnapshotCrashOrphanNotAdopted(t *testing.T) {
 // them via the incremental fast path.
 func TestSnapshotForeignDirectoryOverwritten(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "snap")
-	a := New(Options{SealAfter: 1}) // every add seals → seg-0.gob exists
+	a := New(Options{SealAfter: 1}) // every add seals → seg-0.seg exists
 	if err := a.Add(table.New("old_table").AddColumn("k", vals("a", 0, 30))); err != nil {
 		t.Fatal(err)
 	}
@@ -274,50 +298,89 @@ func TestSnapshotForeignDirectoryOverwritten(t *testing.T) {
 	}
 }
 
-func TestLoadFileDetectsBothFormats(t *testing.T) {
-	ix := liveCatalog(t)
-	base := t.TempDir()
-	// Single-file format.
-	flat := filepath.Join(base, "lake.idx")
-	if err := ix.SaveFile(flat); err != nil {
-		t.Fatal(err)
-	}
-	fromFlat, err := LoadFile(flat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Snapshot-directory format.
-	dir := filepath.Join(base, "snapdir")
-	if err := ix.SaveSnapshot(dir); err != nil {
-		t.Fatal(err)
-	}
-	fromSnap, err := LoadFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := snapshotQuery()
-	want, err := ix.Search(q, ModeJoin, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, loaded := range map[string]*Index{"flat": fromFlat, "snapshot": fromSnap} {
-		got, err := loaded.Search(q, ModeJoin, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: search diverged:\n got %+v\nwant %+v", name, got, want)
+// TestLoadSnapshotNamesRetiredFormats: what the retired formats left on
+// disk — a v1 (or pre-format) manifest, a flat single-file index, a bare
+// segment file handed over instead of its directory — fails by name, not as
+// a missing seg-N.seg. A snapshot the parent commit wrote still loads:
+// testdata/snapshot-pr12 is one (Signature 16, Bands 4, SealAfter 2; t0–t3
+// added, t1 removed), and its manifest's gob stream carries the since-dropped
+// Options field selecting the segment format, which gob skips.
+func TestLoadSnapshotNamesRetiredFormats(t *testing.T) {
+	// withFormat saves a catalog to a fresh directory and rewrites its
+	// manifest to claim the given segment format.
+	withFormat := func(format string) func(t *testing.T) string {
+		return func(t *testing.T) string {
+			dir := filepath.Join(t.TempDir(), "snap")
+			if err := liveCatalog(t).SaveSnapshot(dir); err != nil {
+				t.Fatal(err)
+			}
+			m, err := readManifest(faultfs.OS, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Format = format
+			if err := writeManifest(faultfs.OS, dir, m); err != nil {
+				t.Fatal(err)
+			}
+			return dir
 		}
 	}
-	// The flat format drops tombstones and segment layout (it is an
-	// offline compaction); the snapshot format preserves them.
-	if st := fromFlat.Stats(); st.Tombstones != 0 {
-		t.Errorf("flat format preserved tombstones: %+v", st)
+	const retired = "v1 gob segment format, which was retired: re-index"
+	cases := []struct {
+		name    string
+		path    func(t *testing.T) string
+		wantErr string // "" → loads
+	}{
+		{"snapshot written at the parent commit", func(t *testing.T) string {
+			return filepath.Join("testdata", "snapshot-pr12")
+		}, ""},
+		{"v1 manifest", withFormat("v1"), retired},
+		{"pre-format manifest", withFormat(""), retired},
+		{"unknown format", withFormat("v3"), `segment format "v3"`},
+		{"flat index file", func(t *testing.T) string {
+			path := filepath.Join(t.TempDir(), "lake.idx")
+			if err := os.WriteFile(path, []byte("gob bytes of a flat index"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return path
+		}, "not a snapshot directory"},
+		{"bare segment file", func(t *testing.T) string {
+			return firstSegFile(t, withFormat(manifestFormat)(t))
+		}, "not a snapshot directory"},
+		{"missing directory", func(t *testing.T) string {
+			return filepath.Join(t.TempDir(), "absent")
+		}, "no such file"},
 	}
-	if st, want := normalizeResidency(fromSnap.Stats()), normalizeResidency(ix.Stats()); st != want {
-		t.Errorf("snapshot stats = %+v, want %+v", st, want)
-	}
-	if _, err := LoadSnapshot(filepath.Join(base, "absent")); err == nil {
-		t.Error("loading a missing snapshot should fail")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			loaded, err := LoadSnapshot(tc.path(t))
+			if tc.wantErr != "" {
+				if err == nil {
+					loaded.Close()
+					t.Fatalf("loaded; want an error containing %q", tc.wantErr)
+				}
+				if !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("error = %v, want it to contain %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer loaded.Close()
+			if got, want := loaded.Options(), (Options{Signature: 16, Bands: 4, SealAfter: 2}); got != want {
+				t.Errorf("options = %+v, want %+v", got, want)
+			}
+			if got := strings.Join(loaded.Tables(), ","); got != "t0,t2,t3" || loaded.Stats().Tombstones != 1 {
+				t.Errorf("tables = %s with %d tombstones, want t0,t2,t3 with 1", got, loaded.Stats().Tombstones)
+			}
+			res, err := loaded.Search(table.New("q").AddColumn("k", vals("u", 0, 12)), ModeJoin, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res) != 1 || res[0].Table != "t0" || res[0].Score != 1 {
+				t.Errorf("search = %+v, want t0 at 1.0 as at the parent commit", res)
+			}
+		})
 	}
 }

@@ -15,7 +15,7 @@
 //     RunExperiments, DefaultGrids)
 //   - a corpus-level live catalog for served top-k search that mutates
 //     while it serves (NewDiscoveryIndex, Upsert/Remove,
-//     LoadDiscoveryIndexFile) and its HTTP serving layer (NewServer)
+//     LoadDiscoverySnapshot) and its HTTP serving layer (NewServer)
 //   - the unified concurrent execution engine behind all of the above
 //     (MatchWithContext, EngineOptions, Stats): context-propagated deadlines
 //     and cancellation, a bounded worker pool, per-stage instrumentation —
@@ -41,8 +41,7 @@
 // it collides with (the paper's §IX scaling lesson, after JOSIE, LSH
 // Ensemble and Lazo). The index is a live catalog — searches are lock-free
 // reads of an epoch snapshot while Upsert/Remove mutate the corpus
-// underneath — and persists to disk both as a single file and as an
-// incremental snapshot directory:
+// underneath — and persists to disk as an incremental snapshot directory:
 //
 //	ix := valentine.NewDiscoveryIndex(valentine.DiscoveryOptions{})
 //	for _, t := range corpus {
@@ -51,7 +50,7 @@
 //	results, _ := ix.Search(query, valentine.DiscoverJoin, 10)
 //	_ = ix.Upsert(newVersion) // replace a table while searches run
 //	_ = ix.Remove("stale")    // tombstoned, reclaimed by compaction
-//	_ = ix.SaveFile("lake.idx") // later: valentine.LoadDiscoveryIndexFile
+//	_ = ix.SaveSnapshot("lake.idx") // later: valentine.LoadDiscoverySnapshot
 //
 // NewServer wraps the catalog in an HTTP API (search, upsert, delete,
 // match, stats) with per-request deadlines and micro-batched ingest; the
