@@ -6,7 +6,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"valentine/internal/table"
 )
@@ -38,14 +40,19 @@ type Matcher interface {
 // SortMatches orders matches by descending score, breaking ties
 // deterministically by column names so runs are reproducible.
 func SortMatches(ms []Match) {
-	sort.SliceStable(ms, func(i, j int) bool {
-		if ms[i].Score != ms[j].Score {
-			return ms[i].Score > ms[j].Score
+	slices.SortStableFunc(ms, func(a, b Match) int {
+		switch {
+		case a.Score > b.Score:
+			return -1
+		case a.Score < b.Score:
+			return 1
+		case a.Score != b.Score: // a NaN: unordered
+			return 0
 		}
-		if ms[i].SourceColumn != ms[j].SourceColumn {
-			return ms[i].SourceColumn < ms[j].SourceColumn
+		if c := strings.Compare(a.SourceColumn, b.SourceColumn); c != 0 {
+			return c
 		}
-		return ms[i].TargetColumn < ms[j].TargetColumn
+		return strings.Compare(a.TargetColumn, b.TargetColumn)
 	})
 }
 

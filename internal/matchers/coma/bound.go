@@ -20,13 +20,16 @@ import (
 // discovery aggregates built from them.
 
 // MatchCostHint implements core.Coster. Hints are measured average
-// per-pair runtimes in microseconds from the BENCH_6 Table V run (rows=120
-// fabricated pairs); only the relative order matters.
+// per-pair runtimes in microseconds: the traced matchers.coma-*.mean_ms of
+// bench's match-grid workload with prepared names (schema 1.2/1.4/1.8 ms,
+// instance 1.5/1.8/1.9 ms on seeds 3/5/6, 2 cores; 4.7 and 5.1 ms when
+// every pair re-normalized and re-tokenized both names). Only the relative
+// order matters.
 func (m *Matcher) MatchCostHint() float64 {
 	if m.Strategy == StrategyInstance {
-		return 6300
+		return 1700
 	}
-	return 6100
+	return 1400
 }
 
 // ScoreBoundProfiles implements core.ScoreBounder.

@@ -99,7 +99,8 @@ func (m *Matcher) Name() string {
 // element is a schema-DAG leaf with its precomputed match features.
 type element struct {
 	column   *table.Column
-	path     string // name path from the root, e.g. "orders.city"
+	name     *strutil.Name // the column name, prepared once by the profile
+	path     *strutil.Name // name path from the root, e.g. "orders.city"
 	tokens   map[string]struct{}
 	siblings map[string]struct{} // token context of sibling columns
 	features []float64           // instance feature vector
@@ -156,10 +157,14 @@ func (m *Matcher) MatchProfilesContext(ctx context.Context, sp, tp *profile.Tabl
 	})
 	return engine.ScorePairs(ctx, sp, tp, func(i, j int) (float64, bool) {
 		// Direction "both": the matcher library is evaluated src→tgt
-		// and tgt→src and the directional aggregates are averaged.
-		score := m.aggregate(&srcEls[i], &tgtEls[j])
+		// and tgt→src and the directional aggregates are averaged. The
+		// name matchers are symmetric, so both directions share one
+		// evaluation of them.
+		a, b := &srcEls[i], &tgtEls[j]
+		names := nameScores(a, b)
+		score := m.aggregate(names, a, b)
 		if m.Direction == DirBoth {
-			score = (score + m.aggregate(&tgtEls[j], &srcEls[i])) / 2
+			score = (score + m.aggregate(names, b, a)) / 2
 		}
 		return score, score >= m.Threshold
 	})
@@ -172,7 +177,8 @@ func buildElements(tp *profile.TableProfile, withInstances bool, limit int, useI
 		p := tp.Column(i)
 		e := element{
 			column: p.Column(),
-			path:   t.Name + "." + p.Name(),
+			name:   p.PreparedName(),
+			path:   p.PreparedPath(),
 			tokens: p.NameTokenSet(),
 		}
 		e.siblings = make(map[string]struct{})
@@ -209,20 +215,28 @@ func buildElements(tp *profile.TableProfile, withInstances bool, limit int, useI
 	return els
 }
 
-// aggregate averages the applicable matcher-library scores for a directed
-// element pair.
-func (m *Matcher) aggregate(a, b *element) float64 {
-	scores := []float64{
-		nameMatcher(a, b),
-		nameTokenMatcher(a, b),
-		namePathMatcher(a, b),
+// nameScores evaluates the three name matchers of the library — name, name
+// tokens, name path — for an element pair. Each is symmetric in its
+// arguments, bit for bit.
+func nameScores(a, b *element) [3]float64 {
+	return [3]float64{nameMatcher(a, b), nameTokenMatcher(a, b), namePathMatcher(a, b)}
+}
+
+// aggregate combines the applicable matcher-library scores for a directed
+// element pair: the (symmetric, precomputed) name scores, then the
+// directional matchers.
+func (m *Matcher) aggregate(names [3]float64, a, b *element) float64 {
+	scores := [7]float64{
+		names[0], names[1], names[2],
 		typeMatcher(a, b),
 		contextMatcher(a, b),
 	}
+	n := 5
 	if m.Strategy == StrategyInstance {
-		scores = append(scores, overlapMatcher(a, b), constraintMatcher(a, b))
+		scores[5], scores[6] = overlapMatcher(a, b), constraintMatcher(a, b)
+		n = 7
 	}
-	return m.combine(scores)
+	return m.combine(scores[:n])
 }
 
 // combine applies the configured aggregation operator to a score vector.
@@ -268,7 +282,7 @@ func (m *Matcher) combine(scores []float64) float64 {
 // --- the matcher library ---
 
 func nameMatcher(a, b *element) float64 {
-	return strutil.NameSim(a.column.Name, b.column.Name)
+	return a.name.Sim(b.name)
 }
 
 func nameTokenMatcher(a, b *element) float64 {
@@ -276,7 +290,7 @@ func nameTokenMatcher(a, b *element) float64 {
 }
 
 func namePathMatcher(a, b *element) float64 {
-	return strutil.NameSim(a.path, b.path)
+	return a.path.Sim(b.path)
 }
 
 // typeMatcher scores directional data-type compatibility: widening an int

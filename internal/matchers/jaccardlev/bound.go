@@ -17,9 +17,14 @@ import (
 // distinct counts alone, so the bound costs no string work at all.
 
 // MatchCostHint implements core.Coster: measured average per-pair runtime
-// in microseconds (BENCH_6 Table V, rows=120) — by far the most expensive
-// non-embedding matcher, thanks to the quadratic Levenshtein phase.
-func (m *Matcher) MatchCostHint() float64 { return 55000 }
+// in microseconds — the traced matchers.jaccard-levenshtein.mean_ms of
+// bench's match-grid workload (13.0/13.8/16.5 ms on seeds 3/5/6, 2 cores)
+// with the banded threshold predicate; the full-table DP it replaced
+// measured 69–72 ms there. Still the most expensive non-embedding matcher
+// next to distribution-based, no longer by a factor of ten. The other
+// matchers' hints are the older BENCH_6 Table V figures; only the relative
+// order matters.
+func (m *Matcher) MatchCostHint() float64 { return 14000 }
 
 // sampleSize is the column's effective sample cardinality: its distinct
 // count capped at the matcher's sample limit.

@@ -2,11 +2,23 @@
 // column Jaccard similarity where two values count as identical when their
 // normalized Levenshtein similarity meets a threshold (paper §VI-A, "a
 // naive instance-based matcher ... ca. 70 lines of Python").
+//
+// The matcher only ever asks "is the similarity at least the threshold?",
+// so the fuzzy phase never computes a distance: each source value that has
+// no verbatim partner is tested against the target sample through
+// strutil.LevenshteinSimAtLeast (a band of the DP table, abandoned as soon
+// as the threshold is out of reach — decision-identical to
+// LevenshteinSim >= threshold), and only against the candidates whose
+// length admits the threshold at all. Lengths are rune counts throughout,
+// the unit the similarity normalizes by.
 package jaccardlev
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sort"
+	"unicode/utf8"
 
 	"valentine/internal/core"
 	"valentine/internal/engine"
@@ -21,10 +33,13 @@ type Matcher struct {
 	// Threshold is the Levenshtein-similarity cutoff above which two values
 	// are treated as identical (Table II sweeps 0.4–0.8).
 	Threshold float64
-	// MaxSample caps the distinct values considered per column; the paper's
-	// implementation is quadratic in value-set size and this cap keeps the
-	// suite tractable at identical ranking behaviour for high-cardinality
-	// columns. 0 means the default of 120.
+	// MaxSample caps the distinct values considered per column. The
+	// length window and the banded predicate make one value-against-sample
+	// test cheap, but a column pair still runs one such test per unmatched
+	// source value against every admissible-length target value — the cap
+	// bounds that product (and the per-column sample arrays) for
+	// high-cardinality columns at identical ranking behaviour. 0 means the
+	// default of 120.
 	MaxSample int
 }
 
@@ -96,18 +111,25 @@ func (m *Matcher) MatchProfilesContext(ctx context.Context, sp, tp *profile.Tabl
 // needs, precomputed once per column instead of once per pair:
 //
 //   - vals: the sample, lexicographic (the deterministic stride sample)
-//   - byLen: vals sorted by length — the fuzzy phase's candidate order
+//   - byLen: vals sorted by rune length, each with that length — the
+//     fuzzy phase's candidate order and its length window
 //   - ids/idVals: the sample sorted by interned id with the values kept
 //     parallel, when the column's profile carries a value dictionary — the
 //     exact-overlap prescreen merges two id slices allocation-free instead
 //     of probing a per-pair string map.
 type colSample struct {
 	vals   []string
-	byLen  []string
+	byLen  []lenVal
 	set    map[string]struct{} // exact-membership fallback (mixed/no dictionary)
 	dict   *intern.Dict        // the dictionary ids were minted by (nil: none)
 	ids    []uint32
 	idVals []string
+}
+
+// lenVal is a sample value with its length in runes.
+type lenVal struct {
+	n int
+	v string
 }
 
 // sampleColumn samples up to max distinct values, deterministically (the
@@ -119,8 +141,11 @@ type colSample struct {
 func sampleColumn(p *profile.Profile, max int, useIDs bool) colSample {
 	cs := colSample{vals: p.SampleDistinct(max)}
 	vals := cs.vals
-	cs.byLen = append([]string(nil), vals...)
-	sort.Slice(cs.byLen, func(i, j int) bool { return len(cs.byLen[i]) < len(cs.byLen[j]) })
+	cs.byLen = make([]lenVal, len(vals))
+	for i, v := range vals {
+		cs.byLen[i] = lenVal{utf8.RuneCountInString(v), v}
+	}
+	slices.SortStableFunc(cs.byLen, func(a, b lenVal) int { return cmp.Compare(a.n, b.n) })
 	if !useIDs {
 		cs.set = make(map[string]struct{}, len(vals))
 		for _, v := range vals {
@@ -172,7 +197,7 @@ func fuzzyJaccard(a, b *colSample, threshold float64) float64 {
 				i++
 				j++
 			case a.ids[i] < b.ids[j]:
-				if fuzzyContains(a.idVals[i], b.byLen, threshold) {
+				if fuzzyContains(a.idVals[i], b, threshold) {
 					matched++
 				}
 				i++
@@ -181,7 +206,7 @@ func fuzzyJaccard(a, b *colSample, threshold float64) float64 {
 			}
 		}
 		for ; i < len(a.ids); i++ {
-			if fuzzyContains(a.idVals[i], b.byLen, threshold) {
+			if fuzzyContains(a.idVals[i], b, threshold) {
 				matched++
 			}
 		}
@@ -191,7 +216,7 @@ func fuzzyJaccard(a, b *colSample, threshold float64) float64 {
 				matched++
 				continue
 			}
-			if fuzzyContains(av, b.byLen, threshold) {
+			if fuzzyContains(av, b, threshold) {
 				matched++
 			}
 		}
@@ -203,32 +228,25 @@ func fuzzyJaccard(a, b *colSample, threshold float64) float64 {
 	return float64(matched) / float64(union)
 }
 
-// fuzzyContains reports whether any candidate is within the Levenshtein
-// similarity threshold of v. Candidates must be sorted by length; lengths
-// incompatible with the threshold are pruned without edit-distance work.
-func fuzzyContains(v string, candidates []string, threshold float64) bool {
-	lv := len(v)
-	for _, c := range candidates {
-		lc := len(c)
-		maxLen := lv
-		if lc > maxLen {
-			maxLen = lc
+// fuzzyContains reports whether any value of b's sample is within the
+// Levenshtein similarity threshold of v. Levenshtein ≥ |Δlen|, so the
+// similarity is at most 1 − |Δlen|/maxLen: only a window of b's
+// length-sorted candidates can reach the threshold. The window's start is
+// found by binary search, its end is the first longer candidate that fails
+// the same test. Lengths are in runes, as in the similarity itself (a
+// byte-length window drops "abcdefghi日" for "abcdefghi": three bytes but
+// one edit apart). Samples never hold the empty string.
+func fuzzyContains(v string, b *colSample, threshold float64) bool {
+	lv := utf8.RuneCountInString(v)
+	admissible := func(lc int) bool {
+		return 1-float64(max(lv, lc)-min(lv, lc))/float64(max(lv, lc)) >= threshold
+	}
+	start := sort.Search(len(b.byLen), func(i int) bool { return b.byLen[i].n >= lv || admissible(b.byLen[i].n) })
+	for _, c := range b.byLen[start:] {
+		if c.n > lv && !admissible(c.n) {
+			return false // candidates only get longer from here
 		}
-		if maxLen == 0 {
-			continue
-		}
-		// Levenshtein ≥ |len difference|, so sim ≤ 1 − |Δlen|/maxLen.
-		diff := lv - lc
-		if diff < 0 {
-			diff = -diff
-		}
-		if 1-float64(diff)/float64(maxLen) < threshold {
-			if lc > lv {
-				return false // candidates only get longer from here
-			}
-			continue
-		}
-		if strutil.LevenshteinSim(v, c) >= threshold {
+		if strutil.LevenshteinSimAtLeast(v, c.v, threshold) {
 			return true
 		}
 	}

@@ -1,12 +1,14 @@
 package jaccardlev
 
 import (
+	"math/rand"
 	"testing"
 
 	"valentine/internal/core"
 	"valentine/internal/fabrication"
 	"valentine/internal/matchers/matchertest"
 	"valentine/internal/profile"
+	"valentine/internal/strutil"
 	"valentine/internal/table"
 )
 
@@ -157,5 +159,112 @@ func TestMatchValidatesInput(t *testing.T) {
 	}
 	if _, err := newM(t, nil).Match(good, bad); err == nil {
 		t.Error("invalid target should fail")
+	}
+}
+
+// TestFuzzyContainsCountsRunes: the length window is in runes, the unit
+// LevenshteinSim normalizes by. A byte-length window dropped both of these
+// (3 and 4 bytes apart, but one edit: similarities 0.9 and 0.833).
+func TestFuzzyContainsCountsRunes(t *testing.T) {
+	for _, c := range [][2]string{{"abcdefghi", "abcdefghi日"}, {"abcde", "abcde😀"}} {
+		if sim := strutil.LevenshteinSim(c[0], c[1]); sim < 0.8 {
+			t.Fatalf("fixture: LevenshteinSim(%q,%q) = %v", c[0], c[1], sim)
+		}
+		if !fuzzyContains(c[0], sampleOf([]string{c[1]}), 0.8) {
+			t.Errorf("fuzzyContains(%q, {%q}, 0.8) = false", c[0], c[1])
+		}
+		if !fuzzyContains(c[1], sampleOf([]string{c[0]}), 0.8) {
+			t.Errorf("fuzzyContains(%q, {%q}, 0.8) = false", c[1], c[0])
+		}
+	}
+}
+
+// TestFuzzyContainsMatchesFullScan: the binary-searched length window plus
+// the threshold predicate decide exactly what a scan of every candidate
+// with LevenshteinSim decides, at every threshold of Table II's sweep.
+func TestFuzzyContainsMatchesFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	alphabet := []rune("abc日é")
+	word := func() string {
+		r := make([]rune, 1+rng.Intn(12))
+		for i := range r {
+			r[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		return string(r)
+	}
+	for round := 0; round < 60; round++ {
+		cands := make([]string, 1+rng.Intn(30))
+		for i := range cands {
+			cands[i] = word()
+		}
+		sample := sampleOf(cands)
+		for _, th := range []float64{0.4, 0.5, 0.6, 0.7, 0.8, 1} {
+			for q := 0; q < 20; q++ {
+				v := word()
+				want := false
+				for _, c := range cands {
+					want = want || strutil.LevenshteinSim(v, c) >= th
+				}
+				if got := fuzzyContains(v, sample, th); got != want {
+					t.Fatalf("fuzzyContains(%q, %q, %v) = %v, full scan says %v", v, cands, th, got, want)
+				}
+			}
+		}
+	}
+}
+
+// benchSamples builds two interned 120-value samples of random 8–19-letter
+// words, a third of them shared verbatim and a third one typo apart.
+func benchSamples(tb testing.TB) (a, b *colSample) {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(9))
+	word := func() string {
+		w := make([]byte, 8+rng.Intn(12))
+		for i := range w {
+			w[i] = byte('a' + rng.Intn(26))
+		}
+		return string(w)
+	}
+	av, bv := make([]string, 120), make([]string, 120)
+	for i := range av {
+		av[i] = word()
+		switch i % 3 {
+		case 0:
+			bv[i] = av[i]
+		case 1:
+			bv[i] = fabrication.Typo(av[i], rng)
+		default:
+			bv[i] = word()
+		}
+	}
+	src, tgt := table.New("s"), table.New("t")
+	src.AddColumn("address", av)
+	tgt.AddColumn("addr", bv)
+	sp, tp := profile.NewPair(src, tgt)
+	sa, sb := sampleColumn(sp.Column(0), 120, true), sampleColumn(tp.Column(0), 120, true)
+	if sa.dict == nil || sa.dict != sb.dict {
+		tb.Fatal("samples are not interned into one dictionary")
+	}
+	return &sa, &sb
+}
+
+func TestFuzzyJaccardAllocatesNothing(t *testing.T) {
+	a, b := benchSamples(t)
+	if score := fuzzyJaccard(a, b, 0.8); score <= 0.3 || score >= 1 {
+		t.Fatalf("fixture scores %v, want a mix of exact, fuzzy and missing values", score)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { fuzzyJaccard(a, b, 0.8) }); allocs != 0 {
+		t.Errorf("fuzzyJaccard: %v allocs/op, want 0", allocs)
+	}
+}
+
+var sinkScore float64
+
+func BenchmarkFuzzyJaccard(b *testing.B) {
+	sa, sb := benchSamples(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkScore = fuzzyJaccard(sa, sb, 0.8)
 	}
 }

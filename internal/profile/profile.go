@@ -1,9 +1,10 @@
 // Package profile is the shared lazy column-profile layer of the suite:
 // every piece of derived per-column data the matchers and the discovery
 // index consume — distinct value sets, sorted distinct values, name tokens,
-// trimmed/lowercased/parsed value forms, numeric vectors, summary statistics
-// and MinHash signatures — is computed at most once per column and cached
-// here, instead of being re-derived by every matcher on every Match call.
+// prepared (normalized + tokenized) names, trimmed/lowercased/parsed value
+// forms, numeric vectors, summary statistics and MinHash signatures — is
+// computed at most once per column and cached here, instead of being
+// re-derived by every matcher on every Match call.
 //
 // A Profile is lazy (nothing is computed until first use) and
 // concurrency-safe (each artifact is guarded by a sync.Once, signatures by a
@@ -65,6 +66,10 @@ type Profile struct {
 	tokensOnce sync.Once
 	tokens     []string
 	tokenSet   map[string]struct{}
+
+	namesOnce sync.Once
+	name      strutil.Name // the column name, prepared for NameSim
+	path      strutil.Name // "table.column", likewise
 
 	parsedOnce sync.Once
 	parsed     []ParsedValue
@@ -144,6 +149,28 @@ func (p *Profile) NameTokens() []string {
 func (p *Profile) NameTokenSet() map[string]struct{} {
 	p.NameTokens()
 	return p.tokenSet
+}
+
+// PreparedName returns the column name in its cached comparison form
+// (normalized + tokenized once): name-similarity matchers call its Sim
+// per column pair instead of strutil.NameSim on the raw strings.
+func (p *Profile) PreparedName() *strutil.Name {
+	p.prepareNames()
+	return &p.name
+}
+
+// PreparedPath is PreparedName for the column's name path from the table
+// root, "table.column".
+func (p *Profile) PreparedPath() *strutil.Name {
+	p.prepareNames()
+	return &p.path
+}
+
+func (p *Profile) prepareNames() {
+	p.namesOnce.Do(func() {
+		p.name = strutil.PrepareName(p.col.Name)
+		p.path = strutil.PrepareName(p.tableName + "." + p.col.Name)
+	})
 }
 
 // SampleDistinct returns up to limit distinct values, deterministically:
@@ -309,7 +336,8 @@ func (p *Profile) Signature(k int) []uint64 {
 }
 
 // warm forces every artifact of the profile, including both suite
-// signature lengths.
+// signature lengths — except the prepared names, which only the
+// name-similarity matchers read and the discovery index never does.
 func (p *Profile) warm() {
 	p.SortedDistinct()
 	p.NameTokens()

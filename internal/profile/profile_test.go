@@ -49,6 +49,15 @@ func TestProfileMatchesDirectComputation(t *testing.T) {
 		if !reflect.DeepEqual(p.Signature(64), SignatureOf(c.DistinctValues(), 64)) {
 			t.Errorf("%s: signature mismatch", c.Name)
 		}
+		for j := range tab.Columns {
+			o, q := &tab.Columns[j], tp.Column(j)
+			if got, want := p.PreparedName().Sim(q.PreparedName()), strutil.NameSim(c.Name, o.Name); got != want {
+				t.Errorf("%s/%s: prepared name sim %v, NameSim %v", c.Name, o.Name, got, want)
+			}
+			if got, want := p.PreparedPath().Sim(q.PreparedPath()), strutil.NameSim("orders."+c.Name, "orders."+o.Name); got != want {
+				t.Errorf("%s/%s: prepared path sim %v, NameSim %v", c.Name, o.Name, got, want)
+			}
+		}
 	}
 }
 
@@ -102,6 +111,7 @@ func TestProfileConcurrentAccess(t *testing.T) {
 				p.DistinctValues()
 				p.SortedDistinct()
 				p.NameTokens()
+				p.PreparedName().Sim(p.PreparedPath())
 				p.ParsedDistinct()
 				p.Stats()
 				p.Signature(64)

@@ -3,55 +3,25 @@
 // measures, and a schema-aware tokenizer.
 //
 // All similarity functions return values in [0,1] where 1 means identical;
-// all distance functions return non-negative counts.
+// all distance functions return non-negative counts. Lengths are rune
+// counts: a similarity normalized by length and a length filter in front
+// of it must agree on the unit.
+//
+// Levenshtein distance has one implementation (levenshtein.go): a banded,
+// one-row DP on stack buffers behind Levenshtein, LevenshteinSim,
+// LevenshteinWithin (distance if it is at most k) and
+// LevenshteinSimAtLeast (decision-identical to LevenshteinSim >= t, at the
+// cost of a band of the table). Callers that compare one schema name with
+// many prepare it once (Name, PrepareName) and call (*Name).Sim; NameSim is
+// that same code for two raw strings. The test file keeps the plain two-row
+// DP as the oracle the kernel is fuzzed against.
 package strutil
 
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
-
-// Levenshtein returns the edit distance between a and b (unit costs for
-// insert, delete, substitute), computed over runes.
-func Levenshtein(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	if len(ra) == 0 {
-		return len(rb)
-	}
-	if len(rb) == 0 {
-		return len(ra)
-	}
-	prev := make([]int, len(rb)+1)
-	cur := make([]int, len(rb)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(ra); i++ {
-		cur[0] = i
-		for j := 1; j <= len(rb); j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			cur[j] = min3(cur[j-1]+1, prev[j]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(rb)]
-}
-
-// LevenshteinSim is 1 − Levenshtein/max(len); two empty strings score 1.
-func LevenshteinSim(a, b string) float64 {
-	la, lb := len([]rune(a)), len([]rune(b))
-	if la == 0 && lb == 0 {
-		return 1
-	}
-	m := la
-	if lb > m {
-		m = lb
-	}
-	return 1 - float64(Levenshtein(a, b))/float64(m)
-}
 
 // DamerauLevenshtein additionally counts adjacent transposition as one edit
 // (restricted Damerau).
@@ -152,11 +122,7 @@ func Jaro(a, b string) float64 {
 // JaroWinkler boosts Jaro by shared-prefix length (standard p=0.1, max 4).
 func JaroWinkler(a, b string) float64 {
 	j := Jaro(a, b)
-	prefix := 0
-	ra, rb := []rune(a), []rune(b)
-	for prefix < len(ra) && prefix < len(rb) && prefix < 4 && ra[prefix] == rb[prefix] {
-		prefix++
-	}
+	prefix := min(CommonPrefixLen(a, b), 4)
 	return j + float64(prefix)*0.1*(1-j)
 }
 
@@ -190,9 +156,14 @@ func LongestCommonSubstring(a, b string) int {
 
 // CommonPrefixLen returns the length of the shared rune prefix.
 func CommonPrefixLen(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
 	i := 0
-	for i < len(ra) && i < len(rb) && ra[i] == rb[i] {
+	for a != "" && b != "" {
+		ra, wa := utf8.DecodeRuneInString(a)
+		rb, wb := utf8.DecodeRuneInString(b)
+		if ra != rb {
+			break
+		}
+		a, b = a[wa:], b[wb:]
 		i++
 	}
 	return i
@@ -200,9 +171,14 @@ func CommonPrefixLen(a, b string) int {
 
 // CommonSuffixLen returns the length of the shared rune suffix.
 func CommonSuffixLen(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
 	i := 0
-	for i < len(ra) && i < len(rb) && ra[len(ra)-1-i] == rb[len(rb)-1-i] {
+	for a != "" && b != "" {
+		ra, wa := utf8.DecodeLastRuneInString(a)
+		rb, wb := utf8.DecodeLastRuneInString(b)
+		if ra != rb {
+			break
+		}
+		a, b = a[:len(a)-wa], b[:len(b)-wb]
 		i++
 	}
 	return i

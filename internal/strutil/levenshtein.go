@@ -1,0 +1,188 @@
+package strutil
+
+import "unicode/utf8"
+
+// stackSyms is how many symbols (bytes of an all-ASCII string, runes
+// otherwise) of each input, and how many DP cells, the edit-distance
+// kernel keeps in fixed stack buffers; longer inputs fall back to the heap.
+const stackSyms = 64
+
+// Levenshtein returns the edit distance between a and b (unit costs for
+// insert, delete, substitute), computed over runes. It allocates nothing
+// for inputs of up to 64 runes.
+func Levenshtein(a, b string) int {
+	// The distance never exceeds the longer length, so this band holds it.
+	m, ascii := shape(a, b)
+	d, _ := distanceWithin(a, b, ascii, m)
+	return d
+}
+
+// LevenshteinWithin returns (Levenshtein(a, b), true) when that distance is
+// at most maxDist, and (_, false) otherwise — without filling the DP table:
+// only the diagonals a path of cost ≤ maxDist can visit are computed
+// (Ukkonen's band), and the scan stops at the first row whose band holds no
+// value ≤ maxDist.
+func LevenshteinWithin(a, b string, maxDist int) (int, bool) {
+	_, ascii := shape(a, b)
+	return distanceWithin(a, b, ascii, maxDist)
+}
+
+// LevenshteinSim is 1 − Levenshtein/max(len); two empty strings score 1.
+func LevenshteinSim(a, b string) float64 {
+	m, ascii := shape(a, b)
+	if m == 0 {
+		return 1
+	}
+	d, _ := distanceWithin(a, b, ascii, m)
+	return 1 - float64(d)/float64(m)
+}
+
+// LevenshteinSimAtLeast reports LevenshteinSim(a, b) >= threshold — the same
+// decision on every input, including thresholds outside [0,1] and NaN —
+// at the cost of a band of the DP table instead of all of it: the threshold
+// becomes the largest distance d that still satisfies the float expression
+// LevenshteinSim evaluates, 1 − d/m >= threshold, found by evaluating that
+// expression (solving it, floor((1−threshold)·m), is off by one at
+// m = 5, 10, 15, … for threshold 0.8).
+func LevenshteinSimAtLeast(a, b string, threshold float64) bool {
+	m, ascii := shape(a, b)
+	if m == 0 {
+		return 1 >= threshold
+	}
+	d := maxDistAtLeast(m, threshold)
+	if d < 0 {
+		return false
+	}
+	_, ok := distanceWithin(a, b, ascii, d)
+	return ok
+}
+
+// maxDistAtLeast returns the largest d in [0, m] with
+// 1 − float64(d)/float64(m) >= threshold, or −1 when not even d = 0
+// qualifies. The expression is non-increasing in d, so a step or two from
+// the real-valued solution finds the boundary.
+func maxDistAtLeast(m int, threshold float64) int {
+	ok := func(d int) bool { return 1-float64(d)/float64(m) >= threshold }
+	d := 0
+	if est := (1 - threshold) * float64(m); est >= float64(m) {
+		d = m
+	} else if est > 0 {
+		d = int(est)
+	}
+	for d < m && ok(d+1) {
+		d++
+	}
+	for d >= 0 && !ok(d) {
+		d--
+	}
+	return d
+}
+
+// shape returns what the kernel's callers need to know about a pair before
+// running it: the longer rune length (the similarity's normalizer and the
+// largest possible distance) and whether both strings are all ASCII.
+func shape(a, b string) (longest int, ascii bool) {
+	la, asciiA := runeLen(a)
+	lb, asciiB := runeLen(b)
+	return max(la, lb), asciiA && asciiB
+}
+
+// runeLen returns the number of runes in s and whether s is all ASCII (a
+// string of invalid bytes also has one rune per byte, so the count alone
+// does not tell).
+func runeLen(s string) (n int, ascii bool) {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return utf8.RuneCountInString(s), false
+		}
+	}
+	return len(s), true
+}
+
+// distanceWithin is the one entry to the kernel: it lays both strings out
+// as symbol slices — bytes when both are ASCII (the caller has checked),
+// decoded runes otherwise — in stack buffers and runs the banded DP.
+func distanceWithin(a, b string, ascii bool, maxDist int) (int, bool) {
+	if ascii {
+		var ba, bb [stackSyms]byte
+		return banded(append(ba[:0], a...), append(bb[:0], b...), maxDist)
+	}
+	var ra, rb [stackSyms]rune
+	return banded(appendRunes(ra[:0], a), appendRunes(rb[:0], b), maxDist)
+}
+
+func appendRunes(dst []rune, s string) []rune {
+	for _, r := range s {
+		dst = append(dst, r)
+	}
+	return dst
+}
+
+// banded computes the edit distance of a and b if it is at most k.
+//
+// After the common prefix and suffix are dropped, a is the shorter side
+// (n symbols, the DP row) and b the longer (m rows), Δ = m − n. A path
+// through diagonal j − i = d pays at least |d| + |d + Δ| insertions and
+// deletions, so only diagonals −(k+Δ)/2 … (k−Δ)/2 can lie on a path of
+// cost ≤ k; cells outside that band read as k+1. One row is kept: row[j]
+// is D(i−1, j) until cell (i, j) overwrites it.
+func banded[T byte | rune](a, b []T, k int) (int, bool) {
+	for len(a) > 0 && len(b) > 0 && a[0] == b[0] {
+		a, b = a[1:], b[1:]
+	}
+	for len(a) > 0 && len(b) > 0 && a[len(a)-1] == b[len(b)-1] {
+		a, b = a[:len(a)-1], b[:len(b)-1]
+	}
+	if len(a) > len(b) {
+		a, b = b, a
+	}
+	n, m := len(a), len(b)
+	if m-n > k {
+		return 0, false
+	}
+	if n == 0 {
+		return m, true
+	}
+	k = min(k, m)
+	below, above := (k+m-n)/2, (k-(m-n))/2
+	inf := k + 1
+
+	var buf [stackSyms + 1]int
+	row := buf[:]
+	if n+1 > len(row) {
+		row = make([]int, n+1)
+	}
+	row = row[:n+1]
+	for j := range row {
+		if j <= above {
+			row[j] = j
+		} else {
+			row[j] = inf
+		}
+	}
+	for i := 1; i <= m; i++ {
+		bi := b[i-1]
+		lo, hi := max(1, i-below), min(n, i+above)
+		// diag is D(i−1, lo−1), left is D(i, lo−1): column 0 (= i) while the
+		// band still touches it, outside the band afterwards.
+		diag, left := row[lo-1], inf
+		if i-below <= 1 {
+			left, row[0] = i, i
+		}
+		best := left
+		for j := lo; j <= hi; j++ {
+			up := row[j]
+			v := diag
+			if a[j-1] != bi {
+				v = min(diag, up, left) + 1
+			}
+			diag, left, row[j] = up, v, v
+			best = min(best, v)
+		}
+		if best > k {
+			return 0, false
+		}
+	}
+	d := row[n]
+	return d, d <= k
+}

@@ -143,22 +143,6 @@ func TokenJaccard(a, b string) float64 {
 	return JaccardSets(ToSet(Tokenize(a)), ToSet(Tokenize(b)))
 }
 
-// NameSim is the blended schema-name similarity used as a default across
-// matchers: the maximum of token Jaccard and Levenshtein similarity over
-// normalized names, so both token reordering and small typos score high.
-func NameSim(a, b string) float64 {
-	na, nb := Normalize(a), Normalize(b)
-	if na == nb {
-		return 1
-	}
-	tj := TokenJaccard(a, b)
-	lv := LevenshteinSim(na, nb)
-	if tj > lv {
-		return tj
-	}
-	return lv
-}
-
 // DropVowels removes non-leading vowels from every token of s, mimicking the
 // "drop vowels" schema-noise rule (customer → cstmr).
 func DropVowels(s string) string {
