@@ -52,7 +52,8 @@ func ScoreBound(m Matcher, source, target *profile.TableProfile) float64 {
 type Coster interface {
 	// MatchCostHint returns a dimensionless relative cost (higher =
 	// slower). Hints are calibrated against measured per-pair runtimes
-	// (BENCH_6 Table V); only the ordering matters.
+	// (the traced matchers.*.mean_ms of bench's match-grid workload, in
+	// microseconds); only the ordering matters.
 	MatchCostHint() float64
 }
 

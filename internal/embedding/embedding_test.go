@@ -1,6 +1,7 @@
 package embedding
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -143,7 +144,7 @@ func topicCorpus(rng *rand.Rand, sentences int) [][]string {
 func TestWord2VecLearnsTopics(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	corpus := topicCorpus(rng, 400)
-	m, err := TrainWord2Vec(corpus, Word2VecOptions{Dim: 32, Epochs: 8, Seed: 5})
+	m, err := TrainWord2Vec(context.Background(), corpus, Word2VecOptions{Dim: 32, Epochs: 8, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,11 +164,11 @@ func TestWord2VecLearnsTopics(t *testing.T) {
 func TestWord2VecDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	corpus := topicCorpus(rng, 50)
-	m1, err := TrainWord2Vec(corpus, Word2VecOptions{Dim: 16, Epochs: 2, Seed: 7})
+	m1, err := TrainWord2Vec(context.Background(), corpus, Word2VecOptions{Dim: 16, Epochs: 2, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := TrainWord2Vec(corpus, Word2VecOptions{Dim: 16, Epochs: 2, Seed: 7})
+	m2, err := TrainWord2Vec(context.Background(), corpus, Word2VecOptions{Dim: 16, Epochs: 2, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,19 +182,19 @@ func TestWord2VecDeterministic(t *testing.T) {
 }
 
 func TestWord2VecErrors(t *testing.T) {
-	if _, err := TrainWord2Vec(nil, Word2VecOptions{}); err == nil {
+	if _, err := TrainWord2Vec(context.Background(), nil, Word2VecOptions{}); err == nil {
 		t.Error("empty corpus should fail")
 	}
-	if _, err := TrainWord2Vec([][]string{{"only"}}, Word2VecOptions{}); err == nil {
+	if _, err := TrainWord2Vec(context.Background(), [][]string{{"only"}}, Word2VecOptions{}); err == nil {
 		t.Error("no trainable sentence should fail")
 	}
-	if _, err := TrainWord2Vec([][]string{{"a", "b"}}, Word2VecOptions{MinCount: 5}); err == nil {
+	if _, err := TrainWord2Vec(context.Background(), [][]string{{"a", "b"}}, Word2VecOptions{MinCount: 5}); err == nil {
 		t.Error("min count filtering everything should fail")
 	}
 }
 
 func TestWord2VecUnknownWord(t *testing.T) {
-	m, err := TrainWord2Vec([][]string{{"a", "b", "a", "b"}}, Word2VecOptions{Dim: 8})
+	m, err := TrainWord2Vec(context.Background(), [][]string{{"a", "b", "a", "b"}}, Word2VecOptions{Dim: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,42 @@
 //
 //   - Word2Vec: a full skip-gram-with-negative-sampling trainer used by the
 //     EmbDI matcher on its random-walk sentences, implemented from scratch.
+//
+// # The trainer's exactness contract
+//
+// TrainWord2Vec is one sequential computation whose result is pinned bit for
+// bit (TestTrainWord2VecBitIdentical against the trainer it replaced, and
+// through EmbDI's ranked output TestFidelityFingerprint). Whatever is done
+// to make it faster has to keep two things:
+//
+//   - The math/rand stream: one source seeded with Word2VecOptions.Seed, and
+//     draws in this order — every input component in vocabulary
+//     (sort.Strings) order; then per centre position one window draw and,
+//     per context word inside the window, Negative table draws.
+//   - Every accumulator's operations and their order. A dot product is
+//     summed from component 0 upward into a single accumulator; the centre
+//     word's gradient takes, per component, the samples' terms in draw
+//     order starting from +0; an output row receives its updates in sample
+//     order; the sigmoid is 1/(1+math.Exp(-x)) clamped outside ±8.
+//
+// That rules out float32 storage, a tabulated sigmoid, a dot product split
+// over several accumulators (a different summation order) and math.FMA (one
+// rounding where the contract has two) — each moves EmbDI's scores and needs
+// a fidelity budget, not a refactor. Products are written float64(x*y): the
+// Go specification lets a compiler fuse x*y+z into one rounding, which gc
+// does on arm64, ppc64le, riscv64 and s390x, and an explicit conversion
+// forbids it, so trainer, oracle and the cosine on top of them round the
+// same way on every architecture.
+//
+// What the contract leaves free is where the numbers live and which
+// independent operations overlap. Vectors are rows of one flat matrix per
+// side. A context's negatives are drawn before any sample is applied (the
+// updates consume no randomness), and when its rows are pairwise distinct
+// no sample reads what another writes, so their dot products advance as
+// interleaved chains and their updates share one pass. The unigram^{3/4}
+// table is kept as run ends plus a directory instead of one slot per entry
+// (negativeSampler): the same word for the same draw, out of 20 KB instead
+// of a megabyte.
 package embedding
 
 import (
@@ -30,7 +66,7 @@ func Dot(a, b Vector) float64 {
 	}
 	s := 0.0
 	for i := 0; i < n; i++ {
-		s += a[i] * b[i]
+		s += float64(a[i] * b[i]) // the conversion forbids fusing into an FMA; see the package comment
 	}
 	return s
 }

@@ -198,8 +198,9 @@ func (m *Matcher) MatchContext(ctx context.Context, store *profile.Store, source
 // scoring path. Graph construction, the random walks and word2vec training
 // consume one sequential RNG stream (parallelizing them would change the
 // trained embeddings), so the engine contributes cancellation checks between
-// those stages and between walk batches; the final cosine scoring fans out
-// on the pool.
+// those stages, between walk batches and — training being nearly all of a
+// match — between training sentences; the final cosine scoring fans out on
+// the pool.
 func (m *Matcher) MatchProfilesContext(ctx context.Context, sp, tp *profile.TableProfile) ([]core.Match, error) {
 	if err := core.ValidatePair(sp, tp); err != nil {
 		return nil, err
@@ -249,7 +250,7 @@ func (m *Matcher) MatchProfilesContext(ctx context.Context, sp, tp *profile.Tabl
 		if genErr = ctx.Err(); genErr != nil {
 			return
 		}
-		model, genErr = embedding.TrainWord2Vec(corpus, embedding.Word2VecOptions{
+		model, genErr = embedding.TrainWord2Vec(ctx, corpus, embedding.Word2VecOptions{
 			Dim:    m.Dimensions,
 			Window: m.Window,
 			Epochs: m.Epochs,

@@ -1,12 +1,16 @@
 package embdi
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
+	"time"
 
 	"valentine/internal/core"
 	"valentine/internal/fabrication"
 	"valentine/internal/matchers/matchertest"
+	"valentine/internal/profile"
 	"valentine/internal/table"
 )
 
@@ -177,5 +181,63 @@ func TestMatchValidates(t *testing.T) {
 	}
 	if _, err := newM(t, nil).Match(good, bad); err == nil {
 		t.Error("invalid target should fail")
+	}
+}
+
+// cancelOnCheck cancels itself on its at-th Err call and notes when.
+type cancelOnCheck struct {
+	context.Context
+	cancel    context.CancelFunc
+	at, calls int
+	when      time.Time
+}
+
+func (c *cancelOnCheck) Err() error {
+	c.calls++
+	if c.calls == c.at {
+		c.cancel()
+		c.when = time.Now()
+	}
+	return c.Context.Err()
+}
+
+// TestTrainingHonoursCancellation: word2vec training is nearly all of an
+// EmbDI match, so a cancellation or a budget expiry that lands after the
+// walks must stop the training, not wait for it. Twenty epochs make the
+// training long enough (seconds) that finishing it cannot pass for
+// stopping.
+func TestTrainingHonoursCancellation(t *testing.T) {
+	pair := matchertest.Pair(t, core.ScenarioJoinable, fabrication.Variant{})
+	m := newM(t, core.Params{"epochs": 20}).(*Matcher)
+	sp, tp := profile.NewPair(pair.Source, pair.Target)
+
+	// The walk loop checks the context once per 64 start nodes and once
+	// more before training; ten checks later training is under way.
+	g := buildGraph([]*table.Table{pair.Source, pair.Target}, m.MaxRows, m.Flatten)
+	starts := len(g.cids) + len(g.rids)
+	inner, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctx := &cancelOnCheck{Context: inner, cancel: cancel, at: (starts+63)/64 + 1 + 10}
+	_, err := m.MatchProfilesContext(ctx, sp, tp)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("match cancelled during training returned %v", err)
+	}
+	if late := time.Since(ctx.when); late > 50*time.Millisecond {
+		t.Errorf("returned %v after the cancellation", late)
+	}
+
+	// A per-query budget that expires during training is reported as a
+	// budget expiry, on time.
+	const budget = 30 * time.Millisecond
+	outer := context.Background()
+	bctx, done := core.BudgetContext(outer, budget)
+	defer done()
+	t0 := time.Now()
+	_, err = m.MatchProfilesContext(bctx, sp, tp)
+	if !core.IsBudgetExpiry(outer, err) {
+		t.Fatalf("match over budget returned %v", err)
+	}
+	if took := time.Since(t0); took > budget+50*time.Millisecond {
+		t.Errorf("a %v budget was honoured after %v", budget, took)
 	}
 }

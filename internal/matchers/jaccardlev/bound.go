@@ -21,9 +21,8 @@ import (
 // bench's match-grid workload (13.0/13.8/16.5 ms on seeds 3/5/6, 2 cores)
 // with the banded threshold predicate; the full-table DP it replaced
 // measured 69–72 ms there. Still the most expensive non-embedding matcher
-// next to distribution-based, no longer by a factor of ten. The other
-// matchers' hints are the older BENCH_6 Table V figures; only the relative
-// order matters.
+// next to distribution-based, no longer by a factor of ten. Only the
+// relative order matters.
 func (m *Matcher) MatchCostHint() float64 { return 14000 }
 
 // sampleSize is the column's effective sample cardinality: its distinct

@@ -1,0 +1,45 @@
+package suite
+
+import (
+	"testing"
+
+	"valentine/internal/core"
+	"valentine/internal/experiment"
+)
+
+// TestCostHintOrder pins the relative order of the nine matchers' cost
+// hints. The values are re-measured now and then; the order decides which
+// ensemble member a cascade refines first, and with it which candidates a
+// cutoff prunes, so it may only change on purpose.
+func TestCostHintOrder(t *testing.T) {
+	cheapestFirst := []string{
+		experiment.MethodLSH,
+		experiment.MethodComaSchema,
+		experiment.MethodComaInstance,
+		experiment.MethodSimFlood,
+		experiment.MethodSemProp,
+		experiment.MethodCupid,
+		experiment.MethodJaccardLev,
+		experiment.MethodDistribution,
+		experiment.MethodEmbDI,
+	}
+	reg := experiment.NewRegistry()
+	if got := len(reg.Names()); got != len(cheapestFirst) {
+		t.Fatalf("%d registered methods, %d in the pinned order", got, len(cheapestFirst))
+	}
+	prev := 0.0
+	for i, name := range cheapestFirst {
+		m, err := reg.New(name, nil)
+		if err != nil {
+			t.Fatalf("instantiating %s: %v", name, err)
+		}
+		if _, ok := m.(core.Coster); !ok {
+			t.Fatalf("%s has no cost hint", name)
+		}
+		cost := core.MatchCost(m)
+		if cost <= prev {
+			t.Fatalf("%s costs %v, not above %s at %v", name, cost, cheapestFirst[i-1], prev)
+		}
+		prev = cost
+	}
+}
