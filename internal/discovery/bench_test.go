@@ -8,6 +8,8 @@ package discovery
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -185,4 +187,74 @@ func BenchmarkApplyBatch(b *testing.B) {
 	}
 	b.StopTimer()
 	ix.WaitCompaction()
+}
+
+// BenchmarkCompact measures one compaction of the shape ingest-heavy keeps
+// producing: an 800-table lake already merged into one segment, eight fresh
+// 16-table seals behind it, 5 % of the lake tombstoned. Tables are
+// lake-shaped (13 to 28 columns, 128-slot signatures in near-private buckets,
+// a few dozen set ids and two name tokens a column) but synthetic, so set-up
+// profiles nothing. Every iteration compacts the same snapshot: snapshots
+// are immutable, and the loop puts the starting one back.
+func BenchmarkCompact(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	ix := New(Options{})
+	holdBackgroundCompaction(ix)
+	load := func(prefix string, n int) {
+		b.Helper()
+		ops := make([]ReplayOp, n)
+		for i := range ops {
+			op := ReplayOp{Name: fmt.Sprintf("%s%04d", prefix, i), Cols: make([]ColumnProfile, 13+rng.Intn(16))}
+			for c := range op.Cols {
+				sig := make([]uint64, ix.k)
+				for j := range sig {
+					sig[j] = rng.Uint64() >> 1
+				}
+				set := make([]uint32, 24+rng.Intn(48))
+				for j := range set {
+					set[j] = rng.Uint32()
+				}
+				slices.Sort(set)
+				field := fmt.Sprintf("%02d", (c*7+i)%40)
+				op.Cols[c] = ColumnProfile{
+					Table: op.Name, Column: "field_" + field, Rows: 100, Distinct: len(set),
+					Tokens: []string{"field", field}, Signature: sig, SetIDs: slices.Compact(set),
+				}
+			}
+			ops[i] = op
+		}
+		for len(ops) > 0 {
+			batch := ops[:min(64, len(ops))]
+			ops = ops[len(batch):]
+			for _, err := range ix.ApplyReplayOps(batch) {
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	load("lake", 800)
+	ix.Compact()
+	load("churn", 8*defaultSealAfter)
+	for i := 0; i < 40; i++ {
+		if err := ix.Remove(fmt.Sprintf("lake%04d", i*20)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	base := ix.snap.Load()
+	if len(base.sealed) != 9 || base.sealed[0].numTables() != 800 || len(base.tombs) != 40 {
+		b.Fatalf("fixture: %d sealed segments, %d tables in the first, %d tombstones; want 9, 800, 40",
+			len(base.sealed), base.sealed[0].numTables(), len(base.tombs))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix.snap.Store(base)
+		ix.Compact()
+	}
+	b.StopTimer()
+	if sn := ix.snap.Load(); len(sn.sealed) != 1 || sn.sealed[0].numTables() != 888 || len(sn.tombs) != 0 {
+		b.Fatalf("after Compact: %d sealed segments, %d tables in the first, %d tombstones; want 1, 888, 0",
+			len(sn.sealed), sn.sealed[0].numTables(), len(sn.tombs))
+	}
 }

@@ -34,7 +34,12 @@
 //     deletable-summary direction of the IBLT line of work in PAPERS.md);
 //     tombstoned columns are skipped at probe time and physically dropped by
 //     compaction, which merges sealed segments in the background once enough
-//     garbage or fragmentation accumulates. A tombstone that lands while a
+//     garbage or fragmentation accumulates. The merge is columnar: it reads
+//     its inputs as v2 images and writes the merged image section by section
+//     (mergeSegV2), and the catalog serves that image in place — one
+//     pointer-free heap allocation, already the bytes the next snapshot
+//     writes — so only the memtable and the seals since the last merge are
+//     ever held as Go structs and maps. A tombstone that lands while a
 //     merge is in flight is carried over to the merged segment and reclaimed
 //     by the next one, so a compaction holds the writer lock only to swap
 //     segment lists and re-key tombstones, never to rebuild a segment.
@@ -385,16 +390,19 @@ type Stats struct {
 	// (distinct values ever ingested, with memoized MinHash base hashes).
 	DictEntries int   `json:"dict_entries"`
 	DictBytes   int64 `json:"dict_bytes"`
-	// HeapSegmentBytes estimates the segment state resident on the Go heap;
-	// MappedSegmentBytes counts v2 segment file bytes served via mmap from
-	// the page cache instead. Their ratio is the "catalog bigger than RAM"
-	// dial: mapped bytes cost address space, not resident memory.
+	// HeapSegmentBytes is the segment state on the Go heap: an estimate for
+	// heap segments (the memtable, seals not yet merged) plus the exact
+	// length of every v2 image held there (a compaction's output; a loaded
+	// segment where mapping is unavailable). MappedSegmentBytes counts v2
+	// segment file bytes served via mmap from the page cache instead. Their
+	// ratio is the "catalog bigger than RAM" dial: mapped bytes cost address
+	// space, not resident memory.
 	HeapSegmentBytes   int64 `json:"heap_segment_bytes"`
 	MappedSegmentBytes int64 `json:"mapped_segment_bytes"`
 	// MappedResidentBytes estimates (sampled mincore) how many of the
 	// mapped bytes the page cache currently holds — the measured working
-	// set, versus MappedSegmentBytes' address-space ceiling. Builds without
-	// the mmap path report mapped bytes as fully resident.
+	// set, versus MappedSegmentBytes' address-space ceiling. Zero, like
+	// MappedSegmentBytes, when nothing is mapped.
 	MappedResidentBytes int64 `json:"mapped_resident_bytes"`
 	// QuarantinedSegments counts corrupt segment files a quarantine-mode
 	// load moved aside; non-zero means the catalog is serving degraded.

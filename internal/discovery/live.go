@@ -7,7 +7,6 @@ package discovery
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"valentine/internal/profile"
@@ -302,8 +301,12 @@ func (ix *Index) Compact() {
 	ix.compactMu.Lock()
 	defer ix.compactMu.Unlock()
 
-	// Phase 1 (no writer lock): merge a frozen prefix of sealed segments,
-	// skipping tombstoned tables. Writers may append segments and tombstones
+	// Phase 1 (no writer lock): merge a frozen prefix of sealed segments into
+	// one v2 image, section by section, skipping the tables tombstoned in cur
+	// — the snapshot the merge started from. The inputs are read as images:
+	// a segment that already is one (an earlier merge's output, a snapshot
+	// load) as it stands, a fresh heap seal through a transient encoding made
+	// here, off the write path. Writers may append segments and tombstones
 	// meanwhile; they cannot touch the prefix itself (sealed segments are
 	// immutable and only compaction — serialized by compactMu — replaces
 	// them).
@@ -313,24 +316,19 @@ func (ix *Index) Compact() {
 	}
 	prefix := len(cur.sealed)
 	prefixIDs := make(map[uint64]struct{}, prefix)
+	for _, seg := range cur.sealed {
+		prefixIDs[seg.id] = struct{}{}
+	}
 	ix.wmu.Lock()
 	mergedID := ix.nextSeg
 	ix.nextSeg++
 	ix.wmu.Unlock()
-	merged := newSegment(mergedID, ix.bands)
-	reclaimed := 0 // columns of the tombstoned occurrences this merge drops
-	for _, seg := range cur.sealed {
-		prefixIDs[seg.id] = struct{}{}
-		for _, name := range seg.tableNames() {
-			if cur.dead(seg, name) {
-				reclaimed += seg.tableLen(name)
-				continue
-			}
-			// tableProfiles materializes mapped columns onto the heap (and
-			// the name is cloned), so a compaction's merged segment never
-			// borrows a byte from a mapping.
-			merged.add(strings.Clone(name), seg.tableProfiles(name), ix.rows)
-		}
+	merged, reclaimed, err := ix.mergeSealed(mergedID, cur)
+	if err != nil {
+		// Only a segment the v2 layout cannot hold gets here (32-bit counts
+		// exceeded, or a profile SaveSnapshot would refuse with the same
+		// error). The catalog stays correct unmerged, so leave it as it is.
+		return
 	}
 	if ix.afterMerge != nil {
 		ix.afterMerge()
@@ -338,11 +336,11 @@ func (ix *Index) Compact() {
 
 	// Phase 2 (writer lock): splice the merged segment in place of the
 	// prefix. A prefix tombstone already present at merge time was applied
-	// by the cur.dead skip above and is consumed. One that arrived during
+	// by the merge's dead-table skip and is consumed. One that arrived during
 	// the merge is carried, not applied: it targets exactly the occurrence
 	// phase 1 merged (that occurrence was live in cur, and a name is live at
-	// most once, so merged.tables holds at most one occurrence per name —
-	// this one), so re-keying it to the merged segment shadows the same
+	// most once, so the merged segment holds at most one occurrence per name
+	// — this one), so re-keying it to the merged segment shadows the same
 	// columns, and the next merge drops them. Lookups, removals, searches
 	// and the manifest all work per {segment, table} and need nothing else.
 	ix.wmu.Lock()
@@ -354,12 +352,12 @@ func (ix *Index) Compact() {
 			if _, old := cur.tombs[key]; old {
 				continue
 			}
-			key.seg = merged.id
+			key.seg = mergedID
 		}
 		tombs[key] = struct{}{}
 	}
 	sealed := make([]*segment, 0, 1+len(latest.sealed)-prefix)
-	if len(merged.cols) > 0 || merged.numTables() > 0 {
+	if merged != nil {
 		sealed = append(sealed, merged)
 	}
 	sealed = append(sealed, latest.sealed[prefix:]...)
@@ -380,4 +378,28 @@ func (ix *Index) Compact() {
 	if us := held.Microseconds(); us > ix.spliceMaxUS.Load() {
 		ix.spliceMaxUS.Store(us) // compactMu held: no concurrent updater
 	}
+}
+
+// mergeSealed runs compaction's merge over sn's sealed segments: the merged
+// segment under the given id — a heap-held image, nil when no table
+// survives — and the number of tombstoned columns the merge dropped.
+func (ix *Index) mergeSealed(id uint64, sn *snapshot) (*segment, int, error) {
+	ins := make([]*mappedSeg, len(sn.sealed))
+	for i, seg := range sn.sealed {
+		var err error
+		if ins[i], err = seg.image(ix.k); err != nil {
+			return nil, 0, err
+		}
+	}
+	data, reclaimed, err := mergeSegV2(id, ix.k, ix.bands, ins, func(in int, table string) bool {
+		return sn.dead(sn.sealed[in], table)
+	})
+	if err != nil || data == nil {
+		return nil, reclaimed, err
+	}
+	ms, err := openSegV2(data, nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	return &segment{id: id, mapped: ms}, reclaimed, nil
 }

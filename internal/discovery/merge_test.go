@@ -1,0 +1,327 @@
+package discovery
+
+// Compaction's columnar merge is held to the heap merge it replaced, byte for
+// byte: mergeHeapRef below is that merge, kept as the oracle.
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"valentine/internal/profile"
+	"valentine/internal/table"
+)
+
+// mergeHeapRef is the merge Compact ran before mergeSegV2 — every live table
+// of sn's sealed segments re-added, profile by profile, to a fresh heap
+// segment, its shards re-banked from the signatures — followed by
+// encodeSegV2. It returns nil data when no table survives, and the columns of
+// the tombstoned tables it skipped.
+func mergeHeapRef(t testing.TB, id uint64, ix *Index, sn *snapshot) (data []byte, reclaimed int) {
+	t.Helper()
+	merged := newSegment(id, ix.bands)
+	for _, seg := range sn.sealed {
+		for _, name := range seg.tableNames() {
+			if sn.dead(seg, name) {
+				reclaimed += seg.tableLen(name)
+				continue
+			}
+			merged.add(strings.Clone(name), seg.tableProfiles(name), ix.rows)
+		}
+	}
+	if merged.numTables() == 0 {
+		return nil, reclaimed
+	}
+	data, err := encodeSegV2(merged, ix.k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data, reclaimed
+}
+
+// holdBackgroundCompaction keeps writes from starting compactions (apply
+// skips the trigger while one is flagged as running), so the caller's own
+// Compact calls are the only ones and tombstones stay until they run.
+func holdBackgroundCompaction(ix *Index) { ix.compacting.Store(true) }
+
+// mergedBytes runs the production merge over sn and returns its image (nil
+// when no table survives).
+func mergedBytes(t testing.TB, id uint64, ix *Index, sn *snapshot) (data []byte, reclaimed int) {
+	t.Helper()
+	seg, reclaimed, err := ix.mergeSealed(id, sn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seg == nil {
+		return nil, reclaimed
+	}
+	if seg.mapped == nil || seg.mapped.unmap != nil {
+		t.Fatalf("merged segment %d is not a heap-held image", id)
+	}
+	return seg.mapped.data, reclaimed
+}
+
+// TestMergeSegV2MatchesHeapMerge drives seeded op streams — adds, upserts,
+// removes and compactions over every SealAfter from 1 to 5, with zero-column
+// tables, all-empty columns and non-ASCII names — and at every compaction
+// holds mergeSegV2 to mergeHeapRef: the same bytes and the same reclaimed
+// count, whichever way the inputs are held (fresh heap seals beside an earlier
+// merge's heap-held image, as the live catalog has them; every input a
+// heap-read image; every input a file mapping).
+func TestMergeSegV2MatchesHeapMerge(t *testing.T) {
+	streams, steps := 24, 70
+	if testing.Short() {
+		steps = 40
+	}
+	// What the streams exercised, so the test cannot pass by going vacuous.
+	var merges, withTombs, withHeapSeal, withImage, withMapping, zeroColTables, emptySigCols int
+	colNames := []string{"customer_id", "city", "größe", "名前", "total amount", "k"}
+	for seed := 0; seed < streams; seed++ {
+		rng := rand.New(rand.NewSource(int64(100 + seed)))
+		opts := Options{SealAfter: 1 + seed%5}
+		if seed%3 == 0 {
+			opts.Signature, opts.Bands = 16, 4 // coarse bands: buckets shared between tables and inputs
+		}
+		ix := New(opts)
+		holdBackgroundCompaction(ix)
+		names := []string{"tábla_ü", "表01", "набор"}
+		for i := 0; i < 12; i++ {
+			names = append(names, fmt.Sprintf("t%02d", i))
+		}
+		makeTable := func(name string) *table.Table {
+			tab := table.New(name)
+			if rng.Intn(8) == 0 {
+				return tab // zero columns: table.Validate allows it
+			}
+			nrows := 20 + rng.Intn(40)
+			for _, c := range rng.Perm(len(colNames))[:1+rng.Intn(4)] {
+				values := make([]string, nrows) // all empty: a signature banked in no bucket
+				if rng.Intn(5) > 0 {
+					lo := rng.Intn(120)
+					values = vals("u", lo, lo+nrows)
+				}
+				tab.AddColumn(colNames[c], values)
+			}
+			return tab
+		}
+
+		check := func(step int) {
+			t.Helper()
+			sn := ix.snap.Load()
+			if len(sn.sealed) == 0 {
+				return
+			}
+			at := fmt.Sprintf("seed %d step %d", seed, step)
+			id := ix.nextSeg
+			want, wantReclaimed := mergeHeapRef(t, id, ix, sn)
+			merges++
+			if wantReclaimed > 0 {
+				withTombs++
+			}
+			for _, seg := range sn.sealed {
+				if seg.mapped == nil {
+					withHeapSeal++
+				} else {
+					withImage++
+				}
+				for id := int32(0); int(id) < seg.numCols(); id++ {
+					if profile.IsEmptySignature(seg.colSig(id)) {
+						emptySigCols++
+					}
+				}
+				for _, name := range seg.tableNames() {
+					if seg.tableLen(name) == 0 {
+						zeroColTables++
+					}
+				}
+			}
+			got, gotReclaimed := mergedBytes(t, id, ix, sn)
+			if !bytes.Equal(got, want) || gotReclaimed != wantReclaimed {
+				t.Fatalf("%s: live catalog: merge of %d segments = %d bytes reclaiming %d, heap merge = %d bytes reclaiming %d",
+					at, len(sn.sealed), len(got), gotReclaimed, len(want), wantReclaimed)
+			}
+			dir := filepath.Join(t.TempDir(), "snap")
+			if err := ix.SaveSnapshot(dir); err != nil {
+				t.Fatal(err)
+			}
+			for _, noMap := range []bool{true, false} {
+				loaded, err := loadSnapshot(dir, noMap)
+				if err != nil {
+					t.Fatalf("%s: load (noMap=%v): %v", at, noMap, err)
+				}
+				lsn := loaded.snap.Load()
+				for _, seg := range lsn.sealed {
+					if mapping := seg.mapped.unmap != nil; mapping != (mmapAvailable && !noMap) {
+						t.Fatalf("%s: noMap=%v load holds segment %d as mapping=%v", at, noMap, seg.id, mapping)
+					} else if mapping {
+						withMapping++
+					}
+				}
+				got, gotReclaimed := mergedBytes(t, id, loaded, lsn)
+				if !bytes.Equal(got, want) || gotReclaimed != wantReclaimed {
+					t.Fatalf("%s: loaded (noMap=%v): merge = %d bytes reclaiming %d, heap merge = %d bytes reclaiming %d",
+						at, noMap, len(got), gotReclaimed, len(want), wantReclaimed)
+				}
+				loaded.Close()
+			}
+			// And what Compact itself publishes is that image.
+			ix.Compact()
+			after := ix.snap.Load()
+			if want == nil {
+				if len(after.sealed) != 0 {
+					t.Fatalf("%s: an all-dead merge published %d segments", at, len(after.sealed))
+				}
+			} else if m := after.sealed[0]; m.id != id || m.mapped == nil || !bytes.Equal(m.mapped.data, want) {
+				t.Fatalf("%s: Compact published segment %d, not the heap merge's image under id %d", at, m.id, id)
+			}
+			if after.deadCols != sn.deadCols-wantReclaimed || len(after.tombs) != 0 {
+				t.Fatalf("%s: Compact left %d dead columns over %d tombstones, want %d over 0",
+					at, after.deadCols, len(after.tombs), sn.deadCols-wantReclaimed)
+			}
+		}
+
+		for step := 0; step < steps; step++ {
+			name := names[rng.Intn(len(names))]
+			switch op := rng.Intn(20); {
+			case op < 8:
+				if err := ix.Upsert(makeTable(name)); err != nil {
+					t.Fatalf("seed %d step %d upsert %s: %v", seed, step, name, err)
+				}
+			case op < 12:
+				_ = ix.Add(makeTable(name)) // fails when the name is live
+			case op < 18:
+				_ = ix.Remove(name) // fails when it is not
+			default:
+				check(step)
+			}
+		}
+		check(steps)
+	}
+	for what, n := range map[string]int{
+		"merges": merges, "merges with tombstones at their start": withTombs,
+		"fresh heap seals": withHeapSeal, "heap-held images": withImage,
+		"zero-column tables": zeroColTables, "empty-signature columns": emptySigCols,
+	} {
+		if n == 0 {
+			t.Errorf("the streams exercised no %s", what)
+		}
+	}
+	t.Logf("%d merges (%d with tombstones) over %d heap seals, %d heap-held images and %d mappings; %d zero-column tables, %d empty-signature columns",
+		merges, withTombs, withHeapSeal, withImage, withMapping, zeroColTables, emptySigCols)
+	if mmapAvailable && withMapping == 0 {
+		t.Error("the streams merged no mapped segment")
+	}
+	if merges < 20 {
+		t.Errorf("only %d merges checked, want at least 20", merges)
+	}
+}
+
+// TestMergeAllDeadPublishesNothing: a merge whose every input table is
+// tombstoned yields no image, and Compact publishes no segment for it.
+func TestMergeAllDeadPublishesNothing(t *testing.T) {
+	ix := New(Options{SealAfter: 2})
+	holdBackgroundCompaction(ix)
+	for i := 0; i < 4; i++ {
+		if err := ix.Add(table.New(fmt.Sprintf("t%d", i)).AddColumn("k", vals("u", i*10, i*10+30))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		if err := ix.Remove(fmt.Sprintf("t%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sn := ix.snap.Load()
+	if len(sn.sealed) != 2 || len(sn.tombs) != 4 {
+		t.Fatalf("fixture has %d sealed segments and %d tombstones, want 2 and 4", len(sn.sealed), len(sn.tombs))
+	}
+	if data, reclaimed := mergedBytes(t, ix.nextSeg, ix, sn); data != nil || reclaimed != 4 {
+		t.Fatalf("all-dead merge = %d bytes reclaiming %d columns, want no image and 4", len(data), reclaimed)
+	}
+	ix.Compact()
+	if st := ix.Stats(); st.SealedSegments != 0 || st.Tombstones != 0 || st.TombstonedColumns != 0 || st.Tables != 0 {
+		t.Fatalf("after compacting an all-dead catalog: %+v", st)
+	}
+	if err := ix.Add(table.New("t0").AddColumn("k", vals("u", 0, 30))); err != nil {
+		t.Fatalf("re-adding after the all-dead compaction: %v", err)
+	}
+}
+
+// TestCompactPublishesImage: the segment a compaction publishes is a v2 image
+// held on the Go heap — counted as heap, not as mapped — and the catalog
+// answers exactly as before it, whether the inputs were heap seals or file
+// mappings. An image merged out of mappings borrows nothing from them: it
+// still serves after Close has unmapped every input.
+func TestCompactPublishesImage(t *testing.T) {
+	q := snapshotQuery()
+	type answers struct {
+		search, brute map[Mode][]Result
+		profiles      map[string][]ColumnProfile
+		tables        []string
+	}
+	ask := func(ix *Index) answers {
+		t.Helper()
+		a := answers{search: map[Mode][]Result{}, brute: map[Mode][]Result{}, profiles: map[string][]ColumnProfile{}, tables: ix.Tables()}
+		for _, mode := range []Mode{ModeJoin, ModeUnion} {
+			var err error
+			if a.search[mode], err = ix.Search(q, mode, 0); err != nil {
+				t.Fatal(err)
+			}
+			if a.brute[mode], err = ix.SearchBruteForce(q, mode, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, name := range a.tables {
+			a.profiles[name] = ix.Profiles(name)
+		}
+		return a
+	}
+	live := liveCatalog(t) // three heap seals, one tombstone, a non-empty memtable
+	dir := filepath.Join(t.TempDir(), "snap")
+	if err := live.SaveSnapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadSnapshot(dir) // the same catalog over mapped inputs
+	if err != nil {
+		t.Fatal(err)
+	}
+	for how, ix := range map[string]*Index{"heap seals": live, "loaded segments": loaded} {
+		before := ask(ix)
+		ix.Compact()
+		sn := ix.snap.Load()
+		if len(sn.sealed) != 1 {
+			t.Fatalf("%s: %d sealed segments after Compact, want 1", how, len(sn.sealed))
+		}
+		merged := sn.sealed[0]
+		if merged.mapped == nil || merged.mapped.unmap != nil || merged.cols != nil || merged.shards != nil {
+			t.Fatalf("%s: merged segment is not a heap-held image: %+v", how, merged)
+		}
+		if id := merged.mapped.segID(); id != merged.id {
+			t.Errorf("%s: image header carries id %d, segment is %d", how, id, merged.id)
+		}
+		st := ix.Stats()
+		if st.HeapSegmentBytes < int64(len(merged.mapped.data)) {
+			t.Errorf("%s: heap_segment_bytes = %d, below the merged image's %d bytes", how, st.HeapSegmentBytes, len(merged.mapped.data))
+		}
+		if st.MappedSegmentBytes != 0 || st.MappedResidentBytes != 0 {
+			t.Errorf("%s: %d mapped / %d resident bytes reported with no mapping in the snapshot", how, st.MappedSegmentBytes, st.MappedResidentBytes)
+		}
+		if st.Tombstones != 0 || st.TombstonedColumns != 0 {
+			t.Errorf("%s: tombstones survived the compaction: %+v", how, st)
+		}
+		if after := ask(ix); !reflect.DeepEqual(after, before) {
+			t.Errorf("%s: compaction changed the catalog's answers:\nbefore %+v\n after %+v", how, before, after)
+		}
+	}
+	want := ask(live)
+	if err := loaded.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := ask(loaded); !reflect.DeepEqual(got, want) {
+		t.Errorf("after Close unmapped the merge's inputs, the merged image answers differently:\n got %+v\nwant %+v", got, want)
+	}
+}

@@ -15,8 +15,7 @@ func mapSegmentFile(path string) (data []byte, unmap func() error, err error) {
 	panic("discovery: mapSegmentFile called with mmap unavailable")
 }
 
-// mincoreResidentBytes has nothing to probe without mmap: heap buffers are
-// always resident, so the honest estimate is the full length. (Only reached
-// via the heap-read arm, which residentMappedBytes short-circuits the same
-// way — kept total for symbol parity.)
+// mincoreResidentBytes has nothing to probe without mmap. Never reached —
+// every image here is heap-held, which residentMappedBytes reports as 0
+// mapped bytes — and kept total for symbol parity.
 func mincoreResidentBytes(data []byte) int64 { return int64(len(data)) }

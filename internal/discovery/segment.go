@@ -7,12 +7,22 @@ package discovery
 // so readers holding any snapshot see frozen state without taking a lock.
 //
 // A segment has two physical representations behind one accessor surface:
-// heap (profiles, shard maps and directory materialized as Go values — the
-// memtable and freshly compacted segments) and mapped (a v2 columnar file
-// viewed in place through a []byte, typically an mmap of the page cache —
-// see segv2.go). The search, compaction and persistence paths only go
-// through the accessors below, so the two representations are
-// interchangeable and score bit-identically.
+// heap (profiles, shard maps and directory materialized as Go values) and
+// image (a v2 columnar byte image viewed in place — see segv2.go). Which one
+// lives where:
+//
+//   - the memtable and every freshly sealed memtable (at most SealAfter
+//     tables each) are heap segments — the only form that can be mutated, and
+//     sealing stays a pointer move under the writer lock;
+//   - a compaction's merged segment is an image held on the Go heap: one
+//     pointer-free allocation the collector never scans, written by
+//     mergeSegV2 and served in place until a later merge replaces it;
+//   - a segment loaded from a snapshot is an image mapped from its file
+//     (heap-read where mapping is unavailable), resident in the page cache.
+//
+// The search, compaction and persistence paths only go through the accessors
+// below, so the representations are interchangeable and score
+// bit-identically.
 
 import (
 	"sync"
@@ -26,11 +36,12 @@ import (
 type segment struct {
 	id uint64
 
-	// mapped, when non-nil, backs this segment with a v2 columnar file
-	// viewed in place; the heap fields below stay empty. Mapped segments
-	// are strictly read-only: the mutating methods (add, clone, without)
-	// panic on them, which no code path reaches — only the heap memtable
-	// is ever mutated, and compaction merges into a fresh heap segment.
+	// mapped, when non-nil, backs this segment with a v2 columnar image
+	// viewed in place — mapped from a file or held on the heap; the heap
+	// fields below stay empty. Image-backed segments are strictly read-only:
+	// the mutating methods (add, clone, without) panic on them, which no
+	// code path reaches — only the heap memtable is ever mutated, and
+	// compaction merges into a fresh image.
 	mapped *mappedSeg
 
 	cols   []ColumnProfile
@@ -261,7 +272,7 @@ func (s *segment) colSet(id int32) intern.Set {
 
 // colProfile returns a deep copy of one column's profile — strings cloned,
 // slices fresh — safe to retain past any snapshot or mapping lifetime.
-// Compaction and Profiles materialize through it.
+// Profiles materializes through it.
 func (s *segment) colProfile(id int32) ColumnProfile {
 	if s.mapped != nil {
 		return s.mapped.colProfile(id)
@@ -274,9 +285,9 @@ func (s *segment) colProfile(id int32) ColumnProfile {
 }
 
 // tableProfiles materializes the named table's column profiles for adding
-// to a new heap segment (compaction's merge, the memtable rebuild on load).
-// Heap segments share the profile structs — they are immutable; mapped
-// segments deep-copy out of the mapping.
+// to a new heap segment (the memtable rebuild on load). Heap segments share
+// the profile structs — they are immutable; image-backed segments deep-copy
+// out of the image.
 func (s *segment) tableProfiles(name string) []ColumnProfile {
 	ids := s.colIDs(name)
 	out := make([]ColumnProfile, len(ids))
@@ -300,13 +311,30 @@ func (s *segment) probe(b int, key uint64) []int32 {
 	return s.shards[b][key]
 }
 
-// residentBytes reports the segment's (approximate) heap-resident size and
-// its mapped size — exactly one is non-zero. Mapped segments cost the
-// catalog only page-cache residency, which is the whole point of the v2
-// format; the heap estimate covers profiles, shards and directory and is
-// computed once per (immutable) segment.
+// image returns the segment as a v2 image for compaction's merge: its own
+// when it is image-backed, a transient encoding when it is a heap seal.
+func (s *segment) image(k int) (*mappedSeg, error) {
+	if s.mapped != nil {
+		return s.mapped, nil
+	}
+	data, err := encodeSegV2(s, k)
+	if err != nil {
+		return nil, err
+	}
+	return openSegV2(data, nil)
+}
+
+// residentBytes reports the segment's size on the Go heap and its size in
+// file mappings — exactly one is non-zero. A mapped image costs the catalog
+// only page-cache residency, which is the point of mapping it; an image held
+// on the heap (a compaction's output, a heap-read load) counts its exact
+// length as heap; for a heap segment the figure is an estimate covering
+// profiles, shards and directory, computed once per (immutable) segment.
 func (s *segment) residentBytes() (heap, mapped int64) {
 	if s.mapped != nil {
+		if s.mapped.unmap == nil {
+			return int64(len(s.mapped.data)), 0
+		}
 		return 0, int64(len(s.mapped.data))
 	}
 	s.bytesOnce.Do(func() {
@@ -335,16 +363,12 @@ func (s *segment) residentBytes() (heap, mapped int64) {
 }
 
 // residentMappedBytes estimates how many of the segment's mapped bytes the
-// page cache currently holds (sampled mincore). Heap segments report 0 —
-// their bytes are heap-resident by definition and counted elsewhere; v2
-// segments loaded via the heap-read fallback report their full size for the
-// same reason.
+// page cache currently holds (sampled mincore). Segments on the Go heap —
+// heap segments and heap-held images alike — report 0: they have no mapped
+// bytes, and residentBytes already counts them as heap.
 func (s *segment) residentMappedBytes() int64 {
-	if s.mapped == nil {
+	if s.mapped == nil || s.mapped.unmap == nil {
 		return 0
-	}
-	if s.mapped.unmap == nil {
-		return int64(len(s.mapped.data))
 	}
 	return mincoreResidentBytes(s.mapped.data)
 }

@@ -53,6 +53,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 	"unsafe"
@@ -99,120 +101,65 @@ const (
 	colRecWords = 9
 )
 
-// --- writer ---
+// --- writers ---
+//
+// Two functions produce a v2 image: encodeSegV2 from a heap segment (the
+// memtable and fresh seals, at snapshot time and on their way into a merge)
+// and mergeSegV2 from other images (compaction). They share the string table
+// and the layout step, and for the same tables in the same order they emit
+// the same bytes.
 
-// encodeSegV2 serializes a heap segment — sealed or memtable — to the
-// columnar layout. Mapped segments are not re-encoded through here — their
-// file bytes are already the layout and are copied verbatim by SaveSnapshot.
-func encodeSegV2(s *segment, k int) ([]byte, error) {
-	if s.mapped != nil {
-		return nil, fmt.Errorf("discovery: encodeSegV2 on a mapped segment")
-	}
-	nCols, nTables := len(s.cols), len(s.order)
-	// String table: first-encounter order over (table names, column names,
-	// tokens) makes the encoding deterministic.
-	strIdx := make(map[string]uint32)
-	var strOffs []uint32
-	var strBlob []byte
-	intern := func(v string) uint32 {
-		if i, ok := strIdx[v]; ok {
-			return i
-		}
-		i := uint32(len(strOffs))
-		strIdx[v] = i
-		strOffs = append(strOffs, uint32(len(strBlob)))
-		strBlob = append(strBlob, v...)
+// strTable deduplicates a segment's strings (table names, column names,
+// tokens) in first-encounter order, which makes the encoding deterministic.
+type strTable struct {
+	idx  map[string]uint32
+	offs []uint32 // start of each string in blob
+	blob []byte
+}
+
+func newStrTable(hint int) *strTable {
+	return &strTable{idx: make(map[string]uint32, hint), offs: make([]uint32, 0, hint)}
+}
+
+func (t *strTable) intern(v string) uint32 {
+	if i, ok := t.idx[v]; ok {
 		return i
 	}
+	i := uint32(len(t.offs))
+	t.idx[v] = i
+	t.offs = append(t.offs, uint32(len(t.blob)))
+	t.blob = append(t.blob, v...)
+	return i
+}
 
-	tblRecs := make([]uint32, 0, nTables*tblRecWords)
-	colRecs := make([]uint32, nCols*colRecWords)
-	sigs := make([]uint64, 0, nCols*k)
-	var tokenIDs, setIDs []uint32
-	colSeen := 0
-	for ti, name := range s.order {
-		ids := s.tables[name]
-		nameIdx := intern(name)
-		if len(ids) > 0 {
-			for i, id := range ids {
-				if int(id) != int(ids[0])+i {
-					return nil, fmt.Errorf("discovery: table %q has non-contiguous column ids", name)
-				}
-			}
-		}
-		first := uint32(0)
-		if len(ids) > 0 {
-			first = uint32(ids[0])
-		}
-		tblRecs = append(tblRecs, nameIdx, first, uint32(len(ids)))
-		for _, id := range ids {
-			p := &s.cols[id]
-			if len(p.Signature) != k {
-				return nil, fmt.Errorf("discovery: column %s.%s has %d-slot signature, want %d",
-					p.Table, p.Column, len(p.Signature), k)
-			}
-			if p.Rows < 0 || int64(p.Rows) > int64(^uint32(0)) ||
-				p.Distinct < 0 || int64(p.Distinct) > int64(^uint32(0)) {
-				return nil, fmt.Errorf("discovery: column %s.%s counts overflow the v2 layout", p.Table, p.Column)
-			}
-			rec := colRecs[int(id)*colRecWords:]
-			rec[0] = uint32(ti)
-			rec[1] = intern(p.Column)
-			rec[2] = uint32(int32(p.Type))
-			rec[3] = uint32(p.Rows)
-			rec[4] = uint32(p.Distinct)
-			rec[5] = uint32(len(tokenIDs))
-			rec[6] = uint32(len(p.Tokens))
-			rec[7] = uint32(len(setIDs))
-			rec[8] = uint32(len(p.SetIDs))
-			for _, t := range p.Tokens {
-				tokenIDs = append(tokenIDs, intern(t))
-			}
-			setIDs = append(setIDs, p.SetIDs...)
-			sigs = append(sigs, p.Signature...)
-			colSeen++
-		}
+// assembleSegV2 lays out a v2 image for the given counts and writes what both
+// writers have staged by then — header, section table, strings, token ids —
+// returning the image and its sections, as slices of it, for the caller to
+// fill in the rest. The buffer is zeroed and []uint64-backed, as
+// readFileAligned's is: a plain []byte allocation guarantees no alignment,
+// and an image is viewed in place once opened. Writers fill sections through
+// the same views readers use, so they share the readers'
+// little-endian-host assumption. Every count and offset the layout stores in
+// 32 bits is checked here, so no writer emits a wrapped one.
+func assembleSegV2(id uint64, k, bands, nCols, nTables int, strs *strTable, tokenIDs []uint32, nKeys, nBucketIDs, nSetIDs int) ([]byte, [segV2Sections][]byte, error) {
+	var secs [segV2Sections][]byte
+	nStrings := len(strs.offs)
+	// Column ids are int32 in every reader; the rest are u32 fields.
+	if nCols > math.MaxInt32 || uint64(max(k, bands, nTables, nStrings, len(strs.blob), len(tokenIDs), nBucketIDs, nSetIDs)) > math.MaxUint32 {
+		return nil, secs, fmt.Errorf("discovery: segment %d overflows the v2 layout's 32-bit counts", id)
 	}
-	if colSeen != nCols {
-		return nil, fmt.Errorf("discovery: segment directory covers %d of %d columns", colSeen, nCols)
-	}
-	strOffs = append(strOffs, uint32(len(strBlob))) // final prefix offset
-
-	bands := len(s.shards)
-	bandCounts := make([]uint32, bands)
-	var bandKeys []uint64
-	var bucketEnds, bucketIDs []uint32
-	for b, shard := range s.shards {
-		keys := make([]uint64, 0, len(shard))
-		for key := range shard {
-			keys = append(keys, key)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		bandCounts[b] = uint32(len(keys))
-		end := uint32(0)
-		for _, key := range keys {
-			bandKeys = append(bandKeys, key)
-			for _, id := range shard[key] {
-				bucketIDs = append(bucketIDs, uint32(id))
-			}
-			end += uint32(len(shard[key]))
-			bucketEnds = append(bucketEnds, end)
-		}
-	}
-
-	// Assemble: header, section table, 8-aligned sections.
 	sizes := [segV2Sections]uint64{
-		secStrOffs:    uint64(len(strOffs)) * 4,
-		secStrBlob:    uint64(len(strBlob)),
-		secTblRecs:    uint64(len(tblRecs)) * 4,
-		secColRecs:    uint64(len(colRecs)) * 4,
-		secSigs:       uint64(len(sigs)) * 8,
-		secBandCounts: uint64(len(bandCounts)) * 4,
-		secBandKeys:   uint64(len(bandKeys)) * 8,
-		secBucketEnds: uint64(len(bucketEnds)) * 4,
-		secBucketIDs:  uint64(len(bucketIDs)) * 4,
+		secStrOffs:    uint64(nStrings+1) * 4,
+		secStrBlob:    uint64(len(strs.blob)),
+		secTblRecs:    uint64(nTables) * tblRecWords * 4,
+		secColRecs:    uint64(nCols) * colRecWords * 4,
+		secSigs:       uint64(nCols) * uint64(k) * 8,
+		secBandCounts: uint64(bands) * 4,
+		secBandKeys:   uint64(nKeys) * 8,
+		secBucketEnds: uint64(nKeys) * 4,
+		secBucketIDs:  uint64(nBucketIDs) * 4,
 		secTokenIDs:   uint64(len(tokenIDs)) * 4,
-		secSetIDs:     uint64(len(setIDs)) * 4,
+		secSetIDs:     uint64(nSetIDs) * 4,
 	}
 	var offs [segV2Sections]uint64
 	pos := uint64(segV2Header + segV2Sections*16)
@@ -220,45 +167,342 @@ func encodeSegV2(s *segment, k int) ([]byte, error) {
 		offs[i] = pos
 		pos += (sz + 7) &^ 7
 	}
-	out := make([]byte, pos)
+	words := make([]uint64, pos/8)
+	out := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), pos)
 	copy(out, segV2Magic)
 	le := binary.LittleEndian
 	le.PutUint32(out[8:], segV2Version)
 	le.PutUint32(out[12:], segV2Sections)
-	le.PutUint64(out[16:], s.id)
+	le.PutUint64(out[16:], id)
 	le.PutUint32(out[24:], uint32(k))
 	le.PutUint32(out[28:], uint32(bands))
 	le.PutUint32(out[32:], uint32(nCols))
 	le.PutUint32(out[36:], uint32(nTables))
-	le.PutUint32(out[40:], uint32(len(strOffs)-1))
-	for i := 0; i < segV2Sections; i++ {
+	le.PutUint32(out[40:], uint32(nStrings))
+	for i := range secs {
 		le.PutUint64(out[segV2Header+i*16:], offs[i])
 		le.PutUint64(out[segV2Header+i*16+8:], sizes[i])
+		secs[i] = out[offs[i] : offs[i]+sizes[i]]
 	}
-	putU32s := func(sec int, v []uint32) {
-		dst := out[offs[sec]:]
-		for i, x := range v {
-			le.PutUint32(dst[i*4:], x)
+	strOffs := viewU32(secs[secStrOffs])
+	copy(strOffs, strs.offs)
+	strOffs[nStrings] = uint32(len(strs.blob)) // the prefix table's closing offset
+	copy(secs[secStrBlob], strs.blob)
+	copy(viewU32(secs[secTokenIDs]), tokenIDs)
+	return out, secs, nil
+}
+
+// encodeSegV2 serializes a heap segment — sealed or memtable — to the
+// columnar layout. Image-backed segments never come through here: their
+// bytes are already the layout, copied verbatim by SaveSnapshot and read in
+// place by mergeSegV2.
+func encodeSegV2(s *segment, k int) ([]byte, error) {
+	if s.mapped != nil {
+		return nil, fmt.Errorf("discovery: encodeSegV2 on an image-backed segment")
+	}
+	nCols, nTables := len(s.cols), len(s.order)
+	// Pass 1: validate, intern every string in first-encounter order (table
+	// name, then per column its name and tokens) and size the sections.
+	strs := newStrTable(nTables + 2*nCols)
+	names := make([]uint32, 0, nTables+nCols) // table and column name indices, in record order
+	tokenIDs := make([]uint32, 0, 2*nCols)
+	nSetIDs, colSeen := 0, 0
+	for _, name := range s.order {
+		ids := s.tables[name]
+		for i, id := range ids {
+			if int(id) != int(ids[0])+i {
+				return nil, fmt.Errorf("discovery: table %q has non-contiguous column ids", name)
+			}
+		}
+		names = append(names, strs.intern(name))
+		for _, id := range ids {
+			p := &s.cols[id]
+			if len(p.Signature) != k {
+				return nil, fmt.Errorf("discovery: column %s.%s has %d-slot signature, want %d",
+					p.Table, p.Column, len(p.Signature), k)
+			}
+			if p.Rows < 0 || int64(p.Rows) > math.MaxUint32 ||
+				p.Distinct < 0 || int64(p.Distinct) > math.MaxUint32 {
+				return nil, fmt.Errorf("discovery: column %s.%s counts overflow the v2 layout", p.Table, p.Column)
+			}
+			names = append(names, strs.intern(p.Column))
+			for _, t := range p.Tokens {
+				tokenIDs = append(tokenIDs, strs.intern(t))
+			}
+			nSetIDs += len(p.SetIDs)
+			colSeen++
 		}
 	}
-	putU64s := func(sec int, v []uint64) {
-		dst := out[offs[sec]:]
-		for i, x := range v {
-			le.PutUint64(dst[i*8:], x)
+	if colSeen != nCols {
+		return nil, fmt.Errorf("discovery: segment directory covers %d of %d columns", colSeen, nCols)
+	}
+	// Band keys, band after band and ascending within each — already the
+	// bandKeys section's content, so one buffer serves every band's sort.
+	bands := len(s.shards)
+	nKeys, nBucketIDs := 0, 0
+	for _, shard := range s.shards {
+		nKeys += len(shard)
+	}
+	keys := make([]uint64, 0, nKeys)
+	for _, shard := range s.shards {
+		lo := len(keys)
+		for key, ids := range shard {
+			keys = append(keys, key)
+			nBucketIDs += len(ids)
+		}
+		slices.Sort(keys[lo:])
+	}
+
+	out, secs, err := assembleSegV2(s.id, k, bands, nCols, nTables, strs, tokenIDs, nKeys, nBucketIDs, nSetIDs)
+	if err != nil {
+		return nil, err
+	}
+
+	// Pass 2: records, signatures and set ids straight into their sections.
+	tblRecs, colRecs := viewU32(secs[secTblRecs]), viewU32(secs[secColRecs])
+	sigs, setIDs := viewU64(secs[secSigs]), viewU32(secs[secSetIDs])
+	name, tok, set := 0, 0, 0
+	for ti, tbl := range s.order {
+		ids := s.tables[tbl]
+		rec := tblRecs[ti*tblRecWords:][:tblRecWords]
+		rec[0] = names[name]
+		name++
+		if len(ids) > 0 {
+			rec[1] = uint32(ids[0])
+		}
+		rec[2] = uint32(len(ids))
+		for _, id := range ids {
+			p := &s.cols[id]
+			col := colRecs[int(id)*colRecWords:][:colRecWords]
+			col[0] = uint32(ti)
+			col[1] = names[name]
+			name++
+			col[2] = uint32(int32(p.Type))
+			col[3] = uint32(p.Rows)
+			col[4] = uint32(p.Distinct)
+			col[5] = uint32(tok)
+			col[6] = uint32(len(p.Tokens))
+			col[7] = uint32(set)
+			col[8] = uint32(len(p.SetIDs))
+			tok += len(p.Tokens)
+			set += copy(setIDs[set:], p.SetIDs)
+			copy(sigs[int(id)*k:], p.Signature)
 		}
 	}
-	putU32s(secStrOffs, strOffs)
-	copy(out[offs[secStrBlob]:], strBlob)
-	putU32s(secTblRecs, tblRecs)
-	putU32s(secColRecs, colRecs)
-	putU64s(secSigs, sigs)
-	putU32s(secBandCounts, bandCounts)
-	putU64s(secBandKeys, bandKeys)
-	putU32s(secBucketEnds, bucketEnds)
-	putU32s(secBucketIDs, bucketIDs)
-	putU32s(secTokenIDs, tokenIDs)
-	putU32s(secSetIDs, setIDs)
+	copy(viewU64(secs[secBandKeys]), keys)
+	bandCounts, bucketEnds := viewU32(secs[secBandCounts]), viewU32(secs[secBucketEnds])
+	bucketIDs := viewU32(secs[secBucketIDs])
+	ki, ii := 0, 0
+	for b, shard := range s.shards {
+		bandCounts[b] = uint32(len(shard))
+		base := ii
+		for range len(shard) {
+			for _, id := range shard[keys[ki]] {
+				bucketIDs[ii] = uint32(id)
+				ii++
+			}
+			bucketEnds[ki] = uint32(ii - base)
+			ki++
+		}
+	}
 	return out, nil
+}
+
+// droppedCol marks, in a merge's old→new column id table, a column of a
+// tombstoned table.
+const droppedCol = ^uint32(0)
+
+// bandCursor walks one input's ascending key run of the band being merged.
+type bandCursor struct {
+	key      uint64
+	in       int // input index: equal keys pop oldest input first
+	pos, end int // band-relative key index, and the run's length
+}
+
+func (a bandCursor) before(b bandCursor) bool {
+	return a.key < b.key || a.key == b.key && a.in < b.in
+}
+
+// siftDown restores the min-heap order below h[i].
+func siftDown(h []bandCursor, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// mergeSegV2 is compaction's merge. It reads sealed segments as v2 images,
+// oldest first, and writes the v2 image of their live tables directly:
+// strings re-interned in first-encounter order, table and column records
+// renumbered, each live table's signature rows copied as one block and its
+// columns' set-id runs one by one, and per band a merge of the inputs'
+// already-sorted key runs with bucket ids renumbered through a per-input
+// old→new id table (ids of dead tables dropped; a bucket left empty
+// vanishes). The result is byte-identical to encodeSegV2 of a heap segment
+// those tables were added to in that order — mergeHeapRef in the tests is
+// that oracle — so a probe of the merged image visits candidates exactly as
+// the inputs' probes did.
+//
+// dead reports whether input in's table is tombstoned; reclaimed counts the
+// columns of the tables it drops. A merge with no live table returns nil
+// data. The image borrows no byte from an input (inputs may be mappings
+// that Close releases); only the string table keys on input views, and it
+// dies with the call.
+//
+// Inputs are images openSegV2 accepted, which need not be well-formed past
+// what it checks: bucket ids are clamped exactly as search clamps them, and
+// everything else is read through the validated records, so any accepted
+// input merges into an image openSegV2 accepts again.
+func mergeSegV2(id uint64, k, bands int, ins []*mappedSeg, dead func(in int, table string) bool) (data []byte, reclaimed int, err error) {
+	// Pass 1: pick the live tables, number their columns, intern every
+	// string (table name, then per column its name and tokens).
+	type liveTable struct {
+		in       int
+		first, n int // the table's column run in ins[in]
+	}
+	colsIn, stringsIn, keysIn, idsIn := 0, 0, 0, 0 // upper bounds for presizing
+	for i, m := range ins {
+		if m.k != k || m.bands != bands {
+			return nil, 0, fmt.Errorf("discovery: merge input %d has geometry k=%d bands=%d, want k=%d bands=%d", i, m.k, m.bands, k, bands)
+		}
+		colsIn += m.nCols
+		stringsIn = max(stringsIn, m.nStrings)
+		keysIn += len(m.bandKeys)
+		idsIn += len(m.bucketIDs)
+	}
+	var tables []liveTable
+	strs := newStrTable(stringsIn)
+	names := make([]uint32, 0, colsIn) // table and column name indices, in record order
+	tokenIDs := make([]uint32, 0, 2*colsIn)
+	nCols, nSetIDs := 0, 0
+	remaps := make([][]uint32, len(ins)) // per input: old column id → merged id, or droppedCol
+	for i, m := range ins {
+		remap := make([]uint32, m.nCols)
+		for c := range remap {
+			remap[c] = droppedCol
+		}
+		remaps[i] = remap
+		for t := uint32(0); t < uint32(m.nTables); t++ {
+			tbl := m.tableName(t)
+			first, n := m.tableCols(t)
+			if dead(i, tbl) {
+				reclaimed += n
+				continue
+			}
+			tables = append(tables, liveTable{i, first, n})
+			names = append(names, strs.intern(tbl))
+			for c := first; c < first+n; c++ {
+				remap[c] = uint32(nCols)
+				nCols++
+				rec := m.colRecs[c*colRecWords:][:colRecWords]
+				names = append(names, strs.intern(m.str(rec[1])))
+				for _, tok := range m.tokenIDs[rec[5]:][:rec[6]] {
+					tokenIDs = append(tokenIDs, strs.intern(m.str(tok)))
+				}
+				nSetIDs += int(rec[8])
+			}
+		}
+	}
+	if len(tables) == 0 {
+		return nil, reclaimed, nil
+	}
+
+	// Band sections. Their sizes are only known once merged (keys shared
+	// between inputs fuse, emptied buckets vanish) and they sit before the
+	// token and set-id sections, so they alone are staged.
+	bandCounts := make([]uint32, bands)
+	keys := make([]uint64, 0, keysIn)
+	ends := make([]uint32, 0, keysIn)
+	ids := make([]uint32, 0, idsIn)
+	heap := make([]bandCursor, 0, len(ins))
+	for b := range bands {
+		keyBase, idBase := len(keys), len(ids)
+		heap = heap[:0]
+		for i, m := range ins {
+			if n := m.keyStart[b+1] - m.keyStart[b]; n > 0 {
+				heap = append(heap, bandCursor{key: m.bandKeys[m.keyStart[b]], in: i, end: n})
+			}
+		}
+		for i := len(heap)/2 - 1; i >= 0; i-- {
+			siftDown(heap, i)
+		}
+		for len(heap) > 0 {
+			c := &heap[0]
+			m, remap := ins[c.in], remaps[c.in]
+			n := len(ids)
+			for _, old := range m.bucket(b, c.pos) {
+				if old < 0 || int(old) >= len(remap) || remap[old] == droppedCol {
+					continue
+				}
+				ids = append(ids, remap[old])
+			}
+			if len(ids) > n {
+				if last := len(keys) - 1; last >= keyBase && keys[last] == c.key {
+					ends[last] = uint32(len(ids) - idBase)
+				} else {
+					keys = append(keys, c.key)
+					ends = append(ends, uint32(len(ids)-idBase))
+				}
+			}
+			if c.pos++; c.pos < c.end {
+				c.key = m.bandKeys[m.keyStart[b]+c.pos]
+			} else {
+				heap[0] = heap[len(heap)-1]
+				heap = heap[:len(heap)-1]
+			}
+			siftDown(heap, 0)
+		}
+		bandCounts[b] = uint32(len(keys) - keyBase)
+	}
+
+	out, secs, err := assembleSegV2(id, k, bands, nCols, len(tables), strs, tokenIDs, len(keys), len(ids), nSetIDs)
+	if err != nil {
+		return nil, 0, err
+	}
+
+	// Pass 2: records, signatures and set ids straight into their sections.
+	copy(viewU32(secs[secBandCounts]), bandCounts)
+	copy(viewU64(secs[secBandKeys]), keys)
+	copy(viewU32(secs[secBucketEnds]), ends)
+	copy(viewU32(secs[secBucketIDs]), ids)
+	tblRecs, colRecs := viewU32(secs[secTblRecs]), viewU32(secs[secColRecs])
+	sigs, setIDs := viewU64(secs[secSigs]), viewU32(secs[secSetIDs])
+	name, col, tok, set := 0, 0, 0, 0
+	for ti, t := range tables {
+		m := ins[t.in]
+		rec := tblRecs[ti*tblRecWords:][:tblRecWords]
+		rec[0] = names[name]
+		name++
+		if t.n > 0 { // a zero-column table records first column 0, as encodeSegV2 does
+			rec[1] = uint32(col)
+		}
+		rec[2] = uint32(t.n)
+		copy(sigs[col*k:], m.sigs[t.first*k:(t.first+t.n)*k])
+		for c := t.first; c < t.first+t.n; c++ {
+			src := m.colRecs[c*colRecWords:][:colRecWords]
+			dst := colRecs[col*colRecWords:][:colRecWords]
+			dst[0] = uint32(ti)
+			dst[1] = names[name]
+			name++
+			dst[2], dst[3], dst[4] = src[2], src[3], src[4] // type, rows, distinct
+			dst[5], dst[6] = uint32(tok), src[6]
+			dst[7], dst[8] = uint32(set), src[8]
+			tok += int(src[6])
+			set += copy(setIDs[set:], m.setIDs[src[7]:][:src[8]])
+			col++
+		}
+	}
+	return out, reclaimed, nil
 }
 
 // --- reader ---
@@ -589,6 +833,19 @@ func (m *mappedSeg) probe(b int, key uint64) []int32 {
 		return nil
 	}
 	ends := m.bucketEnds[lo:hi]
+	start := uint32(0)
+	if i > 0 {
+		start = ends[i-1]
+	}
+	base := m.idStart[b]
+	return m.bucketIDs[base+int(start) : base+int(ends[i])]
+}
+
+// bucket returns the ids banked under band b's i-th key, as a view: the
+// merge's sequential counterpart of probe (which stays its own code — it is
+// the search hot path).
+func (m *mappedSeg) bucket(b, i int) []int32 {
+	ends := m.bucketEnds[m.keyStart[b]:m.keyStart[b+1]]
 	start := uint32(0)
 	if i > 0 {
 		start = ends[i-1]

@@ -372,17 +372,22 @@ func TestMappedKernelProbesZeroAlloc(t *testing.T) {
 	}
 }
 
-// fuzzSeedSegments encodes the two shapes of segment file a snapshot holds —
-// a sealed segment and a memtable — as FuzzOpenSegV2's seeds.
+// fuzzSeedSegments encodes the three shapes of segment file a snapshot holds —
+// a fresh seal, a memtable, and a compaction's merged image (here with one
+// tombstoned table dropped) — as FuzzOpenSegV2's seeds.
 func fuzzSeedSegments(t testing.TB) [][]byte {
 	ix := New(Options{Signature: 16, Bands: 4, SealAfter: 2})
-	for i := 0; i < 3; i++ {
+	holdBackgroundCompaction(ix) // the seeds are the same bytes every run
+	for i := 0; i < 5; i++ {
 		tab := table.New(fmt.Sprintf("t%d", i)).
 			AddColumn("customer_id", vals("u", i*4, i*4+12)).
 			AddColumn("v", vals("p", 0, 12))
 		if err := ix.Add(tab); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := ix.Remove("t1"); err != nil {
+		t.Fatal(err)
 	}
 	sn := ix.snap.Load()
 	var seeds [][]byte
@@ -393,13 +398,53 @@ func fuzzSeedSegments(t testing.TB) [][]byte {
 		}
 		seeds = append(seeds, data)
 	}
-	return seeds
+	merged, _, err := ix.mergeSealed(ix.nextSeg, sn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := merged.numTables(); n != 3 {
+		t.Fatalf("merged seed holds %d tables, want t0, t2 and t3", n)
+	}
+	return append(seeds, merged.mapped.data)
+}
+
+// exerciseSegV2 runs every accessor of an accepted image — the table
+// directory, each column's profile and views, a probe of every band.
+func exerciseSegV2(t *testing.T, ms *mappedSeg) {
+	seg := &segment{id: ms.segID(), mapped: ms}
+	if names := seg.tableNames(); len(names) != seg.numTables() {
+		t.Fatalf("%d table names for %d tables", len(names), seg.numTables())
+	}
+	for _, name := range seg.tableNames() {
+		if !seg.hasTable(name) {
+			t.Fatalf("directory lost table %q", name)
+		}
+		for _, p := range seg.tableProfiles(name) {
+			if len(p.Signature) != ms.k {
+				t.Fatalf("column %s.%s has %d signature slots, header says %d", p.Table, p.Column, len(p.Signature), ms.k)
+			}
+		}
+	}
+	for id := int32(0); int(id) < seg.numCols(); id++ {
+		_, _, _ = seg.colTable(id), seg.colName(id), seg.colTokens(id)
+		set := seg.colSet(id)
+		_ = set.Len()
+		_ = seg.colProfile(id)
+	}
+	for b := 0; b < ms.bands; b++ {
+		for _, key := range ms.bandKeys[ms.keyStart[b]:ms.keyStart[b+1]] {
+			_ = seg.probe(b, key)
+		}
+		_ = seg.probe(b, ^uint64(0))
+	}
 }
 
 // FuzzOpenSegV2 holds the one decoder every column byte off disk goes
 // through to its contract on arbitrary input: a typed ErrSegment* error, or
-// a segment whose every accessor — the table directory, each column's
-// profile and views, a probe of every band — runs without panicking.
+// a segment whose every accessor runs without panicking — and which
+// compaction can merge: an accepted file reaches mergeSegV2 in production,
+// bucket ids and all, so the merge of every accepted image (alone, and with
+// one table tombstoned) must itself be an image the decoder accepts.
 // TestSegV2RandomCorruptionNeverPanics is the deterministic leg.
 func FuzzOpenSegV2(f *testing.F) {
 	for _, seed := range fuzzSeedSegments(f) {
@@ -417,31 +462,32 @@ func FuzzOpenSegV2(f *testing.F) {
 			}
 			return
 		}
-		seg := &segment{id: ms.segID(), mapped: ms}
-		if names := seg.tableNames(); len(names) != seg.numTables() {
-			t.Fatalf("%d table names for %d tables", len(names), seg.numTables())
-		}
-		for _, name := range seg.tableNames() {
-			if !seg.hasTable(name) {
-				t.Fatalf("directory lost table %q", name)
+		exerciseSegV2(t, ms)
+		for _, tombstone := range []bool{false, true} {
+			live := ms.nTables
+			if tombstone && live > 0 {
+				live--
 			}
-			for _, p := range seg.tableProfiles(name) {
-				if len(p.Signature) != ms.k {
-					t.Fatalf("column %s.%s has %d signature slots, header says %d", p.Table, p.Column, len(p.Signature), ms.k)
+			merged, _, err := mergeSegV2(ms.segID()+1, ms.k, ms.bands, []*mappedSeg{ms}, func(_ int, name string) bool {
+				return tombstone && name == ms.tableName(0)
+			})
+			if err != nil {
+				t.Fatalf("merge (tombstone=%v): %v", tombstone, err)
+			}
+			if merged == nil {
+				if live != 0 {
+					t.Fatalf("merge (tombstone=%v) of %d tables produced no image", tombstone, ms.nTables)
 				}
+				continue
 			}
-		}
-		for id := int32(0); int(id) < seg.numCols(); id++ {
-			_, _, _ = seg.colTable(id), seg.colName(id), seg.colTokens(id)
-			set := seg.colSet(id)
-			_ = set.Len()
-			_ = seg.colProfile(id)
-		}
-		for b := 0; b < ms.bands; b++ {
-			for _, key := range ms.bandKeys[ms.keyStart[b]:ms.keyStart[b+1]] {
-				_ = seg.probe(b, key)
+			re, err := openSegV2(merged, nil)
+			if err != nil {
+				t.Fatalf("merge (tombstone=%v) produced an image the decoder rejects: %v", tombstone, err)
 			}
-			_ = seg.probe(b, ^uint64(0))
+			if re.nTables != live {
+				t.Fatalf("merge (tombstone=%v) kept %d of %d tables, want %d", tombstone, re.nTables, ms.nTables, live)
+			}
+			exerciseSegV2(t, re)
 		}
 	})
 }

@@ -37,9 +37,10 @@ func snapshotQuery() *table.Table {
 }
 
 // normalizeResidency zeros the segment-residency byte counters: they
-// describe the physical representation (heap-estimated vs mapped file
-// bytes), which legitimately differs between a catalog and its reloaded
-// twin, while every other Stats field must survive a round trip exactly.
+// describe the physical representation (heap segments, heap-held images,
+// mapped file bytes), which legitimately differs between a catalog and its
+// reloaded twin, while every other Stats field must survive a round trip
+// exactly.
 func normalizeResidency(st Stats) Stats {
 	st.HeapSegmentBytes, st.MappedSegmentBytes, st.MappedResidentBytes = 0, 0, 0
 	return st
@@ -61,15 +62,37 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if got, want := normalizeResidency(loaded.Stats()), normalizeResidency(ix.Stats()); got != want {
 		t.Errorf("stats = %+v, want %+v (segment layout must survive the round trip)", got, want)
 	}
-	if st := loaded.Stats(); st.MappedSegmentBytes == 0 && mmapAvailable {
-		t.Errorf("v2 snapshot load reported no mapped bytes: %+v", st)
+	// Residency: the loaded catalog's sealed segments are file mappings where
+	// the platform maps (heap-held images, counted as heap, where it does
+	// not); its memtable and everything in the catalog that wrote the
+	// snapshot are on the heap.
+	st := loaded.Stats()
+	if orig := ix.Stats(); orig.HeapSegmentBytes == 0 || orig.MappedSegmentBytes != 0 || orig.MappedResidentBytes != 0 {
+		t.Errorf("never-loaded catalog reports heap %d, mapped %d, resident %d bytes; want heap only",
+			orig.HeapSegmentBytes, orig.MappedSegmentBytes, orig.MappedResidentBytes)
 	}
-	// The segment files were written moments ago and parsed on load, so
-	// the sampled mincore estimate must see some residency — and never
-	// more than the mapping itself.
-	if st := loaded.Stats(); st.MappedResidentBytes <= 0 || st.MappedResidentBytes > st.MappedSegmentBytes+st.HeapSegmentBytes {
-		t.Errorf("mapped_resident_bytes = %d out of range (mapped %d, heap %d)",
-			st.MappedResidentBytes, st.MappedSegmentBytes, st.HeapSegmentBytes)
+	if st.HeapSegmentBytes == 0 {
+		t.Errorf("loaded catalog reports no heap bytes for its memtable: %+v", st)
+	}
+	if mmapAvailable {
+		// The segment files were written moments ago and parsed on load, so
+		// the sampled mincore estimate must see some residency — and never
+		// more than the mappings themselves.
+		if st.MappedSegmentBytes == 0 {
+			t.Errorf("v2 snapshot load reported no mapped bytes: %+v", st)
+		}
+		if st.MappedResidentBytes <= 0 || st.MappedResidentBytes > st.MappedSegmentBytes {
+			t.Errorf("mapped_resident_bytes = %d out of range (mapped %d)", st.MappedResidentBytes, st.MappedSegmentBytes)
+		}
+	} else if st.MappedSegmentBytes != 0 || st.MappedResidentBytes != 0 {
+		t.Errorf("%d mapped / %d resident bytes reported on a platform that maps nothing", st.MappedSegmentBytes, st.MappedResidentBytes)
+	}
+	if heapRead, err := loadSnapshot(dir, true); err != nil {
+		t.Error(err)
+	} else if hs := heapRead.Stats(); hs.MappedSegmentBytes != 0 || hs.MappedResidentBytes != 0 ||
+		hs.HeapSegmentBytes != st.HeapSegmentBytes+st.MappedSegmentBytes {
+		t.Errorf("heap-read load reports heap %d, mapped %d, resident %d bytes; want the mapped load's %d + %d as heap and nothing mapped",
+			hs.HeapSegmentBytes, hs.MappedSegmentBytes, hs.MappedResidentBytes, st.HeapSegmentBytes, st.MappedSegmentBytes)
 	}
 	if !reflect.DeepEqual(loaded.Tables(), ix.Tables()) {
 		t.Errorf("tables = %v, want %v", loaded.Tables(), ix.Tables())
