@@ -1,15 +1,19 @@
 package discovery
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"syscall"
 	"testing"
 
 	"valentine/internal/faultfs"
+	"valentine/internal/intern"
 	"valentine/internal/table"
 )
 
@@ -278,4 +282,234 @@ func TestSnapshotDictLogFsyncErrorThenCrash(t *testing.T) {
 		t.Fatal("recovered dict prefix diverges from the catalog that wrote it")
 	}
 	dictMatchesCleanRoom(t, loaded, 3)
+}
+
+// dictLogImage is dict.log's format written out independently of the
+// dictionary: uvarint(len) + raw value per entry, in id order.
+func dictLogImage(vals []string) []byte {
+	var out []byte
+	for _, v := range vals {
+		out = binary.AppendUvarint(out, uint64(len(v)))
+		out = append(out, v...)
+	}
+	return out
+}
+
+// TestSnapshotDictLogFormat pins the file format from the outside — the
+// dictionary's arena is written to dict.log as is, so the format must not
+// drift with the in-memory layout: after a save the file is byte-for-byte
+// uvarint(len)+value over Entries, an incremental save only appends, and
+// load → save → load is a fixed point (same bytes, same manifest figures,
+// into the same directory or a fresh one).
+func TestSnapshotDictLogFormat(t *testing.T) {
+	ix := New(Options{SealAfter: 2})
+	dictAdd(t, ix, 0, 3)
+	// Values the short lake tokens never produce: empty, NUL, multi-byte,
+	// and one long enough for a two-byte length prefix.
+	odd := table.New("odd").AddColumn("k", []string{"", "\x00", "naïve-値", strings.Repeat("x", 200)})
+	if err := ix.Add(odd); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "snap")
+	logPath := filepath.Join(dir, dictName)
+	save := func(ix *Index, dir string) []byte {
+		t.Helper()
+		if err := ix.SaveSnapshot(dir); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, dictName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := ix.Dict()
+		if want := dictLogImage(d.Entries(0, d.Len())); !bytes.Equal(data, want) {
+			t.Fatalf("dict.log (%d bytes) is not uvarint(len)+value over Entries (%d bytes)", len(data), len(want))
+		}
+		m, err := readManifest(faultfs.OS, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.DictEntries != d.Len() || m.DictLogBytes != int64(len(data)) {
+			t.Fatalf("manifest records %d entries / %d bytes, dictionary has %d / %d", m.DictEntries, m.DictLogBytes, d.Len(), len(data))
+		}
+		return data
+	}
+	first := save(ix, dir)
+
+	// The incremental save extends the same file past its committed prefix.
+	before, err := os.Stat(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dictAdd(t, ix, 3, 6)
+	second := save(ix, dir)
+	if len(second) <= len(first) || !bytes.Equal(second[:len(first)], first) {
+		t.Fatalf("incremental save rewrote the committed prefix (%d → %d bytes)", len(first), len(second))
+	}
+	after, err := os.Stat(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, after) {
+		t.Fatal("incremental save replaced dict.log instead of appending to it")
+	}
+
+	loaded, err := LoadSnapshot(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
+	if got, want := loaded.Dict().Stats(), ix.Dict().Stats(); got != want {
+		t.Fatalf("reloaded dictionary Stats = %+v, want %+v", got, want)
+	}
+	if again := save(loaded, dir); !bytes.Equal(again, second) {
+		t.Fatal("load → save into the same directory changed dict.log")
+	}
+	fresh := filepath.Join(t.TempDir(), "fresh")
+	if again := save(loaded, fresh); !bytes.Equal(again, second) {
+		t.Fatal("load → save into a fresh directory wrote a different dict.log")
+	}
+	reloaded, err := LoadSnapshot(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reloaded.Close()
+	if !reflect.DeepEqual(reloaded.Dict().Entries(0, reloaded.Dict().Len()), ix.Dict().Entries(0, ix.Dict().Len())) {
+		t.Fatal("load → save → load is not a fixed point")
+	}
+}
+
+// TestSnapshotDictLogDamageFailsLoad: a dict.log that no longer decodes to
+// the id space the manifest committed must fail the load with a named error.
+// Interning a repeated value back to its old id (what replaying the log
+// through Intern did) would shift every later id, and every sealed
+// segment's id runs with them, without any error at all.
+func TestSnapshotDictLogDamageFailsLoad(t *testing.T) {
+	ix := liveCatalog(t)
+	entries := ix.Dict().Entries(0, ix.Dict().Len())
+	cases := []struct {
+		name   string
+		damage func(t *testing.T, dir string, log []byte) []byte
+		want   string
+	}{
+		{"duplicate-entry", func(t *testing.T, dir string, log []byte) []byte {
+			// Overwrite entry 5's value with entry 2's: same length, so every
+			// prefix and the byte count still line up.
+			if len(entries[5]) != len(entries[2]) {
+				t.Fatalf("fixture values %q and %q differ in length", entries[5], entries[2])
+			}
+			off := len(dictLogImage(entries[:5])) + 1
+			copy(log[off:], entries[2])
+			return log
+		}, "repeats entry 2"},
+		{"oversized-length", func(t *testing.T, dir string, log []byte) []byte {
+			// Entry 3's one-byte prefix becomes the first byte of a five-byte
+			// varint: a length near 2^32.
+			off := len(dictLogImage(entries[:3]))
+			log[off] = 0xff
+			return log
+		}, "exceeds"},
+		{"bad-length-prefix", func(t *testing.T, dir string, log []byte) []byte {
+			// A varint that never terminates inside the committed prefix.
+			off := len(dictLogImage(entries[:len(entries)-1]))
+			for i := off; i < len(log); i++ {
+				log[i] = 0x80
+			}
+			return log
+		}, "bad length prefix"},
+		{"short-log", func(t *testing.T, dir string, log []byte) []byte {
+			return log[:len(log)-3]
+		}, "manifest records"},
+		{"byte-count-mismatch", func(t *testing.T, dir string, log []byte) []byte {
+			// One entry fewer than the bytes the manifest committed: the
+			// entries decode, but end before the recorded offset.
+			m, err := readManifest(faultfs.OS, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.DictEntries--
+			if err := writeManifest(faultfs.OS, dir, m); err != nil {
+				t.Fatal(err)
+			}
+			return log
+		}, "manifest records"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "snap")
+			if err := ix.SaveSnapshot(dir); err != nil {
+				t.Fatal(err)
+			}
+			logPath := filepath.Join(dir, dictName)
+			log, err := os.ReadFile(logPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(logPath, tc.damage(t, dir, log), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for _, quarantine := range []bool{false, true} { // dict.log damage is never degradable
+				loaded, err := LoadSnapshotWith(dir, LoadOptions{Quarantine: quarantine})
+				if err == nil {
+					loaded.Close()
+					t.Fatalf("quarantine=%v: load of a damaged dict.log succeeded", quarantine)
+				}
+				if !errors.Is(err, intern.ErrLogCorrupt) || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("quarantine=%v: err = %v; want intern.ErrLogCorrupt mentioning %q", quarantine, err, tc.want)
+				}
+			}
+		})
+	}
+}
+
+// FuzzDictLoadLog holds the dictionary loader — with FuzzOpenSegV2's decoder
+// the only code that interprets bytes from a snapshot directory — to its
+// contract on arbitrary file contents, entry counts and recorded byte
+// counts: an error wrapping intern.ErrLogCorrupt, or a dictionary that is
+// exactly the first `entries` entries of the file — it re-serialises to the
+// bytes it was loaded from, finds every value at its recorded id, and is
+// indistinguishable (Stats included) from one built by interning the same
+// values in order. The count is checked against the file's size before
+// anything is allocated for it.
+func FuzzDictLoadLog(f *testing.F) {
+	// testdata/fuzz/FuzzDictLoadLog holds the hand-made cases (crash tail,
+	// duplicate, prefix damage, count and byte-count mismatches); this seed
+	// keeps one image in step with whatever the dictionary writes today.
+	lake := dictLogImage(vals("w", 0, 40))
+	f.Add(lake, 40, int64(len(lake)))
+	f.Fuzz(func(t *testing.T, data []byte, entries int, logBytes int64) {
+		d, err := readDictLog(bytes.NewReader(data), int64(len(data)), entries, logBytes)
+		if err != nil {
+			if !errors.Is(err, intern.ErrLogCorrupt) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		if d.Len() != entries {
+			t.Fatalf("loaded %d entries, asked for %d", d.Len(), entries)
+		}
+		vals := d.Entries(0, entries)
+		image := dictLogImage(vals)
+		if !bytes.HasPrefix(data, image) || (logBytes > 0 && int64(len(image)) != logBytes) {
+			t.Fatalf("accepted log re-serialises to %d bytes that are not the file's committed prefix (logBytes %d)", len(image), logBytes)
+		}
+		if tail, off, n := d.LogTail(0); off != 0 || n != entries || !bytes.Equal(tail, image) {
+			t.Fatalf("LogTail(0) = %d bytes at %d for %d entries, want the %d-byte image", len(tail), off, n, len(image))
+		}
+		rebuilt := intern.NewDict()
+		for id, v := range vals {
+			if got, ok := d.Lookup(v); !ok || int(got) != id {
+				t.Fatalf("value %q recorded at id %d resolves to %d (found %v)", v, id, got, ok)
+			}
+			if got := rebuilt.Intern(v); int(got) != id {
+				t.Fatalf("accepted log repeats %q: re-interning gives id %d, log says %d", v, got, id)
+			}
+		}
+		if d.Stats() != rebuilt.Stats() {
+			t.Fatalf("loaded Stats %+v differ from a rebuilt dictionary's %+v", d.Stats(), rebuilt.Stats())
+		}
+		if got := d.Intern("\xfe fresh \xfe" + string(data)); int(got) != entries {
+			t.Fatalf("first intern after load got id %d, want %d", got, entries)
+		}
+	})
 }

@@ -193,9 +193,9 @@ type Index struct {
 	unmaps []func() error
 
 	// dict is the catalog's corpus-scoped value dictionary: ingest interns
-	// each distinct value once (memoizing its MinHash base hash), and every
-	// query profiles in hash-sharing mode against it — repeated values are
-	// never re-hashed, and transient query values never grow it. The dict is
+	// each distinct value once, by the same base hash MinHash derives from,
+	// and every query profiles in hash-sharing mode against it — computing
+	// that hash without reading or growing the dictionary. The dict is
 	// append-only (removals do not shrink it; its size is bounded by the
 	// vocabulary ever ingested and reported in Stats); snapshots persist it
 	// incrementally so a resumed catalog keeps the exact id space.
@@ -295,8 +295,8 @@ func (ix *Index) Close() error {
 
 // Dict returns the catalog's corpus-scoped value dictionary. Ingest paths
 // that profile tables themselves (the serving layer's per-request
-// profiling) should attach it via profile.NewInterned so signatures derive
-// from the catalog's memoized hashes.
+// profiling) should attach it via profile.NewInterned so their id sets
+// live in the catalog's id space.
 func (ix *Index) Dict() *intern.Dict { return ix.dict }
 
 // NumTables returns the number of live (non-removed) tables.
@@ -387,7 +387,8 @@ type Stats struct {
 	Compactions        int64 `json:"compactions"`
 	CompactSpliceMaxUS int64 `json:"compact_splice_max_us"`
 	// DictEntries/DictBytes size the catalog's append-only value dictionary
-	// (distinct values ever ingested, with memoized MinHash base hashes).
+	// (distinct values ever ingested): DictBytes is the exact size of its
+	// value arena, offsets and probe table.
 	DictEntries int   `json:"dict_entries"`
 	DictBytes   int64 `json:"dict_bytes"`
 	// HeapSegmentBytes is the segment state on the Go heap: an estimate for
@@ -531,11 +532,11 @@ func (ix *Index) SearchBestEffortContext(ctx context.Context, q *table.Table, mo
 }
 
 // queryProfile profiles a query table in hash-sharing mode against the
-// catalog dictionary: query values the corpus already holds reuse their
-// memoized MinHash base hashes, and values the corpus has never seen are
-// hashed on the fly without ever being inserted — a flood of junk queries
-// cannot grow a served catalog's dictionary. Signatures are bit-identical
-// to the plain profile.New path.
+// catalog dictionary: every query value gets the base hash the corpus's
+// own copy of it was interned by, computed without taking the dictionary's
+// lock and without ever being inserted — a flood of junk queries can
+// neither grow a served catalog's dictionary nor contend with its ingest.
+// Signatures are bit-identical to the plain profile.New path.
 func (ix *Index) queryProfile(q *table.Table) *profile.TableProfile {
 	return profile.NewHashSharing(q, ix.dict)
 }

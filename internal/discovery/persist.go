@@ -11,9 +11,10 @@ package discovery
 //
 // Sealed segments are immutable, so a periodic snapshot rewrites only the
 // manifest, the memtable file, and segment files that did not exist yet;
-// files of compacted-away segments are pruned. Dictionary entries are
-// written in id order, so replaying them reconstructs the exact id space —
-// the id-space "remap" lives entirely in that one small log.
+// files of compacted-away segments are pruned. dict.log is the dictionary's
+// own value arena — length-prefixed entries in id order — so a save appends
+// the arena's new tail and a load adopts the file's bytes back as the
+// arena: the id-space "remap" lives entirely in that one small log.
 //
 // Durability: every save syncs its data files (segments, memtable,
 // dict.log) and the directory before committing the manifest via
@@ -22,9 +23,7 @@ package discovery
 // never a manifest referencing torn segment files.
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -67,13 +66,13 @@ type manifest struct {
 	// LoadSnapshot refuses them by name.
 	Format string
 	// DictEntries/DictLogBytes describe the persisted prefix of the value
-	// dictionary in dict.log: replaying the first DictEntries values through
-	// Intern in order reconstructs the exact id space the catalog used, so
-	// any id-derived state stays valid across a resume while the sealed
-	// segment files — which are id-free — stay immutable. The dictionary is
-	// append-only, so an incremental save appends only the new entries; the
-	// recorded byte offset lets the next save truncate away the tail of a
-	// save that crashed before committing its manifest.
+	// dictionary in dict.log: its first DictEntries values, which end at
+	// byte DictLogBytes, are the exact id space the catalog used (entry i is
+	// id i), so any id-derived state stays valid across a resume while the
+	// sealed segment files — which are id-free — stay immutable. The
+	// dictionary is append-only, so an incremental save appends only the new
+	// entries; the recorded byte offset lets the next save truncate away the
+	// tail of a save that crashed before committing its manifest.
 	DictEntries  int
 	DictLogBytes int64
 }
@@ -452,7 +451,8 @@ func LoadSnapshotWith(dir string, o LoadOptions) (ret *Index, err error) {
 		}
 	}
 	if m.DictEntries > 0 {
-		if err := replayDictLog(fsys, filepath.Join(dir, dictName), ix.dict, m.DictEntries); err != nil {
+		ix.dict, err = loadDictLog(fsys, filepath.Join(dir, dictName), m.DictEntries, m.DictLogBytes)
+		if err != nil {
 			return nil, fmt.Errorf("discovery: reading dictionary log: %w", err)
 		}
 	}
@@ -476,43 +476,33 @@ func LoadSnapshotWith(dir string, o LoadOptions) (ret *Index, err error) {
 	return ix, nil
 }
 
-// appendDictLog persists the dictionary prefix [0, Len) to path as
-// length-prefixed raw values, appending only the entries past prevEntries
-// when the existing log (prevBytes long) was written by this catalog. A log
-// shorter than prevBytes, or a fresh directory, forces a full rewrite; a
-// log longer than prevBytes carries the tail of a save that crashed before
-// its manifest committed, and is truncated back first. Returns the entry
-// count and byte length the caller's manifest must record.
+// appendDictLog brings the log at path up to the dictionary's current
+// image — the arena's own bytes, length-prefixed raw values in id order —
+// writing only the tail past prevEntries when the existing log (prevBytes
+// long) was written by this catalog. A log shorter than prevBytes, a
+// (prevEntries, prevBytes) pair that is not an entry boundary of this
+// dictionary, or a fresh directory forces a full rewrite; a log longer than
+// prevBytes carries the tail of a save that crashed before its manifest
+// committed, and is truncated back first. Returns the entry count and byte
+// length the caller's manifest must record.
 func appendDictLog(fsys faultfs.FS, path string, d *intern.Dict, prevEntries int, prevBytes int64) (int, int64, error) {
-	n := d.Len()
-	if info, err := fsys.Stat(path); err != nil || info.Size() < prevBytes || prevEntries > n {
-		prevEntries, prevBytes = 0, 0 // missing or inconsistent: rewrite
+	tail, off, n := d.LogTail(prevEntries)
+	if info, err := fsys.Stat(path); err != nil || info.Size() < prevBytes || prevEntries > n || off != prevBytes {
+		tail, off, n = d.LogTail(0) // missing or inconsistent: rewrite
 	}
 	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return 0, 0, err
 	}
-	written, err := func() (int64, error) {
-		if err := f.Truncate(prevBytes); err != nil {
-			return 0, err
+	err = func() error {
+		if err := f.Truncate(off); err != nil {
+			return err
 		}
-		if _, err := f.Seek(prevBytes, io.SeekStart); err != nil {
-			return 0, err
+		if _, err := f.Seek(off, io.SeekStart); err != nil {
+			return err
 		}
-		w := bufio.NewWriter(f)
-		written := prevBytes
-		var lenBuf [binary.MaxVarintLen64]byte
-		for _, v := range d.Entries(prevEntries, n) {
-			k := binary.PutUvarint(lenBuf[:], uint64(len(v)))
-			if _, err := w.Write(lenBuf[:k]); err != nil {
-				return 0, err
-			}
-			if _, err := w.WriteString(v); err != nil {
-				return 0, err
-			}
-			written += int64(k) + int64(len(v))
-		}
-		return written, w.Flush()
+		_, err := f.Write(tail)
+		return err
 	}()
 	if err != nil {
 		f.Close()
@@ -527,7 +517,7 @@ func appendDictLog(fsys faultfs.FS, path string, d *intern.Dict, prevEntries int
 	if err := f.Close(); err != nil {
 		return 0, 0, err
 	}
-	return n, written, nil
+	return n, off + int64(len(tail)), nil
 }
 
 // SnapshotLineage reads the manifest in dir and returns the lineage id of
@@ -539,40 +529,47 @@ func SnapshotLineage(dir string) (uint64, error) {
 	return m.Lineage, err
 }
 
-// replayDictLog reads the first entries values of the log and interns them
-// in order, reconstructing the exact id space recorded by the manifest.
-// Bytes past the recorded prefix (a crashed save's tail) are ignored.
-func replayDictLog(fsys faultfs.FS, path string, d *intern.Dict, entries int) error {
+// loadDictLog reads the dictionary the manifest committed — entries values
+// in the first logBytes bytes of the log at path.
+func loadDictLog(fsys faultfs.FS, path string, entries int, logBytes int64) (*intern.Dict, error) {
 	f, err := fsys.Open(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer f.Close()
 	info, err := f.Stat()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	r := bufio.NewReader(f)
-	buf := make([]byte, 0, 64)
-	for i := 0; i < entries; i++ {
-		n, err := binary.ReadUvarint(r)
-		if err != nil {
-			return fmt.Errorf("entry %d of %d: %w", i, entries, err)
+	return readDictLog(f, info.Size(), entries, logBytes)
+}
+
+// readDictLog loads a dictionary from a size-byte log with one sized read
+// and one validating scan that adopts the buffer as the dictionary's arena
+// (intern.LoadLog). The read stops at the committed prefix, so the tail of a
+// save that crashed before its manifest moved is never even in memory. A
+// manifest from before DictLogBytes was recorded carries 0: the whole file
+// is read and the scan's own end is trusted. Every rejection of the log's
+// content wraps intern.ErrLogCorrupt: a log that decodes to different
+// values, or to the same values at different ids, would silently repoint
+// every interned id in every segment.
+func readDictLog(r io.Reader, size int64, entries int, logBytes int64) (*intern.Dict, error) {
+	if logBytes > 0 {
+		if size < logBytes {
+			return nil, fmt.Errorf("%w: log is %d bytes, manifest records %d", intern.ErrLogCorrupt, size, logBytes)
 		}
-		// A corrupt log (or one a different catalog rewrote under us) can
-		// decode an absurd length; no valid entry outsizes its own file, so
-		// fail cleanly instead of attempting the allocation.
-		if n > uint64(info.Size()) {
-			return fmt.Errorf("entry %d of %d: length %d exceeds log size %d", i, entries, n, info.Size())
-		}
-		if uint64(cap(buf)) < n {
-			buf = make([]byte, n)
-		}
-		buf = buf[:n]
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return fmt.Errorf("entry %d of %d: %w", i, entries, err)
-		}
-		d.Intern(string(buf))
+		size = logBytes
 	}
-	return nil
+	buf := make([]byte, size)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, err
+	}
+	d, consumed, err := intern.LoadLog(buf, entries)
+	if err != nil {
+		return nil, err
+	}
+	if logBytes > 0 && int64(consumed) != logBytes {
+		return nil, fmt.Errorf("%w: %d entries end at byte %d, manifest records %d", intern.ErrLogCorrupt, entries, consumed, logBytes)
+	}
+	return d, nil
 }

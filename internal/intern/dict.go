@@ -1,6 +1,6 @@
 // Package intern is the suite's value-interning layer: a corpus-scoped
-// dictionary mapping each distinct column value to a dense uint32 id, with
-// the value's 64-bit base hash memoized at intern time.
+// dictionary mapping each distinct column value to a dense uint32 id and to
+// its 64-bit base hash.
 //
 // Every hot scoring path in the suite ultimately reduces to set operations
 // over distinct-value sets and to MinHash signatures over hashed values.
@@ -11,9 +11,20 @@
 //     Jaccard/containment is an allocation-free sorted-merge or galloping
 //     intersection — or a word-wise bitmap AND for dense columns — instead
 //     of a map probe per value;
-//   - MinHash needs each value's base hash exactly once, at intern time;
-//     per-column signatures then derive from cached hashes without touching
-//     string bytes again.
+//   - MinHash needs each value's base hash exactly once, at intern time —
+//     the same hash the dictionary probes by, so interning yields it for
+//     free; per-column signatures then derive from cached hashes without
+//     touching string bytes again.
+//
+// A Dict holds no pointers: every value lives in one append-only byte arena
+// laid out exactly as the catalog's dict.log file (uvarint length + raw
+// bytes per entry, in id order), beside one offset per id and one
+// open-addressed table of (arena offset, id, hash tag) slots probed by the
+// value's base hash. The arena is therefore its own file image — LogTail hands
+// persistence the bytes to append, LoadLog adopts a file's bytes as the
+// arena after one validating scan — and the garbage collector has nothing
+// in it to trace. The base hash itself is not stored: the probe computes
+// it, so a hit returns it for free and HashOf never touches the dictionary.
 //
 // A Dict is safe for fully concurrent use (lookups take a read lock; only
 // the first intern of a value takes the write lock) and append-only: ids are
@@ -21,34 +32,172 @@
 // cached by different profiles of the same corpus stay mutually comparable.
 package intern
 
-import "sync"
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+	"math/bits"
+	"sync"
+)
 
-// dictEntryOverhead approximates the per-entry bookkeeping bytes beyond the
-// value's own bytes: the map cell (string header + id + bucket share), the
-// vals slice header share, and the memoized hash.
-const dictEntryOverhead = 48
+// ErrLogCorrupt is wrapped by every LoadLog failure: the bytes are not the
+// log image of a dictionary with the requested entry count.
+var ErrLogCorrupt = errors.New("intern: corrupt dictionary log")
 
-// Dict is a corpus-scoped value dictionary. The zero value is not usable;
-// create with NewDict.
+// Dict is a corpus-scoped value dictionary. The zero value is an empty,
+// usable dictionary; NewDict is the conventional constructor.
 type Dict struct {
-	mu     sync.RWMutex
-	ids    map[string]uint32
-	vals   []string // id → value
-	hashes []uint64 // id → Hash64(value), memoized at intern time
-	bytes  int64    // approximate retained bytes (values + overhead)
+	mu    sync.RWMutex
+	arena []byte   // dict.log's bytes: uvarint(len) + raw value per entry, in id order
+	offs  []uint32 // id → offset of the entry's length prefix in arena
+	// The probe table: open-addressed, linear probing, tableSize(len(offs))
+	// slots. A slot is split over two parallel arrays so that it packs to
+	// nine bytes: where the entry's bytes are and which id they carry, and a
+	// one-byte tag of its hash.
+	slots []uint64 // arena offset<<32 | id+1; 0 = empty
+	tags  []uint8  // tagOf(hash); meaningful where slots is non-zero
 }
 
 // DictStats is a point-in-time memory summary of a Dict.
 type DictStats struct {
 	// Entries is the number of distinct values interned.
 	Entries int `json:"entries"`
-	// Bytes approximates the dictionary's retained memory.
+	// Bytes is the memory the dictionary's contents occupy: value arena,
+	// offsets and probe table. It is computed from lengths, not
+	// capacities, so a dictionary reloaded from its log reports the same
+	// figure as the one that wrote it.
 	Bytes int64 `json:"bytes"`
 }
 
-// NewDict returns an empty dictionary.
+// NewDict returns an empty dictionary. It allocates nothing until the first
+// Intern.
 func NewDict() *Dict {
-	return &Dict{ids: make(map[string]uint32)}
+	return &Dict{}
+}
+
+const (
+	// minTable is the probe table's first size.
+	minTable = 8
+	// The table doubles when an insert would push its load past
+	// maxLoadNum/maxLoadDen. Tags keep a long probe sequence inside the
+	// table's own cache lines, so 3/4 costs a hit little, and a 2^k-slot
+	// table then serves up to 0.75·2^k entries — at 2/4 the same entry count
+	// would need twice the slots.
+	maxLoadNum, maxLoadDen = 3, 4
+)
+
+// tableSize is the probe table's slot count for n entries — a pure function
+// of n, so a dictionary grown one Intern at a time and one loaded from its
+// log agree on it: 0 when empty, else the smallest power of two ≥ minTable
+// whose load stays within maxLoad.
+func tableSize(n int) int {
+	if n == 0 {
+		return 0
+	}
+	need := (uint64(n)*maxLoadDen + maxLoadNum - 1) / maxLoadNum
+	if need < minTable {
+		need = minTable
+	}
+	return 1 << bits.Len64(need-1)
+}
+
+// home is h's first slot in a table of mask+1 slots. FNV-1a's last step is a
+// multiply, which leaves its low bits the least mixed; folding the high word
+// in spreads short values evenly.
+func home(h, mask uint64) uint64 { return (h ^ h>>32) & mask }
+
+// tagOf is the byte of h a slot keeps. A probe compares it before following
+// the slot into the arena, so passing over another value's slot costs no
+// cache miss beyond the table's own, and a probe for an absent value
+// normally ends without touching the arena at all.
+func tagOf(h uint64) uint8 { return uint8(h >> 56) }
+
+// at returns the value bytes of the entry whose length prefix is at off,
+// aliasing the arena.
+func (d *Dict) at(off int) []byte {
+	if n := int(d.arena[off]); n < 0x80 { // one-byte prefix: nearly every value
+		return d.arena[off+1 : off+1+n]
+	}
+	n, k := binary.Uvarint(d.arena[off:])
+	return d.arena[off+k : off+k+int(n)]
+}
+
+// find probes d for v (whose hash is h). A hit is two dependent memory reads
+// after the hash — the slot, then the value's bytes — with the id riding in
+// the slot. The caller holds d.mu.
+func find[T string | []byte](d *Dict, v T, h uint64) (uint32, bool) {
+	slots := d.slots
+	if len(slots) == 0 {
+		return 0, false
+	}
+	tags := d.tags[:len(slots)]
+	mask := uint64(len(slots) - 1)
+	tag := tagOf(h)
+	for i := home(h, mask); ; i = (i + 1) & mask {
+		s := slots[i]
+		if s == 0 {
+			return 0, false
+		}
+		if tags[i] == tag && string(d.at(int(s>>32))) == string(v) {
+			return uint32(s) - 1, true
+		}
+	}
+}
+
+// place stores the slot of entry id (prefix at arena offset off, hash h) in
+// the first free slot of its probe sequence.
+func (d *Dict) place(off, id uint32, h uint64) {
+	mask := uint64(len(d.slots) - 1)
+	i := home(h, mask)
+	for d.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	d.slots[i] = uint64(off)<<32 | uint64(id+1)
+	d.tags[i] = tagOf(h)
+}
+
+// full names the limit that appending a vlen-byte value to a dictionary of
+// n entries and arenaLen arena bytes would cross, or returns "". Ids and
+// arena offsets are uint32: past either limit they would wrap and silently
+// alias earlier entries.
+func full(n, arenaLen, vlen uint64) string {
+	if n >= math.MaxUint32 {
+		return "intern: dictionary is full: 2^32-1 entries is the id space"
+	}
+	if arenaLen+binary.MaxVarintLen64+vlen > math.MaxUint32 {
+		return "intern: dictionary is full: value arena would pass 4 GiB, the range of its uint32 offsets"
+	}
+	return ""
+}
+
+// insert appends v (absent, hash h) as the next id. The caller holds mu for
+// writing.
+func (d *Dict) insert(v string, h uint64) uint32 {
+	n := len(d.offs)
+	if msg := full(uint64(n), uint64(len(d.arena)), uint64(len(v))); msg != "" {
+		panic(msg)
+	}
+	off := uint32(len(d.arena))
+	d.offs = append(d.offs, off)
+	d.arena = binary.AppendUvarint(d.arena, uint64(len(v)))
+	d.arena = append(d.arena, v...)
+	if size := tableSize(n + 1); size != len(d.slots) {
+		// Doubling re-places every entry by its hash, recomputed from the
+		// arena: cheaper than keeping 8 bytes of hash per entry for the
+		// dozen-odd times a dictionary doubles. Walking the old table in
+		// slot order keeps the new table's writes in two ascending streams
+		// (a slot's new home is its old one or that plus the old size).
+		old := d.slots
+		d.slots, d.tags = make([]uint64, size), make([]uint8, size)
+		for _, s := range old {
+			if s != 0 {
+				d.place(uint32(s>>32), uint32(s)-1, Hash64(d.at(int(s>>32))))
+			}
+		}
+	}
+	d.place(off, uint32(n), h)
+	return uint32(n)
 }
 
 // Intern returns v's dense id, assigning the next one on first sight.
@@ -60,102 +209,167 @@ func (d *Dict) Intern(v string) uint32 {
 	return id
 }
 
-// InternHash is Intern returning also the value's memoized base hash, so
-// callers building both an id set and a hash set pay one lookup.
+// InternHash is Intern returning also the value's base hash, so callers
+// building both an id set and a hash set pay one lookup.
 func (d *Dict) InternHash(v string) (uint32, uint64) {
+	h := Hash64(v)
 	d.mu.RLock()
-	id, ok := d.ids[v]
-	var h uint64
-	if ok {
-		h = d.hashes[id]
-	}
+	id, ok := find(d, v, h)
 	d.mu.RUnlock()
 	if ok {
 		return id, h
 	}
-	h = Hash64(v)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if id, ok := d.ids[v]; ok {
-		return id, d.hashes[id]
+	if id, ok := find(d, v, h); ok {
+		return id, h
 	}
-	id = uint32(len(d.vals))
-	d.ids[v] = id
-	d.vals = append(d.vals, v)
-	d.hashes = append(d.hashes, h)
-	d.bytes += int64(len(v)) + dictEntryOverhead
-	return id, h
+	return d.insert(v, h), h
 }
 
 // Lookup returns v's id without interning it.
 func (d *Dict) Lookup(v string) (uint32, bool) {
+	h := Hash64(v)
 	d.mu.RLock()
-	id, ok := d.ids[v]
+	id, ok := find(d, v, h)
 	d.mu.RUnlock()
 	return id, ok
 }
 
-// HashOf returns v's base hash, from the memo when v is interned and
-// computed on the fly (without inserting) when it is not — the read-only
-// path query-side profiles use so transient query values never grow a
-// served corpus's dictionary.
-func (d *Dict) HashOf(v string) uint64 {
-	d.mu.RLock()
-	id, ok := d.ids[v]
-	var h uint64
-	if ok {
-		h = d.hashes[id]
-	}
-	d.mu.RUnlock()
-	if ok {
-		return h
-	}
-	return Hash64(v)
-}
-
-// Value returns the value of id (which must have been issued by this Dict).
-func (d *Dict) Value(id uint32) string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.vals[id]
-}
+// HashOf returns v's base hash — the read-only path query-side profiles use
+// so transient query values never grow a served corpus's dictionary. The
+// dictionary is probed by Hash64 and stores no other hash, so there is
+// nothing to look up: HashOf takes no lock and touches none of the
+// dictionary's memory.
+func (d *Dict) HashOf(v string) uint64 { return Hash64(v) }
 
 // Len returns the number of interned values.
 func (d *Dict) Len() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return len(d.vals)
+	return len(d.offs)
 }
 
-// Stats returns the dictionary's entry count and approximate memory.
+// Stats returns the dictionary's entry count and the bytes its contents
+// occupy.
 func (d *Dict) Stats() DictStats {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return DictStats{Entries: len(d.vals), Bytes: d.bytes}
+	return DictStats{
+		Entries: len(d.offs),
+		Bytes:   int64(len(d.arena)) + 4*int64(len(d.offs)) + 8*int64(len(d.slots)) + int64(len(d.tags)),
+	}
+}
+
+// end is the arena offset one past entry id-1's last byte: where entry id
+// starts, or the arena's length when id is Len. The caller holds mu.
+func (d *Dict) end(id int) int {
+	if id < len(d.offs) {
+		return int(d.offs[id])
+	}
+	return len(d.arena)
 }
 
 // Entries returns a copy of the values with ids in [lo, hi), in id order —
-// the persistence hook: replaying the returned values through Intern in
-// order reconstructs the exact id space.
+// what the write-ahead log records per batch: replaying the returned values
+// through Intern in order reconstructs the exact id space. The returned
+// strings share one allocation.
 func (d *Dict) Entries(lo, hi int) []string {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	if lo < 0 {
 		lo = 0
 	}
-	if hi > len(d.vals) {
-		hi = len(d.vals)
+	if hi > len(d.offs) {
+		hi = len(d.offs)
 	}
 	if lo >= hi {
 		return nil
 	}
-	return append([]string(nil), d.vals[lo:hi]...)
+	base := d.end(lo)
+	block := string(d.arena[base:d.end(hi)])
+	out := make([]string, hi-lo)
+	for i := range out {
+		end := d.end(lo+i+1) - base // a value is the last bytes of its entry
+		out[i] = block[end-len(d.at(int(d.offs[lo+i]))) : end]
+	}
+	return out
 }
+
+// LogTail returns the dictionary's log image from entry `from` (clamped to
+// [0, Len]) to the end: the bytes dict.log holds for entries [from, n) —
+// uvarint length + raw value each — the byte offset off at which they start
+// in the log, and n. The image of the whole dictionary is LogTail(0), and it
+// only ever grows at the end, so a file holding the first off bytes is
+// brought up to date by writing tail at off. tail aliases the arena: the
+// caller must not modify it.
+func (d *Dict) LogTail(from int) (tail []byte, off int64, n int) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	n = len(d.offs)
+	if from < 0 {
+		from = 0
+	}
+	if from > n {
+		from = n
+	}
+	start := d.end(from)
+	return d.arena[start:len(d.arena):len(d.arena)], int64(start), n
+}
+
+// LoadLog builds a dictionary from a log image: it validates the first
+// `entries` entries of buf — each length prefix minimal and in bounds, no
+// value repeated (a repeat would shift every later id) — hashing every value
+// and filling the probe table on the way, and adopts buf's consumed prefix
+// as the arena without copying it (the caller must not modify buf
+// afterwards). Bytes past the prefix, such as the tail of a save that
+// crashed before committing, are ignored and never become reachable. It
+// returns the prefix's length beside the dictionary; every failure wraps
+// ErrLogCorrupt.
+func LoadLog(buf []byte, entries int) (*Dict, int, error) {
+	// Every entry takes at least its prefix byte, so the count also bounds
+	// what the slices below may allocate by the input's own size.
+	if entries < 0 || entries > len(buf) {
+		return nil, 0, fmt.Errorf("%w: %d entries cannot fit in %d bytes", ErrLogCorrupt, entries, len(buf))
+	}
+	d := &Dict{
+		arena: buf,
+		offs:  make([]uint32, entries),
+		slots: make([]uint64, tableSize(entries)),
+		tags:  make([]uint8, tableSize(entries)),
+	}
+	off := 0
+	for id := 0; id < entries; id++ {
+		if uint64(off) > math.MaxUint32 { // also keeps id below 2^32: an entry is at least a byte
+			return nil, 0, fmt.Errorf("%w: entry %d of %d starts past 4 GiB, the range of a uint32 offset", ErrLogCorrupt, id, entries)
+		}
+		n, k := binary.Uvarint(buf[off:])
+		if k <= 0 || k != uvarintLen(n) {
+			return nil, 0, fmt.Errorf("%w: entry %d of %d: bad length prefix at byte %d", ErrLogCorrupt, id, entries, off)
+		}
+		if n > uint64(len(buf)-off-k) {
+			return nil, 0, fmt.Errorf("%w: entry %d of %d: length %d exceeds the %d bytes left", ErrLogCorrupt, id, entries, n, len(buf)-off-k)
+		}
+		v := buf[off+k : off+k+int(n)]
+		h := Hash64(v)
+		if prev, dup := find(d, v, h); dup {
+			return nil, 0, fmt.Errorf("%w: entry %d of %d repeats entry %d (%q)", ErrLogCorrupt, id, entries, prev, v)
+		}
+		d.offs[id] = uint32(off)
+		d.place(uint32(off), uint32(id), h)
+		off += k + int(n)
+	}
+	d.arena = buf[:off:off]
+	return d, off, nil
+}
+
+// uvarintLen is the length of n's minimal uvarint encoding.
+func uvarintLen(n uint64) int { return (bits.Len64(n|1) + 6) / 7 }
 
 // Hash64 is the suite's allocation-free FNV-1a base hash (identical to
 // hash/fnv.New64a over the same bytes). It is the single hash every MinHash
-// signature in the suite derives from; the Dict memoizes it per entry.
-func Hash64(s string) uint64 {
+// signature in the suite derives from, and the hash the Dict probes by.
+func Hash64[T string | []byte](s T) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211

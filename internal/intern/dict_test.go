@@ -1,0 +1,388 @@
+package intern
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+)
+
+// logImage serialises values the way dict.log stores them.
+func logImage(vals []string) []byte {
+	var out []byte
+	for _, v := range vals {
+		out = binary.AppendUvarint(out, uint64(len(v)))
+		out = append(out, v...)
+	}
+	return out
+}
+
+// oracleValue draws from a pool sized so a stream both repeats values and
+// keeps minting new ones: the empty string, NUL and multi-byte runes, values
+// whose length prefix takes two bytes, and lake-shaped short tokens.
+func oracleValue(rng *rand.Rand, pool int) string {
+	i := rng.Intn(pool)
+	switch i % 7 {
+	case 0:
+		return "\x00\x00"[:i%3] // "", one NUL, two NULs
+	case 1:
+		return fmt.Sprintf("n\x00ul-%d\x00", i)
+	case 2:
+		return fmt.Sprintf("ünï-%d-値", i)
+	case 3:
+		return strings.Repeat("long", 32+i%40) + fmt.Sprint(i) // ≥ 128 bytes
+	default:
+		return fmt.Sprintf("w%07d", i)
+	}
+}
+
+// TestDictMatchesReference drives the arena Dict and the map-based dictRef
+// it replaced with one randomized call stream: every id, hash, Len and
+// Entries answer must agree at every step, across several table doublings.
+func TestDictMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	d, ref := NewDict(), newDictRef()
+	if got := d.Entries(0, 10); got != nil {
+		t.Fatalf("empty Entries = %q", got)
+	}
+	if _, ok := d.Lookup(""); ok {
+		t.Fatal("empty dictionary found the empty string")
+	}
+	const steps, pool = 40_000, 9_000 // > 8·2^10 entries: the table doubles ≥ 10 times
+	for step := 0; step < steps; step++ {
+		v := oracleValue(rng, pool)
+		switch rng.Intn(5) {
+		case 0:
+			if got, want := d.Intern(v), ref.Intern(v); got != want {
+				t.Fatalf("step %d: Intern(%q) = %d, want %d", step, v, got, want)
+			}
+		case 1:
+			gid, gh := d.InternHash(v)
+			wid, wh := ref.InternHash(v)
+			if gid != wid || gh != wh {
+				t.Fatalf("step %d: InternHash(%q) = %d,%x, want %d,%x", step, v, gid, gh, wid, wh)
+			}
+		case 2:
+			gid, gok := d.Lookup(v)
+			wid, wok := ref.Lookup(v)
+			if gid != wid || gok != wok {
+				t.Fatalf("step %d: Lookup(%q) = %d,%v, want %d,%v", step, v, gid, gok, wid, wok)
+			}
+		case 3:
+			if got, want := d.HashOf(v), ref.HashOf(v); got != want {
+				t.Fatalf("step %d: HashOf(%q) = %x, want %x", step, v, got, want)
+			}
+		case 4:
+			lo := rng.Intn(ref.Len()+2) - 1
+			hi := lo + rng.Intn(20)
+			if got, want := d.Entries(lo, hi), ref.Entries(lo, hi); !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: Entries(%d,%d) = %q, want %q", step, lo, hi, got, want)
+			}
+		}
+		if d.Len() != ref.Len() {
+			t.Fatalf("step %d: Len = %d, want %d", step, d.Len(), ref.Len())
+		}
+	}
+	if n := d.Len(); n <= minTable<<10*maxLoadNum/maxLoadDen {
+		t.Fatalf("stream interned only %d values; the table never doubled ten times", n)
+	}
+	if got, want := d.Entries(0, d.Len()), ref.Entries(0, ref.Len()); !reflect.DeepEqual(got, want) {
+		t.Fatal("final Entries diverge from the reference")
+	}
+}
+
+// TestDictLogImage pins the arena to dict.log's layout from the outside:
+// LogTail(0) is uvarint(len)+value over Entries, LogTail(from) is its
+// suffix at an entry boundary, and LoadLog of the image is the same
+// dictionary — ids, hashes and Stats, the table's size included.
+func TestDictLogImage(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	d := NewDict()
+	for i := 0; i < 3_000; i++ {
+		d.Intern(oracleValue(rng, 2_000))
+	}
+	vals := d.Entries(0, d.Len())
+	image := logImage(vals)
+	tail, off, n := d.LogTail(0)
+	if off != 0 || n != len(vals) || !bytes.Equal(tail, image) {
+		t.Fatalf("LogTail(0): off %d, n %d, %d bytes; want 0, %d and the %d-byte image", off, n, len(tail), len(vals), len(image))
+	}
+	for _, from := range []int{-3, 0, 1, 777, n - 1, n, n + 5} {
+		tail, off, _ := d.LogTail(from)
+		clamped := min(max(from, 0), n)
+		if want := int64(len(logImage(vals[:clamped]))); off != want || !bytes.Equal(tail, image[off:]) {
+			t.Fatalf("LogTail(%d): off %d (want %d), %d tail bytes", from, off, want, len(tail))
+		}
+	}
+
+	// A crashed save's tail behind the committed prefix is ignored and stays
+	// unreachable: the arena is capped at the prefix, so later interns
+	// reallocate instead of building on the buffer's spare bytes.
+	withTail := append(append([]byte(nil), image...), "\x05crash"...)
+	loaded, consumed, err := LoadLog(withTail, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if consumed != len(image) {
+		t.Fatalf("LoadLog consumed %d bytes, want %d", consumed, len(image))
+	}
+	if loaded.Stats() != d.Stats() {
+		t.Fatalf("reloaded Stats = %+v, original %+v", loaded.Stats(), d.Stats())
+	}
+	if _, ok := loaded.Lookup("crash"); ok {
+		t.Fatal("crash tail value is reachable")
+	}
+	for id, v := range vals {
+		gid, gh := loaded.InternHash(v)
+		if int(gid) != id || gh != Hash64(v) {
+			t.Fatalf("reloaded %q at id %d hash %x, want id %d hash %x", v, gid, gh, id, Hash64(v))
+		}
+	}
+	for _, dd := range []*Dict{d, loaded} {
+		if id := dd.Intern("fresh after reload"); int(id) != n {
+			t.Fatalf("next id = %d, want %d", id, n)
+		}
+	}
+	a, _, _ := d.LogTail(0)
+	b, _, _ := loaded.LogTail(0)
+	if !bytes.Equal(a, b) {
+		t.Fatal("images diverge after interning the same value into both")
+	}
+	if string(withTail[len(image):]) != "\x05crash" {
+		t.Fatal("intern after LoadLog wrote into the caller's buffer past the prefix")
+	}
+}
+
+// TestTableSizeIsAFunctionOfCount: growing one Intern at a time lands on
+// the same table as sizing for the count outright (what LoadLog does), the
+// load never passes maxLoad, and an empty dictionary owns no table.
+func TestTableSizeIsAFunctionOfCount(t *testing.T) {
+	if tableSize(0) != 0 {
+		t.Fatalf("tableSize(0) = %d", tableSize(0))
+	}
+	d := NewDict()
+	for n := 1; n <= 5_000; n++ {
+		d.Intern(fmt.Sprint(n))
+		size := len(d.slots)
+		if size != tableSize(n) || size&(size-1) != 0 || n*maxLoadDen > size*maxLoadNum {
+			t.Fatalf("%d entries: table has %d slots, tableSize says %d", n, size, tableSize(n))
+		}
+		if size > minTable && n*maxLoadDen <= size/2*maxLoadNum {
+			t.Fatalf("%d entries fit %d slots but the table has %d", n, size/2, size)
+		}
+	}
+}
+
+// TestLoadLogRejects: every way a log can fail to be the image of an
+// n-entry dictionary is a named error, not a shifted id space.
+func TestLoadLogRejects(t *testing.T) {
+	good := logImage([]string{"a", "bb", "", "ccc"})
+	cases := []struct {
+		name    string
+		buf     []byte
+		entries int
+		want    string
+	}{
+		{"duplicate", logImage([]string{"a", "bb", "a", "ccc"}), 4, "repeats entry 0"},
+		{"duplicate-empty", logImage([]string{"", "x", ""}), 3, "repeats entry 0"},
+		{"truncated-value", good[:len(good)-1], 4, "exceeds the 2 bytes left"},
+		{"truncated-prefix", append(append([]byte(nil), good...), 0x80), 5, "bad length prefix"},
+		{"overlong-prefix", append(append([]byte(nil), good...), 0x81, 0x00, 'x'), 5, "bad length prefix"},
+		{"overflowing-prefix", append(append([]byte(nil), good...), bytes.Repeat([]byte{0xff}, 11)...), 5, "bad length prefix"},
+		{"oversized-length", append(append([]byte(nil), good...), 0xff, 0xff, 0xff, 0xff, 0x0f), 5, "exceeds the 0 bytes left"},
+		{"more-entries-than-bytes", good, len(good) + 1, "cannot fit"},
+		{"negative-entries", good, -1, "cannot fit"},
+		{"past-the-end", good, 5, "bad length prefix"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d, _, err := LoadLog(tc.buf, tc.entries)
+			if !errors.Is(err, ErrLogCorrupt) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("LoadLog = %v, %v; want ErrLogCorrupt mentioning %q", d, err, tc.want)
+			}
+		})
+	}
+	if d, consumed, err := LoadLog(good, 4); err != nil || consumed != len(good) || d.Len() != 4 {
+		t.Fatalf("LoadLog(good) = %v, %d, %v", d, consumed, err)
+	}
+	if d, consumed, err := LoadLog(nil, 0); err != nil || consumed != 0 || d.Len() != 0 || d.Intern("x") != 0 {
+		t.Fatalf("LoadLog(nil, 0) = %v, %d, %v", d, consumed, err)
+	}
+}
+
+// TestDictFullNamesTheLimit: the uint32 id space and the uint32 arena
+// offsets are limits insert refuses by name instead of wrapping past.
+func TestDictFullNamesTheLimit(t *testing.T) {
+	if msg := full(1_000, 10_000, 100); msg != "" {
+		t.Fatalf("small dictionary reported full: %s", msg)
+	}
+	if msg := full(math.MaxUint32-1, 10_000, 1); msg != "" {
+		t.Fatalf("last id reported full: %s", msg)
+	}
+	if msg := full(math.MaxUint32, 10_000, 1); !strings.Contains(msg, "id space") {
+		t.Fatalf("id wrap not named: %q", msg)
+	}
+	const big = math.MaxUint32 - 64
+	if msg := full(1_000, big, 100); !strings.Contains(msg, "4 GiB") {
+		t.Fatalf("arena wrap not named: %q", msg)
+	}
+	if msg := full(1_000, big, 10); msg != "" {
+		t.Fatalf("value that still fits reported full: %s", msg)
+	}
+}
+
+// TestDictReadersDuringGrowth: readers sit in Lookup and InternHash (hits
+// and misses) while one writer interns fresh values through a dozen table
+// doublings. Run under -race; ids seen by readers must be the writer's.
+func TestDictReadersDuringGrowth(t *testing.T) {
+	d := NewDict()
+	const seeded, grown, readers = 64, 20_000, 4
+	for i := 0; i < seeded; i++ {
+		d.Intern(fmt.Sprintf("seed-%d", i))
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				v := fmt.Sprintf("seed-%d", (i+r)%seeded)
+				want := uint32((i + r) % seeded)
+				if id, ok := d.Lookup(v); !ok || id != want {
+					t.Errorf("Lookup(%q) = %d,%v during growth, want %d", v, id, ok, want)
+					return
+				}
+				if id, h := d.InternHash(v); id != want || h != Hash64(v) {
+					t.Errorf("InternHash(%q) = %d,%x during growth", v, id, h)
+					return
+				}
+				if _, ok := d.Lookup(fmt.Sprintf("absent-%d", i)); ok {
+					t.Errorf("Lookup found a value nobody interned")
+					return
+				}
+				// A value the writer may or may not have reached yet.
+				g := i % grown
+				if id, ok := d.Lookup(fmt.Sprintf("grow-%d", g)); ok && id != uint32(seeded+g) {
+					t.Errorf("Lookup(grow-%d) = %d, want %d", g, id, seeded+g)
+					return
+				}
+			}
+		}(r)
+	}
+	for i := 0; i < grown; i++ {
+		if id := d.Intern(fmt.Sprintf("grow-%d", i)); id != uint32(seeded+i) {
+			t.Errorf("writer: grow-%d interned at %d, want %d", i, id, seeded+i)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if d.Len() != seeded+grown {
+		t.Fatalf("Len = %d, want %d", d.Len(), seeded+grown)
+	}
+}
+
+// lakeValues returns n distinct lake-shaped values: short tokens with a mean
+// length of ≈ 9 bytes, like the benchmark lake's cell values.
+func lakeValues(n int) []string {
+	rng := rand.New(rand.NewSource(11))
+	out := make([]string, n)
+	for i := range out {
+		out[i] = fmt.Sprintf("%s%d", "vwxyzabcd"[:1+rng.Intn(6)], 100_000+i)
+	}
+	return out
+}
+
+// benchEntries is the search-heavy lake's dictionary size.
+const benchEntries = 264_000
+
+var benchSink uint32
+
+func benchDict(b *testing.B) (*Dict, []string) {
+	b.Helper()
+	vals := lakeValues(benchEntries)
+	d := NewDict()
+	for _, v := range vals {
+		d.Intern(v)
+	}
+	// Probe in an order unrelated to insertion so neither the table nor the
+	// arena is walked sequentially.
+	rand.New(rand.NewSource(3)).Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
+	return d, vals
+}
+
+// BenchmarkDictInternHit: one op re-interns every value of a full
+// lake-sized dictionary — the re-ingest path, read lock only.
+func BenchmarkDictInternHit(b *testing.B) {
+	d, vals := benchDict(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, v := range vals {
+			id, _ := d.InternHash(v)
+			benchSink += id
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vals)), "ns/value")
+}
+
+// BenchmarkDictInternMiss: one op builds the lake-sized dictionary from
+// empty — first-sight inserts, every table doubling included.
+func BenchmarkDictInternMiss(b *testing.B) {
+	vals := lakeValues(benchEntries)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d := NewDict()
+		for _, v := range vals {
+			benchSink += d.Intern(v)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vals)), "ns/value")
+}
+
+// BenchmarkDictLookup: one op looks every value up, half present and half
+// absent.
+func BenchmarkDictLookup(b *testing.B) {
+	d, vals := benchDict(b)
+	for i := 0; i < len(vals); i += 2 {
+		vals[i] += "?"
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, v := range vals {
+			id, _ := d.Lookup(v)
+			benchSink += id
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vals)), "ns/value")
+}
+
+// BenchmarkDictLoad: one op rebuilds the lake-sized dictionary from its log
+// image — a restart's dictionary cost once the file is read.
+func BenchmarkDictLoad(b *testing.B) {
+	image := logImage(lakeValues(benchEntries))
+	b.SetBytes(int64(len(image)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, _, err := LoadLog(image, benchEntries)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink += uint32(d.Len())
+	}
+}

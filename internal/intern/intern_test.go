@@ -21,8 +21,8 @@ func TestDictBasics(t *testing.T) {
 	if d.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", d.Len())
 	}
-	if d.Value(a) != "alpha" || d.Value(b) != "beta" {
-		t.Fatalf("Value round-trip failed")
+	if vals := d.Entries(0, 2); vals[a] != "alpha" || vals[b] != "beta" {
+		t.Fatalf("Entries round-trip failed: %q", vals)
 	}
 	if id, ok := d.Lookup("beta"); !ok || id != b {
 		t.Fatalf("Lookup(beta) = %d,%v", id, ok)

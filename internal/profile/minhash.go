@@ -28,8 +28,8 @@ const CompactSignature = 64
 
 // SignatureOf computes the k-slot MinHash signature of a value set. Callers
 // that already hold the distinct set avoid recomputing it. Profiles with a
-// value dictionary attached derive signatures from memoized base hashes
-// instead (SignatureFromHashes) — bit-identical, since per-slot minima are
+// value dictionary attached derive signatures from the base hashes
+// interning yields instead (SignatureFromHashes) — bit-identical, since per-slot minima are
 // order-independent and the base hash is the same intern.Hash64.
 func SignatureOf(values map[string]struct{}, k int) []uint64 {
 	sig := make([]uint64, k)

@@ -17,8 +17,8 @@
 // Profiles built against a corpus-scoped value dictionary (internal/intern
 // — the Store attaches its own automatically; NewPair attaches a private
 // one to a one-shot pair) additionally cache their distinct sets as sorted
-// interned-id slices and derive MinHash signatures from base hashes
-// memoized once per dictionary entry, so the pairwise overlap kernels
+// interned-id slices and derive MinHash signatures from the base hashes
+// interning computed, so the pairwise overlap kernels
 // (ValueOverlap, Containment, and the matchers' sampled-overlap paths) run
 // allocation-free on integers. Every interned path is bit-identical in
 // scores to the dictionary-less reference path.
@@ -46,10 +46,10 @@ type Profile struct {
 	// dict, when non-nil, is the corpus-scoped value dictionary shared by
 	// every profile of one Store (or one NewPair/NewInterned call): distinct
 	// values intern to dense uint32 ids, so pairwise overlap kernels run on
-	// sorted id slices and MinHash derives from hashes memoized per
-	// dictionary entry. hashOnly marks a read-only attachment (query-side):
-	// cached hashes are reused but absent values are never inserted, so
-	// transient queries cannot grow a served corpus's dictionary.
+	// sorted id slices and MinHash derives from the hashes the dictionary
+	// is probed by. hashOnly marks a read-only attachment (query-side):
+	// values are hashed the same way but never inserted, so transient
+	// queries cannot grow a served corpus's dictionary.
 	dict     *intern.Dict
 	hashOnly bool
 
@@ -304,9 +304,10 @@ func (p *Profile) buildIntern() {
 
 // Signature returns the cached k-slot MinHash signature of the column's
 // distinct values, computing and memoizing it per requested length. With a
-// dictionary attached the signature derives from base hashes memoized per
-// dictionary entry — each distinct value of the corpus is hashed once, ever
-// — and is bit-identical to the dictionary-less SignatureOf path.
+// dictionary attached the signature derives from the base hashes interning
+// the column computed — one hash per distinct value, whatever the number of
+// signature lengths — and is bit-identical to the dictionary-less
+// SignatureOf path.
 func (p *Profile) Signature(k int) []uint64 {
 	if k <= 0 {
 		k = DefaultSignature
@@ -378,7 +379,7 @@ func New(t *table.Table) *TableProfile {
 // NewInterned profiles a table against a shared value dictionary: distinct
 // values intern to dense ids (enabling the integer-set overlap kernels
 // against any other profile on the same dictionary) and MinHash signatures
-// derive from the dictionary's memoized base hashes. Scores are
+// derive from the base hashes interning computed. Scores are
 // bit-identical to New's on every path.
 func NewInterned(t *table.Table, d *intern.Dict) *TableProfile {
 	if d == nil {
@@ -388,9 +389,9 @@ func NewInterned(t *table.Table, d *intern.Dict) *TableProfile {
 }
 
 // NewHashSharing profiles a table against a dictionary in read-only mode:
-// MinHash reuses the dictionary's memoized hashes for values it already
-// holds, but absent values are hashed on the fly and never inserted. This
-// is the query-side attachment — a served catalog's dictionary tracks its
+// values get the same base hashes interning would give them
+// (Dict.HashOf, which reads nothing of the dictionary) but are never
+// inserted. This is the query-side attachment — a served catalog's dictionary tracks its
 // corpus, and transient query values must not grow it.
 func NewHashSharing(t *table.Table, d *intern.Dict) *TableProfile {
 	if d == nil {

@@ -37,8 +37,8 @@ type Store struct {
 
 	// dict is the store's corpus-scoped value dictionary, shared by every
 	// profile the store builds: cross-table overlap kernels run on interned
-	// id slices and MinHash derives from hashes memoized once per distinct
-	// corpus value. The dictionary deliberately survives LRU eviction and
+	// id slices and MinHash derives from the hashes interning computed.
+	// The dictionary deliberately survives LRU eviction and
 	// Reset — it is keyed by value, not by table, so a table evicted under
 	// SetCapacity and later re-admitted rebuilds its profile over the
 	// already-interned values through the dictionary's read-locked fast
@@ -67,8 +67,8 @@ func NewStore() *Store {
 // Dict returns the store's corpus-scoped value dictionary.
 func (s *Store) Dict() *intern.Dict { return s.dict }
 
-// DictStats returns the dictionary's entry count and approximate memory —
-// the number its append-only growth is monitored by.
+// DictStats returns the dictionary's entry count and memory — the number
+// its append-only growth is monitored by.
 func (s *Store) DictStats() intern.DictStats { return s.dict.Stats() }
 
 // SetCapacity bounds the store to at most n cached tables, evicting the

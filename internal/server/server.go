@@ -778,10 +778,10 @@ func (s *Server) handleUpsert(ctx context.Context, w http.ResponseWriter, r *htt
 	// is private to the request (HTTP tables are fresh pointers, so a
 	// shared store could never hit on them — it would only pin the table),
 	// and only the artifacts catalog ingestion reads are precomputed. The
-	// catalog's value dictionary is attached, so every distinct value the
-	// corpus has seen before reuses its memoized MinHash base hash instead
-	// of being re-hashed — under micro-batched ingest of overlapping tables
-	// the signature work per request drops to mixing cached hashes.
+	// catalog's value dictionary is attached, so the one base hash that
+	// interns a value (the dictionary is probed by it) is also the hash its
+	// MinHash slots mix — signature work per request is mixing hashes the
+	// ingest already paid for.
 	tp := profile.NewInterned(t, s.cfg.Index.Dict())
 	for i := 0; i < tp.NumColumns(); i++ {
 		p := tp.Column(i)
