@@ -1,18 +1,19 @@
 package discovery
 
-// Search-latency-under-ingest benches: the acceptance criterion of the live
-// catalog is that a search never blocks on a writer. The GlobalLock variants
-// reproduce the pre-segmentation locking discipline — one RWMutex where
-// every write excludes every search — over the same scoring work, so the
-// live-vs-locked contrast isolates the architecture, not the workload.
+// Search benches: latency idle and under ingest (the acceptance criterion of
+// the live catalog is that a search never blocks on a writer), the search
+// itself over a lake-shaped mapped catalog, and the write-side costs.
 
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"slices"
 	"sync"
 	"testing"
 
+	"valentine/internal/datagen"
+	"valentine/internal/fabrication"
 	"valentine/internal/profile"
 	"valentine/internal/table"
 )
@@ -40,35 +41,6 @@ func benchTable(name string, i int) *table.Table {
 	return table.New(name).
 		AddColumn("cust", vals("u", i*7, i*7+400)).
 		AddColumn("town", vals("c", i*5, i*5+400))
-}
-
-// globalLockIndex wraps the catalog in the old locking discipline: searches
-// share a read lock, every ingest takes the write lock — so one write
-// stalls all searches behind it (and is itself stalled by running ones).
-type globalLockIndex struct {
-	mu sync.RWMutex
-	ix *Index
-}
-
-func (g *globalLockIndex) Search(q *table.Table, mode Mode, k int) ([]Result, error) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.ix.Search(q, mode, k)
-}
-
-func (g *globalLockIndex) UpsertProfiled(tp *profile.TableProfile) error {
-	// The old AddProfiled computed profiles before taking its lock; the
-	// baseline must do the same — exactly the artifacts ingestion reads,
-	// no more — or the contrast would mismeasure the old discipline.
-	for i := 0; i < tp.NumColumns(); i++ {
-		p := tp.Column(i)
-		p.Signature(g.ix.k)
-		p.NameTokens()
-		p.Distinct()
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.ix.UpsertProfiled(tp)
 }
 
 // ingester churns upserts in a background goroutine until the returned stop
@@ -132,23 +104,81 @@ func BenchmarkSearchUnderIngest(b *testing.B) {
 	b.ReportMetric(float64(ingested)/float64(b.N), "upserts/search")
 }
 
-// BenchmarkSearchUnderIngestGlobalLock is the same workload under the old
-// discipline: every upsert excludes every search on one RWMutex, so search
-// latency inherits the writer's critical sections.
-func BenchmarkSearchUnderIngestGlobalLock(b *testing.B) {
-	ix, q, churn := benchCorpus(b, 150)
-	g := &globalLockIndex{ix: ix}
-	stop := ingester(b, churn, g.UpsertProfiled)
+// lakeCatalog builds bench/lake.go's corpus at families × 8 tables — family f
+// is a datagen source put through the four fabrication recipes, so a query
+// collides with its family and, on the low-cardinality columns, with much of
+// the rest — merges it into one segment, snapshots it and loads the snapshot
+// back: the single mapped image search-heavy serves from.
+func lakeCatalog(tb testing.TB, families int) (*Index, []*table.Table) {
+	tb.Helper()
+	const seed, rows = 7, 120
+	kinds, variants, sources := fabrication.RecipeKinds(), fabrication.AllVariants(), datagen.SourceNames()
+	var tables []*table.Table
+	ix := New(Options{})
+	for f := 0; f < families; f++ {
+		src, err := datagen.Source(sources[f%len(sources)], datagen.Options{Rows: rows, Seed: seed*1000 + int64(f)})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for p, kind := range kinds {
+			pair, err := fabrication.New(seed*1_000_003+int64(f)*7919+int64(p)).Fabricate(src, fabrication.Recipe{
+				Kind: kind, RowOverlap: 0.5, ColOverlap: 0.5, Variant: variants[(f+p)%len(variants)],
+			})
+			if err != nil {
+				tb.Fatal(err)
+			}
+			for _, t := range []*table.Table{pair.Source, pair.Target} {
+				t.Name = fmt.Sprintf("c%05d_%s", len(tables), t.Name)
+				tables = append(tables, t)
+				if err := ix.Add(t); err != nil {
+					tb.Fatal(err)
+				}
+			}
+		}
+	}
+	ix.WaitCompaction()
+	ix.Compact()
+	dir := filepath.Join(tb.TempDir(), "lake")
+	if err := ix.SaveSnapshot(dir); err != nil {
+		tb.Fatal(err)
+	}
+	loaded, err := LoadSnapshot(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { loaded.Close() })
+	if sn := loaded.snap.Load(); len(sn.sealed) != 1 || sn.sealed[0].numTables() != len(tables) {
+		tb.Fatalf("fixture: %d sealed segments, want all %d tables in one", len(sn.sealed), len(tables))
+	}
+	return loaded, tables
+}
+
+// BenchmarkSearchLake is the search alone — query already profiled, no
+// server, no writer — over a 400-table lake in one mapped image: a rotation
+// of the lake's own tables as queries (13 to 28 columns wide, every recipe
+// and role), join:union 3:1, top 10, as search-heavy asks.
+func BenchmarkSearchLake(b *testing.B) {
+	ix, tables := lakeCatalog(b, 50)
+	queries := make([]*profile.TableProfile, 48)
+	for i := range queries {
+		queries[i] = ix.queryProfile(tables[i*37%len(tables)])
+		for _, mode := range []Mode{ModeJoin, ModeUnion} { // fill the signature caches
+			if _, err := ix.SearchProfiled(queries[i], mode, 10); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := g.Search(q, ModeJoin, 5); err != nil {
+		mode := ModeJoin
+		if i%4 == 3 {
+			mode = ModeUnion
+		}
+		if _, err := ix.SearchProfiled(queries[i%len(queries)], mode, 10); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.StopTimer()
-	ingested := stop()
-	ix.WaitCompaction()
-	b.ReportMetric(float64(ingested)/float64(b.N), "upserts/search")
 }
 
 // BenchmarkUpsert measures steady-state ingest cost on a standing catalog

@@ -62,6 +62,8 @@ import (
 	cryptorand "crypto/rand"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -541,32 +543,133 @@ func (ix *Index) queryProfile(q *table.Table) *profile.TableProfile {
 	return profile.NewHashSharing(q, ix.dict)
 }
 
-// colRef addresses one column in a snapshot: the owning segment plus the
-// segment-local column id.
-type colRef struct {
-	seg *segment
-	id  int32
-}
-
-// colAcc accumulates one query column's candidates for one indexed table —
-// the per-unit state the engine pool fans out, merged later in query-column
-// order so the result is independent of scheduling.
-type colAcc struct {
-	best       float64
-	bestC      colRef // first column achieving best, in probe order
-	candidates int
-}
-
 // search is the one scoring path behind every Search variant. It returns
 // the ranked results plus the epoch of the snapshot it pinned.
 func (ix *Index) search(ctx context.Context, qp *profile.TableProfile, mode Mode, k int, brute bool) ([]Result, uint64, error) {
 	return ix.searchImpl(ctx, qp, mode, k, brute, false)
 }
 
+// bitset is a fixed-size set of small non-negative integers.
+type bitset []uint64
+
+func newBitset(n int) bitset    { return make(bitset, (n+63)/64) }
+func (b bitset) has(i int) bool { return b[i>>6]&(1<<(i&63)) != 0 }
+func (b bitset) set(i int)      { b[i>>6] |= 1 << (i & 63) }
+
+// cand is one scored candidate of one query column: the indexed table's slot
+// (its segment's base in the pinned snapshot plus its ordinal there), the
+// column's segment-local id, and the score.
+type cand struct {
+	slot  int32
+	col   int32
+	score float64
+}
+
+// slotAcc folds one table's candidates as they arrive in (query column,
+// probe) order. A table's candidates from one query column arrive together:
+// that column stays open — cur is its best, reached first by column curC —
+// until the next one shows up, and is then closed into sum and best. The zero
+// value is an untouched table.
+type slotAcc struct {
+	sum          float64 // the closed query columns' bests, added in column order (union)
+	cur          float64
+	best         float64 // best over the closed query columns: bestQ against bestC
+	curQ, curC   int32
+	bestQ, bestC int32
+	candidates   int32
+}
+
+func (a *slotAcc) open(qi, col int32, score float64) {
+	a.curQ, a.curC, a.cur = qi, col, score
+}
+
+// close retires the open query column: its best joins the union sum (a
+// column that found nothing better than zero adds nothing, as a column that
+// found nothing at all does) and takes over as the table's best
+// correspondence if it is the first or strictly better.
+func (a *slotAcc) close() {
+	if a.cur > 0 {
+		a.sum += a.cur
+	}
+	if a.cur > a.best || a.bestQ < 0 {
+		a.best, a.bestQ, a.bestC = a.cur, a.curQ, a.curC
+	}
+}
+
+// ranked is one touched table on its way through the top-k selection.
+type ranked struct {
+	score    float64
+	seg, ord int32
+}
+
+// topK selects the k entries that rank first under before — every entry when
+// k <= 0. Until k entries have been offered it is a plain list; from then on
+// a heap with the last-ranked entry at the root, which only a better offer
+// replaces.
+type topK struct {
+	k      int
+	before func(a, b ranked) bool
+	ents   []ranked
+}
+
+func (t *topK) offer(r ranked) {
+	switch {
+	case t.k <= 0 || len(t.ents) < t.k:
+		t.ents = append(t.ents, r)
+		if len(t.ents) == t.k {
+			for i := t.k/2 - 1; i >= 0; i-- {
+				t.siftDown(i)
+			}
+		}
+	case t.before(r, t.ents[0]):
+		t.ents[0] = r
+		t.siftDown(0)
+	}
+}
+
+func (t *topK) siftDown(i int) {
+	h := t.ents
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && t.before(h[c], h[c+1]) {
+			c++
+		}
+		if !t.before(h[i], h[c]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// sorted returns the selection in rank order.
+func (t *topK) sorted() []ranked {
+	slices.SortFunc(t.ents, func(a, b ranked) int {
+		switch {
+		case t.before(a, b):
+			return -1
+		case t.before(b, a):
+			return 1
+		}
+		return 0
+	})
+	return t.ents
+}
+
 // searchImpl additionally supports best-effort mode: a context error
-// mid-scoring merges whatever query columns completed (unfinished ones
+// mid-scoring folds whatever query columns completed (unfinished ones
 // contribute nothing) and returns the partial ranking alongside the error,
 // instead of dropping it.
+//
+// Nothing here touches a string or a Go map per candidate. A table of the
+// pinned snapshot is a slot — base[segment] + its ordinal in that segment —
+// and everything keyed by table is an array over slots: the skip set (the
+// query's own table, tombstoned occurrences) a bitset, the accumulators a
+// flat pointer-free slice. Names are read again only to break score ties
+// and to hand the survivors of the top-k selection to the caller.
 func (ix *Index) searchImpl(ctx context.Context, qp *profile.TableProfile, mode Mode, k int, brute, bestEffort bool) ([]Result, uint64, error) {
 	if mode != ModeJoin && mode != ModeUnion {
 		return nil, 0, fmt.Errorf("discovery: mode %q is not join|union", mode)
@@ -580,11 +683,20 @@ func (ix *Index) searchImpl(ctx context.Context, qp *profile.TableProfile, mode 
 	// from the query profile's caches and depend only on q.
 	nq := qp.NumColumns()
 	qSigs := make([][]uint64, nq)
-	qTokens := make([][]string, nq)
+	var qTokens []map[string]struct{} // per query column, its name tokens as a set
 	stats.Timed(engine.StageGenerate, func() {
 		for i := range qSigs {
 			qSigs[i] = qp.Column(i).Signature(ix.k)
-			qTokens[i] = qp.Column(i).NameTokens()
+		}
+		if ix.opts.TokenBoost != 0 {
+			qTokens = make([]map[string]struct{}, nq)
+			for i := range qTokens {
+				toks := qp.Column(i).NameTokens()
+				qTokens[i] = make(map[string]struct{}, len(toks))
+				for _, t := range toks {
+					qTokens[i][t] = struct{}{}
+				}
+			}
 		}
 	})
 
@@ -594,76 +706,112 @@ func (ix *Index) searchImpl(ctx context.Context, qp *profile.TableProfile, mode 
 	sn := ix.snap.Load()
 	segs := sn.segments()
 
+	// The slot space of this snapshot, and the slots no candidate may score
+	// for: the table named like the query wherever it occurs, and every
+	// tombstoned occurrence awaiting compaction. Built here, per search, from
+	// the segment directories — a handful of lookups — so that publishing a
+	// snapshot stays what it was.
+	base := make([]int, len(segs)+1)
+	maxCols := 0
+	for i, seg := range segs {
+		base[i+1] = base[i] + seg.numTables()
+		maxCols = max(maxCols, seg.numCols())
+	}
+	nSlots := base[len(segs)]
+	if nSlots > math.MaxInt32 {
+		return nil, 0, fmt.Errorf("discovery: %d table occurrences exceed the search's 32-bit slot space", nSlots)
+	}
+	skip := newBitset(nSlots)
+	skipTable := func(si int, name string) {
+		if ord, ok := segs[si].tableOrd(name); ok {
+			skip.set(base[si] + int(ord))
+		}
+	}
+	for si := range segs {
+		skipTable(si, q.Name)
+	}
+	for key := range sn.tombs {
+		for si, seg := range segs {
+			if seg.id == key.seg {
+				skipTable(si, key.table)
+				break
+			}
+		}
+	}
+
 	// Candidate generation + scoring, one pool unit per query column. Each
-	// unit accumulates into private state; merging happens afterwards in
-	// query-column order, which makes the output bit-identical to the old
-	// sequential sweep at any parallelism.
-	perQuery := make([]map[string]*colAcc, nq)
-	var scored atomic.Int64
+	// unit appends to a private list in probe order; folding happens
+	// afterwards in query-column order, which makes the output bit-identical
+	// to a sequential sweep at any parallelism.
+	lists := make([][]cand, nq)
+	seenWords := (maxCols + 63) / 64
+	var seenAll bitset // one dedup set over column ids per unit
+	if !brute {
+		seenAll = make(bitset, nq*seenWords)
+	}
 	start := time.Now()
 	err := engine.Map(ctx, engine.OptionsFrom(ctx).Workers(), nq, func(qi int) error {
 		sig := qSigs[qi]
 		if profile.IsEmptySignature(sig) {
 			return nil // can only hit empty columns, all at score 0
 		}
-		acc := make(map[string]*colAcc)
-		score := func(seg *segment, id int32) {
-			// A corrupt mapped segment's bucket payload could carry ids
-			// outside the column range; open-time validation checks every
-			// offset table but not bucket values, so the guard lives here —
-			// skip, never panic. Heap segments can't trip it.
-			if id < 0 || int(id) >= seg.numCols() {
-				return
+		var list []cand
+		score := func(si int, seg *segment, id int32) {
+			slot := base[si] + int(seg.colOrd(id))
+			if skip.has(slot) {
+				return // the query's own table, or tombstoned and awaiting compaction
 			}
 			// Empty columns never rank (see segment.insertShards); the brute
 			// path must apply the same rule so it stays the reference
 			// implementation of the pruned path even with TokenBoost set.
-			tbl := seg.colTable(id)
 			colSig := seg.colSig(id)
-			if tbl == q.Name || profile.IsEmptySignature(colSig) {
+			if profile.IsEmptySignature(colSig) {
 				return
 			}
-			if sn.dead(seg, tbl) {
-				return // tombstoned, awaiting compaction
-			}
 			s := profile.EstimateJaccard(sig, colSig)
-			if ix.opts.TokenBoost != 0 {
-				s += ix.opts.TokenBoost * tokenJaccard(qTokens[qi], seg.colTokens(id))
+			if qTokens != nil {
+				s += ix.opts.TokenBoost * seg.tokenJaccard(qTokens[qi], id)
 			}
-			a := acc[tbl]
-			if a == nil {
-				a = &colAcc{bestC: colRef{nil, -1}}
-				acc[tbl] = a
+			if len(list) == cap(list) {
+				// Double (append's own growth tapers to a quarter): a search
+				// allocates for its candidates O(log candidates) times.
+				list = slices.Grow(list, max(len(list), 64))
 			}
-			a.candidates++
-			scored.Add(1)
-			if s > a.best || a.bestC.seg == nil {
-				a.best, a.bestC = s, colRef{seg, id}
-			}
+			list = append(list, cand{int32(slot), id, s})
 		}
 		// Probe segments oldest-first so the within-table column probe
 		// order — and therefore tie-broken best correspondences — is
 		// stable across memtable seals and compactions.
-		for _, seg := range segs {
+		for si, seg := range segs {
+			nCols := seg.numCols()
 			if brute {
-				for id, n := 0, seg.numCols(); id < n; id++ {
-					score(seg, int32(id))
+				for id := 0; id < nCols; id++ {
+					score(si, seg, int32(id))
 				}
 				continue
 			}
-			seen := make(map[int32]struct{})
+			seen := seenAll[qi*seenWords:][:(nCols+63)/64]
+			clear(seen)
 			for b := 0; b < ix.bands; b++ {
 				key := profile.BandKey(sig, b, ix.rows)
 				for _, id := range seg.probe(b, key) {
-					if _, dup := seen[id]; dup {
+					// A corrupt mapped segment's bucket payload could carry
+					// ids outside the column range; open-time validation
+					// checks every offset table but not bucket values, so the
+					// guard lives here, ahead of every index the id feeds —
+					// skip, never panic. Heap segments can't trip it.
+					if id < 0 || int(id) >= nCols {
 						continue
 					}
-					seen[id] = struct{}{}
-					score(seg, id)
+					if seen.has(int(id)) {
+						continue
+					}
+					seen.set(int(id))
+					score(si, seg, id)
 				}
 			}
 		}
-		perQuery[qi] = acc
+		lists[qi] = list
 		return nil
 	})
 	stats.Observe(engine.StageScore, time.Since(start))
@@ -672,76 +820,81 @@ func (ix *Index) searchImpl(ctx context.Context, qp *profile.TableProfile, mode 
 	// pruned — by the band shards, the empty-signature rules, the tombstone
 	// filter, or the self-table skip — so candidates + pruned always equals
 	// the sweep the shards saved.
-	stats.AddCandidates(scored.Load())
-	stats.AddScored(scored.Load())
-	stats.AddPruned(int64(nq)*int64(sn.nCols) - scored.Load())
+	scored := int64(0)
+	for _, list := range lists {
+		scored += int64(len(list))
+	}
+	stats.AddCandidates(scored)
+	stats.AddScored(scored)
+	stats.AddPruned(int64(nq)*int64(sn.nCols) - scored)
 	mapErr := err
 	if err != nil && !bestEffort {
 		return nil, 0, err
 	}
 
-	// Merge per-query-column accumulators in query-column order — the exact
-	// order the sequential sweep updated its per-table state in. In
-	// best-effort mode, columns the expired context left unfinished have a
-	// nil accumulator — identical in effect to an empty-signature column —
-	// and simply contribute no scores.
-	type tableAcc struct {
-		perQuery   []float64 // best score per query column (union mode)
-		best       float64
-		bestQ      int
-		bestC      colRef
-		candidates int
-	}
-	acc := make(map[string]*tableAcc)
-	for qi := 0; qi < nq; qi++ {
-		for name, ca := range perQuery[qi] {
-			a := acc[name]
-			if a == nil {
-				a = &tableAcc{perQuery: make([]float64, nq), bestQ: -1, bestC: colRef{nil, -1}}
-				acc[name] = a
+	// Fold the lists in (query column, probe) order — the exact order the
+	// sequential sweep updated its per-table state in. In best-effort mode,
+	// columns the expired context left unfinished have no list — identical in
+	// effect to an empty-signature column — and simply contribute no scores.
+	acc := make([]slotAcc, nSlots)
+	for qi, list := range lists {
+		for _, c := range list {
+			a := &acc[c.slot]
+			switch {
+			case a.candidates == 0:
+				a.bestQ = -1
+				a.open(int32(qi), c.col, c.score)
+			case a.curQ != int32(qi):
+				a.close()
+				a.open(int32(qi), c.col, c.score)
+			case c.score > a.cur:
+				a.curC, a.cur = c.col, c.score
 			}
-			a.candidates += ca.candidates
-			if ca.best > a.perQuery[qi] {
-				a.perQuery[qi] = ca.best
-			}
-			if ca.bestC.seg != nil && (ca.best > a.best || a.bestQ < 0) {
-				a.best, a.bestQ, a.bestC = ca.best, qi, ca.bestC
-			}
+			a.candidates++
 		}
 	}
 
 	var out []Result
 	stats.Timed(engine.StageRank, func() {
-		out = make([]Result, 0, len(acc))
-		for name, a := range acc {
+		// Results order by score descending, then table name ascending; a
+		// live name occurs once, so the order is total and a bounded heap of
+		// the k best returns exactly the prefix a full sort would. Names are
+		// compared — as views into their segments — on score ties only.
+		before := func(a, b ranked) bool {
+			if a.score != b.score {
+				return a.score > b.score
+			}
+			return segs[a.seg].tableNameAt(a.ord) < segs[b.seg].tableNameAt(b.ord)
+		}
+		top := topK{k: k, before: before}
+		for si, seg := range segs {
+			for ord, n := 0, seg.numTables(); ord < n; ord++ {
+				a := &acc[base[si]+ord]
+				if a.candidates == 0 {
+					continue
+				}
+				a.close()
+				r := ranked{a.best, int32(si), int32(ord)}
+				if mode == ModeUnion {
+					r.score = a.sum / float64(len(q.Columns))
+				}
+				top.offer(r)
+			}
+		}
+		out = make([]Result, len(top.ents))
+		for i, r := range top.sorted() {
+			seg := segs[r.seg]
+			a := &acc[base[r.seg]+int(r.ord)]
 			// Clone the names out of the snapshot: for mapped segments they
 			// are views into the mapping, and results must stay valid past
 			// an Index.Close.
-			r := Result{Table: strings.Clone(name), Candidates: a.candidates}
-			if a.bestQ >= 0 {
-				r.BestQuery = q.Columns[a.bestQ].Name
-				r.BestIndexed = strings.Clone(a.bestC.seg.colName(a.bestC.id))
+			out[i] = Result{
+				Table:       strings.Clone(seg.tableNameAt(r.ord)),
+				Score:       r.score,
+				BestQuery:   q.Columns[a.bestQ].Name,
+				BestIndexed: strings.Clone(seg.colName(a.bestC)),
+				Candidates:  int(a.candidates),
 			}
-			switch mode {
-			case ModeJoin:
-				r.Score = a.best
-			case ModeUnion:
-				sum := 0.0
-				for _, s := range a.perQuery {
-					sum += s
-				}
-				r.Score = sum / float64(len(q.Columns))
-			}
-			out = append(out, r)
-		}
-		sort.Slice(out, func(i, j int) bool {
-			if out[i].Score != out[j].Score {
-				return out[i].Score > out[j].Score
-			}
-			return out[i].Table < out[j].Table
-		})
-		if k > 0 && len(out) > k {
-			out = out[:k]
 		}
 	})
 	return out, sn.epoch, mapErr
@@ -759,28 +912,4 @@ func ValidateQuery(q *table.Table) error {
 	named := *q
 	named.Name = "(anonymous query)"
 	return named.Validate()
-}
-
-// tokenJaccard is the Jaccard similarity of two token lists as sets.
-func tokenJaccard(a, b []string) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	set := make(map[string]struct{}, len(a))
-	for _, t := range a {
-		set[t] = struct{}{}
-	}
-	inter := 0
-	seen := make(map[string]struct{}, len(b))
-	for _, t := range b {
-		if _, dup := seen[t]; dup {
-			continue
-		}
-		seen[t] = struct{}{}
-		if _, ok := set[t]; ok {
-			inter++
-		}
-	}
-	union := len(set) + len(seen) - inter
-	return float64(inter) / float64(union)
 }

@@ -1,0 +1,434 @@
+package discovery
+
+// searchRef is the search body searchImpl replaced, kept verbatim as the
+// oracle TestSearchMatchesRef holds the integer-keyed path to: string-keyed
+// maps per candidate, one accumulator per (query column, table), a full sort
+// of every touched table. It shares nothing with searchImpl past the segment
+// accessors — colAcc, colRef, tokenJaccard and colTokens below came with it.
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"valentine/internal/engine"
+	"valentine/internal/profile"
+	"valentine/internal/table"
+)
+
+// colRef addresses one column in a snapshot: the owning segment plus the
+// segment-local column id.
+type colRef struct {
+	seg *segment
+	id  int32
+}
+
+// colAcc accumulates one query column's candidates for one indexed table —
+// the per-unit state the engine pool fans out, merged later in query-column
+// order so the result is independent of scheduling.
+type colAcc struct {
+	best       float64
+	bestC      colRef // first column achieving best, in probe order
+	candidates int
+}
+
+func (ix *Index) searchRef(ctx context.Context, qp *profile.TableProfile, mode Mode, k int, brute, bestEffort bool) ([]Result, uint64, error) {
+	if mode != ModeJoin && mode != ModeUnion {
+		return nil, 0, fmt.Errorf("discovery: mode %q is not join|union", mode)
+	}
+	q := qp.Table()
+	if err := ValidateQuery(q); err != nil {
+		return nil, 0, err
+	}
+	stats := engine.StatsFrom(ctx)
+	// Query-side work needs no catalog state: signatures and tokens come
+	// from the query profile's caches and depend only on q.
+	nq := qp.NumColumns()
+	qSigs := make([][]uint64, nq)
+	qTokens := make([][]string, nq)
+	stats.Timed(engine.StageGenerate, func() {
+		for i := range qSigs {
+			qSigs[i] = qp.Column(i).Signature(ix.k)
+			qTokens[i] = qp.Column(i).NameTokens()
+		}
+	})
+
+	// The hot path's only synchronization: one atomic load pins this
+	// search's epoch. Everything below reads frozen state, so concurrent
+	// writers never block (or are blocked by) this search.
+	sn := ix.snap.Load()
+	segs := sn.segments()
+
+	// Candidate generation + scoring, one pool unit per query column. Each
+	// unit accumulates into private state; merging happens afterwards in
+	// query-column order, which makes the output bit-identical to the old
+	// sequential sweep at any parallelism.
+	perQuery := make([]map[string]*colAcc, nq)
+	var scored atomic.Int64
+	start := time.Now()
+	err := engine.Map(ctx, engine.OptionsFrom(ctx).Workers(), nq, func(qi int) error {
+		sig := qSigs[qi]
+		if profile.IsEmptySignature(sig) {
+			return nil // can only hit empty columns, all at score 0
+		}
+		acc := make(map[string]*colAcc)
+		score := func(seg *segment, id int32) {
+			// A corrupt mapped segment's bucket payload could carry ids
+			// outside the column range; open-time validation checks every
+			// offset table but not bucket values, so the guard lives here —
+			// skip, never panic. Heap segments can't trip it.
+			if id < 0 || int(id) >= seg.numCols() {
+				return
+			}
+			// Empty columns never rank (see segment.insertShards); the brute
+			// path must apply the same rule so it stays the reference
+			// implementation of the pruned path even with TokenBoost set.
+			tbl := seg.colTable(id)
+			colSig := seg.colSig(id)
+			if tbl == q.Name || profile.IsEmptySignature(colSig) {
+				return
+			}
+			if sn.dead(seg, tbl) {
+				return // tombstoned, awaiting compaction
+			}
+			s := profile.EstimateJaccard(sig, colSig)
+			if ix.opts.TokenBoost != 0 {
+				s += ix.opts.TokenBoost * tokenJaccard(qTokens[qi], seg.colTokens(id))
+			}
+			a := acc[tbl]
+			if a == nil {
+				a = &colAcc{bestC: colRef{nil, -1}}
+				acc[tbl] = a
+			}
+			a.candidates++
+			scored.Add(1)
+			if s > a.best || a.bestC.seg == nil {
+				a.best, a.bestC = s, colRef{seg, id}
+			}
+		}
+		// Probe segments oldest-first so the within-table column probe
+		// order — and therefore tie-broken best correspondences — is
+		// stable across memtable seals and compactions.
+		for _, seg := range segs {
+			if brute {
+				for id, n := 0, seg.numCols(); id < n; id++ {
+					score(seg, int32(id))
+				}
+				continue
+			}
+			seen := make(map[int32]struct{})
+			for b := 0; b < ix.bands; b++ {
+				key := profile.BandKey(sig, b, ix.rows)
+				for _, id := range seg.probe(b, key) {
+					if _, dup := seen[id]; dup {
+						continue
+					}
+					seen[id] = struct{}{}
+					score(seg, id)
+				}
+			}
+		}
+		perQuery[qi] = acc
+		return nil
+	})
+	stats.Observe(engine.StageScore, time.Since(start))
+	// Candidates counts the pairs that reached scoring; everything else the
+	// full (query columns × live columns) sweep would have visited was
+	// pruned — by the band shards, the empty-signature rules, the tombstone
+	// filter, or the self-table skip — so candidates + pruned always equals
+	// the sweep the shards saved.
+	stats.AddCandidates(scored.Load())
+	stats.AddScored(scored.Load())
+	stats.AddPruned(int64(nq)*int64(sn.nCols) - scored.Load())
+	mapErr := err
+	if err != nil && !bestEffort {
+		return nil, 0, err
+	}
+
+	// Merge per-query-column accumulators in query-column order — the exact
+	// order the sequential sweep updated its per-table state in. In
+	// best-effort mode, columns the expired context left unfinished have a
+	// nil accumulator — identical in effect to an empty-signature column —
+	// and simply contribute no scores.
+	type tableAcc struct {
+		perQuery   []float64 // best score per query column (union mode)
+		best       float64
+		bestQ      int
+		bestC      colRef
+		candidates int
+	}
+	acc := make(map[string]*tableAcc)
+	for qi := 0; qi < nq; qi++ {
+		for name, ca := range perQuery[qi] {
+			a := acc[name]
+			if a == nil {
+				a = &tableAcc{perQuery: make([]float64, nq), bestQ: -1, bestC: colRef{nil, -1}}
+				acc[name] = a
+			}
+			a.candidates += ca.candidates
+			if ca.best > a.perQuery[qi] {
+				a.perQuery[qi] = ca.best
+			}
+			if ca.bestC.seg != nil && (ca.best > a.best || a.bestQ < 0) {
+				a.best, a.bestQ, a.bestC = ca.best, qi, ca.bestC
+			}
+		}
+	}
+
+	var out []Result
+	stats.Timed(engine.StageRank, func() {
+		out = make([]Result, 0, len(acc))
+		for name, a := range acc {
+			// Clone the names out of the snapshot: for mapped segments they
+			// are views into the mapping, and results must stay valid past
+			// an Index.Close.
+			r := Result{Table: strings.Clone(name), Candidates: a.candidates}
+			if a.bestQ >= 0 {
+				r.BestQuery = q.Columns[a.bestQ].Name
+				r.BestIndexed = strings.Clone(a.bestC.seg.colName(a.bestC.id))
+			}
+			switch mode {
+			case ModeJoin:
+				r.Score = a.best
+			case ModeUnion:
+				sum := 0.0
+				for _, s := range a.perQuery {
+					sum += s
+				}
+				r.Score = sum / float64(len(q.Columns))
+			}
+			out = append(out, r)
+		}
+		sort.Slice(out, func(i, j int) bool {
+			if out[i].Score != out[j].Score {
+				return out[i].Score > out[j].Score
+			}
+			return out[i].Table < out[j].Table
+		})
+		if k > 0 && len(out) > k {
+			out = out[:k]
+		}
+	})
+	return out, sn.epoch, mapErr
+}
+
+// tokenJaccard is the Jaccard similarity of two token lists as sets.
+func tokenJaccard(a, b []string) float64 {
+	if len(a) == 0 || len(b) == 0 {
+		return 0
+	}
+	set := make(map[string]struct{}, len(a))
+	for _, t := range a {
+		set[t] = struct{}{}
+	}
+	inter := 0
+	seen := make(map[string]struct{}, len(b))
+	for _, t := range b {
+		if _, dup := seen[t]; dup {
+			continue
+		}
+		seen[t] = struct{}{}
+		if _, ok := set[t]; ok {
+			inter++
+		}
+	}
+	union := len(set) + len(seen) - inter
+	return float64(inter) / float64(union)
+}
+
+// colTokens returns the column's lowercase name tokens. The mapped form
+// allocates the []string header per call (each element is still a zero-copy
+// view); search only pays this when TokenBoost is configured.
+func (s *segment) colTokens(id int32) []string {
+	if s.mapped != nil {
+		return s.mapped.colTokens(id)
+	}
+	return s.cols[id].Tokens
+}
+
+// expiringCtx reports DeadlineExceeded from its (n+1)-th Err call on. A
+// one-worker engine.Map asks before every unit, so exactly the first n query
+// columns get scored: a best-effort search cut short at a known point.
+type expiringCtx struct {
+	context.Context
+	left *atomic.Int64
+}
+
+func (c expiringCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+func expiringAfter(n int64) context.Context {
+	left := new(atomic.Int64)
+	left.Store(n)
+	return engine.WithOptions(expiringCtx{context.Background(), left}, engine.Options{Parallelism: 1})
+}
+
+// TestSearchMatchesRef holds searchImpl to the body it replaced over
+// TestRandomizedLiveConformance's op stream: every segment shape a snapshot
+// can hold (memtable, heap seals, a compaction's heap-held image, images
+// mapped from a snapshot directory) under live tombstones, queries that skip
+// nothing, a live table and a tombstoned one, all-empty columns on both
+// sides, and a best-effort search whose context expires before and midway
+// through scoring. Results, pinned epoch and the engine's counters must be
+// equal — not close.
+func TestSearchMatchesRef(t *testing.T) {
+	for _, boost := range []float64{0, 0.25} {
+		t.Run(fmt.Sprintf("TokenBoost=%v", boost), func(t *testing.T) { searchMatchesRef(t, boost) })
+	}
+}
+
+func searchMatchesRef(t *testing.T, boost float64) {
+	rng := rand.New(rand.NewSource(17))
+	// Names share tokens across columns and repeat one within a column
+	// ("id_id"), so the TokenBoost arm sees every overlap from none to full.
+	colNames := []string{"customer_id", "customerName", "order_id", "city", "id_id", "zip code"}
+	makeTable := func(name string) *table.Table {
+		tab := table.New(name)
+		nrows := 80 + rng.Intn(120) // columns must be row-aligned
+		blank := rng.Intn(6)        // 0: every column empty; 1: all but the first
+		for i, c := range rng.Perm(len(colNames))[:1+rng.Intn(3)] {
+			values := make([]string, nrows)
+			if blank > 1 || blank == 1 && i == 0 {
+				lo := rng.Intn(300)
+				values = vals("u", lo, lo+nrows)
+			}
+			tab.AddColumn(colNames[c], values)
+		}
+		return tab
+	}
+	names := make([]string, 30)
+	for i := range names {
+		names[i] = fmt.Sprintf("t%02d", i)
+	}
+	ix := New(Options{SealAfter: 3, TokenBoost: boost}) // frequent seals → many segments
+	holdBackgroundCompaction(ix)                        // the stream's own Compact calls are the only ones
+
+	type counters struct{ candidates, scored, pruned int64 }
+	run := func(search func(context.Context, *profile.TableProfile, Mode, int, bool, bool) ([]Result, uint64, error),
+		ctx context.Context, qp *profile.TableProfile, mode Mode, k int, brute, bestEffort bool) ([]Result, uint64, error, counters) {
+		ctx, stats := engine.WithStats(ctx)
+		res, epoch, err := search(ctx, qp, mode, k, brute, bestEffort)
+		sn := stats.Snapshot()
+		return res, epoch, err, counters{sn.Candidates, sn.Scored, sn.Pruned}
+	}
+	compare := func(at string, mkctx func() context.Context, qp *profile.TableProfile, mode Mode, k int, brute, bestEffort bool) {
+		t.Helper()
+		want, wantEpoch, wantErr, wantN := run(ix.searchRef, mkctx(), qp, mode, k, brute, bestEffort)
+		got, gotEpoch, gotErr, gotN := run(ix.searchImpl, mkctx(), qp, mode, k, brute, bestEffort)
+		at = fmt.Sprintf("%s query %q %s k=%d brute=%v bestEffort=%v", at, qp.Table().Name, mode, k, brute, bestEffort)
+		if gotEpoch != wantEpoch {
+			t.Fatalf("%s: pinned epoch %d, oracle pinned %d with no writer running", at, gotEpoch, wantEpoch)
+		}
+		if !errors.Is(gotErr, wantErr) {
+			t.Fatalf("%s: err = %v, oracle %v", at, gotErr, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: results diverge:\n got %+v\nwant %+v", at, got, want)
+		}
+		if gotN != wantN {
+			t.Fatalf("%s: engine counters %+v, oracle %+v", at, gotN, wantN)
+		}
+	}
+
+	// What the checked snapshots held beside a tombstone, over the whole run.
+	var sawHeapSeal, sawHeapImage, sawMappedImage, sawPartial bool
+	check := func(step int) {
+		t.Helper()
+		at := fmt.Sprintf("step %d", step)
+		sn := ix.snap.Load()
+		queries := []*table.Table{makeTable("")}
+		for _, name := range ix.Tables() {
+			queries = append(queries, makeTable(name)) // named like a live table
+			break
+		}
+		for key := range sn.tombs {
+			queries = append(queries, makeTable(key.table)) // named like a tombstoned occurrence
+			break
+		}
+		if len(sn.tombs) > 0 {
+			for _, seg := range sn.sealed {
+				sawHeapSeal = sawHeapSeal || seg.mapped == nil
+				sawHeapImage = sawHeapImage || seg.mapped != nil && seg.mapped.unmap == nil
+				sawMappedImage = sawMappedImage || seg.mapped != nil && seg.mapped.unmap != nil
+			}
+		}
+		for _, q := range queries {
+			qp := ix.queryProfile(q)
+			for _, mode := range []Mode{ModeJoin, ModeUnion} {
+				for _, brute := range []bool{false, true} {
+					for _, k := range []int{0, 1, 5, 1000} {
+						compare(at, context.Background, qp, mode, k, brute, false)
+					}
+					compare(at+" (expired)", func() context.Context {
+						ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+						t.Cleanup(cancel)
+						return ctx
+					}, qp, mode, 5, brute, true)
+					if n := int64(qp.NumColumns()); n > 1 {
+						compare(at+" (expiring)", func() context.Context { return expiringAfter(n - 1) }, qp, mode, 0, brute, true)
+						sawPartial = true
+					}
+				}
+			}
+		}
+	}
+
+	steps := 150
+	if testing.Short() {
+		steps = 60
+	}
+	for step := 0; step < steps; step++ {
+		name := names[rng.Intn(len(names))]
+		switch op := rng.Intn(10); {
+		case op < 4:
+			if err := ix.Upsert(makeTable(name)); err != nil {
+				t.Fatalf("step %d upsert %s: %v", step, name, err)
+			}
+		case op < 7:
+			ix.Add(makeTable(name)) // fails iff live: TestRandomizedLiveConformance checks that
+		default:
+			ix.Remove(name) // fails iff not live
+		}
+		switch step {
+		case steps / 3:
+			ix.Compact() // every seal so far becomes one heap-held image
+			check(step)
+		case 2 * steps / 3:
+			dir := filepath.Join(t.TempDir(), "snap")
+			if err := ix.SaveSnapshot(dir); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := LoadSnapshot(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer loaded.Close()
+			ix = loaded // the stream carries on over mapped images
+			holdBackgroundCompaction(ix)
+			check(step)
+		}
+		if step%8 == 7 {
+			check(step)
+		}
+	}
+	check(steps)
+	ix.compacting.Store(false)
+	ix.Compact()
+	check(steps + 1)
+	if !sawHeapSeal || !sawHeapImage || !sawPartial || mmapAvailable && !sawMappedImage {
+		t.Errorf("stream never checked a snapshot with tombstones beside a heap seal (%v), a heap-held image (%v), a mapped image (%v), or a search cut short (%v)",
+			sawHeapSeal, sawHeapImage, sawMappedImage, sawPartial)
+	}
+}

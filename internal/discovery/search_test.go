@@ -1,0 +1,147 @@
+package discovery
+
+// The search's ranking and allocation contracts: what order results come
+// back in when scores tie, what a k keeps of a tie group, that results own
+// their strings, and that a search's allocation count does not follow the
+// number of candidates it scores.
+
+import (
+	"context"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"valentine/internal/engine"
+	"valentine/internal/table"
+)
+
+// tieCatalog spreads six tables with one identical column — six equal scores
+// for any query — over three segments (two seals and the memtable), named so
+// that neither insertion nor segment order is name order, plus one table that
+// matches the query exactly.
+func tieCatalog(t *testing.T) (*Index, *table.Table) {
+	t.Helper()
+	ix := New(Options{SealAfter: 3})
+	for _, name := range []string{"d", "exact", "a", "f", "b", "e", "c"} {
+		lo := 40
+		if name == "exact" {
+			lo = 0
+		}
+		if err := ix.Add(table.New(name).AddColumn("k", vals("u", lo, lo+80))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := ix.Stats(); st.SealedSegments != 2 || st.MemTables != 1 {
+		t.Fatalf("fixture: %d sealed segments and %d memtable tables, want 2 and 1", st.SealedSegments, st.MemTables)
+	}
+	return ix, table.New("q").AddColumn("k", vals("u", 0, 80))
+}
+
+func tableNames(res []Result) []string {
+	out := make([]string, len(res))
+	for i, r := range res {
+		out[i] = r.Table
+	}
+	return out
+}
+
+// TestSearchTieOrder: results order by score descending, then table name
+// ascending — wherever the tables live — and a k that cuts through a tie
+// group keeps its lexicographically smallest names.
+func TestSearchTieOrder(t *testing.T) {
+	ix, q := tieCatalog(t)
+	for _, mode := range []Mode{ModeJoin, ModeUnion} {
+		for _, search := range []func(*table.Table, Mode, int) ([]Result, error){ix.Search, ix.SearchBruteForce} {
+			all, err := search(q, mode, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full := []string{"exact", "a", "b", "c", "d", "e", "f"}
+			if got := tableNames(all); !reflect.DeepEqual(got, full) {
+				t.Fatalf("%s k=0: %v, want every touched table as %v", mode, got, full)
+			}
+			for i := 2; i < len(all); i++ {
+				if all[i].Score != all[1].Score || all[i].Score >= all[0].Score {
+					t.Fatalf("%s: fixture scores %+v are not one winner and a six-way tie", mode, all)
+				}
+			}
+			for k := 1; k <= len(full)+1; k++ {
+				res, err := search(q, mode, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := all[:min(k, len(all))]; !reflect.DeepEqual(res, want) {
+					t.Errorf("%s k=%d: %v, want the first %d of the full order %v", mode, k, tableNames(res), k, full)
+				}
+			}
+		}
+	}
+}
+
+// TestSearchResultsOutliveClose: a mapped catalog hands out table and column
+// names as views into its mappings until search clones them for the caller,
+// so a result must stay readable after Index.Close unmapped everything.
+func TestSearchResultsOutliveClose(t *testing.T) {
+	ix, q := tieCatalog(t)
+	want, err := ix.Search(q, ModeJoin, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "snap")
+	if err := ix.SaveSnapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadSnapshot(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mmapAvailable && loaded.Stats().MappedSegmentBytes == 0 {
+		t.Fatal("fixture: the loaded catalog maps nothing")
+	}
+	got, err := loaded.Search(q, ModeJoin, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A view would now point into unmapped pages: reading it faults.
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("after Close: %+v, want %+v", got, want)
+	}
+}
+
+// TestSearchAllocsIndependentOfCandidates: per candidate a search allocates
+// nothing — between a 96-table and a 400-table lake the same query scores
+// several times the candidates and may allocate, per query column, at most
+// two more doublings of that column's candidate list.
+func TestSearchAllocsIndependentOfCandidates(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds two lakes")
+	}
+	small, tables := lakeCatalog(t, 12)
+	large, _ := lakeCatalog(t, 50)
+	q := tables[1] // family 0 is the same tables in both lakes
+	measure := func(ix *Index) (allocs float64, candidates int64) {
+		qp := ix.queryProfile(q)
+		ctx, stats := engine.WithStats(context.Background())
+		if _, err := ix.SearchProfiledContext(ctx, qp, ModeUnion, 10); err != nil {
+			t.Fatal(err)
+		}
+		allocs = testing.AllocsPerRun(20, func() {
+			if _, err := ix.SearchProfiled(qp, ModeUnion, 10); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return allocs, stats.Snapshot().Candidates
+	}
+	smallAllocs, smallCands := measure(small)
+	largeAllocs, largeCands := measure(large)
+	if largeCands < 3*smallCands {
+		t.Fatalf("fixture: %d candidates on the large lake against %d on the small one, want at least 3 times as many", largeCands, smallCands)
+	}
+	if extra, allowed := largeAllocs-smallAllocs, float64(2*q.NumColumns()); extra > allowed {
+		t.Errorf("%.0f allocations for %d candidates, %.0f for %d: %.0f more, want at most %.0f (2 per query column)",
+			smallAllocs, smallCands, largeAllocs, largeCands, extra, allowed)
+	}
+}

@@ -22,7 +22,11 @@ package discovery
 //
 // The search, compaction and persistence paths only go through the accessors
 // below, so the representations are interchangeable and score
-// bit-identically.
+// bit-identically. Search names a table by its ordinal in the segment —
+// colOrd (a column's table), tableOrd (a name's, for the skip set) and
+// tableNameAt (back to the name, for the few results it returns) — and reads
+// name tokens in place (numTokens/tokenAt); everything else addresses tables
+// by name.
 
 import (
 	"sync"
@@ -45,6 +49,7 @@ type segment struct {
 	mapped *mappedSeg
 
 	cols   []ColumnProfile
+	ords   []int32              // per column: its table's position in order
 	tables map[string][]int32   // table name → column ids within this segment
 	shards []map[uint64][]int32 // one bucket map per LSH band
 	order  []string             // table names in insertion order (memtable rebuilds)
@@ -77,9 +82,11 @@ func (s *segment) add(name string, profiles []ColumnProfile, rows int) {
 		panic("discovery: add on a mapped segment")
 	}
 	ids := make([]int32, len(profiles))
+	ord := int32(len(s.order))
 	for i, p := range profiles {
 		id := int32(len(s.cols))
 		s.cols = append(s.cols, p)
+		s.ords = append(s.ords, ord)
 		ids[i] = id
 		s.insertShards(id, p.Signature, rows)
 	}
@@ -114,6 +121,7 @@ func (s *segment) clone() *segment {
 	out := &segment{
 		id:     s.id,
 		cols:   append([]ColumnProfile(nil), s.cols...),
+		ords:   append([]int32(nil), s.ords...),
 		tables: make(map[string][]int32, len(s.tables)),
 		shards: make([]map[uint64][]int32, len(s.shards)),
 		order:  append([]string(nil), s.order...),
@@ -233,6 +241,42 @@ func (s *segment) colTable(id int32) string {
 	return s.cols[id].Table
 }
 
+// colOrd returns the ordinal, within this segment, of column id's table: its
+// position in tableNames(). Search addresses a table by segment base + ordinal
+// (a slot) so that nothing per candidate touches the name. An image stores
+// the ordinal in the column record, validated at open; a heap segment keeps
+// it beside the column.
+func (s *segment) colOrd(id int32) int32 {
+	if s.mapped != nil {
+		return int32(s.mapped.colRecs[int(id)*colRecWords])
+	}
+	return s.ords[id]
+}
+
+// tableOrd returns the named table's ordinal. ok is false when the segment
+// does not hold the table — or, for a heap segment, holds it without columns:
+// no column carries such a table's ordinal, so nothing can ask about it.
+func (s *segment) tableOrd(name string) (ord int32, ok bool) {
+	if s.mapped != nil {
+		ti, ok := s.mapped.tableIndex(name)
+		return int32(ti), ok
+	}
+	ids := s.tables[name]
+	if len(ids) == 0 {
+		return 0, false
+	}
+	return s.ords[ids[0]], true
+}
+
+// tableNameAt returns the name of the table at ordinal ord (mapped: zero-copy
+// view, like colTable).
+func (s *segment) tableNameAt(ord int32) string {
+	if s.mapped != nil {
+		return s.mapped.tableName(uint32(ord))
+	}
+	return s.order[ord]
+}
+
 // colName returns the column's own name (mapped: zero-copy view).
 func (s *segment) colName(id int32) string {
 	if s.mapped != nil {
@@ -250,14 +294,47 @@ func (s *segment) colSig(id int32) []uint64 {
 	return s.cols[id].Signature
 }
 
-// colTokens returns the column's lowercase name tokens. The mapped form
-// allocates the []string header per call (each element is still a zero-copy
-// view); search only pays this when TokenBoost is configured.
-func (s *segment) colTokens(id int32) []string {
+// numTokens returns how many lowercase name tokens column id carries, and
+// tokenAt its i-th (mapped: zero-copy view) — the token list read in place,
+// without the []string an image would have to allocate for it.
+func (s *segment) numTokens(id int32) int {
 	if s.mapped != nil {
-		return s.mapped.colTokens(id)
+		return int(s.mapped.colRecs[int(id)*colRecWords+6])
 	}
-	return s.cols[id].Tokens
+	return len(s.cols[id].Tokens)
+}
+
+func (s *segment) tokenAt(id int32, i int) string {
+	if s.mapped != nil {
+		m := s.mapped
+		return m.str(m.tokenIDs[m.colRecs[int(id)*colRecWords+5]+uint32(i)])
+	}
+	return s.cols[id].Tokens[i]
+}
+
+// tokenJaccard is the Jaccard similarity of a query column's name-token set
+// and column id's name tokens taken as a set. Name tokens are a handful per
+// column, so a repeated one is found by looking back over its predecessors.
+func (s *segment) tokenJaccard(q map[string]struct{}, id int32) float64 {
+	n := s.numTokens(id)
+	if len(q) == 0 || n == 0 {
+		return 0
+	}
+	inter, distinct := 0, 0
+next:
+	for i := 0; i < n; i++ {
+		t := s.tokenAt(id, i)
+		for j := 0; j < i; j++ {
+			if s.tokenAt(id, j) == t {
+				continue next
+			}
+		}
+		distinct++
+		if _, ok := q[t]; ok {
+			inter++
+		}
+	}
+	return float64(inter) / float64(len(q)+distinct-inter)
 }
 
 // colSet returns the column's sorted interned distinct-value ids as a

@@ -7,6 +7,8 @@ package discovery
 // probes against mapped sets at 0 allocs/op).
 
 import (
+	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -405,13 +407,27 @@ func fuzzSeedSegments(t testing.TB) [][]byte {
 	if n := merged.numTables(); n != 3 {
 		t.Fatalf("merged seed holds %d tables, want t0, t2 and t3", n)
 	}
-	return append(seeds, merged.mapped.data)
+	seeds = append(seeds, merged.mapped.data)
+	// The sealed seed again with bucket ids no column has — past the column
+	// range, negative, the sign bit alone — in place of every third one: bytes
+	// openSegV2 accepts unread and search and merge must clamp.
+	bad := append([]byte(nil), seeds[0]...)
+	off, size := leU64(bad[segV2Header+secBucketIDs*16:]), leU64(bad[segV2Header+secBucketIDs*16+8:])
+	nCols := binary.LittleEndian.Uint32(bad[32:])
+	for i, id := range []uint32{nCols, ^uint32(0), 1 << 31, nCols + 1<<20} {
+		for at := off + uint64(i)*4; at < off+size; at += 48 {
+			binary.LittleEndian.PutUint32(bad[at:], id)
+		}
+	}
+	return append(seeds, bad)
 }
 
 // exerciseSegV2 runs every accessor of an accepted image — the table
-// directory, each column's profile and views, a probe of every band.
+// directory, each column's profile and views, a probe of every band — and
+// then searches it.
 func exerciseSegV2(t *testing.T, ms *mappedSeg) {
 	seg := &segment{id: ms.segID(), mapped: ms}
+	defer searchSegV2(t, seg)
 	if names := seg.tableNames(); len(names) != seg.numTables() {
 		t.Fatalf("%d table names for %d tables", len(names), seg.numTables())
 	}
@@ -427,6 +443,9 @@ func exerciseSegV2(t *testing.T, ms *mappedSeg) {
 	}
 	for id := int32(0); int(id) < seg.numCols(); id++ {
 		_, _, _ = seg.colTable(id), seg.colName(id), seg.colTokens(id)
+		if ord := seg.colOrd(id); seg.tableNameAt(ord) != seg.colTable(id) {
+			t.Fatalf("column %d: table ordinal %d names %q, its record %q", id, ord, seg.tableNameAt(ord), seg.colTable(id))
+		}
 		set := seg.colSet(id)
 		_ = set.Len()
 		_ = seg.colProfile(id)
@@ -436,6 +455,47 @@ func exerciseSegV2(t *testing.T, ms *mappedSeg) {
 			_ = seg.probe(b, key)
 		}
 		_ = seg.probe(b, ^uint64(0))
+	}
+}
+
+// searchSegV2 serves an accepted image as a loaded catalog would — the one
+// sealed segment of a snapshot, its last table tombstoned when it has two —
+// and holds searchImpl to searchRef over it: the search follows bucket ids,
+// table ordinals and token runs straight off the image into its bitsets and
+// slot array. The query shares the seeds' values, so it lands in their
+// buckets; it goes out under table 0's name and under none.
+func searchSegV2(t *testing.T, seg *segment) {
+	ms := seg.mapped
+	ix := New(Options{Signature: ms.k, Bands: ms.bands, TokenBoost: 0.25})
+	if ix.k != ms.k || ix.bands != ms.bands {
+		return // a geometry New normalizes away: the loader refuses such a file
+	}
+	sn := &snapshot{sealed: []*segment{seg}, mem: newSegment(seg.id+1, ix.bands), nTables: seg.numTables(), nCols: seg.numCols()}
+	names := []string{""}
+	if n := seg.numTables(); n > 0 {
+		names = append(names, seg.tableNameAt(0))
+		if n > 1 {
+			sn.tombs = map[tombKey]struct{}{{seg.id, seg.tableNameAt(int32(n - 1))}: {}}
+		}
+	}
+	ix.snap.Store(sn)
+	for _, name := range names {
+		q := &table.Table{Name: name}
+		q.AddColumn("customer_id", vals("u", 0, 12)).AddColumn("v", vals("p", 0, 12))
+		qp := ix.queryProfile(q)
+		for _, brute := range []bool{false, true} {
+			want, _, err := ix.searchRef(context.Background(), qp, ModeUnion, 0, brute, false)
+			if err != nil {
+				t.Fatalf("query %q brute=%v: oracle: %v", name, brute, err)
+			}
+			got, _, err := ix.searchImpl(context.Background(), qp, ModeUnion, 0, brute, false)
+			if err != nil {
+				t.Fatalf("query %q brute=%v: %v", name, brute, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("query %q brute=%v: search diverged from its oracle:\n got %+v\nwant %+v", name, brute, got, want)
+			}
+		}
 	}
 }
 

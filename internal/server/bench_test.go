@@ -2,8 +2,7 @@ package server
 
 // End-to-end serve-path benches: HTTP search latency against a standing
 // catalog, idle and under concurrent HTTP ingest. The CI bench smoke runs
-// these once to keep the serve path exercised; BENCH_4.json records the
-// catalog-level latency contrast (see cmd/benchreport -json).
+// these once to keep the serve path exercised.
 
 import (
 	"bytes"
