@@ -258,6 +258,8 @@ func BenchmarkAblationEMD(b *testing.B) {
 		xs[i] = float64(i%977) / 977
 		ys[i] = float64((i*31)%991) / 991
 	}
+	sort.Float64s(xs) // Samples1D takes ascending input
+	sort.Float64s(ys)
 	b.Run("exact-1d", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			emd.Samples1D(xs, ys)

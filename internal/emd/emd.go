@@ -11,48 +11,51 @@ package emd
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Samples1D returns the exact EMD between two 1-D sample multisets under
-// unit mass per distribution (each sample carries weight 1/len). For sorted
-// samples of equal length n this is Σ|aᵢ−bᵢ|/n; unequal lengths are handled
-// by integrating the difference of empirical CDFs.
+// unit mass per distribution (each sample carries weight 1/len). Both
+// inputs must be ascending and finite; they are read, never copied. For
+// equal lengths n this is Σ|aᵢ−bᵢ|/n; unequal lengths are handled by
+// integrating the difference of empirical CDFs.
 func Samples1D(a, b []float64) float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return math.Inf(1)
 	}
-	as := append([]float64(nil), a...)
-	bs := append([]float64(nil), b...)
-	sort.Float64s(as)
-	sort.Float64s(bs)
-	if len(as) == len(bs) {
+	if len(a) == len(b) {
 		sum := 0.0
-		for i := range as {
-			sum += math.Abs(as[i] - bs[i])
+		for i := range a {
+			sum += math.Abs(a[i] - b[i])
 		}
-		return sum / float64(len(as))
+		return sum / float64(len(a))
 	}
-	// Integrate |F_a(x) − F_b(x)| dx over the merged support.
-	points := make([]float64, 0, len(as)+len(bs))
-	points = append(points, as...)
-	points = append(points, bs...)
-	sort.Float64s(points)
+	// Integrate |F_a(x) − F_b(x)| dx over the merged support, one distinct
+	// point at a time: i and j count the samples ≤ x.
 	total := 0.0
 	i, j := 0, 0
-	for k := 0; k+1 < len(points); k++ {
-		x, next := points[k], points[k+1]
-		for i < len(as) && as[i] <= x {
+	x := math.Min(a[0], b[0])
+	for {
+		for i < len(a) && a[i] <= x {
 			i++
 		}
-		for j < len(bs) && bs[j] <= x {
+		for j < len(b) && b[j] <= x {
 			j++
 		}
-		fa := float64(i) / float64(len(as))
-		fb := float64(j) / float64(len(bs))
+		if i == len(a) && j == len(b) {
+			return total
+		}
+		next := math.Inf(1)
+		if i < len(a) {
+			next = a[i]
+		}
+		if j < len(b) {
+			next = math.Min(next, b[j])
+		}
+		fa := float64(i) / float64(len(a))
+		fb := float64(j) / float64(len(b))
 		total += math.Abs(fa-fb) * (next - x)
+		x = next
 	}
-	return total
 }
 
 // Histogram returns the EMD between two histograms with shared bin

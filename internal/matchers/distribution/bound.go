@@ -10,8 +10,8 @@ import (
 
 // Cascade hook: the distribution matcher exposes an admissible score bound
 // built from cached numeric column statistics, so the planner can prune the
-// expensive two-phase EMD pipeline (27000µs cost hint — the tail of every
-// cascade) on pairs whose value ranges are provably far apart.
+// two-phase EMD pipeline on pairs whose value ranges are provably far
+// apart.
 //
 // Admissibility argument. Every emitted score is c/(1+d) with c ∈
 // {0.5, 0.8, 1} and d an EMD in the global rank space, so the score is

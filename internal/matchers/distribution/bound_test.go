@@ -94,7 +94,7 @@ func TestDistributionBoundAdmissible(t *testing.T) {
 // must bound strictly below 1, and when the certified rank gap exceeds the
 // phase thresholds the pair is confined to the bottom band, capping the
 // table below 0.5 — the regime where the cascade actually skips the
-// 16.5 ms tail matcher.
+// matcher.
 func TestDistributionBoundPrunesDisjointRanges(t *testing.T) {
 	m, err := New(core.Params{})
 	if err != nil {

@@ -128,7 +128,7 @@ func TestConsolidationIsOneToOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// the ILP band (score > 0.8/(1+d) ceiling…) — practically: count pairs
+	// the selected band (score > 0.8/(1+d) ceiling…) — practically: count pairs
 	// with score > 0.9 per source column; the assignment must not select
 	// two targets for one source at the very top band
 	topPerSource := map[string]int{}
@@ -139,7 +139,7 @@ func TestConsolidationIsOneToOne(t *testing.T) {
 	}
 	for colName, n := range topPerSource {
 		if n > 1 {
-			t.Errorf("source %s has %d ILP-selected targets, want ≤ 1", colName, n)
+			t.Errorf("source %s has %d selected targets, want ≤ 1", colName, n)
 		}
 	}
 }
