@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"valentine/internal/core"
-	"valentine/internal/engine"
 	"valentine/internal/planner"
 	"valentine/internal/profile"
 )
@@ -18,12 +17,14 @@ import (
 
 // MatchCostHint implements core.Coster: measured average per-pair runtime
 // in microseconds — the traced matchers.jaccard-levenshtein.mean_ms of
-// bench's match-grid workload (13.0/13.8/16.5 ms on seeds 3/5/6, 2 cores)
-// with the banded threshold predicate; the full-table DP it replaced
-// measured 69–72 ms there. Still the most expensive non-embedding matcher
-// next to distribution-based, no longer by a factor of ten. Only the
-// relative order matters.
-func (m *Matcher) MatchCostHint() float64 { return 14000 }
+// bench's match-grid workload, 2.67/2.41/2.77 ms on seeds 11/12/13 (2
+// cores) with prepared values, the symbol-class mask ahead of the banded
+// DP and the per-match budget table; the unprepared predicate measured
+// 18.0 ms on seed 7. The same three runs read similarity-flooding at
+// 1.30/1.27/1.33 ms and semprop at 3.15/3.10/3.27 ms: between the two every
+// time, clear of both. Only the relative order matters; TestCostHintOrder
+// pins it.
+func (m *Matcher) MatchCostHint() float64 { return 2600 }
 
 // sampleSize is the column's effective sample cardinality: its distinct
 // count capped at the matcher's sample limit.
@@ -70,28 +71,12 @@ func (m *Matcher) MatchCascade(ctx context.Context, sp, tp *profile.TableProfile
 	if err := core.ValidatePair(sp, tp); err != nil {
 		return nil, false, err
 	}
-	source, target := sp.Table(), tp.Table()
-	limit := m.MaxSample
-	if limit <= 0 {
-		limit = 120
-	}
-	useIDs := sp.InterningDict() != nil && sp.InterningDict() == tp.InterningDict()
-	var srcSets, tgtSets []colSample
-	engine.StatsFrom(ctx).Timed(engine.StageGenerate, func() {
-		srcSets = make([]colSample, len(source.Columns))
-		for i := range source.Columns {
-			srcSets[i] = sampleColumn(sp.Column(i), limit, useIDs)
-		}
-		tgtSets = make([]colSample, len(target.Columns))
-		for i := range target.Columns {
-			tgtSets[i] = sampleColumn(tp.Column(i), limit, useIDs)
-		}
-	})
+	srcSets, tgtSets, budget := m.prepare(ctx, sp, tp)
 	return planner.ScorePairsTopK(ctx, sp, tp, k, m.Name(),
 		func(i, j int) float64 {
 			return pairBound(len(srcSets[i].vals), len(tgtSets[j].vals))
 		},
 		func(i, j int) (float64, bool) {
-			return fuzzyJaccard(&srcSets[i], &tgtSets[j], m.Threshold), true
+			return fuzzyJaccard(&srcSets[i], &tgtSets[j], budget), true
 		})
 }

@@ -4,13 +4,18 @@
 // naive instance-based matcher ... ca. 70 lines of Python").
 //
 // The matcher only ever asks "is the similarity at least the threshold?",
-// so the fuzzy phase never computes a distance: each source value that has
-// no verbatim partner is tested against the target sample through
-// strutil.LevenshteinSimAtLeast (a band of the DP table, abandoned as soon
-// as the threshold is out of reach — decision-identical to
-// LevenshteinSim >= threshold), and only against the candidates whose
-// length admits the threshold at all. Lengths are rune counts throughout,
-// the unit the similarity normalizes by.
+// so the fuzzy phase never computes a distance. Each sampled value is
+// prepared once per match (strutil.Value: rune length, ASCII flag, a
+// 64-bit mask of the symbol classes r & 63 it holds), and the threshold
+// becomes a distance budget per longer length once per match
+// (strutil.SimBudgets, decision-identical to LevenshteinSim >= threshold).
+// A source value with no verbatim partner is then tested only against the
+// target candidates whose length difference fits the budget, and each test
+// first compares class masks: every class one side holds and the other
+// lacks costs at least one edit, so more one-sided classes than the budget
+// reject the pair soundly — most pairs end there — and only the rest run
+// the banded DP. Lengths are rune counts throughout, the unit the
+// similarity normalizes by.
 package jaccardlev
 
 import (
@@ -18,7 +23,6 @@ import (
 	"context"
 	"slices"
 	"sort"
-	"unicode/utf8"
 
 	"valentine/internal/core"
 	"valentine/internal/engine"
@@ -74,15 +78,23 @@ func (m *Matcher) MatchContext(ctx context.Context, store *profile.Store, source
 }
 
 // MatchProfilesContext implements core.ProfiledContextMatcher — the single
-// scoring path: per-column distinct-value samples (plus their interned-id
-// form and length-sorted fuzzy candidates) are generated once up front,
-// then the quadratic fuzzy-Jaccard scoring fans out on the engine's worker
-// pool with no per-pair allocation.
+// scoring path: per-column samples and the distance budgets are built once
+// up front (prepare), then the quadratic fuzzy-Jaccard scoring fans out on
+// the engine's worker pool with no per-pair allocation.
 func (m *Matcher) MatchProfilesContext(ctx context.Context, sp, tp *profile.TableProfile) ([]core.Match, error) {
 	if err := core.ValidatePair(sp, tp); err != nil {
 		return nil, err
 	}
-	source, target := sp.Table(), tp.Table()
+	srcSets, tgtSets, budget := m.prepare(ctx, sp, tp)
+	return engine.ScorePairs(ctx, sp, tp, func(i, j int) (float64, bool) {
+		return fuzzyJaccard(&srcSets[i], &tgtSets[j], budget), true
+	})
+}
+
+// prepare samples every column of both tables once and builds the
+// distance budgets of m.Threshold for every length up to the longest
+// sampled value — the setup MatchProfilesContext and MatchCascade share.
+func (m *Matcher) prepare(ctx context.Context, sp, tp *profile.TableProfile) (srcSets, tgtSets []colSample, budget []int) {
 	limit := m.MaxSample
 	if limit <= 0 {
 		limit = 120
@@ -91,45 +103,51 @@ func (m *Matcher) MatchProfilesContext(ctx context.Context, sp, tp *profile.Tabl
 	// representation for every sample up front; otherwise only the string
 	// maps are built — never both.
 	useIDs := sp.InterningDict() != nil && sp.InterningDict() == tp.InterningDict()
-	var srcSets, tgtSets []colSample
 	engine.StatsFrom(ctx).Timed(engine.StageGenerate, func() {
-		srcSets = make([]colSample, len(source.Columns))
-		for i := range source.Columns {
-			srcSets[i] = sampleColumn(sp.Column(i), limit, useIDs)
+		sample := func(p *profile.TableProfile) []colSample {
+			sets := make([]colSample, len(p.Table().Columns))
+			for i := range sets {
+				sets[i] = sampleColumn(p.Column(i), limit, useIDs)
+			}
+			return sets
 		}
-		tgtSets = make([]colSample, len(target.Columns))
-		for i := range target.Columns {
-			tgtSets[i] = sampleColumn(tp.Column(i), limit, useIDs)
+		srcSets, tgtSets = sample(sp), sample(tp)
+		budget = budgets(m.Threshold, srcSets, tgtSets)
+	})
+	return srcSets, tgtSets, budget
+}
+
+// budgets is strutil.SimBudgets up to the longest value the samples hold.
+func budgets(threshold float64, sets ...[]colSample) []int {
+	longest := 0
+	for _, ss := range sets {
+		for i := range ss {
+			if n := len(ss[i].byLen); n > 0 {
+				longest = max(longest, ss[i].byLen[n-1].Len())
+			}
 		}
-	})
-	return engine.ScorePairs(ctx, sp, tp, func(i, j int) (float64, bool) {
-		return fuzzyJaccard(&srcSets[i], &tgtSets[j], m.Threshold), true
-	})
+	}
+	return strutil.SimBudgets(longest, threshold)
 }
 
 // colSample is one column's sampled distinct values in every form scoring
 // needs, precomputed once per column instead of once per pair:
 //
 //   - vals: the sample, lexicographic (the deterministic stride sample)
-//   - byLen: vals sorted by rune length, each with that length — the
-//     fuzzy phase's candidate order and its length window
-//   - ids/idVals: the sample sorted by interned id with the values kept
-//     parallel, when the column's profile carries a value dictionary — the
-//     exact-overlap prescreen merges two id slices allocation-free instead
-//     of probing a per-pair string map.
+//   - byLen: the sample prepared and sorted by rune length — the fuzzy
+//     phase's candidate order and its length window, and (without a
+//     dictionary) the source values the fuzzy phase tests
+//   - ids/idVals: the sample sorted by interned id with the prepared values
+//     kept parallel, when the column's profile carries a value dictionary
+//     — the exact-overlap prescreen merges two id slices allocation-free
+//     instead of probing a per-pair string map.
 type colSample struct {
 	vals   []string
-	byLen  []lenVal
+	byLen  []strutil.Value
 	set    map[string]struct{} // exact-membership fallback (mixed/no dictionary)
 	dict   *intern.Dict        // the dictionary ids were minted by (nil: none)
 	ids    []uint32
-	idVals []string
-}
-
-// lenVal is a sample value with its length in runes.
-type lenVal struct {
-	n int
-	v string
+	idVals []strutil.Value
 }
 
 // sampleColumn samples up to max distinct values, deterministically (the
@@ -141,11 +159,11 @@ type lenVal struct {
 func sampleColumn(p *profile.Profile, max int, useIDs bool) colSample {
 	cs := colSample{vals: p.SampleDistinct(max)}
 	vals := cs.vals
-	cs.byLen = make([]lenVal, len(vals))
+	cs.byLen = make([]strutil.Value, len(vals))
 	for i, v := range vals {
-		cs.byLen[i] = lenVal{utf8.RuneCountInString(v), v}
+		cs.byLen[i] = strutil.PrepareValue(v)
 	}
-	slices.SortStableFunc(cs.byLen, func(a, b lenVal) int { return cmp.Compare(a.n, b.n) })
+	slices.SortStableFunc(cs.byLen, func(a, b strutil.Value) int { return cmp.Compare(a.Len(), b.Len()) })
 	if !useIDs {
 		cs.set = make(map[string]struct{}, len(vals))
 		for _, v := range vals {
@@ -158,16 +176,16 @@ func sampleColumn(p *profile.Profile, max int, useIDs bool) colSample {
 		// by id sets up the pairwise sorted-merge prescreen.
 		type pair struct {
 			id uint32
-			v  string
+			v  strutil.Value
 		}
-		pairs := make([]pair, len(vals))
-		for i, v := range vals {
-			id, _ := d.Lookup(v)
+		pairs := make([]pair, len(cs.byLen))
+		for i, v := range cs.byLen {
+			id, _ := d.Lookup(v.String())
 			pairs[i] = pair{id, v}
 		}
 		sort.Slice(pairs, func(i, j int) bool { return pairs[i].id < pairs[j].id })
 		cs.ids = make([]uint32, len(pairs))
-		cs.idVals = make([]string, len(pairs))
+		cs.idVals = make([]strutil.Value, len(pairs))
 		for i, pr := range pairs {
 			cs.ids[i] = pr.id
 			cs.idVals[i] = pr.v
@@ -178,12 +196,13 @@ func sampleColumn(p *profile.Profile, max int, useIDs bool) colSample {
 
 // fuzzyJaccard computes |fuzzy ∩| / |∪| where a source value is in the
 // intersection when it appears verbatim on the target side or some target
-// value is within the Levenshtein threshold. With interned samples the
-// exact-overlap prescreen is a sorted-merge over id slices: values matched
-// by id never touch the Levenshtein machinery, and the whole pairwise call
-// allocates nothing. Scores are bit-identical on both paths — id equality
-// is value equality.
-func fuzzyJaccard(a, b *colSample, threshold float64) float64 {
+// value is within the Levenshtein threshold, whose distance budgets
+// (strutil.SimBudgets) cover every sampled length. With interned samples
+// the exact-overlap prescreen is a sorted-merge over id slices: values
+// matched by id never touch the Levenshtein machinery, and the whole
+// pairwise call allocates nothing. Scores are bit-identical on both paths —
+// id equality is value equality.
+func fuzzyJaccard(a, b *colSample, budget []int) float64 {
 	if len(a.vals) == 0 || len(b.vals) == 0 {
 		return 0
 	}
@@ -197,7 +216,7 @@ func fuzzyJaccard(a, b *colSample, threshold float64) float64 {
 				i++
 				j++
 			case a.ids[i] < b.ids[j]:
-				if fuzzyContains(a.idVals[i], b, threshold) {
+				if fuzzyContains(&a.idVals[i], b, budget) {
 					matched++
 				}
 				i++
@@ -206,17 +225,18 @@ func fuzzyJaccard(a, b *colSample, threshold float64) float64 {
 			}
 		}
 		for ; i < len(a.ids); i++ {
-			if fuzzyContains(a.idVals[i], b, threshold) {
+			if fuzzyContains(&a.idVals[i], b, budget) {
 				matched++
 			}
 		}
 	} else {
-		for _, av := range a.vals {
-			if _, ok := b.set[av]; ok {
+		for i := range a.byLen {
+			av := &a.byLen[i]
+			if _, ok := b.set[av.String()]; ok {
 				matched++
 				continue
 			}
-			if fuzzyContains(av, b, threshold) {
+			if fuzzyContains(av, b, budget) {
 				matched++
 			}
 		}
@@ -229,24 +249,26 @@ func fuzzyJaccard(a, b *colSample, threshold float64) float64 {
 }
 
 // fuzzyContains reports whether any value of b's sample is within the
-// Levenshtein similarity threshold of v. Levenshtein ≥ |Δlen|, so the
-// similarity is at most 1 − |Δlen|/maxLen: only a window of b's
-// length-sorted candidates can reach the threshold. The window's start is
+// distance budget of v: budget[m] for the longer rune length m. Levenshtein
+// ≥ |Δlen|, so only candidates whose length difference fits that budget can
+// pass — a window of b's length-sorted candidates. The window's start is
 // found by binary search, its end is the first longer candidate that fails
 // the same test. Lengths are in runes, as in the similarity itself (a
 // byte-length window drops "abcdefghi日" for "abcdefghi": three bytes but
 // one edit apart). Samples never hold the empty string.
-func fuzzyContains(v string, b *colSample, threshold float64) bool {
-	lv := utf8.RuneCountInString(v)
-	admissible := func(lc int) bool {
-		return 1-float64(max(lv, lc)-min(lv, lc))/float64(max(lv, lc)) >= threshold
-	}
-	start := sort.Search(len(b.byLen), func(i int) bool { return b.byLen[i].n >= lv || admissible(b.byLen[i].n) })
-	for _, c := range b.byLen[start:] {
-		if c.n > lv && !admissible(c.n) {
+func fuzzyContains(v *strutil.Value, b *colSample, budget []int) bool {
+	lv := v.Len()
+	start := sort.Search(len(b.byLen), func(i int) bool {
+		lc := b.byLen[i].Len()
+		return lc >= lv || lv-lc <= budget[lv]
+	})
+	for i := start; i < len(b.byLen); i++ {
+		c := &b.byLen[i]
+		k := budget[max(lv, c.Len())]
+		if c.Len()-lv > k {
 			return false // candidates only get longer from here
 		}
-		if strutil.LevenshteinSimAtLeast(v, c.v, threshold) {
+		if v.Within(c, k) {
 			return true
 		}
 	}

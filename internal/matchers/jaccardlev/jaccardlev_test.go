@@ -71,21 +71,34 @@ func sampleOf(vals []string) *colSample {
 	return &cs
 }
 
+// score is fuzzyJaccard under the budget table prepare would build for a
+// and b.
+func score(a, b *colSample, threshold float64) float64 {
+	return fuzzyJaccard(a, b, budgets(threshold, []colSample{*a, *b}))
+}
+
+// contains is fuzzyContains for a raw value: v as a one-value sample, the
+// budget table covering it and b.
+func contains(v string, b *colSample, threshold float64) bool {
+	a := sampleOf([]string{v})
+	return fuzzyContains(&a.byLen[0], b, budgets(threshold, []colSample{*a, *b}))
+}
+
 func TestFuzzyJaccardBasics(t *testing.T) {
-	if got := fuzzyJaccard(sampleOf([]string{"abc", "def"}), sampleOf([]string{"abc", "def"}), 0.8); got != 1 {
+	if got := score(sampleOf([]string{"abc", "def"}), sampleOf([]string{"abc", "def"}), 0.8); got != 1 {
 		t.Errorf("identical sets = %v", got)
 	}
-	if got := fuzzyJaccard(sampleOf([]string{"abc"}), sampleOf([]string{"xyz"}), 0.8); got != 0 {
+	if got := score(sampleOf([]string{"abc"}), sampleOf([]string{"xyz"}), 0.8); got != 0 {
 		t.Errorf("disjoint = %v", got)
 	}
 	// typo within threshold 0.6: "color" vs "colour" sim = 1-1/6 ≈ 0.83
-	if got := fuzzyJaccard(sampleOf([]string{"colour"}), sampleOf([]string{"color"}), 0.8); got != 1 {
+	if got := score(sampleOf([]string{"colour"}), sampleOf([]string{"color"}), 0.8); got != 1 {
 		t.Errorf("fuzzy match = %v", got)
 	}
-	if got := fuzzyJaccard(sampleOf(nil), sampleOf([]string{"x"}), 0.8); got != 0 {
+	if got := score(sampleOf(nil), sampleOf([]string{"x"}), 0.8); got != 0 {
 		t.Errorf("empty side = %v", got)
 	}
-	if got := fuzzyJaccard(sampleOf(nil), sampleOf(nil), 0.8); got != 0 {
+	if got := score(sampleOf(nil), sampleOf(nil), 0.8); got != 0 {
 		t.Errorf("both empty = %v", got)
 	}
 }
@@ -170,10 +183,10 @@ func TestFuzzyContainsCountsRunes(t *testing.T) {
 		if sim := strutil.LevenshteinSim(c[0], c[1]); sim < 0.8 {
 			t.Fatalf("fixture: LevenshteinSim(%q,%q) = %v", c[0], c[1], sim)
 		}
-		if !fuzzyContains(c[0], sampleOf([]string{c[1]}), 0.8) {
+		if !contains(c[0], sampleOf([]string{c[1]}), 0.8) {
 			t.Errorf("fuzzyContains(%q, {%q}, 0.8) = false", c[0], c[1])
 		}
-		if !fuzzyContains(c[1], sampleOf([]string{c[0]}), 0.8) {
+		if !contains(c[1], sampleOf([]string{c[0]}), 0.8) {
 			t.Errorf("fuzzyContains(%q, {%q}, 0.8) = false", c[1], c[0])
 		}
 	}
@@ -205,7 +218,7 @@ func TestFuzzyContainsMatchesFullScan(t *testing.T) {
 				for _, c := range cands {
 					want = want || strutil.LevenshteinSim(v, c) >= th
 				}
-				if got := fuzzyContains(v, sample, th); got != want {
+				if got := contains(v, sample, th); got != want {
 					t.Fatalf("fuzzyContains(%q, %q, %v) = %v, full scan says %v", v, cands, th, got, want)
 				}
 			}
@@ -250,10 +263,11 @@ func benchSamples(tb testing.TB) (a, b *colSample) {
 
 func TestFuzzyJaccardAllocatesNothing(t *testing.T) {
 	a, b := benchSamples(t)
-	if score := fuzzyJaccard(a, b, 0.8); score <= 0.3 || score >= 1 {
-		t.Fatalf("fixture scores %v, want a mix of exact, fuzzy and missing values", score)
+	budget := budgets(0.8, []colSample{*a, *b})
+	if s := fuzzyJaccard(a, b, budget); s <= 0.3 || s >= 1 {
+		t.Fatalf("fixture scores %v, want a mix of exact, fuzzy and missing values", s)
 	}
-	if allocs := testing.AllocsPerRun(20, func() { fuzzyJaccard(a, b, 0.8) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(20, func() { fuzzyJaccard(a, b, budget) }); allocs != 0 {
 		t.Errorf("fuzzyJaccard: %v allocs/op, want 0", allocs)
 	}
 }
@@ -262,9 +276,10 @@ var sinkScore float64
 
 func BenchmarkFuzzyJaccard(b *testing.B) {
 	sa, sb := benchSamples(b)
+	budget := budgets(0.8, []colSample{*sa, *sb})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkScore = fuzzyJaccard(sa, sb, 0.8)
+		sinkScore = fuzzyJaccard(sa, sb, budget)
 	}
 }

@@ -9,10 +9,13 @@
 //
 // Levenshtein distance has one implementation (levenshtein.go): a banded,
 // one-row DP on stack buffers behind Levenshtein, LevenshteinSim,
-// LevenshteinWithin (distance if it is at most k) and
-// LevenshteinSimAtLeast (decision-identical to LevenshteinSim >= t, at the
-// cost of a band of the table). Callers that compare one schema name with
-// many prepare it once (Name, PrepareName) and call (*Name).Sim; NameSim is
+// LevenshteinWithin (distance if it is at most k) and (*Value).Within.
+// Callers that test one value against many prepare each once (Value,
+// PrepareValue): Within rejects on a symbol-class mask before it runs the
+// band, and SimBudgets turns a similarity threshold into the distance
+// budget per length once, so Within(·, budget[m]) is decision-identical to
+// LevenshteinSim >= t. Callers that compare one schema name with many
+// prepare it once (Name, PrepareName) and call (*Name).Sim; NameSim is
 // that same code for two raw strings. The test file keeps the plain two-row
 // DP as the oracle the kernel is fuzzed against.
 package strutil

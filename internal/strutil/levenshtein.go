@@ -1,6 +1,9 @@
 package strutil
 
-import "unicode/utf8"
+import (
+	"math/bits"
+	"unicode/utf8"
+)
 
 // stackSyms is how many symbols (bytes of an all-ASCII string, runes
 // otherwise) of each input, and how many DP cells, the edit-distance
@@ -37,24 +40,72 @@ func LevenshteinSim(a, b string) float64 {
 	return 1 - float64(d)/float64(m)
 }
 
-// LevenshteinSimAtLeast reports LevenshteinSim(a, b) >= threshold — the same
-// decision on every input, including thresholds outside [0,1] and NaN —
-// at the cost of a band of the DP table instead of all of it: the threshold
-// becomes the largest distance d that still satisfies the float expression
-// LevenshteinSim evaluates, 1 − d/m >= threshold, found by evaluating that
-// expression (solving it, floor((1−threshold)·m), is off by one at
-// m = 5, 10, 15, … for threshold 0.8).
-func LevenshteinSimAtLeast(a, b string, threshold float64) bool {
-	m, ascii := shape(a, b)
-	if m == 0 {
-		return 1 >= threshold
+// Value is a string prepared once for many "edit distance ≤ k?" tests
+// against other prepared values: its rune length, whether it is all ASCII,
+// and a 64-bit mask of the symbol classes it holds — bit r & 63 for every
+// rune r, decoded as the kernel decodes (an invalid byte is U+FFFD).
+type Value struct {
+	s     string
+	n     int
+	ascii bool
+	mask  uint64
+}
+
+// PrepareValue scans s once.
+func PrepareValue(s string) Value {
+	v := Value{s: s, ascii: true}
+	for _, r := range s {
+		v.n++
+		v.ascii = v.ascii && r < utf8.RuneSelf
+		v.mask |= 1 << (uint32(r) & 63)
 	}
-	d := maxDistAtLeast(m, threshold)
-	if d < 0 {
+	return v
+}
+
+// String returns the prepared string.
+func (v *Value) String() string { return v.s }
+
+// Len returns the rune length.
+func (v *Value) Len() int { return v.n }
+
+// Within reports Levenshtein(v, o) <= k. The symbol-class masks decide
+// most far pairs without the DP: see maskBound.
+func (v *Value) Within(o *Value, k int) bool {
+	if maskBound(v, o) > k {
 		return false
 	}
-	_, ok := distanceWithin(a, b, ascii, d)
+	_, ok := distanceWithin(v.s, o.s, v.ascii && o.ascii, k)
 	return ok
+}
+
+// maskBound is a lower bound on Levenshtein(a, b): the larger of the
+// numbers of symbol classes only one side holds. Every rune of a class b
+// lacks must be deleted or substituted, and one edit touches at most one
+// rune of a, so each class only a holds costs an edit; likewise for b. One
+// substitution can pay for a class of each side at once — hence the
+// larger count, not the sum.
+func maskBound(a, b *Value) int {
+	return max(bits.OnesCount64(a.mask&^b.mask), bits.OnesCount64(b.mask&^a.mask))
+}
+
+// SimBudgets returns, for every longer length m from 0 to longest, the
+// largest distance d with LevenshteinSim still >= threshold — the budget
+// that turns the similarity test into Within(·, budget[m]), decision-
+// identical on every input, including thresholds outside [0,1] and NaN;
+// −1 where not even d = 0 qualifies. Each budget is found by evaluating
+// the float expression LevenshteinSim evaluates, 1 − d/m >= threshold
+// (solving it, floor((1−threshold)·m), is off by one at m = 5, 10, 15, …
+// for threshold 0.8); two empty strings score 1.
+func SimBudgets(longest int, threshold float64) []int {
+	budget := make([]int, longest+1)
+	budget[0] = -1
+	if 1 >= threshold {
+		budget[0] = 0
+	}
+	for m := 1; m <= longest; m++ {
+		budget[m] = maxDistAtLeast(m, threshold)
+	}
+	return budget
 }
 
 // maxDistAtLeast returns the largest d in [0, m] with

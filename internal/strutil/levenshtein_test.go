@@ -45,8 +45,32 @@ func levenshteinSimRef(a, b string) float64 {
 	return 1 - float64(levenshteinRef(a, b))/float64(m)
 }
 
+// simAtLeast is LevenshteinSim(a, b) >= threshold asked the way
+// jaccard-levenshtein asks it per candidate: both values prepared, the
+// budget of the longer length.
+func simAtLeast(a, b string, threshold float64) bool {
+	pa, pb := PrepareValue(a), PrepareValue(b)
+	m := max(pa.Len(), pb.Len())
+	return pa.Within(&pb, SimBudgets(m, threshold)[m])
+}
+
 // sweepThresholds is Table II's jaccard-levenshtein sweep plus the edges.
 var sweepThresholds = []float64{0, 0.4, 0.5, 0.6, 0.7, 0.8, 1}
+
+// checkPrepared holds PrepareValue to the []rune decoding the oracle and
+// the kernel share: length, ASCII flag and class mask.
+func checkPrepared(t *testing.T, s string, v *Value) {
+	t.Helper()
+	var mask uint64
+	for _, r := range []rune(s) {
+		mask |= 1 << (r & 63)
+	}
+	n, ascii := runeLen(s)
+	if v.String() != s || v.Len() != n || v.ascii != ascii || v.mask != mask {
+		t.Fatalf("PrepareValue(%q) = {n:%d ascii:%v mask:%#x}, want {n:%d ascii:%v mask:%#x}",
+			s, v.Len(), v.ascii, v.mask, n, ascii, mask)
+	}
+}
 
 // checkAgainstRef holds every kernel entry point to the oracle on one pair.
 func checkAgainstRef(t *testing.T, a, b string) {
@@ -58,16 +82,25 @@ func checkAgainstRef(t *testing.T, a, b string) {
 	if got, want := LevenshteinSim(a, b), levenshteinSimRef(a, b); got != want {
 		t.Fatalf("LevenshteinSim(%q,%q) = %v, oracle %v", a, b, got, want)
 	}
+	pa, pb := PrepareValue(a), PrepareValue(b)
+	checkPrepared(t, a, &pa)
+	checkPrepared(t, b, &pb)
+	if bound := maskBound(&pa, &pb); bound > ref {
+		t.Fatalf("maskBound(%q,%q) = %d exceeds oracle distance %d", a, b, bound, ref)
+	}
 	longest := max(len([]rune(a)), len([]rune(b)))
 	for k := -1; k <= longest; k++ {
 		d, ok := LevenshteinWithin(a, b, k)
 		if ok != (ref <= k) || (ok && d != ref) {
 			t.Fatalf("LevenshteinWithin(%q,%q,%d) = (%d,%v), oracle distance %d", a, b, k, d, ok, ref)
 		}
+		if got := pa.Within(&pb, k); got != (ref <= k) {
+			t.Fatalf("Value.Within(%q,%q,%d) = %v, oracle distance %d", a, b, k, got, ref)
+		}
 	}
 	for _, th := range sweepThresholds {
-		if got, want := LevenshteinSimAtLeast(a, b, th), levenshteinSimRef(a, b) >= th; got != want {
-			t.Fatalf("LevenshteinSimAtLeast(%q,%q,%v) = %v, LevenshteinSim = %v", a, b, th, got, levenshteinSimRef(a, b))
+		if got, want := simAtLeast(a, b, th), levenshteinSimRef(a, b) >= th; got != want {
+			t.Fatalf("simAtLeast(%q,%q,%v) = %v, LevenshteinSim = %v", a, b, th, got, levenshteinSimRef(a, b))
 		}
 	}
 }
@@ -86,7 +119,10 @@ func FuzzLevenshteinWithin(f *testing.F) {
 // `go test` exercises the band on near and far pairs.
 func TestLevenshteinKernelRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	alphabets := [][]rune{[]rune("ab"), []rune("abcdefgh"), []rune("aé日😀b")}
+	// The last two exercise the class mask: 'a'/'!' and 'b'/'"' share a
+	// class (r & 63), and a wide alphabet leaves most classes one-sided.
+	alphabets := [][]rune{[]rune("ab"), []rune("abcdefgh"), []rune("aé日😀b"),
+		[]rune("a!b\"A"), []rune("abcdefghijklmnopqrstuvwxyz0123456789")}
 	mutate := func(s []rune, alpha []rune, edits int) []rune {
 		out := append([]rune(nil), s...)
 		for e := 0; e < edits; e++ {
@@ -126,27 +162,28 @@ func TestLevenshteinKernelRandom(t *testing.T) {
 // 2.999… at m = 5, 10, 15, so a floor would allow one edit too few, while
 // the expression LevenshteinSim evaluates accepts d = m/5 exactly.
 func TestLevenshteinSimAtLeastBoundary(t *testing.T) {
+	budget := SimBudgets(25, 0.8)
 	for _, m := range []int{5, 10, 15, 20, 25} {
 		a := strings.Repeat("a", m)
 		for d := 0; d <= m; d++ {
 			b := strings.Repeat("b", d) + a[d:]
 			want := LevenshteinSim(a, b) >= 0.8
-			if got := LevenshteinSimAtLeast(a, b, 0.8); got != want {
-				t.Errorf("m=%d d=%d: LevenshteinSimAtLeast = %v, LevenshteinSim = %v", m, d, got, LevenshteinSim(a, b))
+			if got := simAtLeast(a, b, 0.8); got != want {
+				t.Errorf("m=%d d=%d: simAtLeast = %v, LevenshteinSim = %v", m, d, got, LevenshteinSim(a, b))
 			}
 			if d == m/5 && !want {
 				t.Errorf("m=%d: %d edits score %v, expected to reach 0.8", m, d, LevenshteinSim(a, b))
 			}
 		}
-		if got := maxDistAtLeast(m, 0.8); got != m/5 {
-			t.Errorf("maxDistAtLeast(%d, 0.8) = %d, want %d", m, got, m/5)
+		if budget[m] != m/5 {
+			t.Errorf("SimBudgets(25, 0.8)[%d] = %d, want %d", m, budget[m], m/5)
 		}
 	}
 	// Thresholds no similarity can meet, or every similarity meets.
 	for _, th := range []float64{1.5, -1, math.NaN()} {
 		for _, p := range [][2]string{{"", ""}, {"abc", "abc"}, {"abc", "xyz"}} {
-			if got, want := LevenshteinSimAtLeast(p[0], p[1], th), LevenshteinSim(p[0], p[1]) >= th; got != want {
-				t.Errorf("LevenshteinSimAtLeast(%q,%q,%v) = %v, want %v", p[0], p[1], th, got, want)
+			if got, want := simAtLeast(p[0], p[1], th), LevenshteinSim(p[0], p[1]) >= th; got != want {
+				t.Errorf("simAtLeast(%q,%q,%v) = %v, want %v", p[0], p[1], th, got, want)
 			}
 		}
 	}
@@ -233,14 +270,17 @@ func TestKernelAllocations(t *testing.T) {
 		t.Fatalf("fixture has %d runes, want 64", n)
 	}
 	na, nb := PrepareName("customerAddressLine"), PrepareName("cust_addr_line_2")
+	va, vb := PrepareValue(ascii64), PrepareValue(asciiNear)
+	ua, ub := PrepareValue(unicode64), PrepareValue(unicodeNear)
 	cases := map[string]func(){
-		"Levenshtein/ascii":             func() { Levenshtein(ascii64, asciiNear) },
-		"Levenshtein/unicode":           func() { Levenshtein(unicode64, unicodeNear) },
-		"LevenshteinSim/ascii":          func() { LevenshteinSim(ascii64, asciiNear) },
-		"LevenshteinWithin/ascii":       func() { LevenshteinWithin(ascii64, asciiNear, 12) },
-		"LevenshteinWithin/unicode":     func() { LevenshteinWithin(unicode64, unicodeNear, 12) },
-		"LevenshteinSimAtLeast/unicode": func() { LevenshteinSimAtLeast(unicode64, unicodeNear, 0.8) },
-		"Name.Sim":                      func() { na.Sim(&nb) },
+		"Levenshtein/ascii":         func() { Levenshtein(ascii64, asciiNear) },
+		"Levenshtein/unicode":       func() { Levenshtein(unicode64, unicodeNear) },
+		"LevenshteinSim/ascii":      func() { LevenshteinSim(ascii64, asciiNear) },
+		"LevenshteinWithin/ascii":   func() { LevenshteinWithin(ascii64, asciiNear, 12) },
+		"LevenshteinWithin/unicode": func() { LevenshteinWithin(unicode64, unicodeNear, 12) },
+		"Value.Within/ascii":        func() { va.Within(&vb, 12) },
+		"Value.Within/unicode":      func() { ua.Within(&ub, 12) },
+		"Name.Sim":                  func() { na.Sim(&nb) },
 	}
 	for name, f := range cases {
 		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
@@ -268,12 +308,16 @@ func BenchmarkLevenshteinUnicode(b *testing.B) {
 }
 
 // BenchmarkLevenshteinWithin is the jaccard-levenshtein question — "within
-// 20 % of the longer length?" — on one near and one far pair.
+// 20 % of the longer length?" — on one near and one far pair of prepared
+// values.
 func BenchmarkLevenshteinWithin(b *testing.B) {
+	v := PrepareValue("1742 evergreen terrace")
+	near, far := PrepareValue("742 evergreen terace"), PrepareValue("31 spooner street apt 4")
+	budget := SimBudgets(far.Len(), 0.8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sinkBool = LevenshteinSimAtLeast("1742 evergreen terrace", "742 evergreen terace", 0.8)
-		sinkBool = LevenshteinSimAtLeast("1742 evergreen terrace", "31 spooner street apt 4", 0.8)
+		sinkBool = v.Within(&near, budget[max(v.Len(), near.Len())])
+		sinkBool = v.Within(&far, budget[max(v.Len(), far.Len())])
 	}
 }
 
