@@ -122,6 +122,75 @@ func TestPretrainedEdges(t *testing.T) {
 	}
 }
 
+// requireSameVector fails unless a and b agree by Float64bits.
+func requireSameVector(t *testing.T, what string, a, b Vector) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: length %d vs %d", what, len(a), len(b))
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			t.Fatalf("%s: component %d is %v vs %v", what, i, a[i], b[i])
+		}
+	}
+}
+
+// TestPretrainedOOVFixedOrder: an out-of-vocabulary word's trigram vectors
+// used to be added in map-iteration order, so the vector could differ in
+// the last bits from call to call. It must be the same on every call and
+// equal the sum taken in first-occurrence order, written out here.
+func TestPretrainedOOVFixedOrder(t *testing.T) {
+	p := NewPretrained(64, nil)
+	const word = "abab" // "##abab##": "aba" occurs twice
+	ref := p.seedVector("w:" + word)
+	Scale(ref, wBase)
+	for _, g := range []string{"##a", "#ab", "aba", "bab", "ab#", "b##"} {
+		tg := p.seedVector("g:" + g)
+		Scale(tg, wTrigram/3)
+		Add(ref, tg)
+	}
+	Normalize(ref)
+	requireSameVector(t, word, p.Vector(word), ref)
+
+	first := p.Vector("frobnicatorquux")
+	for i := 0; i < 50; i++ {
+		requireSameVector(t, "frobnicatorquux, repeated", p.Vector("frobnicatorquux"), first)
+	}
+}
+
+// TestWordsMatchTextVector holds the per-call word table to embedding every
+// word afresh (the summation TextVector did before the table), by
+// Float64bits, over texts that repeat words, mix known and OOV words, case
+// and blanks.
+func TestWordsMatchTextVector(t *testing.T) {
+	p := NewPretrained(64, nil)
+	textVectorRef := func(words []string) Vector {
+		out := make(Vector, p.Dim())
+		n := 0
+		for _, w := range words {
+			if strings.TrimSpace(w) == "" {
+				continue
+			}
+			Add(out, p.Vector(w))
+			n++
+		}
+		if n == 0 {
+			return out
+		}
+		Scale(out, 1/float64(n))
+		return Normalize(out)
+	}
+	texts := [][]string{
+		{"assay", "type"}, {"assay", "assay", "id"}, {"Customer", "customer", " "},
+		{"frobnicator", "assay", "frobnicator"}, {}, {"", "\t"}, {"日付", "\xff", "id"},
+	}
+	words := p.Words()
+	for _, text := range texts {
+		requireSameVector(t, strings.Join(text, "|"), words.TextVector(text), textVectorRef(text))
+		requireSameVector(t, strings.Join(text, "|"), p.TextVector(text), textVectorRef(text))
+	}
+}
+
 // Build a tiny corpus with two "topics"; words inside a topic co-occur.
 func topicCorpus(rng *rand.Rand, sentences int) [][]string {
 	topicA := []string{"apple", "banana", "cherry", "fruit", "orange"}

@@ -67,8 +67,9 @@ func (p *Pretrained) Vector(word string) Vector {
 		Scale(anchor, wSyn)
 		Add(out, anchor)
 	} else {
-		// OOV: trigram components keep typo'd variants close.
-		for g := range trigrams(word) {
+		// OOV: trigram components keep typo'd variants close. They add in
+		// first-occurrence order, so the sum rounds the same on every call.
+		for _, g := range trigrams(word) {
 			tg := p.seedVector("g:" + g)
 			Scale(tg, wTrigram/3)
 			Add(out, tg)
@@ -78,15 +79,42 @@ func (p *Pretrained) Vector(word string) Vector {
 }
 
 // TextVector embeds a multi-word text as the normalized mean of its word
-// vectors.
+// vectors, through a table of its own (Words).
 func (p *Pretrained) TextVector(words []string) Vector {
-	out := make(Vector, p.dim)
+	return p.Words().TextVector(words)
+}
+
+// Words is a table of word vectors for one call that embeds many texts
+// sharing words: each distinct word is embedded once. A word's vector does
+// not depend on when it is embedded and a text's vectors are summed in word
+// order, so a text embeds to the same bits whatever the table already
+// holds. It is not safe for concurrent use and is meant to be dropped when
+// the call returns.
+type Words struct {
+	p    *Pretrained
+	vecs map[string]Vector
+}
+
+// Words returns an empty word-vector table over p.
+func (p *Pretrained) Words() *Words {
+	return &Words{p: p, vecs: make(map[string]Vector)}
+}
+
+// TextVector embeds a multi-word text as the normalized mean of its word
+// vectors; blank words are skipped.
+func (w *Words) TextVector(words []string) Vector {
+	out := make(Vector, w.p.dim)
 	n := 0
-	for _, w := range words {
-		if strings.TrimSpace(w) == "" {
+	for _, word := range words {
+		if strings.TrimSpace(word) == "" {
 			continue
 		}
-		Add(out, p.Vector(w))
+		v, ok := w.vecs[word]
+		if !ok {
+			v = w.p.Vector(word)
+			w.vecs[word] = v
+		}
+		Add(out, v)
 		n++
 	}
 	if n == 0 {
@@ -113,12 +141,18 @@ func canonicalSynonym(t *wordnet.Thesaurus, word string) string {
 	return rep
 }
 
-func trigrams(s string) map[string]struct{} {
-	out := make(map[string]struct{})
-	padded := "##" + s + "##"
-	r := []rune(padded)
+// trigrams returns the distinct trigrams of s padded with "##", in order
+// of first occurrence.
+func trigrams(s string) []string {
+	r := []rune("##" + s + "##")
+	var out []string
+	seen := make(map[string]struct{}, len(r))
 	for i := 0; i+3 <= len(r); i++ {
-		out[string(r[i:i+3])] = struct{}{}
+		g := string(r[i : i+3])
+		if _, dup := seen[g]; !dup {
+			seen[g] = struct{}{}
+			out = append(out, g)
+		}
 	}
 	return out
 }

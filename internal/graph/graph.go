@@ -6,6 +6,10 @@
 // al.'s Similarity Flooding algorithm; Flood then runs the iterative
 // fixpoint computation with inverse-average propagation coefficients and a
 // selectable fixpoint formula.
+//
+// Hops is the other graph here: the all-pairs hop counts of a small
+// undirected graph, which the thesaurus (Cupid) and the ontology (SemProp)
+// answer their path queries from.
 package graph
 
 import (

@@ -1,19 +1,18 @@
 package cupid
 
 // Cascade score bound. Cupid's wsim is a convex combination of components
-// that are all maximized by table-level signals the bound can compute
-// without the per-column-pair linguistic matrix (the matcher's dominant
-// cost, quadratic in columns × tokens):
+// that are all maximized by table-level signals the bound reads from the
+// call's token table, without the per-column-pair linguistic matrix:
 //
 //   - lsim(i,j) averages per-token best matches, so it is at most the best
 //     tokenSim over the cross product of ALL source column-name tokens ×
 //     ALL target column-name tokens (each column's tokens are a subset).
-//     tokenSim is evaluated exactly — same thesaurus, same trigram Dice —
-//     over deduplicated tokens, so the token-level maximum M is an exact
-//     matcher value, not an estimate.
+//     The bound builds the same token table the matcher does — the same
+//     prepared tokens and the same tokenSim — so the token-level maximum M
+//     is an exact matcher value, not an estimate.
 //   - leafS(i,j) = 0.5·typeCompat + 0.5·rootLing is at most
-//     0.5·maxTypeCompat + 0.5·rootLing; rootLing (one table-name
-//     linguistic call) is computed exactly.
+//     0.5·maxTypeCompat + 0.5·rootLing; rootLing (the table names'
+//     linguistic similarity) is read from that table exactly.
 //   - rootStruct is a fraction of pairs whose strength
 //     leafWStruct·leafS + (1−leafWStruct)·lsim reaches ThHigh; if even the
 //     maximal strength misses ThHigh, rootStruct is exactly 0, otherwise
@@ -23,13 +22,13 @@ package cupid
 // [0, 1] (the Table II grids stay within 0–0.6), so chaining the component
 // maxima through the same formulas bounds wsim. Scores below ThAccept are
 // never emitted, so a wsim bound under ThAccept collapses to 0 — the
-// common case for junk candidates with no token affinity.
+// common case for junk candidates with no token affinity. The bound builds
+// its own table (no table outlives a call), so it costs what the matcher's
+// pass 1 costs before the per-column-pair sums it skips.
 
 import (
 	"valentine/internal/profile"
-	"valentine/internal/strutil"
 	"valentine/internal/table"
-	"valentine/internal/wordnet"
 )
 
 // boundSlack absorbs float rounding in the summed-average comparison
@@ -43,14 +42,11 @@ func (m *Matcher) ScoreBoundProfiles(sp, tp *profile.TableProfile) float64 {
 	if m.LeafWStruct < 0 || m.LeafWStruct > 1 || m.WStruct < 0 || m.WStruct > 1 {
 		return 1 // off-grid weights break monotonicity; stay conservative
 	}
-	th := m.Thesaurus
-	if th == nil {
-		th = wordnet.Default()
-	}
-
-	rootLing := m.linguistic(th, sp.NameTokens(), tp.NameTokens())
+	tt := newTokenTable(m.thesaurus(), nameTokens(sp), nameTokens(tp))
+	tt.fill()
+	rootLing := tt.linguistic(tt.src.names[0], tt.tgt.names[0])
 	maxTC := maxTypeCompat(sp.Table(), tp.Table())
-	M := maxTokenSim(th, columnTokens(sp), columnTokens(tp))
+	M := tt.maxColumnTokenSim()
 
 	leafSMax := 0.5*maxTC + 0.5*rootLing
 	rootStructUB := 0.0
@@ -65,59 +61,35 @@ func (m *Matcher) ScoreBoundProfiles(sp, tp *profile.TableProfile) float64 {
 	return bound
 }
 
-// columnTokens returns the deduplicated name tokens across all columns.
-func columnTokens(tp *profile.TableProfile) map[string]struct{} {
-	out := make(map[string]struct{}, tp.NumColumns()*2)
-	for _, p := range tp.Columns() {
-		for tok := range p.NameTokenSet() {
-			out[tok] = struct{}{}
-		}
-	}
-	return out
-}
-
-// maxTokenSim is the exact maximum tokenSim over the token cross product,
-// with trigram sets memoized per distinct token. A shared token short-
-// circuits to 1 (tokenSim's own maximum).
-func maxTokenSim(th *wordnet.Thesaurus, src, tgt map[string]struct{}) float64 {
-	small, large := src, tgt
-	if len(tgt) < len(src) {
-		small, large = tgt, src
-	}
-	for tok := range small {
-		if _, ok := large[tok]; ok {
-			return 1
-		}
-	}
-	grams := make(map[string]map[string]struct{}, len(src)+len(tgt))
-	gramsOf := func(tok string) map[string]struct{} {
-		g, ok := grams[tok]
-		if !ok {
-			g = strutil.NGrams(tok, 3)
-			grams[tok] = g
-		}
-		return g
-	}
+// maxColumnTokenSim is the largest entry of the table between a source
+// column-name token and a target column-name token (table-name tokens that
+// no column shares do not count); 0 when a side has none.
+func (tt *tokenTable) maxColumnTokenSim() float64 {
+	srcCol, tgtCol := tt.src.columnTokens(), tt.tgt.columnTokens()
+	n := len(tt.tgt.tokens)
 	best := 0.0
-	for x := range src {
-		sx := strutil.Stem(x)
-		for y := range tgt {
-			if sx == strutil.Stem(y) {
-				if best < 0.95 {
-					best = 0.95
-				}
-				continue
-			}
-			s := th.Similarity(x, y)
-			if g := strutil.DiceSets(gramsOf(x), gramsOf(y)); g > s {
-				s = g
-			}
-			if s > best {
+	for x, sx := range srcCol {
+		if !sx {
+			continue
+		}
+		for y, ty := range tgtCol {
+			if s := tt.sim[x*n+y]; ty && s > best {
 				best = s
 			}
 		}
 	}
 	return best
+}
+
+// columnTokens marks the side's tokens that occur in a column name.
+func (s *side) columnTokens() []bool {
+	out := make([]bool, len(s.tokens))
+	for _, name := range s.names[1:] {
+		for _, x := range name {
+			out[x] = true
+		}
+	}
+	return out
 }
 
 // maxTypeCompat is the exact maximum typeCompat over the distinct type

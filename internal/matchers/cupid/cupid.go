@@ -9,6 +9,15 @@
 // siblings. wsim = w_struct·ssim + (1−w_struct)·lsim, with the leaf
 // structural weight (leaf_w_struct) and accept threshold (th_accept) from
 // Table II.
+//
+// Linguistic similarity runs on one token table per call (tokens.go): each
+// distinct name token of a side — column and table names alike — is
+// prepared once (stem, thesaurus synsets, packed trigram keys), tokenSim of
+// every source × target token pair is evaluated once, and every linguistic
+// value is then a sum of table entries in token-list order, so scores are
+// bit-identical to evaluating each token pair from its strings
+// (TestTokenTableMatchesRef). The score bound reads the same table.
+// Nothing in it outlives the call.
 package cupid
 
 import (
@@ -17,7 +26,6 @@ import (
 	"valentine/internal/core"
 	"valentine/internal/engine"
 	"valentine/internal/profile"
-	"valentine/internal/strutil"
 	"valentine/internal/table"
 	"valentine/internal/wordnet"
 )
@@ -66,37 +74,39 @@ func (m *Matcher) MatchContext(ctx context.Context, store *profile.Store, source
 }
 
 // MatchProfilesContext implements core.ProfiledContextMatcher — the single
-// scoring path. Pass 1 (the linguistic similarity matrix, Cupid's dominant
-// cost) fans out one source row at a time on the engine pool; pass 2 is a
-// cheap sequential reduction over the matrices; the final wsim emission runs
-// through the engine's pair scorer.
+// scoring path. Pass 1 builds the call's token table — every source × target
+// name-token similarity, one source token a row on the engine pool — and
+// from it the linguistic and leaf structural matrices, one source column a
+// row; pass 2 is a cheap sequential reduction over the matrices; the final
+// wsim emission runs through the engine's pair scorer.
 func (m *Matcher) MatchProfilesContext(ctx context.Context, sp, tp *profile.TableProfile) ([]core.Match, error) {
 	if err := core.ValidatePair(sp, tp); err != nil {
 		return nil, err
 	}
 	source, target := sp.Table(), tp.Table()
-	th := m.Thesaurus
-	if th == nil {
-		th = wordnet.Default()
-	}
 
-	srcTok := tokenized(sp)
-	tgtTok := tokenized(tp)
-
-	// Pass 1: linguistic similarity and leaf structural similarity, row by
-	// row on the pool — each row depends only on its own source column.
+	// Pass 1: linguistic similarity and leaf structural similarity. Each
+	// row depends only on its own source token or column.
 	nSrc, nTgt := len(source.Columns), len(target.Columns)
 	lsim := make([][]float64, nSrc)
 	leafS := make([][]float64, nSrc)
-	rootLing := m.linguistic(th, sp.NameTokens(), tp.NameTokens())
 	stats := engine.StatsFrom(ctx)
+	workers := engine.OptionsFrom(ctx).Workers()
 	var genErr error
 	stats.Timed(engine.StageGenerate, func() {
-		genErr = engine.Map(ctx, engine.OptionsFrom(ctx).Workers(), nSrc, func(i int) error {
+		tt := newTokenTable(m.thesaurus(), nameTokens(sp), nameTokens(tp))
+		if genErr = engine.Map(ctx, workers, len(tt.src.tokens), func(x int) error {
+			tt.fillRow(x)
+			return nil
+		}); genErr != nil {
+			return
+		}
+		rootLing := tt.linguistic(tt.src.names[0], tt.tgt.names[0])
+		genErr = engine.Map(ctx, workers, nSrc, func(i int) error {
 			lsim[i] = make([]float64, nTgt)
 			leafS[i] = make([]float64, nTgt)
 			for j := range target.Columns {
-				lsim[i][j] = m.linguistic(th, srcTok[i], tgtTok[j])
+				lsim[i][j] = tt.linguistic(tt.src.names[1+i], tt.tgt.names[1+j])
 				// Leaf structural signal: data-type compatibility blended with
 				// the linguistic similarity of the ancestors (the roots).
 				leafS[i][j] = 0.5*typeCompat(source.Columns[i].Type, target.Columns[j].Type) + 0.5*rootLing
@@ -133,53 +143,23 @@ func (m *Matcher) MatchProfilesContext(ctx context.Context, sp, tp *profile.Tabl
 	})
 }
 
-func tokenized(tp *profile.TableProfile) [][]string {
-	out := make([][]string, tp.NumColumns())
-	for i := range out {
-		out[i] = tp.Column(i).NameTokens()
+// thesaurus is the configured thesaurus, or the embedded default.
+func (m *Matcher) thesaurus() *wordnet.Thesaurus {
+	if m.Thesaurus != nil {
+		return m.Thesaurus
+	}
+	return wordnet.Default()
+}
+
+// nameTokens lists a table's name tokens, then each column's, from the
+// profile's caches.
+func nameTokens(tp *profile.TableProfile) [][]string {
+	out := make([][]string, 1+tp.NumColumns())
+	out[0] = tp.NameTokens()
+	for i := range tp.NumColumns() {
+		out[1+i] = tp.Column(i).NameTokens()
 	}
 	return out
-}
-
-// linguistic computes Cupid's name similarity over token sets: each token
-// is matched to its best counterpart where token similarity is the maximum
-// of thesaurus similarity and character-trigram similarity; the directional
-// sums are combined symmetrically.
-func (m *Matcher) linguistic(th *wordnet.Thesaurus, a, b []string) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	best := func(from, to []string) float64 {
-		sum := 0.0
-		for _, x := range from {
-			bx := 0.0
-			for _, y := range to {
-				s := tokenSim(th, x, y)
-				if s > bx {
-					bx = s
-				}
-			}
-			sum += bx
-		}
-		return sum
-	}
-	return (best(a, b) + best(b, a)) / float64(len(a)+len(b))
-}
-
-func tokenSim(th *wordnet.Thesaurus, a, b string) float64 {
-	if a == b {
-		return 1
-	}
-	// Stemmed equality ("orders" vs "order") counts as a near-exact match,
-	// mirroring the original's WordNet-side normalization.
-	if strutil.Stem(a) == strutil.Stem(b) {
-		return 0.95
-	}
-	s := th.Similarity(a, b)
-	if g := strutil.TrigramSim(a, b); g > s {
-		s = g
-	}
-	return s
 }
 
 // typeCompat is Cupid's data-type compatibility score.

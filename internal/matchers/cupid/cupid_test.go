@@ -108,15 +108,23 @@ func TestInvariants(t *testing.T) {
 	}
 }
 
+// linguisticOf is linguistic over two raw token lists, through a token
+// table of just those two.
+func linguisticOf(th *wordnet.Thesaurus, a, b []string) float64 {
+	tt := newTokenTable(th, [][]string{a}, [][]string{b})
+	tt.fill()
+	return tt.linguistic(tt.src.names[0], tt.tgt.names[0])
+}
+
 func TestLinguisticEdges(t *testing.T) {
-	m := &Matcher{Thesaurus: wordnet.Default()}
-	if got := m.linguistic(wordnet.Default(), nil, []string{"x"}); got != 0 {
+	th := wordnet.Default()
+	if got := linguisticOf(th, nil, []string{"x"}); got != 0 {
 		t.Errorf("empty tokens = %v", got)
 	}
-	if got := m.linguistic(wordnet.Default(), []string{"customer"}, []string{"customer"}); got != 1 {
+	if got := linguisticOf(th, []string{"customer"}, []string{"customer"}); got != 1 {
 		t.Errorf("identical = %v", got)
 	}
-	syn := m.linguistic(wordnet.Default(), []string{"customer"}, []string{"client"})
+	syn := linguisticOf(th, []string{"customer"}, []string{"client"})
 	if syn != 1 {
 		t.Errorf("synonym tokens should score 1, got %v", syn)
 	}

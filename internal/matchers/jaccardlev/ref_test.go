@@ -13,10 +13,10 @@ import (
 	"testing"
 	"unicode/utf8"
 
-	"valentine/internal/core"
-	"valentine/internal/datagen"
 	"valentine/internal/fabrication"
+	"valentine/internal/matchers/matchertest"
 	"valentine/internal/profile"
+	"valentine/internal/race"
 	"valentine/internal/strutil"
 	"valentine/internal/table"
 )
@@ -130,26 +130,6 @@ func requireMatchesRef(t *testing.T, src, tgt *table.Table, thresholds []float64
 	}
 }
 
-// gridPairs is report.FabricatedPairs(report.Config{Rows: 200, Seeds: 3}) —
-// the match-grid workload's 504 pairs — built from the packages below
-// report, which imports this one.
-func gridPairs(t *testing.T) []core.TablePair {
-	t.Helper()
-	var out []core.TablePair
-	for _, name := range datagen.SourceNames() {
-		src, err := datagen.Source(name, datagen.Options{Rows: 200, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pairs, err := fabrication.GridSeeds(fabrication.SourceTable{Name: name, Table: src}, 3, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, pairs...)
-	}
-	return out
-}
-
 // randomValue draws 1–12 pieces: ASCII (with 'a'/'!' sharing a symbol
 // class), two- to four-byte runes, U+FFFD itself and invalid bytes.
 func randomValue(rng *rand.Rand) string {
@@ -170,9 +150,9 @@ func randomValue(rng *rand.Rand) string {
 // 0, 1, NaN and two outside [0,1].
 func TestFuzzyJaccardMatchesRef(t *testing.T) {
 	t.Run("grid", func(t *testing.T) {
-		pairs := gridPairs(t)
+		pairs := matchertest.GridPairs(t, 200, 3, 1)
 		stride := 3
-		if testing.Short() || raceEnabled {
+		if testing.Short() || race.Enabled {
 			stride = 15
 		}
 		for _, th := range []float64{0.4, 0.5, 0.6, 0.7, 0.8} {

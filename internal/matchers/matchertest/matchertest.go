@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"valentine/internal/core"
+	"valentine/internal/datagen"
 	"valentine/internal/fabrication"
 	"valentine/internal/metrics"
 	"valentine/internal/table"
@@ -87,6 +88,27 @@ func Pair(t *testing.T, scenario string, v fabrication.Variant) core.TablePair {
 		t.Fatalf("fabricating %s: %v", scenario, err)
 	}
 	return pair
+}
+
+// GridPairs is report.FabricatedPairs(report.Config{Rows: rows, Seeds:
+// seeds, Seed: seed}) — the experiment grid of every source, as the
+// match-grid workload fabricates it — built from the packages below report,
+// which imports the matchers.
+func GridPairs(t *testing.T, rows, seeds int, seed int64) []core.TablePair {
+	t.Helper()
+	var out []core.TablePair
+	for _, name := range datagen.SourceNames() {
+		src, err := datagen.Source(name, datagen.Options{Rows: rows, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs, err := fabrication.GridSeeds(fabrication.SourceTable{Name: name, Table: src}, seeds, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, pairs...)
+	}
+	return out
 }
 
 // Recall runs the matcher on the pair and returns Recall@GroundTruth.

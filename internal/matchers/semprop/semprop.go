@@ -121,26 +121,31 @@ func (m *Matcher) MatchProfilesContext(ctx context.Context, sp, tp *profile.Tabl
 	})
 }
 
-// classVectors embeds every ontology class's label words.
+// classVectors embeds every ontology class's label words, each distinct
+// word once (label words repeat across classes).
 func (m *Matcher) classVectors() map[string]embedding.Vector {
+	words := m.Emb.Words()
 	out := make(map[string]embedding.Vector, m.Onto.NumClasses())
 	for _, c := range m.Onto.Classes() {
-		out[c.ID] = m.Emb.TextVector(c.LabelWords())
+		out[c.ID] = words.TextVector(c.LabelWords())
 	}
 	return out
 }
 
 // linkColumns links each column to its best ontology classes above the
 // semantic threshold, embedding the cached table-name and column-name
-// tokens.
+// tokens — each distinct token once, though the table-name tokens are in
+// every column's text.
 func (m *Matcher) linkColumns(tprof *profile.TableProfile, classVecs map[string]embedding.Vector) [][]classLink {
 	out := make([][]classLink, tprof.NumColumns())
 	tableTokens := tprof.NameTokens()
+	words := m.Emb.Words()
+	classes := m.Onto.Classes()
 	for i := range out {
 		tokens := append(append([]string{}, tableTokens...), tprof.Column(i).NameTokens()...)
-		v := m.Emb.TextVector(tokens)
+		v := words.TextVector(tokens)
 		var links []classLink
-		for _, c := range m.Onto.Classes() {
+		for _, c := range classes {
 			cos := embedding.Cosine(v, classVecs[c.ID])
 			if cos >= m.SemThreshold {
 				links = append(links, classLink{classID: c.ID, cos: cos})

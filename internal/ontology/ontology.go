@@ -8,12 +8,19 @@
 // builds an EFO-like assay/chemistry ontology whose class labels align with
 // the vocabulary of the ChEMBL-like generated datasets — preserving the
 // name↔class linkage SemProp depends on.
+//
+// Related reads an all-pairs hop table over class ordinals (graph.Hops)
+// that AddSubclass keeps exact edge by edge: a query is two ordinal
+// lookups and one compare, and no query ever writes, so a built ontology
+// is safe for concurrent readers.
 package ontology
 
 import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"valentine/internal/graph"
 )
 
 // Class is an ontology class with a primary label and alternative labels.
@@ -28,6 +35,11 @@ type Ontology struct {
 	Name    string
 	classes map[string]*Class
 	parents map[string][]string // class id → parent class ids
+	// ord numbers the classes in AddClass order; hops is the all-pairs hop
+	// count over the subclass edges taken as undirected, by ordinal, kept
+	// by AddSubclass: Related only reads it.
+	ord  map[string]int
+	hops graph.Hops
 }
 
 // New returns an empty ontology.
@@ -36,6 +48,7 @@ func New(name string) *Ontology {
 		Name:    name,
 		classes: make(map[string]*Class),
 		parents: make(map[string][]string),
+		ord:     make(map[string]int),
 	}
 }
 
@@ -49,6 +62,7 @@ func (o *Ontology) AddClass(id, label string, altLabels ...string) (*Class, erro
 	}
 	c := &Class{ID: id, Label: label, AltLabels: altLabels}
 	o.classes[id] = c
+	o.ord[id] = len(o.ord)
 	return c, nil
 }
 
@@ -61,6 +75,7 @@ func (o *Ontology) AddSubclass(child, parent string) error {
 		return fmt.Errorf("ontology: unknown class %q", parent)
 	}
 	o.parents[child] = append(o.parents[child], parent)
+	o.hops.Link(o.ord[child], o.ord[parent])
 	return nil
 }
 
@@ -89,33 +104,13 @@ func (o *Ontology) Related(a, b string, maxHops int) bool {
 	if a == b {
 		return o.classes[a] != nil
 	}
-	adj := make(map[string][]string)
-	for c, ps := range o.parents {
-		for _, p := range ps {
-			adj[c] = append(adj[c], p)
-			adj[p] = append(adj[p], c)
-		}
+	i, okA := o.ord[a]
+	j, okB := o.ord[b]
+	if !okA || !okB {
+		return false
 	}
-	dist := map[string]int{a: 0}
-	queue := []string{a}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if dist[cur] >= maxHops {
-			continue
-		}
-		for _, next := range adj[cur] {
-			if _, seen := dist[next]; seen {
-				continue
-			}
-			if next == b {
-				return true
-			}
-			dist[next] = dist[cur] + 1
-			queue = append(queue, next)
-		}
-	}
-	return false
+	d := o.hops.Dist(i, j)
+	return d >= 0 && d <= maxHops
 }
 
 // LabelWords returns the lowercase word multiset of a class's labels —

@@ -18,6 +18,11 @@
 // prepare it once (Name, PrepareName) and call (*Name).Sim; NameSim is
 // that same code for two raw strings. The test file keeps the plain two-row
 // DP as the oracle the kernel is fuzzed against.
+//
+// Trigram similarity has one implementation too: Trigrams turns a string
+// into sorted packed trigram keys once, DiceSorted merges two of them, and
+// TrigramSim is those two for raw strings. The map-of-strings n-gram sets
+// it replaced are the test oracle (nGramsRef).
 package strutil
 
 import (

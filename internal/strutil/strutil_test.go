@@ -1,8 +1,10 @@
 package strutil
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -135,14 +137,68 @@ func TestTokenize(t *testing.T) {
 	}
 }
 
+// nGramsRef is the map-of-strings n-gram set TrigramSim was built on before
+// trigrams became packed keys: the n-grams of the lowercased s padded with
+// n−1 '#' on each side.
+func nGramsRef(s string, n int) map[string]struct{} {
+	out := make(map[string]struct{})
+	if n <= 0 {
+		return out
+	}
+	padded := strings.Repeat("#", n-1) + strings.ToLower(s) + strings.Repeat("#", n-1)
+	r := []rune(padded)
+	for i := 0; i+n <= len(r); i++ {
+		out[string(r[i:i+n])] = struct{}{}
+	}
+	return out
+}
+
 func TestNGrams(t *testing.T) {
-	g := NGrams("ab", 2)
+	g := nGramsRef("ab", 2)
 	want := map[string]struct{}{"#a": {}, "ab": {}, "b#": {}}
 	if !reflect.DeepEqual(g, want) {
-		t.Errorf("NGrams = %v", g)
+		t.Errorf("nGramsRef = %v", g)
 	}
-	if len(NGrams("ab", 0)) != 0 {
+	if len(nGramsRef("ab", 0)) != 0 {
 		t.Error("n<=0 should be empty")
+	}
+}
+
+// TestTrigramsMatchRef holds the packed trigram keys to the string sets of
+// nGramsRef — each key unpacks to one of its trigrams, and there are as
+// many keys as trigrams — and TrigramSim to DiceSets over those sets by
+// Float64bits, on upper-case, '#', multi-byte, U+FFFD and invalid-UTF-8
+// strings.
+func TestTrigramsMatchRef(t *testing.T) {
+	pieces := []string{"a", "b", "A", "#", "##", " ", "é", "É", "日", "😀", "�", "\xff", "\xe6\x97", "İ"}
+	rng := rand.New(rand.NewSource(27))
+	words := []string{"", "#", "###", "night", "NIGHT", "nacht"}
+	for len(words) < 200 {
+		var sb strings.Builder
+		for n := rng.Intn(9); n > 0; n-- {
+			sb.WriteString(pieces[rng.Intn(len(pieces))])
+		}
+		words = append(words, sb.String())
+	}
+	for _, w := range words {
+		keys, want := Trigrams(w), nGramsRef(w, 3)
+		if len(keys) != len(want) {
+			t.Fatalf("%q: %d keys, %d trigrams", w, len(keys), len(want))
+		}
+		for _, k := range keys {
+			g := string([]rune{rune(k >> 42), rune(k >> 21 & (1<<21 - 1)), rune(k & (1<<21 - 1))})
+			if _, ok := want[g]; !ok {
+				t.Fatalf("%q: key %#x unpacks to %q, not a trigram", w, k, g)
+			}
+		}
+	}
+	for i, a := range words {
+		for _, b := range words[i:] {
+			got, want := TrigramSim(a, b), DiceSets(nGramsRef(a, 3), nGramsRef(b, 3))
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("TrigramSim(%q, %q) = %v, reference %v", a, b, got, want)
+			}
+		}
 	}
 }
 

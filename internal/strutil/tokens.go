@@ -1,6 +1,7 @@
 package strutil
 
 import (
+	"slices"
 	"strings"
 	"unicode"
 )
@@ -46,24 +47,56 @@ func Tokenize(s string) []string {
 	return tokens
 }
 
-// NGrams returns the set of character n-grams of s (with boundary padding
-// using '#'), as a map for set operations.
-func NGrams(s string, n int) map[string]struct{} {
-	out := make(map[string]struct{})
-	if n <= 0 {
-		return out
+// Trigrams returns the character trigrams of the lowercased s, padded with
+// "##" on both sides, as sorted distinct keys. A key packs a trigram's
+// three runes 21 bits apiece, so two keys are equal exactly when the
+// trigrams are; invalid UTF-8 reads as U+FFFD, as a conversion to []rune
+// reads it.
+func Trigrams(s string) []uint64 {
+	s = strings.ToLower(s)
+	keys := make([]uint64, 0, len(s)+2)
+	a, b := uint64('#'), uint64('#')
+	push := func(c uint64) {
+		keys = append(keys, a<<42|b<<21|c)
+		a, b = b, c
 	}
-	padded := strings.Repeat("#", n-1) + strings.ToLower(s) + strings.Repeat("#", n-1)
-	r := []rune(padded)
-	for i := 0; i+n <= len(r); i++ {
-		out[string(r[i:i+n])] = struct{}{}
+	for _, r := range s {
+		push(uint64(r))
 	}
-	return out
+	push('#')
+	push('#')
+	slices.Sort(keys)
+	return slices.Compact(keys)
+}
+
+// DiceSorted returns 2|A∩B| / (|A|+|B|) for sets given as sorted distinct
+// keys (Trigrams); two empty sets score 1.
+func DiceSorted(a, b []uint64) float64 {
+	if len(a) == 0 && len(b) == 0 {
+		return 1
+	}
+	if len(a) == 0 || len(b) == 0 {
+		return 0
+	}
+	inter := 0
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			inter++
+			i++
+			j++
+		}
+	}
+	return 2 * float64(inter) / float64(len(a)+len(b))
 }
 
 // TrigramSim is the Dice similarity of the trigram sets of a and b.
 func TrigramSim(a, b string) float64 {
-	return DiceSets(NGrams(a, 3), NGrams(b, 3))
+	return DiceSorted(Trigrams(a), Trigrams(b))
 }
 
 // JaccardSets returns |A∩B| / |A∪B|; two empty sets score 1.

@@ -10,10 +10,7 @@ var (
 // Default returns the embedded schema-domain thesaurus shared by the suite.
 // The returned value is read-only and safe for concurrent use.
 func Default() *Thesaurus {
-	defaultOnce.Do(func() {
-		defaultThes = buildDefault()
-		defaultThes.adjacency() // warm the memoized graph before publication
-	})
+	defaultOnce.Do(func() { defaultThes = buildDefault() })
 	return defaultThes
 }
 

@@ -8,11 +8,19 @@
 // addresses, commerce, chemistry/assay, civic, software-delivery terms).
 // Cupid only needs synonym and hypernym lookups over schema-name tokens, so
 // a domain-targeted thesaurus preserves the matching behaviour.
+//
+// Path similarity reads an all-pairs hop table (graph.Hops, 104² entries
+// for the default thesaurus) that AddHypernym keeps exact edge by edge, so
+// a query is a few synset-id lookups, not a graph search, and no query ever
+// writes. Callers that compare one word with many prepare it once (Word)
+// and call WordSimilarity; Similarity is that same code for two raw words.
 package wordnet
 
 import (
 	"sort"
 	"strings"
+
+	"valentine/internal/graph"
 )
 
 // Thesaurus is a lexical graph of synsets.
@@ -23,9 +31,9 @@ type Thesaurus struct {
 	synsets [][]string
 	// hypernyms[i] lists the synset ids that are hypernyms of synset i.
 	hypernyms map[int][]int
-	// adj memoizes the undirected hypernym adjacency for path queries; it
-	// is invalidated by AddHypernym.
-	adj map[int][]int
+	// hops is the all-pairs hop count over the hypernym edges taken as
+	// undirected, kept by AddHypernym: path queries only read it.
+	hops graph.Hops
 }
 
 // New returns an empty thesaurus.
@@ -41,7 +49,7 @@ func (t *Thesaurus) AddSynset(words ...string) int {
 	id := len(t.synsets)
 	norm := make([]string, 0, len(words))
 	for _, w := range words {
-		w = strings.ToLower(strings.TrimSpace(w))
+		w = normalize(w)
 		if w == "" {
 			continue
 		}
@@ -56,7 +64,7 @@ func (t *Thesaurus) AddSynset(words ...string) int {
 // synset hypo.
 func (t *Thesaurus) AddHypernym(hypo, hyper int) {
 	t.hypernyms[hypo] = append(t.hypernyms[hypo], hyper)
-	t.adj = nil
+	t.hops.Link(hypo, hyper)
 }
 
 // NumSynsets returns the number of synsets.
@@ -65,7 +73,7 @@ func (t *Thesaurus) NumSynsets() int { return len(t.synsets) }
 // Synonyms returns all words sharing a synset with w (excluding w itself),
 // sorted. Unknown words return nil.
 func (t *Thesaurus) Synonyms(word string) []string {
-	word = strings.ToLower(strings.TrimSpace(word))
+	word = normalize(word)
 	ids := t.wordToSynsets[word]
 	if len(ids) == 0 {
 		return nil
@@ -86,103 +94,56 @@ func (t *Thesaurus) Synonyms(word string) []string {
 	return out
 }
 
-// AreSynonyms reports whether a and b share a synset.
+// AreSynonyms reports whether a and b share a synset (or are the same
+// word): exactly the pairs Similarity scores 1, at zero hops.
 func (t *Thesaurus) AreSynonyms(a, b string) bool {
-	a = strings.ToLower(strings.TrimSpace(a))
-	b = strings.ToLower(strings.TrimSpace(b))
-	if a == b {
-		return true
-	}
-	bIDs := t.wordToSynsets[b]
-	if len(bIDs) == 0 {
-		return false
-	}
-	bSet := make(map[int]struct{}, len(bIDs))
-	for _, id := range bIDs {
-		bSet[id] = struct{}{}
-	}
-	for _, id := range t.wordToSynsets[a] {
-		if _, ok := bSet[id]; ok {
-			return true
-		}
-	}
-	return false
+	return t.Similarity(a, b) == 1
 }
 
 // Contains reports whether the word appears in any synset.
 func (t *Thesaurus) Contains(word string) bool {
-	_, ok := t.wordToSynsets[strings.ToLower(strings.TrimSpace(word))]
+	_, ok := t.wordToSynsets[normalize(word)]
 	return ok
 }
 
-// pathDistance returns the shortest hypernym-path distance between any
-// synset of a and any synset of b, following hypernym edges in both
-// directions (treating the hierarchy as an undirected graph, the classic
-// path-similarity formulation). Returns -1 when unreachable.
-func (t *Thesaurus) pathDistance(a, b string) int {
-	aIDs := t.wordToSynsets[strings.ToLower(a)]
-	bIDs := t.wordToSynsets[strings.ToLower(b)]
-	if len(aIDs) == 0 || len(bIDs) == 0 {
-		return -1
-	}
-	target := make(map[int]struct{}, len(bIDs))
-	for _, id := range bIDs {
-		target[id] = struct{}{}
-	}
-	adj := t.adjacency()
-	dist := make(map[int]int, len(aIDs))
-	queue := make([]int, 0, len(aIDs))
-	for _, id := range aIDs {
-		dist[id] = 0
-		queue = append(queue, id)
-	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if _, ok := target[cur]; ok {
-			return dist[cur]
-		}
-		for _, next := range adj[cur] {
-			if _, seen := dist[next]; !seen {
-				dist[next] = dist[cur] + 1
-				queue = append(queue, next)
-			}
-		}
-	}
-	return -1
+// Word is a word prepared for WordSimilarity: its normalized form and the
+// synsets that contain it.
+type Word struct {
+	norm    string
+	synsets []int
 }
 
-// adjacency returns the memoized undirected hypernym graph. Not safe for
-// concurrent first use while still mutating; Default()'s thesaurus is fully
-// built (and its adjacency warmed) before publication.
-func (t *Thesaurus) adjacency() map[int][]int {
-	if t.adj != nil {
-		return t.adj
-	}
-	adj := make(map[int][]int)
-	for hypo, hypers := range t.hypernyms {
-		for _, hyper := range hypers {
-			adj[hypo] = append(adj[hypo], hyper)
-			adj[hyper] = append(adj[hyper], hypo)
-		}
-	}
-	t.adj = adj
-	return adj
+// Word prepares w for WordSimilarity, normalizing it as every lookup does.
+func (t *Thesaurus) Word(w string) Word {
+	w = normalize(w)
+	return Word{norm: w, synsets: t.wordToSynsets[w]}
 }
+
+// normalize is the form words are stored and looked up in.
+func normalize(w string) string { return strings.ToLower(strings.TrimSpace(w)) }
 
 // Similarity returns a word similarity in [0,1]: 1 for equal words or
 // synonyms, 1/(1+d) for hypernym-path distance d, and 0 for unrelated or
 // unknown words.
 func (t *Thesaurus) Similarity(a, b string) float64 {
-	a = strings.ToLower(strings.TrimSpace(a))
-	b = strings.ToLower(strings.TrimSpace(b))
-	if a == b && a != "" {
+	return t.WordSimilarity(t.Word(a), t.Word(b))
+}
+
+// WordSimilarity is Similarity on prepared words: 1 when the normalized
+// forms are equal, else 1/(1+d) for the fewest hypernym hops d between a
+// synset of a and a synset of b (zero for a shared synset), else 0.
+func (t *Thesaurus) WordSimilarity(a, b Word) float64 {
+	if a.norm == b.norm {
 		return 1
 	}
-	if t.AreSynonyms(a, b) {
-		return 1
+	d := -1
+	for _, i := range a.synsets {
+		for _, j := range b.synsets {
+			if h := t.hops.Dist(i, j); h >= 0 && (d < 0 || h < d) {
+				d = h
+			}
+		}
 	}
-	d := t.pathDistance(a, b)
 	if d < 0 {
 		return 0
 	}
