@@ -47,9 +47,9 @@ type jsonDurabilityPolicy struct {
 	P50US   int64  `json:"ingest_p50_us"`
 	P99US   int64  `json:"ingest_p99_us"`
 	MaxUS   int64  `json:"ingest_max_us"`
-	// WALBytes is the log size after the run — the same logical records at
-	// every policy (sizes can differ by a few bytes: interning order shifts
-	// gob varint widths), sizing the write amplification the policy pays for.
+	// WALBytes is the log size after the run — the same records, and with a
+	// fixed-width header the same byte count, at every policy — sizing the
+	// write amplification the policy pays for.
 	WALBytes int64 `json:"wal_bytes"`
 }
 

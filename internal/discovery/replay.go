@@ -13,12 +13,31 @@ package discovery
 // and a remove of an unknown table merely reports an error the replayer
 // ignores. That makes at-least-once delivery safe — a batch that was both
 // applied and logged before the crash re-applies to an identical catalog.
+//
+// The op's byte form — what the WAL stores per op — is owned here, so the
+// log never learns the segment layout:
+//
+//	op     := kind(1 byte) body
+//	remove := 0x01 uvarint(len(name)) name
+//	upsert := 0x02 uvarint(len(image)) image
+//
+// where image is a one-table v2 segment image with zero bands (segv2.go),
+// written by encodeSegV2 and read back by openSegV2 — the decoder the
+// snapshot loader trusts with arbitrary bytes. One image per op, so a batch
+// may upsert the same name twice even though an image holds a name once.
 
-import "fmt"
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"unsafe"
+
+	"valentine/internal/table"
+)
 
 // ReplayOp is one logged catalog mutation: a remove (Remove non-empty) or a
-// profiled upsert (Name + Cols). All fields are exported, gob-encodable
-// values — the WAL's record payload.
+// profiled upsert (Name + Cols). AppendReplayOp and DecodeReplayOp are its
+// byte form — the WAL's per-op payload.
 type ReplayOp struct {
 	// Remove names the table to delete; empty for upserts.
 	Remove string
@@ -82,4 +101,150 @@ func (ix *Index) ApplyReplayOps(rops []ReplayOp) []error {
 		errs[slot[i]] = err
 	}
 	return errs
+}
+
+// ErrOpNotEncodable reports a ReplayOp that has no byte form: an upsert
+// whose columns disagree on signature length or name another table (a v2
+// image has one k and files every column under its table), or an op that
+// both removes and upserts. ReplayForm never builds one.
+var ErrOpNotEncodable = errors.New("discovery: replay op has no one-table v2 image")
+
+// Replay-op kind bytes.
+const (
+	replayRemove byte = 1
+	replayUpsert byte = 2
+)
+
+// AppendReplayOp appends op's byte form to dst.
+func AppendReplayOp(dst []byte, op ReplayOp) ([]byte, error) {
+	if op.Remove != "" {
+		if op.Name != "" || len(op.Cols) > 0 {
+			return dst, fmt.Errorf("%w: op removes %q and upserts %q", ErrOpNotEncodable, op.Remove, op.Name)
+		}
+		dst = append(dst, replayRemove)
+		dst = binary.AppendUvarint(dst, uint64(len(op.Remove)))
+		return append(dst, op.Remove...), nil
+	}
+	k := 0
+	if len(op.Cols) > 0 {
+		k = len(op.Cols[0].Signature)
+	}
+	for _, c := range op.Cols {
+		if len(c.Signature) != k {
+			return dst, fmt.Errorf("%w: column %s.%s has a %d-slot signature, the table's first column %d",
+				ErrOpNotEncodable, c.Table, c.Column, len(c.Signature), k)
+		}
+		if c.Table != op.Name {
+			return dst, fmt.Errorf("%w: column %s.%s filed under table %q", ErrOpNotEncodable, c.Table, c.Column, op.Name)
+		}
+	}
+	s := newSegment(0, 0)
+	s.add(op.Name, op.Cols, 0)
+	img, err := encodeSegV2(s, k)
+	if err != nil {
+		return dst, err
+	}
+	dst = append(dst, replayUpsert)
+	dst = binary.AppendUvarint(dst, uint64(len(img)))
+	return append(dst, img...), nil
+}
+
+// DecodeReplayOp decodes the op AppendReplayOp wrote at the front of src,
+// returning it and the number of bytes it took. An upsert's image is copied
+// into *scratch — openSegV2 views an image in place and needs 8-byte
+// alignment, which an op inside a log frame does not have — grown as needed
+// and reusable across calls: the returned op owns all its memory. Arbitrary
+// input bytes return an error, never a panic.
+func DecodeReplayOp(src []byte, scratch *[]uint64) (ReplayOp, int, error) {
+	if len(src) == 0 {
+		return ReplayOp{}, 0, errors.New("discovery: replay op: no bytes")
+	}
+	n, w := binary.Uvarint(src[1:])
+	if w <= 0 || n > uint64(len(src)-1-w) {
+		return ReplayOp{}, 0, errors.New("discovery: replay op: body length runs past the input")
+	}
+	used := 1 + w + int(n)
+	body := src[1+w : used]
+	switch src[0] {
+	case replayRemove:
+		if n == 0 {
+			return ReplayOp{}, 0, errors.New("discovery: replay op: remove names no table")
+		}
+		return ReplayOp{Remove: string(body)}, used, nil
+	case replayUpsert:
+		op, err := decodeUpsertImage(body, scratch)
+		if err != nil {
+			return ReplayOp{}, 0, fmt.Errorf("discovery: replay op upsert: %w", err)
+		}
+		return op, used, nil
+	}
+	return ReplayOp{}, 0, fmt.Errorf("discovery: replay op: unknown kind %d", src[0])
+}
+
+// decodeUpsertImage reads an upsert's one-table image through openSegV2.
+func decodeUpsertImage(img []byte, scratch *[]uint64) (ReplayOp, error) {
+	words := (len(img) + 7) / 8
+	if cap(*scratch) < words {
+		*scratch = make([]uint64, words)
+	}
+	aligned := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData((*scratch)[:words]))), len(img))
+	copy(aligned, img)
+	m, err := openSegV2(aligned, nil)
+	if err != nil {
+		return ReplayOp{}, err
+	}
+	if m.nTables != 1 {
+		return ReplayOp{}, fmt.Errorf("%w: image holds %d tables, want 1", ErrSegmentCorrupt, m.nTables)
+	}
+	if first, n := m.tableCols(0); first != 0 || n != m.nCols {
+		return ReplayOp{}, fmt.Errorf("%w: table columns [%d, %d) do not cover the image's %d", ErrSegmentCorrupt, first, first+n, m.nCols)
+	}
+	// The columns of one upsert are ingested and replaced together, so they
+	// share one copy of each kind of payload — strings, tokens, signatures,
+	// set ids — instead of colProfile's copies per column. Sub-slices are
+	// capped: appending to one never writes into its neighbour.
+	blob := string(m.strBlob)
+	str := func(i uint32) string { return blob[m.strOffs[i]:m.strOffs[i+1]] }
+	op := ReplayOp{Name: str(m.tblRecs[0])}
+	if m.nCols == 0 {
+		return op, nil
+	}
+	nTok, nSet := 0, 0
+	for c := 0; c < m.nCols; c++ {
+		rec := m.colRecs[c*colRecWords:]
+		nTok += int(rec[6])
+		nSet += int(rec[8])
+	}
+	// encodeSegV2 lays the columns' token and set-id runs end to end; runs
+	// that overlap would let a small image size a huge allocation.
+	if nTok != len(m.tokenIDs) || nSet != len(m.setIDs) {
+		return ReplayOp{}, fmt.Errorf("%w: columns take %d of %d token ids and %d of %d set ids",
+			ErrSegmentCorrupt, nTok, len(m.tokenIDs), nSet, len(m.setIDs))
+	}
+	k := m.k
+	sigs := append([]uint64(nil), m.sigs...)
+	tokens := make([]string, 0, nTok)
+	setIDs := make([]uint32, 0, nSet)
+	op.Cols = make([]ColumnProfile, m.nCols)
+	for c := range op.Cols {
+		rec := m.colRecs[c*colRecWords:]
+		p := ColumnProfile{Table: op.Name, Column: str(rec[1]), Type: table.Type(int32(rec[2])), Rows: int(rec[3]), Distinct: int(rec[4])}
+		if k > 0 {
+			p.Signature = sigs[c*k : (c+1)*k : (c+1)*k]
+		}
+		if n := int(rec[6]); n > 0 {
+			t := len(tokens)
+			for _, s := range m.tokenIDs[rec[5]:][:n] {
+				tokens = append(tokens, str(s))
+			}
+			p.Tokens = tokens[t:len(tokens):len(tokens)]
+		}
+		if n := int(rec[8]); n > 0 {
+			s := len(setIDs)
+			setIDs = append(setIDs, m.setIDs[rec[7]:][:n]...)
+			p.SetIDs = setIDs[s:len(setIDs):len(setIDs)]
+		}
+		op.Cols[c] = p
+	}
+	return op, nil
 }

@@ -2,11 +2,13 @@ package discovery
 
 // The segment on-disk format ("v2" in the magic and the manifest; the gob
 // v1 it replaced is retired): one columnar file per segment — sealed or
-// memtable — little-endian, fixed-width sections, designed so a reader
-// never decodes — it validates the section table once and then serves every
-// search, LSH probe and kernel call as slice views straight over the file
-// bytes (typically an mmap of the page cache; see mmap_linux.go for the
-// mapping and readFileAligned for the portable heap-read arm).
+// memtable — and, as a one-table image with zero bands, the byte form of
+// every upsert the write-ahead log records (replay.go). Little-endian,
+// fixed-width sections, designed so a reader never decodes — it validates
+// the section table once and then serves every search, LSH probe and kernel
+// call as slice views straight over the file bytes (typically an mmap of
+// the page cache; see mmap_linux.go for the mapping and readFileAligned for
+// the portable heap-read arm).
 //
 // Layout (all offsets from file start, every section 8-byte aligned):
 //

@@ -7,6 +7,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -283,6 +284,32 @@ func TestServerWALEpochFence(t *testing.T) {
 	}
 	if _, err := New(Config{Index: ix, WALPath: walPath}); err == nil {
 		t.Fatal("New accepted a WAL expecting a newer snapshot than the loaded catalog")
+	}
+}
+
+// TestServerRefusesRetiredWAL: a log written by a pre-v2 release (the wal
+// package's checked-in fixture) keeps the server from starting, with the
+// named error, and stays on disk untouched — reinitializing it would drop
+// acknowledged writes.
+func TestServerRefusesRetiredWAL(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("..", "wal", "testdata", "v1-ops.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	walPath := filepath.Join(t.TempDir(), "ops.wal")
+	if err := os.WriteFile(walPath, fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Index: discovery.New(discovery.Options{}), WALPath: walPath})
+	if err == nil {
+		s.Close()
+		t.Fatal("New started over a pre-v2 WAL")
+	}
+	if !errors.Is(err, wal.ErrRetiredFormat) {
+		t.Fatalf("New error = %v, want wal.ErrRetiredFormat", err)
+	}
+	if after, _ := os.ReadFile(walPath); !bytes.Equal(after, fixture) {
+		t.Fatal("refused pre-v2 WAL was modified")
 	}
 }
 

@@ -11,17 +11,29 @@
 // was both applied-and-snapshotted and still in the log re-applies to an
 // identical state.
 //
-// File layout: length-prefixed CRC32C-framed gob records —
+// File layout (version 2): length-prefixed CRC32C-framed binary records —
 //
 //	frame   := [uint32 LE payload length][uint32 LE crc32c(payload)][payload]
-//	file    := frame(header) frame(Record)*
+//	file    := frame(header) frame(record)*
+//	header  := "VALWAL2\n" u32 version u64 lineage u64 snapEpoch   (LE)
+//	record  := uvarint(Seq) uvarint(DictStart)
+//	           uvarint(len(DictVals)) (uvarint(len(v)) v)*
+//	           uvarint(len(Ops)) op*
 //
-// The first frame is the fencing header {version, lineage, snapEpoch}: a
-// log only replays into the catalog lineage that wrote it, and snapEpoch is
-// the log's low-water mark — the snapshot the log expects underneath it.
-// Torn tails (a crash mid-append) fail the CRC or length check and are
-// truncated on open, never mis-replayed; a torn header means the crash hit
-// the log's very first write, and the file is reinitialized.
+// where op is discovery.AppendReplayOp's byte form: a remove's name, or an
+// upsert as a one-table v2 segment image read back by the same validating
+// decoder the snapshot loader uses. A record's Seq is its payload's first
+// uvarint, so truncation keeps a frame by reading one varint and copies it
+// byte for byte.
+//
+// The header is the fence: a log only replays into the catalog lineage
+// that wrote it, and snapEpoch is the log's low-water mark — the snapshot
+// the log expects underneath it. Torn tails (a crash mid-append) fail the
+// CRC or length check and are truncated on open, never mis-replayed; a torn
+// header means the crash hit the log's very first write, and the file is
+// reinitialized. A complete header without the magic is a log from a
+// release before version 2, refused with ErrRetiredFormat — never
+// reinitialized, which would drop its acknowledged writes.
 //
 // Fsync policy is the durability dial: "always" syncs before every append
 // returns (an acknowledged op survives any crash), "batch" syncs on a short
@@ -40,9 +52,7 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -82,8 +92,13 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	return "", fmt.Errorf("wal: sync policy %q is not always|batch|none", s)
 }
 
-// walVersion guards the frame/header layout.
-const walVersion = 1
+// The header frame's fixed payload: magic, then the version guarding the
+// frame and record layout.
+const (
+	walMagic   = "VALWAL2\n"
+	walVersion = 2
+	headerLen  = len(walMagic) + 4 + 8 + 8
+)
 
 // maxPayload bounds a frame's declared length: no valid record outsizes it,
 // so a corrupt length field is detected before any allocation.
@@ -95,11 +110,15 @@ const defaultBatchInterval = 5 * time.Millisecond
 // ErrClosed is returned by operations on a closed log.
 var ErrClosed = errors.New("wal: log closed")
 
+// ErrRetiredFormat is returned by Open for a log whose header frame is
+// intact but lacks the version-2 magic: logs from earlier releases have no
+// decoder here, and reinitializing one would drop acknowledged writes.
+var ErrRetiredFormat = errors.New("wal: log written by a pre-v2 release: replay it with that release or remove it and re-index")
+
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // header is the log's first frame: the fence tying it to one catalog.
 type header struct {
-	Version   int
 	Lineage   uint64
 	SnapEpoch uint64
 }
@@ -199,13 +218,16 @@ func Open(path string, lineage, snapEpoch uint64, o Options) (*OpenResult, error
 	if scanErr != nil {
 		// No valid header: a crash tore the log's first write (or the file
 		// is not a log at all — in that case refuse rather than destroy).
+		if errors.Is(scanErr, ErrRetiredFormat) {
+			return nil, fmt.Errorf("%s: %w", path, scanErr)
+		}
 		if good > 0 || (len(data) > 0 && !looksTorn(data)) {
 			return nil, fmt.Errorf("wal: %s is not a valid log: %w", path, scanErr)
 		}
 		res.Fresh = true
 	}
 	if res.Fresh {
-		hdr = header{Version: walVersion, Lineage: lineage, SnapEpoch: snapEpoch}
+		hdr = header{Lineage: lineage, SnapEpoch: snapEpoch}
 		recs, good = nil, 0
 	}
 	l.lineage, l.snapEpoch = hdr.Lineage, hdr.SnapEpoch
@@ -226,11 +248,7 @@ func Open(path string, lineage, snapEpoch uint64, o Options) (*OpenResult, error
 		// fence. The header must be durable before any record is — a crash
 		// between an acked record append and the header landing would lose
 		// the record's framing entirely.
-		frame, err := encodeFrame(hdr)
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
+		frame := headerFrame(hdr)
 		if err := initLogFile(f, frame); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("wal: initializing %s: %w", path, err)
@@ -313,9 +331,9 @@ func (l *Log) Append(ops []discovery.ReplayOp, dictStart int, dictVals []string)
 		return 0, fmt.Errorf("wal: background sync failed: %w", l.syncErr)
 	}
 	seq := l.nextSeq
-	frame, err := encodeFrame(Record{Seq: seq, Ops: ops, DictStart: dictStart, DictVals: dictVals})
+	frame, err := recordFrame(&Record{Seq: seq, Ops: ops, DictStart: dictStart, DictVals: dictVals})
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("wal: encoding record %d: %w", seq, err)
 	}
 	n, err := l.f.Write(frame)
 	if err != nil {
@@ -378,30 +396,34 @@ func (l *Log) TruncateThrough(low uint64, snapEpoch uint64) error {
 	if l.closed {
 		return ErrClosed
 	}
-	// Parse the current file: the surviving tail is re-framed verbatim.
+	// Walk the current file's frames: each surviving record frame — its Seq
+	// is the payload's first uvarint — is copied verbatim behind a new
+	// header, and a torn tail ends the walk as it ends a scan.
 	data, err := readAll(l.fsys, l.path)
 	if err != nil {
 		return fmt.Errorf("wal: rereading %s: %w", l.path, err)
 	}
-	_, recs, _, scanErr := scanFrames(data)
-	if scanErr != nil {
-		return fmt.Errorf("wal: rereading %s: %w", l.path, scanErr)
+	payload, rest := nextFrame(data)
+	if payload == nil {
+		return fmt.Errorf("wal: rereading %s: torn or invalid header frame", l.path)
 	}
-	var buf bytes.Buffer
-	hdrFrame, err := encodeFrame(header{Version: walVersion, Lineage: l.lineage, SnapEpoch: snapEpoch})
-	if err != nil {
-		return err
+	if _, err := decodeHeader(payload); err != nil {
+		return fmt.Errorf("wal: rereading %s: %w", l.path, err)
 	}
-	buf.Write(hdrFrame)
-	for _, r := range recs {
-		if r.Seq <= low {
-			continue
+	buf := headerFrame(header{Lineage: l.lineage, SnapEpoch: snapEpoch})
+	for len(rest) > 0 {
+		payload, next := nextFrame(rest)
+		if payload == nil {
+			break
 		}
-		frame, err := encodeFrame(r)
-		if err != nil {
-			return err
+		seq, n := binary.Uvarint(payload)
+		if n <= 0 {
+			break
 		}
-		buf.Write(frame)
+		if seq > low {
+			buf = append(buf, rest[:len(rest)-len(next)]...)
+		}
+		rest = next
 	}
 	// Temp + fsync + rename: a crash leaves either the old log (replayed
 	// idempotently over the new snapshot) or the new one, never a mix.
@@ -415,7 +437,7 @@ func (l *Log) TruncateThrough(low uint64, snapEpoch uint64) error {
 		l.fsys.Remove(tmp)
 		return err
 	}
-	if _, err := tf.Write(buf.Bytes()); err != nil {
+	if _, err := tf.Write(buf); err != nil {
 		return cleanup(err)
 	}
 	if err := tf.Sync(); err != nil {
@@ -437,13 +459,13 @@ func (l *Log) TruncateThrough(low uint64, snapEpoch uint64) error {
 	if err != nil {
 		return fmt.Errorf("wal: reopening %s after truncation: %w", l.path, err)
 	}
-	if _, err := nf.Seek(int64(buf.Len()), io.SeekStart); err != nil {
+	if _, err := nf.Seek(int64(len(buf)), io.SeekStart); err != nil {
 		nf.Close()
 		return err
 	}
 	l.f.Close()
 	l.f = nf
-	l.size = int64(buf.Len())
+	l.size = int64(len(buf))
 	l.snapEpoch = snapEpoch
 	l.dirty = false
 	return nil
@@ -564,21 +586,13 @@ func ReplayInto(ix *discovery.Index, recs []Record) error {
 	return flush()
 }
 
-// encodeFrame gob-encodes v and wraps it in a length+CRC32C frame.
-func encodeFrame(v any) ([]byte, error) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
-		return nil, fmt.Errorf("wal: encoding record: %w", err)
-	}
-	p := payload.Bytes()
-	if len(p) > maxPayload {
-		return nil, fmt.Errorf("wal: record payload %d bytes exceeds the %d limit", len(p), maxPayload)
-	}
-	frame := make([]byte, 8+len(p))
+// sealFrame fills in the length and CRC32C of a frame whose payload was
+// appended behind an 8-byte placeholder.
+func sealFrame(frame []byte) []byte {
+	p := frame[8:]
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(p)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(p, crcTable))
-	copy(frame[8:], p)
-	return frame, nil
+	return frame
 }
 
 // nextFrame slices one frame's payload off data, returning nil when the
@@ -601,7 +615,8 @@ func nextFrame(data []byte) (payload, rest []byte) {
 // scanFrames parses a log image: header, then records, stopping cleanly at
 // the first torn or corrupt frame. good is the byte offset of the last
 // fully valid frame — the truncation point. A missing or invalid header
-// frame returns an error with good 0.
+// frame returns an error with good 0 — ErrRetiredFormat when the frame is
+// intact but lacks the version-2 magic.
 func scanFrames(data []byte) (hdr header, recs []Record, good int64, err error) {
 	if len(data) == 0 {
 		return header{}, nil, 0, errors.New("empty log")
@@ -610,20 +625,18 @@ func scanFrames(data []byte) (hdr header, recs []Record, good int64, err error) 
 	if payload == nil {
 		return header{}, nil, 0, errors.New("torn or invalid header frame")
 	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&hdr); err != nil {
-		return header{}, nil, 0, fmt.Errorf("decoding header: %w", err)
-	}
-	if hdr.Version != walVersion {
-		return header{}, nil, 0, fmt.Errorf("log version %d, want %d", hdr.Version, walVersion)
+	if hdr, err = decodeHeader(payload); err != nil {
+		return header{}, nil, 0, err
 	}
 	good = int64(len(data) - len(rest))
+	var scratch []uint64 // the aligned copy every upsert image is read from
 	for len(rest) > 0 {
 		payload, next := nextFrame(rest)
 		if payload == nil {
 			break // torn tail: everything from here is truncated
 		}
-		var rec Record
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
+		rec, err := decodeRecord(payload, &scratch)
+		if err != nil {
 			break // CRC-valid but undecodable: treat as tail damage too
 		}
 		recs = append(recs, rec)
@@ -633,14 +646,22 @@ func scanFrames(data []byte) (hdr header, recs []Record, good int64, err error) 
 	return hdr, recs, good, nil
 }
 
-// readAll reads path fully through fsys.
+// readAll reads path fully through fsys into one buffer sized from Stat.
 func readAll(fsys faultfs.FS, path string) ([]byte, error) {
 	f, err := fsys.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return io.ReadAll(f)
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, st.Size())
+	if _, err := io.ReadFull(f, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
 // syncParent fsyncs path's directory, making a create or rename durable.

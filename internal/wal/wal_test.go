@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -214,6 +215,25 @@ func TestTornHeaderReinitializes(t *testing.T) {
 	}
 }
 
+// splitFrames cuts a log image into its frames, header first.
+func splitFrames(t *testing.T, data []byte) [][]byte {
+	t.Helper()
+	var out [][]byte
+	for len(data) > 0 {
+		p, rest := nextFrame(data)
+		if p == nil {
+			t.Fatalf("%d trailing bytes hold no complete frame", len(data))
+		}
+		out = append(out, data[:len(data)-len(rest)])
+		data = rest
+	}
+	return out
+}
+
+// TestTruncateThrough: truncation keeps exactly the records past the
+// low-water mark, as byte-identical copies of their frames behind a new
+// header; a torn tail present at truncation time is dropped, and appends
+// that land after the truncation follow the kept frames.
 func TestTruncateThrough(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ops.wal")
@@ -229,6 +249,25 @@ func TestTruncateThrough(t *testing.T) {
 		}
 		seqs = append(seqs, seq)
 	}
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	origFrames := splitFrames(t, orig)
+	// A torn tail: half a record frame, as a crashed append leaves it.
+	torn, err := recordFrame(&Record{Seq: 99, Ops: []discovery.ReplayOp{{Remove: "t0"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tf, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tf.Write(torn[:len(torn)/2]); err != nil {
+		t.Fatal(err)
+	}
+	tf.Close()
+
 	before := l.Size()
 	if err := l.TruncateThrough(seqs[3], 17); err != nil {
 		t.Fatalf("truncate: %v", err)
@@ -239,23 +278,42 @@ func TestTruncateThrough(t *testing.T) {
 	if l.SnapEpoch() != 17 {
 		t.Fatalf("SnapEpoch = %d, want 17", l.SnapEpoch())
 	}
-	// Appends continue with monotone seqs.
-	rop, lo, delta := upsertOp(t, ix, "late", 0, 5)
-	seq, err := l.Append([]discovery.ReplayOp{rop}, lo, delta)
+	cut, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq != seqs[5]+1 {
-		t.Fatalf("post-truncation seq = %d, want %d", seq, seqs[5]+1)
+	if int64(len(cut)) != l.Size() {
+		t.Fatalf("truncated file is %d bytes, log reports %d", len(cut), l.Size())
+	}
+	cutFrames := splitFrames(t, cut)
+	if !bytes.Equal(cutFrames[0], headerFrame(header{Lineage: ix.Lineage(), SnapEpoch: 17})) {
+		t.Fatal("truncated log does not start with the new fence")
+	}
+	if len(cutFrames) != 3 || !bytes.Equal(cutFrames[1], origFrames[5]) || !bytes.Equal(cutFrames[2], origFrames[6]) {
+		t.Fatalf("truncated log's %d record frames are not copies of records %d and %d", len(cutFrames)-1, seqs[4], seqs[5])
+	}
+
+	// Appends continue with monotone seqs, behind the kept frames.
+	var late []uint64
+	for i := 0; i < 2; i++ {
+		rop, lo, delta := upsertOp(t, ix, fmt.Sprintf("late%d", i), 0, 5+i)
+		seq, err := l.Append([]discovery.ReplayOp{rop}, lo, delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		late = append(late, seq)
+	}
+	if late[0] != seqs[5]+1 {
+		t.Fatalf("post-truncation seq = %d, want %d", late[0], seqs[5]+1)
 	}
 	l.Close()
 
 	re := mustOpen(t, path, 0, 0, Options{})
 	defer re.Log.Close()
-	if re.SnapEpoch != 17 || re.Lineage != ix.Lineage() {
-		t.Fatalf("reopen fence: %+v", re)
+	if re.SnapEpoch != 17 || re.Lineage != ix.Lineage() || re.TornBytes != 0 {
+		t.Fatalf("reopen: %+v", re)
 	}
-	want := []uint64{seqs[4], seqs[5], seq}
+	want := []uint64{seqs[4], seqs[5], late[0], late[1]}
 	var got []uint64
 	for _, r := range re.Records {
 		got = append(got, r.Seq)
