@@ -3,7 +3,8 @@ package valentine
 // The benchmark harness: one benchmark per table and figure of the paper's
 // evaluation section, each regenerating the corresponding series at reduced
 // scale and reporting headline numbers as custom benchmark metrics.
-// cmd/benchreport prints the same series as formatted text at any scale.
+// `valentine experiment -report` prints the same series as formatted text at
+// any scale.
 
 import (
 	"context"
@@ -22,7 +23,7 @@ import (
 )
 
 // benchCfg is the reduced scale every benchmark runs at; raise Rows/Seeds
-// (or use cmd/benchreport -rows N) for paper-scale runs.
+// (or use `valentine experiment -report all -rows N`) for paper-scale runs.
 func benchCfg() report.Config {
 	return report.Config{Rows: 60, Seeds: 1, Sources: []string{"TPC-DI"}}
 }

@@ -1,6 +1,7 @@
 // Command valentine is the CLI front end of the suite: fabricate matching
 // problems from a CSV, run a matcher over two CSVs, evaluate a ranked match
-// list against ground truth, and list the available methods.
+// list against ground truth, list the available methods, and regenerate
+// the paper's tables and figures (experiment -report).
 //
 // Usage:
 //
@@ -9,6 +10,7 @@
 //	valentine match -method coma-schema -source a.csv -target b.csv [-top 10] [-param k=v] [-budget 50ms] [-cascade on|off]
 //	valentine evaluate -method coma-schema -source a.csv -target b.csv -truth gt.csv
 //	valentine experiment -source TPC-DI -rows 120 [-methods m1,m2]
+//	valentine experiment -report all|table1,…,table5,fig4,…,fig7 [-rows 120] [-seeds 1]
 //	valentine index -dir lake/ -out lake.idx [-append] [-signature 128 -bands 32]
 //	valentine search -index lake.idx -query q.csv [-mode join|union] [-top 10]
 //	valentine discover -query q.csv -dir lake/ [-mode join|union] [-method m] [-top 10]
@@ -83,7 +85,8 @@ commands:
   fabricate    split a CSV into a matching problem with ground truth
   match        rank column correspondences between two CSVs
   evaluate     run a matcher and score it against a ground-truth CSV
-  experiment   run the quick experiment grid over a generated source
+  experiment   run the quick experiment grid over a generated source, or
+               print the paper's tables and figures with -report
   discover     rank a directory of CSVs by joinability/unionability with a query
   index        build a persistent discovery index from a directory of CSVs
   search       top-k joinability/unionability query against a saved index
@@ -357,8 +360,22 @@ func cmdExperiment(args []string) error {
 	methodsF := fs.String("methods", "", "comma-separated method subset (default all)")
 	parallelism := fs.Int("parallelism", 0, "engine worker-pool size for grid rows (default GOMAXPROCS)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for the run (default none); expiry abandons outstanding grid rows")
+	reportF := fs.String("report", "", "print the paper's artifacts instead over all sources and methods: all, or a comma-separated subset of table1,table2,table3,table4,table5,fig4,fig5,fig6,fig7")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *reportF != "" {
+		var conflict error
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "source" || f.Name == "methods" {
+				conflict = fmt.Errorf("experiment: -report covers every source and method; it cannot be combined with -%s", f.Name)
+			}
+		})
+		if conflict != nil {
+			return conflict
+		}
+		cfg := report.Config{Rows: *rows, Seeds: *seeds, Workers: *parallelism, Deadline: *timeout}
+		return report.Print(context.Background(), os.Stdout, cfg, strings.Split(*reportF, ","))
 	}
 	cfg := report.Config{
 		Rows: *rows, Seeds: *seeds, Sources: []string{*source},

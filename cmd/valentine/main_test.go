@@ -3,9 +3,12 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"valentine"
+	"valentine/internal/experiment"
+	"valentine/internal/report"
 	"valentine/internal/table"
 )
 
@@ -64,6 +67,46 @@ func TestReadTruth(t *testing.T) {
 	}
 	if _, err := readTruth(filepath.Join(dir, "missing.csv")); err == nil {
 		t.Error("missing file should fail")
+	}
+}
+
+func TestCmdExperimentReport(t *testing.T) {
+	// Tables I and II are static: with a 1ns budget any experiment run
+	// would fail, so equal output also shows that none ran.
+	out := captureStdout(t, func() error {
+		return cmdExperiment([]string{"-report", "table1,table2", "-timeout", "1ns"})
+	})
+	if want := report.TableI() + "\n" + report.TableII() + "\n"; out != want {
+		t.Fatalf("-report table1,table2 printed\n%s\nwant\n%s", out, want)
+	}
+
+	err := cmdExperiment([]string{"-report", "bogus"})
+	if err == nil || !strings.Contains(err.Error(), `"bogus"`) ||
+		!strings.Contains(err.Error(), "table1,table2,fig4,fig5,fig6,fig7,table3,table4,table5") {
+		t.Fatalf("-report bogus: err = %v, want one naming the valid set", err)
+	}
+	for _, conflict := range [][]string{{"-source", "TPC-DI"}, {"-methods", "cupid"}} {
+		args := append([]string{"-report", "fig4"}, conflict...)
+		if err := cmdExperiment(args); err == nil || !strings.Contains(err.Error(), conflict[0]) {
+			t.Fatalf("%v: err = %v, want a usage error naming %s", args, err, conflict[0])
+		}
+	}
+
+	if testing.Short() {
+		return
+	}
+	out = captureStdout(t, func() error {
+		return cmdExperiment([]string{"-report", "fig6", "-rows", "40"})
+	})
+	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
+	hybrid := experiment.HybridMethods()
+	if len(lines) != 2+len(hybrid) || lines[0] != "Figure 6 — hybrid methods (min/median/max recall@GT)" {
+		t.Fatalf("-report fig6 printed\n%s", out)
+	}
+	for i, m := range hybrid {
+		if !strings.HasPrefix(lines[2+i], m+" ") {
+			t.Fatalf("row %d = %q, want method %s", i, lines[2+i], m)
+		}
 	}
 }
 

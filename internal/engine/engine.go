@@ -16,7 +16,7 @@
 //     loop's;
 //   - per-stage instrumentation (Stats: candidates generated, pruned,
 //     scored, wall time per stage) surfaced by `valentine discover -v` and
-//     the benchreport JSON export.
+//     the bench/ harness's traced pass.
 //
 // Options and Stats travel on the context — callers install them once at an
 // entry point (Options.Start, WithStats) and every layer below picks them up

@@ -21,6 +21,7 @@ import (
 	"valentine/internal/matchers/ensemble"
 	"valentine/internal/planner"
 	"valentine/internal/profile"
+	"valentine/internal/race"
 	"valentine/internal/table"
 )
 
@@ -206,6 +207,146 @@ func TestRerankActuallyPrunes(t *testing.T) {
 	}
 	if rr.Pruned == 0 {
 		t.Fatal("expected the cascade to prune junk candidates")
+	}
+}
+
+// tailCorpus shapes the skewed discovery corpus: twelve relevant tables
+// with the query's eight column names and values drawn from a pool of span
+// values that drifts by drift per table, plus junk tables. By default a
+// junk table carries its own column names and value pool, so value and
+// name-token bounds collapse to zero. nearMiss junk instead gets junkCols
+// moderately similar column names over the query's values.
+type tailCorpus struct {
+	span, drift    int
+	junk, junkCols int
+	nearMiss       bool
+}
+
+func (s tailCorpus) build() (*table.Table, []*table.Table) {
+	const relevant, cols, rows = 12, 8, 30
+	rng := rand.New(rand.NewSource(7))
+	draw := func(lo int) []string {
+		vals := make([]string, rows)
+		for i := range vals {
+			vals[i] = fmt.Sprintf("cust-%04d", lo+rng.Intn(s.span))
+		}
+		return vals
+	}
+	// Shared column names carry no digit tokens: junk column names embed
+	// digits, and a stray shared token would lift every junk bound to 1.
+	greek := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta",
+		"eta", "theta", "iota", "kappa", "lambda", "mu"}
+	shared := func(name string, lo int) *table.Table {
+		t := table.New(name)
+		for c := 0; c < cols; c++ {
+			t.AddColumn("shared "+greek[c], draw(lo))
+		}
+		return t
+	}
+	query := shared("query", 0)
+	corpus := make([]*table.Table, 0, relevant+s.junk)
+	for i := 0; i < relevant; i++ {
+		corpus = append(corpus, shared(fmt.Sprintf("relevant%02d", i), i*s.drift))
+	}
+	for j := 0; j < s.junk; j++ {
+		t := table.New(fmt.Sprintf("junk%03d", j))
+		for c := 0; c < s.junkCols; c++ {
+			if s.nearMiss {
+				t.AddColumn(fmt.Sprintf("sharod %s j%02d", greek[c%len(greek)], c), draw(0))
+				continue
+			}
+			vals := make([]string, rows)
+			for r := range vals {
+				vals[r] = fmt.Sprintf("junk%03d-%d-%d", j, c, rng.Intn(400))
+			}
+			t.AddColumn(fmt.Sprintf("junk%03d field%d", j, c), vals)
+		}
+		corpus = append(corpus, t)
+	}
+	return query, corpus
+}
+
+// TestRerankTailMatchersPrune: each matcher's admissible bound must prune
+// in the regime its signal discriminates, with the cascade's top-k equal
+// to full fidelity's. Each arm starts from a cold profile store, as the
+// discover CLI does.
+//
+//   - skewed: relatives drift across the value range, junk is disjoint in
+//     names and values — what coma-instance, cupid (name tokens) and embdi
+//     (value bridging) bound on;
+//   - dense: SemProp's syntactic band fires only above a signature Jaccard
+//     threshold, which the skewed corpus's sparse pool never clears;
+//   - schema-shape: Similarity Flooding reads only names, and its fixpoint
+//     normalizer dilutes scores on wide schemas. Relatives with the query's
+//     exact schema against wide near-miss junk put the junk bound below the
+//     relevant scores.
+func TestRerankTailMatchersPrune(t *testing.T) {
+	skewed := tailCorpus{span: 400, drift: 35, junk: 150, junkCols: 8}
+	dense := tailCorpus{span: 50, drift: 1, junk: 150, junkCols: 8}
+	shape := tailCorpus{span: 400, junk: 40, junkCols: 24, nearMiss: true}
+	reg := experiment.NewRegistry()
+	grids := experiment.QuickGrids()
+	for _, tc := range []struct {
+		method string
+		corpus tailCorpus
+	}{
+		{experiment.MethodComaInstance, skewed},
+		{experiment.MethodCupid, skewed},
+		{experiment.MethodEmbDI, skewed},
+		{experiment.MethodSimFlood, shape},
+		{experiment.MethodSemProp, dense},
+	} {
+		t.Run(tc.method, func(t *testing.T) {
+			if tc.method == experiment.MethodEmbDI && race.Enabled {
+				// Each refined candidate trains word2vec: ≈ 1.4 s plain,
+				// ≈ 19 s under the detector.
+				t.Skip("embdi is covered without -race")
+			}
+			var params core.Params
+			if g := grids[tc.method]; len(g) > 0 {
+				params = g[0]
+			}
+			m, err := reg.New(tc.method, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			query, corpus := tc.corpus.build()
+			run := func(ctx context.Context, cascade bool) *planner.RerankResult {
+				store := profile.NewStore()
+				cands := make([]planner.Candidate, len(corpus))
+				for i, tbl := range corpus {
+					cands[i] = planner.Candidate{Name: tbl.Name, Profile: store.Of(tbl)}
+				}
+				rerank := planner.RerankFull
+				if cascade {
+					rerank = planner.Rerank
+				} else {
+					store.Warm(corpus...)
+				}
+				rr, err := rerank(ctx, m, store.Of(query), cands, "union", 10)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rr
+			}
+			full := run(context.Background(), false)
+			ctx, stats := engine.WithStats(context.Background())
+			casc := run(ctx, true)
+			if len(casc.Ranked) != len(full.Ranked) {
+				t.Fatalf("%d ranked, want %d", len(casc.Ranked), len(full.Ranked))
+			}
+			for i := range full.Ranked {
+				if casc.Ranked[i] != full.Ranked[i] {
+					t.Fatalf("rank %d:\ncascade %+v\nfull    %+v", i, casc.Ranked[i], full.Ranked[i])
+				}
+			}
+			ms := stats.Snapshot().Matchers[m.Name()]
+			if ms.Pruned == 0 {
+				t.Fatalf("bound pruned nothing: bounded=%d refined=%d of %d candidates",
+					ms.Bounded, ms.Refined, len(corpus))
+			}
+			t.Logf("pruned %d of %d", ms.Pruned, ms.Bounded)
+		})
 	}
 }
 

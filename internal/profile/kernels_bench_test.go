@@ -2,8 +2,9 @@ package profile
 
 // Kernel benchmarks behind the interning layer: the map-based overlap
 // kernel vs the interned sorted-merge and bitmap kernels, and MinHash from
-// raw strings vs from dictionary-memoized base hashes. The benchreport
-// `kernels` JSON section measures the same shapes (cmd/benchreport).
+// raw strings vs from dictionary-memoized base hashes. The bench/ harness's
+// traced pass reports the same kernels as intern.intersect_merge_ns and
+// intern.intersect_bitmap_ns.
 
 import (
 	"fmt"

@@ -4,13 +4,16 @@
 // 4–6 (fabricated-pair effectiveness per method family), Figure 7
 // (WikiData), Table IV (Magellan + ING) and Table V (average runtime).
 //
-// Both cmd/benchreport and the root bench harness drive this package, so
-// the printed series stay identical across entry points.
+// `valentine experiment -report` prints the artifacts through Print, and
+// the root bench harness drives the same functions, so the printed series
+// stay identical across entry points.
 package report
 
 import (
 	"context"
 	"fmt"
+	"io"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -91,6 +94,93 @@ func RunFabricated(ctx context.Context, cfg Config) ([]experiment.Result, error)
 		Workers:  cfg.Workers,
 		Deadline: cfg.Deadline,
 	})
+}
+
+// artifacts names what Print accepts, in the order it prints them.
+var artifacts = []string{"table1", "table2", "fig4", "fig5", "fig6", "fig7", "table3", "table4", "table5"}
+
+// Print writes the selected paper artifacts to w, each followed by a blank
+// line, in the fixed order of artifacts whatever the order of names; "all"
+// selects every one. An unknown name fails before anything runs. The
+// fabricated grid runs once and only for fig4–fig6 and table5, the curated
+// sets only for fig7 and table4, and the sensitivity search only for table3.
+func Print(ctx context.Context, w io.Writer, cfg Config, names []string) error {
+	want := make(map[string]bool, len(names))
+	for _, n := range names {
+		switch {
+		case n == "all":
+			for _, a := range artifacts {
+				want[a] = true
+			}
+		case slices.Contains(artifacts, n):
+			want[n] = true
+		default:
+			return fmt.Errorf("unknown report artifact %q (want all or a comma-separated subset of %s)",
+				n, strings.Join(artifacts, ","))
+		}
+	}
+	cfg.defaults()
+	if want["table1"] {
+		fmt.Fprintln(w, TableI())
+	}
+	if want["table2"] {
+		fmt.Fprintln(w, TableII())
+	}
+	var fabricated []experiment.Result
+	if want["fig4"] || want["fig5"] || want["fig6"] || want["table5"] {
+		var err error
+		if fabricated, err = RunFabricated(ctx, cfg); err != nil {
+			return err
+		}
+	}
+	if want["fig4"] {
+		fmt.Fprintln(w, FormatFigure(
+			"Figure 4 — schema-based methods, noisy schemata (min/median/max recall@GT)",
+			Figure(fabricated, experiment.SchemaBasedMethods(), NoisySchemata)))
+	}
+	if want["fig5"] {
+		fmt.Fprintln(w, FormatFigure(
+			"Figure 5 — instance-based methods, noisy instances (min/median/max recall@GT)",
+			Figure(fabricated, experiment.InstanceBasedMethods(), NoisyInstances)))
+		fmt.Fprintln(w, FormatFigure(
+			"Figure 5 — instance-based methods, verbatim instances",
+			Figure(fabricated, experiment.InstanceBasedMethods(), VerbatimInstances)))
+	}
+	if want["fig6"] {
+		fmt.Fprintln(w, FormatFigure(
+			"Figure 6 — hybrid methods (min/median/max recall@GT)",
+			Figure(fabricated, experiment.HybridMethods(), nil)))
+	}
+	opts := datagen.Options{Rows: cfg.Rows}
+	if want["fig7"] {
+		wiki, err := RunCurated(ctx, cfg, datagen.WikiData(opts))
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w, FormatFigure7(wiki))
+	}
+	if want["table3"] {
+		rows, err := RunTableIII(ctx, cfg)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w, FormatTableIII(rows))
+	}
+	if want["table4"] {
+		mag, err := RunCurated(ctx, cfg, datagen.Magellan(opts))
+		if err != nil {
+			return err
+		}
+		ing, err := RunCurated(ctx, cfg, []core.TablePair{datagen.ING1(opts), datagen.ING2(opts)})
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w, FormatTableIV(TableIV(mag, ing)))
+	}
+	if want["table5"] {
+		fmt.Fprintln(w, FormatTableV(fabricated))
+	}
+	return nil
 }
 
 // --- Table I ---

@@ -9,8 +9,8 @@ import (
 	"time"
 )
 
-// ReportSchema versions the replay report (the benchreport "scenario"
-// section embeds it).
+// ReportSchema versions the replay report (`valentine loadgen -json`
+// writes it).
 const ReportSchema = 1
 
 // Report is one replay's machine-readable result.
@@ -268,8 +268,8 @@ func (s *Scenario) execute(ctx context.Context, c *Corpus, cl *Client, op Op) er
 
 // Check validates a report's shape: the fields a trajectory reader relies
 // on are present and the histograms are internally consistent (monotone
-// quantiles, errors bounded by arrivals). It is the CI schema gate for the
-// benchreport "scenario" section.
+// quantiles, errors bounded by arrivals). It is the schema gate for the
+// loadgen report.
 func (r *Report) Check() error {
 	if r == nil {
 		return fmt.Errorf("scenario report: missing")

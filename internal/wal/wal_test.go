@@ -471,7 +471,23 @@ func TestSyncPolicies(t *testing.T) {
 					t.Fatalf("none: %d syncs after append, want 0", got)
 				}
 			}
-			res.Log.Close()
+			if err := res.Log.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// Whatever the policy, the acked table comes back after a
+			// reopen into a fresh catalog.
+			re := mustOpen(t, path, 999, 0, Options{Sync: pol})
+			defer re.Log.Close()
+			ix2 := discovery.New(discovery.Options{})
+			if err := ix2.AdoptLineage(re.Lineage); err != nil {
+				t.Fatal(err)
+			}
+			if err := ReplayInto(ix2, re.Records); err != nil {
+				t.Fatalf("replay: %v", err)
+			}
+			if got := ix2.Tables(); !reflect.DeepEqual(got, []string{"a"}) {
+				t.Fatalf("recovered tables %v, want [a]", got)
+			}
 		})
 	}
 }
