@@ -240,7 +240,7 @@ func BenchmarkMatcher(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := m.Match(pair.Source, pair.Target); err != nil {
+				if _, err := MatchWithContext(context.Background(), m, pair.Source, pair.Target, EngineOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -298,7 +298,7 @@ func BenchmarkAblationSFFormula(b *testing.B) {
 			b.ResetTimer()
 			var recall float64
 			for i := 0; i < b.N; i++ {
-				ms, err := m.Match(pair.Source, pair.Target)
+				ms, err := MatchWithContext(context.Background(), m, pair.Source, pair.Target, EngineOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -325,7 +325,7 @@ func BenchmarkAblationEmbDIDims(b *testing.B) {
 			b.ResetTimer()
 			var recall float64
 			for i := 0; i < b.N; i++ {
-				ms, err := m.Match(pair.Source, pair.Target)
+				ms, err := MatchWithContext(context.Background(), m, pair.Source, pair.Target, EngineOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -375,7 +375,7 @@ func BenchmarkAblationComaLibrary(b *testing.B) {
 			b.ResetTimer()
 			var recall float64
 			for i := 0; i < b.N; i++ {
-				ms, err := m.Match(pair.Source, pair.Target)
+				ms, err := MatchWithContext(context.Background(), m, pair.Source, pair.Target, EngineOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -407,7 +407,7 @@ func BenchmarkAblationExactVsLSH(b *testing.B) {
 			b.ResetTimer()
 			var recall float64
 			for i := 0; i < b.N; i++ {
-				ms, err := m.Match(pair.Source, pair.Target)
+				ms, err := MatchWithContext(context.Background(), m, pair.Source, pair.Target, EngineOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -439,7 +439,7 @@ func BenchmarkAblationEnsembleFusion(b *testing.B) {
 			b.ResetTimer()
 			var recall float64
 			for i := 0; i < b.N; i++ {
-				ms, err := e.Match(pair.Source, pair.Target)
+				ms, err := MatchWithContext(context.Background(), e, pair.Source, pair.Target, EngineOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -501,7 +501,7 @@ func bruteDiscoverTopK(b *testing.B, m Matcher, query *Table, corpus []*Table, k
 	}
 	ranked := make([]cand, 0, len(corpus))
 	for _, t := range corpus {
-		matches, err := m.Match(query, t)
+		matches, err := MatchWithContext(context.Background(), m, query, t, EngineOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -642,7 +642,7 @@ func BenchmarkEnsemblePerMemberProfiling(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, m := range members {
-			if _, err := m.Match(pair.Source, pair.Target); err != nil {
+			if _, err := MatchWithContext(context.Background(), m, pair.Source, pair.Target, EngineOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -659,7 +659,7 @@ func BenchmarkEnsembleSharedProfiles(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Match(pair.Source, pair.Target); err != nil {
+		if _, err := MatchWithContext(context.Background(), e, pair.Source, pair.Target, EngineOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -678,7 +678,7 @@ func BenchmarkEnsembleWarmStore(b *testing.B) {
 	sp, tp := store.Of(pair.Source), store.Of(pair.Target)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MatchWithProfiles(e, sp, tp); err != nil {
+		if _, err := MatchProfilesWithContext(context.Background(), e, sp, tp); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -686,7 +686,7 @@ func BenchmarkEnsembleWarmStore(b *testing.B) {
 
 // BenchmarkDiscoverRescoreColdProfiles is discover's re-scoring phase
 // before the profile layer: every corpus table — and the query, every time
-// — is re-profiled inside each Match call.
+// — is re-profiled inside each MatchWithContext call.
 func BenchmarkDiscoverRescoreColdProfiles(b *testing.B) {
 	query, corpus := discoveryBenchCorpus(b)
 	m, err := NewMatcher(MethodLSH, nil)
@@ -696,7 +696,7 @@ func BenchmarkDiscoverRescoreColdProfiles(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, t := range corpus {
-			if _, err := m.Match(query, t); err != nil {
+			if _, err := MatchWithContext(context.Background(), m, query, t, EngineOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -717,7 +717,7 @@ func BenchmarkDiscoverRescoreWarmStore(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, t := range corpus {
-			if _, err := MatchWithProfiles(m, store.Of(query), store.Of(t)); err != nil {
+			if _, err := MatchProfilesWithContext(context.Background(), m, store.Of(query), store.Of(t)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -83,7 +84,7 @@ func rankUnion(t *testing.T, m valentine.Matcher, store *valentine.ProfileStore,
 	for _, tab := range corpus {
 		c := cand{name: tab.Name}
 		if score[tab.Name] {
-			ms, err := valentine.MatchWithProfiles(m, store.Of(q), store.Of(tab))
+			ms, err := valentine.MatchProfilesWithContext(context.Background(), m, store.Of(q), store.Of(tab))
 			if err != nil {
 				t.Fatal(err)
 			}

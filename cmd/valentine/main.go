@@ -213,7 +213,7 @@ func runMatcher(fs *flag.FlagSet, args []string) (matches []core.Match, method s
 	if err != nil {
 		return
 	}
-	matches, err = m.Match(src, tgt)
+	matches, err = core.MatchWithContext(context.Background(), m, nil, src, tgt)
 	return
 }
 
@@ -270,17 +270,8 @@ func cmdMatch(args []string) error {
 	started := time.Now()
 	qctx, qcancel := core.BudgetContext(ctx, *budget)
 	defer qcancel()
-	var matches []core.Match
-	bestEffort := false
-	approx := false
-	cm, cascades := m.(core.CascadeMatcher)
-	if cascades && *cascade == "on" {
-		sp, tp := core.ProfilePair(nil, src, tgt)
-		matches, bestEffort, err = cm.MatchCascade(core.WithEpsilon(qctx, *epsilon), sp, tp, 0)
-		approx = *epsilon > 0
-	} else {
-		matches, err = core.MatchWithContext(qctx, m, nil, src, tgt)
-	}
+	matches, bestEffort, cascaded, err := core.MatchTopK(core.WithEpsilon(qctx, *epsilon), m, src, tgt, 0, *cascade == "on")
+	approx := cascaded && *epsilon > 0
 	if err != nil {
 		if !core.IsBudgetExpiry(ctx, err) {
 			return err

@@ -6,7 +6,9 @@ package valentine
 // executes through one candidate-generation → prune → score → rank pipeline
 // with context propagation (deadlines and cancellation honored mid-scoring),
 // a bounded worker pool, and per-stage instrumentation. Scores are
-// bit-identical to sequential execution at every parallelism level.
+// bit-identical to sequential execution at every parallelism level. A
+// matcher enters it through its one method, Match(ctx, source, target),
+// over profiled tables; MatchWithContext profiles a table pair first.
 
 import (
 	"context"
@@ -28,11 +30,6 @@ type Stats = engine.Stats
 // StatsSnapshot is a point-in-time copy of a Stats collector.
 type StatsSnapshot = engine.Snapshot
 
-// ContextMatcher is implemented by every built-in matcher and the ensemble:
-// one context-aware scoring path honoring deadlines, cancellation, engine
-// options and stats from ctx.
-type ContextMatcher = core.ContextMatcher
-
 // WithEngineOptions returns a context carrying opts; every engine-routed
 // call below it (MatchWithContext, DiscoveryIndex.SearchContext, ensemble
 // members, ...) picks its parallelism up from the nearest options.
@@ -47,10 +44,11 @@ func WithEngineStats(ctx context.Context) (context.Context, *Stats) {
 	return engine.WithStats(ctx)
 }
 
-// MatchWithContext runs m over the pair through the engine: opts.Deadline
-// (and ctx's own deadline or cancellation) aborts scoring mid-pipeline,
-// opts.Parallelism fans independent scoring units out on a bounded pool,
-// and the ranked result is bit-identical to m.Match at any parallelism.
+// MatchWithContext profiles the pair for this call and runs m over it
+// through the engine: opts.Deadline (and ctx's own deadline or
+// cancellation) aborts scoring mid-pipeline, opts.Parallelism fans
+// independent scoring units out on a bounded pool, and the ranked result is
+// bit-identical at any parallelism.
 func MatchWithContext(ctx context.Context, m Matcher, source, target *Table, opts EngineOptions) ([]Match, error) {
 	ctx, cancel := opts.Start(ctx)
 	defer cancel()
@@ -58,8 +56,9 @@ func MatchWithContext(ctx context.Context, m Matcher, source, target *Table, opt
 }
 
 // MatchProfilesWithContext is MatchWithContext over already-profiled tables
-// (see ProfileStore): engine options and stats are taken from ctx, so wrap
-// it with WithEngineOptions / WithEngineStats as needed.
+// (see ProfileStore), so derived column data is reused across calls; scores
+// are identical to MatchWithContext's. Engine options and stats are taken
+// from ctx, so wrap it with WithEngineOptions / WithEngineStats as needed.
 func MatchProfilesWithContext(ctx context.Context, m Matcher, source, target *TableProfile) ([]Match, error) {
 	return core.MatchProfilesWithContext(ctx, m, source, target)
 }

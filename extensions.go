@@ -88,8 +88,8 @@ func NewServer(opts ServeOptions) (*Server, error) { return server.New(opts) }
 // layer: every piece of derived per-column data (distinct sets, sorted
 // distinct values, name tokens, numeric vectors, statistics, MinHash
 // signatures) is computed at most once per column and reused by every
-// profile-aware matcher, the ensemble, the experiment runner and the
-// discovery index. Safe for concurrent use.
+// matcher, the ensemble, the experiment runner and the discovery index.
+// Pass its profiles to MatchProfilesWithContext. Safe for concurrent use.
 type ProfileStore = profile.Store
 
 // TableProfile bundles the lazily-computed column profiles of one table.
@@ -106,14 +106,6 @@ func NewProfileStore() *ProfileStore { return profile.NewStore() }
 // data is computed lazily and shared between all consumers of the returned
 // profile.
 func ProfileTable(t *Table) *TableProfile { return profile.New(t) }
-
-// MatchWithProfiles runs a matcher over profiled tables: profile-aware
-// matchers (all nine built-in methods and the ensemble) reuse the cached
-// derived data; any other Matcher implementation falls back to plain Match.
-// Scores are identical to m.Match on the profiles' tables.
-func MatchWithProfiles(m Matcher, source, target *TableProfile) ([]Match, error) {
-	return core.MatchWith(m, source, target)
-}
 
 // EstimateJaccard estimates the Jaccard similarity of two columns' value
 // sets from their MinHash signatures (see TableProfile column Signature);

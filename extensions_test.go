@@ -2,6 +2,7 @@ package valentine
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -19,7 +20,7 @@ func TestEnsembleThroughAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := e.Match(pair.Source, pair.Target)
+	ms, err := MatchWithContext(context.Background(), e, pair.Source, pair.Target, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestLSHThroughAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := m.Match(pair.Source, pair.Target)
+	ms, err := MatchWithContext(context.Background(), m, pair.Source, pair.Target, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ import (
 // planner's exactness contract and is a bug.
 type ScoreBounder interface {
 	// ScoreBoundProfiles returns the admissible upper bound. It must be
-	// cheap relative to a full MatchProfiles call and must not mutate the
+	// cheap relative to a full Match call and must not mutate the
 	// profiles beyond warming their lazy caches.
 	ScoreBoundProfiles(source, target *profile.TableProfile) float64
 }
@@ -75,10 +75,10 @@ func MatchCost(m Matcher) float64 {
 // members by cost, or jaccard-levenshtein pruning column pairs against a
 // top-k cutoff).
 type CascadeMatcher interface {
-	// MatchCascade ranks correspondences like MatchProfiles but may prune
+	// MatchCascade ranks correspondences like Match but may prune
 	// losslessly against the top-k cutoff and may stop early on budget
 	// expiry. With k <= 0 and a generous context it must return exactly
-	// MatchProfiles' output. bestEffort reports whether the result was
+	// Match's output. bestEffort reports whether the result was
 	// truncated by the context deadline (budget semantics: expired budget
 	// is a flag, not an error).
 	MatchCascade(ctx context.Context, source, target *profile.TableProfile, k int) (matches []Match, bestEffort bool, err error)

@@ -7,29 +7,6 @@ import (
 	"valentine/internal/table"
 )
 
-// ContextMatcher is the context-aware extension of Matcher: one scoring path
-// that honors ctx deadlines and cancellation mid-scoring, picks its
-// parallelism and stats collector up from the context (internal/engine), and
-// resolves column profiles through a shared store. MatchContext must rank
-// exactly as Match does — the engine changes how work executes, never what
-// it computes. All nine built-in matchers and the ensemble implement it.
-type ContextMatcher interface {
-	Matcher
-	// MatchContext ranks column correspondences between source and target,
-	// profiling both through store (nil store means one-shot private
-	// profiles, as plain Match uses).
-	MatchContext(ctx context.Context, store *profile.Store, source, target *table.Table) ([]Match, error)
-}
-
-// ProfiledContextMatcher is the profile-level face of the same path, used
-// where the caller already holds TableProfiles (the ensemble's members, the
-// experiment runner's warmed pairs, discover's re-scoring phase).
-type ProfiledContextMatcher interface {
-	// MatchProfilesContext ranks column correspondences between the profiled
-	// source and target tables under ctx.
-	MatchProfilesContext(ctx context.Context, source, target *profile.TableProfile) ([]Match, error)
-}
-
 // ProfilePair resolves a table pair's profiles through store; a nil store
 // yields fresh one-shot profiles private to the call, sharing one private
 // value dictionary so even the store-less path scores on the integer-set
@@ -41,19 +18,14 @@ func ProfilePair(store *profile.Store, source, target *table.Table) (*profile.Ta
 	return store.Of(source), store.Of(target)
 }
 
-// MatchWithContext runs m under ctx through the best path it implements:
-// the context-aware engine path when m is a ContextMatcher, otherwise the
-// profile-aware or plain path with a cancellation check up front. Scores are
-// identical on every path.
+// MatchWithContext profiles the pair through store (see ProfilePair) and
+// runs m.Match under ctx. An already-dead ctx fails before any profiling.
 func MatchWithContext(ctx context.Context, m Matcher, store *profile.Store, source, target *table.Table) ([]Match, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if cm, ok := m.(ContextMatcher); ok {
-		return cm.MatchContext(ctx, store, source, target)
-	}
 	sp, tp := ProfilePair(store, source, target)
-	return MatchWith(m, sp, tp)
+	return m.Match(ctx, sp, tp)
 }
 
 // MatchProfilesWithContext is MatchWithContext over already-profiled tables.
@@ -61,8 +33,24 @@ func MatchProfilesWithContext(ctx context.Context, m Matcher, source, target *pr
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if pcm, ok := m.(ProfiledContextMatcher); ok {
-		return pcm.MatchProfilesContext(ctx, source, target)
+	return m.Match(ctx, source, target)
+}
+
+// MatchTopK ranks a table pair for a caller that keeps at most k matches
+// (k <= 0 keeps all), on one-shot profiles private to the call. With cascade
+// set and m a CascadeMatcher it runs m's own bound-then-refine cascade,
+// which prunes against the top-k cutoff, reads ε from ctx (WithEpsilon) and
+// flags a budget expiry as bestEffort; otherwise it runs the full path and
+// truncates to k. cascaded reports which of the two ran.
+func MatchTopK(ctx context.Context, m Matcher, source, target *table.Table, k int, cascade bool) (matches []Match, bestEffort, cascaded bool, err error) {
+	if cm, ok := m.(CascadeMatcher); ok && cascade {
+		sp, tp := ProfilePair(nil, source, target)
+		matches, bestEffort, err = cm.MatchCascade(ctx, sp, tp, k)
+		return matches, bestEffort, true, err
 	}
-	return MatchWith(m, source, target)
+	matches, err = MatchWithContext(ctx, m, nil, source, target)
+	if k > 0 && len(matches) > k {
+		matches = matches[:k]
+	}
+	return matches, false, false, err
 }

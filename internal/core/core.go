@@ -1,15 +1,20 @@
 // Package core defines the matcher abstraction at the heart of Valentine:
-// matchers consume a pair of tables and emit a ranked list of column
-// correspondences. It also carries the ground-truth representation produced
-// by the fabricator and the capability taxonomy of Table I of the paper.
+// a matcher consumes a pair of profiled tables and emits a ranked list of
+// column correspondences through its one method, Match. Scheduling hooks
+// (ScoreBounder, Coster, CascadeMatcher) are optional; a matcher that
+// implements none of them is still served everywhere, conservatively. The
+// package also carries the ground-truth representation produced by the
+// fabricator and the capability taxonomy of Table I of the paper.
 package core
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sort"
 	"strings"
 
+	"valentine/internal/profile"
 	"valentine/internal/table"
 )
 
@@ -33,8 +38,23 @@ func (m Match) String() string {
 type Matcher interface {
 	// Name identifies the method (e.g. "coma-schema").
 	Name() string
-	// Match ranks column correspondences between source and target.
-	Match(source, target *table.Table) ([]Match, error)
+	// Match ranks column correspondences between the profiled source and
+	// target tables. Derived per-column data comes from the profiles' lazy
+	// caches, so one warmed profile.Store serves every matcher on a corpus;
+	// ctx carries deadlines and cancellation, honored mid-scoring, and the
+	// engine's parallelism and stats collector (internal/engine), which
+	// change how the work executes, never what it computes. Callers holding
+	// tables go through MatchWithContext.
+	Match(ctx context.Context, source, target *profile.TableProfile) ([]Match, error)
+}
+
+// ValidatePair validates both profiled tables — the shared preamble of
+// every Match implementation.
+func ValidatePair(source, target *profile.TableProfile) error {
+	if err := source.Table().Validate(); err != nil {
+		return err
+	}
+	return target.Table().Validate()
 }
 
 // SortMatches orders matches by descending score, breaking ties

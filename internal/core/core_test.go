@@ -1,10 +1,11 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
-	"valentine/internal/table"
+	"valentine/internal/profile"
 )
 
 func TestSortMatchesDeterministic(t *testing.T) {
@@ -86,7 +87,7 @@ func TestParams(t *testing.T) {
 type fakeMatcher struct{ name string }
 
 func (f fakeMatcher) Name() string { return f.name }
-func (f fakeMatcher) Match(s, tt *table.Table) ([]Match, error) {
+func (f fakeMatcher) Match(ctx context.Context, s, tt *profile.TableProfile) ([]Match, error) {
 	return nil, nil
 }
 

@@ -1,6 +1,7 @@
 package feedback
 
 import (
+	"context"
 	"testing"
 
 	"valentine/internal/core"
@@ -106,7 +107,7 @@ func TestSimulateImprovesRecall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	matches, err := m.Match(pair.Source, pair.Target)
+	matches, err := core.MatchWithContext(context.Background(), m, nil, pair.Source, pair.Target)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,11 +72,11 @@ func TestThresholdFilters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := m.Match(pair.Source, pair.Target)
+	ms, err := matchertest.Match(m, pair.Source, pair.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := schemaM(t).Match(pair.Source, pair.Target)
+	all, err := matchertest.Match(schemaM(t), pair.Source, pair.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,10 +135,10 @@ func TestMatchValidates(t *testing.T) {
 	bad := table.New("")
 	good := table.New("t")
 	good.AddColumn("a", []string{"1"})
-	if _, err := schemaM(t).Match(bad, good); err == nil {
+	if _, err := matchertest.Match(schemaM(t), bad, good); err == nil {
 		t.Error("invalid source should fail")
 	}
-	if _, err := instanceM(t).Match(good, bad); err == nil {
+	if _, err := matchertest.Match(instanceM(t), good, bad); err == nil {
 		t.Error("invalid target should fail")
 	}
 }

@@ -30,7 +30,7 @@ func TestAggregationOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ms, err := m.Match(pair.Source, pair.Target)
+		ms, err := matchertest.Match(m, pair.Source, pair.Target)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,11 +59,11 @@ func TestDirectionForwardDiffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mb, err := both.Match(pair.Source, pair.Target)
+	mb, err := matchertest.Match(both, pair.Source, pair.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mf, err := fwd.Match(pair.Source, pair.Target)
+	mf, err := matchertest.Match(fwd, pair.Source, pair.Target)
 	if err != nil {
 		t.Fatal(err)
 	}

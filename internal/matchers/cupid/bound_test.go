@@ -1,6 +1,7 @@
 package cupid
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -59,7 +60,7 @@ func TestScoreBoundAdmissible(t *testing.T) {
 		m := mi.(*Matcher)
 		sp, tp := core.ProfilePair(nil, src, tgt)
 		bound := m.ScoreBoundProfiles(sp, tp)
-		matches, err := core.MatchWith(m, sp, tp)
+		matches, err := core.MatchProfilesWithContext(context.Background(), m, sp, tp)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -88,7 +89,7 @@ func TestScoreBoundZeroMeansNoMatches(t *testing.T) {
 		if m.ScoreBoundProfiles(sp, tp) != 0 {
 			continue
 		}
-		matches, err := core.MatchWith(m, sp, tp)
+		matches, err := core.MatchProfilesWithContext(context.Background(), m, sp, tp)
 		if err != nil {
 			t.Fatal(err)
 		}

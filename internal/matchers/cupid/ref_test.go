@@ -163,7 +163,7 @@ func requireMatchesRef(t *testing.T, name string, sp, tp *profile.TableProfile, 
 			t.Fatal(err)
 		}
 		m := mi.(*Matcher)
-		got, err := m.MatchProfiles(sp, tp)
+		got, err := m.Match(context.Background(), sp, tp)
 		if err != nil {
 			t.Fatalf("%s %v: %v", name, params, err)
 		}

@@ -55,6 +55,13 @@ func New(p core.Params) (core.Matcher, error) {
 	}, nil
 }
 
+// Compile-time checks: the one core contract plus the optional planner hooks.
+var (
+	_ core.Matcher      = (*Matcher)(nil)
+	_ core.ScoreBounder = (*Matcher)(nil)
+	_ core.Coster       = (*Matcher)(nil)
+)
+
 // Name implements core.Matcher.
 func (m *Matcher) Name() string { return "distribution-based" }
 
@@ -64,32 +71,14 @@ type columnDist struct {
 	quant []float64 // quantile sketch of ranks, ascending
 }
 
-// Match implements core.Matcher.
-func (m *Matcher) Match(source, target *table.Table) ([]core.Match, error) {
-	sp, tp := profile.NewPair(source, target)
-	return m.MatchProfilesContext(context.Background(), sp, tp)
-}
-
-// MatchProfiles implements core.ProfiledMatcher: the global value universe
-// is built from each profile's cached parsed distinct values (trim, lower,
-// numeric parse happen once per column, not once per Match call).
-func (m *Matcher) MatchProfiles(sp, tp *profile.TableProfile) ([]core.Match, error) {
-	return m.MatchProfilesContext(context.Background(), sp, tp)
-}
-
-// MatchContext implements core.ContextMatcher.
-func (m *Matcher) MatchContext(ctx context.Context, store *profile.Store, source, target *table.Table) ([]core.Match, error) {
-	sp, tp := core.ProfilePair(store, source, target)
-	return m.MatchProfilesContext(ctx, sp, tp)
-}
-
-// MatchProfilesContext implements core.ProfiledContextMatcher — the single
-// scoring path, and the matcher whose phases map onto the engine pipeline
-// most literally: distribution construction is the generate stage, the
-// phase-1 quantile-sketch EMD is the prune stage (both EMD sweeps fan out on
-// the pool), the phase-2 refinement over full rank distributions is the
-// score stage, and consolidation + sort are the rank stage.
-func (m *Matcher) MatchProfilesContext(ctx context.Context, sp, tp *profile.TableProfile) ([]core.Match, error) {
+// Match implements core.Matcher. The global value universe is built from
+// each profile's cached parsed distinct values (trim, lower, numeric parse
+// happen once per column, not once per call). Its phases map onto the
+// engine pipeline most literally: distribution construction is the generate
+// stage, the phase-1 quantile-sketch EMD is the prune stage (both EMD sweeps
+// fan out on the pool), the phase-2 refinement over full rank distributions
+// is the score stage, and consolidation + sort are the rank stage.
+func (m *Matcher) Match(ctx context.Context, sp, tp *profile.TableProfile) ([]core.Match, error) {
 	if err := core.ValidatePair(sp, tp); err != nil {
 		return nil, err
 	}

@@ -53,7 +53,7 @@ func TestIdenticalDistributionsRankFirst(t *testing.T) {
 	tgt := table.New("b")
 	tgt.AddColumn("income", seq(1000, 3000, 50))
 	tgt.AddColumn("years", seq(20, 60, 1))
-	ms, err := newM(t, nil).Match(src, tgt)
+	ms, err := matchertest.Match(newM(t, nil), src, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestThetaSensitivity(t *testing.T) {
 	// Very strict θ leaves nothing co-clustered → scores stay in the bottom
 	// band (< 0.5); loose θ promotes pairs above it.
 	pair := matchertest.Pair(t, core.ScenarioJoinable, fabrication.Variant{})
-	strict, err := newM(t, core.Params{"theta1": 0.0000001, "theta2": 0.0000001}).Match(pair.Source, pair.Target)
+	strict, err := matchertest.Match(newM(t, core.Params{"theta1": 0.0000001, "theta2": 0.0000001}), pair.Source, pair.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestThetaSensitivity(t *testing.T) {
 			}
 		}
 	}
-	loose, err := newM(t, core.Params{"theta1": 0.5, "theta2": 0.5}).Match(pair.Source, pair.Target)
+	loose, err := matchertest.Match(newM(t, core.Params{"theta1": 0.5, "theta2": 0.5}), pair.Source, pair.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestThetaSensitivity(t *testing.T) {
 
 func TestConsolidationIsOneToOne(t *testing.T) {
 	pair := matchertest.Pair(t, core.ScenarioUnionable, fabrication.Variant{})
-	ms, err := newM(t, nil).Match(pair.Source, pair.Target)
+	ms, err := matchertest.Match(newM(t, nil), pair.Source, pair.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,10 +183,10 @@ func TestMatchValidates(t *testing.T) {
 	bad := table.New("")
 	good := table.New("t")
 	good.AddColumn("a", []string{"1"})
-	if _, err := newM(t, nil).Match(bad, good); err == nil {
+	if _, err := matchertest.Match(newM(t, nil), bad, good); err == nil {
 		t.Error("invalid source should fail")
 	}
-	if _, err := newM(t, nil).Match(good, bad); err == nil {
+	if _, err := matchertest.Match(newM(t, nil), good, bad); err == nil {
 		t.Error("invalid target should fail")
 	}
 }

@@ -45,7 +45,7 @@ func TestSharedValuesDriveSimilarity(t *testing.T) {
 	tgt := table.New("b")
 	tgt.AddColumn("hue", vals)
 	tgt.AddColumn("num", nums)
-	ms, err := newM(t, core.Params{"walks_per_node": 20, "epochs": 6}).Match(src, tgt)
+	ms, err := matchertest.Match(newM(t, core.Params{"walks_per_node": 20, "epochs": 6}), src, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +65,11 @@ func TestSharedValuesDriveSimilarity(t *testing.T) {
 
 func TestDeterministicForSeed(t *testing.T) {
 	pair := matchertest.Pair(t, core.ScenarioJoinable, fabrication.Variant{})
-	m1, err := newM(t, core.Params{"seed": 5}).Match(pair.Source, pair.Target)
+	m1, err := matchertest.Match(newM(t, core.Params{"seed": 5}), pair.Source, pair.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := newM(t, core.Params{"seed": 5}).Match(pair.Source, pair.Target)
+	m2, err := matchertest.Match(newM(t, core.Params{"seed": 5}), pair.Source, pair.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,10 +176,10 @@ func TestMatchValidates(t *testing.T) {
 	bad := table.New("")
 	good := table.New("t")
 	good.AddColumn("a", []string{"1"})
-	if _, err := newM(t, nil).Match(bad, good); err == nil {
+	if _, err := matchertest.Match(newM(t, nil), bad, good); err == nil {
 		t.Error("invalid source should fail")
 	}
-	if _, err := newM(t, nil).Match(good, bad); err == nil {
+	if _, err := matchertest.Match(newM(t, nil), good, bad); err == nil {
 		t.Error("invalid target should fail")
 	}
 }
@@ -218,7 +218,7 @@ func TestTrainingHonoursCancellation(t *testing.T) {
 	inner, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ctx := &cancelOnCheck{Context: inner, cancel: cancel, at: (starts+63)/64 + 1 + 10}
-	_, err := m.MatchProfilesContext(ctx, sp, tp)
+	_, err := m.Match(ctx, sp, tp)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("match cancelled during training returned %v", err)
 	}
@@ -233,7 +233,7 @@ func TestTrainingHonoursCancellation(t *testing.T) {
 	bctx, done := core.BudgetContext(outer, budget)
 	defer done()
 	t0 := time.Now()
-	_, err = m.MatchProfilesContext(bctx, sp, tp)
+	_, err = m.Match(bctx, sp, tp)
 	if !core.IsBudgetExpiry(outer, err) {
 		t.Fatalf("match over budget returned %v", err)
 	}

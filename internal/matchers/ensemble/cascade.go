@@ -60,7 +60,7 @@ func (e *Matcher) ScoreBoundProfiles(sp, tp *profile.TableProfile) float64 {
 // members; their rankings are fused — in original member order, for
 // bit-identical sums — and returned as the best-effort result alongside
 // the context error. With no budget pressure the output is exactly
-// MatchProfilesContext's, truncated to k when k > 0.
+// Match's, truncated to k when k > 0.
 func (e *Matcher) MatchCascade(ctx context.Context, sp, tp *profile.TableProfile, k int) ([]core.Match, bool, error) {
 	if err := core.ValidatePair(sp, tp); err != nil {
 		return nil, false, err

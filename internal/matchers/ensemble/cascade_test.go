@@ -19,7 +19,7 @@ import (
 )
 
 // TestMatchCascadeConformance: with no budget pressure, MatchCascade must
-// reproduce MatchProfilesContext bit for bit — the fused scores are float
+// reproduce Match bit for bit — the fused scores are float
 // sums, so even member iteration order matters.
 func TestMatchCascadeConformance(t *testing.T) {
 	for _, fusion := range []string{"score", "rrf"} {
@@ -28,7 +28,7 @@ func TestMatchCascadeConformance(t *testing.T) {
 			e := buildEnsemble(t, fusion, experiment.MethodComaSchema, experiment.MethodComaInstance, experiment.MethodSimFlood)
 			sp, tp := core.ProfilePair(nil, pair.Source, pair.Target)
 			ctx, cancel := engine.Options{}.Start(context.Background())
-			want, err := e.MatchProfilesContext(ctx, sp, tp)
+			want, err := e.Match(ctx, sp, tp)
 			if err != nil {
 				cancel()
 				t.Fatal(err)
@@ -165,19 +165,7 @@ type slowMatcher struct {
 
 func (s *slowMatcher) Name() string { return "slow-stub" }
 
-func (s *slowMatcher) Match(source, target *table.Table) ([]core.Match, error) {
-	if s.fail {
-		return nil, fmt.Errorf("stub failure")
-	}
-	time.Sleep(s.block)
-	return []core.Match{{
-		SourceTable: source.Name, SourceColumn: source.Columns[0].Name,
-		TargetTable: target.Name, TargetColumn: target.Columns[0].Name,
-		Score: 0.5,
-	}}, nil
-}
-
-func (s *slowMatcher) MatchProfilesContext(ctx context.Context, sp, tp *profile.TableProfile) ([]core.Match, error) {
+func (s *slowMatcher) Match(ctx context.Context, sp, tp *profile.TableProfile) ([]core.Match, error) {
 	if s.fail {
 		return nil, fmt.Errorf("stub failure")
 	}
@@ -186,7 +174,12 @@ func (s *slowMatcher) MatchProfilesContext(ctx context.Context, sp, tp *profile.
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-	return s.Match(sp.Table(), tp.Table())
+	source, target := sp.Table(), tp.Table()
+	return []core.Match{{
+		SourceTable: source.Name, SourceColumn: source.Columns[0].Name,
+		TargetTable: target.Name, TargetColumn: target.Columns[0].Name,
+		Score: 0.5,
+	}}, nil
 }
 
 // zeroBoundMatcher always bounds to zero — an unreachable member.

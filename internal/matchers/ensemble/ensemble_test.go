@@ -59,7 +59,7 @@ func TestEnsembleCoversAllPairsAndRanks(t *testing.T) {
 	pair := matchertest.Pair(t, core.ScenarioUnionable, fabrication.Variant{NoisySchema: true})
 	for _, fusion := range []string{"score", "rrf"} {
 		e := buildEnsemble(t, fusion, experiment.MethodComaSchema, experiment.MethodDistribution)
-		ms, err := e.Match(pair.Source, pair.Target)
+		ms, err := matchertest.Match(e, pair.Source, pair.Target)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func TestScoreFusionWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solo, err := m1.Match(src, tgt)
+	solo, err := matchertest.Match(m1, src, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestScoreFusionWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fused, err := e.Match(src, tgt)
+	fused, err := matchertest.Match(e, src, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,10 +150,10 @@ func TestMatchValidates(t *testing.T) {
 	bad := table.New("")
 	good := table.New("t")
 	good.AddColumn("a", []string{"1"})
-	if _, err := e.Match(bad, good); err == nil {
+	if _, err := matchertest.Match(e, bad, good); err == nil {
 		t.Error("invalid source should fail")
 	}
-	if _, err := e.Match(good, bad); err == nil {
+	if _, err := matchertest.Match(e, good, bad); err == nil {
 		t.Error("invalid target should fail")
 	}
 }

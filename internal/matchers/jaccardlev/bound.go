@@ -63,10 +63,10 @@ func (m *Matcher) ScoreBoundProfiles(sp, tp *profile.TableProfile) float64 {
 }
 
 // MatchCascade implements core.CascadeMatcher: the same scoring path as
-// MatchProfilesContext, but through the planner's bound-aware pair cascade
-// — pairs whose sa/sb bound cannot reach the current kth-best score skip
-// the quadratic fuzzy phase entirely. With k <= 0 and a live context the
-// output is exactly MatchProfilesContext's.
+// Match, but through the planner's bound-aware pair cascade — pairs whose
+// sa/sb bound cannot reach the current kth-best score skip the quadratic
+// fuzzy phase entirely. With k <= 0 and a live context the
+// output is exactly Match's.
 func (m *Matcher) MatchCascade(ctx context.Context, sp, tp *profile.TableProfile, k int) ([]core.Match, bool, error) {
 	if err := core.ValidatePair(sp, tp); err != nil {
 		return nil, false, err

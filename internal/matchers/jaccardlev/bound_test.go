@@ -47,7 +47,7 @@ func TestScoreBoundAdmissible(t *testing.T) {
 		src, tgt := fuzzPair(rng)
 		sp, tp := core.ProfilePair(nil, src, tgt)
 		bound := jm.ScoreBoundProfiles(sp, tp)
-		matches, err := core.MatchWith(m, sp, tp)
+		matches, err := core.MatchProfilesWithContext(context.Background(), m, sp, tp)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -72,7 +72,7 @@ func TestMatchCascadeConformance(t *testing.T) {
 		src, tgt := fuzzPair(rng)
 		sp, tp := core.ProfilePair(nil, src, tgt)
 		ctx, cancel := engine.Options{}.Start(context.Background())
-		want, err := jm.MatchProfilesContext(ctx, sp, tp)
+		want, err := jm.Match(ctx, sp, tp)
 		if err != nil {
 			cancel()
 			t.Fatal(err)

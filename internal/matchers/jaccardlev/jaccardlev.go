@@ -29,7 +29,6 @@ import (
 	"valentine/internal/intern"
 	"valentine/internal/profile"
 	"valentine/internal/strutil"
-	"valentine/internal/table"
 )
 
 // Matcher is the Jaccard-Levenshtein baseline.
@@ -56,32 +55,23 @@ func New(p core.Params) (core.Matcher, error) {
 	}, nil
 }
 
+// Compile-time checks: the one core contract plus the optional planner hooks.
+var (
+	_ core.Matcher        = (*Matcher)(nil)
+	_ core.ScoreBounder   = (*Matcher)(nil)
+	_ core.Coster         = (*Matcher)(nil)
+	_ core.CascadeMatcher = (*Matcher)(nil)
+)
+
 // Name implements core.Matcher.
 func (m *Matcher) Name() string { return "jaccard-levenshtein" }
 
-// Match ranks every cross-table column pair by fuzzy Jaccard similarity.
-func (m *Matcher) Match(source, target *table.Table) ([]core.Match, error) {
-	sp, tp := profile.NewPair(source, target)
-	return m.MatchProfilesContext(context.Background(), sp, tp)
-}
-
-// MatchProfiles implements core.ProfiledMatcher: the per-column sorted
-// distinct values come from the profiles' caches.
-func (m *Matcher) MatchProfiles(sp, tp *profile.TableProfile) ([]core.Match, error) {
-	return m.MatchProfilesContext(context.Background(), sp, tp)
-}
-
-// MatchContext implements core.ContextMatcher.
-func (m *Matcher) MatchContext(ctx context.Context, store *profile.Store, source, target *table.Table) ([]core.Match, error) {
-	sp, tp := core.ProfilePair(store, source, target)
-	return m.MatchProfilesContext(ctx, sp, tp)
-}
-
-// MatchProfilesContext implements core.ProfiledContextMatcher — the single
-// scoring path: per-column samples and the distance budgets are built once
-// up front (prepare), then the quadratic fuzzy-Jaccard scoring fans out on
-// the engine's worker pool with no per-pair allocation.
-func (m *Matcher) MatchProfilesContext(ctx context.Context, sp, tp *profile.TableProfile) ([]core.Match, error) {
+// Match implements core.Matcher: it ranks every cross-table column pair by
+// fuzzy Jaccard similarity. Per-column samples (from the profiles' cached
+// sorted distinct values) and the distance budgets are built once up front
+// (prepare), then the quadratic fuzzy-Jaccard scoring fans out on the
+// engine's worker pool with no per-pair allocation.
+func (m *Matcher) Match(ctx context.Context, sp, tp *profile.TableProfile) ([]core.Match, error) {
 	if err := core.ValidatePair(sp, tp); err != nil {
 		return nil, err
 	}
@@ -93,7 +83,7 @@ func (m *Matcher) MatchProfilesContext(ctx context.Context, sp, tp *profile.Tabl
 
 // prepare samples every column of both tables once and builds the
 // distance budgets of m.Threshold for every length up to the longest
-// sampled value — the setup MatchProfilesContext and MatchCascade share.
+// sampled value — the setup Match and MatchCascade share.
 func (m *Matcher) prepare(ctx context.Context, sp, tp *profile.TableProfile) (srcSets, tgtSets []colSample, budget []int) {
 	limit := m.MaxSample
 	if limit <= 0 {

@@ -143,7 +143,7 @@ func randomValue(rng *rand.Rand) string {
 
 // TestFuzzyJaccardMatchesRef holds the prepared-value fuzzy Jaccard to the
 // string reference it replaced, by Float64bits, on both sample paths: every
-// third pair of the match-grid workload (every fifteenth with -short or
+// ninth pair of the match-grid workload (every fifteenth with -short or
 // -race) at each of Table II's five thresholds, and seeded random columns of
 // mixed-width and invalid-UTF-8 values — near copies of one another, so
 // verbatim, fuzzy and missing values all occur — at those thresholds plus
@@ -151,7 +151,7 @@ func randomValue(rng *rand.Rand) string {
 func TestFuzzyJaccardMatchesRef(t *testing.T) {
 	t.Run("grid", func(t *testing.T) {
 		pairs := matchertest.GridPairs(t, 200, 3, 1)
-		stride := 3
+		stride := 9
 		if testing.Short() || race.Enabled {
 			stride = 15
 		}

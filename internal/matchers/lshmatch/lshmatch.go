@@ -18,7 +18,6 @@ import (
 	"valentine/internal/core"
 	"valentine/internal/engine"
 	"valentine/internal/profile"
-	"valentine/internal/table"
 )
 
 // Matcher is a configured LSH matcher.
@@ -44,34 +43,23 @@ func New(p core.Params) (core.Matcher, error) {
 	}, nil
 }
 
+// Compile-time checks: the one core contract plus the optional planner hooks.
+var (
+	_ core.Matcher      = (*Matcher)(nil)
+	_ core.ScoreBounder = (*Matcher)(nil)
+	_ core.Coster       = (*Matcher)(nil)
+)
+
 // Name implements core.Matcher.
 func (m *Matcher) Name() string { return "lsh-value-overlap" }
 
-// Match implements core.Matcher.
-func (m *Matcher) Match(source, target *table.Table) ([]core.Match, error) {
-	sp, tp := profile.NewPair(source, target)
-	return m.MatchProfilesContext(context.Background(), sp, tp)
-}
-
-// MatchProfiles implements core.ProfiledMatcher: signatures come from the
-// profiles' per-column caches instead of being recomputed per call.
-func (m *Matcher) MatchProfiles(sp, tp *profile.TableProfile) ([]core.Match, error) {
-	return m.MatchProfilesContext(context.Background(), sp, tp)
-}
-
-// MatchContext implements core.ContextMatcher.
-func (m *Matcher) MatchContext(ctx context.Context, store *profile.Store, source, target *table.Table) ([]core.Match, error) {
-	sp, tp := core.ProfilePair(store, source, target)
-	return m.MatchProfilesContext(ctx, sp, tp)
-}
-
-// MatchProfilesContext implements core.ProfiledContextMatcher — the single
-// scoring path: band probing generates the candidate set (the prune that
-// makes LSH fast), then candidate estimation fans out on the engine pool.
-// The ranking is identical to the pre-engine sequential path: candidate
-// pairs score their estimated Jaccard, misses score 0, and the final sort's
-// name tiebreak is a total order.
-func (m *Matcher) MatchProfilesContext(ctx context.Context, sp, tp *profile.TableProfile) ([]core.Match, error) {
+// Match implements core.Matcher. Signatures come from the profiles'
+// per-column caches; band probing generates the candidate set (the prune
+// that makes LSH fast), then candidate estimation fans out on the engine
+// pool. The ranking is identical to the pre-engine sequential path:
+// candidate pairs score their estimated Jaccard, misses score 0, and the
+// final sort's name tiebreak is a total order.
+func (m *Matcher) Match(ctx context.Context, sp, tp *profile.TableProfile) ([]core.Match, error) {
 	if err := core.ValidatePair(sp, tp); err != nil {
 		return nil, err
 	}

@@ -53,7 +53,7 @@ func TestCandidatePruning(t *testing.T) {
 	src.AddColumn("x", manyValues("left", 200))
 	tgt := table.New("b")
 	tgt.AddColumn("y", manyValues("right", 200))
-	ms, err := newM(t, core.Params{"include_misses": 0}).Match(src, tgt)
+	ms, err := matchertest.Match(newM(t, core.Params{"include_misses": 0}), src, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestCandidatePruning(t *testing.T) {
 	// Shared values: candidate must surface.
 	tgt2 := table.New("c")
 	tgt2.AddColumn("x2", manyValues("left", 200))
-	ms2, err := newM(t, core.Params{"include_misses": 0}).Match(src, tgt2)
+	ms2, err := matchertest.Match(newM(t, core.Params{"include_misses": 0}), src, tgt2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestCandidatePruning(t *testing.T) {
 
 func TestIncludeMissesCoversAllPairs(t *testing.T) {
 	pair := matchertest.Pair(t, core.ScenarioViewUnionable, fabrication.Variant{})
-	ms, err := newM(t, nil).Match(pair.Source, pair.Target)
+	ms, err := matchertest.Match(newM(t, nil), pair.Source, pair.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,10 +110,10 @@ func TestMatchValidates(t *testing.T) {
 	bad := table.New("")
 	good := table.New("t")
 	good.AddColumn("a", []string{"1"})
-	if _, err := newM(t, nil).Match(bad, good); err == nil {
+	if _, err := matchertest.Match(newM(t, nil), bad, good); err == nil {
 		t.Error("invalid source should fail")
 	}
-	if _, err := newM(t, nil).Match(good, bad); err == nil {
+	if _, err := matchertest.Match(newM(t, nil), good, bad); err == nil {
 		t.Error("invalid target should fail")
 	}
 }

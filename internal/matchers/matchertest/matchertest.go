@@ -4,6 +4,7 @@
 package matchertest
 
 import (
+	"context"
 	"testing"
 
 	"valentine/internal/core"
@@ -111,10 +112,16 @@ func GridPairs(t *testing.T, rows, seeds int, seed int64) []core.TablePair {
 	return out
 }
 
+// Match runs m over a table pair on one-shot profiles private to the call
+// (core.MatchWithContext with no store and no deadline).
+func Match(m core.Matcher, source, target *table.Table) ([]core.Match, error) {
+	return core.MatchWithContext(context.Background(), m, nil, source, target)
+}
+
 // Recall runs the matcher on the pair and returns Recall@GroundTruth.
 func Recall(t *testing.T, m core.Matcher, pair core.TablePair) float64 {
 	t.Helper()
-	ms, err := m.Match(pair.Source, pair.Target)
+	ms, err := Match(m, pair.Source, pair.Target)
 	if err != nil {
 		t.Fatalf("%s on %s: %v", m.Name(), pair.Name, err)
 	}
@@ -138,7 +145,7 @@ func RequireRecallAtLeast(t *testing.T, m core.Matcher, pair core.TablePair, min
 // drift), table names filled, and referenced columns existing.
 func CheckMatchInvariants(t *testing.T, m core.Matcher, pair core.TablePair) {
 	t.Helper()
-	ms, err := m.Match(pair.Source, pair.Target)
+	ms, err := Match(m, pair.Source, pair.Target)
 	if err != nil {
 		t.Fatalf("%s: %v", m.Name(), err)
 	}

@@ -15,9 +15,7 @@ package semprop
 //     cached signatures the matcher scores with.
 //
 // Every comparison chains the matcher's exact values (no re-derived
-// arithmetic), so no float slack is needed. The class links themselves
-// memoize per profile (cachedLinks), so the bound prepays work the full
-// scoring path reuses instead of duplicating it.
+// arithmetic), so no float slack is needed.
 
 import (
 	"valentine/internal/embedding"
@@ -29,17 +27,6 @@ import (
 func (m *Matcher) classVectorsCached() map[string]embedding.Vector {
 	m.classVecsOnce.Do(func() { m.classVecs = m.classVectors() })
 	return m.classVecs
-}
-
-// cachedLinks memoizes linkColumns per profile. Concurrent first calls may
-// both compute (the result is deterministic); LoadOrStore keeps one.
-func (m *Matcher) cachedLinks(tprof *profile.TableProfile) [][]classLink {
-	if v, ok := m.linkCache.Load(tprof); ok {
-		return v.([][]classLink)
-	}
-	links := m.linkColumns(tprof, m.classVectorsCached())
-	actual, _ := m.linkCache.LoadOrStore(tprof, links)
-	return actual.([][]classLink)
 }
 
 // maxLinkCos is the strongest class-link strength across all columns.
@@ -58,8 +45,9 @@ func maxLinkCos(links [][]classLink) float64 {
 // ScoreBoundProfiles implements core.ScoreBounder (see the derivation
 // above).
 func (m *Matcher) ScoreBoundProfiles(sp, tp *profile.TableProfile) float64 {
-	semUB := maxLinkCos(m.cachedLinks(sp))
-	if t := maxLinkCos(m.cachedLinks(tp)); t < semUB {
+	classVecs := m.classVectorsCached()
+	semUB := maxLinkCos(m.linkColumns(sp, classVecs))
+	if t := maxLinkCos(m.linkColumns(tp, classVecs)); t < semUB {
 		semUB = t
 	}
 	if semUB >= m.CohSemThreshold {

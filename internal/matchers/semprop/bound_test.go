@@ -1,6 +1,7 @@
 package semprop
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -56,7 +57,7 @@ func TestScoreBoundAdmissible(t *testing.T) {
 		tgt := fuzzTable(rng, "compounds", 20+rng.Intn(40))
 		sp, tp := core.ProfilePair(nil, src, tgt)
 		bound := m.ScoreBoundProfiles(sp, tp)
-		matches, err := core.MatchWith(m, sp, tp)
+		matches, err := core.MatchProfilesWithContext(context.Background(), m, sp, tp)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -65,30 +66,6 @@ func TestScoreBoundAdmissible(t *testing.T) {
 				t.Fatalf("trial %d: score %v exceeds bound %v for %s~%s",
 					trial, match.Score, bound, match.SourceColumn, match.TargetColumn)
 			}
-		}
-	}
-}
-
-// TestLinkCacheSharedAcrossCalls: the bound and the full scoring path must
-// see the same memoized links — the memoization is what makes the bound
-// prepay rather than duplicate the ontology linking.
-func TestLinkCacheSharedAcrossCalls(t *testing.T) {
-	mi, err := New(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := mi.(*Matcher)
-	rng := rand.New(rand.NewSource(20))
-	src := fuzzTable(rng, "assays", 30)
-	sp, _ := core.ProfilePair(nil, src, fuzzTable(rng, "other", 30))
-	first := m.cachedLinks(sp)
-	second := m.cachedLinks(sp)
-	if len(first) != len(second) {
-		t.Fatalf("cached links changed shape: %d vs %d", len(first), len(second))
-	}
-	for i := range first {
-		if len(first[i]) != len(second[i]) {
-			t.Fatalf("column %d links not memoized", i)
 		}
 	}
 }

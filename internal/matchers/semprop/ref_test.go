@@ -125,7 +125,7 @@ func TestWordTableMatchesRef(t *testing.T) {
 				}
 				return mi.(*Matcher)
 			}
-			got, err := fresh().MatchProfiles(sp, tp)
+			got, err := fresh().Match(context.Background(), sp, tp)
 			if err != nil {
 				t.Fatalf("%s %v: %v", p.Name, params, err)
 			}

@@ -19,7 +19,6 @@ import (
 	"valentine/internal/engine"
 	"valentine/internal/ontology"
 	"valentine/internal/profile"
-	"valentine/internal/table"
 )
 
 // Matcher is a configured SemProp instance.
@@ -31,13 +30,10 @@ type Matcher struct {
 	Emb             *embedding.Pretrained
 	signatureSize   int
 
-	// The ontology class vectors depend only on the matcher's configuration
-	// and the per-profile class links only on the (immutable) profile, so
-	// both memoize: one request links each table once, shared between the
-	// cascade's score bound and the full scoring path.
+	// The ontology class vectors depend only on the matcher's configuration,
+	// so they are embedded once per matcher (classVectorsCached).
 	classVecsOnce sync.Once
 	classVecs     map[string]embedding.Vector
-	linkCache     sync.Map // *profile.TableProfile → [][]classLink
 }
 
 // New builds SemProp from params: "sem_threshold" (default 0.5),
@@ -55,6 +51,13 @@ func New(p core.Params) (core.Matcher, error) {
 	}, nil
 }
 
+// Compile-time checks: the one core contract plus the optional planner hooks.
+var (
+	_ core.Matcher      = (*Matcher)(nil)
+	_ core.ScoreBounder = (*Matcher)(nil)
+	_ core.Coster       = (*Matcher)(nil)
+)
+
 // Name implements core.Matcher.
 func (m *Matcher) Name() string { return "semprop" }
 
@@ -64,29 +67,10 @@ type classLink struct {
 	cos     float64
 }
 
-// Match implements core.Matcher.
-func (m *Matcher) Match(source, target *table.Table) ([]core.Match, error) {
-	sp, tp := profile.NewPair(source, target)
-	return m.MatchProfilesContext(context.Background(), sp, tp)
-}
-
-// MatchProfiles implements core.ProfiledMatcher: name tokens and MinHash
-// signatures come from the profiles' caches instead of being recomputed per
-// call.
-func (m *Matcher) MatchProfiles(sp, tp *profile.TableProfile) ([]core.Match, error) {
-	return m.MatchProfilesContext(context.Background(), sp, tp)
-}
-
-// MatchContext implements core.ContextMatcher.
-func (m *Matcher) MatchContext(ctx context.Context, store *profile.Store, source, target *table.Table) ([]core.Match, error) {
-	sp, tp := core.ProfilePair(store, source, target)
-	return m.MatchProfilesContext(ctx, sp, tp)
-}
-
-// MatchProfilesContext implements core.ProfiledContextMatcher — the single
-// scoring path: ontology linking is the generate stage, then the
-// semantic/syntactic pair scoring fans out on the engine pool.
-func (m *Matcher) MatchProfilesContext(ctx context.Context, sp, tp *profile.TableProfile) ([]core.Match, error) {
+// Match implements core.Matcher. Name tokens and MinHash signatures come
+// from the profiles' caches; ontology linking is the generate stage, then
+// the semantic/syntactic pair scoring fans out on the engine pool.
+func (m *Matcher) Match(ctx context.Context, sp, tp *profile.TableProfile) ([]core.Match, error) {
 	if err := core.ValidatePair(sp, tp); err != nil {
 		return nil, err
 	}
@@ -95,8 +79,9 @@ func (m *Matcher) MatchProfilesContext(ctx context.Context, sp, tp *profile.Tabl
 		srcSigs, tgtSigs   [][]uint64
 	)
 	engine.StatsFrom(ctx).Timed(engine.StageGenerate, func() {
-		srcLinks = m.cachedLinks(sp)
-		tgtLinks = m.cachedLinks(tp)
+		classVecs := m.classVectorsCached()
+		srcLinks = m.linkColumns(sp, classVecs)
+		tgtLinks = m.linkColumns(tp, classVecs)
 		srcSigs = m.signatures(sp)
 		tgtSigs = m.signatures(tp)
 	})

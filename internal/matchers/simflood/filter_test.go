@@ -22,7 +22,7 @@ func TestStableMarriageSelection(t *testing.T) {
 	}
 
 	// The selected matching occupies the top band and is 1-1.
-	ms, err := sm.Match(pair.Source, pair.Target)
+	ms, err := matchertest.Match(sm, pair.Source, pair.Target)
 	if err != nil {
 		t.Fatal(err)
 	}

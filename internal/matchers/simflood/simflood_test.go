@@ -86,7 +86,7 @@ func TestInitialSim(t *testing.T) {
 
 func TestOnlyColumnPairsReturned(t *testing.T) {
 	pair := matchertest.Pair(t, core.ScenarioUnionable, fabrication.Variant{})
-	ms, err := newM(t, nil).Match(pair.Source, pair.Target)
+	ms, err := matchertest.Match(newM(t, nil), pair.Source, pair.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +102,11 @@ func TestOnlyColumnPairsReturned(t *testing.T) {
 
 func TestFormulasProduceDifferentRankings(t *testing.T) {
 	pair := matchertest.Pair(t, core.ScenarioUnionable, fabrication.Variant{NoisySchema: true})
-	a, err := newM(t, core.Params{"formula": "basic"}).Match(pair.Source, pair.Target)
+	a, err := matchertest.Match(newM(t, core.Params{"formula": "basic"}), pair.Source, pair.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := newM(t, core.Params{"formula": "C"}).Match(pair.Source, pair.Target)
+	c, err := matchertest.Match(newM(t, core.Params{"formula": "C"}), pair.Source, pair.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,10 +136,10 @@ func TestMatchValidates(t *testing.T) {
 	bad := table.New("")
 	good := table.New("t")
 	good.AddColumn("a", []string{"1"})
-	if _, err := newM(t, nil).Match(bad, good); err == nil {
+	if _, err := matchertest.Match(newM(t, nil), bad, good); err == nil {
 		t.Error("invalid source should fail")
 	}
-	if _, err := newM(t, nil).Match(good, bad); err == nil {
+	if _, err := matchertest.Match(newM(t, nil), good, bad); err == nil {
 		t.Error("invalid target should fail")
 	}
 }

@@ -48,24 +48,11 @@ func engineMatchers(t *testing.T) map[string]core.Matcher {
 	return out
 }
 
-// TestAllMatchersAreContextAware: every registered method and the ensemble
-// must implement core.ContextMatcher — one context-aware scoring path for
-// match, discover and experiments.
-func TestAllMatchersAreContextAware(t *testing.T) {
-	for name, m := range engineMatchers(t) {
-		if _, ok := m.(core.ContextMatcher); !ok {
-			t.Errorf("%s does not implement core.ContextMatcher", name)
-		}
-		if _, ok := m.(core.ProfiledContextMatcher); !ok {
-			t.Errorf("%s does not implement core.ProfiledContextMatcher", name)
-		}
-	}
-}
-
 // TestEngineConformanceBitIdentical is the suite-wide engine contract: for
 // every matcher and the ensemble, routing through the engine at parallelism
-// 1 (the sequential pre-refactor path, executed inline), 4 and 16 must
-// return rankings bit-identical to plain Match on the same inputs. Run under
+// 1 (the sequential pre-refactor path, executed inline), 4 and 16 over a
+// warmed store must return rankings bit-identical to a default-options call
+// on a privately profiled pair. Run under
 // -race this doubles as the engine's data-race probe.
 func TestEngineConformanceBitIdentical(t *testing.T) {
 	src := datagen.TPCDI(datagen.Options{Rows: 60, Seed: 3})
@@ -77,14 +64,13 @@ func TestEngineConformanceBitIdentical(t *testing.T) {
 	store.Warm(pair.Source, pair.Target)
 	for name, m := range engineMatchers(t) {
 		t.Run(name, func(t *testing.T) {
-			baseline, err := m.Match(pair.Source, pair.Target)
+			baseline, err := core.MatchWithContext(context.Background(), m, nil, pair.Source, pair.Target)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cm := m.(core.ContextMatcher)
 			for _, par := range []int{1, 4, 16} {
 				ctx := engine.WithOptions(context.Background(), engine.Options{Parallelism: par})
-				got, err := cm.MatchContext(ctx, store, pair.Source, pair.Target)
+				got, err := core.MatchWithContext(ctx, m, store, pair.Source, pair.Target)
 				if err != nil {
 					t.Fatalf("parallelism %d: %v", par, err)
 				}

@@ -13,6 +13,7 @@ import (
 	"valentine/internal/datagen"
 	"valentine/internal/experiment"
 	"valentine/internal/fabrication"
+	"valentine/internal/matchers/matchertest"
 	"valentine/internal/table"
 )
 
@@ -94,7 +95,7 @@ func fingerprint(t *testing.T, m core.Matcher, pairs ...core.TablePair) uint64 {
 	h := fnv.New64a()
 	var bits [8]byte
 	for _, p := range pairs {
-		matches, err := m.Match(p.Source, p.Target)
+		matches, err := matchertest.Match(m, p.Source, p.Target)
 		if err != nil {
 			t.Fatalf("%s on %s: %v", m.Name(), p.Name, err)
 		}

@@ -11,6 +11,7 @@ import (
 
 	"valentine/internal/core"
 	"valentine/internal/experiment"
+	"valentine/internal/matchers/matchertest"
 	"valentine/internal/metrics"
 	"valentine/internal/table"
 )
@@ -97,7 +98,7 @@ func TestAllMatchersSurviveEdgeCases(t *testing.T) {
 			t.Run(name+"/"+ec.name, func(t *testing.T) {
 				src := ec.src.Clone()
 				tgt := ec.tgt.Clone()
-				matches, err := m.Match(src, tgt)
+				matches, err := matchertest.Match(m, src, tgt)
 				if err != nil {
 					t.Fatalf("errored: %v", err)
 				}
@@ -138,11 +139,11 @@ func TestAllMatchersDeterministic(t *testing.T) {
 
 	for name, m := range allMatchers(t) {
 		t.Run(name, func(t *testing.T) {
-			r1, err := m.Match(src, tgt)
+			r1, err := matchertest.Match(m, src, tgt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r2, err := m.Match(src, tgt)
+			r2, err := matchertest.Match(m, src, tgt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,7 +173,7 @@ func TestAllMatchersDoNotMutateInput(t *testing.T) {
 			src, tgt := mkSrc(), mkSrc()
 			tgt.Name = "t"
 			wantSrc, wantTgt := src.Clone(), tgt.Clone()
-			if _, err := m.Match(src, tgt); err != nil {
+			if _, err := matchertest.Match(m, src, tgt); err != nil {
 				t.Fatal(err)
 			}
 			for i := range wantSrc.Columns {
@@ -211,7 +212,7 @@ func TestIdentityPairRanksSelfMatchesFirst(t *testing.T) {
 	}
 	for name, m := range allMatchers(t) {
 		t.Run(name, func(t *testing.T) {
-			matches, err := m.Match(src, tgt)
+			matches, err := matchertest.Match(m, src, tgt)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -913,22 +913,8 @@ func (s *Server) handleMatch(ctx context.Context, w http.ResponseWriter, r *http
 	// pointer-keyed store could never hit on again — a nil store still
 	// shares one profile per table within this call, then lets it be
 	// collected.
-	var (
-		matches    []core.Match
-		bestEffort bool
-		approx     bool
-	)
-	cm, cascades := m.(core.CascadeMatcher)
-	if cascades && (req.Cascade == nil || *req.Cascade) {
-		sp, tp := core.ProfilePair(nil, src, tgt)
-		matches, bestEffort, err = cm.MatchCascade(core.WithEpsilon(qctx, req.Epsilon), sp, tp, req.Top)
-		approx = req.Epsilon > 0
-	} else {
-		matches, err = core.MatchWithContext(qctx, m, nil, src, tgt)
-		if req.Top > 0 && len(matches) > req.Top {
-			matches = matches[:req.Top]
-		}
-	}
+	matches, bestEffort, cascaded, err := core.MatchTopK(core.WithEpsilon(qctx, req.Epsilon), m, src, tgt, req.Top, req.Cascade == nil || *req.Cascade)
+	approx := cascaded && req.Epsilon > 0
 	if err != nil {
 		// A spent budget (request still alive) downgrades to a flagged
 		// best-effort response; a dead request stays an error.

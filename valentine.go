@@ -26,7 +26,7 @@
 //	src, _ := valentine.ReadCSVFile("a.csv")
 //	tgt, _ := valentine.ReadCSVFile("b.csv")
 //	m, _ := valentine.NewMatcher(valentine.MethodComaSchema, nil)
-//	matches, _ := m.Match(src, tgt)
+//	matches, _ := valentine.MatchWithContext(context.Background(), m, src, tgt, valentine.EngineOptions{})
 //	for _, match := range matches[:5] {
 //		fmt.Println(match)
 //	}
@@ -78,7 +78,8 @@ type (
 	// Match is one scored column correspondence; matchers return ranked
 	// slices of these.
 	Match = core.Match
-	// Matcher is a schema matching method.
+	// Matcher is a schema matching method. A new method implements Name and
+	// Match(ctx, source, target *TableProfile); nothing else is required.
 	Matcher = core.Matcher
 	// Params configures a matcher.
 	Params = core.Params
