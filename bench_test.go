@@ -1,10 +1,10 @@
 package valentine
 
-// The benchmark harness: one benchmark per table and figure of the paper's
-// evaluation section, each regenerating the corresponding series at reduced
-// scale and reporting headline numbers as custom benchmark metrics.
-// `valentine experiment -report` prints the same series as formatted text at
-// any scale.
+// Library-level microbenchmarks: per-method cost on one pair, ablations of
+// single design choices, indexed vs brute-force discovery, shared profiles
+// and the engine's parallel fan-out. The paper's tables and figures are
+// printed by `valentine experiment -report`; end-to-end performance is
+// measured by bench/run.sh.
 
 import (
 	"context"
@@ -18,202 +18,7 @@ import (
 	"valentine/internal/experiment"
 	"valentine/internal/fabrication"
 	"valentine/internal/graph"
-	"valentine/internal/metrics"
-	"valentine/internal/report"
 )
-
-// benchCfg is the reduced scale every benchmark runs at; raise Rows/Seeds
-// (or use `valentine experiment -report all -rows N`) for paper-scale runs.
-func benchCfg() report.Config {
-	return report.Config{Rows: 60, Seeds: 1, Sources: []string{"TPC-DI"}}
-}
-
-func reportScenarioMedians(b *testing.B, rs []experiment.Result, methods []string, keep func(experiment.Result) bool) {
-	b.Helper()
-	var all []float64
-	for _, m := range methods {
-		for _, box := range experiment.BoxByScenario(rs, m, keep) {
-			all = append(all, box.Median)
-		}
-	}
-	if len(all) > 0 {
-		b.ReportMetric(metrics.Box(all).Median, "median_recall")
-	}
-}
-
-// BenchmarkTableICapabilities regenerates Table I (capability matrix).
-func BenchmarkTableICapabilities(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if out := report.TableI(); len(out) == 0 {
-			b.Fatal("empty Table I")
-		}
-	}
-}
-
-// BenchmarkTableIIGrids regenerates Table II (the 135-configuration grid).
-func BenchmarkTableIIGrids(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if n := experiment.TotalConfigurations(experiment.DefaultGrids()); n != 135 {
-			b.Fatalf("grid = %d configurations, want 135", n)
-		}
-	}
-}
-
-// BenchmarkTableIIISensitivity regenerates Table III: the ceteris-paribus
-// sensitivity grid search on ChEMBL-fabricated pairs.
-func BenchmarkTableIIISensitivity(b *testing.B) {
-	cfg := report.Config{Rows: 40}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := report.RunTableIII(context.Background(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 7 {
-			b.Fatalf("Table III rows = %d, want 7", len(rows))
-		}
-		if i == 0 {
-			var maxes []float64
-			for _, r := range rows {
-				maxes = append(maxes, r.Stats.Max)
-			}
-			b.ReportMetric(metrics.Box(maxes).Max, "max_stddev")
-		}
-	}
-}
-
-// BenchmarkFigure4SchemaBased regenerates Figure 4: schema-based methods on
-// fabricated pairs with noisy schemata.
-func BenchmarkFigure4SchemaBased(b *testing.B) {
-	cfg := benchCfg()
-	cfg.Methods = experiment.SchemaBasedMethods()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rs, err := report.RunFabricated(context.Background(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reportScenarioMedians(b, rs, cfg.Methods, report.NoisySchemata)
-		}
-	}
-}
-
-// BenchmarkFigure5InstanceBased regenerates Figure 5: instance-based
-// methods, split by noisy vs verbatim instances.
-func BenchmarkFigure5InstanceBased(b *testing.B) {
-	cfg := benchCfg()
-	cfg.Methods = experiment.InstanceBasedMethods()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rs, err := report.RunFabricated(context.Background(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reportScenarioMedians(b, rs, cfg.Methods, report.VerbatimInstances)
-		}
-	}
-}
-
-// BenchmarkFigure6Hybrid regenerates Figure 6: the hybrid methods EmbDI and
-// SemProp.
-func BenchmarkFigure6Hybrid(b *testing.B) {
-	cfg := benchCfg()
-	cfg.Rows = 40 // EmbDI trains embeddings per pair; keep iterations cheap
-	cfg.Methods = experiment.HybridMethods()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rs, err := report.RunFabricated(context.Background(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reportScenarioMedians(b, rs, cfg.Methods, nil)
-		}
-	}
-}
-
-// BenchmarkFigure7WikiData regenerates Figure 7: all methods on the curated
-// WikiData pairs.
-func BenchmarkFigure7WikiData(b *testing.B) {
-	cfg := report.Config{Rows: 40}
-	pairs := datagen.WikiData(datagen.Options{Rows: 40})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rs, err := report.RunCurated(context.Background(), cfg, pairs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			var instance, schema []float64
-			for _, r := range rs {
-				if r.Err != nil {
-					b.Fatalf("%s: %v", r.Method, r.Err)
-				}
-				switch r.Method {
-				case experiment.MethodDistribution, experiment.MethodJaccardLev, experiment.MethodComaInstance:
-					instance = append(instance, r.Recall)
-				case experiment.MethodCupid, experiment.MethodSimFlood, experiment.MethodComaSchema:
-					schema = append(schema, r.Recall)
-				}
-			}
-			b.ReportMetric(metrics.Box(instance).Mean, "instance_mean_recall")
-			b.ReportMetric(metrics.Box(schema).Mean, "schema_mean_recall")
-		}
-	}
-}
-
-// BenchmarkTableIVCurated regenerates Table IV: Magellan and ING results.
-func BenchmarkTableIVCurated(b *testing.B) {
-	cfg := report.Config{Rows: 40}
-	magPairs := datagen.Magellan(datagen.Options{Rows: 40})
-	ingPairs := []core.TablePair{
-		datagen.ING1(datagen.Options{Rows: 30}),
-		datagen.ING2(datagen.Options{Rows: 30}),
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mag, err := report.RunCurated(context.Background(), cfg, magPairs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ing, err := report.RunCurated(context.Background(), cfg, ingPairs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows := report.TableIV(mag, ing)
-		if i == 0 {
-			for _, r := range rows {
-				if r.Method == experiment.MethodDistribution {
-					b.ReportMetric(r.ING2, "distribution_ing2_recall")
-				}
-				if r.Method == experiment.MethodComaSchema {
-					b.ReportMetric(r.Magellan, "coma_magellan_recall")
-				}
-			}
-		}
-	}
-}
-
-// BenchmarkTableVRuntime regenerates Table V: average per-pair runtime of
-// every method over a common fabricated workload.
-func BenchmarkTableVRuntime(b *testing.B) {
-	cfg := benchCfg()
-	cfg.Rows = 40
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rs, err := report.RunFabricated(context.Background(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			avg := experiment.AverageRuntime(rs)
-			b.ReportMetric(float64(avg[experiment.MethodComaSchema].Microseconds()), "coma_schema_us")
-			b.ReportMetric(float64(avg[experiment.MethodEmbDI].Microseconds()), "embdi_us")
-		}
-	}
-}
 
 // --- per-method microbenchmarks (Table V at a fixed joinable pair) ---
 
@@ -248,7 +53,7 @@ func BenchmarkMatcher(b *testing.B) {
 	}
 }
 
-// --- ablation benches for DESIGN.md §5 design choices ---
+// --- ablation benches: one design choice each ---
 
 // BenchmarkAblationEMD compares the exact 1-D closed form against the
 // quantile-histogram approximation the phase-1 pass uses.

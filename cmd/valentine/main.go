@@ -15,7 +15,6 @@
 //	valentine search -index lake.idx -query q.csv [-mode join|union] [-top 10]
 //	valentine discover -query q.csv -dir lake/ [-mode join|union] [-method m] [-top 10]
 //	valentine serve -addr :8080 [-index lake.idx] [-dir lake/] [-snapshot snap/]
-//	valentine loadgen -scenario examples/scenarios/smoke.json [-addr http://host:8080] [-json report.json]
 package main
 
 import (
@@ -62,8 +61,6 @@ func main() {
 		err = cmdSearch(os.Args[2:])
 	case "serve":
 		err = cmdServe(os.Args[2:])
-	case "loadgen":
-		err = cmdLoadgen(os.Args[2:])
 	case "-h", "--help", "help":
 		usage()
 	default:
@@ -90,8 +87,7 @@ commands:
   discover     rank a directory of CSVs by joinability/unionability with a query
   index        build a persistent discovery index from a directory of CSVs
   search       top-k joinability/unionability query against a saved index
-  serve        serve the live catalog over HTTP (search, upsert, delete, match)
-  loadgen      replay a scenario file's workload against a live or in-process server`)
+  serve        serve the live catalog over HTTP (search, upsert, delete, match)`)
 }
 
 func cmdMethods() error {

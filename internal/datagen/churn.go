@@ -8,8 +8,8 @@ import (
 )
 
 // Churn generates one small mixed-type table for ingest traffic: the
-// scenario engine's load generator upserts these against a live catalog
-// while searches run. Values draw from the same pools as the fabrication
+// benchmark's serving workloads and the WAL's restart fixtures upsert
+// these against a live catalog. Values draw from the same pools as the fabrication
 // sources, so churn ingest exercises the catalog's shared value dictionary
 // (re-interning known values) the way a real feed of related tables would,
 // instead of flooding it with disjoint junk. Deterministic in (i, Seed):

@@ -2,8 +2,8 @@ package fabrication
 
 // Recipe is a declarative handle on one cell of the Figure-3 fabrication
 // grid: a scenario kind plus its overlap parameters and noise variant. It
-// exists so config-driven callers (the scenario engine, the loadgen CLI)
-// can name fabrication work in data files instead of code; the programmatic
+// lets grid-driven callers (the benchmark's lake, the fidelity fixtures)
+// name fabrication work as data instead of code; the programmatic
 // Unionable/ViewUnionable/Joinable/SemanticallyJoinable methods stay the
 // primary API.
 
