@@ -19,30 +19,31 @@
 // a serving problem, not a batch one):
 //
 //   - The catalog is a list of immutable sealed segments plus one small
-//     memtable segment. Each segment holds column profiles, its own LSH band
-//     shards, and a table directory; a table's columns never span segments.
+//     memtable segment. Every segment is one v2 columnar image (segv2.go)
+//     holding column profiles, its own LSH band buckets and a table
+//     directory, served in place; a table's columns never span segments.
 //   - Readers are lock-free: every search loads the current epoch snapshot
 //     with one atomic pointer read and then works entirely on frozen state.
 //     A search never blocks on a writer, and a writer never waits for
 //     readers to drain.
 //   - Writers (Add, Upsert, Remove, Apply) serialize among themselves on a
-//     writer mutex, profile their input before taking it, rebuild the small
-//     memtable copy-on-write, and publish a successor snapshot atomically.
-//     When the memtable reaches Options.SealAfter tables it is sealed and a
-//     fresh memtable starts.
+//     writer mutex, profile their input before taking it, encode each
+//     upserted table as a one-table image, merge those with the memtable's
+//     image into a fresh one once per batch, and publish a successor
+//     snapshot atomically. When the memtable reaches Options.SealAfter
+//     tables it is sealed — a pointer move — and a fresh memtable starts.
 //   - Remove appends a tombstone for tables living in sealed segments (the
 //     deletable-summary direction of the IBLT line of work in PAPERS.md);
 //     tombstoned columns are skipped at probe time and physically dropped by
 //     compaction, which merges sealed segments in the background once enough
-//     garbage or fragmentation accumulates. The merge is columnar: it reads
-//     its inputs as v2 images and writes the merged image section by section
-//     (mergeSegV2), and the catalog serves that image in place — one
-//     pointer-free heap allocation, already the bytes the next snapshot
-//     writes — so only the memtable and the seals since the last merge are
-//     ever held as Go structs and maps. A tombstone that lands while a
-//     merge is in flight is carried over to the merged segment and reclaimed
-//     by the next one, so a compaction holds the writer lock only to swap
-//     segment lists and re-key tombstones, never to rebuild a segment.
+//     garbage or fragmentation accumulates. The merge is columnar: it writes
+//     the merged image section by section from its inputs' (mergeSegV2),
+//     and the catalog serves that image in place — one pointer-free heap
+//     allocation, already the bytes the next snapshot writes. A tombstone
+//     that lands while a merge is in flight is carried over to the merged
+//     segment and reclaimed by the next one, so a compaction holds the
+//     writer lock only to swap segment lists and re-key tombstones, never to
+//     rebuild a segment.
 //
 // Ingestion and queries run through the shared lazy column-profile layer
 // (internal/profile): AddProfiled and SearchProfiled accept an
@@ -51,10 +52,10 @@
 // signatures the matchers consume feed the index.
 //
 // Indexes persist one way: SaveSnapshot/LoadSnapshot write a snapshot
-// directory — a segment manifest, one immutable columnar file per sealed
-// segment and the memtable in the same encoding — so periodic snapshots of
-// a long-running catalog rewrite only the memtable and manifest (see
-// persist.go and segv2.go).
+// directory — a segment manifest and every segment's image as its own
+// file, the memtable's included — so periodic snapshots of a long-running
+// catalog rewrite only the memtable and manifest (see persist.go and
+// segv2.go).
 package discovery
 
 import (
@@ -99,8 +100,9 @@ func ParseMode(s string) (Mode, error) {
 }
 
 // defaultSealAfter is the memtable capacity (in tables) when
-// Options.SealAfter is zero: writers rebuild the memtable copy-on-write, so
-// this bounds the per-write copy cost independent of catalog size.
+// Options.SealAfter is zero: every write batch merges the memtable's image
+// anew, so this bounds the per-write merge cost independent of catalog
+// size.
 const defaultSealAfter = 16
 
 // maxSealedSegments is the fragmentation bound: once more sealed segments
@@ -119,8 +121,9 @@ type Options struct {
 	// default) keeps scores identical to the lshmatch matcher's.
 	TokenBoost float64
 	// SealAfter is the number of tables the memtable accepts before being
-	// sealed into an immutable segment (default 16). Smaller values bound
-	// per-write copy cost tighter; larger values reduce fragmentation.
+	// sealed into an immutable segment (default 16). Each write batch
+	// rebuilds the memtable's image, so smaller values bound the per-write
+	// merge cost tighter; larger values reduce fragmentation.
 	SealAfter int
 }
 
@@ -156,6 +159,7 @@ type Index struct {
 	wmu     sync.Mutex
 	snap    atomic.Pointer[snapshot]
 	nextSeg uint64 // next segment id; guarded by wmu
+	memID   uint64 // the memtable's segment id (its image's, once it holds a table); guarded by wmu
 
 	// compactMu serializes compactions (background and explicit); the flag
 	// keeps apply from spawning redundant background runs.
@@ -222,7 +226,7 @@ func New(opts Options) *Index {
 		lineage:   newLineage(),
 		dict:      intern.NewDict(),
 	}
-	ix.snap.Store(&snapshot{mem: newSegment(0, bands)})
+	ix.snap.Store(&snapshot{})
 	return ix
 }
 
@@ -393,13 +397,12 @@ type Stats struct {
 	// value arena, offsets and probe table.
 	DictEntries int   `json:"dict_entries"`
 	DictBytes   int64 `json:"dict_bytes"`
-	// HeapSegmentBytes is the segment state on the Go heap: an estimate for
-	// heap segments (the memtable, seals not yet merged) plus the exact
-	// length of every v2 image held there (a compaction's output; a loaded
-	// segment where mapping is unavailable). MappedSegmentBytes counts v2
-	// segment file bytes served via mmap from the page cache instead. Their
-	// ratio is the "catalog bigger than RAM" dial: mapped bytes cost address
-	// space, not resident memory.
+	// HeapSegmentBytes is the exact length of every segment image held on
+	// the Go heap: the memtable, seals not yet merged, a compaction's
+	// output, and a loaded segment where mapping is unavailable.
+	// MappedSegmentBytes counts v2 segment file bytes served via mmap from
+	// the page cache instead. Their ratio is the "catalog bigger than RAM"
+	// dial: mapped bytes cost address space, not resident memory.
 	HeapSegmentBytes   int64 `json:"heap_segment_bytes"`
 	MappedSegmentBytes int64 `json:"mapped_segment_bytes"`
 	// MappedResidentBytes estimates (sampled mincore) how many of the
@@ -761,7 +764,7 @@ func (ix *Index) searchImpl(ctx context.Context, qp *profile.TableProfile, mode 
 			if skip.has(slot) {
 				return // the query's own table, or tombstoned and awaiting compaction
 			}
-			// Empty columns never rank (see segment.insertShards); the brute
+			// Empty columns never rank (see encodeTable); the brute
 			// path must apply the same rule so it stays the reference
 			// implementation of the pruned path even with TokenBoost set.
 			colSig := seg.colSig(id)
@@ -799,7 +802,7 @@ func (ix *Index) searchImpl(ctx context.Context, qp *profile.TableProfile, mode 
 					// ids outside the column range; open-time validation
 					// checks every offset table but not bucket values, so the
 					// guard lives here, ahead of every index the id feeds —
-					// skip, never panic. Heap segments can't trip it.
+					// skip, never panic.
 					if id < 0 || int(id) >= nCols {
 						continue
 					}

@@ -7,6 +7,7 @@ package discovery
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"valentine/internal/profile"
@@ -14,8 +15,8 @@ import (
 )
 
 // Op is one catalog mutation for Apply: exactly one of Upsert or Remove
-// must be set. Batching ops amortizes the copy-on-write memtable rebuild
-// and publishes all effects in one epoch — the server's ingest micro-batcher
+// must be set. Batching ops amortizes the memtable's image rebuild and
+// publishes all effects in one epoch — the server's ingest micro-batcher
 // rides on this.
 type Op struct {
 	// Upsert inserts the profiled table, replacing any live table of the
@@ -108,9 +109,9 @@ func (ix *Index) Remove(name string) error {
 }
 
 // Apply executes a batch of mutations as one write: a single memtable
-// rebuild, a single epoch publish. The returned slice has one entry per op
-// (nil on success), so callers multiplexing concurrent ingest — like the
-// serving layer's micro-batcher — can report per-op outcomes. Ops are
+// image rebuild, a single epoch publish. The returned slice has one entry
+// per op (nil on success), so callers multiplexing concurrent ingest — like
+// the serving layer's micro-batcher — can report per-op outcomes. Ops are
 // applied in order; a failed op (duplicate Add is impossible here since
 // Upsert replaces, but removing an unknown table fails) does not abort the
 // rest of the batch.
@@ -144,8 +145,10 @@ func (ix *Index) Apply(ops []Op) []error {
 	return errs
 }
 
-// apply is the single writer entry point: it rebuilds the memtable
-// copy-on-write, applies every op, and publishes one successor snapshot.
+// apply is the single writer entry point: it applies every op to the
+// batch's working state, builds the memtable's image once for the batch
+// (and once at each seal point inside it), and publishes one successor
+// snapshot.
 func (ix *Index) apply(ops []rawOp) []error {
 	errs := make([]error, len(ops))
 	if len(ops) == 0 {
@@ -153,14 +156,49 @@ func (ix *Index) apply(ops []rawOp) []error {
 	}
 	ix.wmu.Lock()
 	cur := ix.snap.Load()
-	// Copy-on-write state for this batch. The memtable clone is bounded by
-	// SealAfter tables, the sealed list is a slice-header copy (segments
-	// are shared), and tombstones clone lazily on first change.
-	mem := cur.mem.clone()
+	// Copy-on-write state for this batch: the sealed list is a slice-header
+	// copy (segments are shared), tombstones clone lazily on first change,
+	// and segment ids go back to ix only when the batch publishes.
 	sealed := append([]*segment(nil), cur.sealed...)
 	tombs := cur.tombs
 	tombsOwned := false
 	nTables, nCols, deadCols := cur.nTables, cur.nCols, cur.deadCols
+	memID, nextSeg := ix.memID, ix.nextSeg
+	// The memtable under construction: the published image and then the
+	// batch's one-table images, oldest first, less the occurrences killed
+	// since (replaced or removed). memImage merges them into one image.
+	type occurrence struct {
+		in   int
+		name string
+	}
+	var mem []*segment
+	var killed []occurrence
+	memTables := 0
+	if cur.mem != nil {
+		mem, memTables = []*segment{cur.mem}, cur.mem.numTables()
+	}
+	isKilled := func(in int, name string) bool {
+		return slices.Contains(killed, occurrence{in, name})
+	}
+	memImage := func() (*segment, error) {
+		if len(mem) == 1 && len(killed) == 0 {
+			// Unchanged, or one table: encodeTable wrote the merge's output.
+			return mem[0], nil
+		}
+		seg, _, err := mergeSegV2(memID, ix.k, ix.bands, mem, isKilled)
+		return seg, err
+	}
+	// abandon publishes nothing: a memtable image past the v2 layout's
+	// 32-bit counts fails every op of the batch that had not failed already.
+	abandon := func(err error) []error {
+		ix.wmu.Unlock()
+		for i := range errs {
+			if errs[i] == nil {
+				errs[i] = fmt.Errorf("discovery: memtable image: %w", err)
+			}
+		}
+		return errs
+	}
 
 	ensureTombs := func() {
 		if tombsOwned {
@@ -172,9 +210,18 @@ func (ix *Index) apply(ops []rawOp) []error {
 		}
 		tombs, tombsOwned = nt, true
 	}
+	// memFind returns the memtable input holding name's live occurrence.
+	memFind := func(name string) (int, bool) {
+		for in := len(mem) - 1; in >= 0; in-- {
+			if mem[in].hasTable(name) && !isKilled(in, name) {
+				return in, true
+			}
+		}
+		return 0, false
+	}
 	// exists reports whether name is live in this batch's working state.
 	exists := func(name string) bool {
-		if _, ok := mem.tables[name]; ok {
+		if _, ok := memFind(name); ok {
 			return true
 		}
 		for i := len(sealed) - 1; i >= 0; i-- {
@@ -188,13 +235,14 @@ func (ix *Index) apply(ops []rawOp) []error {
 		return false
 	}
 	// remove drops the live occurrence of name, reporting whether one
-	// existed. Memtable occurrences are rebuilt away; sealed occurrences
-	// are tombstoned.
+	// existed. A memtable occurrence is left out of the next memtable image;
+	// a sealed one is tombstoned.
 	remove := func(name string) bool {
-		if ids, ok := mem.tables[name]; ok {
-			nCols -= len(ids)
+		if in, ok := memFind(name); ok {
+			killed = append(killed, occurrence{in, name})
+			nCols -= mem[in].tableLen(name)
 			nTables--
-			mem = mem.without(name, ix.rows)
+			memTables--
 			return true
 		}
 		for i := len(sealed) - 1; i >= 0; i-- {
@@ -227,20 +275,35 @@ func (ix *Index) apply(ops []rawOp) []error {
 			changed = true
 			continue
 		}
-		if op.upsert {
-			remove(op.name)
-		} else if exists(op.name) {
+		if !op.upsert && exists(op.name) {
 			errs[i] = fmt.Errorf("discovery: table %q already indexed", op.name)
 			continue
 		}
-		mem.add(op.name, op.cols, ix.rows)
+		img, err := encodeTable(memID, ix.k, ix.bands, ix.rows, op.name, op.cols)
+		var seg *segment
+		if err == nil {
+			seg, err = openSegV2(img, nil)
+		}
+		if err != nil {
+			errs[i] = err
+			continue
+		}
+		if op.upsert {
+			remove(op.name)
+		}
+		mem = append(mem, seg)
 		changed = true
+		memTables++
 		nTables++
 		nCols += len(op.cols)
-		if mem.numTables() >= ix.sealAfter {
-			sealed = append(sealed, mem)
-			mem = newSegment(ix.nextSeg, ix.bands)
-			ix.nextSeg++
+		if memTables >= ix.sealAfter {
+			full, err := memImage()
+			if err != nil {
+				return abandon(err)
+			}
+			sealed = append(sealed, full)
+			mem, killed, memTables = nil, nil, 0
+			memID, nextSeg = nextSeg, nextSeg+1
 		}
 	}
 	if !changed {
@@ -249,10 +312,15 @@ func (ix *Index) apply(ops []rawOp) []error {
 		ix.wmu.Unlock()
 		return errs
 	}
+	memSeg, err := memImage()
+	if err != nil {
+		return abandon(err)
+	}
+	ix.memID, ix.nextSeg = memID, nextSeg
 
 	next := &snapshot{
 		sealed:   sealed,
-		mem:      mem,
+		mem:      memSeg,
 		tombs:    tombs,
 		epoch:    cur.epoch + 1,
 		nTables:  nTables,
@@ -303,13 +371,10 @@ func (ix *Index) Compact() {
 
 	// Phase 1 (no writer lock): merge a frozen prefix of sealed segments into
 	// one v2 image, section by section, skipping the tables tombstoned in cur
-	// — the snapshot the merge started from. The inputs are read as images:
-	// a segment that already is one (an earlier merge's output, a snapshot
-	// load) as it stands, a fresh heap seal through a transient encoding made
-	// here, off the write path. Writers may append segments and tombstones
-	// meanwhile; they cannot touch the prefix itself (sealed segments are
-	// immutable and only compaction — serialized by compactMu — replaces
-	// them).
+	// — the snapshot the merge started from. Every input is an image, read in
+	// place. Writers may append segments and tombstones meanwhile; they
+	// cannot touch the prefix itself (sealed segments are immutable and only
+	// compaction — serialized by compactMu — replaces them).
 	cur := ix.snap.Load()
 	if len(cur.sealed) == 0 {
 		return
@@ -325,9 +390,9 @@ func (ix *Index) Compact() {
 	ix.wmu.Unlock()
 	merged, reclaimed, err := ix.mergeSealed(mergedID, cur)
 	if err != nil {
-		// Only a segment the v2 layout cannot hold gets here (32-bit counts
-		// exceeded, or a profile SaveSnapshot would refuse with the same
-		// error). The catalog stays correct unmerged, so leave it as it is.
+		// Only a merge the v2 layout cannot hold (32-bit counts exceeded)
+		// gets here. The catalog stays correct unmerged, so leave it as it
+		// is.
 		return
 	}
 	if ix.afterMerge != nil {
@@ -384,22 +449,7 @@ func (ix *Index) Compact() {
 // segment under the given id — a heap-held image, nil when no table
 // survives — and the number of tombstoned columns the merge dropped.
 func (ix *Index) mergeSealed(id uint64, sn *snapshot) (*segment, int, error) {
-	ins := make([]*mappedSeg, len(sn.sealed))
-	for i, seg := range sn.sealed {
-		var err error
-		if ins[i], err = seg.image(ix.k); err != nil {
-			return nil, 0, err
-		}
-	}
-	data, reclaimed, err := mergeSegV2(id, ix.k, ix.bands, ins, func(in int, table string) bool {
+	return mergeSegV2(id, ix.k, ix.bands, sn.sealed, func(in int, table string) bool {
 		return sn.dead(sn.sealed[in], table)
 	})
-	if err != nil || data == nil {
-		return nil, reclaimed, err
-	}
-	ms, err := openSegV2(data, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	return &segment{id: id, mapped: ms}, reclaimed, nil
 }

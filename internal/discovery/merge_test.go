@@ -1,7 +1,9 @@
 package discovery
 
-// Compaction's columnar merge is held to the heap merge it replaced, byte for
-// byte: mergeHeapRef below is that merge, kept as the oracle.
+// Compaction's columnar merge and every memtable image and seal apply
+// publishes are held to the heap segment form they replaced, byte for byte:
+// mergeHeapRef below is the merge Compact ran, and heapref_test.go keeps the
+// heap segment, its encoder and the heap memtable.
 
 import (
 	"bytes"
@@ -19,28 +21,28 @@ import (
 // mergeHeapRef is the merge Compact ran before mergeSegV2 — every live table
 // of sn's sealed segments re-added, profile by profile, to a fresh heap
 // segment, its shards re-banked from the signatures — followed by
-// encodeSegV2. It returns nil data when no table survives, and the columns of
-// the tombstoned tables it skipped.
+// encodeHeapRef. It returns nil data when no table survives, and the columns
+// of the tombstoned tables it skipped.
 func mergeHeapRef(t testing.TB, id uint64, ix *Index, sn *snapshot) (data []byte, reclaimed int) {
 	t.Helper()
-	merged := newSegment(id, ix.bands)
+	merged := newHeapSeg(id, ix.bands)
 	for _, seg := range sn.sealed {
 		for _, name := range seg.tableNames() {
 			if sn.dead(seg, name) {
 				reclaimed += seg.tableLen(name)
 				continue
 			}
-			merged.add(strings.Clone(name), seg.tableProfiles(name), ix.rows)
+			var profiles []ColumnProfile
+			for _, id := range seg.colIDs(name) {
+				profiles = append(profiles, seg.colProfile(id))
+			}
+			merged.add(strings.Clone(name), profiles, ix.rows)
 		}
 	}
-	if merged.numTables() == 0 {
+	if len(merged.order) == 0 {
 		return nil, reclaimed
 	}
-	data, err := encodeSegV2(merged, ix.k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data, reclaimed
+	return encodeHeapRef(t, merged, ix.k), reclaimed
 }
 
 // holdBackgroundCompaction keeps writes from starting compactions (apply
@@ -59,26 +61,32 @@ func mergedBytes(t testing.TB, id uint64, ix *Index, sn *snapshot) (data []byte,
 	if seg == nil {
 		return nil, reclaimed
 	}
-	if seg.mapped == nil || seg.mapped.unmap != nil {
-		t.Fatalf("merged segment %d is not a heap-held image", id)
+	if seg.unmap != nil {
+		t.Fatalf("merged segment %d is a file mapping", id)
 	}
-	return seg.mapped.data, reclaimed
+	return seg.data, reclaimed
 }
 
 // TestMergeSegV2MatchesHeapMerge drives seeded op streams — adds, upserts,
-// removes and compactions over every SealAfter from 1 to 5, with zero-column
-// tables, all-empty columns and non-ASCII names — and at every compaction
-// holds mergeSegV2 to mergeHeapRef: the same bytes and the same reclaimed
-// count, whichever way the inputs are held (fresh heap seals beside an earlier
-// merge's heap-held image, as the live catalog has them; every input a
-// heap-read image; every input a file mapping).
+// removes, batches and compactions over every SealAfter from 1 to 5, with
+// zero-column tables, all-empty columns and non-ASCII names — and holds
+// every image the catalog makes to the heap form it replaced, byte for
+// byte. After every batch the memtable's image and every seal equal
+// encodeHeapRef of the heap memtable the old clone/without/add write path
+// builds (heapMemtable), through batches that upsert one name twice, remove
+// and re-add one, and seal midway. At every compaction mergeSegV2 equals
+// mergeHeapRef — the same bytes and the same reclaimed count — whichever
+// way the inputs are held (fresh seals beside an earlier merge's image, as
+// the live catalog has them; every input a heap-read image; every input a
+// file mapping).
 func TestMergeSegV2MatchesHeapMerge(t *testing.T) {
 	streams, steps := 24, 70
 	if testing.Short() {
 		steps = 40
 	}
 	// What the streams exercised, so the test cannot pass by going vacuous.
-	var merges, withTombs, withHeapSeal, withImage, withMapping, zeroColTables, emptySigCols int
+	var merges, withTombs, withFreshSeal, withImage, withMapping, zeroColTables, emptySigCols int
+	var memImages, seals, midBatchSeals, upsertedTwice, reAdded int
 	colNames := []string{"customer_id", "city", "größe", "名前", "total amount", "k"}
 	for seed := 0; seed < streams; seed++ {
 		rng := rand.New(rand.NewSource(int64(100 + seed)))
@@ -88,6 +96,8 @@ func TestMergeSegV2MatchesHeapMerge(t *testing.T) {
 		}
 		ix := New(opts)
 		holdBackgroundCompaction(ix)
+		model := &heapMemtable{mem: newHeapSeg(0, ix.bands), sealed: map[string]bool{}}
+		compacted := map[uint64]bool{} // ids of the images Compact published
 		names := []string{"tábla_ü", "表01", "набор"}
 		for i := 0; i < 12; i++ {
 			names = append(names, fmt.Sprintf("t%02d", i))
@@ -108,6 +118,63 @@ func TestMergeSegV2MatchesHeapMerge(t *testing.T) {
 			}
 			return tab
 		}
+		upsert := func(name string) rawOp {
+			t.Helper()
+			op, err := ix.profileOp(profile.NewInterned(makeTable(name), ix.dict), true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return op
+		}
+
+		// write applies one batch to the catalog and to the heap memtable and
+		// holds what the catalog published to the heap form's images.
+		write := func(step int, ops []rawOp) {
+			t.Helper()
+			at := fmt.Sprintf("seed %d step %d", seed, step)
+			before := ix.snap.Load()
+			ok, wantSeals := model.apply(t, ix, ix.nextSeg, ops)
+			for i, err := range ix.apply(ops) {
+				if (err == nil) != ok[i] {
+					t.Fatalf("%s op %d: catalog error %v, heap memtable ok=%v", at, i, err, ok[i])
+				}
+			}
+			after := ix.snap.Load()
+			fresh := after.sealed[len(before.sealed):]
+			if len(fresh) != len(wantSeals) {
+				t.Fatalf("%s: the batch sealed %d segments, the heap memtable %d", at, len(fresh), len(wantSeals))
+			}
+			for i, seg := range fresh {
+				if !bytes.Equal(seg.data, wantSeals[i].data) {
+					t.Fatalf("%s: seal %d (segment %d) differs from the heap memtable's", at, i, seg.id)
+				}
+				if wantSeals[i].at < len(ops)-1 {
+					midBatchSeals++
+				}
+			}
+			seals += len(fresh)
+			if (after.mem != nil) != (len(model.mem.order) > 0) {
+				t.Fatalf("%s: memtable image present=%v, heap memtable holds %d tables", at, after.mem != nil, len(model.mem.order))
+			}
+			if after.mem != nil {
+				if !bytes.Equal(after.mem.data, encodeHeapRef(t, model.mem, ix.k)) {
+					t.Fatalf("%s: the memtable image differs from the heap memtable's", at)
+				}
+				memImages++
+			}
+			for i := range ops {
+				for j := i + 1; j < len(ops); j++ {
+					a, b := ops[i], ops[j]
+					switch {
+					case !ok[i] || !ok[j] || b.remove != "":
+					case a.remove == b.name:
+						reAdded++
+					case a.name == b.name:
+						upsertedTwice++
+					}
+				}
+			}
+		}
 
 		check := func(step int) {
 			t.Helper()
@@ -123,10 +190,10 @@ func TestMergeSegV2MatchesHeapMerge(t *testing.T) {
 				withTombs++
 			}
 			for _, seg := range sn.sealed {
-				if seg.mapped == nil {
-					withHeapSeal++
-				} else {
+				if compacted[seg.id] {
 					withImage++
+				} else {
+					withFreshSeal++
 				}
 				for id := int32(0); int(id) < seg.numCols(); id++ {
 					if profile.IsEmptySignature(seg.colSig(id)) {
@@ -155,7 +222,7 @@ func TestMergeSegV2MatchesHeapMerge(t *testing.T) {
 				}
 				lsn := loaded.snap.Load()
 				for _, seg := range lsn.sealed {
-					if mapping := seg.mapped.unmap != nil; mapping != (mmapAvailable && !noMap) {
+					if mapping := seg.unmap != nil; mapping != (mmapAvailable && !noMap) {
 						t.Fatalf("%s: noMap=%v load holds segment %d as mapping=%v", at, noMap, seg.id, mapping)
 					} else if mapping {
 						withMapping++
@@ -170,12 +237,13 @@ func TestMergeSegV2MatchesHeapMerge(t *testing.T) {
 			}
 			// And what Compact itself publishes is that image.
 			ix.Compact()
+			compacted[id] = true
 			after := ix.snap.Load()
 			if want == nil {
 				if len(after.sealed) != 0 {
 					t.Fatalf("%s: an all-dead merge published %d segments", at, len(after.sealed))
 				}
-			} else if m := after.sealed[0]; m.id != id || m.mapped == nil || !bytes.Equal(m.mapped.data, want) {
+			} else if m := after.sealed[0]; m.id != id || !bytes.Equal(m.data, want) {
 				t.Fatalf("%s: Compact published segment %d, not the heap merge's image under id %d", at, m.id, id)
 			}
 			if after.deadCols != sn.deadCols-wantReclaimed || len(after.tombs) != 0 {
@@ -186,15 +254,29 @@ func TestMergeSegV2MatchesHeapMerge(t *testing.T) {
 
 		for step := 0; step < steps; step++ {
 			name := names[rng.Intn(len(names))]
-			switch op := rng.Intn(20); {
+			switch op := rng.Intn(24); {
 			case op < 8:
-				if err := ix.Upsert(makeTable(name)); err != nil {
-					t.Fatalf("seed %d step %d upsert %s: %v", seed, step, name, err)
-				}
+				write(step, []rawOp{upsert(name)})
 			case op < 12:
-				_ = ix.Add(makeTable(name)) // fails when the name is live
+				add := upsert(name)
+				add.upsert = false // fails when the name is live
+				write(step, []rawOp{add})
+			case op < 16:
+				write(step, []rawOp{{remove: name}}) // fails when it is not
 			case op < 18:
-				_ = ix.Remove(name) // fails when it is not
+				write(step, []rawOp{upsert(name), upsert(name)})
+			case op < 20:
+				write(step, []rawOp{{remove: name}, upsert(name)})
+			case op < 22: // long enough to seal midway at every SealAfter
+				ops := make([]rawOp, 2+rng.Intn(5))
+				for i := range ops {
+					if name := names[rng.Intn(len(names))]; rng.Intn(3) == 0 {
+						ops[i] = rawOp{remove: name}
+					} else {
+						ops[i] = upsert(name)
+					}
+				}
+				write(step, ops)
 			default:
 				check(step)
 			}
@@ -203,15 +285,19 @@ func TestMergeSegV2MatchesHeapMerge(t *testing.T) {
 	}
 	for what, n := range map[string]int{
 		"merges": merges, "merges with tombstones at their start": withTombs,
-		"fresh heap seals": withHeapSeal, "heap-held images": withImage,
+		"fresh seals": withFreshSeal, "compacted images": withImage,
 		"zero-column tables": zeroColTables, "empty-signature columns": emptySigCols,
+		"memtable images": memImages, "seals": seals, "seals midway through a batch": midBatchSeals,
+		"batches upserting one name twice": upsertedTwice, "batches removing and re-adding a name": reAdded,
 	} {
 		if n == 0 {
 			t.Errorf("the streams exercised no %s", what)
 		}
 	}
-	t.Logf("%d merges (%d with tombstones) over %d heap seals, %d heap-held images and %d mappings; %d zero-column tables, %d empty-signature columns",
-		merges, withTombs, withHeapSeal, withImage, withMapping, zeroColTables, emptySigCols)
+	t.Logf("%d merges (%d with tombstones) over %d fresh seals, %d compacted images and %d mappings; %d zero-column tables, %d empty-signature columns",
+		merges, withTombs, withFreshSeal, withImage, withMapping, zeroColTables, emptySigCols)
+	t.Logf("%d memtable images and %d seals (%d midway through a batch); %d batches upserted a name twice, %d removed and re-added one",
+		memImages, seals, midBatchSeals, upsertedTwice, reAdded)
 	if mmapAvailable && withMapping == 0 {
 		t.Error("the streams merged no mapped segment")
 	}
@@ -253,7 +339,7 @@ func TestMergeAllDeadPublishesNothing(t *testing.T) {
 
 // TestCompactPublishesImage: the segment a compaction publishes is a v2 image
 // held on the Go heap — counted as heap, not as mapped — and the catalog
-// answers exactly as before it, whether the inputs were heap seals or file
+// answers exactly as before it, whether the inputs were fresh seals or file
 // mappings. An image merged out of mappings borrows nothing from them: it
 // still serves after Close has unmapped every input.
 func TestCompactPublishesImage(t *testing.T) {
@@ -280,7 +366,7 @@ func TestCompactPublishesImage(t *testing.T) {
 		}
 		return a
 	}
-	live := liveCatalog(t) // three heap seals, one tombstone, a non-empty memtable
+	live := liveCatalog(t) // three fresh seals, one tombstone, a non-empty memtable
 	dir := filepath.Join(t.TempDir(), "snap")
 	if err := live.SaveSnapshot(dir); err != nil {
 		t.Fatal(err)
@@ -289,7 +375,7 @@ func TestCompactPublishesImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for how, ix := range map[string]*Index{"heap seals": live, "loaded segments": loaded} {
+	for how, ix := range map[string]*Index{"fresh seals": live, "loaded segments": loaded} {
 		before := ask(ix)
 		ix.Compact()
 		sn := ix.snap.Load()
@@ -297,15 +383,12 @@ func TestCompactPublishesImage(t *testing.T) {
 			t.Fatalf("%s: %d sealed segments after Compact, want 1", how, len(sn.sealed))
 		}
 		merged := sn.sealed[0]
-		if merged.mapped == nil || merged.mapped.unmap != nil || merged.cols != nil || merged.shards != nil {
-			t.Fatalf("%s: merged segment is not a heap-held image: %+v", how, merged)
-		}
-		if id := merged.mapped.segID(); id != merged.id {
-			t.Errorf("%s: image header carries id %d, segment is %d", how, id, merged.id)
+		if merged.unmap != nil {
+			t.Fatalf("%s: merged segment %d is a file mapping, not an image on the heap", how, merged.id)
 		}
 		st := ix.Stats()
-		if st.HeapSegmentBytes < int64(len(merged.mapped.data)) {
-			t.Errorf("%s: heap_segment_bytes = %d, below the merged image's %d bytes", how, st.HeapSegmentBytes, len(merged.mapped.data))
+		if st.HeapSegmentBytes < int64(len(merged.data)) {
+			t.Errorf("%s: heap_segment_bytes = %d, below the merged image's %d bytes", how, st.HeapSegmentBytes, len(merged.data))
 		}
 		if st.MappedSegmentBytes != 0 || st.MappedResidentBytes != 0 {
 			t.Errorf("%s: %d mapped / %d resident bytes reported with no mapping in the snapshot", how, st.MappedSegmentBytes, st.MappedResidentBytes)

@@ -4,7 +4,7 @@ package discovery
 
 // Portable arm of the mmap gate: platforms without the Linux mmap path read
 // segment files into aligned heap buffers instead. Every byte past the read
-// is served by the same mappedSeg code, so behavior is identical — only
+// is served by the same segment code, so behavior is identical — only
 // memory residency differs.
 
 const mmapAvailable = false

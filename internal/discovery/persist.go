@@ -4,10 +4,12 @@ package discovery
 // directory — a manifest (MANIFEST.gob), one immutable columnar file per
 // sealed segment (seg-<id>.seg), the memtable in the same columnar encoding
 // (mem.seg — it is just an unsealed segment), and the catalog's value
-// dictionary as an append-only log (dict.log). Every column byte that comes
-// off disk goes through the one validated decoder in segv2.go: sealed
-// segments are memory-mapped and searched in place, the memtable is
-// heap-read and its tables re-added to a fresh mutable segment.
+// dictionary as an append-only log (dict.log). Every segment is an image, so
+// a save writes each one's own bytes. Every column byte that comes off disk
+// goes through the one validated decoder in segv2.go: sealed segments are
+// memory-mapped and searched in place; the memtable is heap-read and adopted
+// under a fresh segment id by the merge every write batch runs, its band
+// sections served as stored.
 //
 // Sealed segments are immutable, so a periodic snapshot rewrites only the
 // manifest, the memtable file, and segment files that did not exist yet;
@@ -111,20 +113,6 @@ func writeFileAtomic(fsys faultfs.FS, path string, data []byte) error {
 	return fsys.Rename(tmp, path)
 }
 
-// writeSegV2 writes seg to path in the columnar format. A segment that is
-// itself mapped from a file is copied byte-for-byte — re-encoding would
-// only reproduce the same bytes.
-func writeSegV2(fsys faultfs.FS, path string, seg *segment, k int) error {
-	if seg.mapped != nil {
-		return writeFileAtomic(fsys, path, seg.mapped.data)
-	}
-	data, err := encodeSegV2(seg, k)
-	if err != nil {
-		return err
-	}
-	return writeFileAtomic(fsys, path, data)
-}
-
 func writeManifest(fsys faultfs.FS, dir string, m manifest) error {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
@@ -215,13 +203,13 @@ func (ix *Index) SaveSnapshot(dir string) error {
 				continue // immutable segment already snapshotted by this catalog
 			}
 		}
-		if err := writeSegV2(fsys, path, seg, ix.k); err != nil {
+		if err := writeFileAtomic(fsys, path, seg.data); err != nil {
 			return fmt.Errorf("discovery: writing segment %d: %w", seg.id, err)
 		}
 	}
-	if sn.mem != nil && sn.mem.numTables() > 0 {
+	if sn.mem != nil {
 		m.HasMem = true
-		if err := writeSegV2(fsys, filepath.Join(dir, memName), sn.mem, ix.k); err != nil {
+		if err := writeFileAtomic(fsys, filepath.Join(dir, memName), sn.mem.data); err != nil {
 			return fmt.Errorf("discovery: writing memtable: %w", err)
 		}
 	}
@@ -346,7 +334,7 @@ func LoadSnapshotWith(dir string, o LoadOptions) (ret *Index, err error) {
 	sn := &snapshot{epoch: m.Epoch}
 	// openSeg validates one segment file and holds its geometry to the
 	// manifest's; the caller owns the returned mapping.
-	openSeg := func(name string, noMap bool) (*mappedSeg, error) {
+	openSeg := func(name string, noMap bool) (*segment, error) {
 		ms, err := loadSegV2(fsys, filepath.Join(dir, name), noMap)
 		if err != nil {
 			return nil, err
@@ -378,8 +366,8 @@ func LoadSnapshotWith(dir string, o LoadOptions) (ret *Index, err error) {
 	}
 	for _, id := range m.Sealed {
 		ms, segErr := openSeg(segFileName(id), o.noMap)
-		if segErr == nil && ms.segID() != id {
-			segErr = fmt.Errorf("%w: file carries segment id %d, manifest expects %d", ErrSegmentCorrupt, ms.segID(), id)
+		if segErr == nil && ms.id != id {
+			segErr = fmt.Errorf("%w: file carries segment id %d, manifest expects %d", ErrSegmentCorrupt, ms.id, id)
 			ms.release()
 		}
 		if segErr != nil {
@@ -391,7 +379,7 @@ func LoadSnapshotWith(dir string, o LoadOptions) (ret *Index, err error) {
 		if ms.unmap != nil {
 			ix.unmaps = append(ix.unmaps, ms.unmap)
 		}
-		sn.sealed = append(sn.sealed, &segment{id: id, mapped: ms})
+		sn.sealed = append(sn.sealed, ms)
 	}
 	// A crash between writing segment files and the manifest can leave
 	// orphan segment files with ids at or past the manifest's NextSeg. If
@@ -399,39 +387,39 @@ func LoadSnapshotWith(dir string, o LoadOptions) (ret *Index, err error) {
 	// → skip" fast path would adopt the stale orphan into the manifest. Scan
 	// the directory and allocate strictly past every file on disk;
 	// unreferenced orphans are then pruned by the next successful
-	// SaveSnapshot without ever being adopted.
-	if entries, dirErr := fsys.ReadDir(dir); dirErr == nil {
-		for _, e := range entries {
-			name := e.Name()
-			if !strings.HasSuffix(name, ".seg") {
-				continue
-			}
-			var id uint64
-			if n, _ := fmt.Sscanf(name, "seg-%d", &id); n == 1 && id >= nextSeg {
-				nextSeg = id + 1
-			}
+	// SaveSnapshot without ever being adopted. A directory that cannot be
+	// listed fails the load: allocating blind could hand out an orphan's id.
+	entries, err := fsys.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("discovery: scanning snapshot for orphan segment files: %w", err)
+	}
+	for _, e := range entries {
+		name := e.Name()
+		if !strings.HasSuffix(name, ".seg") {
+			continue
+		}
+		var id uint64
+		if n, _ := fmt.Sscanf(name, "seg-%d", &id); n == 1 && id >= nextSeg {
+			nextSeg = id + 1
 		}
 	}
 	// The memtable gets a fresh id — one no sealed segment (and so no
 	// tombstone) can reference, and not its saved one, which may equal an
 	// orphan segment file's: when this memtable seals, its id becomes a
 	// segment file name.
-	sn.mem = newSegment(nextSeg, ix.bands)
+	memID := nextSeg
 	nextSeg++
 	if m.HasMem {
-		// The memtable is just an unsealed segment: same file format, same
-		// validated decoder, heap-read because its tables are re-added to the
-		// mutable segment (re-banking from the signatures) rather than
-		// served in place.
+		// The memtable is one more image: heap-read, since the merge that
+		// adopts it under its fresh id — the one every write batch runs —
+		// copies it, so no mapping need outlive the load.
 		ms, memErr := openSeg(memName, true)
+		if memErr == nil {
+			sn.mem, _, memErr = mergeSegV2(memID, ix.k, ix.bands, []*segment{ms}, nil)
+		}
 		if memErr != nil {
 			if qErr := quarantine(memName, fmt.Errorf("discovery: memtable: %w", memErr)); qErr != nil {
 				return nil, qErr
-			}
-		} else {
-			saved := &segment{mapped: ms}
-			for _, name := range saved.tableNames() {
-				sn.mem.add(strings.Clone(name), saved.tableProfiles(name), ix.rows)
 			}
 		}
 	}
@@ -462,7 +450,7 @@ func LoadSnapshotWith(dir string, o LoadOptions) (ret *Index, err error) {
 		// be incremental again (the first one rewrites every file).
 		ix.lineage = newLineage()
 	}
-	ix.nextSeg = nextSeg
+	ix.memID, ix.nextSeg = memID, nextSeg
 	maxID := uint64(0)
 	for _, seg := range sn.segments() {
 		if seg.id > maxID {

@@ -22,7 +22,7 @@ package discovery
 //	upsert := 0x02 uvarint(len(image)) image
 //
 // where image is a one-table v2 segment image with zero bands (segv2.go),
-// written by encodeSegV2 and read back by openSegV2 — the decoder the
+// written by encodeTable and read back by openSegV2 — the decoder the
 // snapshot loader trusts with arbitrary bytes. One image per op, so a batch
 // may upsert the same name twice even though an image holds a name once.
 
@@ -138,9 +138,7 @@ func AppendReplayOp(dst []byte, op ReplayOp) ([]byte, error) {
 			return dst, fmt.Errorf("%w: column %s.%s filed under table %q", ErrOpNotEncodable, c.Table, c.Column, op.Name)
 		}
 	}
-	s := newSegment(0, 0)
-	s.add(op.Name, op.Cols, 0)
-	img, err := encodeSegV2(s, k)
+	img, err := encodeTable(0, k, 0, 0, op.Name, op.Cols)
 	if err != nil {
 		return dst, err
 	}
@@ -215,7 +213,7 @@ func decodeUpsertImage(img []byte, scratch *[]uint64) (ReplayOp, error) {
 		nTok += int(rec[6])
 		nSet += int(rec[8])
 	}
-	// encodeSegV2 lays the columns' token and set-id runs end to end; runs
+	// encodeTable lays the columns' token and set-id runs end to end; runs
 	// that overlap would let a small image size a huge allocation.
 	if nTok != len(m.tokenIDs) || nSet != len(m.setIDs) {
 		return ReplayOp{}, fmt.Errorf("%w: columns take %d of %d token ids and %d of %d set ids",

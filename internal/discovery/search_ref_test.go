@@ -4,7 +4,7 @@ package discovery
 // oracle TestSearchMatchesRef holds the integer-keyed path to: string-keyed
 // maps per candidate, one accumulator per (query column, table), a full sort
 // of every touched table. It shares nothing with searchImpl past the segment
-// accessors — colAcc, colRef, tokenJaccard and colTokens below came with it.
+// accessors — colAcc, colRef and tokenJaccard below came with it.
 
 import (
 	"context"
@@ -84,11 +84,11 @@ func (ix *Index) searchRef(ctx context.Context, qp *profile.TableProfile, mode M
 			// A corrupt mapped segment's bucket payload could carry ids
 			// outside the column range; open-time validation checks every
 			// offset table but not bucket values, so the guard lives here —
-			// skip, never panic. Heap segments can't trip it.
+			// skip, never panic.
 			if id < 0 || int(id) >= seg.numCols() {
 				return
 			}
-			// Empty columns never rank (see segment.insertShards); the brute
+			// Empty columns never rank (see encodeTable); the brute
 			// path must apply the same rule so it stays the reference
 			// implementation of the pruned path even with TokenBoost set.
 			tbl := seg.colTable(id)
@@ -244,16 +244,6 @@ func tokenJaccard(a, b []string) float64 {
 	return float64(inter) / float64(union)
 }
 
-// colTokens returns the column's lowercase name tokens. The mapped form
-// allocates the []string header per call (each element is still a zero-copy
-// view); search only pays this when TokenBoost is configured.
-func (s *segment) colTokens(id int32) []string {
-	if s.mapped != nil {
-		return s.mapped.colTokens(id)
-	}
-	return s.cols[id].Tokens
-}
-
 // expiringCtx reports DeadlineExceeded from its (n+1)-th Err call on. A
 // one-worker engine.Map asks before every unit, so exactly the first n query
 // columns get scored: a best-effort search cut short at a known point.
@@ -276,9 +266,9 @@ func expiringAfter(n int64) context.Context {
 }
 
 // TestSearchMatchesRef holds searchImpl to the body it replaced over
-// TestRandomizedLiveConformance's op stream: every segment shape a snapshot
-// can hold (memtable, heap seals, a compaction's heap-held image, images
-// mapped from a snapshot directory) under live tombstones, queries that skip
+// TestRandomizedLiveConformance's op stream: every segment a snapshot can
+// hold (memtable, fresh seals, a compaction's image, images mapped from a
+// snapshot directory) under live tombstones, queries that skip
 // nothing, a live table and a tombstoned one, all-empty columns on both
 // sides, and a best-effort search whose context expires before and midway
 // through scoring. Results, pinned epoch and the engine's counters must be
@@ -343,7 +333,14 @@ func searchMatchesRef(t *testing.T, boost float64) {
 	}
 
 	// What the checked snapshots held beside a tombstone, over the whole run.
-	var sawHeapSeal, sawHeapImage, sawMappedImage, sawPartial bool
+	var sawFreshSeal, sawCompacted, sawMappedImage, sawPartial bool
+	compacted := map[uint64]bool{} // ids of the images Compact published
+	compact := func() {
+		ix.Compact()
+		if sn := ix.snap.Load(); len(sn.sealed) > 0 {
+			compacted[sn.sealed[0].id] = true
+		}
+	}
 	check := func(step int) {
 		t.Helper()
 		at := fmt.Sprintf("step %d", step)
@@ -359,9 +356,14 @@ func searchMatchesRef(t *testing.T, boost float64) {
 		}
 		if len(sn.tombs) > 0 {
 			for _, seg := range sn.sealed {
-				sawHeapSeal = sawHeapSeal || seg.mapped == nil
-				sawHeapImage = sawHeapImage || seg.mapped != nil && seg.mapped.unmap == nil
-				sawMappedImage = sawMappedImage || seg.mapped != nil && seg.mapped.unmap != nil
+				switch {
+				case seg.unmap != nil:
+					sawMappedImage = true
+				case compacted[seg.id]:
+					sawCompacted = true
+				default:
+					sawFreshSeal = true
+				}
 			}
 		}
 		for _, q := range queries {
@@ -403,7 +405,7 @@ func searchMatchesRef(t *testing.T, boost float64) {
 		}
 		switch step {
 		case steps / 3:
-			ix.Compact() // every seal so far becomes one heap-held image
+			compact() // every seal so far becomes one image
 			check(step)
 		case 2 * steps / 3:
 			dir := filepath.Join(t.TempDir(), "snap")
@@ -425,10 +427,10 @@ func searchMatchesRef(t *testing.T, boost float64) {
 	}
 	check(steps)
 	ix.compacting.Store(false)
-	ix.Compact()
+	compact()
 	check(steps + 1)
-	if !sawHeapSeal || !sawHeapImage || !sawPartial || mmapAvailable && !sawMappedImage {
-		t.Errorf("stream never checked a snapshot with tombstones beside a heap seal (%v), a heap-held image (%v), a mapped image (%v), or a search cut short (%v)",
-			sawHeapSeal, sawHeapImage, sawMappedImage, sawPartial)
+	if !sawFreshSeal || !sawCompacted || !sawPartial || mmapAvailable && !sawMappedImage {
+		t.Errorf("stream never checked a snapshot with tombstones beside a fresh seal (%v), a compacted image (%v), a mapped image (%v), or a search cut short (%v)",
+			sawFreshSeal, sawCompacted, sawMappedImage, sawPartial)
 	}
 }

@@ -8,7 +8,8 @@ package discovery
 // the section table once and then serves every search, LSH probe and kernel
 // call as slice views straight over the file bytes (typically an mmap of
 // the page cache; see mmap_linux.go for the mapping and readFileAligned for
-// the portable heap-read arm).
+// the portable heap-read arm). A running catalog holds every segment in this
+// form too (segment.go).
 //
 // Layout (all offsets from file start, every section 8-byte aligned):
 //
@@ -38,10 +39,11 @@ package discovery
 //	  9 tokenIDs   × u32                flat name-token string indices
 //	 10 setIDs     × u32                flat sorted interned distinct-value ids
 //
-// Bucket contents keep their heap insertion order byte-for-byte, and column
-// ids equal the heap segment's (columns of one table are contiguous), so a
-// mapped probe visits candidates in exactly the order the heap probe would —
-// the bit-identical-search contract costs the format nothing.
+// Bucket contents keep insertion order — tables in the order they were
+// added, a table's columns in column order — and a table's columns are
+// contiguous, so every image of the same tables in the same order probes
+// candidates in the same order, whichever writer made it: the
+// bit-identical-search contract costs the format nothing.
 //
 // Bytes past the last section are ignored, mirroring the dict.log contract:
 // a crash that appends a torn tail to a segment file cannot poison a reader
@@ -51,18 +53,17 @@ package discovery
 // assumes a little-endian host — true of every platform this suite targets.
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"slices"
-	"sort"
-	"strings"
 	"unsafe"
 
 	"valentine/internal/faultfs"
-	"valentine/internal/table"
+	"valentine/internal/profile"
 )
 
 // Named v2 segment-file errors. Loaders and tests distinguish a file that
@@ -105,11 +106,11 @@ const (
 
 // --- writers ---
 //
-// Two functions produce a v2 image: encodeSegV2 from a heap segment (the
-// memtable and fresh seals, at snapshot time and on their way into a merge)
-// and mergeSegV2 from other images (compaction). They share the string table
-// and the layout step, and for the same tables in the same order they emit
-// the same bytes.
+// Two functions produce a v2 image: encodeTable from one table's column
+// profiles (an upsert's image, for the memtable and for the write-ahead log)
+// and mergeSegV2 from other images (the memtable's rebuild, compaction).
+// They share the string table and the layout step, and for the same tables
+// in the same order they emit the same bytes.
 
 // strTable deduplicates a segment's strings (table names, column names,
 // tokens) in first-encounter order, which makes the encoding deterministic.
@@ -194,124 +195,108 @@ func assembleSegV2(id uint64, k, bands, nCols, nTables int, strs *strTable, toke
 	return out, secs, nil
 }
 
-// encodeSegV2 serializes a heap segment — sealed or memtable — to the
-// columnar layout. Image-backed segments never come through here: their
-// bytes are already the layout, copied verbatim by SaveSnapshot and read in
-// place by mergeSegV2.
-func encodeSegV2(s *segment, k int) ([]byte, error) {
-	if s.mapped != nil {
-		return nil, fmt.Errorf("discovery: encodeSegV2 on an image-backed segment")
-	}
-	nCols, nTables := len(s.cols), len(s.order)
-	// Pass 1: validate, intern every string in first-encounter order (table
-	// name, then per column its name and tokens) and size the sections.
-	strs := newStrTable(nTables + 2*nCols)
-	names := make([]uint32, 0, nTables+nCols) // table and column name indices, in record order
-	tokenIDs := make([]uint32, 0, 2*nCols)
-	nSetIDs, colSeen := 0, 0
-	for _, name := range s.order {
-		ids := s.tables[name]
-		for i, id := range ids {
-			if int(id) != int(ids[0])+i {
-				return nil, fmt.Errorf("discovery: table %q has non-contiguous column ids", name)
-			}
+// encodeTable writes the v2 image of one table under segment id, its
+// columns banked in bands LSH bands of rows slots each. A column with an
+// empty signature is banked nowhere: every slot is the EmptySlot sentinel,
+// so it would share one bucket per band with every other empty column at
+// Jaccard 0, bloating candidate sets without ever ranking. The image is the
+// bytes mergeSegV2 writes for this table alone, so a table that starts a
+// memtable is that memtable's image. With zero bands it is an upsert's
+// logged form (replay.go).
+func encodeTable(id uint64, k, bands, rows int, name string, cols []ColumnProfile) ([]byte, error) {
+	// Pass 1: validate, intern every string in first-encounter order (the
+	// table name, then per column its name and tokens), and band the
+	// non-empty signatures: per band, (key, column) pairs sorted by key and
+	// then column, so a bucket lists its columns in column order.
+	strs := newStrTable(1 + 2*len(cols))
+	names := make([]uint32, 1, 1+len(cols)) // table and column name indices, in record order
+	names[0] = strs.intern(name)
+	tokenIDs := make([]uint32, 0, 2*len(cols))
+	nSetIDs := 0
+	var banked []uint32 // the columns with a non-empty signature
+	for c := range cols {
+		p := &cols[c]
+		if len(p.Signature) != k {
+			return nil, fmt.Errorf("discovery: column %s.%s has %d-slot signature, want %d", name, p.Column, len(p.Signature), k)
 		}
-		names = append(names, strs.intern(name))
-		for _, id := range ids {
-			p := &s.cols[id]
-			if len(p.Signature) != k {
-				return nil, fmt.Errorf("discovery: column %s.%s has %d-slot signature, want %d",
-					p.Table, p.Column, len(p.Signature), k)
-			}
-			if p.Rows < 0 || int64(p.Rows) > math.MaxUint32 ||
-				p.Distinct < 0 || int64(p.Distinct) > math.MaxUint32 {
-				return nil, fmt.Errorf("discovery: column %s.%s counts overflow the v2 layout", p.Table, p.Column)
-			}
-			names = append(names, strs.intern(p.Column))
-			for _, t := range p.Tokens {
-				tokenIDs = append(tokenIDs, strs.intern(t))
-			}
-			nSetIDs += len(p.SetIDs)
-			colSeen++
+		if p.Rows < 0 || int64(p.Rows) > math.MaxUint32 || p.Distinct < 0 || int64(p.Distinct) > math.MaxUint32 {
+			return nil, fmt.Errorf("discovery: column %s.%s counts overflow the v2 layout", name, p.Column)
+		}
+		names = append(names, strs.intern(p.Column))
+		for _, t := range p.Tokens {
+			tokenIDs = append(tokenIDs, strs.intern(t))
+		}
+		nSetIDs += len(p.SetIDs)
+		if !profile.IsEmptySignature(p.Signature) {
+			banked = append(banked, uint32(c))
 		}
 	}
-	if colSeen != nCols {
-		return nil, fmt.Errorf("discovery: segment directory covers %d of %d columns", colSeen, nCols)
+	type entry struct {
+		key uint64
+		col uint32
 	}
-	// Band keys, band after band and ascending within each — already the
-	// bandKeys section's content, so one buffer serves every band's sort.
-	bands := len(s.shards)
-	nKeys, nBucketIDs := 0, 0
-	for _, shard := range s.shards {
-		nKeys += len(shard)
-	}
-	keys := make([]uint64, 0, nKeys)
-	for _, shard := range s.shards {
-		lo := len(keys)
-		for key, ids := range shard {
-			keys = append(keys, key)
-			nBucketIDs += len(ids)
+	n := len(banked)
+	entries := make([]entry, bands*n) // band b's run is entries[b*n:(b+1)*n]
+	bandCounts := make([]uint32, bands)
+	nKeys := 0
+	for b := range bands {
+		run := entries[b*n : (b+1)*n]
+		for i, c := range banked {
+			run[i] = entry{profile.BandKey(cols[c].Signature, b, rows), c}
 		}
-		slices.Sort(keys[lo:])
+		slices.SortFunc(run, func(x, y entry) int {
+			return cmp.Or(cmp.Compare(x.key, y.key), cmp.Compare(x.col, y.col))
+		})
+		for i := range run {
+			if i == 0 || run[i].key != run[i-1].key {
+				bandCounts[b]++
+			}
+		}
+		nKeys += int(bandCounts[b])
 	}
 
-	out, secs, err := assembleSegV2(s.id, k, bands, nCols, nTables, strs, tokenIDs, nKeys, nBucketIDs, nSetIDs)
+	out, secs, err := assembleSegV2(id, k, bands, len(cols), 1, strs, tokenIDs, nKeys, len(entries), nSetIDs)
 	if err != nil {
 		return nil, err
 	}
 
-	// Pass 2: records, signatures and set ids straight into their sections.
-	tblRecs, colRecs := viewU32(secs[secTblRecs]), viewU32(secs[secColRecs])
+	// Pass 2: the records, signatures and set ids, then the band sections.
+	tblRec, colRecs := viewU32(secs[secTblRecs]), viewU32(secs[secColRecs])
 	sigs, setIDs := viewU64(secs[secSigs]), viewU32(secs[secSetIDs])
-	name, tok, set := 0, 0, 0
-	for ti, tbl := range s.order {
-		ids := s.tables[tbl]
-		rec := tblRecs[ti*tblRecWords:][:tblRecWords]
-		rec[0] = names[name]
-		name++
-		if len(ids) > 0 {
-			rec[1] = uint32(ids[0])
-		}
-		rec[2] = uint32(len(ids))
-		for _, id := range ids {
-			p := &s.cols[id]
-			col := colRecs[int(id)*colRecWords:][:colRecWords]
-			col[0] = uint32(ti)
-			col[1] = names[name]
-			name++
-			col[2] = uint32(int32(p.Type))
-			col[3] = uint32(p.Rows)
-			col[4] = uint32(p.Distinct)
-			col[5] = uint32(tok)
-			col[6] = uint32(len(p.Tokens))
-			col[7] = uint32(set)
-			col[8] = uint32(len(p.SetIDs))
-			tok += len(p.Tokens)
-			set += copy(setIDs[set:], p.SetIDs)
-			copy(sigs[int(id)*k:], p.Signature)
-		}
+	tblRec[0], tblRec[2] = names[0], uint32(len(cols)) // its columns start at 0
+	tok, set := 0, 0
+	for c := range cols {
+		p := &cols[c]
+		col := colRecs[c*colRecWords:][:colRecWords] // col[0], the table, is 0
+		col[1] = names[1+c]
+		col[2] = uint32(int32(p.Type))
+		col[3] = uint32(p.Rows)
+		col[4] = uint32(p.Distinct)
+		col[5], col[6] = uint32(tok), uint32(len(p.Tokens))
+		col[7], col[8] = uint32(set), uint32(len(p.SetIDs))
+		tok += len(p.Tokens)
+		set += copy(setIDs[set:], p.SetIDs)
+		copy(sigs[c*k:], p.Signature)
 	}
-	copy(viewU64(secs[secBandKeys]), keys)
-	bandCounts, bucketEnds := viewU32(secs[secBandCounts]), viewU32(secs[secBucketEnds])
-	bucketIDs := viewU32(secs[secBucketIDs])
-	ki, ii := 0, 0
-	for b, shard := range s.shards {
-		bandCounts[b] = uint32(len(shard))
-		base := ii
-		for range len(shard) {
-			for _, id := range shard[keys[ki]] {
-				bucketIDs[ii] = uint32(id)
-				ii++
+	copy(viewU32(secs[secBandCounts]), bandCounts)
+	keys, ends, ids := viewU64(secs[secBandKeys]), viewU32(secs[secBucketEnds]), viewU32(secs[secBucketIDs])
+	ki := 0
+	for b := range bands {
+		run := entries[b*n : (b+1)*n]
+		for i, e := range run {
+			if i == 0 || e.key != run[i-1].key {
+				keys[ki] = e.key
+				ki++
 			}
-			bucketEnds[ki] = uint32(ii - base)
-			ki++
+			ends[ki-1] = uint32(i + 1)
+			ids[b*n+i] = e.col
 		}
 	}
 	return out, nil
 }
 
 // droppedCol marks, in a merge's old→new column id table, a column of a
-// tombstoned table.
+// dead table.
 const droppedCol = ^uint32(0)
 
 // bandCursor walks one input's ascending key run of the band being merged.
@@ -343,29 +328,31 @@ func siftDown(h []bandCursor, i int) {
 	}
 }
 
-// mergeSegV2 is compaction's merge. It reads sealed segments as v2 images,
-// oldest first, and writes the v2 image of their live tables directly:
-// strings re-interned in first-encounter order, table and column records
-// renumbered, each live table's signature rows copied as one block and its
-// columns' set-id runs one by one, and per band a merge of the inputs'
-// already-sorted key runs with bucket ids renumbered through a per-input
-// old→new id table (ids of dead tables dropped; a bucket left empty
-// vanishes). The result is byte-identical to encodeSegV2 of a heap segment
-// those tables were added to in that order — mergeHeapRef in the tests is
-// that oracle — so a probe of the merged image visits candidates exactly as
-// the inputs' probes did.
+// mergeSegV2 merges v2 images, oldest first, into the image of their live
+// tables under segment id, opened: compaction's merge of the sealed
+// segments, the memtable's rebuild from its image and a write batch's
+// one-table images, and a loaded memtable's adoption under a fresh id. It
+// writes the merged image directly: strings re-interned in first-encounter
+// order, table and column records renumbered, each live table's signature
+// rows copied as one block and its columns' set-id runs one by one, and per
+// band a merge of the inputs' already-sorted key runs with bucket ids
+// renumbered through a per-input old→new id table (ids of dead tables
+// dropped; a bucket left empty vanishes). The result is byte-identical to
+// the heap segment the catalog once built by adding those tables in that
+// order, encoded — encodeHeapRef in the tests is that oracle — so a probe of
+// the merged image visits candidates exactly as the inputs' probes did.
 //
-// dead reports whether input in's table is tombstoned; reclaimed counts the
-// columns of the tables it drops. A merge with no live table returns nil
-// data. The image borrows no byte from an input (inputs may be mappings
-// that Close releases); only the string table keys on input views, and it
-// dies with the call.
+// dead, when non-nil, reports whether input in's table is dead (tombstoned,
+// replaced or removed); reclaimed counts the columns of the tables it
+// drops. A merge with no live table returns a nil segment. The image borrows
+// no byte from an input (inputs may be mappings that Close releases); only
+// the string table keys on input views, and it dies with the call.
 //
 // Inputs are images openSegV2 accepted, which need not be well-formed past
 // what it checks: bucket ids are clamped exactly as search clamps them, and
 // everything else is read through the validated records, so any accepted
 // input merges into an image openSegV2 accepts again.
-func mergeSegV2(id uint64, k, bands int, ins []*mappedSeg, dead func(in int, table string) bool) (data []byte, reclaimed int, err error) {
+func mergeSegV2(id uint64, k, bands int, ins []*segment, dead func(in int, table string) bool) (merged *segment, reclaimed int, err error) {
 	// Pass 1: pick the live tables, number their columns, intern every
 	// string (table name, then per column its name and tokens).
 	type liveTable struct {
@@ -394,10 +381,10 @@ func mergeSegV2(id uint64, k, bands int, ins []*mappedSeg, dead func(in int, tab
 			remap[c] = droppedCol
 		}
 		remaps[i] = remap
-		for t := uint32(0); t < uint32(m.nTables); t++ {
-			tbl := m.tableName(t)
+		for t := int32(0); int(t) < m.nTables; t++ {
+			tbl := m.tableNameAt(t)
 			first, n := m.tableCols(t)
-			if dead(i, tbl) {
+			if dead != nil && dead(i, tbl) {
 				reclaimed += n
 				continue
 			}
@@ -485,7 +472,7 @@ func mergeSegV2(id uint64, k, bands int, ins []*mappedSeg, dead func(in int, tab
 		rec := tblRecs[ti*tblRecWords:][:tblRecWords]
 		rec[0] = names[name]
 		name++
-		if t.n > 0 { // a zero-column table records first column 0, as encodeSegV2 does
+		if t.n > 0 { // a zero-column table records first column 0, as encodeTable does
 			rec[1] = uint32(col)
 		}
 		rec[2] = uint32(t.n)
@@ -504,35 +491,11 @@ func mergeSegV2(id uint64, k, bands int, ins []*mappedSeg, dead func(in int, tab
 			col++
 		}
 	}
-	return out, reclaimed, nil
+	merged, err = openSegV2(out, nil)
+	return merged, reclaimed, err
 }
 
 // --- reader ---
-
-// mappedSeg is a v2 segment viewed in place over data. All slice fields are
-// unsafe views into data (valid exactly as long as the mapping), except the
-// small per-band prefix indexes and the table directory built at open time.
-type mappedSeg struct {
-	data  []byte
-	unmap func() error // nil for the heap-read fallback
-
-	k, bands       int
-	nCols, nTables int
-	nStrings       int
-	strOffs        []uint32
-	strBlob        []byte
-	tblRecs        []uint32
-	colRecs        []uint32
-	sigs           []uint64
-	bandKeys       []uint64
-	bucketEnds     []uint32
-	bucketIDs      []int32
-	tokenIDs       []uint32
-	setIDs         []uint32
-	keyStart       []int             // per band start into bandKeys/bucketEnds (len bands+1)
-	idStart        []int             // per band start into bucketIDs (len bands+1)
-	dir            map[string]uint32 // table name (view) → table index
-}
 
 // view helpers: the open-time validation guarantees every section offset is
 // 8-aligned and in bounds, so these casts are within spec for unsafe.Slice.
@@ -565,9 +528,9 @@ func viewU64(b []byte) []uint64 {
 // them, so a corrupt payload degrades to skipped candidates, never a panic.
 // Bytes past the last section are permitted and ignored (crash-tail
 // contract). data must be 8-byte aligned (mmap and the []uint64-backed heap
-// fallback both are).
-func openSegV2(data []byte, unmap func() error) (*mappedSeg, error) {
-	fail := func(base error, format string, args ...any) (*mappedSeg, error) {
+// buffers both are).
+func openSegV2(data []byte, unmap func() error) (*segment, error) {
+	fail := func(base error, format string, args ...any) (*segment, error) {
 		return nil, fmt.Errorf("%w: %s", base, fmt.Sprintf(format, args...))
 	}
 	if len(data) < len(segV2Magic) {
@@ -586,7 +549,8 @@ func openSegV2(data []byte, unmap func() error) (*mappedSeg, error) {
 	if n := le.Uint32(data[12:]); n != segV2Sections {
 		return fail(ErrSegmentCorrupt, "section count %d, want %d", n, segV2Sections)
 	}
-	m := &mappedSeg{
+	m := &segment{
+		id:       le.Uint64(data[16:]),
 		data:     data,
 		unmap:    unmap,
 		k:        int(le.Uint32(data[24:])),
@@ -718,142 +682,16 @@ func openSegV2(data []byte, unmap func() error) (*mappedSeg, error) {
 		}
 	}
 	// A segment holds a table at most once: the directory, the live counts
-	// and the memtable rebuild all key on the name.
-	m.dir = make(map[string]uint32, m.nTables)
-	for t := 0; t < m.nTables; t++ {
-		name := m.tableName(uint32(t))
+	// and every merge's dead-table test all key on the name.
+	m.dir = make(map[string]int32, m.nTables)
+	for t := int32(0); int(t) < m.nTables; t++ {
+		name := m.tableNameAt(t)
 		if _, dup := m.dir[name]; dup {
 			return fail(ErrSegmentCorrupt, "table %d repeats name %q", t, name)
 		}
-		m.dir[name] = uint32(t)
+		m.dir[name] = t
 	}
 	return m, nil
-}
-
-// release drops the mapping behind a segment the loader rejected after
-// openSegV2 accepted it (no-op for the heap-read arm).
-func (m *mappedSeg) release() {
-	if m.unmap != nil {
-		m.unmap()
-	}
-}
-
-// id reads the segment id from the header.
-func (m *mappedSeg) segID() uint64 { return binary.LittleEndian.Uint64(m.data[16:]) }
-
-// str returns string i as a zero-copy view into the blob.
-func (m *mappedSeg) str(i uint32) string {
-	lo, hi := m.strOffs[i], m.strOffs[i+1]
-	if lo == hi {
-		return ""
-	}
-	return unsafe.String(&m.strBlob[lo], hi-lo)
-}
-
-func (m *mappedSeg) numCols() int   { return m.nCols }
-func (m *mappedSeg) numTables() int { return m.nTables }
-
-func (m *mappedSeg) tableIndex(name string) (uint32, bool) {
-	ti, ok := m.dir[name]
-	return ti, ok
-}
-
-func (m *mappedSeg) tableName(ti uint32) string { return m.str(m.tblRecs[ti*tblRecWords]) }
-
-func (m *mappedSeg) tableCols(ti uint32) (first, n int) {
-	rec := m.tblRecs[ti*tblRecWords:]
-	return int(rec[1]), int(rec[2])
-}
-
-func (m *mappedSeg) tableNames() []string {
-	out := make([]string, m.nTables)
-	for t := range out {
-		out[t] = m.tableName(uint32(t))
-	}
-	return out
-}
-
-func (m *mappedSeg) colTable(id int32) string {
-	return m.tableName(m.colRecs[int(id)*colRecWords])
-}
-
-func (m *mappedSeg) colName(id int32) string {
-	return m.str(m.colRecs[int(id)*colRecWords+1])
-}
-
-func (m *mappedSeg) colSig(id int32) []uint64 {
-	return m.sigs[int(id)*m.k : (int(id)+1)*m.k]
-}
-
-func (m *mappedSeg) colTokens(id int32) []string {
-	rec := m.colRecs[int(id)*colRecWords:]
-	off, n := rec[5], rec[6]
-	if n == 0 {
-		return nil
-	}
-	out := make([]string, n)
-	for i := range out {
-		out[i] = m.str(m.tokenIDs[off+uint32(i)])
-	}
-	return out
-}
-
-func (m *mappedSeg) colSetIDs(id int32) []uint32 {
-	rec := m.colRecs[int(id)*colRecWords:]
-	off, n := rec[7], rec[8]
-	return m.setIDs[off : off+n]
-}
-
-// colProfile materializes one column as an owned ColumnProfile: strings
-// cloned out of the mapping, slices fresh — safe to retain forever.
-func (m *mappedSeg) colProfile(id int32) ColumnProfile {
-	rec := m.colRecs[int(id)*colRecWords:]
-	tokens := m.colTokens(id)
-	for i := range tokens {
-		tokens[i] = strings.Clone(tokens[i])
-	}
-	return ColumnProfile{
-		Table:     strings.Clone(m.colTable(id)),
-		Column:    strings.Clone(m.colName(id)),
-		Type:      table.Type(int32(rec[2])),
-		Rows:      int(rec[3]),
-		Distinct:  int(rec[4]),
-		Tokens:    tokens,
-		Signature: append([]uint64(nil), m.colSig(id)...),
-		SetIDs:    append([]uint32(nil), m.colSetIDs(id)...),
-	}
-}
-
-// probe returns the bucket banked under key in band b as a view into the
-// mapping — binary search over the band's sorted keys, no allocation, no
-// decode. Missing keys return nil.
-func (m *mappedSeg) probe(b int, key uint64) []int32 {
-	lo, hi := m.keyStart[b], m.keyStart[b+1]
-	keys := m.bandKeys[lo:hi]
-	i := sort.Search(len(keys), func(i int) bool { return keys[i] >= key })
-	if i == len(keys) || keys[i] != key {
-		return nil
-	}
-	ends := m.bucketEnds[lo:hi]
-	start := uint32(0)
-	if i > 0 {
-		start = ends[i-1]
-	}
-	base := m.idStart[b]
-	return m.bucketIDs[base+int(start) : base+int(ends[i])]
-}
-
-// bucket returns the ids banked under band b's i-th key, as a view: the
-// merge's sequential counterpart of probe (which stays its own code — it is
-// the search hot path).
-func (m *mappedSeg) bucket(b, i int) []int32 {
-	ends := m.bucketEnds[m.keyStart[b]:m.keyStart[b+1]]
-	start := uint32(0)
-	if i > 0 {
-		start = ends[i-1]
-	}
-	base := m.idStart[b]
-	return m.bucketIDs[base+int(start) : base+int(ends[i])]
 }
 
 // readFileAligned reads path into an 8-byte-aligned heap buffer (backed by
@@ -889,7 +727,7 @@ func readFileAligned(fsys faultfs.FS, path string) ([]byte, error) {
 // through fsys otherwise. The fallback shares every code path past the
 // []byte, so the two arms are bit-identical in behavior — only residency
 // differs.
-func loadSegV2(fsys faultfs.FS, path string, noMap bool) (*mappedSeg, error) {
+func loadSegV2(fsys faultfs.FS, path string, noMap bool) (*segment, error) {
 	if !noMap && mmapAvailable {
 		if data, unmap, err := mapSegmentFile(path); err == nil {
 			m, err := openSegV2(data, unmap)

@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -392,14 +393,7 @@ func fuzzSeedSegments(t testing.TB) [][]byte {
 		t.Fatal(err)
 	}
 	sn := ix.snap.Load()
-	var seeds [][]byte
-	for _, seg := range []*segment{sn.sealed[0], sn.mem} {
-		data, err := encodeSegV2(seg, ix.k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seeds = append(seeds, data)
-	}
+	seeds := [][]byte{sn.sealed[0].data, sn.mem.data}
 	merged, _, err := ix.mergeSealed(ix.nextSeg, sn)
 	if err != nil {
 		t.Fatal(err)
@@ -407,7 +401,7 @@ func fuzzSeedSegments(t testing.TB) [][]byte {
 	if n := merged.numTables(); n != 3 {
 		t.Fatalf("merged seed holds %d tables, want t0, t2 and t3", n)
 	}
-	seeds = append(seeds, merged.mapped.data)
+	seeds = append(seeds, merged.data)
 	// The sealed seed again with bucket ids no column has — past the column
 	// range, negative, the sign bit alone — in place of every third one: bytes
 	// openSegV2 accepts unread and search and merge must clamp.
@@ -425,8 +419,7 @@ func fuzzSeedSegments(t testing.TB) [][]byte {
 // exerciseSegV2 runs every accessor of an accepted image — the table
 // directory, each column's profile and views, a probe of every band — and
 // then searches it.
-func exerciseSegV2(t *testing.T, ms *mappedSeg) {
-	seg := &segment{id: ms.segID(), mapped: ms}
+func exerciseSegV2(t *testing.T, seg *segment) {
 	defer searchSegV2(t, seg)
 	if names := seg.tableNames(); len(names) != seg.numTables() {
 		t.Fatalf("%d table names for %d tables", len(names), seg.numTables())
@@ -435,9 +428,9 @@ func exerciseSegV2(t *testing.T, ms *mappedSeg) {
 		if !seg.hasTable(name) {
 			t.Fatalf("directory lost table %q", name)
 		}
-		for _, p := range seg.tableProfiles(name) {
-			if len(p.Signature) != ms.k {
-				t.Fatalf("column %s.%s has %d signature slots, header says %d", p.Table, p.Column, len(p.Signature), ms.k)
+		for _, id := range seg.colIDs(name) {
+			if p := seg.colProfile(id); len(p.Signature) != seg.k {
+				t.Fatalf("column %s.%s has %d signature slots, header says %d", p.Table, p.Column, len(p.Signature), seg.k)
 			}
 		}
 	}
@@ -450,8 +443,8 @@ func exerciseSegV2(t *testing.T, ms *mappedSeg) {
 		_ = set.Len()
 		_ = seg.colProfile(id)
 	}
-	for b := 0; b < ms.bands; b++ {
-		for _, key := range ms.bandKeys[ms.keyStart[b]:ms.keyStart[b+1]] {
+	for b := 0; b < seg.bands; b++ {
+		for _, key := range seg.bandKeys[seg.keyStart[b]:seg.keyStart[b+1]] {
 			_ = seg.probe(b, key)
 		}
 		_ = seg.probe(b, ^uint64(0))
@@ -462,15 +455,13 @@ func exerciseSegV2(t *testing.T, ms *mappedSeg) {
 // sealed segment of a snapshot, its last table tombstoned when it has two —
 // and holds searchImpl to searchRef over it: the search follows bucket ids,
 // table ordinals and token runs straight off the image into its bitsets and
-// slot array. The query shares the seeds' values, so it lands in their
-// buckets; it goes out under table 0's name and under none.
+// slot array. The query goes out under table 0's name and under none.
 func searchSegV2(t *testing.T, seg *segment) {
-	ms := seg.mapped
-	ix := New(Options{Signature: ms.k, Bands: ms.bands, TokenBoost: 0.25})
-	if ix.k != ms.k || ix.bands != ms.bands {
+	ix := New(Options{Signature: seg.k, Bands: seg.bands, TokenBoost: 0.25})
+	if ix.k != seg.k || ix.bands != seg.bands {
 		return // a geometry New normalizes away: the loader refuses such a file
 	}
-	sn := &snapshot{sealed: []*segment{seg}, mem: newSegment(seg.id+1, ix.bands), nTables: seg.numTables(), nCols: seg.numCols()}
+	sn := &snapshot{sealed: []*segment{seg}, nTables: seg.numTables(), nCols: seg.numCols()}
 	names := []string{""}
 	if n := seg.numTables(); n > 0 {
 		names = append(names, seg.tableNameAt(0))
@@ -479,6 +470,52 @@ func searchSegV2(t *testing.T, seg *segment) {
 		}
 	}
 	ix.snap.Store(sn)
+	searchMatchesOracle(t, ix, names)
+}
+
+// loadAsMemtable serves an accepted image as LoadSnapshot serves mem.seg —
+// adopted under a fresh id by mergeSegV2, its band sections as stored — then
+// upserts a table into it and removes its first table through the write
+// path, holding searchImpl to searchRef after each.
+func loadAsMemtable(t *testing.T, saved *segment) {
+	ix := New(Options{Signature: saved.k, Bands: saved.bands, TokenBoost: 0.25})
+	if ix.k != saved.k || ix.bands != saved.bands {
+		return
+	}
+	mem, _, err := mergeSegV2(saved.id+1, ix.k, ix.bands, []*segment{saved}, nil)
+	if err != nil {
+		t.Fatalf("adopting the image as a memtable: %v", err)
+	}
+	sn := &snapshot{mem: mem}
+	const upserted = "fuzz_upsert"
+	victim := upserted
+	if mem != nil {
+		for _, name := range mem.tableNames() {
+			sn.nTables++
+			sn.nCols += mem.tableLen(name)
+		}
+		if first := mem.tableNameAt(0); first != "" {
+			victim = strings.Clone(first)
+		}
+	}
+	ix.memID, ix.nextSeg = saved.id+1, saved.id+2
+	ix.snap.Store(sn)
+	names := []string{"", upserted, victim}
+	if err := ix.Upsert(table.New(upserted).AddColumn("customer_id", vals("u", 0, 12)).AddColumn("v", vals("p", 0, 12))); err != nil {
+		t.Fatalf("upsert into the adopted memtable: %v", err)
+	}
+	searchMatchesOracle(t, ix, names)
+	if err := ix.Remove(victim); err != nil {
+		t.Fatalf("removing %q from the adopted memtable: %v", victim, err)
+	}
+	searchMatchesOracle(t, ix, names)
+}
+
+// searchMatchesOracle holds searchImpl to searchRef over ix's snapshot for a
+// query under each of the given names. The query shares the fuzz seeds'
+// values, so it lands in their buckets.
+func searchMatchesOracle(t *testing.T, ix *Index, names []string) {
+	t.Helper()
 	for _, name := range names {
 		q := &table.Table{Name: name}
 		q.AddColumn("customer_id", vals("u", 0, 12)).AddColumn("v", vals("p", 0, 12))
@@ -504,7 +541,10 @@ func searchSegV2(t *testing.T, seg *segment) {
 // a segment whose every accessor runs without panicking — and which
 // compaction can merge: an accepted file reaches mergeSegV2 in production,
 // bucket ids and all, so the merge of every accepted image (alone, and with
-// one table tombstoned) must itself be an image the decoder accepts.
+// one table tombstoned) must itself be an image the decoder accepts. A
+// mem.seg is served with its band sections as stored, so every accepted
+// image also goes through the memtable load path and one upsert and one
+// remove, with search ≡ searchRef after each (loadAsMemtable).
 // TestSegV2RandomCorruptionNeverPanics is the deterministic leg.
 func FuzzOpenSegV2(f *testing.F) {
 	for _, seed := range fuzzSeedSegments(f) {
@@ -523,13 +563,16 @@ func FuzzOpenSegV2(f *testing.F) {
 			return
 		}
 		exerciseSegV2(t, ms)
+		loadAsMemtable(t, ms)
 		for _, tombstone := range []bool{false, true} {
 			live := ms.nTables
 			if tombstone && live > 0 {
 				live--
 			}
-			merged, _, err := mergeSegV2(ms.segID()+1, ms.k, ms.bands, []*mappedSeg{ms}, func(_ int, name string) bool {
-				return tombstone && name == ms.tableName(0)
+			// mergeSegV2 opens its output: an image the decoder rejects is
+			// an error here.
+			merged, _, err := mergeSegV2(ms.id+1, ms.k, ms.bands, []*segment{ms}, func(_ int, name string) bool {
+				return tombstone && name == ms.tableNameAt(0)
 			})
 			if err != nil {
 				t.Fatalf("merge (tombstone=%v): %v", tombstone, err)
@@ -540,14 +583,10 @@ func FuzzOpenSegV2(f *testing.F) {
 				}
 				continue
 			}
-			re, err := openSegV2(merged, nil)
-			if err != nil {
-				t.Fatalf("merge (tombstone=%v) produced an image the decoder rejects: %v", tombstone, err)
+			if merged.nTables != live {
+				t.Fatalf("merge (tombstone=%v) kept %d of %d tables, want %d", tombstone, merged.nTables, ms.nTables, live)
 			}
-			if re.nTables != live {
-				t.Fatalf("merge (tombstone=%v) kept %d of %d tables, want %d", tombstone, re.nTables, ms.nTables, live)
-			}
-			exerciseSegV2(t, re)
+			exerciseSegV2(t, merged)
 		}
 	})
 }

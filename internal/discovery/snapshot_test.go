@@ -1,15 +1,22 @@
 package discovery
 
 import (
+	"bytes"
+	"cmp"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
 	"valentine/internal/faultfs"
+	"valentine/internal/profile"
 	"valentine/internal/table"
 )
 
@@ -208,11 +215,22 @@ func TestSnapshotIsIncremental(t *testing.T) {
 	}
 }
 
+// failReadDirFS fails every directory listing with err.
+type failReadDirFS struct {
+	faultfs.FS
+	err error
+}
+
+func (f failReadDirFS) ReadDir(name string) ([]fs.DirEntry, error) {
+	return nil, &os.PathError{Op: "readdir", Path: name, Err: f.err}
+}
+
 // TestSnapshotCrashOrphanNotAdopted: a crash between writing segment files
 // and the manifest leaves orphan seg-<id>.seg files (and, between Create and
 // Rename, seg-<id>.seg.tmp files). Orphan ids must never be reallocated —
 // otherwise a later SaveSnapshot's "file exists → skip" fast path would
-// adopt the stale orphan — and the next successful snapshot prunes both.
+// adopt the stale orphan — so a load that cannot list the directory fails,
+// and the next successful snapshot prunes both.
 func TestSnapshotCrashOrphanNotAdopted(t *testing.T) {
 	ix := liveCatalog(t)
 	dir := filepath.Join(t.TempDir(), "snap")
@@ -221,12 +239,14 @@ func TestSnapshotCrashOrphanNotAdopted(t *testing.T) {
 	}
 	// Simulate the crashed snapshot: a stale segment file with an id past
 	// the manifest's NextSeg, holding a table the catalog no longer has.
-	ghost := newSegment(9, ix.bands)
-	ghost.add("ghost", []ColumnProfile{{
+	ghost, err := encodeTable(9, ix.k, ix.bands, ix.rows, "ghost", []ColumnProfile{{
 		Table: "ghost", Column: "k", Rows: 1, Distinct: 1,
 		Signature: make([]uint64, ix.k),
-	}}, ix.rows)
-	if err := writeSegV2(faultfs.OS, filepath.Join(dir, segFileName(9)), ghost, ix.k); err != nil {
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFileAtomic(faultfs.OS, filepath.Join(dir, segFileName(9)), ghost); err != nil {
 		t.Fatal(err)
 	}
 	// And the temp file of a segment write the crash cut short — one whose
@@ -236,6 +256,15 @@ func TestSnapshotCrashOrphanNotAdopted(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, segFileName(id)+".tmp"), []byte("torn"), 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+
+	// The orphan scan is what keeps those ids unallocated, so a directory
+	// the load cannot list fails it rather than letting it allocate blind.
+	if ix, err := LoadSnapshotWith(dir, LoadOptions{FS: failReadDirFS{faultfs.OS, syscall.EIO}}); err == nil {
+		ix.Close()
+		t.Fatal("loaded a snapshot whose directory could not be scanned for orphans")
+	} else if !errors.Is(err, syscall.EIO) {
+		t.Fatalf("load with a failing ReadDir: %v, want the EIO", err)
 	}
 
 	loaded, err := LoadSnapshot(dir)
@@ -405,5 +434,138 @@ func TestLoadSnapshotNamesRetiredFormats(t *testing.T) {
 				t.Errorf("search = %+v, want t0 at 1.0 as at the parent commit", res)
 			}
 		})
+	}
+}
+
+// pinnedCatalog replays the op stream testdata/snapshot-pinned was saved
+// from (Signature 16, Bands 4, SealAfter 3, background compaction held): a
+// compaction that drops a tombstoned table, a seal after it, tombstones on
+// the merged image and on that seal, and a batch that replaces a memtable
+// table, removes and re-adds another and seals midway — ending with two
+// tables in mem.seg, one with an all-empty column and one with none.
+func pinnedCatalog(t *testing.T) *Index {
+	t.Helper()
+	ix := New(Options{Signature: 16, Bands: 4, SealAfter: 3})
+	holdBackgroundCompaction(ix)
+	// Every value is interned up front, in table and column order: profiling
+	// interns a column's distinct values in map order, which would number
+	// them, and so write dict.log and the set ids, differently run to run.
+	upsert := func(tab *table.Table) Op {
+		for _, c := range tab.Columns {
+			for _, v := range c.Values {
+				if v != "" {
+					ix.Dict().Intern(v)
+				}
+			}
+		}
+		return Op{Upsert: profile.NewInterned(tab, ix.Dict())}
+	}
+	tab := func(i int) Op {
+		return upsert(table.New(fmt.Sprintf("t%02d", i)).
+			AddColumn("customer_id", vals("u", i*7, i*7+40)).
+			AddColumn("city", vals(fmt.Sprintf("c%d_", i%3), 0, 40)))
+	}
+	apply := func(ops ...Op) {
+		t.Helper()
+		for i, err := range ix.Apply(ops) {
+			if err != nil {
+				t.Fatalf("op %d: %v", i, err)
+			}
+		}
+	}
+	for i := 0; i < 6; i++ {
+		apply(tab(i)) // seals t00–t02 and t03–t05
+	}
+	apply(Op{Remove: "t01"})
+	ix.Compact()
+	for i := 6; i < 10; i++ {
+		apply(tab(i)) // seals t06–t08; t09 stays in the memtable
+	}
+	apply(Op{Remove: "t03"}, Op{Remove: "t07"})
+	apply(tab(10), tab(9), Op{Remove: "t10"}, tab(10), tab(11)) // seals t09–t11
+	apply(upsert(table.New("t12").AddColumn("blank", make([]string, 40)).AddColumn("customer_id", vals("u", 0, 40))),
+		upsert(table.New("t13")))
+	return ix
+}
+
+// TestSnapshotBytesPinned holds what SaveSnapshot writes to the bytes the
+// build before the memtable became an image wrote for the same op stream
+// (testdata/snapshot-pinned, pinnedCatalog): every seg-*.seg, mem.seg and
+// dict.log byte for byte, and the manifest field for field but for its
+// random lineage, with tombstones compared as a set. The checked-in
+// directory loads and answers join and union searches as the rebuilt
+// catalog does.
+func TestSnapshotBytesPinned(t *testing.T) {
+	pinned := filepath.Join("testdata", "snapshot-pinned")
+	ix := pinnedCatalog(t)
+	dir := filepath.Join(t.TempDir(), "snap")
+	if err := ix.SaveSnapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	files := func(dir string) []string {
+		t.Helper()
+		segs, err := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := []string{memName, dictName}
+		for _, path := range segs {
+			out = append(out, filepath.Base(path))
+		}
+		return out
+	}
+	want := files(pinned)
+	if got := files(dir); !reflect.DeepEqual(got, want) {
+		t.Fatalf("snapshot files %v, pinned %v", got, want)
+	}
+	for _, name := range want {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pin, err := os.ReadFile(filepath.Join(pinned, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, pin) {
+			t.Errorf("%s: %d bytes, not the pinned %d", name, len(got), len(pin))
+		}
+	}
+	var manifests [2]manifest
+	for i, d := range []string{dir, pinned} {
+		m, err := readManifest(faultfs.OS, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Lineage = 0
+		slices.SortFunc(m.Tombs, func(a, b tombRecord) int {
+			return cmp.Or(cmp.Compare(a.Seg, b.Seg), strings.Compare(a.Table, b.Table))
+		})
+		manifests[i] = m
+	}
+	if manifests[0].Options != ix.Options() || !reflect.DeepEqual(manifests[0], manifests[1]) {
+		t.Errorf("manifest %+v, pinned %+v", manifests[0], manifests[1])
+	}
+	if m := manifests[1]; len(m.Sealed) < 2 || len(m.Tombs) != 2 || !m.HasMem || m.DictEntries == 0 {
+		t.Fatalf("the pinned snapshot lost its shape: %+v", m)
+	}
+	loaded, err := LoadSnapshot(pinned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
+	q := table.New("q").AddColumn("customer_id", vals("u", 20, 90)).AddColumn("city", vals("c1_", 0, 70))
+	for _, mode := range []Mode{ModeJoin, ModeUnion} {
+		want, err := ix.Search(q, mode, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := loaded.Search(q, mode, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s search over the pinned snapshot:\n got %+v\nwant %+v", mode, got, want)
+		}
 	}
 }
