@@ -27,11 +27,12 @@
 //     A search never blocks on a writer, and a writer never waits for
 //     readers to drain.
 //   - Writers (Add, Upsert, Remove, Apply) serialize among themselves on a
-//     writer mutex, profile their input before taking it, encode each
-//     upserted table as a one-table image, merge those with the memtable's
-//     image into a fresh one once per batch, and publish a successor
-//     snapshot atomically. When the memtable reaches Options.SealAfter
-//     tables it is sealed — a pointer move — and a fresh memtable starts.
+//     writer mutex, profile their input before taking it, encode the
+//     tables upserted since the last seal point as one image, merge that
+//     with the memtable's image into a fresh one once per batch, and
+//     publish a successor snapshot atomically. When the memtable reaches
+//     Options.SealAfter tables it is sealed — a pointer move — and a fresh
+//     memtable starts.
 //   - Remove appends a tombstone for tables living in sealed segments (the
 //     deletable-summary direction of the IBLT line of work in PAPERS.md);
 //     tombstoned columns are skipped at probe time and physically dropped by

@@ -218,6 +218,8 @@ func (h *heapMemtable) apply(t testing.TB, ix *Index, next uint64, ops []rawOp) 
 		case op.remove != "":
 			ok[i] = remove(op.remove)
 			continue
+		case slices.ContainsFunc(op.cols, func(p ColumnProfile) bool { return len(p.Signature) != ix.k }):
+			continue // no image: the op fails and replaces nothing
 		case op.upsert:
 			remove(op.name)
 		case inMem || h.sealed[op.name]:

@@ -146,9 +146,9 @@ func (ix *Index) Apply(ops []Op) []error {
 }
 
 // apply is the single writer entry point: it applies every op to the
-// batch's working state, builds the memtable's image once for the batch
-// (and once at each seal point inside it), and publishes one successor
-// snapshot.
+// batch's working state, checking each upsert as it reaches it, builds the
+// memtable's image once for the batch (and once at each seal point inside
+// it), and publishes one successor snapshot.
 func (ix *Index) apply(ops []rawOp) []error {
 	errs := make([]error, len(ops))
 	if len(ops) == 0 {
@@ -164,28 +164,56 @@ func (ix *Index) apply(ops []rawOp) []error {
 	tombsOwned := false
 	nTables, nCols, deadCols := cur.nTables, cur.nCols, cur.deadCols
 	memID, nextSeg := ix.memID, ix.nextSeg
-	// The memtable under construction: the published image and then the
-	// batch's one-table images, oldest first, less the occurrences killed
-	// since (replaced or removed). memImage merges them into one image.
-	type occurrence struct {
-		in   int
-		name string
+	// The memtable under construction: the published image (base) less the
+	// tables replaced or removed since, then the upserts since the last
+	// seal point, not yet encoded (pending; dead once replaced or removed).
+	type pendingTable struct {
+		tableCols
+		dead bool
 	}
-	var mem []*segment
-	var killed []occurrence
+	base := cur.mem
+	var baseKilled []string
+	var pending []pendingTable
 	memTables := 0
-	if cur.mem != nil {
-		mem, memTables = []*segment{cur.mem}, cur.mem.numTables()
+	if base != nil {
+		memTables = base.numTables()
 	}
-	isKilled := func(in int, name string) bool {
-		return slices.Contains(killed, occurrence{in, name})
+	baseLive := func(name string) bool {
+		return base != nil && base.hasTable(name) && !slices.Contains(baseKilled, name)
 	}
+	// memImage encodes the live pending tables as one image and merges it
+	// with base only when base keeps a live table, so a merge has at most
+	// two inputs.
 	memImage := func() (*segment, error) {
-		if len(mem) == 1 && len(killed) == 0 {
-			// Unchanged, or one table: encodeTable wrote the merge's output.
-			return mem[0], nil
+		live := make([]tableCols, 0, len(pending))
+		for _, p := range pending {
+			if !p.dead {
+				live = append(live, p.tableCols)
+			}
 		}
-		seg, _, err := mergeSegV2(memID, ix.k, ix.bands, mem, isKilled)
+		var fresh *segment
+		if len(live) > 0 {
+			img, err := encodeTables(memID, ix.k, ix.bands, ix.rows, live)
+			if err != nil {
+				return nil, err
+			}
+			if fresh, err = openSegV2(img, nil); err != nil {
+				return nil, err
+			}
+		}
+		switch {
+		case base == nil || len(baseKilled) == base.numTables():
+			return fresh, nil
+		case fresh == nil && len(baseKilled) == 0:
+			return base, nil
+		}
+		ins := []*segment{base}
+		if fresh != nil {
+			ins = append(ins, fresh)
+		}
+		seg, _, err := mergeSegV2(memID, ix.k, ix.bands, ins, func(in int, name string) bool {
+			return in == 0 && slices.Contains(baseKilled, name)
+		})
 		return seg, err
 	}
 	// abandon publishes nothing: a memtable image past the v2 layout's
@@ -210,18 +238,18 @@ func (ix *Index) apply(ops []rawOp) []error {
 		}
 		tombs, tombsOwned = nt, true
 	}
-	// memFind returns the memtable input holding name's live occurrence.
-	memFind := func(name string) (int, bool) {
-		for in := len(mem) - 1; in >= 0; in-- {
-			if mem[in].hasTable(name) && !isKilled(in, name) {
-				return in, true
+	// livePending returns the index of name's live pending table, or -1.
+	livePending := func(name string) int {
+		for i := len(pending) - 1; i >= 0; i-- {
+			if !pending[i].dead && pending[i].name == name {
+				return i
 			}
 		}
-		return 0, false
+		return -1
 	}
 	// exists reports whether name is live in this batch's working state.
 	exists := func(name string) bool {
-		if _, ok := memFind(name); ok {
+		if livePending(name) >= 0 || baseLive(name) {
 			return true
 		}
 		for i := len(sealed) - 1; i >= 0; i-- {
@@ -238,9 +266,16 @@ func (ix *Index) apply(ops []rawOp) []error {
 	// existed. A memtable occurrence is left out of the next memtable image;
 	// a sealed one is tombstoned.
 	remove := func(name string) bool {
-		if in, ok := memFind(name); ok {
-			killed = append(killed, occurrence{in, name})
-			nCols -= mem[in].tableLen(name)
+		if i := livePending(name); i >= 0 {
+			pending[i].dead = true
+			nCols -= len(pending[i].cols)
+			nTables--
+			memTables--
+			return true
+		}
+		if baseLive(name) {
+			baseKilled = append(baseKilled, name)
+			nCols -= base.tableLen(name)
 			nTables--
 			memTables--
 			return true
@@ -279,19 +314,14 @@ func (ix *Index) apply(ops []rawOp) []error {
 			errs[i] = fmt.Errorf("discovery: table %q already indexed", op.name)
 			continue
 		}
-		img, err := encodeTable(memID, ix.k, ix.bands, ix.rows, op.name, op.cols)
-		var seg *segment
-		if err == nil {
-			seg, err = openSegV2(img, nil)
-		}
-		if err != nil {
+		if err := checkTable(ix.k, op.name, op.cols); err != nil {
 			errs[i] = err
 			continue
 		}
 		if op.upsert {
 			remove(op.name)
 		}
-		mem = append(mem, seg)
+		pending = append(pending, pendingTable{tableCols: tableCols{op.name, op.cols}})
 		changed = true
 		memTables++
 		nTables++
@@ -302,7 +332,7 @@ func (ix *Index) apply(ops []rawOp) []error {
 				return abandon(err)
 			}
 			sealed = append(sealed, full)
-			mem, killed, memTables = nil, nil, 0
+			base, baseKilled, pending, memTables = nil, nil, nil, 0
 			memID, nextSeg = nextSeg, nextSeg+1
 		}
 	}

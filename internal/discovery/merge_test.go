@@ -7,10 +7,13 @@ package discovery
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -78,7 +81,11 @@ func mergedBytes(t testing.TB, id uint64, ix *Index, sn *snapshot) (data []byte,
 // mergeHeapRef — the same bytes and the same reclaimed count — whichever
 // way the inputs are held (fresh seals beside an earlier merge's image, as
 // the live catalog has them; every input a heap-read image; every input a
-// file mapping).
+// file mapping). The write path encodes a batch's upserts since its last
+// seal point as one image, so the streams also run 64-op batches that seal
+// three times or more with no published memtable to merge into, kill
+// tables of the group being encoded (upserted twice, or removed and
+// re-added), and fail an op's check midway through a group.
 func TestMergeSegV2MatchesHeapMerge(t *testing.T) {
 	streams, steps := 24, 70
 	if testing.Short() {
@@ -87,6 +94,7 @@ func TestMergeSegV2MatchesHeapMerge(t *testing.T) {
 	// What the streams exercised, so the test cannot pass by going vacuous.
 	var merges, withTombs, withFreshSeal, withImage, withMapping, zeroColTables, emptySigCols int
 	var memImages, seals, midBatchSeals, upsertedTwice, reAdded int
+	var sealsWithoutMerge, longBatches, groupKills, checkFailures int
 	colNames := []string{"customer_id", "city", "größe", "名前", "total amount", "k"}
 	for seed := 0; seed < streams; seed++ {
 		rng := rand.New(rand.NewSource(int64(100 + seed)))
@@ -151,8 +159,31 @@ func TestMergeSegV2MatchesHeapMerge(t *testing.T) {
 				if wantSeals[i].at < len(ops)-1 {
 					midBatchSeals++
 				}
+				if i > 0 || before.mem == nil { // no published memtable under the group
+					sealsWithoutMerge++
+				}
 			}
 			seals += len(fresh)
+			if len(ops) == 64 && len(fresh) >= 3 {
+				longBatches++
+			}
+			// Pairs of ops on one name with no seal point between them: the
+			// later one kills the earlier one's table before it is encoded.
+			sealAt := make([]bool, len(ops))
+			for _, s := range wantSeals {
+				sealAt[s.at] = true
+			}
+			for i := range ops {
+				if !ok[i] && ops[i].remove == "" && ops[i].name != "" {
+					checkFailures++
+				}
+				for j := i + 1; j < len(ops) && ok[i] && ops[i].remove == "" && !sealAt[j-1]; j++ {
+					if ok[j] && (ops[j].remove == ops[i].name || ops[j].name == ops[i].name) {
+						groupKills++
+						break
+					}
+				}
+			}
 			if (after.mem != nil) != (len(model.mem.order) > 0) {
 				t.Fatalf("%s: memtable image present=%v, heap memtable holds %d tables", at, after.mem != nil, len(model.mem.order))
 			}
@@ -270,7 +301,20 @@ func TestMergeSegV2MatchesHeapMerge(t *testing.T) {
 			case op < 22: // long enough to seal midway at every SealAfter
 				ops := make([]rawOp, 2+rng.Intn(5))
 				for i := range ops {
-					if name := names[rng.Intn(len(names))]; rng.Intn(3) == 0 {
+					switch name := names[rng.Intn(len(names))]; rng.Intn(6) {
+					case 0, 1:
+						ops[i] = rawOp{remove: name}
+					case 2: // fails its check; the ops around it stand
+						ops[i] = rawOp{name: name, upsert: true, cols: []ColumnProfile{{Table: name, Column: "k", Signature: make([]uint64, ix.k-1)}}}
+					default:
+						ops[i] = upsert(name)
+					}
+				}
+				write(step, ops)
+			case op < 23: // a serving batcher's largest batch: seals over and over
+				ops := make([]rawOp, 64)
+				for i := range ops {
+					if name := names[rng.Intn(len(names))]; rng.Intn(5) == 0 {
 						ops[i] = rawOp{remove: name}
 					} else {
 						ops[i] = upsert(name)
@@ -289,6 +333,8 @@ func TestMergeSegV2MatchesHeapMerge(t *testing.T) {
 		"zero-column tables": zeroColTables, "empty-signature columns": emptySigCols,
 		"memtable images": memImages, "seals": seals, "seals midway through a batch": midBatchSeals,
 		"batches upserting one name twice": upsertedTwice, "batches removing and re-adding a name": reAdded,
+		"seals built without a merge": sealsWithoutMerge, "64-op batches sealing three times": longBatches,
+		"tables killed before their group was encoded": groupKills, "ops failing their check": checkFailures,
 	} {
 		if n == 0 {
 			t.Errorf("the streams exercised no %s", what)
@@ -298,11 +344,129 @@ func TestMergeSegV2MatchesHeapMerge(t *testing.T) {
 		merges, withTombs, withFreshSeal, withImage, withMapping, zeroColTables, emptySigCols)
 	t.Logf("%d memtable images and %d seals (%d midway through a batch); %d batches upserted a name twice, %d removed and re-added one",
 		memImages, seals, midBatchSeals, upsertedTwice, reAdded)
+	t.Logf("%d seals built without a merge, %d 64-op batches sealing ≥ 3 times, %d tables killed within their group, %d ops failing their check",
+		sealsWithoutMerge, longBatches, groupKills, checkFailures)
 	if mmapAvailable && withMapping == 0 {
 		t.Error("the streams merged no mapped segment")
 	}
 	if merges < 20 {
 		t.Errorf("only %d merges checked, want at least 20", merges)
+	}
+}
+
+// TestEncodeTablesMatchesMerge: the image encodeTables writes for a group
+// of tables is, byte for byte, mergeSegV2 of the group's one-table
+// encodeTable images in order — which is what lets apply encode a batch's
+// fresh upserts once instead of merging one image per upsert. Groups mix
+// zero-column tables, all-empty signatures, repeated column names, and
+// columns with identical signatures (one bucket per band shared by dozens
+// of columns: sortBand's quicksort arm), at fine and coarse banding.
+func TestEncodeTablesMatchesMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	var groups, emptyGroups, zeroCols, emptySigs, sharedBuckets int
+	for _, geo := range []struct{ k, bands int }{{128, 32}, {16, 4}, {8, 8}} {
+		rows := geo.k / geo.bands
+		for g := 0; g < 60; g++ {
+			group := make([]tableCols, rng.Intn(20))
+			for ti := range group {
+				name := fmt.Sprintf("t%02d", ti)           // an image holds a name once
+				cols := make([]ColumnProfile, rng.Intn(8)) // zero columns now and then
+				if len(cols) == 0 {
+					zeroCols++
+				}
+				for c := range cols {
+					sig := make([]uint64, geo.k)
+					switch rng.Intn(6) {
+					case 0: // empty: banked nowhere
+						for j := range sig {
+							sig[j] = profile.EmptySlot
+						}
+						emptySigs++
+					case 1: // one shared signature: shared buckets in every band
+						for j := range sig {
+							sig[j] = uint64(j)
+						}
+						sharedBuckets++
+					default:
+						for j := range sig {
+							sig[j] = rng.Uint64() % 64 // coarse values: some keys collide
+						}
+					}
+					cols[c] = ColumnProfile{
+						Table: name, Column: fmt.Sprintf("c%d", rng.Intn(4)), Type: table.Type(rng.Intn(3)),
+						Rows: rng.Intn(100), Distinct: rng.Intn(50), Tokens: []string{"c", fmt.Sprint(rng.Intn(4))},
+						Signature: sig, SetIDs: []uint32{uint32(rng.Intn(9)), 9 + uint32(rng.Intn(9))},
+					}
+				}
+				group[ti] = tableCols{name, cols}
+			}
+			got, err := encodeTables(7, geo.k, geo.bands, rows, group)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ins := make([]*segment, len(group))
+			for i, tc := range group {
+				img, err := encodeTable(7, geo.k, geo.bands, rows, tc.name, tc.cols)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ins[i], err = openSegV2(img, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, _, err := mergeSegV2(7, geo.k, geo.bands, ins, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				if len(group) != 0 {
+					t.Fatalf("k=%d group %d: the merge of %d tables is empty", geo.k, g, len(group))
+				}
+				emptyGroups++
+				continue
+			}
+			if !bytes.Equal(got, want.data) {
+				t.Fatalf("k=%d bands=%d group %d: encodeTables of %d tables = %d bytes, the merge of their images %d", geo.k, geo.bands, g, len(group), len(got), len(want.data))
+			}
+			groups++
+		}
+	}
+	for what, n := range map[string]int{"groups": groups, "empty groups": emptyGroups, "zero-column tables": zeroCols,
+		"empty signatures": emptySigs, "shared signatures": sharedBuckets} {
+		if n == 0 {
+			t.Errorf("no %s", what)
+		}
+	}
+}
+
+// TestSortBandMatchesSortFunc holds sortBand to slices.SortFunc by (key,
+// column) on entries listed in column order: hashed keys, keys that share
+// their top bits (one bucket takes everything), heavy duplicates.
+func TestSortBandMatchesSortFunc(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 2000; trial++ {
+		n := rng.Intn(300)
+		src := make([]bandEntry, n)
+		for i := range src {
+			switch trial % 3 {
+			case 0:
+				src[i].key = rng.Uint64()
+			case 1:
+				src[i].key = rng.Uint64() >> 40
+			case 2:
+				src[i].key = uint64(rng.Intn(4)) << 62
+			}
+			src[i].col = uint32(i * 3)
+		}
+		want := slices.Clone(src)
+		slices.SortFunc(want, func(a, b bandEntry) int {
+			return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.col, b.col))
+		})
+		got := make([]bandEntry, n)
+		sortBand(got, src, make([]int, 1<<bits.Len(uint(n))))
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: %d entries sorted out of order", trial, n)
+		}
 	}
 }
 

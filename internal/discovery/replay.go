@@ -70,37 +70,20 @@ func (ix *Index) ReplayForm(op Op) (ReplayOp, error) {
 
 // ApplyReplayOps executes a batch of already-profiled mutations as one
 // write — one memtable rebuild, one epoch publish — and returns one error
-// slot per op, exactly like Apply. Upserts always replace; the only
-// per-op failure is removing an unknown table, which live callers surface
-// and crash-recovery replay ignores.
+// slot per op, exactly like Apply. Upserts always replace. An op fails
+// alone: a remove of an unknown table, which live callers surface and
+// crash-recovery replay ignores, or an upsert whose columns have no v2
+// image (checkTable).
 func (ix *Index) ApplyReplayOps(rops []ReplayOp) []error {
 	raw := make([]rawOp, len(rops))
-	errs := make([]error, len(rops))
-	valid := make([]rawOp, 0, len(rops))
-	slot := make([]int, 0, len(rops))
 	for i, r := range rops {
 		if r.Remove != "" {
 			raw[i] = rawOp{remove: r.Remove}
 		} else {
-			for _, c := range r.Cols {
-				if len(c.Signature) != ix.k {
-					errs[i] = fmt.Errorf("discovery: column %s.%s has %d-slot signature, want %d",
-						r.Name, c.Column, len(c.Signature), ix.k)
-					break
-				}
-			}
-			if errs[i] != nil {
-				continue
-			}
 			raw[i] = rawOp{name: r.Name, cols: r.Cols, upsert: true}
 		}
-		valid = append(valid, raw[i])
-		slot = append(slot, i)
 	}
-	for i, err := range ix.apply(valid) {
-		errs[slot[i]] = err
-	}
-	return errs
+	return ix.apply(raw)
 }
 
 // ErrOpNotEncodable reports a ReplayOp that has no byte form: an upsert

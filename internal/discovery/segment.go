@@ -7,7 +7,7 @@ package discovery
 //
 //   - the memtable is one image of at most SealAfter tables on the Go heap,
 //     rebuilt once per write batch (apply merges the current image with the
-//     batch's one-table images) and sealed by a pointer move;
+//     image of the batch's fresh upserts) and sealed by a pointer move;
 //   - a compaction's merged segment is one image on the Go heap, written by
 //     mergeSegV2 and served in place until a later merge replaces it;
 //   - a segment loaded from a snapshot is an image mapped from its file

@@ -53,13 +53,12 @@ package discovery
 // assumes a little-endian host — true of every platform this suite targets.
 
 import (
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"slices"
+	"math/bits"
 	"unsafe"
 
 	"valentine/internal/faultfs"
@@ -106,9 +105,10 @@ const (
 
 // --- writers ---
 //
-// Two functions produce a v2 image: encodeTable from one table's column
-// profiles (an upsert's image, for the memtable and for the write-ahead log)
-// and mergeSegV2 from other images (the memtable's rebuild, compaction).
+// Two functions produce a v2 image: encodeTables from tables' column
+// profiles (a write batch's fresh upserts, and as encodeTable one upsert's
+// logged form) and mergeSegV2 from other images (the memtable's rebuild,
+// compaction).
 // They share the string table and the layout step, and for the same tables
 // in the same order they emit the same bytes.
 
@@ -195,58 +195,92 @@ func assembleSegV2(id uint64, k, bands, nCols, nTables int, strs *strTable, toke
 	return out, secs, nil
 }
 
-// encodeTable writes the v2 image of one table under segment id, its
-// columns banked in bands LSH bands of rows slots each. A column with an
-// empty signature is banked nowhere: every slot is the EmptySlot sentinel,
-// so it would share one bucket per band with every other empty column at
-// Jaccard 0, bloating candidate sets without ever ranking. The image is the
-// bytes mergeSegV2 writes for this table alone, so a table that starts a
-// memtable is that memtable's image. With zero bands it is an upsert's
-// logged form (replay.go).
-func encodeTable(id uint64, k, bands, rows int, name string, cols []ColumnProfile) ([]byte, error) {
-	// Pass 1: validate, intern every string in first-encounter order (the
-	// table name, then per column its name and tokens), and band the
-	// non-empty signatures: per band, (key, column) pairs sorted by key and
-	// then column, so a bucket lists its columns in column order.
-	strs := newStrTable(1 + 2*len(cols))
-	names := make([]uint32, 1, 1+len(cols)) // table and column name indices, in record order
-	names[0] = strs.intern(name)
-	tokenIDs := make([]uint32, 0, 2*len(cols))
-	nSetIDs := 0
-	var banked []uint32 // the columns with a non-empty signature
+// tableCols is one table for encodeTables: its name and its columns'
+// summaries, in column order.
+type tableCols struct {
+	name string
+	cols []ColumnProfile
+}
+
+// checkTable reports why a table's columns have no v2 image with k-slot
+// signatures: a signature of another length, or a count past the layout's
+// 32 bits. apply checks each upsert when it reaches it, so an op that
+// fails here fails alone, before its table joins a batch's encode.
+func checkTable(k int, name string, cols []ColumnProfile) error {
 	for c := range cols {
 		p := &cols[c]
 		if len(p.Signature) != k {
-			return nil, fmt.Errorf("discovery: column %s.%s has %d-slot signature, want %d", name, p.Column, len(p.Signature), k)
+			return fmt.Errorf("discovery: column %s.%s has %d-slot signature, want %d", name, p.Column, len(p.Signature), k)
 		}
 		if p.Rows < 0 || int64(p.Rows) > math.MaxUint32 || p.Distinct < 0 || int64(p.Distinct) > math.MaxUint32 {
-			return nil, fmt.Errorf("discovery: column %s.%s counts overflow the v2 layout", name, p.Column)
-		}
-		names = append(names, strs.intern(p.Column))
-		for _, t := range p.Tokens {
-			tokenIDs = append(tokenIDs, strs.intern(t))
-		}
-		nSetIDs += len(p.SetIDs)
-		if !profile.IsEmptySignature(p.Signature) {
-			banked = append(banked, uint32(c))
+			return fmt.Errorf("discovery: column %s.%s counts overflow the v2 layout", name, p.Column)
 		}
 	}
-	type entry struct {
-		key uint64
-		col uint32
+	return nil
+}
+
+// encodeTable writes the v2 image of one table: encodeTables' one-table
+// case. With zero bands it is an upsert's logged form (replay.go).
+func encodeTable(id uint64, k, bands, rows int, name string, cols []ColumnProfile) ([]byte, error) {
+	return encodeTables(id, k, bands, rows, []tableCols{{name, cols}})
+}
+
+// encodeTables writes the v2 image of tables, in order, under segment id,
+// their columns banked in bands LSH bands of rows slots each: the image of
+// the upserts a write batch made since its last seal point. A column with
+// an empty signature is banked nowhere: every slot is the EmptySlot
+// sentinel, so it would share one bucket per band with every other empty
+// column at Jaccard 0, bloating candidate sets without ever ranking. The
+// image is the bytes mergeSegV2 writes for the tables' one-table images
+// merged in order, so a group that starts a memtable is that memtable's
+// image, and merging it stands for merging its tables one by one.
+func encodeTables(id uint64, k, bands, rows int, tables []tableCols) ([]byte, error) {
+	// Pass 1: validate, intern every string in first-encounter order (per
+	// table its name, then per column its name and tokens), and band the
+	// non-empty signatures: per band, (key, column) pairs sorted by key and
+	// then column, so a bucket lists its columns in insertion order.
+	nCols := 0
+	for _, t := range tables {
+		if err := checkTable(k, t.name, t.cols); err != nil {
+			return nil, err
+		}
+		nCols += len(t.cols)
+	}
+	strs := newStrTable(len(tables) + 2*nCols)
+	names := make([]uint32, 0, len(tables)+nCols) // table and column name indices, in record order
+	tokenIDs := make([]uint32, 0, 2*nCols)
+	nSetIDs := 0
+	var banked [][]uint64 // the non-empty signatures, beside their columns
+	var bankedCols []uint32
+	col := uint32(0)
+	for _, t := range tables {
+		names = append(names, strs.intern(t.name))
+		for c := range t.cols {
+			p := &t.cols[c]
+			names = append(names, strs.intern(p.Column))
+			for _, tok := range p.Tokens {
+				tokenIDs = append(tokenIDs, strs.intern(tok))
+			}
+			nSetIDs += len(p.SetIDs)
+			if !profile.IsEmptySignature(p.Signature) {
+				banked = append(banked, p.Signature)
+				bankedCols = append(bankedCols, col)
+			}
+			col++
+		}
 	}
 	n := len(banked)
-	entries := make([]entry, bands*n) // band b's run is entries[b*n:(b+1)*n]
+	entries := make([]bandEntry, bands*n) // band b's run is entries[b*n:(b+1)*n]
 	bandCounts := make([]uint32, bands)
 	nKeys := 0
+	unsorted := make([]bandEntry, n)
+	buckets := make([]int, 1<<bits.Len(uint(n)))
 	for b := range bands {
-		run := entries[b*n : (b+1)*n]
-		for i, c := range banked {
-			run[i] = entry{profile.BandKey(cols[c].Signature, b, rows), c}
+		for i, sig := range banked {
+			unsorted[i] = bandEntry{profile.BandKey(sig, b, rows), bankedCols[i]}
 		}
-		slices.SortFunc(run, func(x, y entry) int {
-			return cmp.Or(cmp.Compare(x.key, y.key), cmp.Compare(x.col, y.col))
-		})
+		run := entries[b*n : (b+1)*n]
+		sortBand(run, unsorted, buckets)
 		for i := range run {
 			if i == 0 || run[i].key != run[i-1].key {
 				bandCounts[b]++
@@ -255,28 +289,40 @@ func encodeTable(id uint64, k, bands, rows int, name string, cols []ColumnProfil
 		nKeys += int(bandCounts[b])
 	}
 
-	out, secs, err := assembleSegV2(id, k, bands, len(cols), 1, strs, tokenIDs, nKeys, len(entries), nSetIDs)
+	out, secs, err := assembleSegV2(id, k, bands, nCols, len(tables), strs, tokenIDs, nKeys, len(entries), nSetIDs)
 	if err != nil {
 		return nil, err
 	}
 
 	// Pass 2: the records, signatures and set ids, then the band sections.
-	tblRec, colRecs := viewU32(secs[secTblRecs]), viewU32(secs[secColRecs])
+	tblRecs, colRecs := viewU32(secs[secTblRecs]), viewU32(secs[secColRecs])
 	sigs, setIDs := viewU64(secs[secSigs]), viewU32(secs[secSetIDs])
-	tblRec[0], tblRec[2] = names[0], uint32(len(cols)) // its columns start at 0
-	tok, set := 0, 0
-	for c := range cols {
-		p := &cols[c]
-		col := colRecs[c*colRecWords:][:colRecWords] // col[0], the table, is 0
-		col[1] = names[1+c]
-		col[2] = uint32(int32(p.Type))
-		col[3] = uint32(p.Rows)
-		col[4] = uint32(p.Distinct)
-		col[5], col[6] = uint32(tok), uint32(len(p.Tokens))
-		col[7], col[8] = uint32(set), uint32(len(p.SetIDs))
-		tok += len(p.Tokens)
-		set += copy(setIDs[set:], p.SetIDs)
-		copy(sigs[c*k:], p.Signature)
+	name, tok, set := 0, 0, 0
+	col = 0
+	for ti, t := range tables {
+		rec := tblRecs[ti*tblRecWords:][:tblRecWords]
+		rec[0] = names[name]
+		name++
+		if len(t.cols) > 0 { // a zero-column table records first column 0
+			rec[1] = col
+		}
+		rec[2] = uint32(len(t.cols))
+		for c := range t.cols {
+			p := &t.cols[c]
+			dst := colRecs[int(col)*colRecWords:][:colRecWords]
+			dst[0] = uint32(ti)
+			dst[1] = names[name]
+			name++
+			dst[2] = uint32(int32(p.Type))
+			dst[3] = uint32(p.Rows)
+			dst[4] = uint32(p.Distinct)
+			dst[5], dst[6] = uint32(tok), uint32(len(p.Tokens))
+			dst[7], dst[8] = uint32(set), uint32(len(p.SetIDs))
+			tok += len(p.Tokens)
+			set += copy(setIDs[set:], p.SetIDs)
+			copy(sigs[int(col)*k:], p.Signature)
+			col++
+		}
 	}
 	copy(viewU32(secs[secBandCounts]), bandCounts)
 	keys, ends, ids := viewU64(secs[secBandKeys]), viewU32(secs[secBucketEnds]), viewU32(secs[secBucketIDs])
@@ -293,6 +339,80 @@ func encodeTable(id uint64, k, bands, rows int, name string, cols []ColumnProfil
 		}
 	}
 	return out, nil
+}
+
+// bandEntry is one banked column's key in one band.
+type bandEntry struct {
+	key uint64
+	col uint32
+}
+
+func (a bandEntry) less(b bandEntry) bool {
+	return a.key < b.key || a.key == b.key && a.col < b.col
+}
+
+// sortBand writes src's entries to dst sorted by key, then column. Band keys
+// are hashes, so a counting sort on their top bits into one bucket per entry
+// or so leaves little for sortBandRun to do within each bucket; src lists
+// its columns in ascending order, and the counting sort keeps that order
+// within a bucket. buckets is scratch: a power of two larger than len(src).
+// Written out because slices.SortFunc's call per comparison costs a write
+// batch's encode as much as the merge of one-table images it replaces.
+func sortBand(dst, src []bandEntry, buckets []int) {
+	shift := 64 - bits.Len(uint(len(buckets)-1))
+	clear(buckets)
+	for _, e := range src {
+		buckets[e.key>>shift]++
+	}
+	start := 0
+	for i, c := range buckets {
+		buckets[i] = start
+		start += c
+	}
+	for _, e := range src {
+		i := e.key >> shift
+		dst[buckets[i]] = e
+		buckets[i]++
+	}
+	start = 0
+	for _, end := range buckets { // each bucket's end, now
+		sortBandRun(dst[start:end])
+		start = end
+	}
+}
+
+// sortBandRun sorts entries by key, then column: a quicksort on the middle
+// entry down to runs of 12, then insertion sort.
+func sortBandRun(run []bandEntry) {
+	for len(run) > 12 {
+		// Hoare partition around the middle entry's value, which is never
+		// the last one, so both halves are non-empty.
+		p := run[len(run)/2]
+		i, j := -1, len(run)
+		for {
+			for i++; run[i].less(p); i++ {
+			}
+			for j--; p.less(run[j]); j-- {
+			}
+			if i >= j {
+				break
+			}
+			run[i], run[j] = run[j], run[i]
+		}
+		// run[:j+1] ≤ p ≤ run[j+1:]: recurse into the shorter side.
+		if lo, hi := run[:j+1], run[j+1:]; len(lo) < len(hi) {
+			sortBandRun(lo)
+			run = hi
+		} else {
+			sortBandRun(hi)
+			run = lo
+		}
+	}
+	for i := 1; i < len(run); i++ {
+		for j := i; j > 0 && run[j].less(run[j-1]); j-- {
+			run[j], run[j-1] = run[j-1], run[j]
+		}
+	}
 }
 
 // droppedCol marks, in a merge's old→new column id table, a column of a
@@ -330,8 +450,8 @@ func siftDown(h []bandCursor, i int) {
 
 // mergeSegV2 merges v2 images, oldest first, into the image of their live
 // tables under segment id, opened: compaction's merge of the sealed
-// segments, the memtable's rebuild from its image and a write batch's
-// one-table images, and a loaded memtable's adoption under a fresh id. It
+// segments, the memtable's rebuild from its image and the image of a write
+// batch's fresh upserts, and a loaded memtable's adoption under a fresh id. It
 // writes the merged image directly: strings re-interned in first-encounter
 // order, table and column records renumbered, each live table's signature
 // rows copied as one block and its columns' set-id runs one by one, and per

@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -145,6 +146,24 @@ func find[T string | []byte](d *Dict, v T, h uint64) (uint32, bool) {
 	}
 }
 
+// probe is find for AppendRun: it also returns the slot the walk ended at —
+// v's if v is present, else the free slot that ends its probe sequence,
+// where place would put v. find stays a separate loop because every intern
+// hit runs it. The caller holds d.mu and d's table is not empty.
+func (d *Dict) probe(v string, h uint64) (slot uint64, id uint32, ok bool) {
+	mask := uint64(len(d.slots) - 1)
+	tag := tagOf(h)
+	for i := home(h, mask); ; i = (i + 1) & mask {
+		s := d.slots[i]
+		if s == 0 {
+			return i, 0, false
+		}
+		if d.tags[i] == tag && string(d.at(int(s>>32))) == v {
+			return i, uint32(s) - 1, true
+		}
+	}
+}
+
 // place stores the slot of entry id (prefix at arena offset off, hash h) in
 // the first free slot of its probe sequence.
 func (d *Dict) place(off, id uint32, h uint64) {
@@ -178,26 +197,94 @@ func (d *Dict) insert(v string, h uint64) uint32 {
 	if msg := full(uint64(n), uint64(len(d.arena)), uint64(len(v))); msg != "" {
 		panic(msg)
 	}
+	off := d.push(v)
+	d.resize(tableSize(n + 1))
+	d.place(off, uint32(n), h)
+	return uint32(n)
+}
+
+// push appends v's entry to the arena and offsets, returning its offset.
+func (d *Dict) push(v string) uint32 {
 	off := uint32(len(d.arena))
 	d.offs = append(d.offs, off)
 	d.arena = binary.AppendUvarint(d.arena, uint64(len(v)))
 	d.arena = append(d.arena, v...)
-	if size := tableSize(n + 1); size != len(d.slots) {
-		// Doubling re-places every entry by its hash, recomputed from the
-		// arena: cheaper than keeping 8 bytes of hash per entry for the
-		// dozen-odd times a dictionary doubles. Walking the old table in
-		// slot order keeps the new table's writes in two ascending streams
-		// (a slot's new home is its old one or that plus the old size).
-		old := d.slots
-		d.slots, d.tags = make([]uint64, size), make([]uint8, size)
-		for _, s := range old {
-			if s != 0 {
-				d.place(uint32(s>>32), uint32(s)-1, Hash64(d.at(int(s>>32))))
-			}
+	return off
+}
+
+// resize rebuilds the probe table at size slots when it has another size.
+// Every entry is re-placed by its hash, recomputed from the arena: cheaper
+// than keeping 8 bytes of hash per entry for the dozen-odd times a
+// dictionary doubles. Walking the old table in slot order keeps a doubled
+// table's writes in two ascending streams (a slot's new home is its old one
+// or that plus the old size).
+func (d *Dict) resize(size int) {
+	if size == len(d.slots) {
+		return
+	}
+	old := d.slots
+	d.slots, d.tags = make([]uint64, size), make([]uint8, size)
+	for _, s := range old {
+		if s != 0 {
+			d.place(uint32(s>>32), uint32(s)-1, Hash64(d.at(int(s>>32))))
 		}
 	}
-	d.place(off, uint32(n), h)
-	return uint32(n)
+}
+
+// AppendRun interns vals as the entries at ids start, start+1, …: the
+// positional delta a write-ahead log record carries, replayed under one
+// write lock with the probe table and arena grown once for the whole run.
+// Value j passes when it is already interned at exactly start+j (a replay
+// over a snapshot that already absorbed the record) and is appended when it
+// is absent and the next id is start+j. Anything else stops the run with an
+// error naming the value, the id it is interned at — or, if absent, the id
+// it would have been appended at — and start+j. The values before it stay
+// interned; neither it nor any later value is. Ids compare as ints, so no
+// start, however large, wraps onto an id that fits.
+func (d *Dict) AppendRun(start int, vals []string) error {
+	if len(vals) == 0 {
+		return nil
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if n := len(d.offs); start >= 0 && start <= n && len(vals) > n-start {
+		// Only values from n-start on can be appended: size for all of them.
+		rest := vals[n-start:]
+		bytes := 0
+		for _, v := range rest {
+			bytes += uvarintLen(uint64(len(v))) + len(v)
+		}
+		d.arena = slices.Grow(d.arena, bytes)
+		d.offs = slices.Grow(d.offs, len(rest))
+		d.resize(tableSize(n + len(rest)))
+	}
+	for j, v := range vals {
+		want := start + j
+		h := Hash64(v)
+		// One probe both checks the fence and finds the slot to fill.
+		got, slot, present := len(d.offs), uint64(0), false
+		if len(d.slots) > 0 {
+			var id uint32
+			if slot, id, present = d.probe(v, h); present {
+				got = int(id)
+			}
+		}
+		if got != want {
+			d.resize(tableSize(len(d.offs))) // give back what the run reserved
+			return fmt.Errorf("%q interned at id %d, log expects %d", v, got, want)
+		}
+		if present {
+			continue
+		}
+		if msg := full(uint64(got), uint64(len(d.arena)), uint64(len(v))); msg != "" {
+			d.resize(tableSize(len(d.offs)))
+			return errors.New(msg)
+		}
+		off := d.push(v)
+		d.slots[slot] = uint64(off)<<32 | uint64(got+1)
+		d.tags[slot] = tagOf(h)
+	}
+	return nil
 }
 
 // Intern returns v's dense id, assigning the next one on first sight.

@@ -42,9 +42,32 @@ func oracleValue(rng *rand.Rand, pool int) string {
 	}
 }
 
+// appendRunRef is AppendRun as the write-ahead log's replay did it before:
+// each value through Intern, its id checked against start+j. A value that
+// was absent and fails is interned there, where AppendRun leaves it out, so
+// the oracle drops it again to stay comparable.
+func appendRunRef(ref *dictRef, start int, vals []string) error {
+	for j, v := range vals {
+		n := ref.Len()
+		if got, want := int(ref.Intern(v)), start+j; got != want {
+			if got == n {
+				delete(ref.ids, v)
+				ref.vals, ref.hashes = ref.vals[:n], ref.hashes[:n]
+			}
+			return fmt.Errorf("%q interned at id %d, log expects %d", v, got, want)
+		}
+	}
+	return nil
+}
+
 // TestDictMatchesReference drives the arena Dict and the map-based dictRef
 // it replaced with one randomized call stream: every id, hash, Len and
 // Entries answer must agree at every step, across several table doublings.
+// The stream also appends runs, held to appendRunRef: fresh runs, runs
+// replaying entries already present at their ids (some running on past the
+// end), runs that fail midway on a value present elsewhere, and runs whose
+// start is one past the end or wrapped by 2^32 — the same error, then the
+// same ids, log image, Stats and table size.
 func TestDictMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	d, ref := NewDict(), newDictRef()
@@ -55,8 +78,71 @@ func TestDictMatchesReference(t *testing.T) {
 		t.Fatal("empty dictionary found the empty string")
 	}
 	const steps, pool = 40_000, 9_000 // > 8·2^10 entries: the table doubles ≥ 10 times
+	var runs, doublingRuns, presentRuns, midRunFailures, startFailures int
+	logLen, logN := 0, 0 // the reference's log image length over its first logN values
 	for step := 0; step < steps; step++ {
 		v := oracleValue(rng, pool)
+		if rng.Intn(40) == 0 {
+			n := ref.Len()
+			start := n
+			var vals []string
+			switch rng.Intn(4) {
+			case 0, 1: // fresh values, and now and then one interned elsewhere
+				for j := rng.Intn(300); j >= 0; j-- {
+					vals = append(vals, fmt.Sprintf("run-%d-%d", step, j))
+				}
+				if rng.Intn(3) == 0 && n > 0 {
+					vals[rng.Intn(len(vals))] = ref.vals[rng.Intn(n)]
+				}
+			case 2: // a replay of entries already present, maybe running on
+				start = rng.Intn(n + 1)
+				vals = ref.Entries(start, start+1+rng.Intn(200))
+				for j := rng.Intn(3) * rng.Intn(50); j > 0; j-- {
+					vals = append(vals, fmt.Sprintf("run-%d-%d", step, j))
+				}
+			case 3: // a start past the end, or wrapped by 2^32
+				start = n + 1
+				if rng.Intn(2) == 0 {
+					start = 1<<32 + n
+				}
+				vals = []string{fmt.Sprintf("run-%d", step), v}
+			}
+			gerr, werr := d.AppendRun(start, vals), appendRunRef(ref, start, vals)
+			if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+				t.Fatalf("step %d: AppendRun(%d, %d values) = %v, Intern loop %v", step, start, len(vals), gerr, werr)
+			}
+			runs++
+			m := ref.Len()
+			switch {
+			case werr != nil && (start == n+1 || start >= 1<<32):
+				startFailures++
+			case werr != nil && m > n:
+				midRunFailures++
+			case werr == nil && m == n && len(vals) > 0:
+				presentRuns++
+			case werr == nil && tableSize(n) != tableSize(m):
+				doublingRuns++
+			}
+			for ; logN < m; logN++ {
+				logLen += uvarintLen(uint64(len(ref.vals[logN]))) + len(ref.vals[logN])
+			}
+			if got, want := d.Stats(), (DictStats{Entries: m, Bytes: int64(logLen + 4*m + 9*tableSize(m))}); got != want {
+				t.Fatalf("step %d: Stats after a run = %+v, want %+v", step, got, want)
+			}
+			if len(d.slots) != tableSize(d.Len()) {
+				t.Fatalf("step %d: %d entries in a %d-slot table, want %d", step, d.Len(), len(d.slots), tableSize(d.Len()))
+			}
+			if tail, _, _ := d.LogTail(n - 3); !bytes.Equal(tail, logImage(ref.Entries(n-3, ref.Len()))) {
+				t.Fatalf("step %d: the log tail after a run differs from the Intern loop's", step)
+			}
+			for j, v := range vals {
+				gid, gok := d.Lookup(v)
+				wid, wok := ref.Lookup(v)
+				if gid != wid || gok != wok || gok && d.HashOf(v) != ref.HashOf(v) {
+					t.Fatalf("step %d: run value %d %q at %d,%v, want %d,%v", step, j, v, gid, gok, wid, wok)
+				}
+			}
+		}
 		switch rng.Intn(5) {
 		case 0:
 			if got, want := d.Intern(v), ref.Intern(v); got != want {
@@ -94,6 +180,14 @@ func TestDictMatchesReference(t *testing.T) {
 	}
 	if got, want := d.Entries(0, d.Len()), ref.Entries(0, ref.Len()); !reflect.DeepEqual(got, want) {
 		t.Fatal("final Entries diverge from the reference")
+	}
+	for what, n := range map[string]int{
+		"runs crossing a table doubling": doublingRuns, "runs of values present at their ids": presentRuns,
+		"runs failing midway": midRunFailures, "runs failing at their start": startFailures,
+	} {
+		if n == 0 {
+			t.Errorf("the stream's %d runs had no %s", runs, what)
+		}
 	}
 }
 
@@ -384,5 +478,48 @@ func BenchmarkDictLoad(b *testing.B) {
 			b.Fatal(err)
 		}
 		benchSink += uint32(d.Len())
+	}
+}
+
+// BenchmarkDictAppendRun is a restart's dictionary replay: a 117 k-entry
+// dictionary loaded from its log, then a 65 k-value delta appended in 440
+// record-sized runs — ingest-heavy's restart tail. "intern" is the same
+// delta through Intern with each id checked, the loop AppendRun replaced.
+func BenchmarkDictAppendRun(b *testing.B) {
+	const base, delta, records = 117_000, 65_000, 440
+	vals := lakeValues(base + delta)
+	image := logImage(vals[:base])
+	runs := make([][]string, records)
+	for i := range runs {
+		runs[i] = vals[base+i*delta/records : base+(i+1)*delta/records]
+	}
+	for _, how := range []string{"run", "intern"} {
+		b.Run(how, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				d, _, err := LoadLog(image, base)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				start := base
+				for _, run := range runs {
+					if how == "run" {
+						if err := d.AppendRun(start, run); err != nil {
+							b.Fatal(err)
+						}
+					} else {
+						for j, v := range run {
+							if id := d.Intern(v); int(id) != start+j {
+								b.Fatalf("%q interned at %d, want %d", v, id, start+j)
+							}
+						}
+					}
+					start += len(run)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*delta), "ns/value")
+		})
 	}
 }

@@ -22,6 +22,14 @@ func churnRecords(t testing.TB) []Record {
 	t.Helper()
 	ix := discovery.New(discovery.Options{})
 	defer ix.Close()
+	return churnRecordsOn(t, ix)
+}
+
+// churnRecordsOn is churnRecords profiled against ix: the records' deltas
+// start at its dictionary's end, and ix is left holding them (but not the
+// ops).
+func churnRecordsOn(t testing.TB, ix *discovery.Index) []Record {
+	t.Helper()
 	var recs []Record
 	var names []string
 	for i := 0; i < 440; i++ {

@@ -46,9 +46,10 @@
 //
 // Dictionary carriage: the catalog's value dictionary is append-only with
 // dense ids, so each record carries the positional delta {DictStart,
-// DictVals} its batch appended. Replay re-interns the delta in order and
-// verifies every id lands where the record says — a cheap consistency fence
-// that catches a log replayed over the wrong dictionary.
+// DictVals} its batch appended. Replay appends the delta as one run
+// (intern.Dict.AppendRun), which verifies every id lands where the record
+// says — a cheap consistency fence that catches a log replayed over the
+// wrong dictionary.
 package wal
 
 import (
@@ -537,23 +538,26 @@ func (l *Log) SnapEpoch() uint64 {
 func (l *Log) Policy() SyncPolicy { return l.policy }
 
 // replayBatchOps caps how many ops ReplayInto hands the catalog per write.
-// Each catalog write clones the memtable and publishes an epoch whatever its
-// size, so replaying a log of one-op records one write per record spends
-// most of a restart on those fixed costs; 64 is the serving batcher's
-// default cap, the largest write the catalog sees live.
+// Each catalog write merges its fresh upserts into the memtable's image and
+// publishes an epoch whatever its size, so replaying a log of one-op records
+// one write per record spends most of a restart on those fixed costs. A
+// write encodes the upserts between two seal points as one image, so the
+// larger the write, the more of its seals need no merge at all. 64 is the
+// serving batcher's default cap, the largest write the catalog sees live.
 const replayBatchOps = 64
 
 // ReplayInto applies recovered records to the catalog in order: each
-// record's dictionary delta is re-interned and position-verified, and the
-// ops of consecutive records are applied together, up to replayBatchOps per
-// catalog write (ops apply in order within a write, so the outcome is the
-// record-by-record one). Removes of unknown tables are ignored —
-// at-least-once replay over a snapshot that already contains the batch's
-// effects must be a no-op, not an error; any other op error names its
-// record. Any dictionary fence violation aborts the replay: the catalog
-// underneath does not match the log.
+// record's dictionary delta is appended as one run, every id checked
+// against the record's positions (intern.Dict.AppendRun: a value already at
+// its position passes, which at-least-once replay over a snapshot holding
+// the delta needs), and the ops of consecutive records are applied
+// together, up to replayBatchOps per catalog write (ops apply in order
+// within a write, so the outcome is the record-by-record one). Removes of
+// unknown tables are ignored — at-least-once replay over a snapshot that
+// already contains the batch's effects must be a no-op, not an error; any
+// other op error names its record. Any dictionary fence violation aborts
+// the replay: the catalog underneath does not match the log.
 func ReplayInto(ix *discovery.Index, recs []Record) error {
-	dict := ix.Dict()
 	var ops []discovery.ReplayOp
 	var seqs []uint64 // seqs[i]: the record ops[i] came from
 	flush := func() error {
@@ -566,12 +570,8 @@ func ReplayInto(ix *discovery.Index, recs []Record) error {
 		return nil
 	}
 	for _, rec := range recs {
-		for j, v := range rec.DictVals {
-			want := uint32(rec.DictStart + j)
-			if got := dict.Intern(v); got != want {
-				return fmt.Errorf("wal: record %d dictionary fence: %q interned at id %d, log expects %d — log does not match this catalog",
-					rec.Seq, v, got, want)
-			}
+		if err := ix.Dict().AppendRun(rec.DictStart, rec.DictVals); err != nil {
+			return fmt.Errorf("wal: record %d dictionary fence: %w — log does not match this catalog", rec.Seq, err)
 		}
 		if len(ops) > 0 && len(ops)+len(rec.Ops) > replayBatchOps {
 			if err := flush(); err != nil {

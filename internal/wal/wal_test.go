@@ -345,6 +345,22 @@ func TestDictFenceAbortsWrongCatalogReplay(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "dictionary fence") {
 		t.Fatalf("error %v does not name the dictionary fence", err)
 	}
+
+	// A delta that starts one past the dictionary's end, or at its end plus
+	// 2^32 — which an id truncated to 32 bits would take for the end — is
+	// refused, and its value is not interned.
+	for _, skew := range []int{1, 1 << 32} {
+		ix := discovery.New(discovery.Options{})
+		n := ix.Dict().Len()
+		rec := Record{Seq: 9, DictStart: n + skew, DictVals: []string{"fresh-value"}}
+		want := fmt.Sprintf("wal: record 9 dictionary fence: %q interned at id %d, log expects %d", "fresh-value", n, n+skew)
+		if err := ReplayInto(ix, []Record{rec}); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Fatalf("delta starting at Len()+%d: err = %v, want %q", skew, err, want)
+		}
+		if _, ok := ix.Dict().Lookup("fresh-value"); ok || ix.Dict().Len() != n {
+			t.Fatalf("delta starting at Len()+%d interned its value", skew)
+		}
+	}
 }
 
 // TestReplayCoalescesRecordsIntoCatalogWrites: a log of one-op records —
