@@ -213,9 +213,9 @@ func runMatcher(fs *flag.FlagSet, args []string) (matches []core.Match, method s
 	return
 }
 
-// cmdMatch ranks column correspondences between two CSVs. Matchers that
-// implement the planner's cascade hooks (ensemble, jaccard-levenshtein) run
-// their internal bound-then-refine cascade by default — identical output,
+// cmdMatch ranks column correspondences between two CSVs. A matcher with
+// its own cascade (jaccard-levenshtein) runs its internal
+// bound-then-refine cascade by default — identical output,
 // but prunable work is skipped and a -budget expiry yields the best-effort
 // ranking so far instead of an error. -cascade=off forces the plain
 // full-fidelity path.

@@ -57,8 +57,12 @@ func MatchWithContext(ctx context.Context, m Matcher, source, target *Table, opt
 
 // MatchProfilesWithContext is MatchWithContext over already-profiled tables
 // (see ProfileStore), so derived column data is reused across calls; scores
-// are identical to MatchWithContext's. Engine options and stats are taken
-// from ctx, so wrap it with WithEngineOptions / WithEngineStats as needed.
+// are identical to MatchWithContext's. Profiles from one ProfileStore are
+// matched as they are; any other pair (ProfileTable profiles, two stores)
+// is re-profiled for the call first, because a Matcher's Match accepts
+// only two profiles that intern into one value dictionary. Engine options
+// and stats are taken from ctx, so wrap it with WithEngineOptions /
+// WithEngineStats as needed.
 func MatchProfilesWithContext(ctx context.Context, m Matcher, source, target *TableProfile) ([]Match, error) {
 	return core.MatchProfilesWithContext(ctx, m, source, target)
 }

@@ -104,7 +104,9 @@ func NewProfileStore() *ProfileStore { return profile.NewStore() }
 
 // ProfileTable profiles a table outside any store (one-shot use); derived
 // data is computed lazily and shared between all consumers of the returned
-// profile.
+// profile. Its profiles intern into no value dictionary, so
+// MatchProfilesWithContext re-profiles a pair of them for the call, and a
+// Matcher's own Match rejects them.
 func ProfileTable(t *Table) *TableProfile { return profile.New(t) }
 
 // EstimateJaccard estimates the Jaccard similarity of two columns' value

@@ -10,11 +10,11 @@ import (
 	"valentine/internal/profile"
 )
 
-// This file defines the extension interfaces the cost-based cascade
-// (internal/planner) dispatches through. A matcher opts into cascade
-// participation by implementing one or more of them; matchers that
-// implement none are handled conservatively (bound 1, default cost), which
-// keeps pruning lossless by construction.
+// This file defines the extension interfaces the bound-then-refine
+// cascade (internal/planner, MatchTopK) dispatches through. A matcher opts
+// into cascade participation by implementing one or both of them; matchers
+// that implement neither are handled conservatively (bound 1, full Match),
+// which keeps pruning lossless by construction.
 
 // ScoreBounder is implemented by matchers that can compute a cheap
 // admissible upper bound on their table-level discovery score from cached
@@ -46,34 +46,9 @@ func ScoreBound(m Matcher, source, target *profile.TableProfile) float64 {
 	return 1
 }
 
-// Coster is implemented by matchers that can estimate their relative full-
-// fidelity cost, so the planner can refine candidates in cheapest-first
-// order.
-type Coster interface {
-	// MatchCostHint returns a dimensionless relative cost (higher =
-	// slower). Hints are calibrated against measured per-pair runtimes
-	// (the traced matchers.*.mean_ms of bench's match-grid workload, in
-	// microseconds); only the ordering matters.
-	MatchCostHint() float64
-}
-
-// DefaultMatchCost is the relative cost assumed for matchers without a
-// Coster hint — deliberately mid-range so unknown matchers neither jump
-// the queue nor starve.
-const DefaultMatchCost = 10
-
-// MatchCost returns m's relative cost hint, or DefaultMatchCost.
-func MatchCost(m Matcher) float64 {
-	if c, ok := m.(Coster); ok {
-		return c.MatchCostHint()
-	}
-	return DefaultMatchCost
-}
-
 // CascadeMatcher is implemented by matchers that can run an internal
-// bound-then-refine cascade of their own (e.g. the ensemble ordering its
-// members by cost, or jaccard-levenshtein pruning column pairs against a
-// top-k cutoff).
+// bound-then-refine cascade of their own (jaccard-levenshtein pruning
+// column pairs against a top-k cutoff).
 type CascadeMatcher interface {
 	// MatchCascade ranks correspondences like Match but may prune
 	// losslessly against the top-k cutoff and may stop early on budget

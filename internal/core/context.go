@@ -9,8 +9,7 @@ import (
 
 // ProfilePair resolves a table pair's profiles through store; a nil store
 // yields fresh one-shot profiles private to the call, sharing one private
-// value dictionary so even the store-less path scores on the integer-set
-// kernels (scores are bit-identical to the map-based kernels either way).
+// value dictionary. Either way the pair meets ValidatePair's precondition.
 func ProfilePair(store *profile.Store, source, target *table.Table) (*profile.TableProfile, *profile.TableProfile) {
 	if store == nil {
 		return profile.NewPair(source, target)
@@ -29,9 +28,17 @@ func MatchWithContext(ctx context.Context, m Matcher, store *profile.Store, sour
 }
 
 // MatchProfilesWithContext is MatchWithContext over already-profiled tables.
+// A pair that does not intern into one value dictionary (dictionary-less or
+// hash-sharing profiles, or two Stores) is re-profiled through
+// profile.NewPair first — a fresh private dictionary, so a served catalog's
+// dictionary never grows with the other side's values. Scores are the same
+// either way.
 func MatchProfilesWithContext(ctx context.Context, m Matcher, source, target *profile.TableProfile) ([]Match, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if d := source.InterningDict(); d == nil || d != target.InterningDict() {
+		source, target = profile.NewPair(source.Table(), target.Table())
 	}
 	return m.Match(ctx, source, target)
 }

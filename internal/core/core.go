@@ -1,8 +1,11 @@
 // Package core defines the matcher abstraction at the heart of Valentine:
 // a matcher consumes a pair of profiled tables and emits a ranked list of
-// column correspondences through its one method, Match. Scheduling hooks
-// (ScoreBounder, Coster, CascadeMatcher) are optional; a matcher that
-// implements none of them is still served everywhere, conservatively. The
+// column correspondences through its one method, Match. The pair handed to
+// Match interns its values into one dictionary (ValidatePair), so every
+// value-overlap kernel compares ids from one id space;
+// MatchProfilesWithContext re-pairs any other pair before dispatch.
+// Scheduling hooks (ScoreBounder, CascadeMatcher) are optional; a matcher
+// that implements neither is still served everywhere, conservatively. The
 // package also carries the ground-truth representation produced by the
 // fabricator and the capability taxonomy of Table I of the paper.
 package core
@@ -39,7 +42,8 @@ type Matcher interface {
 	// Name identifies the method (e.g. "coma-schema").
 	Name() string
 	// Match ranks column correspondences between the profiled source and
-	// target tables. Derived per-column data comes from the profiles' lazy
+	// target tables, which must intern into one value dictionary
+	// (ValidatePair). Derived per-column data comes from the profiles' lazy
 	// caches, so one warmed profile.Store serves every matcher on a corpus;
 	// ctx carries deadlines and cancellation, honored mid-scoring, and the
 	// engine's parallelism and stats collector (internal/engine), which
@@ -48,13 +52,22 @@ type Matcher interface {
 	Match(ctx context.Context, source, target *profile.TableProfile) ([]Match, error)
 }
 
-// ValidatePair validates both profiled tables — the shared preamble of
-// every Match implementation.
+// ValidatePair validates both profiled tables and checks the contract's
+// precondition that they intern into one value dictionary — the shared
+// preamble of every Match implementation. Ids from two dictionaries never
+// mean the same value, so a pair that breaks the precondition is rejected
+// rather than scored.
 func ValidatePair(source, target *profile.TableProfile) error {
 	if err := source.Table().Validate(); err != nil {
 		return err
 	}
-	return target.Table().Validate()
+	if err := target.Table().Validate(); err != nil {
+		return err
+	}
+	if d := source.InterningDict(); d == nil || d != target.InterningDict() {
+		return fmt.Errorf("core: tables %q and %q do not intern into one value dictionary: profile them with profile.NewPair or one profile.Store", source.Name(), target.Name())
+	}
+	return nil
 }
 
 // SortMatches orders matches by descending score, breaking ties

@@ -350,25 +350,6 @@ func (ix *Index) Profiles(tableName string) []ColumnProfile {
 	return out
 }
 
-// InternedColumnSets returns the distinct-value id sets of one live table's
-// columns as zero-copy intern.Set views — kernel-ready without copying a
-// single id out of a mapped segment. Nil when the table is unknown or
-// removed; individual sets are empty when the catalog holds no interned
-// payloads for them (columns profiled against another dictionary). Views
-// over mapped segments are valid until Close.
-func (ix *Index) InternedColumnSets(tableName string) []intern.Set {
-	sn := ix.snap.Load()
-	seg, ids := sn.lookup(tableName)
-	if seg == nil {
-		return nil
-	}
-	out := make([]intern.Set, len(ids))
-	for i, id := range ids {
-		out[i] = seg.colSet(id)
-	}
-	return out
-}
-
 // Stats is a point-in-time summary of the catalog's internal state, shaped
 // for monitoring endpoints and tests.
 type Stats struct {

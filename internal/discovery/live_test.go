@@ -42,12 +42,15 @@ func TestUpsertReplacesLiveTable(t *testing.T) {
 }
 
 func TestRemoveMemtableAndSealed(t *testing.T) {
-	// SealAfter 2: the first two tables seal into a segment, the third
+	// SealAfter 4: the first four tables seal into a segment, the fifth
 	// stays in the memtable — so one removal exercises the tombstone path
-	// and the other the memtable-rebuild path.
-	ix := New(Options{SealAfter: 2})
-	for i, name := range []string{"a", "b", "c"} {
-		if err := ix.Add(table.New(name).AddColumn("k", vals(fmt.Sprintf("v%d", i), 0, 30))); err != nil {
+	// and the other the memtable-rebuild path. Three live columns stay
+	// beside the one tombstoned column, so the garbage threshold
+	// (2·dead < live) still holds and no background compaction starts to
+	// consume the tombstone before Stats reads it.
+	ix := New(Options{SealAfter: 4})
+	for _, name := range []string{"a", "b", "d", "e", "c"} {
+		if err := ix.Add(table.New(name).AddColumn("k", vals("v"+name, 0, 30))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -66,18 +69,18 @@ func TestRemoveMemtableAndSealed(t *testing.T) {
 	if err := ix.Remove("a"); err == nil {
 		t.Error("removing an already-removed table should fail")
 	}
-	if got := ix.Tables(); !reflect.DeepEqual(got, []string{"b"}) {
-		t.Fatalf("live tables = %v, want [b]", got)
+	if got := ix.Tables(); !reflect.DeepEqual(got, []string{"b", "d", "e"}) {
+		t.Fatalf("live tables = %v, want [b d e]", got)
 	}
-	if n, c := ix.NumTables(), ix.NumColumns(); n != 1 || c != 1 {
-		t.Fatalf("tables/columns = %d/%d, want 1/1", n, c)
+	if n, c := ix.NumTables(), ix.NumColumns(); n != 3 || c != 3 {
+		t.Fatalf("tables/columns = %d/%d, want 3/3", n, c)
 	}
-	if st := ix.Stats(); st.Tombstones != 1 || st.TombstonedColumns != 1 {
-		t.Fatalf("stats = %+v, want 1 tombstone shadowing 1 column", st)
+	if st := ix.Stats(); st.Tombstones != 1 || st.TombstonedColumns != 1 || st.Compactions != 0 {
+		t.Fatalf("stats = %+v, want 1 tombstone shadowing 1 column and no compaction", st)
 	}
 	// Tombstoned and memtable-removed tables must be invisible to both
 	// search paths and to Profiles.
-	q := table.New("q").AddColumn("k", append(vals("v0", 0, 30), vals("v2", 0, 30)...))
+	q := table.New("q").AddColumn("k", append(vals("va", 0, 30), vals("vc", 0, 30)...))
 	for _, search := range []func(*table.Table, Mode, int) ([]Result, error){ix.Search, ix.SearchBruteForce} {
 		res, err := search(q, ModeJoin, 0)
 		if err != nil {

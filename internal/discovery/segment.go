@@ -26,7 +26,6 @@ import (
 	"strings"
 	"unsafe"
 
-	"valentine/internal/intern"
 	"valentine/internal/table"
 )
 
@@ -215,11 +214,6 @@ func (s *segment) colSetIDs(id int32) []uint32 {
 	off, n := rec[7], rec[8]
 	return s.setIDs[off : off+n]
 }
-
-// colSet returns the column's sorted interned distinct-value ids as a
-// zero-copy kernel view (empty when the column was indexed without interned
-// ids). The intern kernels run directly against the image.
-func (s *segment) colSet(id int32) intern.Set { return intern.ViewSet(s.colSetIDs(id)) }
 
 // colProfile returns one column's profile as an owned copy — strings cloned
 // out of the image, slices fresh — safe to retain past any snapshot or

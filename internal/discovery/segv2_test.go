@@ -2,9 +2,8 @@ package discovery
 
 // Columnar segment tests: the exactness contract (mapped search ≡ heap-read
 // search ≡ the live in-memory catalog, bit-identical results after
-// arbitrary mutation interleavings), the corruption contract (named errors,
-// never a panic, crash tails ignored), and the zero-copy contract (kernel
-// probes against mapped sets at 0 allocs/op).
+// arbitrary mutation interleavings) and the corruption contract (named
+// errors, never a panic, crash tails ignored).
 
 import (
 	"context"
@@ -15,11 +14,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
 
-	"valentine/internal/intern"
 	"valentine/internal/table"
 )
 
@@ -325,53 +324,41 @@ func TestSegV2RandomCorruptionNeverPanics(t *testing.T) {
 	}
 }
 
-// TestMappedKernelProbesZeroAlloc: the integer-set kernels run against
-// mapped segment payloads with no per-probe allocation — the zero-copy
-// contract the format exists for.
-func TestMappedKernelProbesZeroAlloc(t *testing.T) {
+// TestMappedSetIDsMatchHeapLoad: every column's interned distinct-value ids
+// read straight off a mapped snapshot equal the ids of the same snapshot
+// read onto the heap, and the catalog holds some.
+func TestMappedSetIDsMatchHeapLoad(t *testing.T) {
 	ix, dir := buildV2Snapshot(t)
-	tables := ix.Tables()
 	loaded, err := loadSnapshot(dir, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer loaded.Close()
-	// Pick two tables that live in sealed (mapped) segments.
-	var sets []intern.Set
-	for _, name := range tables {
-		for _, s := range loaded.InternedColumnSets(name) {
-			if s.Len() > 0 {
-				sets = append(sets, s)
-			}
-		}
-	}
-	if len(sets) < 2 {
-		t.Fatalf("catalog yielded %d interned sets, want at least 2", len(sets))
-	}
-	a, b := sets[0], sets[1]
-	if allocs := testing.AllocsPerRun(100, func() {
-		intern.Jaccard(&a, &b)
-		intern.Containment(&a, &b)
-		intern.IntersectCount(&a, &b)
-	}); allocs != 0 {
-		t.Errorf("kernel probes against mapped sets allocate %.1f per run, want 0", allocs)
-	}
-	// And the mapped scores equal the heap-loaded scores exactly.
 	heap, err := loadSnapshot(dir, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer heap.Close()
-	for _, name := range tables {
-		ms, hs := loaded.InternedColumnSets(name), heap.InternedColumnSets(name)
-		if len(ms) != len(hs) {
-			t.Fatalf("%s: %d mapped sets vs %d heap sets", name, len(ms), len(hs))
+	ms, hs := loaded.snap.Load(), heap.snap.Load()
+	nonEmpty := 0
+	for _, name := range ix.Tables() {
+		mseg, mids := ms.lookup(name)
+		hseg, hids := hs.lookup(name)
+		if mseg == nil || hseg == nil || len(mids) != len(hids) {
+			t.Fatalf("%s: mapped and heap loads disagree on the table", name)
 		}
-		for i := range ms {
-			if intern.Jaccard(&ms[i], &sets[0]) != intern.Jaccard(&hs[i], &sets[0]) {
-				t.Fatalf("%s col %d: mapped and heap kernels disagree", name, i)
+		for i := range mids {
+			m, h := mseg.colSetIDs(mids[i]), hseg.colSetIDs(hids[i])
+			if !slices.Equal(m, h) {
+				t.Fatalf("%s col %d: mapped ids %v, heap ids %v", name, i, m, h)
+			}
+			if len(m) > 0 {
+				nonEmpty++
 			}
 		}
+	}
+	if nonEmpty < 2 {
+		t.Fatalf("catalog yielded %d interned sets, want at least 2", nonEmpty)
 	}
 }
 
@@ -439,8 +426,7 @@ func exerciseSegV2(t *testing.T, seg *segment) {
 		if ord := seg.colOrd(id); seg.tableNameAt(ord) != seg.colTable(id) {
 			t.Fatalf("column %d: table ordinal %d names %q, its record %q", id, ord, seg.tableNameAt(ord), seg.colTable(id))
 		}
-		set := seg.colSet(id)
-		_ = set.Len()
+		_ = seg.colSetIDs(id)
 		_ = seg.colProfile(id)
 	}
 	for b := 0; b < seg.bands; b++ {

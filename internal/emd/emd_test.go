@@ -43,133 +43,6 @@ func TestSamples1DEmpty(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	pos := []float64{0, 1, 2}
-	p := []float64{1, 0, 0}
-	q := []float64{0, 0, 1}
-	got, err := Histogram(p, q, pos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(got, 2, 1e-12) {
-		t.Fatalf("histogram EMD = %v, want 2", got)
-	}
-}
-
-func TestHistogramNormalizes(t *testing.T) {
-	pos := []float64{0, 1}
-	got, err := Histogram([]float64{2, 2}, []float64{5, 5}, pos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(got, 0, 1e-12) {
-		t.Fatalf("same shape different mass EMD = %v, want 0", got)
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := Histogram([]float64{1}, []float64{1, 2}, []float64{0, 1}); err == nil {
-		t.Error("length mismatch should fail")
-	}
-	if _, err := Histogram(nil, nil, nil); err == nil {
-		t.Error("empty should fail")
-	}
-	if _, err := Histogram([]float64{-1, 2}, []float64{1, 0}, []float64{0, 1}); err == nil {
-		t.Error("negative mass should fail")
-	}
-	if _, err := Histogram([]float64{0, 0}, []float64{1, 0}, []float64{0, 1}); err == nil {
-		t.Error("zero mass should fail")
-	}
-}
-
-func TestTransportMatchesClosedForm(t *testing.T) {
-	// Uniform mass on points 0,1,2 vs 5,6,7 with |x−y| cost: EMD = 5.
-	supply := []float64{1, 1, 1}
-	demand := []float64{1, 1, 1}
-	a := []float64{0, 1, 2}
-	b := []float64{5, 6, 7}
-	cost := make([][]float64, 3)
-	for i := range cost {
-		cost[i] = make([]float64, 3)
-		for j := range cost[i] {
-			cost[i][j] = math.Abs(a[i] - b[j])
-		}
-	}
-	got, err := Transport(supply, demand, cost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(got, 5, 1e-6) {
-		t.Fatalf("Transport = %v, want 5", got)
-	}
-}
-
-func TestTransportWeighted(t *testing.T) {
-	// 2/3 of mass at 0, 1/3 at 3; demand all at 0. EMD = 1.
-	got, err := Transport([]float64{2, 1}, []float64{1}, [][]float64{{0}, {3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(got, 1, 1e-5) {
-		t.Fatalf("Transport = %v, want 1", got)
-	}
-}
-
-func TestTransportErrors(t *testing.T) {
-	if _, err := Transport(nil, []float64{1}, nil); err == nil {
-		t.Error("empty supply should fail")
-	}
-	if _, err := Transport([]float64{1}, []float64{1}, [][]float64{}); err == nil {
-		t.Error("bad cost shape should fail")
-	}
-	if _, err := Transport([]float64{1}, []float64{1}, [][]float64{{1, 2}}); err == nil {
-		t.Error("bad cost row should fail")
-	}
-	if _, err := Transport([]float64{-1}, []float64{1}, [][]float64{{0}}); err == nil {
-		t.Error("negative supply should fail")
-	}
-	if _, err := Transport([]float64{0}, []float64{1}, [][]float64{{0}}); err == nil {
-		t.Error("zero mass should fail")
-	}
-}
-
-// Property: Transport on 1-D point sets with |·| cost agrees with the
-// closed-form Samples1D.
-func TestTransportAgreesWithClosedForm(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 25; trial++ {
-		n := 2 + rng.Intn(5)
-		a := make([]float64, n)
-		b := make([]float64, n)
-		for i := range a {
-			a[i] = rng.Float64() * 10
-			b[i] = rng.Float64() * 10
-		}
-		w := make([]float64, n)
-		for i := range w {
-			w[i] = 1
-		}
-		cost := make([][]float64, n)
-		for i := range cost {
-			cost[i] = make([]float64, n)
-			for j := range cost[i] {
-				cost[i][j] = math.Abs(a[i] - b[j])
-			}
-		}
-		sort.Float64s(a) // after cost is built: the transport side pairs points by index
-		sort.Float64s(b)
-		closed := Samples1D(a, b)
-		transported, err := Transport(w, w, cost)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !almostEqual(closed, transported, 1e-4) {
-			t.Fatalf("trial %d: closed %v vs transport %v (a=%v b=%v)", trial, closed, transported, a, b)
-		}
-	}
-}
-
-// Metric-ish properties of Samples1D: symmetry and identity.
 func TestSamples1DProperties(t *testing.T) {
 	f := func(raw []uint8) bool {
 		if len(raw) < 2 {

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // FixpointFormula selects one of the Similarity Flooding update rules from
 // Melnik et al. (ICDE 2002), Table 3.
@@ -214,55 +211,4 @@ func (p *PCG) Flood(sigma0 map[string]float64, defaultSim float64, opts FloodOpt
 		out[id] = cur[i]
 	}
 	return out
-}
-
-// TopologicalSort returns the nodes of an acyclic graph in topological
-// order, or an error-free best effort (cycles are broken arbitrarily but
-// deterministically) — sufficient for COMA's rooted DAG traversal.
-func (g *Graph) TopologicalSort() []string {
-	indeg := make(map[string]int, g.NumNodes())
-	for n := range g.nodes {
-		indeg[n] = 0
-	}
-	for _, e := range g.edges {
-		indeg[e.To]++
-	}
-	var queue []string
-	for n, d := range indeg {
-		if d == 0 {
-			queue = append(queue, n)
-		}
-	}
-	sort.Strings(queue)
-	var order []string
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		order = append(order, n)
-		var newly []string
-		for _, e := range g.out[n] {
-			indeg[e.To]--
-			if indeg[e.To] == 0 {
-				newly = append(newly, e.To)
-			}
-		}
-		sort.Strings(newly)
-		queue = append(queue, newly...)
-	}
-	if len(order) < g.NumNodes() {
-		// cycle: append the rest deterministically
-		seen := make(map[string]bool, len(order))
-		for _, n := range order {
-			seen[n] = true
-		}
-		var rest []string
-		for n := range g.nodes {
-			if !seen[n] {
-				rest = append(rest, n)
-			}
-		}
-		sort.Strings(rest)
-		order = append(order, rest...)
-	}
-	return order
 }

@@ -122,34 +122,6 @@ func TestFloodEmptyPCG(t *testing.T) {
 	}
 }
 
-func TestTopologicalSort(t *testing.T) {
-	g := New()
-	g.AddEdge("root", "c", "mid1")
-	g.AddEdge("root", "c", "mid2")
-	g.AddEdge("mid1", "c", "leaf")
-	g.AddEdge("mid2", "c", "leaf")
-	order := g.TopologicalSort()
-	pos := make(map[string]int)
-	for i, n := range order {
-		pos[n] = i
-	}
-	for _, e := range g.Edges() {
-		if pos[e.From] >= pos[e.To] {
-			t.Errorf("edge %v violates topo order", e)
-		}
-	}
-}
-
-func TestTopologicalSortCycle(t *testing.T) {
-	g := New()
-	g.AddEdge("a", "x", "b")
-	g.AddEdge("b", "x", "a")
-	order := g.TopologicalSort()
-	if len(order) != 2 {
-		t.Fatalf("cycle nodes should still all appear, got %v", order)
-	}
-}
-
 // Property: identical graphs flood to self-pairs having the top score.
 func TestFloodSelfSimilarityProperty(t *testing.T) {
 	f := func(seed uint8) bool {

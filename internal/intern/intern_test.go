@@ -213,85 +213,3 @@ func TestSetDedupAndBitmapGate(t *testing.T) {
 		t.Fatalf("sparse set got a bitmap")
 	}
 }
-
-func TestJaccardAndContainmentSemantics(t *testing.T) {
-	empty := NewSet(nil)
-	a := NewSet([]uint32{1, 2, 3, 4})
-	b := NewSet([]uint32{3, 4, 5, 6})
-	if got := Jaccard(a, b); got != 2.0/6 {
-		t.Fatalf("Jaccard = %v, want %v", got, 2.0/6)
-	}
-	if got := Containment(a, b); got != 0.5 {
-		t.Fatalf("Containment = %v, want 0.5", got)
-	}
-	if Jaccard(empty, empty) != 0 || Jaccard(nil, nil) != 0 {
-		t.Fatalf("empty Jaccard must be 0")
-	}
-	if Containment(empty, a) != 0 {
-		t.Fatalf("empty Containment must be 0")
-	}
-	if Jaccard(a, a) != 1 || Containment(a, a) != 1 {
-		t.Fatalf("self similarity must be 1")
-	}
-}
-
-// TestViewSetMatchesNewSet: a ViewSet over sorted deduplicated ids scores
-// bit-identically to a NewSet over the same ids against every container
-// shape — the bitmap is an accelerator, never a semantic input — and the
-// kernels run against views without allocating, which is what lets them
-// probe memory-mapped segment payloads zero-copy.
-func TestViewSetMatchesNewSet(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	shapes := []struct {
-		name string
-		n    int
-		span uint32
-	}{
-		{"sparse", 300, 1 << 24},
-		{"dense", 500, 1000}, // NewSet counterpart carries a bitmap
-		{"tiny", 4, 50},
-		{"empty", 0, 1},
-	}
-	mk := func(n int, span uint32) (Set, *Set) {
-		ids := randomIDs(rng, n, span)
-		owned := NewSet(append([]uint32(nil), ids...))
-		return ViewSet(owned.IDs()), owned
-	}
-	for _, sa := range shapes {
-		for _, sb := range shapes {
-			va, oa := mk(sa.n, sa.span)
-			vb, ob := mk(sb.n, sb.span)
-			want := IntersectCount(oa, ob)
-			// view×view, view×owned, owned×view must all agree with owned×owned.
-			for _, pair := range []struct {
-				name string
-				a, b *Set
-			}{
-				{"view-view", &va, &vb},
-				{"view-owned", &va, ob},
-				{"owned-view", oa, &vb},
-			} {
-				if got := IntersectCount(pair.a, pair.b); got != want {
-					t.Fatalf("%s/%s %s: IntersectCount = %d, want %d", sa.name, sb.name, pair.name, got, want)
-				}
-				if got, ref := Jaccard(pair.a, pair.b), Jaccard(oa, ob); got != ref {
-					t.Fatalf("%s/%s %s: Jaccard = %v, want %v", sa.name, sb.name, pair.name, got, ref)
-				}
-				if got, ref := Containment(pair.a, pair.b), Containment(oa, ob); got != ref {
-					t.Fatalf("%s/%s %s: Containment = %v, want %v", sa.name, sb.name, pair.name, got, ref)
-				}
-			}
-		}
-	}
-	va, _ := mk(400, 2000)
-	vb, _ := mk(300, 2000)
-	if allocs := testing.AllocsPerRun(100, func() {
-		s := ViewSet(va.IDs())
-		u := ViewSet(vb.IDs())
-		Jaccard(&s, &u)
-		IntersectCount(&s, &u)
-		Containment(&s, &u)
-	}); allocs != 0 {
-		t.Errorf("ViewSet kernel calls allocate %.1f per run, want 0", allocs)
-	}
-}

@@ -2,10 +2,9 @@ package intern
 
 // Integer-set scoring kernels: a Set is one column's distinct values as a
 // sorted slice of interned ids, optionally carrying a bitmap container when
-// the ids are dense. IntersectCount / Jaccard / Containment are the
-// allocation-free replacements for the map-based kernels in internal/table —
-// they compute the exact same integer counts, so every derived score is
-// bit-identical to the map path.
+// the ids are dense. IntersectCount is the allocation-free overlap kernel
+// every value-overlap score is built on: two sets interned into one
+// dictionary intersect exactly where their values do.
 
 import (
 	"math/bits"
@@ -62,18 +61,6 @@ func NewSet(ids []uint32) *Set {
 	}
 	return s
 }
-
-// ViewSet wraps an already-sorted, already-deduplicated id slice as a Set
-// value without copying or attaching a bitmap container — the zero-copy
-// entry point for ids read straight out of a memory-mapped segment file.
-// The caller owns the precondition (ids sorted ascending, unique); the
-// kernels never write through the slice, so a view over a read-only mapping
-// is safe. Returning a value (not a pointer) keeps a ViewSet call
-// allocation-free: `s := intern.ViewSet(ids)` lives on the caller's stack
-// and `&s` feeds every kernel. Scores are bit-identical to a NewSet over
-// the same ids: the bitmap container is a pure accelerator, never a
-// semantic input.
-func ViewSet(ids []uint32) Set { return Set{ids: ids} }
 
 // Len returns the number of ids in the set.
 func (s *Set) Len() int {
@@ -231,29 +218,4 @@ func gallopCount(short, long []uint32) int {
 		}
 	}
 	return n
-}
-
-// Jaccard returns |A∩B| / |A∪B|; two empty sets score 0 — the exact
-// semantics (and bit-identical arithmetic) of table.JaccardOfSets.
-func Jaccard(a, b *Set) float64 {
-	la, lb := a.Len(), b.Len()
-	if la == 0 && lb == 0 {
-		return 0
-	}
-	inter := IntersectCount(a, b)
-	union := la + lb - inter
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
-}
-
-// Containment returns |A∩B| / |A|; an empty A scores 0 — the exact
-// semantics (and bit-identical arithmetic) of table.ContainmentOfSets.
-func Containment(a, b *Set) float64 {
-	la := a.Len()
-	if la == 0 {
-		return 0
-	}
-	return float64(IntersectCount(a, b)) / float64(la)
 }

@@ -19,19 +19,6 @@ import (
 // directed per-pair aggregate — and therefore every emitted score and both
 // discovery aggregates built from them.
 
-// MatchCostHint implements core.Coster. Hints are measured average
-// per-pair runtimes in microseconds: the traced matchers.coma-*.mean_ms of
-// bench's match-grid workload with prepared names (schema 1.2/1.4/1.8 ms,
-// instance 1.5/1.8/1.9 ms on seeds 3/5/6, 2 cores; 4.7 and 5.1 ms when
-// every pair re-normalized and re-tokenized both names). Only the relative
-// order matters.
-func (m *Matcher) MatchCostHint() float64 {
-	if m.Strategy == StrategyInstance {
-		return 1700
-	}
-	return 1400
-}
-
 // ScoreBoundProfiles implements core.ScoreBounder.
 func (m *Matcher) ScoreBoundProfiles(sp, tp *profile.TableProfile) float64 {
 	comps := []float64{
@@ -151,10 +138,13 @@ func columnsWithTokens(tpf *profile.TableProfile) int {
 
 // overlapBound caps overlapMatcher: sampled sets are subsets of the
 // columns' distinct sets, so a positive sample Jaccard needs the distinct
-// sets to intersect — or two empty sets, which score 1. Profiles sharing a
-// value dictionary intersect through the integer-set kernel; mixed pairs
-// probe the smaller distinct map into the larger.
+// sets to intersect — or two empty sets, which score 1. The distinct sets
+// intersect as interned ids; tables that do not intern into one dictionary
+// (which Match rejects anyway) bound at 1.
 func overlapBound(sp, tp *profile.TableProfile) float64 {
+	if d := sp.InterningDict(); d == nil || d != tp.InterningDict() {
+		return 1
+	}
 	srcZero, tgtZero := false, false
 	for _, c := range sp.Columns() {
 		if c.Distinct() == 0 {
@@ -174,30 +164,10 @@ func overlapBound(sp, tp *profile.TableProfile) float64 {
 	for _, sc := range sp.Columns() {
 		sset := sc.InternedDistinct()
 		for _, tc := range tp.Columns() {
-			if sset != nil && sc.Dict() == tc.Dict() {
-				if tset := tc.InternedDistinct(); tset != nil {
-					if intern.IntersectCount(sset, tset) > 0 {
-						return 1
-					}
-					continue
-				}
-			}
-			if distinctMapsIntersect(sc.DistinctValues(), tc.DistinctValues()) {
+			if intern.IntersectCount(sset, tc.InternedDistinct()) > 0 {
 				return 1
 			}
 		}
 	}
 	return 0
-}
-
-func distinctMapsIntersect(a, b map[string]struct{}) bool {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	for v := range a {
-		if _, ok := b[v]; ok {
-			return true
-		}
-	}
-	return false
 }

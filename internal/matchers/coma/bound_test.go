@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"valentine/internal/core"
+	"valentine/internal/intern"
+	"valentine/internal/profile"
 	"valentine/internal/table"
 )
 
@@ -89,5 +91,18 @@ func TestScoreBoundPrunesDisjoint(t *testing.T) {
 	sp, tp := core.ProfilePair(nil, src, tgt)
 	if bound := m.(*Matcher).ScoreBoundProfiles(sp, tp); bound >= 1 {
 		t.Fatalf("disjoint pair bound = %v, want < 1", bound)
+	}
+	if got := overlapBound(sp, tp); got != 0 {
+		t.Fatalf("one dictionary: disjoint overlap bound = %v, want 0", got)
+	}
+	// The same columns interned into two dictionaries (or none) cannot be
+	// compared by id, so their overlap bound is the admissible 1.
+	for name, pair := range map[string][2]*profile.TableProfile{
+		"two dictionaries": {profile.NewInterned(src, intern.NewDict()), profile.NewInterned(tgt, intern.NewDict())},
+		"dictionary-less":  {profile.New(src), profile.New(tgt)},
+	} {
+		if got := overlapBound(pair[0], pair[1]); got != 1 {
+			t.Fatalf("%s: overlap bound = %v, want 1", name, got)
+		}
 	}
 }

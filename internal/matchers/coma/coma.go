@@ -92,7 +92,6 @@ func New(p core.Params) (core.Matcher, error) {
 var (
 	_ core.Matcher      = (*Matcher)(nil)
 	_ core.ScoreBounder = (*Matcher)(nil)
-	_ core.Coster       = (*Matcher)(nil)
 )
 
 // Name implements core.Matcher.
@@ -111,14 +110,7 @@ type element struct {
 	tokens   map[string]struct{}
 	siblings map[string]struct{} // token context of sibling columns
 	features []float64           // instance feature vector
-	sample   map[string]struct{} // sampled distinct values
-
-	// Interned form of sample, present when the element's profile carries a
-	// value dictionary: overlapMatcher then intersects two sorted id slices
-	// (or bitmaps) without touching the map. dict guards comparability —
-	// ids from different dictionaries never meet.
-	dict      *intern.Dict
-	sampleIDs *intern.Set
+	sample   *intern.Set         // sampled distinct values, as interned ids
 }
 
 // Match implements core.Matcher. Name tokens, distinct-value samples and
@@ -134,14 +126,10 @@ func (m *Matcher) Match(ctx context.Context, sp, tp *profile.TableProfile) ([]co
 		limit = 150
 	}
 	withInstances := m.Strategy == StrategyInstance
-	// Both tables interning into one dictionary selects the integer-set
-	// sample representation up front; otherwise only the string maps are
-	// built — never both.
-	useIDs := sp.InterningDict() != nil && sp.InterningDict() == tp.InterningDict()
 	var srcEls, tgtEls []element
 	engine.StatsFrom(ctx).Timed(engine.StageGenerate, func() {
-		srcEls = buildElements(sp, withInstances, limit, useIDs)
-		tgtEls = buildElements(tp, withInstances, limit, useIDs)
+		srcEls = buildElements(sp, withInstances, limit)
+		tgtEls = buildElements(tp, withInstances, limit)
 	})
 	return engine.ScorePairs(ctx, sp, tp, func(i, j int) (float64, bool) {
 		// Direction "both": the matcher library is evaluated src→tgt
@@ -158,7 +146,7 @@ func (m *Matcher) Match(ctx context.Context, sp, tp *profile.TableProfile) ([]co
 	})
 }
 
-func buildElements(tp *profile.TableProfile, withInstances bool, limit int, useIDs bool) []element {
+func buildElements(tp *profile.TableProfile, withInstances bool, limit int) []element {
 	t := tp.Table()
 	els := make([]element, len(t.Columns))
 	for i := range t.Columns {
@@ -180,23 +168,17 @@ func buildElements(tp *profile.TableProfile, withInstances bool, limit int, useI
 		}
 		if withInstances {
 			e.features = instanceFeatures(p)
-			if useIDs {
-				// All distinct values are interned (InternedDistinct forces
-				// that), so the sample — a subset — resolves fully, and the
-				// string map is never consulted.
-				d := p.Dict()
-				p.InternedDistinct()
-				sample := p.SampleDistinct(limit)
-				ids := make([]uint32, 0, len(sample))
-				for _, v := range sample {
-					id, _ := d.Lookup(v)
-					ids = append(ids, id)
-				}
-				e.dict = d
-				e.sampleIDs = intern.NewSet(ids)
-			} else {
-				e.sample = sampleSet(p, limit)
+			// All distinct values are interned (InternedDistinct forces
+			// that), so the sample — a subset — resolves fully.
+			d := p.Dict()
+			p.InternedDistinct()
+			sample := p.SampleDistinct(limit)
+			ids := make([]uint32, 0, len(sample))
+			for _, v := range sample {
+				id, _ := d.Lookup(v)
+				ids = append(ids, id)
 			}
+			e.sample = intern.NewSet(ids)
 		}
 		els[i] = e
 	}
@@ -324,24 +306,20 @@ func contextMatcher(a, b *element) float64 {
 	return float64(inter) / float64(len(a.siblings))
 }
 
-// overlapMatcher is the exact value-overlap instance matcher. Elements
-// sharing a value dictionary intersect through the integer-set kernel;
-// the score is bit-identical to the map path (strutil.JaccardSets scores
-// two empty sets 1, so that edge is preserved explicitly).
+// overlapMatcher is the exact value-overlap instance matcher: the Jaccard
+// similarity of the two sampled sets, intersected as interned ids. Two
+// empty samples score 1, as two empty sets do in strutil.JaccardSets.
 func overlapMatcher(a, b *element) float64 {
-	if a.dict != nil && a.dict == b.dict {
-		la, lb := a.sampleIDs.Len(), b.sampleIDs.Len()
-		if la == 0 && lb == 0 {
-			return 1
-		}
-		inter := intern.IntersectCount(a.sampleIDs, b.sampleIDs)
-		union := la + lb - inter
-		if union == 0 {
-			return 0
-		}
-		return float64(inter) / float64(union)
+	la, lb := a.sample.Len(), b.sample.Len()
+	if la == 0 && lb == 0 {
+		return 1
 	}
-	return strutil.JaccardSets(a.sample, b.sample)
+	inter := intern.IntersectCount(a.sample, b.sample)
+	union := la + lb - inter
+	if union == 0 {
+		return 0
+	}
+	return float64(inter) / float64(union)
 }
 
 // constraintMatcher compares constraint-style instance features
@@ -400,13 +378,4 @@ func instanceFeatures(p *profile.Profile) []float64 {
 // differences matter but don't dominate the feature distance.
 func sigmoidScale(x float64) float64 {
 	return 1 / (1 + math.Exp(-x/1000))
-}
-
-func sampleSet(p *profile.Profile, limit int) map[string]struct{} {
-	vals := p.SampleDistinct(limit)
-	out := make(map[string]struct{}, len(vals))
-	for _, v := range vals {
-		out[v] = struct{}{}
-	}
-	return out
 }

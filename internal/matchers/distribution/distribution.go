@@ -59,7 +59,6 @@ func New(p core.Params) (core.Matcher, error) {
 var (
 	_ core.Matcher      = (*Matcher)(nil)
 	_ core.ScoreBounder = (*Matcher)(nil)
-	_ core.Coster       = (*Matcher)(nil)
 )
 
 // Name implements core.Matcher.

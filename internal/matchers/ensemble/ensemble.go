@@ -15,7 +15,6 @@ package ensemble
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
 	"valentine/internal/core"
@@ -80,13 +79,8 @@ func FromRegistry(reg *core.Registry, grids map[string]core.Params, methods []st
 	return New(members, p)
 }
 
-// Compile-time checks: the one core contract plus the optional planner hooks.
-var (
-	_ core.Matcher        = (*Matcher)(nil)
-	_ core.ScoreBounder   = (*Matcher)(nil)
-	_ core.Coster         = (*Matcher)(nil)
-	_ core.CascadeMatcher = (*Matcher)(nil)
-)
+// Compile-time check: the one core contract.
+var _ core.Matcher = (*Matcher)(nil)
 
 // Name implements core.Matcher.
 func (e *Matcher) Name() string {
@@ -123,22 +117,18 @@ func (e *Matcher) Match(ctx context.Context, sp, tp *profile.TableProfile) ([]co
 	if err != nil {
 		return nil, err
 	}
-	return e.fuse(memberMatches, nil, source, target), nil
+	return e.fuse(memberMatches, source, target), nil
 }
 
-// fuse combines member rankings into the final ranked list. present
-// selects which members participate (nil: all) — the budgeted cascade
-// fuses only the members that completed. Members are always folded in
-// their original declaration order, so the floating-point sums (and hence
-// the fused scores) are bit-identical however the members were scheduled.
-func (e *Matcher) fuse(memberMatches [][]core.Match, present []bool, source, target *table.Table) []core.Match {
+// fuse combines member rankings into the final ranked list. Members are
+// always folded in their declaration order, so the floating-point sums
+// (and hence the fused scores) are bit-identical however the members were
+// scheduled.
+func (e *Matcher) fuse(memberMatches [][]core.Match, source, target *table.Table) []core.Match {
 	type key struct{ s, t string }
 	fused := make(map[key]float64)
 	totalWeight := 0.0
 	for mi, member := range e.Members {
-		if present != nil && !present[mi] {
-			continue
-		}
 		w := member.Weight
 		if w <= 0 {
 			w = 1
@@ -198,17 +188,5 @@ func (e *Matcher) fuse(memberMatches [][]core.Match, present []bool, source, tar
 		}
 	}
 	core.SortMatches(out)
-	return out
-}
-
-// sortedPairKeys is exposed for tests: deterministic iteration order of the
-// fused map is guaranteed by core.SortMatches above, this helper verifies
-// coverage.
-func sortedPairKeys(ms []core.Match) []string {
-	out := make([]string, len(ms))
-	for i, m := range ms {
-		out[i] = m.SourceColumn + "→" + m.TargetColumn
-	}
-	sort.Strings(out)
 	return out
 }

@@ -2,6 +2,7 @@ package ensemble
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"valentine/internal/core"
@@ -133,6 +134,17 @@ func TestScoreFusionWeights(t *testing.T) {
 	if soloTop != fusedTop {
 		t.Errorf("dominant weight should reproduce member ranking: %s vs %s", soloTop, fusedTop)
 	}
+}
+
+// sortedPairKeys lists a ranking's column pairs in sorted order, to check
+// coverage independently of the ranking's own order.
+func sortedPairKeys(ms []core.Match) []string {
+	out := make([]string, len(ms))
+	for i, m := range ms {
+		out[i] = m.SourceColumn + "→" + m.TargetColumn
+	}
+	sort.Strings(out)
+	return out
 }
 
 func TestSortedPairKeysHelper(t *testing.T) {

@@ -15,17 +15,6 @@ import (
 // and zero when either sample is empty. Sample sizes follow from cached
 // distinct counts alone, so the bound costs no string work at all.
 
-// MatchCostHint implements core.Coster: measured average per-pair runtime
-// in microseconds — the traced matchers.jaccard-levenshtein.mean_ms of
-// bench's match-grid workload, 2.67/2.41/2.77 ms on seeds 11/12/13 (2
-// cores) with prepared values, the symbol-class mask ahead of the banded
-// DP and the per-match budget table; the unprepared predicate measured
-// 18.0 ms on seed 7. The same three runs read similarity-flooding at
-// 1.30/1.27/1.33 ms and semprop at 3.15/3.10/3.27 ms: between the two every
-// time, clear of both. Only the relative order matters; TestCostHintOrder
-// pins it.
-func (m *Matcher) MatchCostHint() float64 { return 2600 }
-
 // sampleSize is the column's effective sample cardinality: its distinct
 // count capped at the matcher's sample limit.
 func (m *Matcher) sampleSize(p *profile.Profile) int {

@@ -26,7 +26,6 @@ import (
 
 	"valentine/internal/core"
 	"valentine/internal/engine"
-	"valentine/internal/intern"
 	"valentine/internal/profile"
 	"valentine/internal/strutil"
 )
@@ -59,7 +58,6 @@ func New(p core.Params) (core.Matcher, error) {
 var (
 	_ core.Matcher        = (*Matcher)(nil)
 	_ core.ScoreBounder   = (*Matcher)(nil)
-	_ core.Coster         = (*Matcher)(nil)
 	_ core.CascadeMatcher = (*Matcher)(nil)
 )
 
@@ -89,15 +87,11 @@ func (m *Matcher) prepare(ctx context.Context, sp, tp *profile.TableProfile) (sr
 	if limit <= 0 {
 		limit = 120
 	}
-	// Both tables interning into one dictionary selects the integer-set
-	// representation for every sample up front; otherwise only the string
-	// maps are built — never both.
-	useIDs := sp.InterningDict() != nil && sp.InterningDict() == tp.InterningDict()
 	engine.StatsFrom(ctx).Timed(engine.StageGenerate, func() {
 		sample := func(p *profile.TableProfile) []colSample {
 			sets := make([]colSample, len(p.Table().Columns))
 			for i := range sets {
-				sets[i] = sampleColumn(p.Column(i), limit, useIDs)
+				sets[i] = sampleColumn(p.Column(i), limit)
 			}
 			return sets
 		}
@@ -125,28 +119,22 @@ func budgets(threshold float64, sets ...[]colSample) []int {
 //
 //   - vals: the sample, lexicographic (the deterministic stride sample)
 //   - byLen: the sample prepared and sorted by rune length — the fuzzy
-//     phase's candidate order and its length window, and (without a
-//     dictionary) the source values the fuzzy phase tests
+//     phase's candidate order and its length window
 //   - ids/idVals: the sample sorted by interned id with the prepared values
-//     kept parallel, when the column's profile carries a value dictionary
-//     — the exact-overlap prescreen merges two id slices allocation-free
-//     instead of probing a per-pair string map.
+//     kept parallel — the exact-overlap prescreen merges two id slices
+//     allocation-free.
 type colSample struct {
 	vals   []string
 	byLen  []strutil.Value
-	set    map[string]struct{} // exact-membership fallback (mixed/no dictionary)
-	dict   *intern.Dict        // the dictionary ids were minted by (nil: none)
 	ids    []uint32
 	idVals []strutil.Value
 }
 
 // sampleColumn samples up to max distinct values, deterministically (the
 // lexicographically first ones, stride-sampled across the sorted set to
-// keep the value range), so runs are reproducible. useIDs selects the
-// interned-id representation (the caller must have checked both tables
-// intern into one dictionary); otherwise the string-membership map is
-// built instead.
-func sampleColumn(p *profile.Profile, max int, useIDs bool) colSample {
+// keep the value range), so runs are reproducible. The profile must intern
+// its values (the matcher contract: core.ValidatePair).
+func sampleColumn(p *profile.Profile, max int) colSample {
 	cs := colSample{vals: p.SampleDistinct(max)}
 	vals := cs.vals
 	cs.byLen = make([]strutil.Value, len(vals))
@@ -154,32 +142,26 @@ func sampleColumn(p *profile.Profile, max int, useIDs bool) colSample {
 		cs.byLen[i] = strutil.PrepareValue(v)
 	}
 	slices.SortStableFunc(cs.byLen, func(a, b strutil.Value) int { return cmp.Compare(a.Len(), b.Len()) })
-	if !useIDs {
-		cs.set = make(map[string]struct{}, len(vals))
-		for _, v := range vals {
-			cs.set[v] = struct{}{}
-		}
-	} else if d := p.Dict(); p.InternedDistinct() != nil {
-		cs.dict = d
-		// The profile's distinct values are all interned (InternedDistinct
-		// forced that), so every sample value resolves; sorting the sample
-		// by id sets up the pairwise sorted-merge prescreen.
-		type pair struct {
-			id uint32
-			v  strutil.Value
-		}
-		pairs := make([]pair, len(cs.byLen))
-		for i, v := range cs.byLen {
-			id, _ := d.Lookup(v.String())
-			pairs[i] = pair{id, v}
-		}
-		sort.Slice(pairs, func(i, j int) bool { return pairs[i].id < pairs[j].id })
-		cs.ids = make([]uint32, len(pairs))
-		cs.idVals = make([]strutil.Value, len(pairs))
-		for i, pr := range pairs {
-			cs.ids[i] = pr.id
-			cs.idVals[i] = pr.v
-		}
+	// The profile's distinct values are all interned (InternedDistinct
+	// forced that), so every sample value resolves; sorting the sample by
+	// id sets up the pairwise sorted-merge prescreen.
+	d := p.Dict()
+	p.InternedDistinct()
+	type pair struct {
+		id uint32
+		v  strutil.Value
+	}
+	pairs := make([]pair, len(cs.byLen))
+	for i, v := range cs.byLen {
+		id, _ := d.Lookup(v.String())
+		pairs[i] = pair{id, v}
+	}
+	sort.Slice(pairs, func(i, j int) bool { return pairs[i].id < pairs[j].id })
+	cs.ids = make([]uint32, len(pairs))
+	cs.idVals = make([]strutil.Value, len(pairs))
+	for i, pr := range pairs {
+		cs.ids[i] = pr.id
+		cs.idVals[i] = pr.v
 	}
 	return cs
 }
@@ -187,48 +169,35 @@ func sampleColumn(p *profile.Profile, max int, useIDs bool) colSample {
 // fuzzyJaccard computes |fuzzy ∩| / |∪| where a source value is in the
 // intersection when it appears verbatim on the target side or some target
 // value is within the Levenshtein threshold, whose distance budgets
-// (strutil.SimBudgets) cover every sampled length. With interned samples
-// the exact-overlap prescreen is a sorted-merge over id slices: values
+// (strutil.SimBudgets) cover every sampled length. The exact-overlap
+// prescreen is a sorted-merge over id slices (id equality is value
+// equality, both samples being interned into one dictionary): values
 // matched by id never touch the Levenshtein machinery, and the whole
-// pairwise call allocates nothing. Scores are bit-identical on both paths —
-// id equality is value equality.
+// pairwise call allocates nothing.
 func fuzzyJaccard(a, b *colSample, budget []int) float64 {
 	if len(a.vals) == 0 || len(b.vals) == 0 {
 		return 0
 	}
 	matched := 0
-	if a.dict != nil && a.dict == b.dict {
-		i, j := 0, 0
-		for i < len(a.ids) && j < len(b.ids) {
-			switch {
-			case a.ids[i] == b.ids[j]:
-				matched++
-				i++
-				j++
-			case a.ids[i] < b.ids[j]:
-				if fuzzyContains(&a.idVals[i], b, budget) {
-					matched++
-				}
-				i++
-			default:
-				j++
-			}
-		}
-		for ; i < len(a.ids); i++ {
+	i, j := 0, 0
+	for i < len(a.ids) && j < len(b.ids) {
+		switch {
+		case a.ids[i] == b.ids[j]:
+			matched++
+			i++
+			j++
+		case a.ids[i] < b.ids[j]:
 			if fuzzyContains(&a.idVals[i], b, budget) {
 				matched++
 			}
+			i++
+		default:
+			j++
 		}
-	} else {
-		for i := range a.byLen {
-			av := &a.byLen[i]
-			if _, ok := b.set[av.String()]; ok {
-				matched++
-				continue
-			}
-			if fuzzyContains(av, b, budget) {
-				matched++
-			}
+	}
+	for ; i < len(a.ids); i++ {
+		if fuzzyContains(&a.idVals[i], b, budget) {
+			matched++
 		}
 	}
 	union := len(a.vals) + len(b.vals) - matched

@@ -65,48 +65,52 @@ func TestInvariants(t *testing.T) {
 	}
 }
 
-// sampleOf builds the dictionary-less colSample of a raw value list.
-func sampleOf(vals []string) *colSample {
-	c := table.Column{Name: "x", Values: vals}
-	cs := sampleColumn(profile.NewColumn("t", &c), len(vals)+1, false)
-	return &cs
+// samplesOf samples two raw value lists whole, profiled through
+// profile.NewPair as prepare's callers profile a pair: both intern into one
+// dictionary.
+func samplesOf(a, b []string) (*colSample, *colSample) {
+	sp, tp := profile.NewPair(table.New("s").AddColumn("x", a), table.New("t").AddColumn("x", b))
+	sa, sb := sampleColumn(sp.Column(0), len(a)+1), sampleColumn(tp.Column(0), len(b)+1)
+	return &sa, &sb
 }
 
-// score is fuzzyJaccard under the budget table prepare would build for a
-// and b.
-func score(a, b *colSample, threshold float64) float64 {
-	return fuzzyJaccard(a, b, budgets(threshold, []colSample{*a, *b}))
+// score is fuzzyJaccard of two raw value lists under the budget table
+// prepare would build for them.
+func score(a, b []string, threshold float64) float64 {
+	sa, sb := samplesOf(a, b)
+	return fuzzyJaccard(sa, sb, budgets(threshold, []colSample{*sa, *sb}))
 }
 
-// contains is fuzzyContains for a raw value: v as a one-value sample, the
-// budget table covering it and b.
-func contains(v string, b *colSample, threshold float64) bool {
-	a := sampleOf([]string{v})
+// contains is fuzzyContains for a raw value: v as a one-value sample
+// against the sample of cands, under the budget table covering both.
+func contains(v string, cands []string, threshold float64) bool {
+	a, b := samplesOf([]string{v}, cands)
 	return fuzzyContains(&a.byLen[0], b, budgets(threshold, []colSample{*a, *b}))
 }
 
 func TestFuzzyJaccardBasics(t *testing.T) {
-	if got := score(sampleOf([]string{"abc", "def"}), sampleOf([]string{"abc", "def"}), 0.8); got != 1 {
+	if got := score([]string{"abc", "def"}, []string{"abc", "def"}, 0.8); got != 1 {
 		t.Errorf("identical sets = %v", got)
 	}
-	if got := score(sampleOf([]string{"abc"}), sampleOf([]string{"xyz"}), 0.8); got != 0 {
+	if got := score([]string{"abc"}, []string{"xyz"}, 0.8); got != 0 {
 		t.Errorf("disjoint = %v", got)
 	}
 	// typo within threshold 0.6: "color" vs "colour" sim = 1-1/6 ≈ 0.83
-	if got := score(sampleOf([]string{"colour"}), sampleOf([]string{"color"}), 0.8); got != 1 {
+	if got := score([]string{"colour"}, []string{"color"}, 0.8); got != 1 {
 		t.Errorf("fuzzy match = %v", got)
 	}
-	if got := score(sampleOf(nil), sampleOf([]string{"x"}), 0.8); got != 0 {
+	if got := score(nil, []string{"x"}, 0.8); got != 0 {
 		t.Errorf("empty side = %v", got)
 	}
-	if got := score(sampleOf(nil), sampleOf(nil), 0.8); got != 0 {
+	if got := score(nil, nil, 0.8); got != 0 {
 		t.Errorf("both empty = %v", got)
 	}
 }
 
-// TestInternedPrescreenMatchesMapPath: the sorted-merge exact-overlap
-// prescreen over interned ids must score every pair exactly as the
-// map-membership path does.
+// TestInternedPrescreenMatchesMapPath: dictionary-less profiles, which
+// core.MatchProfilesWithContext re-pairs into one dictionary before the
+// sorted-merge prescreen runs, score every pair exactly as NewPair
+// profiles do.
 func TestInternedPrescreenMatchesMapPath(t *testing.T) {
 	vals := func(n, off int) []string {
 		out := make([]string, n)
@@ -146,13 +150,15 @@ func TestSampleDistinctCaps(t *testing.T) {
 	for i := range vals {
 		vals[i] = matchName(i)
 	}
-	c := table.Column{Name: "x", Values: vals}
-	s := sampleColumn(profile.NewColumn("t", &c), 50, false).vals
+	tab := table.New("t").AddColumn("x", vals)
+	sp, _ := profile.NewPair(tab, tab)
+	s := sampleColumn(sp.Column(0), 50).vals
 	if len(s) != 50 {
 		t.Fatalf("sample = %d", len(s))
 	}
 	// determinism
-	s2 := sampleColumn(profile.NewColumn("t", &c), 50, false).vals
+	sp, _ = profile.NewPair(tab, tab)
+	s2 := sampleColumn(sp.Column(0), 50).vals
 	for i := range s {
 		if s[i] != s2[i] {
 			t.Fatal("sampling not deterministic")
@@ -184,10 +190,10 @@ func TestFuzzyContainsCountsRunes(t *testing.T) {
 		if sim := strutil.LevenshteinSim(c[0], c[1]); sim < 0.8 {
 			t.Fatalf("fixture: LevenshteinSim(%q,%q) = %v", c[0], c[1], sim)
 		}
-		if !contains(c[0], sampleOf([]string{c[1]}), 0.8) {
+		if !contains(c[0], []string{c[1]}, 0.8) {
 			t.Errorf("fuzzyContains(%q, {%q}, 0.8) = false", c[0], c[1])
 		}
-		if !contains(c[1], sampleOf([]string{c[0]}), 0.8) {
+		if !contains(c[1], []string{c[0]}, 0.8) {
 			t.Errorf("fuzzyContains(%q, {%q}, 0.8) = false", c[1], c[0])
 		}
 	}
@@ -211,7 +217,6 @@ func TestFuzzyContainsMatchesFullScan(t *testing.T) {
 		for i := range cands {
 			cands[i] = word()
 		}
-		sample := sampleOf(cands)
 		for _, th := range []float64{0.4, 0.5, 0.6, 0.7, 0.8, 1} {
 			for q := 0; q < 20; q++ {
 				v := word()
@@ -219,7 +224,7 @@ func TestFuzzyContainsMatchesFullScan(t *testing.T) {
 				for _, c := range cands {
 					want = want || strutil.LevenshteinSim(v, c) >= th
 				}
-				if got := contains(v, sample, th); got != want {
+				if got := contains(v, cands, th); got != want {
 					t.Fatalf("fuzzyContains(%q, %q, %v) = %v, full scan says %v", v, cands, th, got, want)
 				}
 			}
@@ -255,10 +260,7 @@ func benchSamples(tb testing.TB) (a, b *colSample) {
 	src.AddColumn("address", av)
 	tgt.AddColumn("addr", bv)
 	sp, tp := profile.NewPair(src, tgt)
-	sa, sb := sampleColumn(sp.Column(0), 120, true), sampleColumn(tp.Column(0), 120, true)
-	if sa.dict == nil || sa.dict != sb.dict {
-		tb.Fatal("samples are not interned into one dictionary")
-	}
+	sa, sb := sampleColumn(sp.Column(0), 120), sampleColumn(tp.Column(0), 120)
 	return &sa, &sb
 }
 

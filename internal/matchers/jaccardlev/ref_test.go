@@ -24,8 +24,7 @@ import (
 // fuzzyJaccardRef is fuzzyJaccard as it was before values were prepared:
 // string values and a string-membership map, the length window evaluated
 // as a float expression per candidate, and every candidate tested by its
-// own similarity call (simAtLeastRef). It reads only the string samples,
-// so one reference score serves the interned and the map path alike.
+// own similarity call (simAtLeastRef). It reads only the string samples.
 func fuzzyJaccardRef(a, b *colSample, threshold float64) float64 {
 	if len(a.vals) == 0 || len(b.vals) == 0 {
 		return 0
@@ -96,34 +95,21 @@ func simAtLeastRef(a, b string, threshold float64) bool {
 }
 
 // requireMatchesRef scores every column pair of src × tgt through prepare
-// and fuzzyJaccard on the interned path (one shared dictionary) and on the
-// string-map path, and holds both to fuzzyJaccardRef bit for bit.
+// and fuzzyJaccard (profiled through profile.NewPair, one shared
+// dictionary) and holds each score to fuzzyJaccardRef bit for bit.
 func requireMatchesRef(t *testing.T, src, tgt *table.Table, thresholds []float64) {
 	t.Helper()
 	ctx := context.Background()
-	isp, itp := profile.NewPair(src, tgt)
-	msp, mtp := profile.New(src), profile.New(tgt)
+	sp, tp := profile.NewPair(src, tgt)
 	for _, th := range thresholds {
 		m := &Matcher{Threshold: th}
-		is, it, ib := m.prepare(ctx, isp, itp)
-		ms, mt, mb := m.prepare(ctx, msp, mtp)
-		for i := range ms {
-			if len(is[i].vals) > 0 && is[i].dict == nil {
-				t.Fatalf("%s column %d: interned path not taken", src.Name, i)
-			}
-			for j := range mt {
-				want := fuzzyJaccardRef(&ms[i], &mt[j], th)
-				for _, c := range []struct {
-					path string
-					got  float64
-				}{
-					{"interned", fuzzyJaccard(&is[i], &it[j], ib)},
-					{"map", fuzzyJaccard(&ms[i], &mt[j], mb)},
-				} {
-					if math.Float64bits(c.got) != math.Float64bits(want) {
-						t.Fatalf("%s × %s, columns %d×%d, threshold %v, %s path: score %v, reference %v",
-							src.Name, tgt.Name, i, j, th, c.path, c.got, want)
-					}
+		ss, ts, budget := m.prepare(ctx, sp, tp)
+		for i := range ss {
+			for j := range ts {
+				got, want := fuzzyJaccard(&ss[i], &ts[j], budget), fuzzyJaccardRef(&ss[i], &ts[j], th)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s × %s, columns %d×%d, threshold %v: score %v, reference %v",
+						src.Name, tgt.Name, i, j, th, got, want)
 				}
 			}
 		}

@@ -1,12 +1,14 @@
 package suite
 
-// Randomized conformance of the interned kernels at suite level: over
-// fuzzed corpora, every matcher scored on map-based (dictionary-less)
-// profiles and on interned (shared-dictionary) profiles must produce
-// bit-identical rankings, and discovery search over an interned catalog
-// must return exactly the results of one fed dictionary-less profiles.
-// The whole test runs under -race in CI (the race-serving leg), so it also
-// exercises concurrent interning through the store's parallel Warm.
+// Randomized conformance of the one-dictionary matcher contract at suite
+// level: over fuzzed corpora, a pair that does not intern into one value
+// dictionary is re-paired at dispatch (core.MatchProfilesWithContext) and
+// ranks bit-identically to the same pair from one shared Store, while a
+// direct Match on it is rejected (core.ValidatePair); and discovery search
+// over an interned catalog must return exactly the results of one fed
+// dictionary-less profiles. The whole test runs under -race in CI (the
+// race-serving leg), so it also exercises concurrent interning through the
+// store's parallel Warm.
 
 import (
 	"context"
@@ -46,13 +48,18 @@ func fuzzTable(rng *rand.Rand, name string, vocab int) *table.Table {
 	return t
 }
 
-// TestInternedKernelsConformance fuzzes table pairs and asserts every
-// matcher ranks bit-identically on the map-based and interned paths.
+// TestInternedKernelsConformance fuzzes table pairs and, for every
+// matcher, holds the three pairs that break the one-dictionary precondition
+// — two dictionary-less profiles, profiles from two Stores, and a Store
+// profile beside a hash-sharing one — to the shared-Store ranking bit for
+// bit through core.MatchProfilesWithContext, which re-pairs them; a direct
+// Match on each must return ValidatePair's error instead of a score.
 func TestInternedKernelsConformance(t *testing.T) {
 	trials := 6
 	if testing.Short() {
 		trials = 2
 	}
+	ctx := context.Background()
 	matchers := allMatchers(t)
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))
@@ -60,22 +67,40 @@ func TestInternedKernelsConformance(t *testing.T) {
 		tgt := fuzzTable(rng, "tgt", 40+rng.Intn(80))
 		store := profile.NewStore()
 		store.Warm(src, tgt) // parallel warm: concurrent interning under -race
+		other := profile.NewStore()
+		mixed := []struct {
+			name   string
+			sp, tp *profile.TableProfile
+		}{
+			{"dictionary-less", profile.New(src), profile.New(tgt)},
+			{"two stores", store.Of(src), other.Of(tgt)},
+			{"hash-sharing", store.Of(src), profile.NewHashSharing(tgt, store.Dict())},
+		}
 		for name, m := range matchers {
-			plain, err := core.MatchProfilesWithContext(context.Background(), m, profile.New(src), profile.New(tgt))
+			want, err := core.MatchProfilesWithContext(ctx, m, store.Of(src), store.Of(tgt))
 			if err != nil {
-				t.Fatalf("trial %d %s (map path): %v", trial, name, err)
+				t.Fatalf("trial %d %s (shared store): %v", trial, name, err)
 			}
-			interned, err := core.MatchProfilesWithContext(context.Background(), m, store.Of(src), store.Of(tgt))
-			if err != nil {
-				t.Fatalf("trial %d %s (interned path): %v", trial, name, err)
-			}
-			if len(plain) != len(interned) {
-				t.Fatalf("trial %d %s: lengths differ: map %d vs interned %d", trial, name, len(plain), len(interned))
-			}
-			for i := range plain {
-				if plain[i] != interned[i] {
-					t.Fatalf("trial %d %s rank %d differs:\n  map      %v\n  interned %v",
-						trial, name, i, plain[i], interned[i])
+			for _, pair := range mixed {
+				got, err := core.MatchProfilesWithContext(ctx, m, pair.sp, pair.tp)
+				if err != nil {
+					t.Fatalf("trial %d %s (%s): %v", trial, name, pair.name, err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("trial %d %s (%s): %d matches, shared store %d", trial, name, pair.name, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("trial %d %s (%s) rank %d differs:\n  re-paired    %v\n  shared store %v",
+							trial, name, pair.name, i, got[i], want[i])
+					}
+				}
+				wantErr := core.ValidatePair(pair.sp, pair.tp)
+				if wantErr == nil {
+					t.Fatalf("%s: ValidatePair accepted a pair on two dictionaries", pair.name)
+				}
+				if _, err := m.Match(ctx, pair.sp, pair.tp); err == nil || err.Error() != wantErr.Error() {
+					t.Fatalf("trial %d %s (%s): direct Match error %v, want %v", trial, name, pair.name, err, wantErr)
 				}
 			}
 		}

@@ -34,54 +34,6 @@ func RecallAtGroundTruth(matches []core.Match, gt *core.GroundTruth) (float64, e
 	return float64(hits) / float64(k), nil
 }
 
-// PrecisionRecallAtThreshold evaluates the classic unranked metrics over
-// matches whose score meets the threshold: precision, recall and F1
-// against the ground truth. Provided for comparison with traditional
-// 1-1-match evaluation, which the paper contrasts against.
-func PrecisionRecallAtThreshold(matches []core.Match, gt *core.GroundTruth, threshold float64) (precision, recall, f1 float64, err error) {
-	if gt.Size() == 0 {
-		return 0, 0, 0, fmt.Errorf("metrics: empty ground truth")
-	}
-	tp, fp := 0, 0
-	seen := make(map[core.ColumnPair]bool)
-	for _, m := range matches {
-		if m.Score < threshold {
-			continue
-		}
-		p := core.ColumnPair{Source: m.SourceColumn, Target: m.TargetColumn}
-		if seen[p] {
-			continue
-		}
-		seen[p] = true
-		if gt.Contains(m.SourceColumn, m.TargetColumn) {
-			tp++
-		} else {
-			fp++
-		}
-	}
-	if tp+fp > 0 {
-		precision = float64(tp) / float64(tp+fp)
-	}
-	recall = float64(tp) / float64(gt.Size())
-	if precision+recall > 0 {
-		f1 = 2 * precision * recall / (precision + recall)
-	}
-	return precision, recall, f1, nil
-}
-
-// MeanReciprocalRank returns the MRR of the first correct match in the
-// ranked list (0 when no correct match appears).
-func MeanReciprocalRank(matches []core.Match, gt *core.GroundTruth) float64 {
-	sorted := append([]core.Match(nil), matches...)
-	core.SortMatches(sorted)
-	for i, m := range sorted {
-		if gt.Contains(m.SourceColumn, m.TargetColumn) {
-			return 1 / float64(i+1)
-		}
-	}
-	return 0
-}
-
 // BoxStats are the summary statistics the paper's figures display.
 type BoxStats struct {
 	Min    float64

@@ -70,54 +70,6 @@ func TestRecallDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-func TestPrecisionRecallAtThreshold(t *testing.T) {
-	ms := []core.Match{
-		{SourceColumn: "a", TargetColumn: "x", Score: 0.9}, // TP
-		{SourceColumn: "a", TargetColumn: "y", Score: 0.8}, // FP
-		{SourceColumn: "b", TargetColumn: "y", Score: 0.2}, // below threshold
-	}
-	p, r, f1, err := PrecisionRecallAtThreshold(ms, gt2(), 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p != 0.5 || r != 0.5 {
-		t.Fatalf("p=%v r=%v, want 0.5/0.5", p, r)
-	}
-	if math.Abs(f1-0.5) > 1e-12 {
-		t.Fatalf("f1=%v", f1)
-	}
-	if _, _, _, err := PrecisionRecallAtThreshold(ms, core.NewGroundTruth(), 0.5); err == nil {
-		t.Error("empty GT should error")
-	}
-}
-
-func TestPrecisionDedupsPairs(t *testing.T) {
-	ms := []core.Match{
-		{SourceColumn: "a", TargetColumn: "x", Score: 0.9},
-		{SourceColumn: "a", TargetColumn: "x", Score: 0.8}, // duplicate pair
-	}
-	p, r, _, err := PrecisionRecallAtThreshold(ms, gt2(), 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p != 1 || r != 0.5 {
-		t.Fatalf("dedup failed: p=%v r=%v", p, r)
-	}
-}
-
-func TestMRR(t *testing.T) {
-	ms := []core.Match{
-		{SourceColumn: "q", TargetColumn: "q", Score: 0.9},
-		{SourceColumn: "a", TargetColumn: "x", Score: 0.8},
-	}
-	if got := MeanReciprocalRank(ms, gt2()); got != 0.5 {
-		t.Fatalf("MRR = %v, want 0.5", got)
-	}
-	if got := MeanReciprocalRank(nil, gt2()); got != 0 {
-		t.Fatalf("empty MRR = %v", got)
-	}
-}
-
 func TestBox(t *testing.T) {
 	b := Box([]float64{0.2, 0.8, 0.4, 0.6})
 	if b.Min != 0.2 || b.Max != 0.8 || b.Median != 0.5 || b.N != 4 {

@@ -8,15 +8,14 @@ import (
 
 	"valentine/internal/core"
 	"valentine/internal/engine"
-	"valentine/internal/experiment"
-	"valentine/internal/matchers/ensemble"
+	"valentine/internal/intern"
 	"valentine/internal/planner"
 	"valentine/internal/profile"
 )
 
 // minimalMatcher is what a user-written matcher minimally is: Name and
-// Match, with no score bound, no cost hint and no cascade of its own. It
-// scores every column pair by the Jaccard overlap of their distinct values.
+// Match, with no score bound and no cascade of its own. It scores every
+// column pair by the Jaccard overlap of their interned distinct values.
 type minimalMatcher struct{}
 
 func (minimalMatcher) Name() string { return "minimal" }
@@ -32,7 +31,7 @@ func (minimalMatcher) Match(ctx context.Context, sp, tp *profile.TableProfile) (
 			out = append(out, core.Match{
 				SourceTable: src.Name, SourceColumn: src.Columns[i].Name,
 				TargetTable: tgt.Name, TargetColumn: tgt.Columns[j].Name,
-				Score: profile.ValueOverlap(sp.Column(i), tp.Column(j)),
+				Score: jaccard(sp.Column(i).InternedDistinct(), tp.Column(j).InternedDistinct()),
 			})
 		}
 	}
@@ -40,11 +39,19 @@ func (minimalMatcher) Match(ctx context.Context, sp, tp *profile.TableProfile) (
 	return out, nil
 }
 
+// jaccard is |A∩B| / |A∪B| over two interned distinct sets (0 when both
+// are empty).
+func jaccard(a, b *intern.Set) float64 {
+	inter := intern.IntersectCount(a, b)
+	if union := a.Len() + b.Len() - inter; union > 0 {
+		return float64(inter) / float64(union)
+	}
+	return 0
+}
+
 // TestMinimalMatcherNeedsNoHooks: the optional hooks are really optional.
 // Without a bound the cascade bounds every candidate at 1, so Rerank prunes
-// nothing and equals RerankFull; as an ensemble member the matcher takes
-// the default cost, and the ensemble's own cascade at k = 0 equals its
-// Match.
+// nothing and equals RerankFull.
 func TestMinimalMatcherNeedsNoHooks(t *testing.T) {
 	var m core.Matcher = minimalMatcher{}
 	rng := rand.New(rand.NewSource(5))
@@ -52,9 +59,6 @@ func TestMinimalMatcherNeedsNoHooks(t *testing.T) {
 	qp := store.Of(query)
 	if b := core.ScoreBound(m, qp, cands[0].Profile); b != 1 {
 		t.Fatalf("ScoreBound = %v, want the conservative 1", b)
-	}
-	if c := core.MatchCost(m); c != core.DefaultMatchCost {
-		t.Fatalf("MatchCost = %v, want DefaultMatchCost", c)
 	}
 	for _, mode := range []string{"join", "union"} {
 		for _, k := range []int{1, 3, 0} {
@@ -81,27 +85,4 @@ func TestMinimalMatcherNeedsNoHooks(t *testing.T) {
 		}
 	}
 
-	coma, err := experiment.NewRegistry().New(experiment.MethodComaSchema, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, fusion := range []string{"score", "rrf"} {
-		e, err := ensemble.New([]ensemble.Member{{Matcher: coma}, {Matcher: m}}, core.Params{"fusion": fusion})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range cands[:4] {
-			want, err := core.MatchProfilesWithContext(context.Background(), e, qp, c.Profile)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, bestEffort, err := e.MatchCascade(context.Background(), qp, c.Profile, 0)
-			if err != nil || bestEffort {
-				t.Fatalf("%s/%s: err=%v bestEffort=%v", fusion, c.Name, err, bestEffort)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s/%s: ensemble cascade diverges from Match\ncascade %v\nfull    %v", fusion, c.Name, got, want)
-			}
-		}
-	}
 }

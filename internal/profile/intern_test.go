@@ -1,8 +1,8 @@
 package profile
 
-// Conformance tests of the interned kernels against the map-based reference
-// path: same distinct sets, same signatures, same overlap scores — bit for
-// bit — whatever mode a profile was built in.
+// Conformance tests of the interning modes: the same signatures, bit for
+// bit, whatever mode a profile was built in, and interning that is shared
+// exactly when two profiles intern into one dictionary.
 
 import (
 	"fmt"
@@ -68,42 +68,25 @@ func TestHashSharingModeNeverInterns(t *testing.T) {
 	}
 }
 
-func TestInternedOverlapKernelsMatchMapKernels(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 30; trial++ {
-		a := randomTable(rng, "a", 4, 60+rng.Intn(120), 40+rng.Intn(100))
-		b := randomTable(rng, "b", 4, 60+rng.Intn(120), 40+rng.Intn(100))
-		pa, pb := New(a), New(b)
-		ia, ib := NewPair(a.Clone(), b.Clone())
-		for i := 0; i < 4; i++ {
-			for j := 0; j < 4; j++ {
-				mp, mc := ValueOverlap(pa.Column(i), pb.Column(j)), Containment(pa.Column(i), pb.Column(j))
-				ip, ic := ValueOverlap(ia.Column(i), ib.Column(j)), Containment(ia.Column(i), ib.Column(j))
-				if mp != ip {
-					t.Fatalf("trial %d (%d,%d): ValueOverlap map %v vs interned %v", trial, i, j, mp, ip)
-				}
-				if mc != ic {
-					t.Fatalf("trial %d (%d,%d): Containment map %v vs interned %v", trial, i, j, mc, ic)
-				}
-			}
-		}
-	}
-}
-
+// TestSharedInternedRequiresOneDictionary: InterningDict, the value the
+// matcher contract compares (core.ValidatePair), is shared only by
+// profiles that intern into one dictionary.
 func TestSharedInternedRequiresOneDictionary(t *testing.T) {
 	tab := fixtureTable()
 	a := NewInterned(tab, intern.NewDict())
 	b := NewInterned(tab.Clone(), intern.NewDict())
-	if _, _, ok := SharedInterned(a.Column(0), b.Column(0)); ok {
+	if a.InterningDict() == b.InterningDict() {
 		t.Fatal("profiles on different dictionaries must not compare ids")
 	}
 	c, d := NewPair(tab.Clone(), tab.Clone())
-	if _, _, ok := SharedInterned(c.Column(0), d.Column(0)); !ok {
+	if c.InterningDict() == nil || c.InterningDict() != d.InterningDict() {
 		t.Fatal("NewPair profiles must share a dictionary")
 	}
-	plain := New(tab.Clone())
-	if _, _, ok := SharedInterned(plain.Column(0), plain.Column(1)); ok {
-		t.Fatal("dictionary-less profiles must fall back to the map kernel")
+	if New(tab.Clone()).InterningDict() != nil {
+		t.Fatal("dictionary-less profiles must have no interning dictionary")
+	}
+	if NewHashSharing(tab.Clone(), c.Dict()).InterningDict() != nil {
+		t.Fatal("hash-sharing profiles must not intern into the dictionary they hash by")
 	}
 }
 
@@ -140,7 +123,7 @@ func TestStoreEvictionDoesNotReintern(t *testing.T) {
 	if !reflect.DeepEqual(oldIDs, newIDs) {
 		t.Fatalf("re-admitted ids %v differ from pre-eviction ids %v", newIDs, oldIDs)
 	}
-	if ValueOverlap(profiles[0].Column(0), readmitted.Column(0)) != 1 {
+	if old := profiles[0].Column(0).InternedDistinct(); intern.IntersectCount(old, readmitted.Column(0).InternedDistinct()) != old.Len() {
 		t.Fatal("pre-eviction and re-admitted profiles must still be comparable")
 	}
 }

@@ -18,10 +18,10 @@
 // — the Store attaches its own automatically; NewPair attaches a private
 // one to a one-shot pair) additionally cache their distinct sets as sorted
 // interned-id slices and derive MinHash signatures from the base hashes
-// interning computed, so the pairwise overlap kernels
-// (ValueOverlap, Containment, and the matchers' sampled-overlap paths) run
-// allocation-free on integers. Every interned path is bit-identical in
-// scores to the dictionary-less reference path.
+// interning computed. The matchers' value-overlap kernels run on those id
+// slices only, so a pair handed to a matcher must intern into one
+// dictionary (InterningDict; internal/core enforces it). Signatures are
+// bit-identical in every mode, dictionary-less included.
 //
 // The cached slices and maps returned by accessors are shared, not copied:
 // callers must treat them as read-only.
@@ -267,9 +267,8 @@ func (p *Profile) Dict() *intern.Dict { return p.dict }
 
 // InternedDistinct returns the column's distinct values as a sorted
 // interned-id set over the attached dictionary, or nil when no dictionary
-// is attached in interning mode. Two profiles sharing one dictionary can
-// overlap through integer-set kernels (ValueOverlap/Containment do so
-// automatically) with scores bit-identical to the map path.
+// is attached in interning mode. Two profiles sharing one dictionary
+// overlap through the integer-set kernel (intern.IntersectCount).
 func (p *Profile) InternedDistinct() *intern.Set {
 	if p.dict == nil || p.hashOnly {
 		return nil
@@ -368,10 +367,10 @@ func NewColumn(tableName string, c *table.Column) *Profile {
 }
 
 // New profiles a table without caching it in any Store and without a value
-// dictionary: set kernels run on string maps, MinHash hashes raw values.
-// This is the reference path the interned kernels are conformance-tested
-// against. Derived data is still computed lazily and at most once, so the
-// profiles of one New call can be shared across matchers.
+// dictionary: MinHash hashes raw values, and no interned id sets exist, so
+// a matcher given a New profile directly rejects it (core.ValidatePair);
+// core.MatchProfilesWithContext re-pairs it through NewPair instead.
+// Derived data is still computed lazily and at most once.
 func New(t *table.Table) *TableProfile {
 	return newWith(t, nil, false)
 }
@@ -379,8 +378,7 @@ func New(t *table.Table) *TableProfile {
 // NewInterned profiles a table against a shared value dictionary: distinct
 // values intern to dense ids (enabling the integer-set overlap kernels
 // against any other profile on the same dictionary) and MinHash signatures
-// derive from the base hashes interning computed. Scores are
-// bit-identical to New's on every path.
+// derive from the base hashes interning computed, bit-identical to New's.
 func NewInterned(t *table.Table, d *intern.Dict) *TableProfile {
 	if d == nil {
 		return New(t)
@@ -423,8 +421,8 @@ func (tp *TableProfile) Dict() *intern.Dict { return tp.dict }
 // InterningDict returns the dictionary when the table's profiles intern
 // their values into it — nil for dictionary-less and hash-sharing profiles.
 // Two TableProfiles with the same non-nil InterningDict can compare
-// interned-id sets column-for-column (matchers use this to pick between
-// the integer-set and map scoring representations up front).
+// interned-id sets column-for-column — the matcher contract's precondition
+// (core.ValidatePair).
 func (tp *TableProfile) InterningDict() *intern.Dict {
 	if tp.hashOnly {
 		return nil
@@ -472,35 +470,4 @@ func (tp *TableProfile) Warm() {
 	for _, p := range tp.cols {
 		p.warm()
 	}
-}
-
-// SharedInterned returns both profiles' interned distinct sets when they
-// are mutually comparable — same non-nil dictionary, interning mode — which
-// is the precondition for every integer-set kernel below.
-func SharedInterned(a, b *Profile) (sa, sb *intern.Set, ok bool) {
-	if a.dict == nil || a.dict != b.dict || a.hashOnly || b.hashOnly {
-		return nil, nil, false
-	}
-	return a.InternedDistinct(), b.InternedDistinct(), true
-}
-
-// ValueOverlap returns |A∩B| / |A∪B| over the cached distinct value sets —
-// the profile-aware form of table.ValueOverlap. Profiles sharing a value
-// dictionary overlap through the allocation-free integer-set kernel; the
-// result is bit-identical to the map path either way.
-func ValueOverlap(a, b *Profile) float64 {
-	if sa, sb, ok := SharedInterned(a, b); ok {
-		return intern.Jaccard(sa, sb)
-	}
-	return table.JaccardOfSets(a.DistinctValues(), b.DistinctValues())
-}
-
-// Containment returns |A∩B| / |A| over the cached distinct value sets —
-// the profile-aware form of table.Containment. Like ValueOverlap it runs on
-// the integer-set kernel when both profiles share a dictionary.
-func Containment(a, b *Profile) float64 {
-	if sa, sb, ok := SharedInterned(a, b); ok {
-		return intern.Containment(sa, sb)
-	}
-	return table.ContainmentOfSets(a.DistinctValues(), b.DistinctValues())
 }

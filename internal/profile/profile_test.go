@@ -123,18 +123,6 @@ func TestProfileConcurrentAccess(t *testing.T) {
 	wg.Wait()
 }
 
-func TestValueOverlapAndContainmentMatchTableOps(t *testing.T) {
-	tab := fixtureTable()
-	tp := New(tab)
-	a, b := &tab.Columns[0], &tab.Columns[2]
-	if got, want := ValueOverlap(tp.Column(0), tp.Column(2)), table.ValueOverlap(a, b); got != want {
-		t.Errorf("ValueOverlap = %v, want %v", got, want)
-	}
-	if got, want := Containment(tp.Column(0), tp.Column(2)), table.Containment(a, b); got != want {
-		t.Errorf("Containment = %v, want %v", got, want)
-	}
-}
-
 func TestMinhashGeometryAndEstimates(t *testing.T) {
 	set := map[string]struct{}{"a": {}, "b": {}, "c": {}}
 	sig := SignatureOf(set, 32)

@@ -189,50 +189,6 @@ func TestLevenshteinSimAtLeastBoundary(t *testing.T) {
 	}
 }
 
-// TestPrefixSuffixMatchRuneConversion: the decode-as-you-go prefix and
-// suffix walks agree with the []rune walk they replaced, on invalid UTF-8
-// too (every invalid byte is one U+FFFD from either end).
-func TestPrefixSuffixMatchRuneConversion(t *testing.T) {
-	prefixRef := func(a, b string) int {
-		ra, rb := []rune(a), []rune(b)
-		i := 0
-		for i < len(ra) && i < len(rb) && ra[i] == rb[i] {
-			i++
-		}
-		return i
-	}
-	suffixRef := func(a, b string) int {
-		ra, rb := []rune(a), []rune(b)
-		i := 0
-		for i < len(ra) && i < len(rb) && ra[len(ra)-1-i] == rb[len(rb)-1-i] {
-			i++
-		}
-		return i
-	}
-	rng := rand.New(rand.NewSource(3))
-	pieces := []string{"a", "b", "é", "日", "😀", "\xff", "\xe6\x97", "\xa5", "\xed\xa0\x80"}
-	randStr := func() string {
-		var sb strings.Builder
-		for n := rng.Intn(6); n > 0; n-- {
-			sb.WriteString(pieces[rng.Intn(len(pieces))])
-		}
-		return sb.String()
-	}
-	for i := 0; i < 3000; i++ {
-		a, b := randStr(), randStr()
-		if rng.Intn(2) == 0 {
-			shared := randStr()
-			a, b = shared+a+shared, shared+b+shared
-		}
-		if got, want := CommonPrefixLen(a, b), prefixRef(a, b); got != want {
-			t.Fatalf("CommonPrefixLen(%q,%q) = %d, want %d", a, b, got, want)
-		}
-		if got, want := CommonSuffixLen(a, b), suffixRef(a, b); got != want {
-			t.Fatalf("CommonSuffixLen(%q,%q) = %d, want %d", a, b, got, want)
-		}
-	}
-}
-
 // TestNameSimMatchesComponents pins NameSim to the formula it has always
 // been: 1 on equal normalized names, else max(token Jaccard, Levenshtein
 // similarity of the normalized names).
@@ -243,7 +199,7 @@ func TestNameSimMatchesComponents(t *testing.T) {
 		for _, b := range names {
 			want := 1.0
 			if na, nb := Normalize(a), Normalize(b); na != nb {
-				want = max(TokenJaccard(a, b), levenshteinSimRef(na, nb))
+				want = max(JaccardSets(ToSet(Tokenize(a)), ToSet(Tokenize(b))), levenshteinSimRef(na, nb))
 			}
 			if got := NameSim(a, b); got != want {
 				t.Errorf("NameSim(%q,%q) = %v, want %v", a, b, got, want)

@@ -142,12 +142,3 @@ func measure(w string) int {
 	}
 	return m
 }
-
-// StemTokens stems each token.
-func StemTokens(tokens []string) []string {
-	out := make([]string, len(tokens))
-	for i, t := range tokens {
-		out[i] = Stem(t)
-	}
-	return out
-}

@@ -1,7 +1,6 @@
 package strutil
 
 import (
-	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -43,13 +42,6 @@ func TestStemEquatesInflections(t *testing.T) {
 				t.Errorf("Stem(%q) = %q, want %q (same as %q)", w, Stem(w), base, g[0])
 			}
 		}
-	}
-}
-
-func TestStemTokens(t *testing.T) {
-	got := StemTokens([]string{"cats", "orders"})
-	if !reflect.DeepEqual(got, []string{"cat", "order"}) {
-		t.Fatalf("StemTokens = %v", got)
 	}
 }
 

@@ -141,27 +141,6 @@ func DiceSets(a, b map[string]struct{}) float64 {
 	return 2 * float64(inter) / float64(len(a)+len(b))
 }
 
-// OverlapSets returns |A∩B| / min(|A|,|B|) (containment-style overlap).
-func OverlapSets(a, b map[string]struct{}) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	inter := 0
-	small, large := a, b
-	if len(b) < len(a) {
-		small, large = b, a
-	}
-	for k := range small {
-		if _, ok := large[k]; ok {
-			inter++
-		}
-	}
-	return float64(inter) / float64(len(small))
-}
-
 // ToSet converts a token slice to a set.
 func ToSet(tokens []string) map[string]struct{} {
 	out := make(map[string]struct{}, len(tokens))
@@ -169,11 +148,6 @@ func ToSet(tokens []string) map[string]struct{} {
 		out[t] = struct{}{}
 	}
 	return out
-}
-
-// TokenJaccard is the Jaccard similarity of the token sets of a and b.
-func TokenJaccard(a, b string) float64 {
-	return JaccardSets(ToSet(Tokenize(a)), ToSet(Tokenize(b)))
 }
 
 // DropVowels removes non-leading vowels from every token of s, mimicking the

@@ -124,55 +124,3 @@ func Union(a, b *Table, mapping map[string]string) (*Table, error) {
 	}
 	return out, nil
 }
-
-// ValueOverlap returns |A∩B| / |A∪B| over the distinct non-empty values of
-// two columns — the exact joinability statistic discovery systems report.
-// Callers that already hold distinct sets (the profile layer) use
-// JaccardOfSets directly.
-func ValueOverlap(a, b *Column) float64 {
-	return JaccardOfSets(a.DistinctValues(), b.DistinctValues())
-}
-
-// JaccardOfSets returns |A∩B| / |A∪B| of two value sets; two empty sets
-// score 0 (no evidence of overlap).
-func JaccardOfSets(as, bs map[string]struct{}) float64 {
-	if len(as) == 0 && len(bs) == 0 {
-		return 0
-	}
-	inter := 0
-	small, large := as, bs
-	if len(bs) < len(as) {
-		small, large = bs, as
-	}
-	for v := range small {
-		if _, ok := large[v]; ok {
-			inter++
-		}
-	}
-	union := len(as) + len(bs) - inter
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
-}
-
-// Containment returns |A∩B| / |A| — how much of column a's value set the
-// other column covers (the JOSIE/Lazo-style containment signal). Callers
-// that already hold distinct sets use ContainmentOfSets directly.
-func Containment(a, b *Column) float64 {
-	return ContainmentOfSets(a.DistinctValues(), b.DistinctValues())
-}
-
-// ContainmentOfSets returns |A∩B| / |A| of two value sets.
-func ContainmentOfSets(as, bs map[string]struct{}) float64 {
-	if len(as) == 0 {
-		return 0
-	}
-	inter := 0
-	for v := range as {
-		if _, ok := bs[v]; ok {
-			inter++
-		}
-	}
-	return float64(inter) / float64(len(as))
-}

@@ -104,21 +104,3 @@ func TestUnionErrors(t *testing.T) {
 		t.Error("unknown target column should fail")
 	}
 }
-
-func TestValueOverlapAndContainment(t *testing.T) {
-	a := &Column{Values: []string{"x", "y", "z"}}
-	b := &Column{Values: []string{"y", "z", "w"}}
-	if got := ValueOverlap(a, b); got != 0.5 {
-		t.Errorf("overlap = %v", got)
-	}
-	if got := Containment(a, b); got != 2.0/3 {
-		t.Errorf("containment = %v", got)
-	}
-	empty := &Column{}
-	if ValueOverlap(empty, empty) != 0 || Containment(empty, a) != 0 {
-		t.Error("empty columns")
-	}
-	if got := Containment(a, a); got != 1 {
-		t.Errorf("self containment = %v", got)
-	}
-}
