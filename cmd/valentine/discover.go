@@ -46,7 +46,6 @@ func cmdDiscover(args []string) error {
 	parallelism := fs.Int("parallelism", 0, "engine worker-pool size (default GOMAXPROCS)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for the whole discovery (default none); expiry aborts mid-scoring")
 	budget := fs.Duration("budget", 0, "per-query latency budget for the re-scoring phase (default none); expiry prints the best-effort ranking so far")
-	cascade := fs.String("cascade", "on", "on|off: cost-based bound-then-refine cascade for candidate re-scoring (off = full fidelity on every candidate)")
 	epsilon := fs.Float64("epsilon", 0, "approximation budget in [0,1): cascade prunes more aggressively, every returned score stays within epsilon of the true top-k (0 = exact)")
 	verbose := fs.Bool("v", false, "print engine pipeline stats (candidates, bounded, pruned, scored, per-stage wall time)")
 	if err := fs.Parse(args); err != nil {
@@ -55,16 +54,12 @@ func cmdDiscover(args []string) error {
 	if *query == "" {
 		return fmt.Errorf("discover: -query is required")
 	}
-	if *cascade != "on" && *cascade != "off" {
-		return fmt.Errorf("discover: -cascade %q is not on|off", *cascade)
-	}
 	if err := core.ValidateBudget(*budget); err != nil {
 		return fmt.Errorf("discover: -%v", err)
 	}
 	if err := core.ValidateEpsilon(*epsilon); err != nil {
 		return fmt.Errorf("discover: -%v", err)
 	}
-	cascadeOn := *cascade == "on"
 	// One engine context for the whole invocation: parallelism and deadline
 	// flow to candidate generation, index probing and matcher re-scoring.
 	ctx, cancel := engine.Options{Parallelism: *parallelism, Deadline: *timeout}.Start(context.Background())
@@ -147,9 +142,7 @@ func cmdDiscover(args []string) error {
 
 	// Phase 2: re-scoring of nominated candidates through the planner's
 	// cost-based cascade — cheap admissible bounds first, the full matcher
-	// only on candidates whose bound reaches the top-k cutoff. With
-	// -cascade=off every candidate is fully scored (and warmed eagerly, as
-	// the pre-cascade pipeline did); the cascade instead lets pruned
+	// only on candidates whose bound reaches the top-k cutoff, so pruned
 	// candidates skip full profiling entirely.
 	nominated := make([]*table.Table, 0, len(nominate))
 	for _, name := range nominate {
@@ -163,15 +156,7 @@ func cmdDiscover(args []string) error {
 	}
 	qctx, qcancel := core.BudgetContext(ctx, *budget)
 	defer qcancel()
-	qctx = core.WithEpsilon(qctx, *epsilon)
-	var rr *planner.RerankResult
-	var rerr error
-	if cascadeOn {
-		rr, rerr = planner.Rerank(qctx, m, store.Of(q), cands, *mode, *top)
-	} else {
-		store.Warm(nominated...)
-		rr, rerr = planner.RerankFull(qctx, m, store.Of(q), cands, *mode, 0)
-	}
+	rr, rerr := planner.Rerank(core.WithEpsilon(qctx, *epsilon), m, store.Of(q), cands, *mode, *top)
 	if rerr != nil && !core.IsBudgetExpiry(ctx, rerr) {
 		return rerr
 	}
@@ -219,7 +204,7 @@ func cmdDiscover(args []string) error {
 		fmt.Printf("budget %s exhausted: best-effort ranking (%d candidates skipped, %d pruned by bounds)\n",
 			*budget, rr.Skipped, rr.Pruned)
 	}
-	if cascadeOn && *epsilon > 0 {
+	if *epsilon > 0 {
 		fmt.Printf("approximate: scores within %g of the exact top-%d\n", *epsilon, *top)
 	}
 	if *top > len(ranked) {
@@ -339,11 +324,4 @@ func nameTokenEvidence(qp, cp *valentine.TableProfile) bool {
 		}
 	}
 	return false
-}
-
-// discoveryScore aliases planner.DiscoveryScore (where the aggregation
-// moved so the cascade and this CLI share one definition); kept for the
-// tests that pin its semantics.
-func discoveryScore(matches []valentine.Match, mode string, query *table.Table) (float64, valentine.Match) {
-	return planner.DiscoveryScore(matches, mode, query)
 }

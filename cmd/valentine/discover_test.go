@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"valentine"
+	"valentine/internal/planner"
 )
 
 // unionCorpus builds a discovery corpus around a query with string and date
@@ -88,7 +89,7 @@ func rankUnion(t *testing.T, m valentine.Matcher, store *valentine.ProfileStore,
 			if err != nil {
 				t.Fatal(err)
 			}
-			c.s, _ = discoveryScore(ms, "union", q)
+			c.s, _ = planner.DiscoveryScore(ms, "union", q)
 		}
 		ranked = append(ranked, c)
 	}

@@ -1,10 +1,12 @@
 package main
 
-// CLI tests of the -epsilon flag: validation at the flag boundary, the
-// approximate-output note, and the epsilon-zero exactness contract.
+// CLI tests of the -epsilon flag (match and discover): validation at the
+// flag boundary, the approximate-output note, and the epsilon-zero
+// exactness contract.
 
 import (
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -18,9 +20,6 @@ func TestCmdFlagsRejectBadEpsilonAndBudget(t *testing.T) {
 		}
 		if err := cmdMatch([]string{"-source", query, "-target", target, "-epsilon", eps}); err == nil {
 			t.Errorf("match -epsilon %s: expected validation error", eps)
-		}
-		if err := cmdSearch([]string{"-index", "absent.idx", "-query", query, "-epsilon", eps}); err == nil {
-			t.Errorf("search -epsilon %s: expected validation error", eps)
 		}
 	}
 	if err := cmdDiscover([]string{"-query", query, "-dir", dir, "-budget", "-5ms"}); err == nil {
@@ -47,8 +46,11 @@ func TestCmdDiscoverEpsilonNote(t *testing.T) {
 	}
 }
 
-// TestCmdMatchEpsilonAndVerbose: the match command accepts -epsilon on the
-// cascade path (approximate note) and -v appends per-matcher engine stats.
+// TestCmdMatchEpsilonAndVerbose: the match command cascades against -top —
+// -v shows the per-matcher counters with pairs pruned, -epsilon adds the
+// approximate note, and at epsilon zero the printed top-k is exactly the
+// full ranking's prefix. A matcher without a cascade never claims
+// approximation.
 func TestCmdMatchEpsilonAndVerbose(t *testing.T) {
 	dir, query := writeCorpusDir(t)
 	target := filepath.Join(dir, "related_a.csv")
@@ -57,13 +59,21 @@ func TestCmdMatchEpsilonAndVerbose(t *testing.T) {
 	if !strings.Contains(out, "approximate: scores within 0.3") {
 		t.Fatalf("missing approximate note:\n%s", out)
 	}
-	if !strings.Contains(out, "engine:") || !strings.Contains(out, "jaccard-levenshtein bounded=") {
+	counters := regexp.MustCompile(`jaccard-levenshtein bounded=\d+ pruned=(\d+)`).FindStringSubmatch(out)
+	if !strings.Contains(out, "engine:") || counters == nil {
 		t.Fatalf("missing per-matcher engine stats:\n%s", out)
 	}
-	// Epsilon is consumed by the cascade only: with -cascade=off the run is
-	// exact and must not claim approximation.
-	off := captureStdout(t, func() error { return cmdMatch(append(base, "-epsilon", "0.3", "-cascade", "off")) })
-	if strings.Contains(off, "approximate:") {
-		t.Fatalf("-cascade=off claimed approximation:\n%s", off)
+	if counters[1] == "0" {
+		t.Fatalf("the cascade pruned nothing at -top 3:\n%s", out)
+	}
+	exact := captureStdout(t, func() error { return cmdMatch(append(base, "-epsilon", "0")) })
+	if want := fullMatchListing(t, "jaccard-levenshtein", query, target, 3); !strings.HasSuffix(exact, "\n"+want) {
+		t.Fatalf("epsilon 0 top 3 is not the full ranking's prefix\n--- match ---\n%s--- full top 3 ---\n%s", exact, want)
+	}
+	plain := captureStdout(t, func() error {
+		return cmdMatch([]string{"-method", "coma-schema", "-source", query, "-target", target, "-epsilon", "0.3"})
+	})
+	if strings.Contains(plain, "approximate:") {
+		t.Fatalf("a matcher without a cascade claimed approximation:\n%s", plain)
 	}
 }

@@ -117,7 +117,6 @@ func cmdSearch(args []string) error {
 	parallelism := fs.Int("parallelism", 0, "engine worker-pool size (default GOMAXPROCS)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for the search (default none); expiry aborts mid-search")
 	budget := fs.Duration("budget", 0, "per-query latency budget (default none); expiry prints the best-effort results so far")
-	epsilon := fs.Float64("epsilon", 0, "approximation budget in [0,1): returned scores stay within epsilon of the true top-k (0 = exact)")
 	verbose := fs.Bool("v", false, "print engine pipeline stats (candidates, bounded, pruned, scored, per-stage wall time)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -126,9 +125,6 @@ func cmdSearch(args []string) error {
 		return fmt.Errorf("search: -query is required")
 	}
 	if err := core.ValidateBudget(*budget); err != nil {
-		return fmt.Errorf("search: -%v", err)
-	}
-	if err := core.ValidateEpsilon(*epsilon); err != nil {
 		return fmt.Errorf("search: -%v", err)
 	}
 	m, err := discovery.ParseMode(*mode)
@@ -153,7 +149,6 @@ func cmdSearch(args []string) error {
 	started := time.Now()
 	qctx, qcancel := core.BudgetContext(ctx, *budget)
 	defer qcancel()
-	qctx = core.WithEpsilon(qctx, *epsilon)
 	results, _, bestEffort, err := ix.SearchBestEffortContext(qctx, q, m, *top, false)
 	if err != nil && !core.IsBudgetExpiry(ctx, err) {
 		return err
@@ -161,9 +156,6 @@ func cmdSearch(args []string) error {
 	fmt.Printf("%s-ability of %q over %d indexed tables:\n", *mode, q.Name, ix.NumTables())
 	if bestEffort {
 		fmt.Printf("budget %s exhausted: best-effort results\n", *budget)
-	}
-	if *epsilon > 0 {
-		fmt.Printf("approximate: scores within %g of the exact top-%d\n", *epsilon, *top)
 	}
 	if len(results) == 0 {
 		fmt.Println("  no candidate tables collided with the query")

@@ -7,7 +7,7 @@
 //
 //	valentine methods
 //	valentine fabricate -src table.csv -scenario unionable -out out/ [flags]
-//	valentine match -method coma-schema -source a.csv -target b.csv [-top 10] [-param k=v] [-budget 50ms] [-cascade on|off]
+//	valentine match -method coma-schema -source a.csv -target b.csv [-top 10] [-param k=v] [-budget 50ms] [-epsilon 0.1]
 //	valentine evaluate -method coma-schema -source a.csv -target b.csv -truth gt.csv
 //	valentine experiment -source TPC-DI -rows 120 [-methods m1,m2]
 //	valentine experiment -report all|table1,…,table5,fig4,…,fig7 [-rows 120] [-seeds 1]
@@ -213,20 +213,19 @@ func runMatcher(fs *flag.FlagSet, args []string) (matches []core.Match, method s
 	return
 }
 
-// cmdMatch ranks column correspondences between two CSVs. A matcher with
-// its own cascade (jaccard-levenshtein) runs its internal
-// bound-then-refine cascade by default — identical output,
-// but prunable work is skipped and a -budget expiry yields the best-effort
-// ranking so far instead of an error. -cascade=off forces the plain
-// full-fidelity path.
+// cmdMatch prints the top -top column correspondences between two CSVs
+// (core.MatchTopK with k = -top). A matcher with its own cascade
+// (jaccard-levenshtein) always runs its bound-then-refine cascade against
+// that k — the output is the full ranking's prefix, but pairs that cannot
+// reach it are never fully scored, -epsilon prunes more, and a -budget
+// expiry yields the best-effort ranking so far instead of an error.
 func cmdMatch(args []string) error {
 	fs := flag.NewFlagSet("match", flag.ExitOnError)
 	methodF := fs.String("method", valentine.MethodComaSchema, "matching method")
 	sourceF := fs.String("source", "", "source CSV (required)")
 	targetF := fs.String("target", "", "target CSV (required)")
-	topF := fs.Int("top", 10, "matches to print")
+	topF := fs.Int("top", 10, "matches to print (<= 0: all)")
 	budget := fs.Duration("budget", 0, "latency budget (default none); expiry prints the best-effort ranking so far")
-	cascade := fs.String("cascade", "on", "on|off: matcher-internal bound-then-refine cascade where supported")
 	epsilon := fs.Float64("epsilon", 0, "approximation budget in [0,1): cascade prunes more aggressively, every returned score stays within epsilon of the exact ranking (0 = exact)")
 	verbose := fs.Bool("v", false, "print engine pipeline stats (candidates, bounded, pruned, scored, per-matcher cascade counters)")
 	var pf paramFlags
@@ -236,9 +235,6 @@ func cmdMatch(args []string) error {
 	}
 	if *sourceF == "" || *targetF == "" {
 		return fmt.Errorf("-source and -target are required")
-	}
-	if *cascade != "on" && *cascade != "off" {
-		return fmt.Errorf("match: -cascade %q is not on|off", *cascade)
 	}
 	if err := core.ValidateBudget(*budget); err != nil {
 		return fmt.Errorf("match: -%v", err)
@@ -266,7 +262,7 @@ func cmdMatch(args []string) error {
 	started := time.Now()
 	qctx, qcancel := core.BudgetContext(ctx, *budget)
 	defer qcancel()
-	matches, bestEffort, cascaded, err := core.MatchTopK(core.WithEpsilon(qctx, *epsilon), m, src, tgt, 0, *cascade == "on")
+	matches, bestEffort, cascaded, err := core.MatchTopK(core.WithEpsilon(qctx, *epsilon), m, src, tgt, *topF)
 	approx := cascaded && *epsilon > 0
 	if err != nil {
 		if !core.IsBudgetExpiry(ctx, err) {
@@ -274,18 +270,14 @@ func cmdMatch(args []string) error {
 		}
 		bestEffort = true
 	}
-	fmt.Printf("%s: %d ranked matches\n", *methodF, len(matches))
+	fmt.Printf("%s: top %d ranked matches\n", *methodF, len(matches))
 	if bestEffort {
 		fmt.Printf("budget %s exhausted: best-effort ranking\n", *budget)
 	}
 	if approx {
 		fmt.Printf("approximate: scores within %g of the exact ranking\n", *epsilon)
 	}
-	top := *topF
-	if top > len(matches) {
-		top = len(matches)
-	}
-	for _, m := range matches[:top] {
+	for _, m := range matches {
 		fmt.Println(" ", m)
 	}
 	if stats != nil {

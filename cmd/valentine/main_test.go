@@ -8,6 +8,7 @@ import (
 
 	"valentine"
 	"valentine/internal/experiment"
+	"valentine/internal/planner"
 	"valentine/internal/report"
 	"valentine/internal/table"
 )
@@ -119,15 +120,15 @@ func TestDiscoveryScore(t *testing.T) {
 		{SourceColumn: "a", TargetColumn: "y", Score: 0.3},
 		{SourceColumn: "b", TargetColumn: "y", Score: 0.5},
 	}
-	join, best := discoveryScore(ms, "join", q)
+	join, best := planner.DiscoveryScore(ms, "join", q)
 	if join != 0.9 || best.TargetColumn != "x" {
 		t.Fatalf("join score = %v via %v", join, best)
 	}
-	union, _ := discoveryScore(ms, "union", q)
+	union, _ := planner.DiscoveryScore(ms, "union", q)
 	if union != 0.7 { // mean of best-per-column: (0.9 + 0.5)/2
 		t.Fatalf("union score = %v", union)
 	}
-	empty, _ := discoveryScore(nil, "join", q)
+	empty, _ := planner.DiscoveryScore(nil, "join", q)
 	if empty != 0 {
 		t.Fatalf("empty score = %v", empty)
 	}

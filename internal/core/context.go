@@ -44,13 +44,13 @@ func MatchProfilesWithContext(ctx context.Context, m Matcher, source, target *pr
 }
 
 // MatchTopK ranks a table pair for a caller that keeps at most k matches
-// (k <= 0 keeps all), on one-shot profiles private to the call. With cascade
-// set and m a CascadeMatcher it runs m's own bound-then-refine cascade,
-// which prunes against the top-k cutoff, reads ε from ctx (WithEpsilon) and
-// flags a budget expiry as bestEffort; otherwise it runs the full path and
+// (k <= 0 keeps all), on one-shot profiles private to the call. When m is a
+// CascadeMatcher it runs m's own bound-then-refine cascade, which prunes
+// against the top-k cutoff, reads ε from ctx (WithEpsilon) and flags a
+// budget expiry as bestEffort; otherwise it runs the full path and
 // truncates to k. cascaded reports which of the two ran.
-func MatchTopK(ctx context.Context, m Matcher, source, target *table.Table, k int, cascade bool) (matches []Match, bestEffort, cascaded bool, err error) {
-	if cm, ok := m.(CascadeMatcher); ok && cascade {
+func MatchTopK(ctx context.Context, m Matcher, source, target *table.Table, k int) (matches []Match, bestEffort, cascaded bool, err error) {
+	if cm, ok := m.(CascadeMatcher); ok {
 		sp, tp := ProfilePair(nil, source, target)
 		matches, bestEffort, err = cm.MatchCascade(ctx, sp, tp, k)
 		return matches, bestEffort, true, err

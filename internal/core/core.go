@@ -4,8 +4,10 @@
 // Match interns its values into one dictionary (ValidatePair), so every
 // value-overlap kernel compares ids from one id space;
 // MatchProfilesWithContext re-pairs any other pair before dispatch.
-// Scheduling hooks (ScoreBounder, CascadeMatcher) are optional; a matcher
-// that implements neither is still served everywhere, conservatively. The
+// Scheduling hooks are optional: ScoreBounder feeds the planner's
+// discovery re-rank, and MatchTopK always runs a CascadeMatcher's own
+// cascade (there is no switch to bypass it); a matcher that implements
+// neither is still served everywhere, conservatively. The
 // package also carries the ground-truth representation produced by the
 // fabricator and the capability taxonomy of Table I of the paper.
 package core

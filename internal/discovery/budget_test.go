@@ -11,18 +11,19 @@ import (
 )
 
 // TestSearchBestEffortMatchesSearchWithoutBudget: with a generous context
-// the best-effort entry point must be bit-identical to the plain search —
-// it is the same pipeline, only the error contract differs.
+// the best-effort entry point must be bit-identical to the plain search
+// (SearchContext, or SearchBruteForce when brute) — it is the same
+// pipeline, only the error contract differs — and report the pinned
+// snapshot's epoch.
 func TestSearchBestEffortMatchesSearchWithoutBudget(t *testing.T) {
 	ix, q := contextTestIndex(t)
 	for _, brute := range []bool{false, true} {
 		var want []Result
-		var wantEpoch uint64
 		var err error
 		if brute {
-			want, wantEpoch, err = ix.SearchBruteForceContext(context.Background(), q, ModeUnion, 5)
+			want, err = ix.SearchBruteForce(q, ModeUnion, 5)
 		} else {
-			want, wantEpoch, err = ix.SearchContextEpoch(context.Background(), q, ModeUnion, 5)
+			want, err = ix.SearchContext(context.Background(), q, ModeUnion, 5)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -31,8 +32,8 @@ func TestSearchBestEffortMatchesSearchWithoutBudget(t *testing.T) {
 		if err != nil || partial {
 			t.Fatalf("brute=%v: err=%v partial=%v", brute, err, partial)
 		}
-		if epoch != wantEpoch {
-			t.Fatalf("brute=%v: epoch %d, want %d", brute, epoch, wantEpoch)
+		if epoch != ix.Epoch() {
+			t.Fatalf("brute=%v: pinned epoch %d != current epoch %d on a quiescent index", brute, epoch, ix.Epoch())
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("brute=%v: best-effort diverges from plain search\ngot  %v\nwant %v", brute, got, want)

@@ -59,44 +59,26 @@ func TestSearchContextDeadline(t *testing.T) {
 
 // TestSearchBruteForceContextCanceled: the full-corpus sweep — the most
 // expensive search path — must honor cancellation too; served callers rely
-// on it for per-request deadlines.
+// on it (SearchBestEffortContext with brute set) for per-request deadlines.
+// The live-context equality with SearchBruteForce is
+// TestSearchBestEffortMatchesSearchWithoutBudget's.
 func TestSearchBruteForceContextCanceled(t *testing.T) {
 	ix, q := contextTestIndex(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := ix.SearchBruteForceContext(ctx, q, ModeJoin, 5); !errors.Is(err, context.Canceled) {
+	if _, _, _, err := ix.SearchBestEffortContext(ctx, q, ModeJoin, 5, true); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	// Live context: results equal the plain brute force, and the reported
-	// epoch is the pinned snapshot's.
-	res, epoch, err := ix.SearchBruteForceContext(context.Background(), q, ModeJoin, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := ix.SearchBruteForce(q, ModeJoin, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != len(plain) {
-		t.Fatalf("context brute force diverged: %d vs %d results", len(res), len(plain))
-	}
-	for i := range res {
-		if res[i] != plain[i] {
-			t.Fatalf("rank %d: %+v vs %+v", i, res[i], plain[i])
-		}
-	}
-	if epoch != ix.Epoch() {
-		t.Fatalf("pinned epoch %d != current epoch %d on a quiescent index", epoch, ix.Epoch())
 	}
 }
 
-// TestSearchContextEpochPinsSnapshot: the epoch returned is the one whose
-// corpus produced the results — writers publishing between result
-// construction and a separate Epoch() sample cannot skew it.
+// TestSearchContextEpochPinsSnapshot: the epoch SearchBestEffortContext
+// returns is the one whose corpus produced the results — writers
+// publishing between result construction and a separate Epoch() sample
+// cannot skew it.
 func TestSearchContextEpochPinsSnapshot(t *testing.T) {
 	ix, q := contextTestIndex(t)
 	before := ix.Epoch()
-	res, epoch, err := ix.SearchContextEpoch(context.Background(), q, ModeJoin, 5)
+	res, epoch, _, err := ix.SearchBestEffortContext(context.Background(), q, ModeJoin, 5, false)
 	if err != nil {
 		t.Fatal(err)
 	}

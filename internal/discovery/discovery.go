@@ -468,14 +468,6 @@ func (ix *Index) SearchContext(ctx context.Context, q *table.Table, mode Mode, k
 	return out, err
 }
 
-// SearchContextEpoch is SearchContext returning also the epoch of the
-// snapshot the search pinned — under concurrent writers this is the only
-// value safe to correlate with Stats().Epoch or mutation responses
-// (sampling Epoch() around the call can race past an intervening publish).
-func (ix *Index) SearchContextEpoch(ctx context.Context, q *table.Table, mode Mode, k int) ([]Result, uint64, error) {
-	return ix.search(ctx, ix.queryProfile(q), mode, k, false)
-}
-
 // SearchProfiled is Search over an already-profiled query: repeated queries
 // with the same profile never recompute signatures or name tokens.
 func (ix *Index) SearchProfiled(qp *profile.TableProfile, mode Mode, k int) ([]Result, error) {
@@ -497,22 +489,18 @@ func (ix *Index) SearchBruteForce(q *table.Table, mode Mode, k int) ([]Result, e
 	return out, err
 }
 
-// SearchBruteForceContext is SearchBruteForce under a context — the
-// full-corpus sweep is the most expensive search path, so served callers
-// need its deadline and cancellation honored mid-sweep too. Returns the
-// pinned snapshot's epoch like SearchContextEpoch.
-func (ix *Index) SearchBruteForceContext(ctx context.Context, q *table.Table, mode Mode, k int) ([]Result, uint64, error) {
-	return ix.search(ctx, ix.queryProfile(q), mode, k, true)
-}
-
-// SearchBestEffortContext is SearchContextEpoch (or SearchBruteForceContext
-// when brute is set) under a latency budget: when ctx expires mid-scoring,
-// the query columns that finished are merged into a correctly ranked —
-// but possibly incomplete — result instead of being discarded. partial
-// reports that truncation happened; the context error is returned
-// alongside so the caller can tell a spent per-query budget from a dead
-// request (core.IsBudgetExpiry). With a live context the output is exactly
-// the non-best-effort variant's and partial is false.
+// SearchBestEffortContext is SearchContext (or SearchBruteForce when brute
+// is set) under a context that may carry a latency budget, returning also
+// the epoch of the snapshot the search pinned — under concurrent writers
+// the only value safe to correlate with Stats().Epoch or mutation
+// responses (sampling Epoch() around the call can race past an intervening
+// publish). When ctx expires mid-scoring, the query columns that finished
+// are merged into a correctly ranked — but possibly incomplete — result
+// instead of being discarded. partial reports that truncation happened;
+// the context error is returned alongside so the caller can tell a spent
+// per-query budget from a dead request (core.IsBudgetExpiry). With a live
+// context the output is exactly SearchContext's (SearchBruteForce's) and
+// partial is false.
 func (ix *Index) SearchBestEffortContext(ctx context.Context, q *table.Table, mode Mode, k int, brute bool) (results []Result, epoch uint64, partial bool, err error) {
 	results, epoch, err = ix.searchImpl(ctx, ix.queryProfile(q), mode, k, brute, true)
 	return results, epoch, err != nil, err

@@ -65,7 +65,7 @@ func (m *Matcher) MatchCascade(ctx context.Context, sp, tp *profile.TableProfile
 		func(i, j int) float64 {
 			return pairBound(len(srcSets[i].vals), len(tgtSets[j].vals))
 		},
-		func(i, j int) (float64, bool) {
-			return fuzzyJaccard(&srcSets[i], &tgtSets[j], budget), true
+		func(i, j int) float64 {
+			return fuzzyJaccard(&srcSets[i], &tgtSets[j], budget)
 		})
 }

@@ -144,7 +144,7 @@ func TestScorePairsTopKEpsilonFromContext(t *testing.T) {
 			ctx := core.WithEpsilon(context.Background(), eps)
 			matches, bestEffort, err := ScorePairsTopK(ctx, sp, tp, k, "eps-test",
 				func(i, j int) float64 { return bounds[i*nTgt+j] },
-				func(i, j int) (float64, bool) { return exact[i*nTgt+j], true })
+				func(i, j int) float64 { return exact[i*nTgt+j] })
 			if err != nil || bestEffort {
 				t.Fatalf("trial %d eps %v: err=%v bestEffort=%v", trial, eps, err, bestEffort)
 			}

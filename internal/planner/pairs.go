@@ -2,10 +2,6 @@ package planner
 
 import (
 	"context"
-	"math"
-	"sort"
-	"sync/atomic"
-	"time"
 
 	"valentine/internal/core"
 	"valentine/internal/engine"
@@ -13,19 +9,20 @@ import (
 )
 
 // ScorePairsTopK is the bound-aware variant of engine.ScorePairs: the same
-// source × target column cross product, but each pair gets a cheap
-// admissible upper bound first and is fully scored only while its bound
-// can still reach the current kth-best exact score. With k <= 0 (or a nil
-// bound) nothing prunes and the output is exactly engine.ScorePairs'.
+// source × target column cross product, run through TopK with candidate p
+// the column pair (p / nTgt, p % nTgt). Each pair gets a cheap admissible
+// upper bound first and is fully scored only while its bound can still
+// reach the current kth-best exact score. With k <= 0 (or a nil bound)
+// nothing prunes and the output is exactly engine.ScorePairs'.
 //
 // The result equals engine.ScorePairs' ranked output truncated to its
-// first k entries — bit-identical, because pruning is strict against a
+// first k entries — bit-identical, because TopK prunes strictly against a
 // cutoff that never exceeds the final kth score and core.SortMatches
 // breaks score ties deterministically.
 //
-// An approximation budget attached to ctx (core.WithEpsilon) relaxes the
-// prune check exactly as in TopK: every returned score is within ε of the
-// true top-k, and ε = 0 keeps the bit-identical contract.
+// An approximation budget attached to ctx (core.WithEpsilon) becomes
+// Spec.Epsilon: every returned score is within ε of the true top-k, and
+// ε = 0 keeps the bit-identical contract.
 //
 // label attributes the pair counters to one matcher in the engine stats
 // per-matcher breakdown (empty for aggregate-only).
@@ -34,107 +31,37 @@ import (
 // (still correctly ranked) matches cover only the pairs scored so far; the
 // context error is returned alongside so the caller can tell a spent
 // budget from a dead request (core.IsBudgetExpiry).
-func ScorePairsTopK(ctx context.Context, sp, tp *profile.TableProfile, k int, label string, bound func(i, j int) float64, score func(i, j int) (float64, bool)) (matches []core.Match, bestEffort bool, err error) {
+func ScorePairsTopK(ctx context.Context, sp, tp *profile.TableProfile, k int, label string, bound func(i, j int) float64, score func(i, j int) float64) (matches []core.Match, bestEffort bool, err error) {
 	source, target := sp.Table(), tp.Table()
-	nSrc, nTgt := len(source.Columns), len(target.Columns)
-	n := nSrc * nTgt
-	stats := engine.StatsFrom(ctx)
-	mstats := stats.Matcher(label)
-	workers := engine.OptionsFrom(ctx).Workers()
-	eps := core.EpsilonFrom(ctx)
-	if math.IsNaN(eps) || eps < 0 {
-		eps = 0
+	nTgt := len(target.Columns)
+	spec := Spec{
+		N: len(source.Columns) * nTgt,
+		K: k,
+		Score: func(_ context.Context, p int) (float64, error) {
+			return score(p/nTgt, p%nTgt), nil
+		},
+		Epsilon: core.EpsilonFrom(ctx),
+		Label:   label,
 	}
-	stats.AddCandidates(int64(n))
-
-	// Tier 0: per-pair admissible bounds, fanned out one source row at a
-	// time like the score stage.
-	bounds := make([]float64, n)
-	cascade := k > 0 && bound != nil
-	if cascade {
-		start := time.Now()
-		err := engine.Map(ctx, workers, nSrc, func(i int) error {
-			for j := 0; j < nTgt; j++ {
-				b := bound(i, j)
-				if math.IsNaN(b) {
-					b = math.Inf(1)
-				}
-				bounds[i*nTgt+j] = b
-			}
-			return nil
-		})
-		stats.Observe(engine.StageBound, time.Since(start))
-		stats.AddBounded(int64(n))
-		mstats.AddBounded(int64(n))
-		if err != nil {
-			return nil, true, err
-		}
-	} else {
-		for p := range bounds {
-			bounds[p] = math.Inf(1)
+	if bound != nil {
+		spec.Bound = func(p int) float64 { return bound(p/nTgt, p%nTgt) }
+	}
+	res, err := TopK(ctx, spec)
+	out := make([]core.Match, 0, spec.N-res.Pruned-res.Skipped)
+	for p, done := range res.Done {
+		if done {
+			out = append(out, core.Match{
+				SourceTable:  source.Name,
+				SourceColumn: source.Columns[p/nTgt].Name,
+				TargetTable:  target.Name,
+				TargetColumn: target.Columns[p%nTgt].Name,
+				Score:        res.Score[p],
+			})
 		}
 	}
-
-	order := make([]int, n)
-	for p := range order {
-		order[p] = p
-	}
-	if cascade {
-		sort.SliceStable(order, func(a, b int) bool {
-			if bounds[order[a]] != bounds[order[b]] {
-				return bounds[order[a]] > bounds[order[b]]
-			}
-			return order[a] < order[b]
-		})
-	}
-
-	cutoff := NewCutoff(k)
-	slots := make([]core.Match, n)
-	done := make([]bool, n)
-	var emitted, pruned atomic.Int64
-	start := time.Now()
-	mapErr := engine.Map(ctx, workers, n, func(pos int) error {
-		p := order[pos]
-		if bounds[p] < cutoff.Threshold()+eps {
-			pruned.Add(1)
-			return nil
-		}
-		i, j := p/nTgt, p%nTgt
-		s, emit := score(i, j)
-		if !emit {
-			pruned.Add(1)
-			return nil
-		}
-		slots[p] = core.Match{
-			SourceTable:  source.Name,
-			SourceColumn: source.Columns[i].Name,
-			TargetTable:  target.Name,
-			TargetColumn: target.Columns[j].Name,
-			Score:        s,
-		}
-		done[p] = true
-		emitted.Add(1)
-		cutoff.Offer(s)
-		return nil
-	})
-	stats.Observe(engine.StageScore, time.Since(start))
-	stats.AddScored(emitted.Load())
-	stats.AddPruned(pruned.Load())
-	mstats.AddRefined(emitted.Load())
-	mstats.AddPruned(pruned.Load())
-
-	out := make([]core.Match, 0, emitted.Load())
-	for p, ok := range done {
-		if ok {
-			out = append(out, slots[p])
-		}
-	}
-	stats.Timed(engine.StageRank, func() { core.SortMatches(out) })
+	engine.StatsFrom(ctx).Timed(engine.StageRank, func() { core.SortMatches(out) })
 	if k > 0 && len(out) > k {
 		out = out[:k]
 	}
-	if mapErr != nil {
-		return out, true, mapErr
-	}
-	return out, false, nil
+	return out, err != nil, err
 }

@@ -1,5 +1,7 @@
 // Package planner implements the cost-based matcher cascade: a
 // bound-then-refine top-k query planner over the engine's worker pool.
+// TopK is its one loop; Rerank (a candidate per discovery table) and
+// ScorePairsTopK (a candidate per column pair) are Specs over it.
 //
 // The cascade scores every candidate with cheap admissible upper bounds
 // first (interned value overlap, name tokens, type coverage — all cached

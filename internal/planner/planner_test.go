@@ -323,8 +323,8 @@ func TestTopKCancelIsError(t *testing.T) {
 }
 
 // TestScorePairsTopKMatchesFullFidelity: the pair-level cascade with
-// admissible bounds returns exactly the unpruned reference ranking
-// truncated to k, across fuzzed score matrices.
+// admissible bounds returns exactly engine.ScorePairs' ranking (the plain
+// row loop, no bounds) truncated to k, across fuzzed score matrices.
 func TestScorePairsTopKMatchesFullFidelity(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	ctx, cancel := engine.Options{}.Start(context.Background())
@@ -344,13 +344,13 @@ func TestScorePairsTopKMatchesFullFidelity(t *testing.T) {
 				bounds[i][j] = scores[i][j] + rng.Float64()*float64(rng.Intn(2))
 			}
 		}
-		score := func(i, j int) (float64, bool) { return scores[i][j], true }
 		got, bestEffort, err := planner.ScorePairsTopK(ctx, sp, tp, k, "pairs-test",
-			func(i, j int) float64 { return bounds[i][j] }, score)
+			func(i, j int) float64 { return bounds[i][j] },
+			func(i, j int) float64 { return scores[i][j] })
 		if err != nil || bestEffort {
 			t.Fatalf("trial %d: err=%v bestEffort=%v", trial, err, bestEffort)
 		}
-		want, _, err := planner.ScorePairsTopK(ctx, sp, tp, 0, "", nil, score)
+		want, err := engine.ScorePairs(ctx, sp, tp, func(i, j int) (float64, bool) { return scores[i][j], true })
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -64,8 +64,9 @@ func Rerank(ctx context.Context, m core.Matcher, query *profile.TableProfile, ca
 }
 
 // RerankFull is the full-fidelity reference: every candidate is scored
-// with the full matcher, no bounding, no pruning. It is the -cascade=off
-// escape hatch and the conformance oracle.
+// with the full matcher, no bounding, no pruning. It is only the oracle
+// Rerank is held to (the conformance tests, the discover-rerank benchmark);
+// no serving or CLI path runs it.
 func RerankFull(ctx context.Context, m core.Matcher, query *profile.TableProfile, cands []Candidate, mode string, k int) (*RerankResult, error) {
 	return rerank(ctx, m, query, cands, mode, k, false)
 }

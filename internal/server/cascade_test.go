@@ -1,17 +1,20 @@
 package server
 
-// Serving-layer tests of the query-planner wiring: budget_ms and cascade
-// request fields, the best_effort response flag, and the engine per-stage
-// totals on /v1/stats. The budget tests are written to be exact either
+// Serving-layer tests of the query-planner wiring: the cascade's
+// conformance, the budget_ms request field, the best_effort response flag,
+// and the engine per-stage totals on /v1/stats. The budget tests are written to be exact either
 // way — a response that beat its budget must equal the unbudgeted one, a
 // response that spent it must carry the flag — so they never flake on
 // machine speed.
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"reflect"
 	"testing"
+
+	"valentine/internal/core"
 )
 
 func matchTable(name, prefix string, cols, n int) TableJSON {
@@ -25,33 +28,49 @@ func matchTable(name, prefix string, cols, n int) TableJSON {
 	return t
 }
 
-// TestMatchCascadeConformsToFullFidelity: with no budget, the default
-// cascade path must return exactly what {"cascade": false} returns.
+// TestMatchCascadeConformsToFullFidelity: with no budget, /v1/match's
+// cascade returns exactly the full-fidelity ranking (core.MatchWithContext,
+// the plain matcher) truncated to top.
 func TestMatchCascadeConformsToFullFidelity(t *testing.T) {
-	_, ts := testServer(t, Config{})
+	s, ts := testServer(t, Config{})
 	req := MatchRequest{
 		Source: matchTable("src", "v", 3, 60),
 		Target: matchTable("tgt", "v", 3, 60),
 		Method: "jaccard-levenshtein",
+		Top:    4,
 	}
-	var on MatchResponse
-	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/match", req, &on); code != http.StatusOK {
+	var got MatchResponse
+	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/match", req, &got); code != http.StatusOK {
 		t.Fatalf("cascade match: status %d", code)
 	}
-	off := false
-	req.Cascade = &off
-	var full MatchResponse
-	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/match", req, &full); code != http.StatusOK {
-		t.Fatalf("full-fidelity match: status %d", code)
+	if got.BestEffort {
+		t.Fatal("best_effort without a budget")
 	}
-	if on.BestEffort || full.BestEffort {
-		t.Fatalf("best_effort without a budget: on=%v off=%v", on.BestEffort, full.BestEffort)
+	src, err := req.Source.toTableDefault("source")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(on.Matches, full.Matches) {
-		t.Fatalf("cascade diverges from full fidelity\ncascade %+v\nfull    %+v", on.Matches, full.Matches)
+	tgt, err := req.Target.toTableDefault("target")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if on.Stats.Candidates == 0 {
-		t.Fatalf("cascade stats empty: %+v", on.Stats)
+	m, err := s.registry.New(req.Method, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := core.MatchWithContext(context.Background(), m, nil, src, tgt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]MatchJSON, req.Top)
+	for i, fm := range full[:req.Top] {
+		want[i] = MatchJSON{SourceColumn: fm.SourceColumn, TargetColumn: fm.TargetColumn, Score: fm.Score}
+	}
+	if !reflect.DeepEqual(got.Matches, want) {
+		t.Fatalf("cascade diverges from full fidelity\ncascade %+v\nfull    %+v", got.Matches, want)
+	}
+	if got.Stats.Candidates == 0 {
+		t.Fatalf("cascade stats empty: %+v", got.Stats)
 	}
 }
 

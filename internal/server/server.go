@@ -587,13 +587,6 @@ type SearchRequest struct {
 	// mid-scoring the response carries whatever completed, flagged
 	// best_effort, instead of a 504.
 	BudgetMS int64 `json:"budget_ms,omitempty"`
-	// Epsilon is the per-query approximation budget in [0, 1): every
-	// returned score is guaranteed within Epsilon of the true top-k
-	// (0: exact). The search path scores every nominated candidate exactly,
-	// so the guarantee holds trivially today; the field is validated and
-	// echoed as approx so clients can rely on one contract across
-	// endpoints.
-	Epsilon float64 `json:"epsilon,omitempty"`
 }
 
 // SearchResult is one ranked table.
@@ -614,10 +607,6 @@ type SearchResponse struct {
 	// BestEffort reports that the per-query budget expired mid-scoring and
 	// Results covers only the work that finished in time.
 	BestEffort bool `json:"best_effort,omitempty"`
-	// Approx reports that the query ran with a nonzero epsilon: scores are
-	// guaranteed within that epsilon of the true top-k, not necessarily
-	// equal to it.
-	Approx bool `json:"approx,omitempty"`
 	// Degraded reports that part of the catalog was quarantined at load:
 	// the ranking is complete over what could be read, but tables whose
 	// segment was corrupt are absent.
@@ -635,9 +624,6 @@ func (s *Server) handleSearch(ctx context.Context, w http.ResponseWriter, r *htt
 	if err := core.ValidateBudget(time.Duration(req.BudgetMS) * time.Millisecond); err != nil {
 		return errBadRequest("budget_ms: %v", err)
 	}
-	if err := core.ValidateEpsilon(req.Epsilon); err != nil {
-		return errBadRequest("%v", err)
-	}
 	if req.Mode == "" {
 		req.Mode = string(discovery.ModeJoin)
 	}
@@ -650,41 +636,22 @@ func (s *Server) handleSearch(ctx context.Context, w http.ResponseWriter, r *htt
 		return err
 	}
 	s.searches.Add(1)
-	ctx = core.WithEpsilon(ctx, req.Epsilon)
 	ctx, stats := engine.WithStats(ctx)
 	defer func() { s.recordEngine(stats.Snapshot()) }()
-	ix := s.cfg.Index
-	// Both paths run under the request context (deadline + cancellation
-	// honored mid-sweep) and report the epoch of the snapshot actually
-	// searched — sampling ix.Epoch() separately could race past a
-	// concurrently published write.
-	var (
-		results    []discovery.Result
-		epoch      uint64
-		bestEffort bool
-	)
-	if req.BudgetMS > 0 {
-		// The budget is a sub-deadline of the request context: its expiry
-		// yields a flagged best-effort response, while the request's own
-		// deadline (or cancellation) stays an error.
-		qctx, qcancel := core.BudgetContext(ctx, time.Duration(req.BudgetMS)*time.Millisecond)
-		defer qcancel()
-		results, epoch, bestEffort, err = ix.SearchBestEffortContext(qctx, q, mode, req.K, req.BruteForce)
-		if err != nil {
-			if !core.IsBudgetExpiry(ctx, err) {
-				return err
-			}
-			err = nil
-		}
-	} else if req.BruteForce {
-		results, epoch, err = ix.SearchBruteForceContext(ctx, q, mode, req.K)
-	} else {
-		results, epoch, err = ix.SearchContextEpoch(ctx, q, mode, req.K)
-	}
-	if err != nil {
+	// The search runs under the request context (deadline + cancellation
+	// honored mid-sweep) and reports the epoch of the snapshot actually
+	// searched — sampling Epoch() separately could race past a
+	// concurrently published write. The budget is a sub-deadline of the
+	// request context (none: qctx is ctx): its expiry yields a flagged
+	// best-effort response, while the request's own deadline (or
+	// cancellation) stays an error.
+	qctx, qcancel := core.BudgetContext(ctx, time.Duration(req.BudgetMS)*time.Millisecond)
+	defer qcancel()
+	results, epoch, bestEffort, err := s.cfg.Index.SearchBestEffortContext(qctx, q, mode, req.K, req.BruteForce)
+	if err != nil && !core.IsBudgetExpiry(ctx, err) {
 		return err
 	}
-	resp := SearchResponse{Epoch: epoch, Stats: stats.Snapshot(), BestEffort: bestEffort, Approx: req.Epsilon > 0, Degraded: s.degraded(), Results: make([]SearchResult, len(results))}
+	resp := SearchResponse{Epoch: epoch, Stats: stats.Snapshot(), BestEffort: bestEffort, Degraded: s.degraded(), Results: make([]SearchResult, len(results))}
 	for i, res := range results {
 		resp.Results[i] = SearchResult{
 			Table:       res.Table,
@@ -837,15 +804,12 @@ type MatchRequest struct {
 	// BudgetMS is the per-query latency budget in milliseconds (0: none);
 	// expiry mid-scoring yields a flagged best-effort response.
 	BudgetMS int64 `json:"budget_ms,omitempty"`
-	// Cascade selects the planner cascade for methods that support it
-	// (nil: on — the escape hatch is {"cascade": false}). Without a
-	// budget and with epsilon zero, cascade output is bit-identical to the
-	// full-fidelity path.
-	Cascade *bool `json:"cascade,omitempty"`
-	// Epsilon is the per-query approximation budget in [0, 1): the cascade
-	// prunes more aggressively, guaranteeing every returned score within
-	// Epsilon of the true top-k instead of exactly equal (0: exact). Only
-	// the cascade path consumes it; responses that used it carry approx.
+	// Epsilon is the per-query approximation budget in [0, 1) of a method
+	// with its own cascade (core.CascadeMatcher), which always runs against
+	// Top: it prunes more aggressively, guaranteeing every returned score
+	// within Epsilon of the true top-k instead of exactly equal (0: exact;
+	// without a budget the output is then bit-identical to the full
+	// ranking's prefix). Responses that used it carry approx.
 	Epsilon float64 `json:"epsilon,omitempty"`
 }
 
@@ -913,7 +877,7 @@ func (s *Server) handleMatch(ctx context.Context, w http.ResponseWriter, r *http
 	// pointer-keyed store could never hit on again — a nil store still
 	// shares one profile per table within this call, then lets it be
 	// collected.
-	matches, bestEffort, cascaded, err := core.MatchTopK(core.WithEpsilon(qctx, req.Epsilon), m, src, tgt, req.Top, req.Cascade == nil || *req.Cascade)
+	matches, bestEffort, cascaded, err := core.MatchTopK(core.WithEpsilon(qctx, req.Epsilon), m, src, tgt, req.Top)
 	approx := cascaded && req.Epsilon > 0
 	if err != nil {
 		// A spent budget (request still alive) downgrades to a flagged

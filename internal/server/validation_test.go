@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"net/http"
 	"testing"
 )
@@ -16,17 +17,26 @@ func matchBody(method string, budgetMS int64, epsilon float64) MatchRequest {
 	}
 }
 
-func searchBody(budgetMS int64, epsilon float64) SearchRequest {
-	return SearchRequest{
+// searchBody builds a search request; a nonzero epsilon rides along as the
+// retired "epsilon" field, which /v1/search no longer has.
+func searchBody(budgetMS int64, epsilon float64) any {
+	req := SearchRequest{
 		Table:    TableJSON{Name: "q", Columns: []ColumnJSON{{Name: "cust", Values: vals("c", 0, 30)}}},
 		BudgetMS: budgetMS,
-		Epsilon:  epsilon,
 	}
+	if epsilon == 0 {
+		return req
+	}
+	return struct {
+		SearchRequest
+		Epsilon float64 `json:"epsilon"`
+	}{req, epsilon}
 }
 
 // TestBoundaryValidation: negative budgets and out-of-range epsilons are
 // typed 400s at the API boundary on both scoring endpoints, and in-range
-// values pass through.
+// values pass through — except that /v1/search takes no epsilon at all, so
+// any epsilon there is a 400 (an unknown field).
 func TestBoundaryValidation(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	cases := []struct {
@@ -47,8 +57,12 @@ func TestBoundaryValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run("search/"+tc.name, func(t *testing.T) {
-			if code := doJSON(t, http.MethodPost, ts.URL+"/v1/search", searchBody(tc.budgetMS, tc.epsilon), nil); code != tc.want {
-				t.Fatalf("search budget_ms=%d epsilon=%v: status %d, want %d", tc.budgetMS, tc.epsilon, code, tc.want)
+			want := tc.want
+			if tc.epsilon != 0 {
+				want = http.StatusBadRequest
+			}
+			if code := doJSON(t, http.MethodPost, ts.URL+"/v1/search", searchBody(tc.budgetMS, tc.epsilon), nil); code != want {
+				t.Fatalf("search budget_ms=%d epsilon=%v: status %d, want %d", tc.budgetMS, tc.epsilon, code, want)
 			}
 		})
 		t.Run("match/"+tc.name, func(t *testing.T) {
@@ -59,25 +73,25 @@ func TestBoundaryValidation(t *testing.T) {
 	}
 }
 
-// TestEpsilonResponseFlags: a nonzero epsilon marks the response approx on
-// both endpoints; zero stays unflagged.
+// TestRetiredQueryFields: the fields that changed no answer — "cascade" on
+// /v1/match and "epsilon" on /v1/search — are gone, and a request still
+// sending one is a 400, not a silently ignored option.
+func TestRetiredQueryFields(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/match", `{"source":{"columns":[{"name":"a","values":["1"]}]},"target":{"columns":[{"name":"b","values":["1"]}]},"cascade":false}`},
+		{"/v1/search", `{"table":{"columns":[{"name":"a","values":["1"]}]},"epsilon":0.1}`},
+	} {
+		if code := doJSON(t, http.MethodPost, ts.URL+tc.path, json.RawMessage(tc.body), nil); code != http.StatusBadRequest {
+			t.Errorf("%s %s: status %d, want 400", tc.path, tc.body, code)
+		}
+	}
+}
+
+// TestEpsilonResponseFlags: a nonzero epsilon marks a cascading match
+// approx; zero stays unflagged.
 func TestEpsilonResponseFlags(t *testing.T) {
 	_, ts := testServer(t, Config{})
-	var sr SearchResponse
-	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/search", searchBody(0, 0.2), &sr); code != http.StatusOK {
-		t.Fatalf("search: status %d", code)
-	}
-	if !sr.Approx {
-		t.Error("search with epsilon 0.2 not flagged approx")
-	}
-	sr = SearchResponse{}
-	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/search", searchBody(0, 0), &sr); code != http.StatusOK {
-		t.Fatalf("search: status %d", code)
-	}
-	if sr.Approx {
-		t.Error("exact search flagged approx")
-	}
-
 	// jaccard-levenshtein cascades, so epsilon reaches the planner there.
 	var mr MatchResponse
 	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/match", matchBody("jaccard-levenshtein", 0, 0.3), &mr); code != http.StatusOK {
