@@ -5,6 +5,7 @@ package discovery
 // itself over a lake-shaped mapped catalog, and the write-side costs.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -163,7 +164,7 @@ func BenchmarkSearchLake(b *testing.B) {
 	for i := range queries {
 		queries[i] = ix.queryProfile(tables[i*37%len(tables)])
 		for _, mode := range []Mode{ModeJoin, ModeUnion} { // fill the signature caches
-			if _, err := ix.SearchProfiled(queries[i], mode, 10); err != nil {
+			if _, err := ix.SearchProfiledContext(context.Background(), queries[i], mode, 10); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -175,7 +176,7 @@ func BenchmarkSearchLake(b *testing.B) {
 		if i%4 == 3 {
 			mode = ModeUnion
 		}
-		if _, err := ix.SearchProfiled(queries[i%len(queries)], mode, 10); err != nil {
+		if _, err := ix.SearchProfiledContext(context.Background(), queries[i%len(queries)], mode, 10); err != nil {
 			b.Fatal(err)
 		}
 	}

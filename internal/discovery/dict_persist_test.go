@@ -448,15 +448,13 @@ func TestSnapshotDictLogDamageFailsLoad(t *testing.T) {
 			if err := os.WriteFile(logPath, tc.damage(t, dir, log), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			for _, quarantine := range []bool{false, true} { // dict.log damage is never degradable
-				loaded, err := LoadSnapshotWith(dir, LoadOptions{Quarantine: quarantine})
-				if err == nil {
-					loaded.Close()
-					t.Fatalf("quarantine=%v: load of a damaged dict.log succeeded", quarantine)
-				}
-				if !errors.Is(err, intern.ErrLogCorrupt) || !strings.Contains(err.Error(), tc.want) {
-					t.Fatalf("quarantine=%v: err = %v; want intern.ErrLogCorrupt mentioning %q", quarantine, err, tc.want)
-				}
+			loaded, err := LoadSnapshot(dir)
+			if err == nil {
+				loaded.Close()
+				t.Fatal("load of a damaged dict.log succeeded")
+			}
+			if !errors.Is(err, intern.ErrLogCorrupt) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v; want intern.ErrLogCorrupt mentioning %q", err, tc.want)
 			}
 		})
 	}

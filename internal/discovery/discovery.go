@@ -47,7 +47,7 @@
 //     rebuild a segment.
 //
 // Ingestion and queries run through the shared lazy column-profile layer
-// (internal/profile): AddProfiled and SearchProfiled accept an
+// (internal/profile): AddProfiled and SearchProfiledContext accept an
 // already-profiled table so a corpus warmed once in a profile.Store is
 // never re-profiled here — the same distinct sets, name tokens and MinHash
 // signatures the matchers consume feed the index.
@@ -182,15 +182,9 @@ type Index struct {
 	lineage uint64
 
 	// fsys is the filesystem snapshots write through (nil: real disk) — the
-	// faultfs seam. Set before concurrent use (SetFS or LoadSnapshotWith),
+	// faultfs seam. Set before concurrent use (by SetFS or at load),
 	// read-only after.
 	fsys faultfs.FS
-
-	// quarantined counts segment files a quarantine-mode load moved aside as
-	// corrupt; quarantineLog records what and why. Set once at load, before
-	// the index serves, immutable after.
-	quarantined   int
-	quarantineLog []string
 
 	// unmaps collects the release closures of every mapped v2 segment this
 	// index loaded; guarded by wmu. A mapping must outlive the segment's
@@ -272,13 +266,6 @@ func (ix *Index) AdoptLineage(lineage uint64) error {
 	}
 	ix.lineage = lineage
 	return nil
-}
-
-// QuarantinedSegments reports how many corrupt segment files a
-// quarantine-mode load moved aside, and the per-file reasons — the serving
-// layer's degraded signal.
-func (ix *Index) QuarantinedSegments() (int, []string) {
-	return ix.quarantined, ix.quarantineLog
 }
 
 // Close releases the memory mappings of every mapped segment the index
@@ -392,9 +379,6 @@ type Stats struct {
 	// set, versus MappedSegmentBytes' address-space ceiling. Zero, like
 	// MappedSegmentBytes, when nothing is mapped.
 	MappedResidentBytes int64 `json:"mapped_resident_bytes"`
-	// QuarantinedSegments counts corrupt segment files a quarantine-mode
-	// load moved aside; non-zero means the catalog is serving degraded.
-	QuarantinedSegments int `json:"quarantined_segments"`
 }
 
 // Stats returns a consistent point-in-time summary of the catalog.
@@ -427,7 +411,6 @@ func (ix *Index) Stats() Stats {
 		HeapSegmentBytes:    heapBytes,
 		MappedSegmentBytes:  mappedBytes,
 		MappedResidentBytes: residentBytes,
-		QuarantinedSegments: ix.quarantined,
 	}
 }
 
@@ -468,14 +451,9 @@ func (ix *Index) SearchContext(ctx context.Context, q *table.Table, mode Mode, k
 	return out, err
 }
 
-// SearchProfiled is Search over an already-profiled query: repeated queries
-// with the same profile never recompute signatures or name tokens.
-func (ix *Index) SearchProfiled(qp *profile.TableProfile, mode Mode, k int) ([]Result, error) {
-	out, _, err := ix.search(context.Background(), qp, mode, k, false)
-	return out, err
-}
-
-// SearchProfiledContext is SearchContext over an already-profiled query.
+// SearchProfiledContext is SearchContext over an already-profiled query:
+// repeated queries with the same profile never recompute signatures or
+// name tokens.
 func (ix *Index) SearchProfiledContext(ctx context.Context, qp *profile.TableProfile, mode Mode, k int) ([]Result, error) {
 	out, _, err := ix.search(ctx, qp, mode, k, false)
 	return out, err

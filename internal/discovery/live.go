@@ -6,6 +6,7 @@ package discovery
 // block on ingest and ingest never waits for searches to drain.
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -100,10 +101,14 @@ func (ix *Index) UpsertProfiled(tp *profile.TableProfile) error {
 	return ix.apply([]rawOp{op})[0]
 }
 
+// ErrNotIndexed is what removing a table the catalog does not hold fails
+// with (wrapped with the table's name).
+var ErrNotIndexed = errors.New("not indexed")
+
 // Remove deletes the named table from the catalog. Tables living in the
 // memtable are dropped immediately; tables in sealed segments get a
 // tombstone that hides them from every subsequent search until compaction
-// reclaims the space. Removing an unknown table is an error.
+// reclaims the space. Removing an unknown table fails with ErrNotIndexed.
 func (ix *Index) Remove(name string) error {
 	return ix.apply([]rawOp{{remove: name}})[0]
 }
@@ -304,7 +309,7 @@ func (ix *Index) apply(ops []rawOp) []error {
 	for i, op := range ops {
 		if op.remove != "" {
 			if !remove(op.remove) {
-				errs[i] = fmt.Errorf("discovery: table %q not indexed", op.remove)
+				errs[i] = fmt.Errorf("discovery: table %q %w", op.remove, ErrNotIndexed)
 				continue
 			}
 			changed = true

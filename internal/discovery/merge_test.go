@@ -247,7 +247,7 @@ func TestMergeSegV2MatchesHeapMerge(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, noMap := range []bool{true, false} {
-				loaded, err := loadSnapshot(dir, noMap)
+				loaded, err := loadSnapshot(dir, nil, noMap)
 				if err != nil {
 					t.Fatalf("%s: load (noMap=%v): %v", at, noMap, err)
 				}

@@ -86,39 +86,12 @@ type tombRecord struct {
 
 func segFileName(id uint64) string { return fmt.Sprintf("seg-%d.seg", id) }
 
-// writeFileAtomic publishes data at path via temp-file + fsync + atomic
-// rename: the rename must never publish a file whose bytes are still only
-// in the page cache when a crash follows.
-func writeFileAtomic(fsys faultfs.FS, path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := fsys.Create(tmp)
-	if err != nil {
-		return err
-	}
-	cleanup := func(err error) error {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	return fsys.Rename(tmp, path)
-}
-
 func writeManifest(fsys faultfs.FS, dir string, m manifest) error {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
 		return err
 	}
-	return writeFileAtomic(fsys, filepath.Join(dir, manifestName), buf.Bytes())
+	return faultfs.WriteFileAtomic(fsys, filepath.Join(dir, manifestName), buf.Bytes())
 }
 
 // readManifest decodes dir's manifest and checks its layout version.
@@ -136,19 +109,6 @@ func readManifest(fsys faultfs.FS, dir string) (manifest, error) {
 		return m, fmt.Errorf("discovery: snapshot version %d, want %d", m.Version, snapshotVersion)
 	}
 	return m, nil
-}
-
-// syncDir fsyncs a directory, making renames and creates within it durable.
-func syncDir(fsys faultfs.FS, dir string) error {
-	d, err := fsys.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // SaveSnapshot writes the catalog's current epoch to dir in the incremental
@@ -203,28 +163,28 @@ func (ix *Index) SaveSnapshot(dir string) error {
 				continue // immutable segment already snapshotted by this catalog
 			}
 		}
-		if err := writeFileAtomic(fsys, path, seg.data); err != nil {
+		if err := faultfs.WriteFileAtomic(fsys, path, seg.data); err != nil {
 			return fmt.Errorf("discovery: writing segment %d: %w", seg.id, err)
 		}
 	}
 	if sn.mem != nil {
 		m.HasMem = true
-		if err := writeFileAtomic(fsys, filepath.Join(dir, memName), sn.mem.data); err != nil {
+		if err := faultfs.WriteFileAtomic(fsys, filepath.Join(dir, memName), sn.mem.data); err != nil {
 			return fmt.Errorf("discovery: writing memtable: %w", err)
 		}
 	}
 	// Barrier between data and manifest: every segment, memtable and dict
 	// byte — and the directory entries naming them — must be durable before
 	// the manifest can reference them. The manifest itself then commits via
-	// writeFileAtomic's fsync + atomic rename, made durable by the second
+	// WriteFileAtomic's fsync + atomic rename, made durable by the second
 	// sync.
-	if err := syncDir(fsys, dir); err != nil {
+	if err := faultfs.SyncDir(fsys, dir); err != nil {
 		return fmt.Errorf("discovery: syncing snapshot directory: %w", err)
 	}
 	if err := writeManifest(fsys, dir, m); err != nil {
 		return fmt.Errorf("discovery: writing manifest: %w", err)
 	}
-	if err := syncDir(fsys, dir); err != nil {
+	if err := faultfs.SyncDir(fsys, dir); err != nil {
 		return fmt.Errorf("discovery: syncing snapshot directory: %w", err)
 	}
 	// Garbage collection happens only after the manifest commit: deleting a
@@ -260,49 +220,27 @@ func (ix *Index) SaveSnapshot(dir string) error {
 	return nil
 }
 
-// LoadOptions configures LoadSnapshotWith.
-type LoadOptions struct {
-	// FS is the filesystem the load reads through (nil: the real disk).
-	// The one asymmetry: the mmap arm maps sealed segment files through the
-	// OS regardless — corruption tests flip bytes on disk directly, and
-	// quarantine works off the returned errors either way. The heap-read
-	// arm (the memtable, and sealed segments where mapping is unavailable)
-	// reads through FS.
-	FS faultfs.FS
-	// Quarantine makes segment failure partial instead of total: a sealed
-	// segment (or memtable) file failing validation is renamed aside with a
-	// .quarantined suffix — so no later save can adopt its bytes — counted in
-	// Stats.QuarantinedSegments, and the rest of the catalog loads and
-	// serves. Manifest and dict.log failures stay fatal: the manifest is the
-	// table of contents, and the dictionary underpins every interned id in
-	// every segment.
-	Quarantine bool
-	// noMap forces the heap-read arm for sealed segments even where mmap is
-	// available: the in-package seam that lets one test binary hold the
-	// mapped and heap-read arms to the same results.
-	noMap bool
-}
-
 // LoadSnapshot reads a snapshot directory written by SaveSnapshot and
 // reconstructs the catalog: segment layout, tombstones and epoch included.
 // Sealed segments are memory-mapped (heap-read where mapping is
 // unavailable) and searched in place — restart cost is opening and
 // validating files, not decoding the corpus. Call Close when done to
-// release the mappings. Any corrupt file fails the whole load;
-// LoadSnapshotWith's Quarantine mode degrades instead.
+// release the mappings. Any corrupt or unreadable file fails the whole
+// load with an error naming it, and is left in place.
 func LoadSnapshot(dir string) (*Index, error) {
-	return LoadSnapshotWith(dir, LoadOptions{})
+	return loadSnapshot(dir, nil, false)
 }
 
-// loadSnapshot gives tests the heap-read arm (see LoadOptions.noMap).
-func loadSnapshot(dir string, noMap bool) (*Index, error) {
-	return LoadSnapshotWith(dir, LoadOptions{noMap: noMap})
-}
-
-// LoadSnapshotWith is LoadSnapshot under explicit options: an injectable
-// filesystem and quarantine (degraded) mode.
-func LoadSnapshotWith(dir string, o LoadOptions) (ret *Index, err error) {
-	fsys := faultfs.Or(o.FS)
+// loadSnapshot is LoadSnapshot through an injectable filesystem (nil: the
+// real disk) — the in-package seam for read faults. The one asymmetry: the
+// mmap arm maps sealed segment files through the OS regardless, so
+// corruption tests flip bytes on disk directly; the heap-read arm (the
+// memtable, and sealed segments where mapping is unavailable) reads
+// through seam. noMap forces the heap-read arm for sealed segments even
+// where mmap is available, so one test binary can hold the mapped and
+// heap-read arms to the same results.
+func loadSnapshot(dir string, seam faultfs.FS, noMap bool) (ret *Index, err error) {
+	fsys := faultfs.Or(seam)
 	if info, err := fsys.Stat(dir); err != nil {
 		return nil, fmt.Errorf("discovery: opening snapshot: %w", err)
 	} else if !info.IsDir() {
@@ -320,7 +258,7 @@ func LoadSnapshotWith(dir string, o LoadOptions) (ret *Index, err error) {
 		return nil, fmt.Errorf("discovery: snapshot segment format %q is not %q", m.Format, manifestFormat)
 	}
 	ix := New(m.Options)
-	ix.fsys = o.FS
+	ix.fsys = seam
 	// Mappings registered below must not leak if a later segment fails.
 	defer func() {
 		if err != nil {
@@ -346,35 +284,14 @@ func LoadSnapshotWith(dir string, o LoadOptions) (ret *Index, err error) {
 		}
 		return ms, nil
 	}
-	// quarantine moves a corrupt file aside so no later incremental save can
-	// adopt its bytes via the skip-if-exists fast path, and records the event
-	// for Stats and the serving layer's degraded flag. Outside quarantine
-	// mode the cause is returned unchanged and fails the load.
-	quarantine := func(name string, cause error) error {
-		if !o.Quarantine {
-			return cause
-		}
-		src := filepath.Join(dir, name)
-		if renameErr := fsys.Rename(src, src+".quarantined"); renameErr != nil {
-			// The corrupt file stays in place where a later save could adopt
-			// it, so degrading is not safe — fail the load after all.
-			return fmt.Errorf("%w (quarantine rename failed: %v)", cause, renameErr)
-		}
-		ix.quarantined++
-		ix.quarantineLog = append(ix.quarantineLog, fmt.Sprintf("%s: %v", name, cause))
-		return nil
-	}
 	for _, id := range m.Sealed {
-		ms, segErr := openSeg(segFileName(id), o.noMap)
+		ms, segErr := openSeg(segFileName(id), noMap)
 		if segErr == nil && ms.id != id {
 			segErr = fmt.Errorf("%w: file carries segment id %d, manifest expects %d", ErrSegmentCorrupt, ms.id, id)
 			ms.release()
 		}
 		if segErr != nil {
-			if qErr := quarantine(segFileName(id), fmt.Errorf("discovery: segment %d: %w", id, segErr)); qErr != nil {
-				return nil, qErr
-			}
-			continue
+			return nil, fmt.Errorf("discovery: segment %d: %w", id, segErr)
 		}
 		if ms.unmap != nil {
 			ix.unmaps = append(ix.unmaps, ms.unmap)
@@ -418,9 +335,7 @@ func LoadSnapshotWith(dir string, o LoadOptions) (ret *Index, err error) {
 			sn.mem, _, memErr = mergeSegV2(memID, ix.k, ix.bands, []*segment{ms}, nil)
 		}
 		if memErr != nil {
-			if qErr := quarantine(memName, fmt.Errorf("discovery: memtable: %w", memErr)); qErr != nil {
-				return nil, qErr
-			}
+			return nil, fmt.Errorf("discovery: memtable: %w", memErr)
 		}
 	}
 	tombs := make(map[tombKey]struct{}, len(m.Tombs))

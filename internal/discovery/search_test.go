@@ -129,7 +129,7 @@ func TestSearchAllocsIndependentOfCandidates(t *testing.T) {
 			t.Fatal(err)
 		}
 		allocs = testing.AllocsPerRun(20, func() {
-			if _, err := ix.SearchProfiled(qp, ModeUnion, 10); err != nil {
+			if _, err := ix.SearchProfiledContext(context.Background(), qp, ModeUnion, 10); err != nil {
 				t.Fatal(err)
 			}
 		})

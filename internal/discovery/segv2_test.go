@@ -53,12 +53,12 @@ func TestSegV2RandomizedConformance(t *testing.T) {
 		if err := ix.SaveSnapshot(dir); err != nil {
 			t.Fatal(err)
 		}
-		mapped, err := loadSnapshot(dir, false)
+		mapped, err := loadSnapshot(dir, nil, false)
 		if err != nil {
 			t.Fatalf("step %d: load mapped: %v", step, err)
 		}
 		defer mapped.Close()
-		heap, err := loadSnapshot(dir, true)
+		heap, err := loadSnapshot(dir, nil, true)
 		if err != nil {
 			t.Fatalf("step %d: load heap-read: %v", step, err)
 		}
@@ -218,7 +218,7 @@ func TestSegV2CorruptFilesRejected(t *testing.T) {
 				if err := os.WriteFile(segPath, tc.mutate(append([]byte(nil), good...)), 0o644); err != nil {
 					t.Fatal(err)
 				}
-				ix, err := loadSnapshot(dir, noMap)
+				ix, err := loadSnapshot(dir, nil, noMap)
 				if err == nil {
 					ix.Close()
 					t.Fatalf("loaded a snapshot with a %s segment file", tc.name)
@@ -270,7 +270,7 @@ func TestSegV2CrashTailIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, noMap := range []bool{false, true} {
-		loaded, err := loadSnapshot(dir, noMap)
+		loaded, err := loadSnapshot(dir, nil, noMap)
 		if err != nil {
 			t.Fatalf("noMap=%v: crash tail rejected: %v", noMap, err)
 		}
@@ -311,7 +311,7 @@ func TestSegV2RandomCorruptionNeverPanics(t *testing.T) {
 		if err := os.WriteFile(segPath, mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		ix, err := loadSnapshot(dir, rng.Intn(2) == 0)
+		ix, err := loadSnapshot(dir, nil, rng.Intn(2) == 0)
 		if err != nil {
 			continue
 		}
@@ -329,12 +329,12 @@ func TestSegV2RandomCorruptionNeverPanics(t *testing.T) {
 // read onto the heap, and the catalog holds some.
 func TestMappedSetIDsMatchHeapLoad(t *testing.T) {
 	ix, dir := buildV2Snapshot(t)
-	loaded, err := loadSnapshot(dir, false)
+	loaded, err := loadSnapshot(dir, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer loaded.Close()
-	heap, err := loadSnapshot(dir, true)
+	heap, err := loadSnapshot(dir, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,7 +94,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	} else if st.MappedSegmentBytes != 0 || st.MappedResidentBytes != 0 {
 		t.Errorf("%d mapped / %d resident bytes reported on a platform that maps nothing", st.MappedSegmentBytes, st.MappedResidentBytes)
 	}
-	if heapRead, err := loadSnapshot(dir, true); err != nil {
+	if heapRead, err := loadSnapshot(dir, nil, true); err != nil {
 		t.Error(err)
 	} else if hs := heapRead.Stats(); hs.MappedSegmentBytes != 0 || hs.MappedResidentBytes != 0 ||
 		hs.HeapSegmentBytes != st.HeapSegmentBytes+st.MappedSegmentBytes {
@@ -246,7 +246,7 @@ func TestSnapshotCrashOrphanNotAdopted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFileAtomic(faultfs.OS, filepath.Join(dir, segFileName(9)), ghost); err != nil {
+	if err := faultfs.WriteFileAtomic(faultfs.OS, filepath.Join(dir, segFileName(9)), ghost); err != nil {
 		t.Fatal(err)
 	}
 	// And the temp file of a segment write the crash cut short — one whose
@@ -260,7 +260,7 @@ func TestSnapshotCrashOrphanNotAdopted(t *testing.T) {
 
 	// The orphan scan is what keeps those ids unallocated, so a directory
 	// the load cannot list fails it rather than letting it allocate blind.
-	if ix, err := LoadSnapshotWith(dir, LoadOptions{FS: failReadDirFS{faultfs.OS, syscall.EIO}}); err == nil {
+	if ix, err := loadSnapshot(dir, failReadDirFS{faultfs.OS, syscall.EIO}, false); err == nil {
 		ix.Close()
 		t.Fatal("loaded a snapshot whose directory could not be scanned for orphans")
 	} else if !errors.Is(err, syscall.EIO) {

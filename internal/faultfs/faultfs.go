@@ -25,7 +25,7 @@ import (
 type FS interface {
 	// Create truncates-or-creates name for writing (os.Create semantics).
 	Create(name string) (File, error)
-	// Open opens name read-only. Directories open too (syncDir uses this).
+	// Open opens name read-only. Directories open too (SyncDir uses this).
 	Open(name string) (File, error)
 	// OpenFile is the general form (os.OpenFile semantics).
 	OpenFile(name string, flag int, perm fs.FileMode) (File, error)

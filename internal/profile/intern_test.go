@@ -91,7 +91,7 @@ func TestSharedInternedRequiresOneDictionary(t *testing.T) {
 }
 
 // TestStoreEvictionDoesNotReintern is the regression test for the
-// warm/evict/re-admit cycle: a table evicted under SetCapacity and profiled
+// warm/evict/re-admit cycle: a table dropped with Invalidate and profiled
 // again must resolve its values through the dictionary's read-locked fast
 // path — the dictionary must not grow, and the re-admitted profile's ids
 // must equal the ones handed out before the eviction (so sets cached by
@@ -106,9 +106,9 @@ func TestStoreEvictionDoesNotReintern(t *testing.T) {
 	}
 	oldIDs := profiles[0].Column(0).InternedDistinct().IDs()
 
-	s.SetCapacity(1) // evicts tabs[0] and tabs[1]
-	if s.Len() != 1 {
-		t.Fatalf("Len after SetCapacity(1) = %d", s.Len())
+	s.Invalidate(tabs[0])
+	if s.Len() != 2 {
+		t.Fatalf("Len after Invalidate = %d", s.Len())
 	}
 	readmitted := s.Of(tabs[0])
 	if readmitted == profiles[0] {

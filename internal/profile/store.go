@@ -1,7 +1,6 @@
 package profile
 
 import (
-	"container/list"
 	"runtime"
 	"sync"
 
@@ -15,12 +14,9 @@ import (
 // experiment worker pool or parallel discovery queries without re-deriving
 // anything.
 //
-// Capacity: by default the store grows without bound, which is right for
-// batch runs over a fixed corpus. Long-running servers ingesting and
-// removing tables should call SetCapacity: once more than capacity tables
-// are cached, the least-recently-used profiles are evicted, so profiles of
-// tables that were removed (or never queried again) do not pin their
-// derived data forever.
+// Capacity: the store grows without bound, which is right for batch runs
+// over a fixed corpus. A caller whose corpus turns over bounds it with
+// Invalidate (or Reset), dropping the profiles of tables it is done with.
 //
 // Staleness: Of revalidates a cheap structural snapshot (column count,
 // names, types, lengths) on every hit, so any mutation that changes one of
@@ -30,27 +26,24 @@ import (
 // a RetypeColumns that re-infers the same type) require an explicit
 // Invalidate.
 type Store struct {
-	mu       sync.Mutex
-	entries  map[*table.Table]*entry
-	lru      list.List // front = most recently used; elements hold *table.Table
-	capacity int       // 0 = unbounded
+	mu      sync.Mutex
+	entries map[*table.Table]*entry
 
 	// dict is the store's corpus-scoped value dictionary, shared by every
 	// profile the store builds: cross-table overlap kernels run on interned
 	// id slices and MinHash derives from the hashes interning computed.
-	// The dictionary deliberately survives LRU eviction and
-	// Reset — it is keyed by value, not by table, so a table evicted under
-	// SetCapacity and later re-admitted rebuilds its profile over the
-	// already-interned values through the dictionary's read-locked fast
-	// path: no new entries, no re-hashing, and ids identical to the ones
-	// profiles handed out before the eviction still carry.
+	// The dictionary deliberately survives Invalidate and Reset — it is
+	// keyed by value, not by table, so a table dropped from the cache and
+	// later re-admitted rebuilds its profile over the already-interned
+	// values through the dictionary's read-locked fast path: no new
+	// entries, no re-hashing, and ids identical to the ones profiles handed
+	// out before the drop still carry.
 	dict *intern.Dict
 }
 
 type entry struct {
 	tp   *TableProfile
 	snap []colSnap
-	elem *list.Element // position in the LRU list
 }
 
 type colSnap struct {
@@ -59,7 +52,7 @@ type colSnap struct {
 	rows int
 }
 
-// NewStore returns an empty, unbounded profile store.
+// NewStore returns an empty profile store.
 func NewStore() *Store {
 	return &Store{entries: make(map[*table.Table]*entry), dict: intern.NewDict()}
 }
@@ -71,69 +64,27 @@ func (s *Store) Dict() *intern.Dict { return s.dict }
 // its append-only growth is monitored by.
 func (s *Store) DictStats() intern.DictStats { return s.dict.Stats() }
 
-// SetCapacity bounds the store to at most n cached tables, evicting the
-// least-recently-used entries immediately if the store is already over; n
-// <= 0 removes the bound. Eviction only drops the cache — profiles already
-// handed out stay valid, and a later Of rebuilds.
-func (s *Store) SetCapacity(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.capacity = n
-	s.evictOver()
-}
-
-// Capacity returns the current bound (0 = unbounded).
-func (s *Store) Capacity() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.capacity
-}
-
-// evictOver drops LRU entries until the store fits its capacity. Callers
-// hold s.mu.
-func (s *Store) evictOver() {
-	if s.capacity <= 0 {
-		return
-	}
-	for len(s.entries) > s.capacity {
-		back := s.lru.Back()
-		if back == nil {
-			return
-		}
-		s.lru.Remove(back)
-		delete(s.entries, back.Value.(*table.Table))
-	}
-}
-
 // Of returns the cached profile of t, building (or rebuilding, when the
 // cached profile is stale) as needed.
 func (s *Store) Of(t *table.Table) *TableProfile {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.entries[t]; ok && snapshotMatches(t, e.snap) {
-		s.lru.MoveToFront(e.elem)
 		return e.tp
 	}
-	if old, ok := s.entries[t]; ok {
-		s.lru.Remove(old.elem) // stale: rebuild below re-inserts at front
-	}
 	e := &entry{tp: NewInterned(t, s.dict), snap: snapshot(t)}
-	e.elem = s.lru.PushFront(t)
 	s.entries[t] = e
-	s.evictOver()
 	return e.tp
 }
 
 // Invalidate drops the cached profile of t, if any. Call it after mutating
 // cell values in place (schema-level mutations are detected automatically),
-// or after removing t from a served corpus.
+// or once t is done with. Profiles already handed out stay valid, and a
+// later Of rebuilds.
 func (s *Store) Invalidate(t *table.Table) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.entries[t]; ok {
-		s.lru.Remove(e.elem)
-		delete(s.entries, t)
-	}
+	delete(s.entries, t)
 }
 
 // Reset drops every cached profile.
@@ -141,7 +92,6 @@ func (s *Store) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.entries = make(map[*table.Table]*entry)
-	s.lru.Init()
 }
 
 // Len returns the number of cached tables.

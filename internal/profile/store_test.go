@@ -138,101 +138,6 @@ func TestStoreConcurrentAccess(t *testing.T) {
 	}
 }
 
-// TestStoreCapacityEvictsLRU: a capped store must drop the
-// least-recently-used profiles — the leak fix for long-running servers
-// whose removed tables would otherwise pin derived data forever.
-func TestStoreCapacityEvictsLRU(t *testing.T) {
-	s := NewStore()
-	s.SetCapacity(3)
-	tabs := storeTables(5)
-	profiles := make([]*TableProfile, len(tabs))
-	for i, tab := range tabs {
-		profiles[i] = s.Of(tab)
-	}
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d, want capacity 3", s.Len())
-	}
-	// t0 and t1 were least recently used → evicted → Of rebuilds.
-	if s.Of(tabs[0]) == profiles[0] || s.Of(tabs[1]) == profiles[1] {
-		t.Error("LRU entries should have been evicted and rebuilt")
-	}
-	// t4 was most recently used before the two rebuilds above → still cached.
-	if s.Of(tabs[4]) != profiles[4] {
-		t.Error("most-recently-used entry was evicted")
-	}
-	if s.Len() != 3 {
-		t.Errorf("Len after churn = %d, want 3", s.Len())
-	}
-}
-
-// TestStoreHitRefreshesRecency: a cache hit must move the entry to the
-// front of the LRU order, protecting hot profiles from eviction.
-func TestStoreHitRefreshesRecency(t *testing.T) {
-	s := NewStore()
-	s.SetCapacity(2)
-	tabs := storeTables(3)
-	first := s.Of(tabs[0])
-	s.Of(tabs[1])
-	s.Of(tabs[0]) // touch: t0 becomes most recent
-	s.Of(tabs[2]) // evicts t1, not t0
-	if s.Of(tabs[0]) != first {
-		t.Error("touched entry was evicted despite being most recently used")
-	}
-}
-
-// TestStoreSetCapacityShrinksImmediately: lowering the cap on a full store
-// evicts down to the new bound at once; removing the cap stops eviction.
-func TestStoreSetCapacityShrinksImmediately(t *testing.T) {
-	s := NewStore()
-	tabs := storeTables(6)
-	for _, tab := range tabs {
-		s.Of(tab)
-	}
-	if s.Len() != 6 {
-		t.Fatalf("unbounded store Len = %d", s.Len())
-	}
-	s.SetCapacity(2)
-	if s.Len() != 2 {
-		t.Errorf("Len after shrink = %d, want 2", s.Len())
-	}
-	if s.Capacity() != 2 {
-		t.Errorf("Capacity = %d", s.Capacity())
-	}
-	s.SetCapacity(0)
-	for _, tab := range tabs {
-		s.Of(tab)
-	}
-	if s.Len() != 6 {
-		t.Errorf("unbounded again: Len = %d, want 6", s.Len())
-	}
-}
-
-// TestStoreCappedConcurrentAccess hammers a capacity-bounded store — the
-// eviction path must be race-free alongside hits, misses and invalidation.
-func TestStoreCappedConcurrentAccess(t *testing.T) {
-	s := NewStore()
-	s.SetCapacity(3)
-	shared := storeTables(8)
-	var wg sync.WaitGroup
-	for w := 0; w < 6; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 40; i++ {
-				tp := s.Of(shared[(w+i)%len(shared)])
-				tp.Column(0).NameTokens()
-				if i%13 == 5 {
-					s.Invalidate(shared[i%len(shared)])
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if got := s.Len(); got > 3 {
-		t.Errorf("capped store grew to %d entries", got)
-	}
-}
-
 func TestWarmReturnsProfilesInOrder(t *testing.T) {
 	s := NewStore()
 	tabs := storeTables(3)

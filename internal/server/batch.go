@@ -38,6 +38,16 @@ import (
 	"valentine/internal/wal"
 )
 
+// batchMaxOps caps how many queued ingest ops one batch — one WAL record,
+// one catalog write — takes, so a flood cannot delay the first op's
+// acknowledgement unboundedly. ingestQueueDepth bounds the admission queue:
+// a PUT/DELETE arriving while it is full is shed with 429 + Retry-After
+// instead of queueing unboundedly.
+const (
+	batchMaxOps      = 64
+	ingestQueueDepth = 16 * batchMaxOps
+)
+
 // errOverloaded is the typed shed signal: the bounded ingest queue is full
 // and the op was rejected without waiting. Handlers map it to HTTP 429.
 var errOverloaded = errors.New("server: ingest queue full")
@@ -48,9 +58,8 @@ type ingestOp struct {
 }
 
 type batcher struct {
-	ix     *discovery.Index
-	log    *wal.Log // nil: no durability logging
-	maxOps int
+	ix  *discovery.Index
+	log *wal.Log // nil: no durability logging
 
 	ch      chan ingestOp
 	stop    chan struct{}
@@ -78,15 +87,11 @@ type batcher struct {
 	shed    atomic.Int64
 }
 
-func newBatcher(ix *discovery.Index, log *wal.Log, maxOps, queueDepth int) *batcher {
-	if queueDepth < maxOps {
-		queueDepth = maxOps
-	}
+func newBatcher(ix *discovery.Index, log *wal.Log) *batcher {
 	b := &batcher{
 		ix:      ix,
 		log:     log,
-		maxOps:  maxOps,
-		ch:      make(chan ingestOp, queueDepth),
+		ch:      make(chan ingestOp, ingestQueueDepth),
 		stop:    make(chan struct{}),
 		drained: make(chan struct{}),
 	}
@@ -165,7 +170,7 @@ func (b *batcher) loop() {
 // one: whatever arrived while the previous batch was being logged and
 // applied rides together, and an op alone in the queue goes at once.
 func (b *batcher) gather(batch []ingestOp) []ingestOp {
-	for len(batch) < b.maxOps {
+	for len(batch) < batchMaxOps {
 		select {
 		case op := <-b.ch:
 			batch = append(batch, op)

@@ -22,8 +22,8 @@
 // path and are never blocked by ingest. Concurrent PUT/DELETE requests are
 // group-committed (batch.go): the ops that queued while the previous batch
 // was being logged and applied go in as a single catalog write — one WAL
-// record, one memtable rebuild, one epoch publish, capped at
-// Config.BatchMaxOps — which keeps write amplification flat under concurrent
+// record, one memtable rebuild, one epoch publish, capped at 64 ops
+// (batchMaxOps) — which keeps write amplification flat under concurrent
 // ingest while a lone writer waits for nothing but its own append. Profiling
 // still happens per-request, before the op enters the batch, so the
 // expensive work is parallel and the serialized section stays small.
@@ -50,7 +50,10 @@ import (
 )
 
 // Config configures a Server. The zero value of every field selects a
-// sensible serving default.
+// sensible serving default. Request bodies are bounded at 64 MiB, one
+// ingest batch takes at most 64 queued ops, and the ingest queue holds
+// 16 batches' worth — a PUT/DELETE arriving while it is full is shed with
+// 429 + Retry-After.
 type Config struct {
 	// Index is the live catalog to serve; nil creates a fresh empty one
 	// with default options.
@@ -60,12 +63,6 @@ type Config struct {
 	// Parallelism is the engine worker-pool size per request (default
 	// GOMAXPROCS).
 	Parallelism int
-	// BatchMaxOps caps how many queued ingest ops one batch — one WAL
-	// record, one catalog write — takes (default 64), so a flood cannot
-	// delay the first op's acknowledgement unboundedly.
-	BatchMaxOps int
-	// MaxBodyBytes bounds request bodies (default 64 MiB).
-	MaxBodyBytes int64
 	// SnapshotDir, when set, enables periodic catalog snapshots every
 	// SnapshotEvery (default 30s) and a final snapshot on Close.
 	SnapshotDir   string
@@ -80,10 +77,6 @@ type Config struct {
 	// WALFS is the filesystem the WAL reads and writes through (nil: real
 	// disk) — the fault-injection seam for crash and I/O-error testing.
 	WALFS faultfs.FS
-	// IngestQueueDepth bounds the ingest admission queue (default 16 ×
-	// BatchMaxOps). A PUT/DELETE arriving while the queue is full is shed
-	// immediately with 429 + Retry-After instead of queueing unboundedly.
-	IngestQueueDepth int
 
 	// recoveryGate, when non-nil, parks startup WAL replay until the channel
 	// is closed — the in-package test seam for observing the recovering
@@ -98,29 +91,21 @@ func (c Config) withDefaults() Config {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
 	}
-	if c.BatchMaxOps <= 0 {
-		c.BatchMaxOps = 64
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 64 << 20
-	}
 	if c.SnapshotEvery <= 0 {
 		c.SnapshotEvery = 30 * time.Second
-	}
-	if c.IngestQueueDepth <= 0 {
-		c.IngestQueueDepth = 16 * c.BatchMaxOps
 	}
 	return c
 }
 
+// maxBodyBytes bounds request bodies.
+const maxBodyBytes = 64 << 20
+
 // Health states, in rough lifecycle order. Recovering and failed are
 // not-ready (healthz 503, mutating and scoring requests shed with
-// Retry-After); ok and degraded both serve — degraded just tells clients
-// part of the catalog was quarantined at load.
+// Retry-After); ok serves.
 const (
 	stateRecovering int32 = iota
 	stateOK
-	stateDegraded
 	stateFailed
 )
 
@@ -130,8 +115,6 @@ func stateName(s int32) string {
 		return "recovering"
 	case stateOK:
 		return "ok"
-	case stateDegraded:
-		return "degraded"
 	default:
 		return "failed"
 	}
@@ -222,13 +205,13 @@ func New(cfg Config) (*Server, error) {
 		s.walRecovered = len(recovered)
 		s.walTorn = res.TornBytes
 	}
-	s.batcher = newBatcher(cfg.Index, s.wal, cfg.BatchMaxOps, cfg.IngestQueueDepth)
+	s.batcher = newBatcher(cfg.Index, s.wal)
 	if len(recovered) > 0 {
 		s.state.Store(stateRecovering)
 		s.recoveryDone = make(chan struct{})
 		go s.recover(recovered)
 	} else {
-		s.state.Store(s.servingState())
+		s.state.Store(stateOK)
 	}
 	if cfg.SnapshotDir != "" {
 		s.snapStop = make(chan struct{})
@@ -236,15 +219,6 @@ func New(cfg Config) (*Server, error) {
 		go s.snapshotLoop()
 	}
 	return s, nil
-}
-
-// servingState is the steady state once recovery (if any) has landed:
-// degraded when the load quarantined anything, ok otherwise.
-func (s *Server) servingState() int32 {
-	if n, _ := s.cfg.Index.QuarantinedSegments(); n > 0 {
-		return stateDegraded
-	}
-	return stateOK
 }
 
 // recover replays the WAL's surviving records into the catalog, then flips
@@ -269,7 +243,7 @@ func (s *Server) recover(recs []wal.Record) {
 	// handler load pair orders these writes before any batch runs.
 	s.batcher.dictLow = s.cfg.Index.Dict().Len()
 	s.batcher.lastApplied.Store(s.wal.LastSeq())
-	s.state.Store(s.servingState())
+	s.state.Store(stateOK)
 }
 
 // Index returns the served catalog.
@@ -383,14 +357,11 @@ func (s *Server) Handler() http.Handler {
 }
 
 // HealthResponse is the /v1/healthz body: the server's readiness state plus
-// what explains it. Status "ok" and "degraded" serve (200); "recovering"
+// what explains it. Status "ok" serves (200); "recovering"
 // (startup WAL replay in flight) and "failed" (replay hit a fence violation)
 // answer 503 with Retry-After.
 type HealthResponse struct {
 	Status string `json:"status"`
-	// QuarantinedSegments counts snapshot files moved aside at load because
-	// their bytes were corrupt; nonzero is what "degraded" means.
-	QuarantinedSegments int `json:"quarantined_segments,omitempty"`
 	// WALRecoveredRecords is how many log records startup replay applied.
 	WALRecoveredRecords int `json:"wal_recovered_records,omitempty"`
 	// Error carries the recovery failure when Status is "failed".
@@ -403,7 +374,6 @@ type HealthResponse struct {
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	st := s.state.Load()
 	resp := HealthResponse{Status: stateName(st), WALRecoveredRecords: s.walRecovered}
-	resp.QuarantinedSegments, _ = s.cfg.Index.QuarantinedSegments()
 	code := http.StatusOK
 	if st == stateRecovering || st == stateFailed {
 		code = http.StatusServiceUnavailable
@@ -433,11 +403,6 @@ func (s *Server) ready() error {
 	return nil
 }
 
-// degraded reports whether part of the catalog was quarantined at load —
-// the flag scoring responses carry so clients know results may be missing
-// tables that could not be read.
-func (s *Server) degraded() bool { return s.state.Load() == stateDegraded }
-
 // wrap installs the per-request deadline and engine options, counts the
 // request, and renders handler errors as JSON.
 func (s *Server) wrap(h func(ctx context.Context, w http.ResponseWriter, r *http.Request) error) http.HandlerFunc {
@@ -448,7 +413,7 @@ func (s *Server) wrap(h func(ctx context.Context, w http.ResponseWriter, r *http
 			Deadline:    s.cfg.RequestTimeout,
 		}.Start(r.Context())
 		defer cancel()
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 		if err := h(ctx, w, r.WithContext(ctx)); err != nil {
 			writeError(w, err)
 		}
@@ -607,10 +572,6 @@ type SearchResponse struct {
 	// BestEffort reports that the per-query budget expired mid-scoring and
 	// Results covers only the work that finished in time.
 	BestEffort bool `json:"best_effort,omitempty"`
-	// Degraded reports that part of the catalog was quarantined at load:
-	// the ranking is complete over what could be read, but tables whose
-	// segment was corrupt are absent.
-	Degraded bool `json:"degraded,omitempty"`
 }
 
 func (s *Server) handleSearch(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
@@ -651,7 +612,7 @@ func (s *Server) handleSearch(ctx context.Context, w http.ResponseWriter, r *htt
 	if err != nil && !core.IsBudgetExpiry(ctx, err) {
 		return err
 	}
-	resp := SearchResponse{Epoch: epoch, Stats: stats.Snapshot(), BestEffort: bestEffort, Degraded: s.degraded(), Results: make([]SearchResult, len(results))}
+	resp := SearchResponse{Epoch: epoch, Stats: stats.Snapshot(), BestEffort: bestEffort, Results: make([]SearchResult, len(results))}
 	for i, res := range results {
 		resp.Results[i] = SearchResult{
 			Table:       res.Table,
@@ -779,10 +740,10 @@ func (s *Server) handleRemove(ctx context.Context, w http.ResponseWriter, r *htt
 		switch {
 		case errors.Is(err, errOverloaded):
 			return errTooManyRequests("%v", err)
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			return err
+		case errors.Is(err, discovery.ErrNotIndexed):
+			return errNotFound("%v", err)
 		}
-		return errNotFound("%v", err)
+		return err
 	}
 	s.removes.Add(1)
 	ix := s.cfg.Index
@@ -832,10 +793,6 @@ type MatchResponse struct {
 	// Approx reports that the cascade ran with a nonzero epsilon: scores
 	// are within that epsilon of the true top-k, not necessarily equal.
 	Approx bool `json:"approx,omitempty"`
-	// Degraded reports that part of the catalog was quarantined at load.
-	// Match scores two inline tables and is unaffected by the loss, but the
-	// flag keeps the degradation visible on every scoring response.
-	Degraded bool `json:"degraded,omitempty"`
 }
 
 func (s *Server) handleMatch(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
@@ -887,7 +844,7 @@ func (s *Server) handleMatch(ctx context.Context, w http.ResponseWriter, r *http
 		}
 		bestEffort = true
 	}
-	resp := MatchResponse{Method: req.Method, Stats: stats.Snapshot(), BestEffort: bestEffort, Approx: approx, Degraded: s.degraded(), Matches: make([]MatchJSON, len(matches))}
+	resp := MatchResponse{Method: req.Method, Stats: stats.Snapshot(), BestEffort: bestEffort, Approx: approx, Matches: make([]MatchJSON, len(matches))}
 	for i, match := range matches {
 		resp.Matches[i] = MatchJSON{
 			SourceColumn: match.SourceColumn,

@@ -458,7 +458,7 @@ func TestServerAnonymousSearchSeesTableNamedQuery(t *testing.T) {
 func TestBatcherCloseConcurrentSubmit(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		ix := discovery.New(discovery.Options{})
-		b := newBatcher(ix, nil, 8, 64)
+		b := newBatcher(ix, nil)
 		var wg sync.WaitGroup
 		const n = 8
 		outcomes := make([]error, n)

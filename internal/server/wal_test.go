@@ -2,7 +2,8 @@ package server
 
 // Serving-layer durability: the ack-after-WAL contract, startup recovery
 // states, snapshot-driven log truncation, fencing, admission-control
-// shedding, and the snapshot retry backoff.
+// shedding, a DELETE whose log append fails, and the snapshot retry
+// backoff.
 
 import (
 	"bytes"
@@ -317,16 +318,18 @@ func TestServerRefusesRetiredWAL(t *testing.T) {
 // queue slot occupied, the next mutation is shed immediately with 429 and a
 // Retry-After hint, and the shed counter surfaces in /v1/stats.
 func TestServerIngestShed429(t *testing.T) {
-	s, err := New(Config{BatchMaxOps: 1, IngestQueueDepth: 1, RequestTimeout: 250 * time.Millisecond})
+	s, err := New(Config{RequestTimeout: 250 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	// Stop the batcher loop so the queue cannot drain; s.Close is not called
-	// (it would double-close the loop's stop channel).
+	// Stop the batcher loop so the queue cannot drain, and give it a
+	// one-slot queue; s.Close is not called (it would double-close the
+	// loop's stop channel).
 	close(s.batcher.stop)
 	<-s.batcher.drained
+	s.batcher.ch = make(chan ingestOp, 1)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
 
 	blocked := make(chan int, 1)
 	go func() {
@@ -409,75 +412,25 @@ func TestServerSnapshotRetryBackoff(t *testing.T) {
 	}
 }
 
-// TestServerDegradedServing: a catalog loaded with a quarantined segment
-// serves through the HTTP layer with status "degraded" (200 — it is ready),
-// the quarantine count in healthz and stats, and the degraded flag on
-// search responses.
-func TestServerDegradedServing(t *testing.T) {
-	// Build a snapshot with two sealed segments, then corrupt one.
-	src := discovery.New(discovery.Options{SealAfter: 1})
-	for i := 0; i < 2; i++ {
-		name := fmt.Sprintf("seg%d", i)
-		if err := src.Add(table.New(name).AddColumn("k", vals(name, 0, 40))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dir := t.TempDir()
-	if err := src.SaveSnapshot(dir); err != nil {
-		t.Fatal(err)
-	}
-	src.Close()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	corrupted := false
-	for _, e := range entries {
-		if filepath.Ext(e.Name()) == ".seg" && e.Name() != "mem.seg" {
-			p := filepath.Join(dir, e.Name())
-			b, err := os.ReadFile(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b[0] ^= 0xff
-			if err := os.WriteFile(p, b, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			corrupted = true
-			break
-		}
-	}
-	if !corrupted {
-		t.Skip("snapshot produced no sealed segment files")
-	}
-	ix, err := discovery.LoadSnapshotWith(dir, discovery.LoadOptions{Quarantine: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, ts := mustServer(t, Config{Index: ix})
+// TestServerRemoveWALFailureIsNot404: a DELETE whose WAL append fails is a
+// server error like the same failure under a PUT, not a 404 — the table
+// is still there. Removing an unknown table still answers 404.
+func TestServerRemoveWALFailureIsNot404(t *testing.T) {
+	ff := faultfs.New(nil)
+	// Open's header sync and the PUT's record sync pass; the DELETE's fails.
+	ff.AddRule(faultfs.Rule{Op: faultfs.OpSync, Path: "ops.wal", After: 2, Fault: faultfs.Fault{Err: syscall.EIO}})
+	s, ts := mustServer(t, Config{WALPath: filepath.Join(t.TempDir(), "ops.wal"), WALFS: ff})
 	defer func() { ts.Close(); s.Close() }()
-
-	var health HealthResponse
-	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/healthz", nil, &health); code != http.StatusOK {
-		t.Fatalf("degraded healthz status %d, want 200 (degraded still serves)", code)
+	if code := doJSON(t, http.MethodPut, ts.URL+"/v1/tables/tab", upsertBody("p", 0, 40), nil); code != http.StatusOK {
+		t.Fatalf("upsert: status %d", code)
 	}
-	if health.Status != "degraded" || health.QuarantinedSegments != 1 {
-		t.Fatalf("healthz = %+v, want degraded with 1 quarantined segment", health)
+	if code := doJSON(t, http.MethodDelete, ts.URL+"/v1/tables/tab", nil, nil); code != http.StatusInternalServerError {
+		t.Fatalf("delete with a failing WAL sync: status %d, want 500", code)
 	}
-	var sr SearchResponse
-	sreq := SearchRequest{Table: TableJSON{Columns: []ColumnJSON{{Name: "k", Values: vals("seg0", 0, 40)}}}, K: 5}
-	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/search", sreq, &sr); code != http.StatusOK {
-		t.Fatalf("search over degraded catalog: status %d", code)
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/tables/tab", nil, nil); code != http.StatusOK {
+		t.Fatalf("table after the failed delete: status %d, want 200 (still live)", code)
 	}
-	if !sr.Degraded {
-		t.Error("search response over a quarantined catalog lacks the degraded flag")
-	}
-	var stats StatsResponse
-	doJSON(t, http.MethodGet, ts.URL+"/v1/stats", nil, &stats)
-	if stats.Catalog.QuarantinedSegments != 1 {
-		t.Errorf("stats quarantined_segments = %d, want 1", stats.Catalog.QuarantinedSegments)
-	}
-	if stats.Server.Health != "degraded" {
-		t.Errorf("stats health = %q, want degraded", stats.Server.Health)
+	if code := doJSON(t, http.MethodDelete, ts.URL+"/v1/tables/absent", nil, nil); code != http.StatusNotFound {
+		t.Fatalf("delete of an unknown table: status %d, want 404", code)
 	}
 }

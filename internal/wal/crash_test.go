@@ -132,7 +132,7 @@ func recoverCrashDir(t *testing.T, dir string) *discovery.Index {
 	snapDir := filepath.Join(dir, "snap")
 	var ix *discovery.Index
 	if _, err := os.Stat(filepath.Join(snapDir, "MANIFEST.gob")); err == nil {
-		ix, err = discovery.LoadSnapshotWith(snapDir, discovery.LoadOptions{Quarantine: true})
+		ix, err = discovery.LoadSnapshot(snapDir)
 		if err != nil {
 			t.Fatalf("recovery: loading snapshot: %v", err)
 		}

@@ -75,7 +75,7 @@ const (
 	// SyncAlways fsyncs before every Append returns: an acknowledged write
 	// survives any crash.
 	SyncAlways SyncPolicy = "always"
-	// SyncBatch fsyncs on a short background interval: a crash can lose at
+	// SyncBatch fsyncs in the background every 5ms: a crash can lose at
 	// most the last interval's acknowledged writes.
 	SyncBatch SyncPolicy = "batch"
 	// SyncNone never fsyncs: durability is whatever the OS write-back gives.
@@ -105,8 +105,8 @@ const (
 // so a corrupt length field is detected before any allocation.
 const maxPayload = 1 << 30
 
-// defaultBatchInterval is the background fsync cadence under SyncBatch.
-const defaultBatchInterval = 5 * time.Millisecond
+// batchInterval is the background fsync cadence under SyncBatch.
+const batchInterval = 5 * time.Millisecond
 
 // ErrClosed is returned by operations on a closed log.
 var ErrClosed = errors.New("wal: log closed")
@@ -147,9 +147,6 @@ type Options struct {
 	FS faultfs.FS
 	// Sync is the fsync policy ("" defaults to SyncAlways).
 	Sync SyncPolicy
-	// BatchInterval is the background fsync cadence under SyncBatch
-	// (default 5ms).
-	BatchInterval time.Duration
 }
 
 // Log is an open write-ahead log. Append, TruncateThrough and Close are
@@ -210,7 +207,7 @@ func Open(path string, lineage, snapEpoch uint64, o Options) (*OpenResult, error
 	fsys := faultfs.Or(o.FS)
 	l := &Log{path: path, fsys: fsys, policy: policy, nextSeq: 1}
 
-	data, err := readAll(fsys, path)
+	data, err := faultfs.ReadFile(fsys, path)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("wal: reading %s: %w", path, err)
 	}
@@ -255,7 +252,7 @@ func Open(path string, lineage, snapEpoch uint64, o Options) (*OpenResult, error
 			return nil, fmt.Errorf("wal: initializing %s: %w", path, err)
 		}
 		l.size = int64(len(frame))
-		if err := syncParent(fsys, path); err != nil {
+		if err := faultfs.SyncDir(fsys, filepath.Dir(path)); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("wal: syncing log directory: %w", err)
 		}
@@ -279,13 +276,9 @@ func Open(path string, lineage, snapEpoch uint64, o Options) (*OpenResult, error
 	}
 	l.f = f
 	if policy == SyncBatch {
-		interval := o.BatchInterval
-		if interval <= 0 {
-			interval = defaultBatchInterval
-		}
 		l.flushStop = make(chan struct{})
 		l.flushDone = make(chan struct{})
-		go l.flushLoop(interval)
+		go l.flushLoop()
 	}
 	return res, nil
 }
@@ -362,11 +355,11 @@ func (l *Log) Append(ops []discovery.ReplayOp, dictStart int, dictVals []string)
 	return seq, nil
 }
 
-// flushLoop is SyncBatch's background fsync: every interval, sync if
+// flushLoop is SyncBatch's background fsync: every batchInterval, sync if
 // anything was appended since the last sync.
-func (l *Log) flushLoop(interval time.Duration) {
+func (l *Log) flushLoop() {
 	defer close(l.flushDone)
-	t := time.NewTicker(interval)
+	t := time.NewTicker(batchInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -400,7 +393,7 @@ func (l *Log) TruncateThrough(low uint64, snapEpoch uint64) error {
 	// Walk the current file's frames: each surviving record frame — its Seq
 	// is the payload's first uvarint — is copied verbatim behind a new
 	// header, and a torn tail ends the walk as it ends a scan.
-	data, err := readAll(l.fsys, l.path)
+	data, err := faultfs.ReadFile(l.fsys, l.path)
 	if err != nil {
 		return fmt.Errorf("wal: rereading %s: %w", l.path, err)
 	}
@@ -428,31 +421,10 @@ func (l *Log) TruncateThrough(low uint64, snapEpoch uint64) error {
 	}
 	// Temp + fsync + rename: a crash leaves either the old log (replayed
 	// idempotently over the new snapshot) or the new one, never a mix.
-	tmp := l.path + ".tmp"
-	tf, err := l.fsys.Create(tmp)
-	if err != nil {
+	if err := faultfs.WriteFileAtomic(l.fsys, l.path, buf); err != nil {
 		return err
 	}
-	cleanup := func(err error) error {
-		tf.Close()
-		l.fsys.Remove(tmp)
-		return err
-	}
-	if _, err := tf.Write(buf); err != nil {
-		return cleanup(err)
-	}
-	if err := tf.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := tf.Close(); err != nil {
-		l.fsys.Remove(tmp)
-		return err
-	}
-	if err := l.fsys.Rename(tmp, l.path); err != nil {
-		l.fsys.Remove(tmp)
-		return err
-	}
-	if err := syncParent(l.fsys, l.path); err != nil {
+	if err := faultfs.SyncDir(l.fsys, filepath.Dir(l.path)); err != nil {
 		return err
 	}
 	// Swap the append handle to the new file.
@@ -644,36 +616,4 @@ func scanFrames(data []byte) (hdr header, recs []Record, good int64, err error) 
 		rest = next
 	}
 	return hdr, recs, good, nil
-}
-
-// readAll reads path fully through fsys into one buffer sized from Stat.
-func readAll(fsys faultfs.FS, path string) ([]byte, error) {
-	f, err := fsys.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, st.Size())
-	if _, err := io.ReadFull(f, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// syncParent fsyncs path's directory, making a create or rename durable.
-func syncParent(fsys faultfs.FS, path string) error {
-	dir := filepath.Dir(path)
-	d, err := fsys.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

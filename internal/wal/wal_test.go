@@ -463,7 +463,7 @@ func TestSyncPolicies(t *testing.T) {
 			ix := discovery.New(discovery.Options{})
 			var syncs atomic.Int64
 			fsys := countFS{inner: faultfs.OS, syncs: &syncs}
-			res := mustOpen(t, path, ix.Lineage(), 0, Options{FS: fsys, Sync: pol, BatchInterval: time.Millisecond})
+			res := mustOpen(t, path, ix.Lineage(), 0, Options{FS: fsys, Sync: pol})
 			before := syncs.Load()
 			rop, lo, delta := upsertOp(t, ix, "a", 0, 10)
 			if _, err := res.Log.Append([]discovery.ReplayOp{rop}, lo, delta); err != nil {
