@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -39,13 +40,10 @@ func writeCorpusDir(t *testing.T) (dir, queryPath string) {
 // TestCmdDiscoverMatchesRerankFull: the user-visible contract — with no
 // budget in play, discover's printed ranking (prescreen, cascade and all)
 // is planner.RerankFull's full-fidelity ranking of the corpus truncated to
-// -top.
+// -top. -top <= 0 prints every candidate, led by the same top three; the
+// tables the union prescreen drops follow at score 0.
 func TestCmdDiscoverMatchesRerankFull(t *testing.T) {
 	dir, query := writeCorpusDir(t)
-	const top = 3
-	out := captureStdout(t, func() error {
-		return cmdDiscover([]string{"-query", query, "-dir", dir, "-mode", "union", "-method", "coma-instance", "-top", strconv.Itoa(top)})
-	})
 	q, err := valentine.ReadCSVFile(query)
 	if err != nil {
 		t.Fatal(err)
@@ -63,25 +61,55 @@ func TestCmdDiscoverMatchesRerankFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := planner.RerankFull(context.Background(), m, store.Of(q), cands, "union", top)
+	const head = 3
+	full, err := planner.RerankFull(context.Background(), m, store.Of(q), cands, "union", head)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want strings.Builder
-	for i, r := range full.Ranked {
-		fmt.Fprintf(&want, "%2d. %-30s %.3f", i+1, r.Name, r.Score)
-		if r.Best.SourceColumn != "" {
-			fmt.Fprintf(&want, "  via %s ~ %s", r.Best.SourceColumn, r.Best.TargetColumn)
+	if len(full.Ranked) != head {
+		t.Fatalf("RerankFull ranks %d candidates, want %d", len(full.Ranked), head)
+	}
+	for _, top := range []int{head, 0, -1} {
+		out := captureStdout(t, func() error {
+			return cmdDiscover([]string{"-query", query, "-dir", dir, "-mode", "union", "-method", "coma-instance", "-top", strconv.Itoa(top)})
+		})
+		var want strings.Builder
+		for i, r := range full.Ranked {
+			fmt.Fprintf(&want, "%2d. %-30s %.3f", i+1, r.Name, r.Score)
+			if r.Best.SourceColumn != "" {
+				fmt.Fprintf(&want, "  via %s ~ %s", r.Best.SourceColumn, r.Best.TargetColumn)
+			}
+			want.WriteByte('\n')
 		}
-		want.WriteByte('\n')
-	}
-	if len(full.Ranked) != top || !strings.Contains(out, want.String()) {
-		t.Fatalf("discover diverges from RerankFull\n--- discover ---\n%s--- RerankFull top-%d ---\n%s", out, top, want.String())
-	}
-	if !strings.Contains(out, "related_a") {
-		t.Fatalf("expected related_a in the top ranking:\n%s", out)
+		if !strings.Contains(out, want.String()) {
+			t.Fatalf("-top %d: discover diverges from RerankFull\n--- discover ---\n%s--- RerankFull top-%d ---\n%s", top, out, head, want.String())
+		}
+		printed := 0
+		for _, line := range strings.Split(out, "\n") {
+			if rankLine.MatchString(line) {
+				printed++
+			}
+		}
+		wantPrinted := top
+		if top <= 0 {
+			wantPrinted = len(tables) // every candidate
+			for _, name := range files {
+				if !strings.Contains(out, " "+name+" ") {
+					t.Fatalf("-top %d: candidate %s not printed:\n%s", top, name, out)
+				}
+			}
+		}
+		if printed != wantPrinted {
+			t.Fatalf("-top %d: printed %d candidates, want %d:\n%s", top, printed, wantPrinted, out)
+		}
+		if !strings.Contains(out, "related_a") {
+			t.Fatalf("-top %d: expected related_a in the top ranking:\n%s", top, out)
+		}
 	}
 }
+
+// rankLine matches one printed candidate of discover's ranking.
+var rankLine = regexp.MustCompile(`^ ?\d+\. `)
 
 // TestCmdDiscoverBudgetBestEffort: a spent budget is not a CLI failure —
 // the command prints the best-effort ranking and the budget note.

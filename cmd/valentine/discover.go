@@ -42,7 +42,7 @@ func cmdDiscover(args []string) error {
 	dir := fs.String("dir", ".", "directory of candidate CSVs")
 	mode := fs.String("mode", "join", "join|union")
 	method := fs.String("method", valentine.MethodComaInstance, "matching method for re-scoring candidates")
-	top := fs.Int("top", 10, "candidates to print")
+	top := fs.Int("top", 10, "candidates to print (<= 0: all)")
 	parallelism := fs.Int("parallelism", 0, "engine worker-pool size (default GOMAXPROCS)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for the whole discovery (default none); expiry aborts mid-scoring")
 	budget := fs.Duration("budget", 0, "per-query latency budget for the re-scoring phase (default none); expiry prints the best-effort ranking so far")
@@ -207,10 +207,10 @@ func cmdDiscover(args []string) error {
 	if *epsilon > 0 {
 		fmt.Printf("approximate: scores within %g of the exact top-%d\n", *epsilon, *top)
 	}
-	if *top > len(ranked) {
-		*top = len(ranked)
+	if *top > 0 && *top < len(ranked) {
+		ranked = ranked[:*top]
 	}
-	for i, c := range ranked[:*top] {
+	for i, c := range ranked {
 		fmt.Printf("%2d. %-30s %.3f", i+1, c.name, c.score)
 		if c.best.SourceColumn != "" {
 			fmt.Printf("  via %s ~ %s", c.best.SourceColumn, c.best.TargetColumn)

@@ -28,8 +28,8 @@ func MatchWithContext(ctx context.Context, m Matcher, store *profile.Store, sour
 }
 
 // MatchProfilesWithContext is MatchWithContext over already-profiled tables.
-// A pair that does not intern into one value dictionary (dictionary-less or
-// hash-sharing profiles, or two Stores) is re-profiled through
+// A pair that does not intern into one value dictionary (dictionary-less
+// profiles, or two Stores) is re-profiled through
 // profile.NewPair first — a fresh private dictionary, so a served catalog's
 // dictionary never grows with the other side's values. Scores are the same
 // either way.
@@ -37,7 +37,7 @@ func MatchProfilesWithContext(ctx context.Context, m Matcher, source, target *pr
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if d := source.InterningDict(); d == nil || d != target.InterningDict() {
+	if d := source.Dict(); d == nil || d != target.Dict() {
 		source, target = profile.NewPair(source.Table(), target.Table())
 	}
 	return m.Match(ctx, source, target)

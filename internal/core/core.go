@@ -66,7 +66,7 @@ func ValidatePair(source, target *profile.TableProfile) error {
 	if err := target.Table().Validate(); err != nil {
 		return err
 	}
-	if d := source.InterningDict(); d == nil || d != target.InterningDict() {
+	if d := source.Dict(); d == nil || d != target.Dict() {
 		return fmt.Errorf("core: tables %q and %q do not intern into one value dictionary: profile them with profile.NewPair or one profile.Store", source.Name(), target.Name())
 	}
 	return nil

@@ -141,8 +141,9 @@ type ColumnProfile struct {
 	Signature []uint64
 	// SetIDs is the column's distinct values as sorted interned ids in the
 	// catalog dictionary's id space — the exact-kernel payload the columnar
-	// segment format persists. Only populated when the column was profiled
-	// against this catalog's dictionary (ingest always is); empty otherwise.
+	// segment format persists. Only populated when the column's profile
+	// interned into this catalog's dictionary (Add and Upsert always do);
+	// empty for a profile on another dictionary or none, such as a query's.
 	SetIDs []uint32
 }
 
@@ -194,12 +195,12 @@ type Index struct {
 	unmaps []func() error
 
 	// dict is the catalog's corpus-scoped value dictionary: ingest interns
-	// each distinct value once, by the same base hash MinHash derives from,
-	// and every query profiles in hash-sharing mode against it — computing
-	// that hash without reading or growing the dictionary. The dict is
-	// append-only (removals do not shrink it; its size is bounded by the
-	// vocabulary ever ingested and reported in Stats); snapshots persist it
-	// incrementally so a resumed catalog keeps the exact id space.
+	// each distinct value once, by the same base hash MinHash derives from;
+	// queries hash their values the same way without a dictionary, so they
+	// never read or grow it. The dict is append-only (removals do not
+	// shrink it; its size is bounded by the vocabulary ever ingested and
+	// reported in Stats); snapshots persist it incrementally so a resumed
+	// catalog keeps the exact id space.
 	dict *intern.Dict
 }
 
@@ -484,14 +485,13 @@ func (ix *Index) SearchBestEffortContext(ctx context.Context, q *table.Table, mo
 	return results, epoch, err != nil, err
 }
 
-// queryProfile profiles a query table in hash-sharing mode against the
-// catalog dictionary: every query value gets the base hash the corpus's
-// own copy of it was interned by, computed without taking the dictionary's
-// lock and without ever being inserted — a flood of junk queries can
-// neither grow a served catalog's dictionary nor contend with its ingest.
-// Signatures are bit-identical to the plain profile.New path.
+// queryProfile profiles a query table without a dictionary: it hashes
+// every query value — the base hash the corpus's own copy of it was
+// interned by, so signatures match the catalog's bit for bit — and never
+// interns one. A flood of junk queries can neither grow a served catalog's
+// dictionary nor contend with its ingest.
 func (ix *Index) queryProfile(q *table.Table) *profile.TableProfile {
-	return profile.NewHashSharing(q, ix.dict)
+	return profile.New(q)
 }
 
 // search is the one scoring path behind every Search variant. It returns

@@ -196,8 +196,9 @@ type heapSeal struct {
 }
 
 // apply runs one batch; next is the catalog's next segment id as the batch
-// starts. It returns which ops succeed and what the batch seals.
-func (h *heapMemtable) apply(t testing.TB, ix *Index, next uint64, ops []rawOp) ([]bool, []heapSeal) {
+// starts; add is Index.apply's. It returns which ops succeed and what the
+// batch seals.
+func (h *heapMemtable) apply(t testing.TB, ix *Index, next uint64, ops []ReplayOp, add bool) ([]bool, []heapSeal) {
 	mem := h.mem.clone()
 	remove := func(name string) bool {
 		if _, ok := mem.tables[name]; ok {
@@ -213,19 +214,19 @@ func (h *heapMemtable) apply(t testing.TB, ix *Index, next uint64, ops []rawOp) 
 	ok := make([]bool, len(ops))
 	var seals []heapSeal
 	for i, op := range ops {
-		_, inMem := mem.tables[op.name]
+		_, inMem := mem.tables[op.Name]
 		switch {
-		case op.remove != "":
-			ok[i] = remove(op.remove)
+		case op.Remove != "":
+			ok[i] = remove(op.Remove)
 			continue
-		case slices.ContainsFunc(op.cols, func(p ColumnProfile) bool { return len(p.Signature) != ix.k }):
+		case slices.ContainsFunc(op.Cols, func(p ColumnProfile) bool { return len(p.Signature) != ix.k }):
 			continue // no image: the op fails and replaces nothing
-		case op.upsert:
-			remove(op.name)
-		case inMem || h.sealed[op.name]:
+		case !add:
+			remove(op.Name)
+		case inMem || h.sealed[op.Name]:
 			continue // adding a live name fails
 		}
-		mem.add(op.name, op.cols, ix.rows)
+		mem.add(op.Name, op.Cols, ix.rows)
 		ok[i] = true
 		if len(mem.order) >= ix.sealAfter {
 			seals = append(seals, heapSeal{i, encodeHeapRef(t, mem, ix.k)})

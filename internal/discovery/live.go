@@ -27,25 +27,16 @@ type Op struct {
 	Remove string
 }
 
-// rawOp is the internal, already-profiled form of one mutation.
-type rawOp struct {
-	remove string // non-empty: remove this table
-
-	name   string
-	cols   []ColumnProfile
-	upsert bool // replace an existing occurrence instead of failing
-}
-
-// profileOp flattens a table profile into the indexed column summaries —
-// the potentially expensive work (signatures, tokens, distinct counts), done
-// strictly before the writer lock is taken.
-func (ix *Index) profileOp(tp *profile.TableProfile, upsert bool) (rawOp, error) {
+// profileOp flattens a table profile into an upsert's indexed column
+// summaries — the potentially expensive work (signatures, tokens, distinct
+// counts), done strictly before the writer lock is taken.
+func (ix *Index) profileOp(tp *profile.TableProfile) (ReplayOp, error) {
 	t := tp.Table()
 	if err := t.Validate(); err != nil {
-		return rawOp{}, err
+		return ReplayOp{}, err
 	}
 	cols := make([]ColumnProfile, tp.NumColumns())
-	interned := tp.InterningDict() == ix.dict
+	interned := tp.Dict() == ix.dict
 	for i := range cols {
 		p := tp.Column(i)
 		cols[i] = ColumnProfile{
@@ -66,7 +57,7 @@ func (ix *Index) profileOp(tp *profile.TableProfile, upsert bool) (rawOp, error)
 			}
 		}
 	}
-	return rawOp{name: t.Name, cols: cols, upsert: upsert}, nil
+	return ReplayOp{Name: t.Name, Cols: cols}, nil
 }
 
 // Add ingests every column of t: profile, signature, and shard insertion.
@@ -80,11 +71,11 @@ func (ix *Index) Add(t *table.Table) error {
 // layer's cached distinct sets, name tokens and MinHash signatures. It
 // fails if a live table of the same name exists (use Upsert to replace).
 func (ix *Index) AddProfiled(tp *profile.TableProfile) error {
-	op, err := ix.profileOp(tp, false)
+	op, err := ix.profileOp(tp)
 	if err != nil {
 		return err
 	}
-	return ix.apply([]rawOp{op})[0]
+	return ix.apply([]ReplayOp{op}, true)[0]
 }
 
 // Upsert ingests t, replacing any live table of the same name.
@@ -94,11 +85,11 @@ func (ix *Index) Upsert(t *table.Table) error {
 
 // UpsertProfiled is Upsert over an already-profiled table.
 func (ix *Index) UpsertProfiled(tp *profile.TableProfile) error {
-	op, err := ix.profileOp(tp, true)
+	op, err := ix.profileOp(tp)
 	if err != nil {
 		return err
 	}
-	return ix.apply([]rawOp{op})[0]
+	return ix.apply([]ReplayOp{op}, false)[0]
 }
 
 // ErrNotIndexed is what removing a table the catalog does not hold fails
@@ -110,41 +101,32 @@ var ErrNotIndexed = errors.New("not indexed")
 // tombstone that hides them from every subsequent search until compaction
 // reclaims the space. Removing an unknown table fails with ErrNotIndexed.
 func (ix *Index) Remove(name string) error {
-	return ix.apply([]rawOp{{remove: name}})[0]
+	return ix.apply([]ReplayOp{{Remove: name}}, false)[0]
 }
 
 // Apply executes a batch of mutations as one write: a single memtable
 // image rebuild, a single epoch publish. The returned slice has one entry
-// per op (nil on success), so callers multiplexing concurrent ingest — like
-// the serving layer's micro-batcher — can report per-op outcomes. Ops are
+// per op (nil on success), so callers multiplexing concurrent ingest can
+// report per-op outcomes. Each op goes through ReplayForm — an op it
+// rejects fails alone, its error naming the op's index — and the rest run
+// as ApplyReplayOps does, the serving layer's micro-batcher's path. Ops are
 // applied in order; a failed op (duplicate Add is impossible here since
 // Upsert replaces, but removing an unknown table fails) does not abort the
 // rest of the batch.
 func (ix *Index) Apply(ops []Op) []error {
-	raw := make([]rawOp, len(ops))
 	errs := make([]error, len(ops))
+	valid := make([]ReplayOp, 0, len(ops))
+	slot := make([]int, 0, len(ops))
 	for i, op := range ops {
-		switch {
-		case op.Upsert != nil && op.Remove != "":
-			errs[i] = fmt.Errorf("discovery: op %d sets both Upsert and Remove", i)
-			raw[i] = rawOp{} // placeholder; skipped below
-		case op.Upsert != nil:
-			raw[i], errs[i] = ix.profileOp(op.Upsert, true)
-		case op.Remove != "":
-			raw[i] = rawOp{remove: op.Remove}
-		default:
-			errs[i] = fmt.Errorf("discovery: op %d sets neither Upsert nor Remove", i)
+		rop, err := ix.ReplayForm(op)
+		if err != nil {
+			errs[i] = fmt.Errorf("op %d: %w", i, err)
+			continue
 		}
+		valid = append(valid, rop)
+		slot = append(slot, i)
 	}
-	valid := make([]rawOp, 0, len(raw))
-	slot := make([]int, 0, len(raw))
-	for i, op := range raw {
-		if errs[i] == nil {
-			valid = append(valid, op)
-			slot = append(slot, i)
-		}
-	}
-	for i, err := range ix.apply(valid) {
+	for i, err := range ix.apply(valid, false) {
 		errs[slot[i]] = err
 	}
 	return errs
@@ -153,8 +135,9 @@ func (ix *Index) Apply(ops []Op) []error {
 // apply is the single writer entry point: it applies every op to the
 // batch's working state, checking each upsert as it reaches it, builds the
 // memtable's image once for the batch (and once at each seal point inside
-// it), and publishes one successor snapshot.
-func (ix *Index) apply(ops []rawOp) []error {
+// it), and publishes one successor snapshot. An upsert replaces a live
+// table of its name, or with add set fails on one (Add, AddProfiled).
+func (ix *Index) apply(ops []ReplayOp, add bool) []error {
 	errs := make([]error, len(ops))
 	if len(ops) == 0 {
 		return errs
@@ -173,7 +156,7 @@ func (ix *Index) apply(ops []rawOp) []error {
 	// tables replaced or removed since, then the upserts since the last
 	// seal point, not yet encoded (pending; dead once replaced or removed).
 	type pendingTable struct {
-		tableCols
+		ReplayOp
 		dead bool
 	}
 	base := cur.mem
@@ -190,10 +173,10 @@ func (ix *Index) apply(ops []rawOp) []error {
 	// with base only when base keeps a live table, so a merge has at most
 	// two inputs.
 	memImage := func() (*segment, error) {
-		live := make([]tableCols, 0, len(pending))
+		live := make([]ReplayOp, 0, len(pending))
 		for _, p := range pending {
 			if !p.dead {
-				live = append(live, p.tableCols)
+				live = append(live, p.ReplayOp)
 			}
 		}
 		var fresh *segment
@@ -246,7 +229,7 @@ func (ix *Index) apply(ops []rawOp) []error {
 	// livePending returns the index of name's live pending table, or -1.
 	livePending := func(name string) int {
 		for i := len(pending) - 1; i >= 0; i-- {
-			if !pending[i].dead && pending[i].name == name {
+			if !pending[i].dead && pending[i].Name == name {
 				return i
 			}
 		}
@@ -273,7 +256,7 @@ func (ix *Index) apply(ops []rawOp) []error {
 	remove := func(name string) bool {
 		if i := livePending(name); i >= 0 {
 			pending[i].dead = true
-			nCols -= len(pending[i].cols)
+			nCols -= len(pending[i].Cols)
 			nTables--
 			memTables--
 			return true
@@ -307,30 +290,30 @@ func (ix *Index) apply(ops []rawOp) []error {
 
 	changed := false
 	for i, op := range ops {
-		if op.remove != "" {
-			if !remove(op.remove) {
-				errs[i] = fmt.Errorf("discovery: table %q %w", op.remove, ErrNotIndexed)
+		if op.Remove != "" {
+			if !remove(op.Remove) {
+				errs[i] = fmt.Errorf("discovery: table %q %w", op.Remove, ErrNotIndexed)
 				continue
 			}
 			changed = true
 			continue
 		}
-		if !op.upsert && exists(op.name) {
-			errs[i] = fmt.Errorf("discovery: table %q already indexed", op.name)
+		if add && exists(op.Name) {
+			errs[i] = fmt.Errorf("discovery: table %q already indexed", op.Name)
 			continue
 		}
-		if err := checkTable(ix.k, op.name, op.cols); err != nil {
+		if err := checkTable(ix.k, op.Name, op.Cols); err != nil {
 			errs[i] = err
 			continue
 		}
-		if op.upsert {
-			remove(op.name)
+		if !add {
+			remove(op.Name)
 		}
-		pending = append(pending, pendingTable{tableCols: tableCols{op.name, op.cols}})
+		pending = append(pending, pendingTable{ReplayOp: op})
 		changed = true
 		memTables++
 		nTables++
-		nCols += len(op.cols)
+		nCols += len(op.Cols)
 		if memTables >= ix.sealAfter {
 			full, err := memImage()
 			if err != nil {

@@ -126,9 +126,9 @@ func TestMergeSegV2MatchesHeapMerge(t *testing.T) {
 			}
 			return tab
 		}
-		upsert := func(name string) rawOp {
+		upsert := func(name string) ReplayOp {
 			t.Helper()
-			op, err := ix.profileOp(profile.NewInterned(makeTable(name), ix.dict), true)
+			op, err := ix.profileOp(profile.NewInterned(makeTable(name), ix.dict))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,12 +137,12 @@ func TestMergeSegV2MatchesHeapMerge(t *testing.T) {
 
 		// write applies one batch to the catalog and to the heap memtable and
 		// holds what the catalog published to the heap form's images.
-		write := func(step int, ops []rawOp) {
+		write := func(step int, ops []ReplayOp, add bool) {
 			t.Helper()
 			at := fmt.Sprintf("seed %d step %d", seed, step)
 			before := ix.snap.Load()
-			ok, wantSeals := model.apply(t, ix, ix.nextSeg, ops)
-			for i, err := range ix.apply(ops) {
+			ok, wantSeals := model.apply(t, ix, ix.nextSeg, ops, add)
+			for i, err := range ix.apply(ops, add) {
 				if (err == nil) != ok[i] {
 					t.Fatalf("%s op %d: catalog error %v, heap memtable ok=%v", at, i, err, ok[i])
 				}
@@ -174,11 +174,11 @@ func TestMergeSegV2MatchesHeapMerge(t *testing.T) {
 				sealAt[s.at] = true
 			}
 			for i := range ops {
-				if !ok[i] && ops[i].remove == "" && ops[i].name != "" {
+				if !ok[i] && ops[i].Remove == "" && ops[i].Name != "" {
 					checkFailures++
 				}
-				for j := i + 1; j < len(ops) && ok[i] && ops[i].remove == "" && !sealAt[j-1]; j++ {
-					if ok[j] && (ops[j].remove == ops[i].name || ops[j].name == ops[i].name) {
+				for j := i + 1; j < len(ops) && ok[i] && ops[i].Remove == "" && !sealAt[j-1]; j++ {
+					if ok[j] && (ops[j].Remove == ops[i].Name || ops[j].Name == ops[i].Name) {
 						groupKills++
 						break
 					}
@@ -197,10 +197,10 @@ func TestMergeSegV2MatchesHeapMerge(t *testing.T) {
 				for j := i + 1; j < len(ops); j++ {
 					a, b := ops[i], ops[j]
 					switch {
-					case !ok[i] || !ok[j] || b.remove != "":
-					case a.remove == b.name:
+					case !ok[i] || !ok[j] || b.Remove != "":
+					case a.Remove == b.Name:
 						reAdded++
-					case a.name == b.name:
+					case a.Name == b.Name:
 						upsertedTwice++
 					}
 				}
@@ -287,40 +287,38 @@ func TestMergeSegV2MatchesHeapMerge(t *testing.T) {
 			name := names[rng.Intn(len(names))]
 			switch op := rng.Intn(24); {
 			case op < 8:
-				write(step, []rawOp{upsert(name)})
+				write(step, []ReplayOp{upsert(name)}, false)
 			case op < 12:
-				add := upsert(name)
-				add.upsert = false // fails when the name is live
-				write(step, []rawOp{add})
+				write(step, []ReplayOp{upsert(name)}, true) // fails when the name is live
 			case op < 16:
-				write(step, []rawOp{{remove: name}}) // fails when it is not
+				write(step, []ReplayOp{{Remove: name}}, false) // fails when it is not
 			case op < 18:
-				write(step, []rawOp{upsert(name), upsert(name)})
+				write(step, []ReplayOp{upsert(name), upsert(name)}, false)
 			case op < 20:
-				write(step, []rawOp{{remove: name}, upsert(name)})
+				write(step, []ReplayOp{{Remove: name}, upsert(name)}, false)
 			case op < 22: // long enough to seal midway at every SealAfter
-				ops := make([]rawOp, 2+rng.Intn(5))
+				ops := make([]ReplayOp, 2+rng.Intn(5))
 				for i := range ops {
 					switch name := names[rng.Intn(len(names))]; rng.Intn(6) {
 					case 0, 1:
-						ops[i] = rawOp{remove: name}
+						ops[i] = ReplayOp{Remove: name}
 					case 2: // fails its check; the ops around it stand
-						ops[i] = rawOp{name: name, upsert: true, cols: []ColumnProfile{{Table: name, Column: "k", Signature: make([]uint64, ix.k-1)}}}
+						ops[i] = ReplayOp{Name: name, Cols: []ColumnProfile{{Table: name, Column: "k", Signature: make([]uint64, ix.k-1)}}}
 					default:
 						ops[i] = upsert(name)
 					}
 				}
-				write(step, ops)
+				write(step, ops, false)
 			case op < 23: // a serving batcher's largest batch: seals over and over
-				ops := make([]rawOp, 64)
+				ops := make([]ReplayOp, 64)
 				for i := range ops {
 					if name := names[rng.Intn(len(names))]; rng.Intn(5) == 0 {
-						ops[i] = rawOp{remove: name}
+						ops[i] = ReplayOp{Remove: name}
 					} else {
 						ops[i] = upsert(name)
 					}
 				}
-				write(step, ops)
+				write(step, ops, false)
 			default:
 				check(step)
 			}
@@ -367,7 +365,7 @@ func TestEncodeTablesMatchesMerge(t *testing.T) {
 	for _, geo := range []struct{ k, bands int }{{128, 32}, {16, 4}, {8, 8}} {
 		rows := geo.k / geo.bands
 		for g := 0; g < 60; g++ {
-			group := make([]tableCols, rng.Intn(20))
+			group := make([]ReplayOp, rng.Intn(20))
 			for ti := range group {
 				name := fmt.Sprintf("t%02d", ti)           // an image holds a name once
 				cols := make([]ColumnProfile, rng.Intn(8)) // zero columns now and then
@@ -398,7 +396,7 @@ func TestEncodeTablesMatchesMerge(t *testing.T) {
 						Signature: sig, SetIDs: []uint32{uint32(rng.Intn(9)), 9 + uint32(rng.Intn(9))},
 					}
 				}
-				group[ti] = tableCols{name, cols}
+				group[ti] = ReplayOp{Name: name, Cols: cols}
 			}
 			got, err := encodeTables(7, geo.k, geo.bands, rows, group)
 			if err != nil {
@@ -406,7 +404,7 @@ func TestEncodeTablesMatchesMerge(t *testing.T) {
 			}
 			ins := make([]*segment, len(group))
 			for i, tc := range group {
-				img, err := encodeTable(7, geo.k, geo.bands, rows, tc.name, tc.cols)
+				img, err := encodeTable(7, geo.k, geo.bands, rows, tc)
 				if err != nil {
 					t.Fatal(err)
 				}

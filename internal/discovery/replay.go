@@ -1,10 +1,10 @@
 package discovery
 
 // The replayable-mutation surface the write-ahead log rides on. A ReplayOp
-// is one catalog mutation in already-profiled form: exactly the column
-// summaries apply() would insert, with signatures and interned set ids in
-// this catalog's id space. The serving layer's batcher converts incoming
-// ops once via ReplayForm, logs the result, then applies the same value via
+// is one catalog mutation in already-profiled form — the one form apply()
+// executes — with signatures and interned set ids in this catalog's id
+// space. The serving layer's batcher converts incoming ops once via
+// ReplayForm, logs the result, then applies the same value via
 // ApplyReplayOps — so what the WAL records is, byte for byte, what the
 // catalog executed, and replaying the log after a crash re-executes it
 // exactly.
@@ -35,9 +35,13 @@ import (
 	"valentine/internal/table"
 )
 
-// ReplayOp is one logged catalog mutation: a remove (Remove non-empty) or a
-// profiled upsert (Name + Cols). AppendReplayOp and DecodeReplayOp are its
-// byte form — the WAL's per-op payload.
+// ReplayOp is the one internal form of a catalog mutation, from Apply down
+// to the memtable image: a remove (Remove non-empty) or a profiled upsert
+// (Name + Cols). Every write path converts its input to ReplayOps before
+// the writer lock (Apply and the server batcher via ReplayForm), and an
+// upsert's table is encoded into segment images in this form.
+// AppendReplayOp and DecodeReplayOp are its byte form — the WAL's per-op
+// payload.
 type ReplayOp struct {
 	// Remove names the table to delete; empty for upserts.
 	Remove string
@@ -47,20 +51,17 @@ type ReplayOp struct {
 	Cols []ColumnProfile
 }
 
-// ReplayForm profiles one mutation into its logged form. Upserts run the
-// full profiling path (signatures, tokens, interned distinct ids) — the
-// expensive work happens exactly once, before the WAL append and before the
-// writer lock.
+// ReplayForm profiles one mutation into its logged form, and is the one
+// place an Op's shape is checked: exactly one of Upsert and Remove must be
+// set. Upserts run the full profiling path (signatures, tokens, interned
+// distinct ids) — the expensive work happens exactly once, before the WAL
+// append and before the writer lock.
 func (ix *Index) ReplayForm(op Op) (ReplayOp, error) {
 	switch {
 	case op.Upsert != nil && op.Remove != "":
 		return ReplayOp{}, fmt.Errorf("discovery: op sets both Upsert and Remove")
 	case op.Upsert != nil:
-		raw, err := ix.profileOp(op.Upsert, true)
-		if err != nil {
-			return ReplayOp{}, err
-		}
-		return ReplayOp{Name: raw.name, Cols: raw.cols}, nil
+		return ix.profileOp(op.Upsert)
 	case op.Remove != "":
 		return ReplayOp{Remove: op.Remove}, nil
 	default:
@@ -75,15 +76,7 @@ func (ix *Index) ReplayForm(op Op) (ReplayOp, error) {
 // crash-recovery replay ignores, or an upsert whose columns have no v2
 // image (checkTable).
 func (ix *Index) ApplyReplayOps(rops []ReplayOp) []error {
-	raw := make([]rawOp, len(rops))
-	for i, r := range rops {
-		if r.Remove != "" {
-			raw[i] = rawOp{remove: r.Remove}
-		} else {
-			raw[i] = rawOp{name: r.Name, cols: r.Cols, upsert: true}
-		}
-	}
-	return ix.apply(raw)
+	return ix.apply(rops, false)
 }
 
 // ErrOpNotEncodable reports a ReplayOp that has no byte form: an upsert
@@ -121,7 +114,7 @@ func AppendReplayOp(dst []byte, op ReplayOp) ([]byte, error) {
 			return dst, fmt.Errorf("%w: column %s.%s filed under table %q", ErrOpNotEncodable, c.Table, c.Column, op.Name)
 		}
 	}
-	img, err := encodeTable(0, k, 0, 0, op.Name, op.Cols)
+	img, err := encodeTable(0, k, 0, 0, op)
 	if err != nil {
 		return dst, err
 	}
@@ -177,7 +170,7 @@ func decodeUpsertImage(img []byte, scratch *[]uint64) (ReplayOp, error) {
 	if m.nTables != 1 {
 		return ReplayOp{}, fmt.Errorf("%w: image holds %d tables, want 1", ErrSegmentCorrupt, m.nTables)
 	}
-	if first, n := m.tableCols(0); first != 0 || n != m.nCols {
+	if first, n := m.colRun(0); first != 0 || n != m.nCols {
 		return ReplayOp{}, fmt.Errorf("%w: table columns [%d, %d) do not cover the image's %d", ErrSegmentCorrupt, first, first+n, m.nCols)
 	}
 	// The columns of one upsert are ingested and replaced together, so they

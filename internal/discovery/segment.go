@@ -106,8 +106,8 @@ func (s *segment) tableNameAt(ord int32) string {
 	return s.str(s.tblRecs[int(ord)*tblRecWords])
 }
 
-// tableCols returns the column id run of the table at ordinal ord.
-func (s *segment) tableCols(ord int32) (first, n int) {
+// colRun returns the column id run of the table at ordinal ord.
+func (s *segment) colRun(ord int32) (first, n int) {
 	rec := s.tblRecs[int(ord)*tblRecWords:]
 	return int(rec[1]), int(rec[2])
 }
@@ -115,7 +115,7 @@ func (s *segment) tableCols(ord int32) (first, n int) {
 // tableLen returns the number of columns of the named table (0 if absent).
 func (s *segment) tableLen(name string) int {
 	if ord, ok := s.tableOrd(name); ok {
-		_, n := s.tableCols(ord)
+		_, n := s.colRun(ord)
 		return n
 	}
 	return 0
@@ -128,7 +128,7 @@ func (s *segment) colIDs(name string) []int32 {
 	if !ok {
 		return nil
 	}
-	first, n := s.tableCols(ord)
+	first, n := s.colRun(ord)
 	ids := make([]int32, n)
 	for i := range ids {
 		ids[i] = int32(first + i)

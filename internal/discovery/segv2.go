@@ -195,13 +195,6 @@ func assembleSegV2(id uint64, k, bands, nCols, nTables int, strs *strTable, toke
 	return out, secs, nil
 }
 
-// tableCols is one table for encodeTables: its name and its columns'
-// summaries, in column order.
-type tableCols struct {
-	name string
-	cols []ColumnProfile
-}
-
 // checkTable reports why a table's columns have no v2 image with k-slot
 // signatures: a signature of another length, or a count past the layout's
 // 32 bits. apply checks each upsert when it reaches it, so an op that
@@ -221,30 +214,31 @@ func checkTable(k int, name string, cols []ColumnProfile) error {
 
 // encodeTable writes the v2 image of one table: encodeTables' one-table
 // case. With zero bands it is an upsert's logged form (replay.go).
-func encodeTable(id uint64, k, bands, rows int, name string, cols []ColumnProfile) ([]byte, error) {
-	return encodeTables(id, k, bands, rows, []tableCols{{name, cols}})
+func encodeTable(id uint64, k, bands, rows int, op ReplayOp) ([]byte, error) {
+	return encodeTables(id, k, bands, rows, []ReplayOp{op})
 }
 
-// encodeTables writes the v2 image of tables, in order, under segment id,
-// their columns banked in bands LSH bands of rows slots each: the image of
-// the upserts a write batch made since its last seal point. A column with
+// encodeTables writes the v2 image of the upserts' tables (each op's Name
+// and Cols; Remove is ignored), in order, under segment id, their columns
+// banked in bands LSH bands of rows slots each: the image of the upserts a
+// write batch made since its last seal point. A column with
 // an empty signature is banked nowhere: every slot is the EmptySlot
 // sentinel, so it would share one bucket per band with every other empty
 // column at Jaccard 0, bloating candidate sets without ever ranking. The
 // image is the bytes mergeSegV2 writes for the tables' one-table images
 // merged in order, so a group that starts a memtable is that memtable's
 // image, and merging it stands for merging its tables one by one.
-func encodeTables(id uint64, k, bands, rows int, tables []tableCols) ([]byte, error) {
+func encodeTables(id uint64, k, bands, rows int, tables []ReplayOp) ([]byte, error) {
 	// Pass 1: validate, intern every string in first-encounter order (per
 	// table its name, then per column its name and tokens), and band the
 	// non-empty signatures: per band, (key, column) pairs sorted by key and
 	// then column, so a bucket lists its columns in insertion order.
 	nCols := 0
 	for _, t := range tables {
-		if err := checkTable(k, t.name, t.cols); err != nil {
+		if err := checkTable(k, t.Name, t.Cols); err != nil {
 			return nil, err
 		}
-		nCols += len(t.cols)
+		nCols += len(t.Cols)
 	}
 	strs := newStrTable(len(tables) + 2*nCols)
 	names := make([]uint32, 0, len(tables)+nCols) // table and column name indices, in record order
@@ -254,9 +248,9 @@ func encodeTables(id uint64, k, bands, rows int, tables []tableCols) ([]byte, er
 	var bankedCols []uint32
 	col := uint32(0)
 	for _, t := range tables {
-		names = append(names, strs.intern(t.name))
-		for c := range t.cols {
-			p := &t.cols[c]
+		names = append(names, strs.intern(t.Name))
+		for c := range t.Cols {
+			p := &t.Cols[c]
 			names = append(names, strs.intern(p.Column))
 			for _, tok := range p.Tokens {
 				tokenIDs = append(tokenIDs, strs.intern(tok))
@@ -303,12 +297,12 @@ func encodeTables(id uint64, k, bands, rows int, tables []tableCols) ([]byte, er
 		rec := tblRecs[ti*tblRecWords:][:tblRecWords]
 		rec[0] = names[name]
 		name++
-		if len(t.cols) > 0 { // a zero-column table records first column 0
+		if len(t.Cols) > 0 { // a zero-column table records first column 0
 			rec[1] = col
 		}
-		rec[2] = uint32(len(t.cols))
-		for c := range t.cols {
-			p := &t.cols[c]
+		rec[2] = uint32(len(t.Cols))
+		for c := range t.Cols {
+			p := &t.Cols[c]
 			dst := colRecs[int(col)*colRecWords:][:colRecWords]
 			dst[0] = uint32(ti)
 			dst[1] = names[name]
@@ -503,7 +497,7 @@ func mergeSegV2(id uint64, k, bands int, ins []*segment, dead func(in int, table
 		remaps[i] = remap
 		for t := int32(0); int(t) < m.nTables; t++ {
 			tbl := m.tableNameAt(t)
-			first, n := m.tableCols(t)
+			first, n := m.colRun(t)
 			if dead != nil && dead(i, tbl) {
 				reclaimed += n
 				continue

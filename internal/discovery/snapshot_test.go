@@ -239,10 +239,10 @@ func TestSnapshotCrashOrphanNotAdopted(t *testing.T) {
 	}
 	// Simulate the crashed snapshot: a stale segment file with an id past
 	// the manifest's NextSeg, holding a table the catalog no longer has.
-	ghost, err := encodeTable(9, ix.k, ix.bands, ix.rows, "ghost", []ColumnProfile{{
+	ghost, err := encodeTable(9, ix.k, ix.bands, ix.rows, ReplayOp{Name: "ghost", Cols: []ColumnProfile{{
 		Table: "ghost", Column: "k", Rows: 1, Distinct: 1,
 		Signature: make([]uint64, ix.k),
-	}})
+	}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@
 // persistence the bytes to append, LoadLog adopts a file's bytes as the
 // arena after one validating scan — and the garbage collector has nothing
 // in it to trace. The base hash itself is not stored: the probe computes
-// it, so a hit returns it for free and HashOf never touches the dictionary.
+// it, so a hit returns it for free.
 //
 // A Dict is safe for fully concurrent use (lookups take a read lock; only
 // the first intern of a value takes the write lock) and append-only: ids are
@@ -322,13 +322,6 @@ func (d *Dict) Lookup(v string) (uint32, bool) {
 	d.mu.RUnlock()
 	return id, ok
 }
-
-// HashOf returns v's base hash — the read-only path query-side profiles use
-// so transient query values never grow a served corpus's dictionary. The
-// dictionary is probed by Hash64 and stores no other hash, so there is
-// nothing to look up: HashOf takes no lock and touches none of the
-// dictionary's memory.
-func (d *Dict) HashOf(v string) uint64 { return Hash64(v) }
 
 // Len returns the number of interned values.
 func (d *Dict) Len() int {

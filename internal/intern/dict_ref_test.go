@@ -52,20 +52,6 @@ func (d *dictRef) Lookup(v string) (uint32, bool) {
 	return id, ok
 }
 
-func (d *dictRef) HashOf(v string) uint64 {
-	d.mu.RLock()
-	id, ok := d.ids[v]
-	var h uint64
-	if ok {
-		h = d.hashes[id]
-	}
-	d.mu.RUnlock()
-	if ok {
-		return h
-	}
-	return Hash64(v)
-}
-
 func (d *dictRef) Len() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()

@@ -142,7 +142,7 @@ func columnsWithTokens(tpf *profile.TableProfile) int {
 // intersect as interned ids; tables that do not intern into one dictionary
 // (which Match rejects anyway) bound at 1.
 func overlapBound(sp, tp *profile.TableProfile) float64 {
-	if d := sp.InterningDict(); d == nil || d != tp.InterningDict() {
+	if d := sp.Dict(); d == nil || d != tp.Dict() {
 		return 1
 	}
 	srcZero, tgtZero := false, false

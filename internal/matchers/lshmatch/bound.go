@@ -14,7 +14,7 @@ import (
 // intersects, every emitted score is 0 and the bound is 0; otherwise (or
 // without a shared dictionary) the conservative bound is 1.
 func (m *Matcher) ScoreBoundProfiles(sp, tp *profile.TableProfile) float64 {
-	if sp.InterningDict() == nil || sp.InterningDict() != tp.InterningDict() {
+	if sp.Dict() == nil || sp.Dict() != tp.Dict() {
 		return 1
 	}
 	for _, sc := range sp.Columns() {

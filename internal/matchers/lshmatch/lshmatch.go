@@ -7,9 +7,9 @@
 // speedup over exact set intersection comes from.
 //
 // The MinHash/banding primitives live in internal/profile — the shared lazy
-// column-profile layer — and are re-exported here; the corpus-level index in
-// internal/discovery consumes the same implementation, so pairwise matching
-// and indexed search score identically.
+// column-profile layer; the corpus-level index in internal/discovery
+// consumes the same implementation, so pairwise matching and indexed search
+// score identically.
 package lshmatch
 
 import (
@@ -37,8 +37,8 @@ type Matcher struct {
 // (default 32), "include_misses" (default 1).
 func New(p core.Params) (core.Matcher, error) {
 	return &Matcher{
-		Signature:     p.Int("signature", DefaultSignature),
-		Bands:         p.Int("bands", DefaultBands),
+		Signature:     p.Int("signature", profile.DefaultSignature),
+		Bands:         p.Int("bands", profile.DefaultBands),
 		IncludeMisses: p.Int("include_misses", 1) != 0,
 	}, nil
 }
@@ -62,14 +62,20 @@ func (m *Matcher) Match(ctx context.Context, sp, tp *profile.TableProfile) ([]co
 	if err := core.ValidatePair(sp, tp); err != nil {
 		return nil, err
 	}
-	k, bands, rows := Geometry(m.Signature, m.Bands)
+	k, bands, rows := profile.Geometry(m.Signature, m.Bands)
 	stats := engine.StatsFrom(ctx)
 
 	var srcSigs, tgtSigs [][]uint64
 	candidates := make(map[[2]int]struct{})
 	stats.Timed(engine.StageGenerate, func() {
-		srcSigs = signaturesOf(sp, k)
-		tgtSigs = signaturesOf(tp, k)
+		srcSigs = make([][]uint64, sp.NumColumns())
+		for i := range srcSigs {
+			srcSigs[i] = sp.Column(i).Signature(k)
+		}
+		tgtSigs = make([][]uint64, tp.NumColumns())
+		for j := range tgtSigs {
+			tgtSigs[j] = tp.Column(j).Signature(k)
+		}
 
 		// Index target columns by band-bucket, then probe with source
 		// columns: colliding pairs become candidates.
@@ -80,12 +86,13 @@ func (m *Matcher) Match(ctx context.Context, sp, tp *profile.TableProfile) ([]co
 		index := make(map[bucket][]int)
 		for j, sig := range tgtSigs {
 			for b := 0; b < bands; b++ {
-				index[bucket{b, BandKey(sig, b, rows)}] = append(index[bucket{b, BandKey(sig, b, rows)}], j)
+				key := bucket{b, profile.BandKey(sig, b, rows)}
+				index[key] = append(index[key], j)
 			}
 		}
 		for i, sig := range srcSigs {
 			for b := 0; b < bands; b++ {
-				for _, j := range index[bucket{b, BandKey(sig, b, rows)}] {
+				for _, j := range index[bucket{b, profile.BandKey(sig, b, rows)}] {
 					candidates[[2]int{i, j}] = struct{}{}
 				}
 			}
@@ -97,7 +104,7 @@ func (m *Matcher) Match(ctx context.Context, sp, tp *profile.TableProfile) ([]co
 	missed := int64(len(srcSigs))*int64(len(tgtSigs)) - int64(len(candidates))
 	out, err := engine.ScorePairs(ctx, sp, tp, func(i, j int) (float64, bool) {
 		if _, ok := candidates[[2]int{i, j}]; ok {
-			return EstimateJaccard(srcSigs[i], tgtSigs[j]), true
+			return profile.EstimateJaccard(srcSigs[i], tgtSigs[j]), true
 		}
 		return 0, m.IncludeMisses
 	})

@@ -93,19 +93,6 @@ func TestInvariants(t *testing.T) {
 	}
 }
 
-func TestEstimateJaccard(t *testing.T) {
-	a := []uint64{1, 2, 3, 4}
-	if got := EstimateJaccard(a, a); got != 1 {
-		t.Errorf("identical = %v", got)
-	}
-	if got := EstimateJaccard(a, []uint64{1, 2, 9, 9}); got != 0.5 {
-		t.Errorf("half = %v", got)
-	}
-	if got := EstimateJaccard(a, []uint64{1}); got != 0 {
-		t.Errorf("mismatch = %v", got)
-	}
-}
-
 func TestMatchValidates(t *testing.T) {
 	bad := table.New("")
 	good := table.New("t")

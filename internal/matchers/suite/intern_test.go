@@ -49,11 +49,11 @@ func fuzzTable(rng *rand.Rand, name string, vocab int) *table.Table {
 }
 
 // TestInternedKernelsConformance fuzzes table pairs and, for every
-// matcher, holds the three pairs that break the one-dictionary precondition
-// — two dictionary-less profiles, profiles from two Stores, and a Store
-// profile beside a hash-sharing one — to the shared-Store ranking bit for
-// bit through core.MatchProfilesWithContext, which re-pairs them; a direct
-// Match on each must return ValidatePair's error instead of a score.
+// matcher, holds the two pairs that break the one-dictionary precondition
+// — two dictionary-less profiles and profiles from two Stores — to the
+// shared-Store ranking bit for bit through core.MatchProfilesWithContext,
+// which re-pairs them; a direct Match on each must return ValidatePair's
+// error instead of a score.
 func TestInternedKernelsConformance(t *testing.T) {
 	trials := 6
 	if testing.Short() {
@@ -74,7 +74,6 @@ func TestInternedKernelsConformance(t *testing.T) {
 		}{
 			{"dictionary-less", profile.New(src), profile.New(tgt)},
 			{"two stores", store.Of(src), other.Of(tgt)},
-			{"hash-sharing", store.Of(src), profile.NewHashSharing(tgt, store.Dict())},
 		}
 		for name, m := range matchers {
 			want, err := core.MatchProfilesWithContext(ctx, m, store.Of(src), store.Of(tgt))
@@ -108,8 +107,8 @@ func TestInternedKernelsConformance(t *testing.T) {
 }
 
 // TestDiscoveryTopKConformance fuzzes a corpus and asserts that discovery
-// search over the catalog (whose ingest and queries run interned /
-// hash-sharing against the catalog dictionary) returns exactly the results
+// search over the catalog (whose ingest interns into the catalog
+// dictionary; queries never do) returns exactly the results
 // of a catalog fed dictionary-less profiles — top-k order, scores, best
 // correspondences and candidate counts included — in both modes, for both
 // the sharded and brute-force paths.

@@ -1,7 +1,7 @@
 package profile
 
-// Conformance tests of the interning modes: the same signatures, bit for
-// bit, whatever mode a profile was built in, and interning that is shared
+// Conformance tests of the two profile modes: the same signatures, bit for
+// bit, whether or not a profile interns, and interning that is shared
 // exactly when two profiles intern into one dictionary.
 
 import (
@@ -33,60 +33,51 @@ func randomTable(rng *rand.Rand, name string, cols, rows, vocab int) *table.Tabl
 	return t
 }
 
+// TestInternedSignatureMatchesMapSignature: New, NewInterned and NewPair
+// give every column the signature the map reference computes, at every
+// length, bit for bit.
 func TestInternedSignatureMatchesMapSignature(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
 		tab := randomTable(rng, "t", 3, 80, 60)
-		plain := New(tab)
-		interned := NewInterned(tab.Clone(), intern.NewDict())
-		ro := NewHashSharing(tab.Clone(), intern.NewDict())
+		pair, _ := NewPair(tab.Clone(), tab.Clone())
+		modes := []struct {
+			name string
+			tp   *TableProfile
+		}{
+			{"dictionary-less", New(tab.Clone())},
+			{"interned", NewInterned(tab.Clone(), intern.NewDict())},
+			{"pair", pair},
+		}
 		for _, k := range []int{DefaultSignature, CompactSignature, 16} {
-			for i := 0; i < plain.NumColumns(); i++ {
-				want := plain.Column(i).Signature(k)
-				if got := interned.Column(i).Signature(k); !reflect.DeepEqual(got, want) {
-					t.Fatalf("trial %d col %d k=%d: interned signature diverges", trial, i, k)
-				}
-				if got := ro.Column(i).Signature(k); !reflect.DeepEqual(got, want) {
-					t.Fatalf("trial %d col %d k=%d: hash-sharing signature diverges", trial, i, k)
+			for i := range tab.Columns {
+				want := signatureOf(tab.Columns[i].DistinctValues(), k)
+				for _, m := range modes {
+					if got := m.tp.Column(i).Signature(k); !reflect.DeepEqual(got, want) {
+						t.Fatalf("trial %d col %d k=%d: %s signature diverges", trial, i, k, m.name)
+					}
 				}
 			}
 		}
 	}
 }
 
-func TestHashSharingModeNeverInterns(t *testing.T) {
-	d := intern.NewDict()
-	d.Intern("val-1")
-	tab := randomTable(rand.New(rand.NewSource(3)), "q", 2, 50, 30)
-	tp := NewHashSharing(tab, d)
-	tp.Warm()
-	if tp.Column(0).InternedDistinct() != nil {
-		t.Fatal("hash-sharing profile must not expose an interned set")
-	}
-	if d.Len() != 1 {
-		t.Fatalf("query profiling grew the dictionary to %d entries", d.Len())
-	}
-}
-
-// TestSharedInternedRequiresOneDictionary: InterningDict, the value the
-// matcher contract compares (core.ValidatePair), is shared only by
-// profiles that intern into one dictionary.
+// TestSharedInternedRequiresOneDictionary: Dict, the value the matcher
+// contract compares (core.ValidatePair), is shared only by profiles that
+// intern into one dictionary.
 func TestSharedInternedRequiresOneDictionary(t *testing.T) {
 	tab := fixtureTable()
 	a := NewInterned(tab, intern.NewDict())
 	b := NewInterned(tab.Clone(), intern.NewDict())
-	if a.InterningDict() == b.InterningDict() {
+	if a.Dict() == b.Dict() {
 		t.Fatal("profiles on different dictionaries must not compare ids")
 	}
 	c, d := NewPair(tab.Clone(), tab.Clone())
-	if c.InterningDict() == nil || c.InterningDict() != d.InterningDict() {
+	if c.Dict() == nil || c.Dict() != d.Dict() {
 		t.Fatal("NewPair profiles must share a dictionary")
 	}
-	if New(tab.Clone()).InterningDict() != nil {
-		t.Fatal("dictionary-less profiles must have no interning dictionary")
-	}
-	if NewHashSharing(tab.Clone(), c.Dict()).InterningDict() != nil {
-		t.Fatal("hash-sharing profiles must not intern into the dictionary they hash by")
+	if plain := New(tab.Clone()); plain.Dict() != nil || plain.Column(0).InternedDistinct() != nil {
+		t.Fatal("dictionary-less profiles must have no dictionary and no interned set")
 	}
 }
 

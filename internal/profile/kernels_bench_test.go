@@ -11,8 +11,8 @@ import (
 )
 
 // BenchmarkMinHashSharedDict compares one 128-slot signature per iteration:
-// hashing every raw value (the per-column pre-interning path) vs mixing
-// base hashes memoized once per dictionary entry.
+// hashing every raw value first (a dictionary-less profile's first
+// signature) vs mixing base hashes memoized once per dictionary entry.
 func BenchmarkMinHashSharedDict(b *testing.B) {
 	const n = 5000
 	values := make(map[string]struct{}, n)
@@ -28,7 +28,11 @@ func BenchmarkMinHashSharedDict(b *testing.B) {
 	b.Run("hash-per-column", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sinkSig = SignatureOf(values, DefaultSignature)
+			raw := make([]uint64, 0, len(values))
+			for v := range values {
+				raw = append(raw, intern.Hash64(v))
+			}
+			sinkSig = SignatureFromHashes(raw, DefaultSignature)
 		}
 	})
 	b.Run("shared-dict", func(b *testing.B) {

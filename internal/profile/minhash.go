@@ -8,8 +8,6 @@ package profile
 // identical to one computed anywhere else, so estimated Jaccard scores agree
 // across every code path.
 
-import "valentine/internal/intern"
-
 // EmptySlot is the sentinel value of a signature slot that never saw a
 // value (empty column). Two empty slots never count as agreement.
 const EmptySlot = ^uint64(0)
@@ -26,33 +24,11 @@ const (
 // consumer computes inside a timed or served region.
 const CompactSignature = 64
 
-// SignatureOf computes the k-slot MinHash signature of a value set. Callers
-// that already hold the distinct set avoid recomputing it. Profiles with a
-// value dictionary attached derive signatures from the base hashes
-// interning yields instead (SignatureFromHashes) — bit-identical, since per-slot minima are
-// order-independent and the base hash is the same intern.Hash64.
-func SignatureOf(values map[string]struct{}, k int) []uint64 {
-	sig := make([]uint64, k)
-	for s := range sig {
-		sig[s] = EmptySlot
-	}
-	for v := range values {
-		base := intern.Hash64(v)
-		for s := 0; s < k; s++ {
-			hv := mix(base, uint64(s))
-			if hv < sig[s] {
-				sig[s] = hv
-			}
-		}
-	}
-	return sig
-}
-
-// SignatureFromHashes computes the k-slot MinHash signature from
-// precomputed base hashes (one per distinct value, any order). This is the
-// "hash once per dictionary entry" path: the string bytes were hashed when
-// the value was interned; every signature after that — any column, any
-// length — only mixes cached 64-bit hashes.
+// SignatureFromHashes computes the k-slot MinHash signature from the base
+// hashes (intern.Hash64, one per distinct value, any order) of a value set.
+// It is the one signature path: a profile hashes each distinct value once —
+// interning it as well when a dictionary is attached — and every signature
+// after that, any length, only mixes the cached 64-bit hashes.
 func SignatureFromHashes(hashes []uint64, k int) []uint64 {
 	sig := make([]uint64, k)
 	for s := range sig {

@@ -14,14 +14,17 @@
 // Store (store.go) caches TableProfiles per corpus with explicit
 // invalidation, stale detection, and a parallel Warm pass.
 //
-// Profiles built against a corpus-scoped value dictionary (internal/intern
-// — the Store attaches its own automatically; NewPair attaches a private
-// one to a one-shot pair) additionally cache their distinct sets as sorted
-// interned-id slices and derive MinHash signatures from the base hashes
-// interning computed. The matchers' value-overlap kernels run on those id
-// slices only, so a pair handed to a matcher must intern into one
-// dictionary (InterningDict; internal/core enforces it). Signatures are
-// bit-identical in every mode, dictionary-less included.
+// A profile either interns or it does not. Every profile hashes each
+// distinct value once (intern.Hash64) and derives every MinHash signature
+// from those base hashes, so signatures are bit-identical in both modes.
+// A profile built against a value dictionary (internal/intern — the Store
+// attaches its own automatically; NewPair attaches a private one to a
+// one-shot pair) also interns its values and caches its distinct sets as
+// sorted interned-id slices. The matchers' value-overlap kernels run on
+// those id slices only, so a pair handed to a matcher must intern into one
+// dictionary (Dict; internal/core enforces it). A dictionary-less profile
+// (New) hashes and never interns: that is how a catalog profiles a query,
+// so transient query values never grow the corpus's dictionary.
 //
 // The cached slices and maps returned by accessors are shared, not copied:
 // callers must treat them as read-only.
@@ -46,15 +49,12 @@ type Profile struct {
 	// dict, when non-nil, is the corpus-scoped value dictionary shared by
 	// every profile of one Store (or one NewPair/NewInterned call): distinct
 	// values intern to dense uint32 ids, so pairwise overlap kernels run on
-	// sorted id slices and MinHash derives from the hashes the dictionary
-	// is probed by. hashOnly marks a read-only attachment (query-side):
-	// values are hashed the same way but never inserted, so transient
-	// queries cannot grow a served corpus's dictionary.
-	dict     *intern.Dict
-	hashOnly bool
+	// sorted id slices. Nil means the profile hashes its values and never
+	// interns them.
+	dict *intern.Dict
 
-	internOnce sync.Once
-	idset      *intern.Set // sorted interned distinct ids (nil in hashOnly mode)
+	hashOnce   sync.Once
+	idset      *intern.Set // sorted interned distinct ids (nil without dict)
 	baseHashes []uint64    // one base hash per distinct value, order unspecified
 
 	distinctOnce sync.Once
@@ -266,26 +266,26 @@ func (p *Profile) Stats() table.ColumnStats {
 func (p *Profile) Dict() *intern.Dict { return p.dict }
 
 // InternedDistinct returns the column's distinct values as a sorted
-// interned-id set over the attached dictionary, or nil when no dictionary
-// is attached in interning mode. Two profiles sharing one dictionary
-// overlap through the integer-set kernel (intern.IntersectCount).
+// interned-id set over the attached dictionary, or nil — without hashing
+// anything — when no dictionary is attached. Two profiles sharing one
+// dictionary overlap through the integer-set kernel (intern.IntersectCount).
 func (p *Profile) InternedDistinct() *intern.Set {
-	if p.dict == nil || p.hashOnly {
+	if p.dict == nil {
 		return nil
 	}
-	p.buildIntern()
+	p.hash()
 	return p.idset
 }
 
-// buildIntern computes the interned id set and/or memoized base hashes of
-// the distinct values, once.
-func (p *Profile) buildIntern() {
-	p.internOnce.Do(func() {
+// hash memoizes the base hash of every distinct value, once; with a
+// dictionary attached it interns each value as well and builds the id set.
+func (p *Profile) hash() {
+	p.hashOnce.Do(func() {
 		set := p.DistinctValues()
 		hashes := make([]uint64, 0, len(set))
-		if p.hashOnly {
+		if p.dict == nil {
 			for v := range set {
-				hashes = append(hashes, p.dict.HashOf(v))
+				hashes = append(hashes, intern.Hash64(v))
 			}
 			p.baseHashes = hashes
 			return
@@ -302,32 +302,21 @@ func (p *Profile) buildIntern() {
 }
 
 // Signature returns the cached k-slot MinHash signature of the column's
-// distinct values, computing and memoizing it per requested length. With a
-// dictionary attached the signature derives from the base hashes interning
-// the column computed — one hash per distinct value, whatever the number of
-// signature lengths — and is bit-identical to the dictionary-less
-// SignatureOf path.
+// distinct values, computing and memoizing it per requested length. It
+// mixes the memoized base hashes — one hash per distinct value, whatever
+// the number of signature lengths — so it is bit-identical whether or not
+// a dictionary is attached.
 func (p *Profile) Signature(k int) []uint64 {
 	if k <= 0 {
 		k = DefaultSignature
 	}
-	set := p.DistinctValues() // outside the lock: sync.Once-guarded
-	var hashes []uint64
-	if p.dict != nil {
-		p.buildIntern()
-		hashes = p.baseHashes
-	}
+	p.hash() // outside the lock: sync.Once-guarded
 	p.sigMu.Lock()
 	defer p.sigMu.Unlock()
 	if sig, ok := p.sigs[k]; ok {
 		return sig
 	}
-	var sig []uint64
-	if hashes != nil {
-		sig = SignatureFromHashes(hashes, k)
-	} else {
-		sig = SignatureOf(set, k)
-	}
+	sig := SignatureFromHashes(p.baseHashes, k)
 	if p.sigs == nil {
 		p.sigs = make(map[int][]uint64, 2)
 	}
@@ -351,10 +340,9 @@ func (p *Profile) warm() {
 // TableProfile bundles the per-column profiles of one table plus
 // table-level derived data (name tokens).
 type TableProfile struct {
-	tab      *table.Table
-	cols     []*Profile
-	dict     *intern.Dict // the dictionary shared by cols (nil when dict-less)
-	hashOnly bool         // dict attached read-only (query-side)
+	tab  *table.Table
+	cols []*Profile
+	dict *intern.Dict // the dictionary shared by cols (nil when dict-less)
 
 	nameTokensOnce sync.Once
 	nameTokens     []string
@@ -369,10 +357,11 @@ func NewColumn(tableName string, c *table.Column) *Profile {
 // New profiles a table without caching it in any Store and without a value
 // dictionary: MinHash hashes raw values, and no interned id sets exist, so
 // a matcher given a New profile directly rejects it (core.ValidatePair);
-// core.MatchProfilesWithContext re-pairs it through NewPair instead.
+// core.MatchProfilesWithContext re-pairs it through NewPair instead. A
+// catalog profiles its queries this way, so they never grow its dictionary.
 // Derived data is still computed lazily and at most once.
 func New(t *table.Table) *TableProfile {
-	return newWith(t, nil, false)
+	return newWith(t, nil)
 }
 
 // NewInterned profiles a table against a shared value dictionary: distinct
@@ -380,55 +369,34 @@ func New(t *table.Table) *TableProfile {
 // against any other profile on the same dictionary) and MinHash signatures
 // derive from the base hashes interning computed, bit-identical to New's.
 func NewInterned(t *table.Table, d *intern.Dict) *TableProfile {
-	if d == nil {
-		return New(t)
-	}
-	return newWith(t, d, false)
+	return newWith(t, d)
 }
 
-// NewHashSharing profiles a table against a dictionary in read-only mode:
-// values get the same base hashes interning would give them
-// (Dict.HashOf, which reads nothing of the dictionary) but are never
-// inserted. This is the query-side attachment — a served catalog's dictionary tracks its
-// corpus, and transient query values must not grow it.
-func NewHashSharing(t *table.Table, d *intern.Dict) *TableProfile {
-	if d == nil {
-		return New(t)
-	}
-	return newWith(t, d, true)
-}
+// NewHashSharing is New; the dictionary argument is ignored. It stays only
+// because the benchmark harness (bench/serving.go) calls it.
+func NewHashSharing(t *table.Table, _ *intern.Dict) *TableProfile { return New(t) }
 
 // NewPair profiles two tables against one fresh private dictionary, so a
 // one-shot pairwise match (the store-less Match path) still runs on the
 // integer-set kernels. The dictionary's lifetime is the pair's.
 func NewPair(source, target *table.Table) (*TableProfile, *TableProfile) {
 	d := intern.NewDict()
-	return newWith(source, d, false), newWith(target, d, false)
+	return newWith(source, d), newWith(target, d)
 }
 
-func newWith(t *table.Table, d *intern.Dict, hashOnly bool) *TableProfile {
-	tp := &TableProfile{tab: t, cols: make([]*Profile, len(t.Columns)), dict: d, hashOnly: hashOnly}
+func newWith(t *table.Table, d *intern.Dict) *TableProfile {
+	tp := &TableProfile{tab: t, cols: make([]*Profile, len(t.Columns)), dict: d}
 	for i := range t.Columns {
-		tp.cols[i] = &Profile{tableName: t.Name, col: &t.Columns[i], dict: d, hashOnly: hashOnly}
+		tp.cols[i] = &Profile{tableName: t.Name, col: &t.Columns[i], dict: d}
 	}
 	return tp
 }
 
-// Dict returns the value dictionary shared by this table's column profiles
-// (nil when dictionary-less).
+// Dict returns the value dictionary this table's column profiles intern
+// into (nil when dictionary-less). Two TableProfiles with the same non-nil
+// Dict can compare interned-id sets column-for-column — the matcher
+// contract's precondition (core.ValidatePair).
 func (tp *TableProfile) Dict() *intern.Dict { return tp.dict }
-
-// InterningDict returns the dictionary when the table's profiles intern
-// their values into it — nil for dictionary-less and hash-sharing profiles.
-// Two TableProfiles with the same non-nil InterningDict can compare
-// interned-id sets column-for-column — the matcher contract's precondition
-// (core.ValidatePair).
-func (tp *TableProfile) InterningDict() *intern.Dict {
-	if tp.hashOnly {
-		return nil
-	}
-	return tp.dict
-}
 
 // Table returns the underlying table.
 func (tp *TableProfile) Table() *table.Table { return tp.tab }

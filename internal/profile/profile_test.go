@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"valentine/internal/intern"
 	"valentine/internal/strutil"
 	"valentine/internal/table"
 )
@@ -46,7 +47,7 @@ func TestProfileMatchesDirectComputation(t *testing.T) {
 		if p.Stats() != c.Stats() {
 			t.Errorf("%s: stats mismatch:\n  profile %+v\n  direct  %+v", c.Name, p.Stats(), c.Stats())
 		}
-		if !reflect.DeepEqual(p.Signature(64), SignatureOf(c.DistinctValues(), 64)) {
+		if !reflect.DeepEqual(p.Signature(64), signatureOf(c.DistinctValues(), 64)) {
 			t.Errorf("%s: signature mismatch", c.Name)
 		}
 		for j := range tab.Columns {
@@ -123,17 +124,39 @@ func TestProfileConcurrentAccess(t *testing.T) {
 	wg.Wait()
 }
 
+// signatureOf is the map reference every profile's signature is held to:
+// per slot, the minimum over the set's values of the slot-salted mix of the
+// value's base hash.
+func signatureOf(values map[string]struct{}, k int) []uint64 {
+	sig := make([]uint64, k)
+	for s := range sig {
+		sig[s] = EmptySlot
+	}
+	for v := range values {
+		for s := range sig {
+			sig[s] = min(sig[s], mix(intern.Hash64(v), uint64(s)))
+		}
+	}
+	return sig
+}
+
 func TestMinhashGeometryAndEstimates(t *testing.T) {
 	set := map[string]struct{}{"a": {}, "b": {}, "c": {}}
-	sig := SignatureOf(set, 32)
+	sig := signatureOf(set, 32)
 	if IsEmptySignature(sig) {
 		t.Error("non-empty set should not produce the empty signature")
 	}
-	if !IsEmptySignature(SignatureOf(nil, 32)) {
+	if !IsEmptySignature(SignatureFromHashes(nil, 32)) {
 		t.Error("empty set must produce the empty signature")
 	}
 	if EstimateJaccard(sig, sig) != 1 {
 		t.Error("identical signatures estimate 1")
+	}
+	if got := EstimateJaccard([]uint64{1, 2, 3, 4}, []uint64{1, 2, 9, 9}); got != 0.5 {
+		t.Errorf("half-agreeing signatures estimate %v, want 0.5", got)
+	}
+	if got := EstimateJaccard([]uint64{1, 2, 3, 4}, []uint64{1}); got != 0 {
+		t.Errorf("signatures of different lengths estimate %v, want 0", got)
 	}
 	k, b, rows := Geometry(0, 0)
 	if k != DefaultSignature || b != DefaultBands || rows != k/b {

@@ -247,6 +247,72 @@ func TestServerStatsCounters(t *testing.T) {
 	}
 }
 
+// TestQueriesNeverGrowDictionary: a catalog profiles a query without a
+// dictionary, so searching for values it has never ingested — through every
+// library search and through /v1/search, LSH and brute force — leaves its
+// value dictionary exactly as ingest left it, and the query still finds the
+// table it overlaps.
+func TestQueriesNeverGrowDictionary(t *testing.T) {
+	srv, ts := testServer(t, Config{})
+	if code := doJSON(t, http.MethodPut, ts.URL+"/v1/tables/a", upsertBody("a", 0, 30), nil); code != http.StatusOK {
+		t.Fatalf("upsert: status %d", code)
+	}
+	ix := srv.Index()
+	dictEntries := func() int {
+		t.Helper()
+		var stats StatsResponse
+		if code := doJSON(t, http.MethodGet, ts.URL+"/v1/stats", nil, &stats); code != http.StatusOK {
+			t.Fatalf("stats: status %d", code)
+		}
+		return stats.Catalog.DictEntries
+	}
+	want := ix.Dict().Len()
+	if want == 0 || dictEntries() != want {
+		t.Fatalf("after ingest: dictionary %d entries, /v1/stats %d", want, dictEntries())
+	}
+	// One column of novel values only, one overlapping the ingested table.
+	novel := vals("novel", 0, 40)
+	q := table.New("q").AddColumn("fresh", novel).AddColumn("cust", append(vals("a", 0, 30), vals("novel", 40, 50)...))
+	check := func(via string, results []discovery.Result, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", via, err)
+		}
+		if len(results) != 1 || results[0].Table != "a" {
+			t.Fatalf("%s: results %+v, want table a", via, results)
+		}
+		if got := ix.Dict().Len(); got != want {
+			t.Fatalf("%s grew the dictionary from %d to %d entries", via, want, got)
+		}
+		if got := dictEntries(); got != want {
+			t.Fatalf("%s: /v1/stats reports %d dictionary entries, want %d", via, got, want)
+		}
+	}
+	for _, mode := range []discovery.Mode{discovery.ModeJoin, discovery.ModeUnion} {
+		res, err := ix.Search(q, mode, 5)
+		check("Search "+string(mode), res, err)
+		res, err = ix.SearchBruteForce(q, mode, 5)
+		check("SearchBruteForce "+string(mode), res, err)
+		for _, brute := range []bool{false, true} {
+			res, _, _, err = ix.SearchBestEffortContext(context.Background(), q, mode, 5, brute)
+			check(fmt.Sprintf("SearchBestEffortContext %s brute=%v", mode, brute), res, err)
+
+			req := SearchRequest{Table: TableJSON{Name: "q", Columns: []ColumnJSON{
+				{Name: "fresh", Values: q.Columns[0].Values}, {Name: "cust", Values: q.Columns[1].Values},
+			}}, Mode: string(mode), K: 5, BruteForce: brute}
+			var resp SearchResponse
+			if code := doJSON(t, http.MethodPost, ts.URL+"/v1/search", req, &resp); code != http.StatusOK {
+				t.Fatalf("/v1/search %s brute=%v: status %d", mode, brute, code)
+			}
+			res = res[:0]
+			for _, r := range resp.Results {
+				res = append(res, discovery.Result{Table: r.Table})
+			}
+			check(fmt.Sprintf("/v1/search %s brute=%v", mode, brute), res, nil)
+		}
+	}
+}
+
 // gateFS is the real filesystem with one seam: while armed, a file Sync
 // announces itself on entered and parks until release is closed — a stalled
 // fsync, which is where a WAL append under policy "always" spends its time.

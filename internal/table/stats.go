@@ -103,22 +103,3 @@ func (s ColumnStats) Uniqueness() float64 {
 	}
 	return float64(s.Distinct) / float64(s.Count)
 }
-
-// Quantiles returns q evenly spaced quantiles (including min and max) of the
-// column's numeric values, or nil when the column has no numeric cells.
-func (c *Column) Quantiles(q int) []float64 {
-	nums, n := c.NumericValues()
-	if n == 0 || q < 2 {
-		return nil
-	}
-	sort.Float64s(nums)
-	out := make([]float64, q)
-	for i := 0; i < q; i++ {
-		pos := float64(i) / float64(q-1) * float64(n-1)
-		lo := int(math.Floor(pos))
-		hi := int(math.Ceil(pos))
-		frac := pos - float64(lo)
-		out[i] = nums[lo]*(1-frac) + nums[hi]*frac
-	}
-	return out
-}

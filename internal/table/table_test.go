@@ -214,22 +214,6 @@ func TestStatsEmptyColumn(t *testing.T) {
 	}
 }
 
-func TestQuantiles(t *testing.T) {
-	c := Column{Name: "n", Values: []string{"0", "10", "20", "30", "40"}}
-	q := c.Quantiles(5)
-	want := []float64{0, 10, 20, 30, 40}
-	if !reflect.DeepEqual(q, want) {
-		t.Fatalf("Quantiles = %v, want %v", q, want)
-	}
-	if c.Quantiles(1) != nil {
-		t.Error("q<2 should return nil")
-	}
-	str := Column{Name: "s", Values: []string{"a"}}
-	if str.Quantiles(4) != nil {
-		t.Error("non-numeric column should return nil quantiles")
-	}
-}
-
 func TestRowAndString(t *testing.T) {
 	tab := sample()
 	if got := tab.Row(1); !reflect.DeepEqual(got, []string{"B. Mei", "34682", "2.25"}) {
