@@ -8,6 +8,7 @@ import (
 	"valentine/internal/fabrication"
 	"valentine/internal/matchers/jaccardlev"
 	"valentine/internal/matchers/matchertest"
+	"valentine/internal/profile"
 	"valentine/internal/table"
 )
 
@@ -90,6 +91,22 @@ func TestInvariants(t *testing.T) {
 	for _, s := range core.Scenarios() {
 		pair := matchertest.Pair(t, s, fabrication.Variant{NoisyInstances: true})
 		matchertest.CheckMatchInvariants(t, newM(t, nil), pair)
+	}
+}
+
+// TestEstimateJaccard pins the estimator Match scores candidate pairs with:
+// the fraction of agreeing signature slots, and 0 for signatures of
+// different lengths.
+func TestEstimateJaccard(t *testing.T) {
+	a := []uint64{1, 2, 3, 4}
+	if got := profile.EstimateJaccard(a, a); got != 1 {
+		t.Errorf("identical = %v", got)
+	}
+	if got := profile.EstimateJaccard(a, []uint64{1, 2, 9, 9}); got != 0.5 {
+		t.Errorf("half = %v", got)
+	}
+	if got := profile.EstimateJaccard(a, []uint64{1}); got != 0 {
+		t.Errorf("mismatch = %v", got)
 	}
 }
 
