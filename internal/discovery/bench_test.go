@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"valentine/internal/datagen"
+	"valentine/internal/engine"
 	"valentine/internal/fabrication"
 	"valentine/internal/profile"
 	"valentine/internal/table"
@@ -157,7 +158,9 @@ func lakeCatalog(tb testing.TB, families int) (*Index, []*table.Table) {
 // BenchmarkSearchLake is the search alone — query already profiled, no
 // server, no writer — over a 400-table lake in one mapped image: a rotation
 // of the lake's own tables as queries (13 to 28 columns wide, every recipe
-// and role), join:union 3:1, top 10, as search-heavy asks.
+// and role), join:union 3:1, top 10, as search-heavy asks. It reports the
+// pairs a search bounds (candidates/op) and the pairs it refines with full
+// signatures (scored/op).
 func BenchmarkSearchLake(b *testing.B) {
 	ix, tables := lakeCatalog(b, 50)
 	queries := make([]*profile.TableProfile, 48)
@@ -169,6 +172,7 @@ func BenchmarkSearchLake(b *testing.B) {
 			}
 		}
 	}
+	ctx, stats := engine.WithStats(context.Background())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -176,10 +180,14 @@ func BenchmarkSearchLake(b *testing.B) {
 		if i%4 == 3 {
 			mode = ModeUnion
 		}
-		if _, err := ix.SearchProfiledContext(context.Background(), queries[i%len(queries)], mode, 10); err != nil {
+		if _, err := ix.SearchProfiledContext(ctx, queries[i%len(queries)], mode, 10); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	st := stats.Snapshot()
+	b.ReportMetric(float64(st.Candidates)/float64(b.N), "candidates/op")
+	b.ReportMetric(float64(st.Scored)/float64(b.N), "scored/op")
 }
 
 // BenchmarkUpsert measures steady-state ingest cost on a standing catalog

@@ -123,7 +123,8 @@ func TestSearchContextDeterministicAcrossParallelism(t *testing.T) {
 }
 
 // TestSearchContextStats: the engine stats collector must see the shards'
-// pruning (candidates + pruned covering the full sweep the bands avoided).
+// and the refine's pruning — every candidate bounded, and scored + pruned
+// covering the full sweep the search avoided scoring.
 func TestSearchContextStats(t *testing.T) {
 	ix, q := contextTestIndex(t)
 	ctx, stats := engine.WithStats(context.Background())
@@ -132,10 +133,13 @@ func TestSearchContextStats(t *testing.T) {
 	}
 	snap := stats.Snapshot()
 	full := int64(q.NumColumns() * ix.NumColumns())
-	if snap.Candidates+snap.Pruned != full {
-		t.Fatalf("candidates %d + pruned %d != full sweep %d", snap.Candidates, snap.Pruned, full)
+	if snap.Scored+snap.Pruned != full {
+		t.Fatalf("scored %d + pruned %d != full sweep %d", snap.Scored, snap.Pruned, full)
 	}
 	if snap.Candidates == 0 {
 		t.Fatal("no candidates nominated on a corpus with related tables")
+	}
+	if snap.Bounded != snap.Candidates || snap.Scored == 0 || snap.Scored > snap.Candidates {
+		t.Fatalf("bounded %d and scored %d of %d candidates, want all bounded and 1 to all scored", snap.Bounded, snap.Scored, snap.Candidates)
 	}
 }

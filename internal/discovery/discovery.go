@@ -65,6 +65,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -369,7 +370,8 @@ type Stats struct {
 	DictBytes   int64 `json:"dict_bytes"`
 	// HeapSegmentBytes is the exact length of every segment image held on
 	// the Go heap: the memtable, seals not yet merged, a compaction's
-	// output, and a loaded segment where mapping is unavailable.
+	// output, and a loaded segment where mapping is unavailable — plus the
+	// fingerprints derived at load for an image written without them.
 	// MappedSegmentBytes counts v2 segment file bytes served via mmap from
 	// the page cache instead. Their ratio is the "catalog bigger than RAM"
 	// dial: mapped bytes cost address space, not resident memory.
@@ -530,6 +532,22 @@ type slotAcc struct {
 	candidates   int32
 }
 
+// add folds in the next candidate: query column qi's match with column col
+// at score.
+func (a *slotAcc) add(qi, col int32, score float64) {
+	switch {
+	case a.candidates == 0:
+		a.bestQ = -1
+		a.open(qi, col, score)
+	case a.curQ != qi:
+		a.close()
+		a.open(qi, col, score)
+	case score > a.cur:
+		a.curC, a.cur = col, score
+	}
+	a.candidates++
+}
+
 func (a *slotAcc) open(qi, col int32, score float64) {
 	a.curQ, a.curC, a.cur = qi, col, score
 }
@@ -556,7 +574,8 @@ type ranked struct {
 // topK selects the k entries that rank first under before — every entry when
 // k <= 0. Until k entries have been offered it is a plain list; from then on
 // a heap with the last-ranked entry at the root, which only a better offer
-// replaces.
+// replaces. Search's pass 2 also pops its tables, best bound first, off one
+// heapified with before reversed.
 type topK struct {
 	k      int
 	before func(a, b ranked) bool
@@ -568,14 +587,30 @@ func (t *topK) offer(r ranked) {
 	case t.k <= 0 || len(t.ents) < t.k:
 		t.ents = append(t.ents, r)
 		if len(t.ents) == t.k {
-			for i := t.k/2 - 1; i >= 0; i-- {
-				t.siftDown(i)
-			}
+			t.heapify()
 		}
 	case t.before(r, t.ents[0]):
 		t.ents[0] = r
 		t.siftDown(0)
 	}
+}
+
+// full reports whether k entries are held, so that ents[0] is the one that
+// ranks last.
+func (t *topK) full() bool { return t.k > 0 && len(t.ents) == t.k }
+
+func (t *topK) heapify() {
+	for i := len(t.ents)/2 - 1; i >= 0; i-- {
+		t.siftDown(i)
+	}
+}
+
+// pop removes the root.
+func (t *topK) pop() {
+	last := len(t.ents) - 1
+	t.ents[0] = t.ents[last]
+	t.ents = t.ents[:last]
+	t.siftDown(0)
 }
 
 func (t *topK) siftDown(i int) {
@@ -635,9 +670,16 @@ func (ix *Index) searchImpl(ctx context.Context, qp *profile.TableProfile, mode 
 	nq := qp.NumColumns()
 	qSigs := make([][]uint64, nq)
 	var qTokens []map[string]struct{} // per query column, its name tokens as a set
+	var qFps []byte                   // per query column, its signature's fingerprint row
 	stats.Timed(engine.StageGenerate, func() {
 		for i := range qSigs {
 			qSigs[i] = qp.Column(i).Signature(ix.k)
+		}
+		if !brute {
+			qFps = make([]byte, nq*ix.k)
+			for i, sig := range qSigs {
+				fingerprint(qFps[i*ix.k:][:ix.k], sig)
+			}
 		}
 		if ix.opts.TokenBoost != 0 {
 			qTokens = make([]map[string]struct{}, nq)
@@ -690,15 +732,27 @@ func (ix *Index) searchImpl(ctx context.Context, qp *profile.TableProfile, mode 
 		}
 	}
 
-	// Candidate generation + scoring, one pool unit per query column. Each
-	// unit appends to a private list in probe order; folding happens
-	// afterwards in query-column order, which makes the output bit-identical
-	// to a sequential sweep at any parallelism.
+	// Pass 1, one pool unit per query column: probe the bands and append
+	// every candidate — {slot, column, bound} — to a private list in probe
+	// order. A bound is the count of equal fingerprint bytes over k plus the
+	// exact TokenBoost term: equal slots have equal low bytes, so it is never
+	// below the candidate's score, and it reads 128 B of fingerprints where
+	// the score reads a 1 KB signature row. The brute-force arm appends exact
+	// scores instead, the plain sweep it is the reference for. Folding
+	// happens afterwards in query-column order, which makes the output
+	// bit-identical to a sequential sweep at any parallelism.
 	lists := make([][]cand, nq)
 	seenWords := (maxCols + 63) / 64
 	var seenAll bitset // one dedup set over column ids per unit
 	if !brute {
 		seenAll = make(bitset, nq*seenWords)
+	}
+	exact := func(qi int, seg *segment, id int32) float64 {
+		s := profile.EstimateJaccard(qSigs[qi], seg.colSig(id))
+		if qTokens != nil {
+			s += ix.opts.TokenBoost * seg.tokenJaccard(qTokens[qi], id)
+		}
+		return s
 	}
 	start := time.Now()
 	err := engine.Map(ctx, engine.OptionsFrom(ctx).Workers(), nq, func(qi int) error {
@@ -707,22 +761,7 @@ func (ix *Index) searchImpl(ctx context.Context, qp *profile.TableProfile, mode 
 			return nil // can only hit empty columns, all at score 0
 		}
 		var list []cand
-		score := func(si int, seg *segment, id int32) {
-			slot := base[si] + int(seg.colOrd(id))
-			if skip.has(slot) {
-				return // the query's own table, or tombstoned and awaiting compaction
-			}
-			// Empty columns never rank (see encodeTable); the brute
-			// path must apply the same rule so it stays the reference
-			// implementation of the pruned path even with TokenBoost set.
-			colSig := seg.colSig(id)
-			if profile.IsEmptySignature(colSig) {
-				return
-			}
-			s := profile.EstimateJaccard(sig, colSig)
-			if qTokens != nil {
-				s += ix.opts.TokenBoost * seg.tokenJaccard(qTokens[qi], id)
-			}
+		add := func(slot int, id int32, s float64) {
 			if len(list) == cap(list) {
 				// Double (append's own growth tapers to a quarter): a search
 				// allocates for its candidates O(log candidates) times.
@@ -736,11 +775,17 @@ func (ix *Index) searchImpl(ctx context.Context, qp *profile.TableProfile, mode 
 		for si, seg := range segs {
 			nCols := seg.numCols()
 			if brute {
-				for id := 0; id < nCols; id++ {
-					score(si, seg, int32(id))
+				for id := int32(0); int(id) < nCols; id++ {
+					// Empty columns never rank (see encodeTables), and are
+					// banked nowhere for a probe to find.
+					slot := base[si] + int(seg.colOrd(id))
+					if !skip.has(slot) && !profile.IsEmptySignature(seg.colSig(id)) {
+						add(slot, id, exact(qi, seg, id))
+					}
 				}
 				continue
 			}
+			fp := qFps[qi*ix.k:][:ix.k]
 			seen := seenAll[qi*seenWords:][:(nCols+63)/64]
 			clear(seen)
 			for b := 0; b < ix.bands; b++ {
@@ -751,35 +796,51 @@ func (ix *Index) searchImpl(ctx context.Context, qp *profile.TableProfile, mode 
 					// checks every offset table but not bucket values, so the
 					// guard lives here, ahead of every index the id feeds —
 					// skip, never panic.
-					if id < 0 || int(id) >= nCols {
-						continue
-					}
-					if seen.has(int(id)) {
+					if id < 0 || int(id) >= nCols || seen.has(int(id)) {
 						continue
 					}
 					seen.set(int(id))
-					score(si, seg, id)
+					slot := base[si] + int(seg.colOrd(id))
+					if skip.has(slot) {
+						continue // the query's own table, or tombstoned and awaiting compaction
+					}
+					s := float64(equalBytes(fp, seg.colFp(id))) / float64(ix.k)
+					if qTokens != nil {
+						s += ix.opts.TokenBoost * seg.tokenJaccard(qTokens[qi], id)
+					}
+					add(slot, id, s)
 				}
 			}
 		}
 		lists[qi] = list
 		return nil
 	})
-	stats.Observe(engine.StageScore, time.Since(start))
-	// Candidates counts the pairs that reached scoring; everything else the
-	// full (query columns × live columns) sweep would have visited was
-	// pruned — by the band shards, the empty-signature rules, the tombstone
-	// filter, or the self-table skip — so candidates + pruned always equals
-	// the sweep the shards saved.
-	scored := int64(0)
+	// Candidates counts the pairs pass 1 reached; Scored those whose exact
+	// score was computed — every candidate on the brute-force arm, the
+	// refined ones on the LSH arm — and Pruned the rest of the full (query
+	// columns × live columns) sweep: cut by the band shards, the
+	// empty-signature rules, the tombstone filter, the self-table skip or
+	// pass 2's stop rule.
+	candidates := int64(0)
 	for _, list := range lists {
-		scored += int64(len(list))
+		candidates += int64(len(list))
 	}
-	stats.AddCandidates(scored)
-	stats.AddScored(scored)
-	stats.AddPruned(int64(nq)*int64(sn.nCols) - scored)
+	scored := int64(0)
+	if brute {
+		scored = candidates
+	}
+	account := func() {
+		stats.AddCandidates(candidates)
+		if !brute {
+			stats.AddBounded(candidates)
+		}
+		stats.AddScored(scored)
+		stats.AddPruned(int64(nq)*int64(sn.nCols) - scored)
+	}
 	mapErr := err
 	if err != nil && !bestEffort {
+		stats.Observe(engine.StageScore, time.Since(start))
+		account()
 		return nil, 0, err
 	}
 
@@ -787,51 +848,117 @@ func (ix *Index) searchImpl(ctx context.Context, qp *profile.TableProfile, mode 
 	// sequential sweep updated its per-table state in. In best-effort mode,
 	// columns the expired context left unfinished have no list — identical in
 	// effect to an empty-signature column — and simply contribute no scores.
+	// Rounded addition is monotone, so on the LSH arm each table's folded
+	// bound — the best one for join, the union's sum of per-column bests —
+	// is never below the score the same fold of its exact scores gives.
 	acc := make([]slotAcc, nSlots)
+	nTouched := 0
 	for qi, list := range lists {
 		for _, c := range list {
 			a := &acc[c.slot]
-			switch {
-			case a.candidates == 0:
-				a.bestQ = -1
-				a.open(int32(qi), c.col, c.score)
-			case a.curQ != int32(qi):
-				a.close()
-				a.open(int32(qi), c.col, c.score)
-			case c.score > a.cur:
-				a.curC, a.cur = c.col, c.score
+			if a.candidates == 0 {
+				nTouched++
 			}
-			a.candidates++
+			a.add(int32(qi), c.col, c.score)
 		}
 	}
+	score := func(a *slotAcc) float64 {
+		a.close()
+		if mode == ModeUnion {
+			return a.sum / float64(len(q.Columns))
+		}
+		return a.best
+	}
+	// Results order by score descending, then table name ascending; a live
+	// name occurs once, so the order is total and a bounded heap of the k
+	// best returns exactly the prefix a full sort would. Names are compared —
+	// as views into their segments — on score ties only.
+	before := func(a, b ranked) bool {
+		if a.score != b.score {
+			return a.score > b.score
+		}
+		return segs[a.seg].tableNameAt(a.ord) < segs[b.seg].tableNameAt(b.ord)
+	}
+	top := topK{k: k, before: before}
+	touched := make([]ranked, 0, nTouched)
+	for si, seg := range segs {
+		for ord, n := 0, seg.numTables(); ord < n; ord++ {
+			if a := &acc[base[si]+ord]; a.candidates > 0 {
+				touched = append(touched, ranked{score(a), int32(si), int32(ord)})
+			}
+		}
+	}
+	if brute {
+		for _, r := range touched {
+			top.offer(r)
+		}
+	} else {
+		// Pass 2 takes the touched tables best bound first, name ascending
+		// on ties, re-folds each one's candidates from exact scores in their
+		// original (query column, probe) order — so BestQuery, BestIndexed,
+		// Candidates and the union sum's float order are the brute-force
+		// fold's — and offers it to top. It stops at the first table whose
+		// bound cannot rank before top's k-th entry: every table after it has
+		// a bound, and so a score, that ranks no earlier, and names break the
+		// ties. Breaking ties by name is what keeps pass 2 small when hundreds
+		// of tables tie at the k-th score, as join searches often do at 1.0.
+		// k <= 0 refines every table.
+		//
+		// First lay each table's candidates out contiguously, in the order
+		// the fold met them: at[slot] counts up to the table's end, then back
+		// down to its start as the lists are placed from the back.
+		type pair struct{ qi, col int32 }
+		at := make([]int32, nSlots+1)
+		n := int32(0)
+		for slot := range acc {
+			n += acc[slot].candidates
+			at[slot] = n
+		}
+		at[nSlots] = n
+		byTable := make([]pair, n)
+		for qi := len(lists) - 1; qi >= 0; qi-- {
+			list := lists[qi]
+			for i := len(list) - 1; i >= 0; i-- {
+				c := list[i]
+				at[c.slot]--
+				byTable[at[c.slot]] = pair{int32(qi), c.col}
+			}
+		}
+		// The table at slot s now has byTable[at[s]:at[s+1]]. A heap pops
+		// the tables lazily: the stop rule usually comes within a few
+		// dozen of a thousand or more.
+		queue := topK{before: func(a, b ranked) bool { return before(b, a) }, ents: touched}
+		queue.heapify()
+		for len(queue.ents) > 0 {
+			next := queue.ents[0]
+			if top.full() && !before(next, top.ents[0]) {
+				break
+			}
+			queue.pop()
+			seg, slot := segs[next.seg], base[next.seg]+int(next.ord)
+			pairs := byTable[at[slot]:at[slot+1]]
+			scored += int64(len(pairs))
+			a := &acc[slot]
+			*a = slotAcc{}
+			for _, p := range pairs {
+				// No banked column has an empty signature; a corrupt image's
+				// bucket can still name one, which must not rank.
+				if profile.IsEmptySignature(seg.colSig(p.col)) {
+					continue
+				}
+				a.add(p.qi, p.col, exact(int(p.qi), seg, p.col))
+			}
+			if a.candidates > 0 {
+				next.score = score(a)
+				top.offer(next)
+			}
+		}
+	}
+	stats.Observe(engine.StageScore, time.Since(start))
+	account()
 
 	var out []Result
 	stats.Timed(engine.StageRank, func() {
-		// Results order by score descending, then table name ascending; a
-		// live name occurs once, so the order is total and a bounded heap of
-		// the k best returns exactly the prefix a full sort would. Names are
-		// compared — as views into their segments — on score ties only.
-		before := func(a, b ranked) bool {
-			if a.score != b.score {
-				return a.score > b.score
-			}
-			return segs[a.seg].tableNameAt(a.ord) < segs[b.seg].tableNameAt(b.ord)
-		}
-		top := topK{k: k, before: before}
-		for si, seg := range segs {
-			for ord, n := 0, seg.numTables(); ord < n; ord++ {
-				a := &acc[base[si]+ord]
-				if a.candidates == 0 {
-					continue
-				}
-				a.close()
-				r := ranked{a.best, int32(si), int32(ord)}
-				if mode == ModeUnion {
-					r.score = a.sum / float64(len(q.Columns))
-				}
-				top.offer(r)
-			}
-		}
 		out = make([]Result, len(top.ents))
 		for i, r := range top.sorted() {
 			seg := segs[r.seg]
@@ -863,4 +990,25 @@ func ValidateQuery(q *table.Table) error {
 	named := *q
 	named.Name = "(anonymous query)"
 	return named.Validate()
+}
+
+// equalBytes counts the positions at which a and b hold the same byte — the
+// fingerprint bound's kernel. It takes eight bytes a step: XOR the words,
+// then count the zero bytes; the len(a) % 8 tail goes one by one.
+func equalBytes(a, b []byte) int {
+	const low7 = 0x7f7f7f7f7f7f7f7f
+	b = b[:len(a)]
+	n, i := 0, 0
+	for ; i+8 <= len(a); i += 8 {
+		x := binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:])
+		// A byte's high bit ends up set iff the byte is zero: adding 0x7f to
+		// its low seven bits carries into bit 7 iff one of them is set.
+		n += bits.OnesCount64(^((x&low7 + low7) | x | low7))
+	}
+	for ; i < len(a); i++ {
+		if a[i] == b[i] {
+			n++
+		}
+	}
+	return n
 }

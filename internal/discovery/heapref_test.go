@@ -91,7 +91,8 @@ func (s *heapSeg) without(name string, rows int) *heapSeg {
 }
 
 // encodeHeapRef encodes a heap segment to the v2 layout: records in table
-// order, each band's keys ascending, bucket contents in insertion order.
+// order, each band's keys ascending, bucket contents in insertion order,
+// each signature slot's low byte in the fingerprint section.
 func encodeHeapRef(t testing.TB, s *heapSeg, k int) []byte {
 	t.Helper()
 	nCols, nTables := len(s.cols), len(s.order)
@@ -160,6 +161,9 @@ func encodeHeapRef(t testing.TB, s *heapSeg, k int) []byte {
 			set += copy(setIDs[set:], p.SetIDs)
 			copy(sigs[int(id)*k:], p.Signature)
 		}
+	}
+	for i, v := range sigs[:len(secs[secFps])] {
+		secs[secFps][i] = byte(v)
 	}
 	copy(viewU64(secs[secBandKeys]), keys)
 	bandCounts, bucketEnds := viewU32(secs[secBandCounts]), viewU32(secs[secBucketEnds])

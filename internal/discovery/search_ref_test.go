@@ -1,10 +1,16 @@
 package discovery
 
-// searchRef is the search body searchImpl replaced, kept verbatim as the
-// oracle TestSearchMatchesRef holds the integer-keyed path to: string-keyed
-// maps per candidate, one accumulator per (query column, table), a full sort
-// of every touched table. It shares nothing with searchImpl past the segment
-// accessors — colAcc, colRef and tokenJaccard below came with it.
+// searchRef is the search body searchImpl replaced, kept as the oracle
+// TestSearchMatchesRef holds the integer-keyed, two-pass path to:
+// string-keyed maps per candidate, one accumulator per (query column,
+// table), every candidate scored exactly, a full sort of every touched
+// table. It shares nothing with searchImpl past the segment accessors —
+// colAcc, colRef and tokenJaccard below came with it. Beside its results it
+// computes the count of pairs searchImpl's pass 2 must refine (Stats.Scored
+// on the LSH arm) its own way: bounds from each slot's low byte compared one
+// by one, a full sort of the touched tables by (bound desc, name asc), and a
+// linear walk that stops at the first table whose bound cannot rank before
+// the k-th exact result so far.
 
 import (
 	"context"
@@ -13,6 +19,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -38,6 +45,19 @@ type colAcc struct {
 	best       float64
 	bestC      colRef // first column achieving best, in probe order
 	candidates int
+	bound      float64 // the best fingerprint bound
+}
+
+// byteBound is a candidate's fingerprint bound: the slots whose low bytes
+// agree, over k, plus the exact TokenBoost term.
+func byteBound(q, c []uint64, boost float64) float64 {
+	eq := 0
+	for i := range q {
+		if byte(q[i]) == byte(c[i]) {
+			eq++
+		}
+	}
+	return float64(eq)/float64(len(q)) + boost
 }
 
 func (ix *Index) searchRef(ctx context.Context, qp *profile.TableProfile, mode Mode, k int, brute, bestEffort bool) ([]Result, uint64, error) {
@@ -72,7 +92,7 @@ func (ix *Index) searchRef(ctx context.Context, qp *profile.TableProfile, mode M
 	// query-column order, which makes the output bit-identical to the old
 	// sequential sweep at any parallelism.
 	perQuery := make([]map[string]*colAcc, nq)
-	var scored atomic.Int64
+	var candidates atomic.Int64
 	start := time.Now()
 	err := engine.Map(ctx, engine.OptionsFrom(ctx).Workers(), nq, func(qi int) error {
 		sig := qSigs[qi]
@@ -100,8 +120,10 @@ func (ix *Index) searchRef(ctx context.Context, qp *profile.TableProfile, mode M
 				return // tombstoned, awaiting compaction
 			}
 			s := profile.EstimateJaccard(sig, colSig)
+			boost := 0.0
 			if ix.opts.TokenBoost != 0 {
-				s += ix.opts.TokenBoost * tokenJaccard(qTokens[qi], seg.colTokens(id))
+				boost = ix.opts.TokenBoost * tokenJaccard(qTokens[qi], seg.colTokens(id))
+				s += boost
 			}
 			a := acc[tbl]
 			if a == nil {
@@ -109,10 +131,11 @@ func (ix *Index) searchRef(ctx context.Context, qp *profile.TableProfile, mode M
 				acc[tbl] = a
 			}
 			a.candidates++
-			scored.Add(1)
+			candidates.Add(1)
 			if s > a.best || a.bestC.seg == nil {
 				a.best, a.bestC = s, colRef{seg, id}
 			}
+			a.bound = max(a.bound, byteBound(sig, colSig, boost))
 		}
 		// Probe segments oldest-first so the within-table column probe
 		// order — and therefore tie-broken best correspondences — is
@@ -140,16 +163,25 @@ func (ix *Index) searchRef(ctx context.Context, qp *profile.TableProfile, mode M
 		return nil
 	})
 	stats.Observe(engine.StageScore, time.Since(start))
-	// Candidates counts the pairs that reached scoring; everything else the
-	// full (query columns × live columns) sweep would have visited was
-	// pruned — by the band shards, the empty-signature rules, the tombstone
-	// filter, or the self-table skip — so candidates + pruned always equals
-	// the sweep the shards saved.
-	stats.AddCandidates(scored.Load())
-	stats.AddScored(scored.Load())
-	stats.AddPruned(int64(nq)*int64(sn.nCols) - scored.Load())
+	// Candidates counts the pairs the shards (or the sweep) reached, all of
+	// them bounded on the LSH arm; Scored the refined ones there and every
+	// one on the brute-force arm; Pruned the rest of the full (query columns
+	// × live columns) sweep.
+	scored := int64(0)
+	if brute {
+		scored = candidates.Load()
+	}
+	account := func() {
+		stats.AddCandidates(candidates.Load())
+		if !brute {
+			stats.AddBounded(candidates.Load())
+		}
+		stats.AddScored(scored)
+		stats.AddPruned(int64(nq)*int64(sn.nCols) - scored)
+	}
 	mapErr := err
 	if err != nil && !bestEffort {
+		account()
 		return nil, 0, err
 	}
 
@@ -164,13 +196,15 @@ func (ix *Index) searchRef(ctx context.Context, qp *profile.TableProfile, mode M
 		bestQ      int
 		bestC      colRef
 		candidates int
+		perBound   []float64 // best bound per query column (union mode)
+		bound      float64
 	}
 	acc := make(map[string]*tableAcc)
 	for qi := 0; qi < nq; qi++ {
 		for name, ca := range perQuery[qi] {
 			a := acc[name]
 			if a == nil {
-				a = &tableAcc{perQuery: make([]float64, nq), bestQ: -1, bestC: colRef{nil, -1}}
+				a = &tableAcc{perQuery: make([]float64, nq), bestQ: -1, bestC: colRef{nil, -1}, perBound: make([]float64, nq)}
 				acc[name] = a
 			}
 			a.candidates += ca.candidates
@@ -180,6 +214,8 @@ func (ix *Index) searchRef(ctx context.Context, qp *profile.TableProfile, mode M
 			if ca.bestC.seg != nil && (ca.best > a.best || a.bestQ < 0) {
 				a.best, a.bestQ, a.bestC = ca.best, qi, ca.bestC
 			}
+			a.perBound[qi] = ca.bound
+			a.bound = max(a.bound, ca.bound)
 		}
 	}
 
@@ -213,11 +249,63 @@ func (ix *Index) searchRef(ctx context.Context, qp *profile.TableProfile, mode M
 			}
 			return out[i].Table < out[j].Table
 		})
+		if !brute {
+			scored = refineCountRef(out, func(r Result) float64 {
+				a := acc[r.Table]
+				if mode == ModeJoin {
+					return a.bound
+				}
+				sum := 0.0
+				for _, b := range a.perBound {
+					sum += b
+				}
+				return sum / float64(len(q.Columns))
+			}, k)
+		}
 		if k > 0 && len(out) > k {
 			out = out[:k]
 		}
 	})
+	account()
 	return out, sn.epoch, mapErr
+}
+
+// refineCountRef walks every touched table — all, ranked — in (bound desc,
+// name asc) order, keeping the k best exact results met so far, and returns
+// the candidates of the tables it meets before the first whose bound cannot
+// rank before the k-th of those.
+func refineCountRef(all []Result, bound func(Result) float64, k int) int64 {
+	type entry struct {
+		Result
+		bound float64
+	}
+	entries := make([]entry, len(all))
+	for i, r := range all {
+		entries[i] = entry{r, bound(r)}
+	}
+	sort.Slice(entries, func(i, j int) bool {
+		if entries[i].bound != entries[j].bound {
+			return entries[i].bound > entries[j].bound
+		}
+		return entries[i].Table < entries[j].Table
+	})
+	ranksBefore := func(score float64, name string, r Result) bool {
+		return score > r.Score || score == r.Score && name < r.Table
+	}
+	var kept []Result // the k best exact results so far, in rank order
+	refined := int64(0)
+	for _, e := range entries {
+		if k > 0 && len(kept) == k && !ranksBefore(e.bound, e.Table, kept[k-1]) {
+			break
+		}
+		refined += int64(e.Candidates)
+		i := sort.Search(len(kept), func(i int) bool { return ranksBefore(e.Score, e.Table, kept[i]) })
+		kept = slices.Insert(kept, i, e.Result)
+		if k > 0 && len(kept) > k {
+			kept = kept[:k]
+		}
+	}
+	return refined
 }
 
 // tokenJaccard is the Jaccard similarity of two token lists as sets.
@@ -265,6 +353,38 @@ func expiringAfter(n int64) context.Context {
 	return engine.WithOptions(expiringCtx{context.Background(), left}, engine.Options{Parallelism: 1})
 }
 
+// searchCounters are the engine counters one search adds.
+type searchCounters struct{ candidates, bounded, scored, pruned int64 }
+
+// compareSearch runs searchRef and searchImpl on the same query and fails
+// unless results, pinned epoch, error and engine counters are all equal. It
+// returns the counters.
+func compareSearch(t *testing.T, ix *Index, at string, mkctx func() context.Context, qp *profile.TableProfile, mode Mode, k int, brute, bestEffort bool) searchCounters {
+	t.Helper()
+	run := func(search func(context.Context, *profile.TableProfile, Mode, int, bool, bool) ([]Result, uint64, error)) ([]Result, uint64, error, searchCounters) {
+		ctx, stats := engine.WithStats(mkctx())
+		res, epoch, err := search(ctx, qp, mode, k, brute, bestEffort)
+		sn := stats.Snapshot()
+		return res, epoch, err, searchCounters{sn.Candidates, sn.Bounded, sn.Scored, sn.Pruned}
+	}
+	want, wantEpoch, wantErr, wantN := run(ix.searchRef)
+	got, gotEpoch, gotErr, gotN := run(ix.searchImpl)
+	at = fmt.Sprintf("%s query %q %s k=%d brute=%v bestEffort=%v", at, qp.Table().Name, mode, k, brute, bestEffort)
+	if gotEpoch != wantEpoch {
+		t.Fatalf("%s: pinned epoch %d, oracle pinned %d with no writer running", at, gotEpoch, wantEpoch)
+	}
+	if !errors.Is(gotErr, wantErr) {
+		t.Fatalf("%s: err = %v, oracle %v", at, gotErr, wantErr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: results diverge:\n got %+v\nwant %+v", at, got, want)
+	}
+	if gotN != wantN {
+		t.Fatalf("%s: engine counters %+v, oracle %+v", at, gotN, wantN)
+	}
+	return gotN
+}
+
 // TestSearchMatchesRef holds searchImpl to the body it replaced over
 // TestRandomizedLiveConformance's op stream: every segment a snapshot can
 // hold (memtable, fresh seals, a compaction's image, images mapped from a
@@ -305,31 +425,9 @@ func searchMatchesRef(t *testing.T, boost float64) {
 	ix := New(Options{SealAfter: 3, TokenBoost: boost}) // frequent seals → many segments
 	holdBackgroundCompaction(ix)                        // the stream's own Compact calls are the only ones
 
-	type counters struct{ candidates, scored, pruned int64 }
-	run := func(search func(context.Context, *profile.TableProfile, Mode, int, bool, bool) ([]Result, uint64, error),
-		ctx context.Context, qp *profile.TableProfile, mode Mode, k int, brute, bestEffort bool) ([]Result, uint64, error, counters) {
-		ctx, stats := engine.WithStats(ctx)
-		res, epoch, err := search(ctx, qp, mode, k, brute, bestEffort)
-		sn := stats.Snapshot()
-		return res, epoch, err, counters{sn.Candidates, sn.Scored, sn.Pruned}
-	}
 	compare := func(at string, mkctx func() context.Context, qp *profile.TableProfile, mode Mode, k int, brute, bestEffort bool) {
 		t.Helper()
-		want, wantEpoch, wantErr, wantN := run(ix.searchRef, mkctx(), qp, mode, k, brute, bestEffort)
-		got, gotEpoch, gotErr, gotN := run(ix.searchImpl, mkctx(), qp, mode, k, brute, bestEffort)
-		at = fmt.Sprintf("%s query %q %s k=%d brute=%v bestEffort=%v", at, qp.Table().Name, mode, k, brute, bestEffort)
-		if gotEpoch != wantEpoch {
-			t.Fatalf("%s: pinned epoch %d, oracle pinned %d with no writer running", at, gotEpoch, wantEpoch)
-		}
-		if !errors.Is(gotErr, wantErr) {
-			t.Fatalf("%s: err = %v, oracle %v", at, gotErr, wantErr)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: results diverge:\n got %+v\nwant %+v", at, got, want)
-		}
-		if gotN != wantN {
-			t.Fatalf("%s: engine counters %+v, oracle %+v", at, gotN, wantN)
-		}
+		compareSearch(t, ix, at, mkctx, qp, mode, k, brute, bestEffort)
 	}
 
 	// What the checked snapshots held beside a tombstone, over the whole run.
@@ -432,5 +530,72 @@ func searchMatchesRef(t *testing.T, boost float64) {
 	if !sawFreshSeal || !sawCompacted || !sawPartial || mmapAvailable && !sawMappedImage {
 		t.Errorf("stream never checked a snapshot with tombstones beside a fresh seal (%v), a compacted image (%v), a mapped image (%v), or a search cut short (%v)",
 			sawFreshSeal, sawCompacted, sawMappedImage, sawPartial)
+	}
+}
+
+// tieLake is the shape that makes pass 2's stop rule lean on names: 600
+// tables share a two-value column with the query, so a join's k-th score is
+// that column's — 1, plus the TokenBoost its equal name earns — for any k up
+// to 600 and only names order the tie, and in union mode they tie again at
+// half that. Eight more tables also overlap the query's second column, less
+// and less, and rank first in union mode. Table names are a shuffle, so
+// neither insertion nor segment order is name order.
+func tieLake(t *testing.T, boost float64) (*Index, *table.Table) {
+	t.Helper()
+	const ties, partial, rows = 600, 8, 60
+	flags := make([]string, rows)
+	for i := range flags {
+		flags[i] = []string{"yes", "no"}[i%2]
+	}
+	ix := New(Options{TokenBoost: boost})
+	rng := rand.New(rand.NewSource(40))
+	for i, p := range rng.Perm(ties + partial) {
+		tab := table.New(fmt.Sprintf("t%03d", p)).AddColumn("flag", flags)
+		if i < partial {
+			tab.AddColumn("city", vals("c", 5*i, 5*i+rows))
+		} else {
+			tab.AddColumn("note", vals(fmt.Sprintf("n%d_", p), 0, rows))
+		}
+		if err := ix.Add(tab); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ix.WaitCompaction()
+	return ix, table.New("q").AddColumn("flag", flags).AddColumn("city", vals("c", 0, rows))
+}
+
+// TestSearchRefinesFewOnTies holds searchImpl to searchRef on tieLake — join
+// and union, k 1, 10, 24 and all, parallelism 1 and 2, TokenBoost 0 and
+// 0.25, and a best-effort search whose context expires after the first query
+// column — and requires pass 2 to refine at most 5 % of the candidates at
+// k = 10. A stop rule that compared bounds alone would refine every tied
+// table: its next bound never falls below the k-th score.
+func TestSearchRefinesFewOnTies(t *testing.T) {
+	for _, boost := range []float64{0, 0.25} {
+		ix, q := tieLake(t, boost)
+		qp := ix.queryProfile(q)
+		all, err := ix.Search(q, ModeJoin, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(all) < 600 || all[599].Score != all[0].Score {
+			t.Fatalf("TokenBoost=%v: fixture: %d join results, want at least 600 tied at the top", boost, len(all))
+		}
+		for _, mode := range []Mode{ModeJoin, ModeUnion} {
+			at := fmt.Sprintf("TokenBoost=%v", boost)
+			for _, brute := range []bool{false, true} {
+				for _, par := range []int{1, 2} {
+					for _, k := range []int{1, 10, 24, 0} {
+						n := compareSearch(t, ix, at, func() context.Context {
+							return engine.WithOptions(context.Background(), engine.Options{Parallelism: par})
+						}, qp, mode, k, brute, false)
+						if k == 10 && !brute && 20*n.scored > n.candidates {
+							t.Errorf("%s %s parallelism %d k=10: refined %d of %d candidates, want at most 5 %%", at, mode, par, n.scored, n.candidates)
+						}
+					}
+				}
+				compareSearch(t, ix, at+" (expiring)", func() context.Context { return expiringAfter(1) }, qp, mode, 10, brute, true)
+			}
+		}
 	}
 }

@@ -3,15 +3,17 @@ package discovery
 // The search's ranking and allocation contracts: what order results come
 // back in when scores tie, what a k keeps of a tie group, that results own
 // their strings, and that a search's allocation count does not follow the
-// number of candidates it scores.
+// number of candidates it scores; and its fingerprint kernel.
 
 import (
 	"context"
+	"math/rand"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"valentine/internal/engine"
+	"valentine/internal/profile"
 	"valentine/internal/table"
 )
 
@@ -143,5 +145,68 @@ func TestSearchAllocsIndependentOfCandidates(t *testing.T) {
 	if extra, allowed := largeAllocs-smallAllocs, float64(2*q.NumColumns()); extra > allowed {
 		t.Errorf("%.0f allocations for %d candidates, %.0f for %d: %.0f more, want at most %.0f (2 per query column)",
 			smallAllocs, smallCands, largeAllocs, largeCands, extra, allowed)
+	}
+}
+
+// TestEqualBytes holds the fingerprint kernel to a byte loop at every length
+// from 0 to 130 — every len % 8 tail — on bytes that straddle the high bit.
+func TestEqualBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	alphabet := []byte{0, 1, 0x7f, 0x80, 0x81, 0xfe, 0xff}
+	for n := 0; n <= 130; n++ {
+		for trial := 0; trial < 40; trial++ {
+			a, b := make([]byte, n), make([]byte, n)
+			for i := range a {
+				a[i], b[i] = alphabet[rng.Intn(len(alphabet))], alphabet[rng.Intn(len(alphabet))]
+			}
+			want := 0
+			for i := range a {
+				if a[i] == b[i] {
+					want++
+				}
+			}
+			if got := equalBytes(a, b); got != want {
+				t.Fatalf("len %d: %d equal bytes, byte loop counts %d\na %x\nb %x", n, got, want, a, b)
+			}
+		}
+	}
+}
+
+// TestFingerprintBoundAdmissible: for random signature pairs — slots that
+// agree, slots that differ only above the low byte, and EmptySlot runs on
+// either side or both — the fingerprint bound pass 1 computes is never below
+// the EstimateJaccard score pass 2 computes.
+func TestFingerprintBoundAdmissible(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, k := range []int{1, 7, 8, 16, 100, 128} {
+		for trial := 0; trial < 500; trial++ {
+			a, b := make([]uint64, k), make([]uint64, k)
+			for i := range a {
+				a[i] = rng.Uint64() >> 1
+				switch rng.Intn(4) {
+				case 0:
+					b[i] = a[i]
+				case 1:
+					b[i] = a[i] ^ uint64(1+rng.Intn(255))<<8 // same low byte
+				default:
+					b[i] = rng.Uint64() >> 1
+				}
+			}
+			for _, sig := range [][]uint64{a, b} {
+				if rng.Intn(2) == 0 {
+					lo := rng.Intn(k)
+					for i := lo; i < lo+rng.Intn(k-lo+1); i++ {
+						sig[i] = profile.EmptySlot
+					}
+				}
+			}
+			fa, fb := make([]byte, k), make([]byte, k)
+			fingerprint(fa, a)
+			fingerprint(fb, b)
+			bound, exact := float64(equalBytes(fa, fb))/float64(k), profile.EstimateJaccard(a, b)
+			if bound < exact {
+				t.Fatalf("k=%d: bound %v below score %v\na %x\nb %x", k, bound, exact, a, b)
+			}
+		}
 	}
 }

@@ -53,6 +53,8 @@ type segment struct {
 	bucketIDs      []int32
 	tokenIDs       []uint32
 	setIDs         []uint32
+	fps            []byte           // per slot its signature's low byte (empty with zero bands)
+	ownFps         bool             // fps derived at open onto the heap: an 11-section image
 	keyStart       []int            // per band start into bandKeys/bucketEnds (len bands+1)
 	idStart        []int            // per band start into bucketIDs (len bands+1)
 	dir            map[string]int32 // table name (view) → table ordinal
@@ -158,6 +160,12 @@ func (s *segment) colName(id int32) string {
 // fixed-width signature matrix — no decode, no copy.
 func (s *segment) colSig(id int32) []uint64 {
 	return s.sigs[int(id)*s.k : (int(id)+1)*s.k]
+}
+
+// colFp returns the column's fingerprint row: each signature slot's low
+// byte, a view like colSig.
+func (s *segment) colFp(id int32) []byte {
+	return s.fps[int(id)*s.k : (int(id)+1)*s.k]
 }
 
 // numTokens returns how many lowercase name tokens column id carries, and
@@ -269,13 +277,17 @@ func (s *segment) bucket(b, i int) []int32 {
 }
 
 // residentBytes reports the segment's exact length on the Go heap and in
-// file mappings — exactly one is non-zero. A mapped image costs the catalog
-// only page-cache residency, which is the point of mapping it.
+// file mappings: the image counts on one side, and fingerprints derived at
+// open count as heap. A mapped image costs the catalog only page-cache
+// residency, which is the point of mapping it.
 func (s *segment) residentBytes() (heap, mapped int64) {
-	if s.unmap == nil {
-		return int64(len(s.data)), 0
+	if s.ownFps {
+		heap = int64(len(s.fps))
 	}
-	return 0, int64(len(s.data))
+	if s.unmap == nil {
+		return heap + int64(len(s.data)), 0
+	}
+	return heap, int64(len(s.data))
 }
 
 // residentMappedBytes estimates how many of the segment's mapped bytes the

@@ -16,7 +16,7 @@ package discovery
 //	header (48 bytes)
 //	  [0:8)   magic "VALSEG2\n"
 //	  [8:12)  u32 format version (2)
-//	  [12:16) u32 section count (11)
+//	  [12:16) u32 section count (12; 11 in images written before fps)
 //	  [16:24) u64 segment id
 //	  [24:28) u32 k        — MinHash signature slots per column
 //	  [28:32) u32 bands    — LSH band count
@@ -24,7 +24,7 @@ package discovery
 //	  [36:40) u32 nTables
 //	  [40:44) u32 nStrings
 //	  [44:48) u32 reserved
-//	section table: 11 × { u64 off, u64 len }
+//	section table: 12 × { u64 off, u64 len }
 //	sections:
 //	  0 strOffs    (nStrings+1) × u32   prefix byte offsets into strBlob
 //	  1 strBlob    raw string bytes (names + tokens, deduplicated)
@@ -38,6 +38,18 @@ package discovery
 //	  8 bucketIDs  ΣbandIDs × u32       bucket contents, insertion order preserved
 //	  9 tokenIDs   × u32                flat name-token string indices
 //	 10 setIDs     × u32                flat sorted interned distinct-value ids
+//	 11 fps        nCols × k × u8       per slot its signature's low byte,
+//	                                    row-major per column; empty when bands is 0
+//
+// fps is derived from sigs and never logged: a zero-band image (an upsert's
+// logged form) leaves it empty, like the band sections. It is what search
+// bounds a candidate with before reading the candidate's signature row (see
+// searchImpl): equal slots have equal low bytes, so the count of equal
+// fingerprint bytes bounds the count of equal slots from above. An
+// 11-section image — every file written before the section existed — is
+// still read: openSegV2 derives its fps onto the heap. Fingerprint bytes are
+// not scanned at open, like bucket ids: a corrupt one can only loosen or
+// tighten a bound, misranking the damaged image's tables, never a panic.
 //
 // Bucket contents keep insertion order — tables in the order they were
 // added, a table's columns in column order — and a table's columns are
@@ -79,8 +91,11 @@ var (
 const (
 	segV2Magic    = "VALSEG2\n"
 	segV2Version  = 2
-	segV2Sections = 11
+	segV2Sections = 12
 	segV2Header   = 48
+	// segV2Legacy is the section count of an image written before the
+	// fingerprint section: everything but fps.
+	segV2Legacy = segV2Sections - 1
 )
 
 // section ids in the section table.
@@ -96,6 +111,7 @@ const (
 	secBucketIDs
 	secTokenIDs
 	secSetIDs
+	secFps
 )
 
 const (
@@ -163,6 +179,7 @@ func assembleSegV2(id uint64, k, bands, nCols, nTables int, strs *strTable, toke
 		secBucketIDs:  uint64(nBucketIDs) * 4,
 		secTokenIDs:   uint64(len(tokenIDs)) * 4,
 		secSetIDs:     uint64(nSetIDs) * 4,
+		secFps:        fpsLen(k, bands, nCols),
 	}
 	var offs [segV2Sections]uint64
 	pos := uint64(segV2Header + segV2Sections*16)
@@ -193,6 +210,22 @@ func assembleSegV2(id uint64, k, bands, nCols, nTables int, strs *strTable, toke
 	copy(secs[secStrBlob], strs.blob)
 	copy(viewU32(secs[secTokenIDs]), tokenIDs)
 	return out, secs, nil
+}
+
+// fpsLen is the fingerprint section's length: a byte per signature slot,
+// none in a zero-band image.
+func fpsLen(k, bands, nCols int) uint64 {
+	if bands == 0 {
+		return 0
+	}
+	return uint64(nCols) * uint64(k)
+}
+
+// fingerprint writes each signature slot's low byte to fps.
+func fingerprint(fps []byte, sigs []uint64) {
+	for i, v := range sigs[:len(fps)] {
+		fps[i] = byte(v)
+	}
 }
 
 // checkTable reports why a table's columns have no v2 image with k-slot
@@ -288,7 +321,8 @@ func encodeTables(id uint64, k, bands, rows int, tables []ReplayOp) ([]byte, err
 		return nil, err
 	}
 
-	// Pass 2: the records, signatures and set ids, then the band sections.
+	// Pass 2: the records, signatures, fingerprints and set ids, then the
+	// band sections.
 	tblRecs, colRecs := viewU32(secs[secTblRecs]), viewU32(secs[secColRecs])
 	sigs, setIDs := viewU64(secs[secSigs]), viewU32(secs[secSetIDs])
 	name, tok, set := 0, 0, 0
@@ -318,6 +352,7 @@ func encodeTables(id uint64, k, bands, rows int, tables []ReplayOp) ([]byte, err
 			col++
 		}
 	}
+	fingerprint(secs[secFps], sigs)
 	copy(viewU32(secs[secBandCounts]), bandCounts)
 	keys, ends, ids := viewU64(secs[secBandKeys]), viewU32(secs[secBucketEnds]), viewU32(secs[secBucketIDs])
 	ki := 0
@@ -448,13 +483,14 @@ func siftDown(h []bandCursor, i int) {
 // batch's fresh upserts, and a loaded memtable's adoption under a fresh id. It
 // writes the merged image directly: strings re-interned in first-encounter
 // order, table and column records renumbered, each live table's signature
-// rows copied as one block and its columns' set-id runs one by one, and per
-// band a merge of the inputs' already-sorted key runs with bucket ids
-// renumbered through a per-input old→new id table (ids of dead tables
-// dropped; a bucket left empty vanishes). The result is byte-identical to
-// the heap segment the catalog once built by adding those tables in that
-// order, encoded — encodeHeapRef in the tests is that oracle — so a probe of
-// the merged image visits candidates exactly as the inputs' probes did.
+// and fingerprint rows copied as one block each and its columns' set-id runs
+// one by one, and per band a merge of the inputs' already-sorted key runs
+// with bucket ids renumbered through a per-input old→new id table (ids of
+// dead tables dropped; a bucket left empty vanishes). The result is
+// byte-identical to the heap segment the catalog once built by adding those
+// tables in that order, encoded — encodeHeapRef in the tests is that oracle
+// — so a probe of the merged image visits candidates exactly as the inputs'
+// probes did.
 //
 // dead, when non-nil, reports whether input in's table is dead (tombstoned,
 // replaced or removed); reclaimed counts the columns of the tables it
@@ -573,13 +609,14 @@ func mergeSegV2(id uint64, k, bands int, ins []*segment, dead func(in int, table
 		return nil, 0, err
 	}
 
-	// Pass 2: records, signatures and set ids straight into their sections.
+	// Pass 2: records, signatures, fingerprints and set ids straight into
+	// their sections.
 	copy(viewU32(secs[secBandCounts]), bandCounts)
 	copy(viewU64(secs[secBandKeys]), keys)
 	copy(viewU32(secs[secBucketEnds]), ends)
 	copy(viewU32(secs[secBucketIDs]), ids)
 	tblRecs, colRecs := viewU32(secs[secTblRecs]), viewU32(secs[secColRecs])
-	sigs, setIDs := viewU64(secs[secSigs]), viewU32(secs[secSetIDs])
+	sigs, setIDs, fps := viewU64(secs[secSigs]), viewU32(secs[secSetIDs]), secs[secFps]
 	name, col, tok, set := 0, 0, 0, 0
 	for ti, t := range tables {
 		m := ins[t.in]
@@ -591,6 +628,9 @@ func mergeSegV2(id uint64, k, bands int, ins []*segment, dead func(in int, table
 		}
 		rec[2] = uint32(t.n)
 		copy(sigs[col*k:], m.sigs[t.first*k:(t.first+t.n)*k])
+		if len(fps) > 0 { // an input of the same geometry has fps too
+			copy(fps[col*k:], m.fps[t.first*k:(t.first+t.n)*k])
+		}
 		for c := t.first; c < t.first+t.n; c++ {
 			src := m.colRecs[c*colRecWords:][:colRecWords]
 			dst := colRecs[col*colRecWords:][:colRecWords]
@@ -638,8 +678,10 @@ func viewU64(b []byte) []uint64 {
 // openSegV2 validates data as a v2 segment file and returns the in-place
 // view. Validation is structural and O(sections + records): header, section
 // table, string offsets, table/column record bounds, band bucket offset
-// tables. Bucket id values are not scanned here — the search path clamps
-// them, so a corrupt payload degrades to skipped candidates, never a panic.
+// tables, the fingerprint section's length. Bucket id values and fingerprint
+// bytes are not scanned here — the search path clamps the ids, so a corrupt
+// payload degrades to skipped candidates or a misranked table, never a
+// panic. An 11-section image gets its fingerprints derived onto the heap.
 // Bytes past the last section are permitted and ignored (crash-tail
 // contract). data must be 8-byte aligned (mmap and the []uint64-backed heap
 // buffers both are).
@@ -653,15 +695,19 @@ func openSegV2(data []byte, unmap func() error) (*segment, error) {
 	if string(data[:len(segV2Magic)]) != segV2Magic {
 		return nil, ErrSegmentMagic
 	}
-	if len(data) < segV2Header+segV2Sections*16 {
-		return fail(ErrSegmentTruncated, "%d bytes, want %d-byte header + section table", len(data), segV2Header+segV2Sections*16)
+	if len(data) < segV2Header {
+		return fail(ErrSegmentTruncated, "%d bytes, want the %d-byte header", len(data), segV2Header)
 	}
 	le := binary.LittleEndian
 	if v := le.Uint32(data[8:]); v != segV2Version {
 		return fail(ErrSegmentCorrupt, "format version %d, want %d", v, segV2Version)
 	}
-	if n := le.Uint32(data[12:]); n != segV2Sections {
-		return fail(ErrSegmentCorrupt, "section count %d, want %d", n, segV2Sections)
+	nSecs := int(le.Uint32(data[12:]))
+	if nSecs != segV2Sections && nSecs != segV2Legacy {
+		return fail(ErrSegmentCorrupt, "section count %d, want %d (or %d)", nSecs, segV2Sections, segV2Legacy)
+	}
+	if len(data) < segV2Header+nSecs*16 {
+		return fail(ErrSegmentTruncated, "%d bytes, want %d-byte header + section table", len(data), segV2Header+nSecs*16)
 	}
 	m := &segment{
 		id:       le.Uint64(data[16:]),
@@ -674,7 +720,7 @@ func openSegV2(data []byte, unmap func() error) (*segment, error) {
 		nStrings: int(le.Uint32(data[40:])),
 	}
 	var secs [segV2Sections][]byte
-	for i := 0; i < segV2Sections; i++ {
+	for i := 0; i < nSecs; i++ {
 		off := le.Uint64(data[segV2Header+i*16:])
 		size := le.Uint64(data[segV2Header+i*16+8:])
 		if off%8 != 0 {
@@ -714,6 +760,17 @@ func openSegV2(data []byte, unmap func() error) (*segment, error) {
 	m.sigs = viewU64(secs[secSigs])
 	m.tokenIDs = viewU32(secs[secTokenIDs])
 	m.setIDs = viewU32(secs[secSetIDs])
+	if nSecs == segV2Legacy {
+		// Written before the fingerprint section: derive it onto the heap.
+		m.fps = make([]byte, fpsLen(m.k, m.bands, m.nCols))
+		fingerprint(m.fps, m.sigs)
+		m.ownFps = true
+	} else {
+		if err := want(secFps, fpsLen(m.k, m.bands, m.nCols), "fingerprints"); err != nil {
+			return nil, err
+		}
+		m.fps = secs[secFps]
+	}
 
 	// String offsets: a monotone prefix table ending exactly at the blob.
 	for i := 0; i+1 < len(m.strOffs); i++ {

@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"unsafe"
@@ -199,6 +200,15 @@ func TestSegV2CorruptFilesRejected(t *testing.T) {
 		}, ErrSegmentCorrupt},
 		{"oversized column count", func(b []byte) []byte {
 			b[32], b[33], b[34], b[35] = 0xff, 0xff, 0xff, 0x0f
+			return b
+		}, ErrSegmentCorrupt},
+		{"wrong-length fingerprints", func(b []byte) []byte {
+			at := segV2Header + secFps*16 + 8
+			binary.LittleEndian.PutUint64(b[at:], leU64(b[at:])-8)
+			return b
+		}, ErrSegmentCorrupt},
+		{"unknown section count", func(b []byte) []byte {
+			b[12] = segV2Sections + 1
 			return b
 		}, ErrSegmentCorrupt},
 		{"repeated table name", func(b []byte) []byte {
@@ -520,6 +530,57 @@ func searchMatchesOracle(t *testing.T, ix *Index, names []string) {
 			}
 		}
 	}
+}
+
+// openCorpusSeed opens a checked-in FuzzOpenSegV2 corpus entry.
+func openCorpusSeed(t *testing.T, name string) (*segment, error) {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzOpenSegV2", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(b)), "\n")
+	if len(lines) != 2 || !strings.HasPrefix(lines[1], "[]byte(") || !strings.HasSuffix(lines[1], ")") {
+		t.Fatalf("%s is not a one-value corpus entry", name)
+	}
+	data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := make([]uint64, (len(data)+7)/8)
+	aligned := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), len(data))
+	copy(aligned, data)
+	return openSegV2(aligned, nil)
+}
+
+// TestOpenSegV2FingerprintSection: FuzzOpenSegV2's 12-section seed opens
+// with its fingerprints viewed in place, the same image with that section a
+// byte short fails as ErrSegmentCorrupt, and an 11-section seed opens with
+// fingerprints derived from its signatures.
+func TestOpenSegV2FingerprintSection(t *testing.T) {
+	check := func(name string, seg *segment, derived bool) {
+		t.Helper()
+		if seg.ownFps != derived || len(seg.fps) != seg.nCols*seg.k || seg.nCols == 0 {
+			t.Fatalf("%s: %d fingerprint bytes for %d×%d slots, derived %v; want derived %v", name, len(seg.fps), seg.nCols, seg.k, seg.ownFps, derived)
+		}
+		for i, v := range seg.sigs {
+			if seg.fps[i] != byte(v) {
+				t.Fatalf("%s slot %d: fingerprint %#x, signature %#x", name, i, seg.fps[i], v)
+			}
+		}
+	}
+	seg, err := openCorpusSeed(t, "seed-fps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("seed-fps", seg, false)
+	if _, err := openCorpusSeed(t, "seed-fps-wrong-length"); !errors.Is(err, ErrSegmentCorrupt) {
+		t.Fatalf("seed-fps-wrong-length: err = %v, want %v", err, ErrSegmentCorrupt)
+	}
+	if seg, err = openCorpusSeed(t, "seed-sealed"); err != nil {
+		t.Fatal(err)
+	}
+	check("seed-sealed", seg, true)
 }
 
 // FuzzOpenSegV2 holds the one decoder every column byte off disk goes

@@ -3,6 +3,7 @@ package discovery
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -489,7 +490,7 @@ func pinnedCatalog(t *testing.T) *Index {
 }
 
 // TestSnapshotBytesPinned holds what SaveSnapshot writes to the bytes the
-// build before the memtable became an image wrote for the same op stream
+// build that added the fingerprint section wrote for the same op stream
 // (testdata/snapshot-pinned, pinnedCatalog): every seg-*.seg, mem.seg and
 // dict.log byte for byte, and the manifest field for field but for its
 // random lineage, with tombstones compared as a set. The checked-in
@@ -566,6 +567,112 @@ func TestSnapshotBytesPinned(t *testing.T) {
 		}
 		if len(want) == 0 || !reflect.DeepEqual(got, want) {
 			t.Errorf("%s search over the pinned snapshot:\n got %+v\nwant %+v", mode, got, want)
+		}
+	}
+}
+
+// segSectionCounts reads the section count from the header of every segment
+// file in a snapshot directory.
+func segSectionCounts(t *testing.T, dir string) map[string]uint32 {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]uint32, len(paths))
+	for _, path := range paths {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[filepath.Base(path)] = binary.LittleEndian.Uint32(b[12:])
+	}
+	return out
+}
+
+// TestLoadElevenSectionSnapshot: testdata/snapshot-pr39 is
+// testdata/snapshot-pinned as the build before the fingerprint section wrote
+// it, every segment file in 11 sections. It still loads — its sealed
+// segments with fingerprints derived onto the heap and counted there, its
+// memtable adopted as a 12-section image — and answers every search as the
+// same catalog saved in 12 sections (pinnedCatalog) does.
+func TestLoadElevenSectionSnapshot(t *testing.T) {
+	legacyDir := filepath.Join("testdata", "snapshot-pr39")
+	counts := segSectionCounts(t, legacyDir)
+	if len(counts) != 4 {
+		t.Fatalf("fixture: %d segment files, want 4", len(counts))
+	}
+	for name, n := range counts {
+		if n != segV2Legacy {
+			t.Fatalf("fixture: %s has %d sections, want %d", name, n, segV2Legacy)
+		}
+	}
+	legacy, err := LoadSnapshot(legacyDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer legacy.Close()
+	dir := filepath.Join(t.TempDir(), "snap")
+	if err := pinnedCatalog(t).SaveSnapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	for name, n := range segSectionCounts(t, dir) {
+		if n != segV2Sections {
+			t.Fatalf("%s saved in %d sections, want %d", name, n, segV2Sections)
+		}
+	}
+	current, err := LoadSnapshot(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer current.Close()
+
+	sn := legacy.snap.Load()
+	derived := int64(0)
+	for _, seg := range sn.sealed {
+		if !seg.ownFps || len(seg.fps) != seg.nCols*seg.k {
+			t.Fatalf("segment %d: %d fingerprint bytes (derived: %v), want %d derived", seg.id, len(seg.fps), seg.ownFps, seg.nCols*seg.k)
+		}
+		for i, v := range seg.sigs {
+			if seg.fps[i] != byte(v) {
+				t.Fatalf("segment %d slot %d: fingerprint %#x, signature %#x", seg.id, i, seg.fps[i], v)
+			}
+		}
+		derived += int64(len(seg.fps))
+	}
+	if sn.mem == nil || sn.mem.ownFps {
+		t.Fatal("the loaded memtable is not a 12-section image")
+	}
+	if mmapAvailable {
+		if got, want := legacy.Stats().HeapSegmentBytes, current.Stats().HeapSegmentBytes+derived; got != want {
+			t.Errorf("heap segment bytes %d, want the 12-section load's plus %d derived fingerprint bytes: %d", got, derived, want)
+		}
+	}
+
+	queries := []*table.Table{
+		table.New("q").AddColumn("customer_id", vals("u", 20, 90)).AddColumn("city", vals("c1_", 0, 70)),
+		table.New("t12").AddColumn("customer_id", vals("u", 0, 40)),
+	}
+	for i := 0; i < 12; i++ {
+		queries = append(queries, table.New("").
+			AddColumn("customer_id", vals("u", i*7, i*7+40)).
+			AddColumn("city", vals(fmt.Sprintf("c%d_", i%3), 0, 40)))
+	}
+	for _, q := range queries {
+		for _, mode := range []Mode{ModeJoin, ModeUnion} {
+			for _, k := range []int{0, 1, 3} {
+				want, err := current.Search(q, mode, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := legacy.Search(q, mode, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(want) == 0 || !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s k=%d search over the 11-section snapshot:\n got %+v\nwant %+v", mode, k, got, want)
+				}
+			}
 		}
 	}
 }
