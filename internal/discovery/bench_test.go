@@ -156,13 +156,20 @@ func lakeCatalog(tb testing.TB, families int) (*Index, []*table.Table) {
 }
 
 // BenchmarkSearchLake is the search alone — query already profiled, no
-// server, no writer — over a 400-table lake in one mapped image: a rotation
-// of the lake's own tables as queries (13 to 28 columns wide, every recipe
-// and role), join:union 3:1, top 10, as search-heavy asks. It reports the
-// pairs a search bounds (candidates/op) and the pairs it refines with full
-// signatures (scored/op).
+// server, no writer — over a lake in one mapped image, at two sizes: 400
+// tables, and search-heavy's 2,000. Queries are a rotation of the lake's own
+// tables (13 to 28 columns wide, every recipe and role), join:union 3:1, top
+// 10, as search-heavy asks. It reports the pairs a search bounds
+// (candidates/op) and the pairs it refines with full signatures
+// (scored/op).
 func BenchmarkSearchLake(b *testing.B) {
-	ix, tables := lakeCatalog(b, 50)
+	for _, tables := range []int{400, 2000} {
+		b.Run(fmt.Sprintf("tables=%d", tables), func(b *testing.B) { benchSearchLake(b, tables/8) })
+	}
+}
+
+func benchSearchLake(b *testing.B, families int) {
+	ix, tables := lakeCatalog(b, families)
 	queries := make([]*profile.TableProfile, 48)
 	for i := range queries {
 		queries[i] = ix.queryProfile(tables[i*37%len(tables)])

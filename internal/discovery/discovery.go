@@ -509,13 +509,32 @@ func newBitset(n int) bitset    { return make(bitset, (n+63)/64) }
 func (b bitset) has(i int) bool { return b[i>>6]&(1<<(i&63)) != 0 }
 func (b bitset) set(i int)      { b[i>>6] |= 1 << (i & 63) }
 
-// cand is one scored candidate of one query column: the indexed table's slot
-// (its segment's base in the pinned snapshot plus its ordinal there), the
-// column's segment-local id, and the score.
+// cand is one candidate of one query column: the indexed table's slot (its
+// segment's base in the pinned snapshot plus its ordinal there), the
+// column's segment-local id, and on the brute-force arm its exact score, on
+// the LSH arm the number of bands it collided in (see collisionSlots).
 type cand struct {
 	slot  int32
 	col   int32
 	score float64
+	hits  uint8
+}
+
+// maxHits is where a candidate's band-collision counter saturates.
+const maxHits = math.MaxUint8
+
+// collisionSlots bounds how many signature slots a candidate that collided
+// with the query in hits of bands bands can share with it. Bands are
+// disjoint runs of slots and a band's key is a function of its slots alone,
+// so every band whose keys differ holds at least one unequal slot: at most
+// k − (bands − hits) slots are equal. A key that collides by hash, or a
+// corrupt bucket that repeats an id, only raises hits, which loosens the
+// bound; a saturated counter stands for any count and bounds nothing.
+func collisionSlots(k, bands int, hits uint8) int {
+	if hits == maxHits {
+		return k
+	}
+	return min(k, k-bands+int(hits))
 }
 
 // slotAcc folds one table's candidates as they arrive in (query column,
@@ -565,10 +584,13 @@ func (a *slotAcc) close() {
 	}
 }
 
-// ranked is one touched table on its way through the top-k selection.
+// ranked is one touched table on its way through the top-k selection. In
+// search's pass 2 queue, score is a bound on the table's score: its tier-1
+// bound once tight is set, its tier-0 bound before.
 type ranked struct {
 	score    float64
 	seg, ord int32
+	tight    bool
 }
 
 // topK selects the k entries that rank first under before — every entry when
@@ -656,6 +678,11 @@ func (t *topK) sorted() []ranked {
 // query's own table, tombstoned occurrences) a bitset, the accumulators a
 // flat pointer-free slice. Names are read again only to break score ties
 // and to hand the survivors of the top-k selection to the caller.
+//
+// The LSH arm bounds a candidate in three tiers, each read only for the
+// tables the one before cannot rule out: tier 0 from the number of bands it
+// collided in, which pass 1 counts while probing; tier 1 from its
+// fingerprint row; tier 2, the exact score, from its signature.
 func (ix *Index) searchImpl(ctx context.Context, qp *profile.TableProfile, mode Mode, k int, brute, bestEffort bool) ([]Result, uint64, error) {
 	if mode != ModeJoin && mode != ModeUnion {
 		return nil, 0, fmt.Errorf("discovery: mode %q is not join|union", mode)
@@ -733,19 +760,25 @@ func (ix *Index) searchImpl(ctx context.Context, qp *profile.TableProfile, mode 
 	}
 
 	// Pass 1, one pool unit per query column: probe the bands and append
-	// every candidate — {slot, column, bound} — to a private list in probe
-	// order. A bound is the count of equal fingerprint bytes over k plus the
-	// exact TokenBoost term: equal slots have equal low bytes, so it is never
-	// below the candidate's score, and it reads 128 B of fingerprints where
-	// the score reads a 1 KB signature row. The brute-force arm appends exact
-	// scores instead, the plain sweep it is the reference for. Folding
-	// happens afterwards in query-column order, which makes the output
-	// bit-identical to a sequential sweep at any parallelism.
+	// every candidate — {slot, column, hits} — to a private list in probe
+	// order, hits being the number of bands it collided in. A counter per
+	// column id, in a slab the unit borrows, sees the first hit append the
+	// candidate and the later ones count; after the bands each candidate's
+	// count is read and its counter reset, so a slab goes back clear having
+	// touched only the candidates' entries. Nothing of the candidate's own
+	// is read but its table ordinal. The brute-force arm appends exact scores
+	// instead, the plain sweep it is the reference for. Folding happens
+	// afterwards in query-column order, which makes the output bit-identical
+	// to a sequential sweep at any parallelism.
 	lists := make([][]cand, nq)
-	seenWords := (maxCols + 63) / 64
-	var seenAll bitset // one dedup set over column ids per unit
+	workers := engine.OptionsFrom(ctx).Workers()
+	var slabs chan []uint8 // one counter slab per concurrent unit, for this search only
 	if !brute {
-		seenAll = make(bitset, nq*seenWords)
+		n := min(workers, nq)
+		slabs = make(chan []uint8, n)
+		for range n {
+			slabs <- make([]uint8, maxCols)
+		}
 	}
 	exact := func(qi int, seg *segment, id int32) float64 {
 		s := profile.EstimateJaccard(qSigs[qi], seg.colSig(id))
@@ -755,7 +788,7 @@ func (ix *Index) searchImpl(ctx context.Context, qp *profile.TableProfile, mode 
 		return s
 	}
 	start := time.Now()
-	err := engine.Map(ctx, engine.OptionsFrom(ctx).Workers(), nq, func(qi int) error {
+	err := engine.Map(ctx, workers, nq, func(qi int) error {
 		sig := qSigs[qi]
 		if profile.IsEmptySignature(sig) {
 			return nil // can only hit empty columns, all at score 0
@@ -767,7 +800,12 @@ func (ix *Index) searchImpl(ctx context.Context, qp *profile.TableProfile, mode 
 				// allocates for its candidates O(log candidates) times.
 				list = slices.Grow(list, max(len(list), 64))
 			}
-			list = append(list, cand{int32(slot), id, s})
+			list = append(list, cand{slot: int32(slot), col: id, score: s})
+		}
+		var slab []uint8
+		if !brute {
+			slab = <-slabs
+			defer func() { slabs <- slab }()
 		}
 		// Probe segments oldest-first so the within-table column probe
 		// order — and therefore tie-broken best correspondences — is
@@ -785,9 +823,8 @@ func (ix *Index) searchImpl(ctx context.Context, qp *profile.TableProfile, mode 
 				}
 				continue
 			}
-			fp := qFps[qi*ix.k:][:ix.k]
-			seen := seenAll[qi*seenWords:][:(nCols+63)/64]
-			clear(seen)
+			hits := slab[:nCols]
+			first := len(list)
 			for b := 0; b < ix.bands; b++ {
 				key := profile.BandKey(sig, b, ix.rows)
 				for _, id := range seg.probe(b, key) {
@@ -796,20 +833,25 @@ func (ix *Index) searchImpl(ctx context.Context, qp *profile.TableProfile, mode 
 					// checks every offset table but not bucket values, so the
 					// guard lives here, ahead of every index the id feeds —
 					// skip, never panic.
-					if id < 0 || int(id) >= nCols || seen.has(int(id)) {
+					if id < 0 || int(id) >= nCols {
 						continue
 					}
-					seen.set(int(id))
-					slot := base[si] + int(seg.colOrd(id))
-					if skip.has(slot) {
-						continue // the query's own table, or tombstoned and awaiting compaction
+					switch h := hits[id]; {
+					case h == 0:
+						slot := base[si] + int(seg.colOrd(id))
+						if skip.has(slot) {
+							continue // the query's own table, or tombstoned and awaiting compaction
+						}
+						hits[id] = 1
+						add(slot, id, 0)
+					case h < maxHits:
+						hits[id] = h + 1
 					}
-					s := float64(equalBytes(fp, seg.colFp(id))) / float64(ix.k)
-					if qTokens != nil {
-						s += ix.opts.TokenBoost * seg.tokenJaccard(qTokens[qi], id)
-					}
-					add(slot, id, s)
 				}
+			}
+			for i := first; i < len(list); i++ {
+				c := &list[i]
+				c.hits, hits[c.col] = hits[c.col], 0
 			}
 		}
 		lists[qi] = list
@@ -848,9 +890,19 @@ func (ix *Index) searchImpl(ctx context.Context, qp *profile.TableProfile, mode 
 	// sequential sweep updated its per-table state in. In best-effort mode,
 	// columns the expired context left unfinished have no list — identical in
 	// effect to an empty-signature column — and simply contribute no scores.
-	// Rounded addition is monotone, so on the LSH arm each table's folded
-	// bound — the best one for join, the union's sum of per-column bests —
-	// is never below the score the same fold of its exact scores gives.
+	// On the LSH arm a candidate's tier-0 bound is its collision bound plus
+	// the TokenBoost term at its largest (tokenJaccard ≤ 1), one value per
+	// count: it reads nothing of the candidate. Rounded addition is
+	// monotone, so each table's folded bound — the best one for join, the
+	// union's sum of per-column bests — is never below the score the same
+	// fold of its exact scores gives.
+	var tier0 [maxHits + 1]float64
+	if !brute {
+		boost := max(ix.opts.TokenBoost, 0)
+		for h := range tier0 {
+			tier0[h] = float64(collisionSlots(ix.k, ix.bands, uint8(h)))/float64(ix.k) + boost
+		}
+	}
 	acc := make([]slotAcc, nSlots)
 	nTouched := 0
 	for qi, list := range lists {
@@ -859,7 +911,11 @@ func (ix *Index) searchImpl(ctx context.Context, qp *profile.TableProfile, mode 
 			if a.candidates == 0 {
 				nTouched++
 			}
-			a.add(int32(qi), c.col, c.score)
+			s := c.score
+			if !brute {
+				s = tier0[c.hits]
+			}
+			a.add(int32(qi), c.col, s)
 		}
 	}
 	score := func(a *slotAcc) float64 {
@@ -884,7 +940,7 @@ func (ix *Index) searchImpl(ctx context.Context, qp *profile.TableProfile, mode 
 	for si, seg := range segs {
 		for ord, n := 0, seg.numTables(); ord < n; ord++ {
 			if a := &acc[base[si]+ord]; a.candidates > 0 {
-				touched = append(touched, ranked{score(a), int32(si), int32(ord)})
+				touched = append(touched, ranked{score: score(a), seg: int32(si), ord: int32(ord)})
 			}
 		}
 	}
@@ -894,20 +950,31 @@ func (ix *Index) searchImpl(ctx context.Context, qp *profile.TableProfile, mode 
 		}
 	} else {
 		// Pass 2 takes the touched tables best bound first, name ascending
-		// on ties, re-folds each one's candidates from exact scores in their
+		// on ties, off a heap keyed by their tier-0 bounds. The first time a
+		// table comes up it is tightened to tier 1: its candidates are
+		// re-folded, each bounded by the lesser of its collision bound and
+		// its fingerprint bound — the count of equal fingerprint bytes, which
+		// is never below the count of equal slots, as equal slots have equal
+		// low bytes — plus the exact TokenBoost term, and the table sinks to
+		// that key, which is never above the one it had. The second time it
+		// is refined: its candidates are re-folded from exact scores in their
 		// original (query column, probe) order — so BestQuery, BestIndexed,
 		// Candidates and the union sum's float order are the brute-force
-		// fold's — and offers it to top. It stops at the first table whose
-		// bound cannot rank before top's k-th entry: every table after it has
-		// a bound, and so a score, that ranks no earlier, and names break the
-		// ties. Breaking ties by name is what keeps pass 2 small when hundreds
-		// of tables tie at the k-th score, as join searches often do at 1.0.
-		// k <= 0 refines every table.
+		// fold's — and it is offered to top. Tables are so refined in tier-1
+		// order. Pass 2 stops at the first table whose bound cannot rank
+		// before top's k-th entry: every table after it has a bound, and so a
+		// score, that ranks no earlier, and names break the ties. Breaking
+		// ties by name is what keeps pass 2 small when hundreds of tables tie
+		// at the k-th score, as join searches often do at 1.0. k <= 0 refines
+		// every table.
 		//
 		// First lay each table's candidates out contiguously, in the order
 		// the fold met them: at[slot] counts up to the table's end, then back
 		// down to its start as the lists are placed from the back.
-		type pair struct{ qi, col int32 }
+		type pair struct {
+			qi, col int32
+			hits    uint8
+		}
 		at := make([]int32, nSlots+1)
 		n := int32(0)
 		for slot := range acc {
@@ -921,7 +988,7 @@ func (ix *Index) searchImpl(ctx context.Context, qp *profile.TableProfile, mode 
 			for i := len(list) - 1; i >= 0; i-- {
 				c := list[i]
 				at[c.slot]--
-				byTable[at[c.slot]] = pair{int32(qi), c.col}
+				byTable[at[c.slot]] = pair{int32(qi), c.col, c.hits}
 			}
 		}
 		// The table at slot s now has byTable[at[s]:at[s+1]]. A heap pops
@@ -934,12 +1001,25 @@ func (ix *Index) searchImpl(ctx context.Context, qp *profile.TableProfile, mode 
 			if top.full() && !before(next, top.ents[0]) {
 				break
 			}
-			queue.pop()
 			seg, slot := segs[next.seg], base[next.seg]+int(next.ord)
 			pairs := byTable[at[slot]:at[slot+1]]
-			scored += int64(len(pairs))
 			a := &acc[slot]
 			*a = slotAcc{}
+			if !next.tight {
+				for _, p := range pairs {
+					n := min(equalBytes(qFps[int(p.qi)*ix.k:][:ix.k], seg.colFp(p.col)), collisionSlots(ix.k, ix.bands, p.hits))
+					s := float64(n) / float64(ix.k)
+					if qTokens != nil {
+						s += ix.opts.TokenBoost * seg.tokenJaccard(qTokens[p.qi], p.col)
+					}
+					a.add(p.qi, p.col, s)
+				}
+				queue.ents[0].score, queue.ents[0].tight = score(a), true
+				queue.siftDown(0)
+				continue
+			}
+			queue.pop()
+			scored += int64(len(pairs))
 			for _, p := range pairs {
 				// No banked column has an empty signature; a corrupt image's
 				// bucket can still name one, which must not rank.

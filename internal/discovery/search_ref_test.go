@@ -7,10 +7,12 @@ package discovery
 // table. It shares nothing with searchImpl past the segment accessors —
 // colAcc, colRef and tokenJaccard below came with it. Beside its results it
 // computes the count of pairs searchImpl's pass 2 must refine (Stats.Scored
-// on the LSH arm) its own way: bounds from each slot's low byte compared one
-// by one, a full sort of the touched tables by (bound desc, name asc), and a
-// linear walk that stops at the first table whose bound cannot rank before
-// the k-th exact result so far.
+// on the LSH arm) its own way: a candidate's bound is the lesser of its
+// fingerprint bound, each slot's low byte compared one by one, and its
+// collision bound, the query's and the candidate's band keys compared band
+// by band; then a full sort of the touched tables by (bound desc, name asc),
+// and a linear walk that stops at the first table whose bound cannot rank
+// before the k-th exact result so far.
 
 import (
 	"context"
@@ -45,7 +47,7 @@ type colAcc struct {
 	best       float64
 	bestC      colRef // first column achieving best, in probe order
 	candidates int
-	bound      float64 // the best fingerprint bound
+	bound      float64 // the best candidate bound
 }
 
 // byteBound is a candidate's fingerprint bound: the slots whose low bytes
@@ -58,6 +60,24 @@ func byteBound(q, c []uint64, boost float64) float64 {
 		}
 	}
 	return float64(eq)/float64(len(q)) + boost
+}
+
+// bandBound is a candidate's collision bound: with c of the bands' keys
+// equal, at most k − (bands − c) slots agree, over k, plus the exact
+// TokenBoost term. A c of 255 or more bounds nothing, as search's counter
+// saturates there.
+func bandBound(q, c []uint64, bands, rows int, boost float64) float64 {
+	equal := 0
+	for b := 0; b < bands; b++ {
+		if profile.BandKey(q, b, rows) == profile.BandKey(c, b, rows) {
+			equal++
+		}
+	}
+	k := len(q)
+	if equal >= 255 {
+		return 1 + boost
+	}
+	return float64(min(k, k-bands+equal))/float64(k) + boost
 }
 
 func (ix *Index) searchRef(ctx context.Context, qp *profile.TableProfile, mode Mode, k int, brute, bestEffort bool) ([]Result, uint64, error) {
@@ -135,7 +155,7 @@ func (ix *Index) searchRef(ctx context.Context, qp *profile.TableProfile, mode M
 			if s > a.best || a.bestC.seg == nil {
 				a.best, a.bestC = s, colRef{seg, id}
 			}
-			a.bound = max(a.bound, byteBound(sig, colSig, boost))
+			a.bound = max(a.bound, min(byteBound(sig, colSig, boost), bandBound(sig, colSig, ix.bands, ix.rows, boost)))
 		}
 		// Probe segments oldest-first so the within-table column probe
 		// order — and therefore tie-broken best correspondences — is
@@ -595,6 +615,99 @@ func TestSearchRefinesFewOnTies(t *testing.T) {
 					}
 				}
 				compareSearch(t, ix, at+" (expiring)", func() context.Context { return expiringAfter(1) }, qp, mode, 10, brute, true)
+			}
+		}
+	}
+}
+
+// TestSearchCollisionBoundCuts holds searchImpl to searchRef on a catalog
+// built by hand where neither bound alone is the tighter one. Against a
+// one-column query, table "a_mixed" holds column x, which differs from the
+// query in every slot of bands 0–11 (collision bound 116/128, fingerprint
+// bound 80/128), and column y, which collides in band 0 only and differs
+// from the query above the low byte in one slot of every other band
+// (collision bound 97/128, fingerprint bound 128/128); its score is y's
+// 97/128. Table "z_mid" differs in one slot of bands 0–19: score and both
+// bounds 108/128. a_mixed's collision bound, 116/128, ranks it first, so it
+// is tightened; the lesser of its candidates' two bounds, 97/128, sinks it
+// below z_mid, which is refined and ends the search at k = 1. Its
+// fingerprint bound alone, 128/128, would refine both tables. So Scored
+// tells the walks apart, and equal counters show the oracle and the search
+// take the same minimum.
+func TestSearchCollisionBoundCuts(t *testing.T) {
+	for _, boost := range []float64{0, 0.25} {
+		ix := New(Options{TokenBoost: boost})
+		q := table.New("q").AddColumn("k", vals("u", 0, 80))
+		qp := ix.queryProfile(q)
+		sig := qp.Column(0).Signature(ix.k)
+		differ := func(bands []int, slots int, flip uint64) []uint64 {
+			out := slices.Clone(sig)
+			for _, b := range bands {
+				for r := 0; r < slots; r++ {
+					out[b*ix.rows+r] ^= flip
+				}
+			}
+			return out
+		}
+		bandRange := func(lo, hi int) []int {
+			out := make([]int, 0, hi-lo)
+			for b := lo; b < hi; b++ {
+				out = append(out, b)
+			}
+			return out
+		}
+		x := differ(bandRange(0, 12), ix.rows, 5)
+		y := differ(bandRange(1, ix.bands), 1, 1<<8)
+		z := differ(bandRange(0, 20), 1, 5)
+		tables := []struct {
+			name string
+			sigs [][]uint64
+		}{{"a_mixed", [][]uint64{x, y}}, {"z_mid", [][]uint64{z}}}
+		var ops []ReplayOp
+		for _, tab := range tables {
+			op := ReplayOp{Name: tab.name}
+			for i, s := range tab.sigs {
+				op.Cols = append(op.Cols, ColumnProfile{Table: tab.name, Column: fmt.Sprintf("k%d", i), Rows: 80, Distinct: 80, Tokens: []string{"k"}, Signature: s})
+			}
+			ops = append(ops, op)
+		}
+		for _, err := range ix.ApplyReplayOps(ops) {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		term := boost * tokenJaccard(qp.Column(0).NameTokens(), []string{"k"})
+		for _, c := range []struct {
+			what      string
+			sig       []uint64
+			fp, bands int
+		}{{"x", x, 80, 116}, {"y", y, 128, 97}, {"z", z, 108, 108}} {
+			if fp, band := byteBound(sig, c.sig, term), bandBound(sig, c.sig, ix.bands, ix.rows, term); fp != float64(c.fp)/128+term || band != float64(c.bands)/128+term {
+				t.Fatalf("fixture: column %s's fingerprint bound %v and collision bound %v, want %d/128 and %d/128 + %v", c.what, fp, band, c.fp, c.bands, term)
+			}
+		}
+		all, _, err := ix.searchRef(context.Background(), qp, ModeJoin, 0, false, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(all) != 2 || all[0].Table != "z_mid" {
+			t.Fatalf("fixture: %+v, want z_mid first of two", all)
+		}
+		fpOnly := refineCountRef(all, func(r Result) float64 {
+			b := 0.0
+			for _, tab := range tables {
+				for _, s := range tab.sigs {
+					if tab.name == r.Table {
+						b = max(b, byteBound(sig, s, term))
+					}
+				}
+			}
+			return b
+		}, 1)
+		for _, mode := range []Mode{ModeJoin, ModeUnion} {
+			n := compareSearch(t, ix, fmt.Sprintf("TokenBoost=%v", boost), context.Background, qp, mode, 1, false, false)
+			if n.scored != 1 || fpOnly != 3 {
+				t.Errorf("TokenBoost=%v %s k=1: refined %d pairs, a fingerprint-only walk %d; want 1 and 3", boost, mode, n.scored, fpOnly)
 			}
 		}
 	}

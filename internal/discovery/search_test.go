@@ -2,15 +2,19 @@ package discovery
 
 // The search's ranking and allocation contracts: what order results come
 // back in when scores tie, what a k keeps of a tie group, that results own
-// their strings, and that a search's allocation count does not follow the
-// number of candidates it scores; and its fingerprint kernel.
+// their strings, that a search's allocation count does not follow the
+// number of candidates it scores, and that a corrupt bucket payload cannot
+// make it panic or count a candidate twice; and its bound kernels.
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"valentine/internal/engine"
 	"valentine/internal/profile"
@@ -206,6 +210,127 @@ func TestFingerprintBoundAdmissible(t *testing.T) {
 			bound, exact := float64(equalBytes(fa, fb))/float64(k), profile.EstimateJaccard(a, b)
 			if bound < exact {
 				t.Fatalf("k=%d: bound %v below score %v\na %x\nb %x", k, bound, exact, a, b)
+			}
+		}
+	}
+}
+
+// TestCollisionBoundAdmissible: for random signature pairs — agreeing on
+// most slots or few, slots that differ only above the low byte, EmptySlot
+// runs on either side or both — at geometries where k % rows ≠ 0 leaves
+// slots outside every band, the collision bound over the bands whose keys
+// are equal, with the count saturated as pass 1's counter saturates, is
+// never below the EstimateJaccard score pass 2 computes. With more than 255
+// bands a saturated count must bound nothing, and the pairs must reach one.
+func TestCollisionBoundAdmissible(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for _, g := range []struct{ k, bands int }{{7, 3}, {100, 32}, {128, 32}, {128, 128}, {300, 300}, {600, 280}} {
+		k, bands, rows := profile.Geometry(g.k, g.bands)
+		if k != g.k || bands != g.bands {
+			t.Fatalf("fixture: geometry %d/%d normalizes to %d/%d", g.k, g.bands, k, bands)
+		}
+		saturated := false
+		for trial := 0; trial < 400; trial++ {
+			differ := []float64{0, 0.002, 0.02, 0.2, 1}[trial%5]
+			a, b := make([]uint64, k), make([]uint64, k)
+			for i := range a {
+				a[i] = rng.Uint64() >> 1
+				b[i] = a[i]
+				if rng.Float64() < differ {
+					if rng.Intn(2) == 0 {
+						b[i] ^= uint64(1+rng.Intn(255)) << 8 // same low byte
+					} else {
+						b[i] = rng.Uint64() >> 1
+					}
+				}
+			}
+			for _, sig := range [][]uint64{a, b} {
+				if rng.Intn(3) == 0 {
+					lo := rng.Intn(k)
+					for i := lo; i < lo+rng.Intn(k-lo+1); i++ {
+						sig[i] = profile.EmptySlot
+					}
+				}
+			}
+			c := 0
+			for band := 0; band < bands; band++ {
+				if profile.BandKey(a, band, rows) == profile.BandKey(b, band, rows) {
+					c++
+				}
+			}
+			hits := uint8(min(c, maxHits))
+			bound, exact := float64(collisionSlots(k, bands, hits))/float64(k), profile.EstimateJaccard(a, b)
+			if bound < exact {
+				t.Fatalf("k=%d bands=%d: %d equal band keys bound %v below score %v\na %x\nb %x", k, bands, c, bound, exact, a, b)
+			}
+			if c >= maxHits {
+				saturated = true
+				if n := collisionSlots(k, bands, hits); n != k {
+					t.Fatalf("k=%d bands=%d: %d equal band keys saturate the counter and bound %d slots, want all %d", k, bands, c, n, k)
+				}
+			}
+		}
+		if bands > maxHits && !saturated {
+			t.Errorf("k=%d bands=%d: no pair collided in %d bands or more", k, bands, maxHits)
+		}
+	}
+}
+
+// TestSearchCorruptBuckets serves a heap image whose bucket payload was
+// overwritten by hand: one column id repeated within every band and across
+// them, thousands of times in all, between negative ids and ids past the
+// column range. Search must neither panic nor count a candidate twice —
+// the collision counter saturates instead of wrapping back to "unseen" —
+// and must equal searchRef. Two identical query columns share one counter
+// slab at parallelism 1, so the slab must come back clear.
+func TestSearchCorruptBuckets(t *testing.T) {
+	const wide = 300
+	for _, boost := range []float64{0, 0.25} {
+		q := table.New("q").AddColumn("k", vals("u", 0, 80)).AddColumn("k2", vals("u", 0, 80))
+		ix := New(Options{TokenBoost: boost})
+		sig := ix.queryProfile(q).Column(0).Signature(ix.k)
+		op := ReplayOp{Name: "wide", Cols: make([]ColumnProfile, wide)}
+		for c := range op.Cols {
+			op.Cols[c] = ColumnProfile{Table: "wide", Column: fmt.Sprintf("k%d", c), Rows: 80, Distinct: 80, Tokens: []string{"k"}, Signature: sig}
+		}
+		for _, err := range ix.ApplyReplayOps([]ReplayOp{op}) {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		img := ix.snap.Load().mem.data
+		words := make([]uint64, (len(img)+7)/8)
+		data := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), len(img))
+		copy(data, img)
+		seg, err := openSegV2(data, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(seg.bucketIDs) != wide*ix.bands {
+			t.Fatalf("fixture: %d bucket ids, want every column in every band's one bucket", len(seg.bucketIDs))
+		}
+		for i := range seg.bucketIDs { // a view into data: the image itself changes
+			seg.bucketIDs[i] = []int32{0, 0, 0, -1, 0, math.MinInt32, 0, wide, 0, math.MaxInt32}[i%10]
+		}
+		ix.snap.Store(&snapshot{sealed: []*segment{seg}, nTables: 1, nCols: wide})
+		qp := ix.queryProfile(q)
+		for _, mode := range []Mode{ModeJoin, ModeUnion} {
+			for _, par := range []int{1, 2} {
+				mkctx := func() context.Context {
+					return engine.WithOptions(context.Background(), engine.Options{Parallelism: par})
+				}
+				for _, k := range []int{0, 1} {
+					for _, brute := range []bool{false, true} {
+						compareSearch(t, ix, fmt.Sprintf("TokenBoost=%v parallelism %d", boost, par), mkctx, qp, mode, k, brute, false)
+					}
+				}
+				res, err := ix.SearchProfiledContext(mkctx(), qp, mode, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res) != 1 || res[0].Table != "wide" || res[0].Candidates != 2 || res[0].BestIndexed != "k0" {
+					t.Fatalf("TokenBoost=%v %s parallelism %d: %+v, want wide.k0, once per query column", boost, mode, par, res)
+				}
 			}
 		}
 	}

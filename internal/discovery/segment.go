@@ -17,9 +17,11 @@ package discovery
 // scans. Segments are shared between epoch snapshots and never mutated after
 // publication, so readers holding any snapshot see frozen state without
 // taking a lock. Search names a table by its ordinal in the segment — colOrd
-// (a column's table), tableOrd (a name's, for the skip set) and tableNameAt
-// (back to the name, for the few results it returns) — and reads name tokens
-// in place (numTokens/tokenAt); everything else addresses tables by name.
+// (a column's table, read from a dense array built at open rather than from
+// the column record, so the probe loop's one per-candidate read stays in
+// cache), tableOrd (a name's, for the skip set) and tableNameAt (back to the
+// name, for the few results it returns) — and reads name tokens in place
+// (numTokens/tokenAt); everything else addresses tables by name.
 
 import (
 	"sort"
@@ -31,10 +33,10 @@ import (
 
 // segment is one immutable slab of the catalog: a v2 image viewed in place
 // over data. All slice fields are unsafe views into data (valid exactly as
-// long as the mapping), except the small per-band prefix indexes and the
-// table directory built at open time. A table's columns never span
-// segments: every table lives wholly inside exactly one segment, as one run
-// of consecutive column ids.
+// long as the mapping), except the small per-band prefix indexes, the
+// column ordinals and the table directory built at open time. A table's
+// columns never span segments: every table lives wholly inside exactly one
+// segment, as one run of consecutive column ids.
 type segment struct {
 	id    uint64 // the header's segment id
 	data  []byte
@@ -57,6 +59,7 @@ type segment struct {
 	ownFps         bool             // fps derived at open onto the heap: an 11-section image
 	keyStart       []int            // per band start into bandKeys/bucketEnds (len bands+1)
 	idStart        []int            // per band start into bucketIDs (len bands+1)
+	colOrds        []int32          // per column its table's ordinal (colRecs' first word)
 	dir            map[string]int32 // table name (view) → table ordinal
 }
 
@@ -139,11 +142,10 @@ func (s *segment) colIDs(name string) []int32 {
 }
 
 // colOrd returns the ordinal of column id's table, which the column record
-// stores (validated at open). Search addresses a table by segment base +
-// ordinal (a slot) so that nothing per candidate touches the name.
-func (s *segment) colOrd(id int32) int32 {
-	return int32(s.colRecs[int(id)*colRecWords])
-}
+// stores and open copies, validated, into a dense array. Search addresses a
+// table by segment base + ordinal (a slot) so that nothing per candidate
+// touches the name.
+func (s *segment) colOrd(id int32) int32 { return s.colOrds[id] }
 
 // colTable returns the owning table name of column id as a zero-copy view
 // into the image: valid until Index.Close for a mapping, safe for transient

@@ -832,11 +832,13 @@ func openSegV2(data []byte, unmap func() error) (*segment, error) {
 			return fail(ErrSegmentCorrupt, "table %d columns [%d, %d) out of %d", t, rec[1], uint64(rec[1])+uint64(rec[2]), m.nCols)
 		}
 	}
+	m.colOrds = make([]int32, m.nCols)
 	for c := 0; c < m.nCols; c++ {
 		rec := m.colRecs[c*colRecWords:]
 		if rec[0] >= uint32(m.nTables) {
 			return fail(ErrSegmentCorrupt, "column %d table index %d out of %d", c, rec[0], m.nTables)
 		}
+		m.colOrds[c] = int32(rec[0])
 		if rec[1] >= uint32(m.nStrings) {
 			return fail(ErrSegmentCorrupt, "column %d name index %d out of %d strings", c, rec[1], m.nStrings)
 		}
