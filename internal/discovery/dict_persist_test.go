@@ -379,11 +379,101 @@ func TestSnapshotDictLogFormat(t *testing.T) {
 	}
 }
 
+// TestSnapshotForeignSaveKeepsMappedDict: catalog A is loaded from dir, its
+// dictionary served from a mapping of dir/dict.log, and then catalog B — a
+// different lineage with a far smaller dictionary — saves into dir. B's log
+// is written from offset 0, so it must replace the file rather than
+// rewrite it under A's mapping: truncating the mapped file would fault A's
+// next read of its own dictionary, and writing B's entries over it would
+// silently repoint A's ids. A keeps its entries, still searches, interns
+// and saves into dir, and that save loads back as A.
+func TestSnapshotForeignSaveKeepsMappedDict(t *testing.T) {
+	orig := New(Options{SealAfter: 2})
+	dictAdd(t, orig, 0, 10)
+	wide := make([]string, 2_000) // a dict.log of several pages
+	for i := range wide {
+		wide[i] = fmt.Sprintf("wide-value-%05d", i)
+	}
+	if err := orig.Add(table.New("wide").AddColumn("k", wide)); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "snap")
+	if err := orig.SaveSnapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	a, err := LoadSnapshot(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	if st := a.Stats(); mmapAvailable && st.DictMappedBytes < 4*int64(os.Getpagesize()) {
+		t.Fatalf("dict_mapped_bytes = %d: the fixture must map a dict.log of several pages", st.DictMappedBytes)
+	}
+	before := a.Dict().Entries(0, a.Dict().Len())
+
+	b := New(Options{SealAfter: 2})
+	if err := b.Add(table.New("b").AddColumn("k", []string{"b-only"})); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.SaveSnapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	if got := a.Dict().Entries(0, a.Dict().Len()); !reflect.DeepEqual(got, before) {
+		t.Fatal("a foreign save into the directory changed the loaded catalog's dictionary")
+	}
+	sameSearch := func(what string, got *Index) {
+		t.Helper()
+		for _, q := range []*table.Table{
+			table.New("probe").AddColumn("k", vals("w", 5, 45)),
+			table.New("probe").AddColumn("k", wide[100:400]),
+		} {
+			wres, err := orig.Search(q, ModeJoin, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gres, err := got.Search(q, ModeJoin, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gres, wres) {
+				t.Fatalf("%s: search returned %v, the catalog that wrote it %v", what, gres, wres)
+			}
+		}
+	}
+	sameSearch("after the foreign save", a)
+
+	dictAdd(t, a, 10, 15)
+	dictAdd(t, orig, 10, 15)
+	// Interning order within a column follows distinct-set iteration, so
+	// the two catalogs' new ids are compared as sets.
+	if a.Dict().Len() != orig.Dict().Len() {
+		t.Fatalf("the loaded catalog holds %d values after interning, the catalog that wrote it %d", a.Dict().Len(), orig.Dict().Len())
+	}
+	for _, v := range orig.Dict().Entries(len(before), orig.Dict().Len()) {
+		if id, ok := a.Dict().Lookup(v); !ok || int(id) < len(before) {
+			t.Fatalf("value %q interned at %d (found %v), want an id past the loaded %d", v, id, ok, len(before))
+		}
+	}
+	if err := a.SaveSnapshot(dir); err != nil {
+		t.Fatalf("save from the loaded catalog after a foreign save: %v", err)
+	}
+	again, err := LoadSnapshot(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if !reflect.DeepEqual(again.Dict().Entries(0, again.Dict().Len()), a.Dict().Entries(0, a.Dict().Len())) {
+		t.Fatal("the loaded catalog's save into the directory does not load back as it")
+	}
+	sameSearch("reloaded", again)
+}
+
 // TestSnapshotDictLogDamageFailsLoad: a dict.log that no longer decodes to
-// the id space the manifest committed must fail the load with a named error.
-// Interning a repeated value back to its old id (what replaying the log
-// through Intern did) would shift every later id, and every sealed
-// segment's id runs with them, without any error at all.
+// the id space the manifest committed must fail the load with a named error,
+// whether the log is mapped or read onto the heap. Interning a repeated
+// value back to its old id (what replaying the log through Intern did)
+// would shift every later id, and every sealed segment's id runs with them,
+// without any error at all.
 func TestSnapshotDictLogDamageFailsLoad(t *testing.T) {
 	ix := liveCatalog(t)
 	entries := ix.Dict().Entries(0, ix.Dict().Len())
@@ -448,13 +538,15 @@ func TestSnapshotDictLogDamageFailsLoad(t *testing.T) {
 			if err := os.WriteFile(logPath, tc.damage(t, dir, log), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			loaded, err := LoadSnapshot(dir)
-			if err == nil {
-				loaded.Close()
-				t.Fatal("load of a damaged dict.log succeeded")
-			}
-			if !errors.Is(err, intern.ErrLogCorrupt) || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("err = %v; want intern.ErrLogCorrupt mentioning %q", err, tc.want)
+			for _, noMap := range []bool{false, true} {
+				loaded, err := loadSnapshot(dir, nil, noMap)
+				if err == nil {
+					loaded.Close()
+					t.Fatalf("noMap=%v: load of a damaged dict.log succeeded", noMap)
+				}
+				if !errors.Is(err, intern.ErrLogCorrupt) || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("noMap=%v: err = %v; want intern.ErrLogCorrupt mentioning %q", noMap, err, tc.want)
+				}
 			}
 		})
 	}
@@ -468,20 +560,39 @@ func TestSnapshotDictLogDamageFailsLoad(t *testing.T) {
 // bytes it was loaded from, finds every value at its recorded id, and is
 // indistinguishable (Stats included) from one built by interning the same
 // values in order. The count is checked against the file's size before
-// anything is allocated for it.
+// anything is allocated for it. Each input is also written to a file and
+// loaded the way a snapshot load does (loadDictLog: mapped where the
+// platform maps), and the two arms must agree: both reject the log, or
+// both give the same dictionary, before and after a fresh intern.
 func FuzzDictLoadLog(f *testing.F) {
 	// testdata/fuzz/FuzzDictLoadLog holds the hand-made cases (crash tail,
 	// duplicate, prefix damage, count and byte-count mismatches); this seed
 	// keeps one image in step with whatever the dictionary writes today.
 	lake := dictLogImage(vals("w", 0, 40))
 	f.Add(lake, 40, int64(len(lake)))
+	// One file per fuzzing process: each input's mapping is released before
+	// the next input rewrites it.
+	path := filepath.Join(f.TempDir(), dictName)
 	f.Fuzz(func(t *testing.T, data []byte, entries int, logBytes int64) {
 		d, err := readDictLog(bytes.NewReader(data), int64(len(data)), entries, logBytes)
+		if werr := os.WriteFile(path, data, 0o644); werr != nil {
+			t.Fatal(werr)
+		}
+		md, unmap, merr := loadDictLog(faultfs.OS, path, entries, logBytes, false)
+		if unmap != nil {
+			defer unmap()
+		}
+		if (err == nil) != (merr == nil) {
+			t.Fatalf("heap-read arm: %v; mapped arm: %v", err, merr)
+		}
 		if err != nil {
-			if !errors.Is(err, intern.ErrLogCorrupt) {
-				t.Fatalf("untyped error: %v", err)
+			if !errors.Is(err, intern.ErrLogCorrupt) || !errors.Is(merr, intern.ErrLogCorrupt) {
+				t.Fatalf("untyped error: heap-read arm %v, mapped arm %v", err, merr)
 			}
 			return
+		}
+		if md.Stats() != d.Stats() || !reflect.DeepEqual(md.Entries(0, md.Len()), d.Entries(0, d.Len())) {
+			t.Fatalf("mapped arm's dictionary (%+v) differs from the heap-read arm's (%+v)", md.Stats(), d.Stats())
 		}
 		if d.Len() != entries {
 			t.Fatalf("loaded %d entries, asked for %d", d.Len(), entries)
@@ -506,8 +617,15 @@ func FuzzDictLoadLog(f *testing.F) {
 		if d.Stats() != rebuilt.Stats() {
 			t.Fatalf("loaded Stats %+v differ from a rebuilt dictionary's %+v", d.Stats(), rebuilt.Stats())
 		}
-		if got := d.Intern("\xfe fresh \xfe" + string(data)); int(got) != entries {
+		fresh := "\xfe fresh \xfe" + string(data)
+		if got := d.Intern(fresh); int(got) != entries {
 			t.Fatalf("first intern after load got id %d, want %d", got, entries)
+		}
+		md.Intern(fresh)
+		a, _, _ := d.LogTail(0)
+		b, _, _ := md.LogTail(0)
+		if !bytes.Equal(a, b) {
+			t.Fatal("the arms' log images diverge after interning the same value into both")
 		}
 	})
 }

@@ -189,7 +189,7 @@ type Index struct {
 	fsys faultfs.FS
 
 	// unmaps collects the release closures of every mapped v2 segment this
-	// index loaded; guarded by wmu. A mapping must outlive the segment's
+	// index loaded, and of its mapped dict.log; guarded by wmu. A mapping must outlive the segment's
 	// presence in the live snapshot (compaction can retire a mapped segment
 	// while a pinned search still reads it), so mappings are only released
 	// by Close, never by segment turnover.
@@ -203,6 +203,9 @@ type Index struct {
 	// reported in Stats); snapshots persist it incrementally so a resumed
 	// catalog keeps the exact id space.
 	dict *intern.Dict
+	// dictMapped is the length of dict.log's committed prefix when the
+	// load mapped it as dict's base, else 0. Set at load, read-only after.
+	dictMapped int64
 }
 
 // New returns an empty index with the given options (zero value selects the
@@ -271,10 +274,12 @@ func (ix *Index) AdoptLineage(lineage uint64) error {
 }
 
 // Close releases the memory mappings of every mapped segment the index
-// loaded, after waiting for any background compaction to finish. The index
-// must not be used afterwards: searches over mapped segments would read
-// unmapped pages. Indexes without mapped segments (fresh or heap-fallback)
-// need no Close, but calling it is always safe, including twice.
+// loaded, and of its mapped dictionary log, after waiting for any
+// background compaction to finish. Neither the index nor a Dict taken from
+// it may be used afterwards: searches over mapped segments, and lookups in
+// a dictionary served from its mapped log, would read unmapped pages.
+// Indexes without mappings (fresh or heap-fallback) need no Close, but
+// calling it is always safe, including twice.
 func (ix *Index) Close() error {
 	ix.compactWG.Wait()
 	ix.wmu.Lock()
@@ -365,9 +370,13 @@ type Stats struct {
 	CompactSpliceMaxUS int64 `json:"compact_splice_max_us"`
 	// DictEntries/DictBytes size the catalog's append-only value dictionary
 	// (distinct values ever ingested): DictBytes is the exact size of its
-	// value arena, offsets and probe table.
-	DictEntries int   `json:"dict_entries"`
-	DictBytes   int64 `json:"dict_bytes"`
+	// value arena, offsets and probe table, wherever they live.
+	// DictMappedBytes is the part of the arena served from a mapping of
+	// dict.log rather than the heap: the committed log length when the load
+	// mapped it, else 0.
+	DictEntries     int   `json:"dict_entries"`
+	DictBytes       int64 `json:"dict_bytes"`
+	DictMappedBytes int64 `json:"dict_mapped_bytes"`
 	// HeapSegmentBytes is the exact length of every segment image held on
 	// the Go heap: the memtable, seals not yet merged, a compaction's
 	// output, and a loaded segment where mapping is unavailable — plus the
@@ -411,6 +420,7 @@ func (ix *Index) Stats() Stats {
 		CompactSpliceMaxUS:  ix.spliceMaxUS.Load(),
 		DictEntries:         ds.Entries,
 		DictBytes:           ds.Bytes,
+		DictMappedBytes:     ix.dictMapped,
 		HeapSegmentBytes:    heapBytes,
 		MappedSegmentBytes:  mappedBytes,
 		MappedResidentBytes: residentBytes,

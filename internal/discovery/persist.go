@@ -15,8 +15,13 @@ package discovery
 // manifest, the memtable file, and segment files that did not exist yet;
 // files of compacted-away segments are pruned. dict.log is the dictionary's
 // own value arena — length-prefixed entries in id order — so a save appends
-// the arena's new tail and a load adopts the file's bytes back as the
-// arena: the id-space "remap" lives entirely in that one small log.
+// the arena's new tail and a load adopts the file's committed prefix back
+// as the arena's base, mapped like the sealed segments where mapping is
+// available: the id-space "remap" lives entirely in that one log. Because a
+// loaded catalog — this process's or another's — may be serving that prefix
+// from a shared mapping, dict.log is only ever written in place past a
+// committed prefix of its own lineage; a log written from its first byte
+// replaces the file by rename.
 //
 // Durability: every save syncs its data files (segments, memtable,
 // dict.log) and the directory before committing the manifest via
@@ -224,21 +229,22 @@ func (ix *Index) SaveSnapshot(dir string) error {
 // reconstructs the catalog: segment layout, tombstones and epoch included.
 // Sealed segments are memory-mapped (heap-read where mapping is
 // unavailable) and searched in place — restart cost is opening and
-// validating files, not decoding the corpus. Call Close when done to
-// release the mappings. Any corrupt or unreadable file fails the whole
-// load with an error naming it, and is left in place.
+// validating files, not decoding the corpus. The dictionary's committed
+// prefix is mapped the same way. Call Close when done to release the
+// mappings. Any corrupt or unreadable file fails the whole load with an
+// error naming it, and is left in place.
 func LoadSnapshot(dir string) (*Index, error) {
 	return loadSnapshot(dir, nil, false)
 }
 
 // loadSnapshot is LoadSnapshot through an injectable filesystem (nil: the
 // real disk) — the in-package seam for read faults. The one asymmetry: the
-// mmap arm maps sealed segment files through the OS regardless, so
-// corruption tests flip bytes on disk directly; the heap-read arm (the
-// memtable, and sealed segments where mapping is unavailable) reads
-// through seam. noMap forces the heap-read arm for sealed segments even
-// where mmap is available, so one test binary can hold the mapped and
-// heap-read arms to the same results.
+// mmap arm maps sealed segment files and dict.log through the OS
+// regardless, so corruption tests flip bytes on disk directly; the
+// heap-read arm (the memtable, and sealed segments and dict.log where
+// mapping is unavailable) reads through seam. noMap forces the heap-read
+// arm for sealed segments and dict.log even where mmap is available, so one
+// test binary can hold the mapped and heap-read arms to the same results.
 func loadSnapshot(dir string, seam faultfs.FS, noMap bool) (ret *Index, err error) {
 	fsys := faultfs.Or(seam)
 	if info, err := fsys.Stat(dir); err != nil {
@@ -354,9 +360,14 @@ func loadSnapshot(dir string, seam faultfs.FS, noMap bool) (ret *Index, err erro
 		}
 	}
 	if m.DictEntries > 0 {
-		ix.dict, err = loadDictLog(fsys, filepath.Join(dir, dictName), m.DictEntries, m.DictLogBytes)
+		var unmap func() error
+		ix.dict, unmap, err = loadDictLog(fsys, filepath.Join(dir, dictName), m.DictEntries, m.DictLogBytes, noMap)
 		if err != nil {
 			return nil, fmt.Errorf("discovery: reading dictionary log: %w", err)
+		}
+		if unmap != nil {
+			ix.unmaps = append(ix.unmaps, unmap)
+			ix.dictMapped = m.DictLogBytes
 		}
 	}
 	ix.lineage = m.Lineage
@@ -388,10 +399,25 @@ func loadSnapshot(dir string, seam faultfs.FS, noMap bool) (ret *Index, err erro
 // prevBytes carries the tail of a save that crashed before its manifest
 // committed, and is truncated back first. Returns the entry count and byte
 // length the caller's manifest must record.
+//
+// The save rule: write in place only past a same-lineage prevBytes. A
+// catalog loaded from this directory may serve the log's committed prefix
+// from a shared mapping, which sees every in-place write, and a file
+// truncated under a mapping faults its reader. Appending and trimming a
+// crashed save's tail touch only bytes past that prefix, which no loader
+// reads; a log written from offset 0 — a fresh directory, a foreign
+// lineage, an inconsistent log — goes to a temporary file renamed over the
+// old one, whose mappings keep the old bytes.
 func appendDictLog(fsys faultfs.FS, path string, d *intern.Dict, prevEntries int, prevBytes int64) (int, int64, error) {
 	tail, off, n := d.LogTail(prevEntries)
 	if info, err := fsys.Stat(path); err != nil || info.Size() < prevBytes || prevEntries > n || off != prevBytes {
 		tail, off, n = d.LogTail(0) // missing or inconsistent: rewrite
+	}
+	if off == 0 {
+		if err := faultfs.WriteFileAtomic(fsys, path, tail); err != nil {
+			return 0, 0, err
+		}
+		return n, int64(len(tail)), nil
 	}
 	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -433,41 +459,68 @@ func SnapshotLineage(dir string) (uint64, error) {
 }
 
 // loadDictLog reads the dictionary the manifest committed — entries values
-// in the first logBytes bytes of the log at path.
-func loadDictLog(fsys faultfs.FS, path string, entries int, logBytes int64) (*intern.Dict, error) {
+// in the first logBytes bytes of the log at path. Where mapping is
+// available and noMap is unset, a log with a recorded byte count is mapped
+// and its committed prefix becomes the dictionary's base in place; unmap,
+// non-nil only then, releases the mapping, and the dictionary must not be
+// used after it. Mapping bypasses fsys, like sealed segments; where it
+// fails, and for a manifest from before DictLogBytes was recorded, the log
+// is read through fsys (readDictLog).
+func loadDictLog(fsys faultfs.FS, path string, entries int, logBytes int64, noMap bool) (d *intern.Dict, unmap func() error, err error) {
+	if logBytes > 0 && !noMap && mmapAvailable {
+		if data, release, err := mapFile(path); err == nil {
+			d, err := adoptDictLog(data, entries, logBytes)
+			if err != nil {
+				release()
+				return nil, nil, err
+			}
+			return d, release, nil
+		}
+		// Mapping failed: the sized read below serves identically.
+	}
 	f, err := fsys.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer f.Close()
 	info, err := f.Stat()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return readDictLog(f, info.Size(), entries, logBytes)
+	d, err = readDictLog(f, info.Size(), entries, logBytes)
+	return d, nil, err
 }
 
 // readDictLog loads a dictionary from a size-byte log with one sized read
-// and one validating scan that adopts the buffer as the dictionary's arena
-// (intern.LoadLog). The read stops at the committed prefix, so the tail of a
-// save that crashed before its manifest moved is never even in memory. A
-// manifest from before DictLogBytes was recorded carries 0: the whole file
-// is read and the scan's own end is trusted. Every rejection of the log's
-// content wraps intern.ErrLogCorrupt: a log that decodes to different
-// values, or to the same values at different ids, would silently repoint
-// every interned id in every segment.
+// and adoptDictLog's validating scan. The read stops at the committed
+// prefix, so the tail of a save that crashed before its manifest moved is
+// never even in memory. A manifest from before DictLogBytes was recorded
+// carries 0: the whole file is read and the scan's own end is trusted.
 func readDictLog(r io.Reader, size int64, entries int, logBytes int64) (*intern.Dict, error) {
-	if logBytes > 0 {
-		if size < logBytes {
-			return nil, fmt.Errorf("%w: log is %d bytes, manifest records %d", intern.ErrLogCorrupt, size, logBytes)
-		}
+	if logBytes > 0 && size > logBytes {
 		size = logBytes
 	}
 	buf := make([]byte, size)
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
-	d, consumed, err := intern.LoadLog(buf, entries)
+	return adoptDictLog(buf, entries, logBytes)
+}
+
+// adoptDictLog validates the first entries entries of log — a heap read or
+// a mapping of the whole file — against the manifest's byte count and
+// adopts them as the dictionary's base (intern.LoadLog). Every rejection of
+// the log's content wraps intern.ErrLogCorrupt: a log that decodes to
+// different values, or to the same values at different ids, would silently
+// repoint every interned id in every segment.
+func adoptDictLog(log []byte, entries int, logBytes int64) (*intern.Dict, error) {
+	if logBytes > 0 {
+		if int64(len(log)) < logBytes {
+			return nil, fmt.Errorf("%w: log is %d bytes, manifest records %d", intern.ErrLogCorrupt, len(log), logBytes)
+		}
+		log = log[:logBytes]
+	}
+	d, consumed, err := intern.LoadLog(log, entries)
 	if err != nil {
 		return nil, err
 	}

@@ -44,13 +44,14 @@ func snapshotQuery() *table.Table {
 	return table.New("q").AddColumn("k", vals("u", 0, 90))
 }
 
-// normalizeResidency zeros the segment-residency byte counters: they
-// describe the physical representation (heap segments, heap-held images,
-// mapped file bytes), which legitimately differs between a catalog and its
-// reloaded twin, while every other Stats field must survive a round trip
-// exactly.
+// normalizeResidency zeros the residency byte counters of segments and
+// dictionary: they describe the physical representation (heap segments,
+// heap-held images, mapped file bytes), which legitimately differs between
+// a catalog and its reloaded twin, while every other Stats field must
+// survive a round trip exactly.
 func normalizeResidency(st Stats) Stats {
 	st.HeapSegmentBytes, st.MappedSegmentBytes, st.MappedResidentBytes = 0, 0, 0
+	st.DictMappedBytes = 0
 	return st
 }
 
@@ -75,9 +76,22 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	// not); its memtable and everything in the catalog that wrote the
 	// snapshot are on the heap.
 	st := loaded.Stats()
-	if orig := ix.Stats(); orig.HeapSegmentBytes == 0 || orig.MappedSegmentBytes != 0 || orig.MappedResidentBytes != 0 {
-		t.Errorf("never-loaded catalog reports heap %d, mapped %d, resident %d bytes; want heap only",
-			orig.HeapSegmentBytes, orig.MappedSegmentBytes, orig.MappedResidentBytes)
+	if orig := ix.Stats(); orig.HeapSegmentBytes == 0 || orig.MappedSegmentBytes != 0 || orig.MappedResidentBytes != 0 || orig.DictMappedBytes != 0 {
+		t.Errorf("never-loaded catalog reports heap %d, mapped %d, resident %d, dictionary mapped %d bytes; want heap only",
+			orig.HeapSegmentBytes, orig.MappedSegmentBytes, orig.MappedResidentBytes, orig.DictMappedBytes)
+	}
+	// The dictionary's committed log is mapped where segments are: all of
+	// dict.log's committed bytes, and nothing where mapping is unavailable.
+	m, err := readManifest(faultfs.OS, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int64(0)
+	if mmapAvailable {
+		want = m.DictLogBytes
+	}
+	if st.DictMappedBytes != want || m.DictLogBytes == 0 {
+		t.Errorf("dict_mapped_bytes = %d, want %d (log %d bytes, mmap available %v)", st.DictMappedBytes, want, m.DictLogBytes, mmapAvailable)
 	}
 	if st.HeapSegmentBytes == 0 {
 		t.Errorf("loaded catalog reports no heap bytes for its memtable: %+v", st)
@@ -97,10 +111,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if heapRead, err := loadSnapshot(dir, nil, true); err != nil {
 		t.Error(err)
-	} else if hs := heapRead.Stats(); hs.MappedSegmentBytes != 0 || hs.MappedResidentBytes != 0 ||
-		hs.HeapSegmentBytes != st.HeapSegmentBytes+st.MappedSegmentBytes {
-		t.Errorf("heap-read load reports heap %d, mapped %d, resident %d bytes; want the mapped load's %d + %d as heap and nothing mapped",
-			hs.HeapSegmentBytes, hs.MappedSegmentBytes, hs.MappedResidentBytes, st.HeapSegmentBytes, st.MappedSegmentBytes)
+	} else if hs := heapRead.Stats(); hs.MappedSegmentBytes != 0 || hs.MappedResidentBytes != 0 || hs.DictMappedBytes != 0 ||
+		hs.HeapSegmentBytes != st.HeapSegmentBytes+st.MappedSegmentBytes || hs.DictBytes != st.DictBytes {
+		t.Errorf("heap-read load reports heap %d, mapped %d, resident %d, dictionary %d (mapped %d) bytes; want the mapped load's %d + %d as heap, its %d dictionary bytes and nothing mapped",
+			hs.HeapSegmentBytes, hs.MappedSegmentBytes, hs.MappedResidentBytes, hs.DictBytes, hs.DictMappedBytes, st.HeapSegmentBytes, st.MappedSegmentBytes, st.DictBytes)
 	}
 	if !reflect.DeepEqual(loaded.Tables(), ix.Tables()) {
 		t.Errorf("tables = %v, want %v", loaded.Tables(), ix.Tables())

@@ -26,6 +26,13 @@
 // in it to trace. The base hash itself is not stored: the probe computes
 // it, so a hit returns it for free.
 //
+// The arena is kept in two parts addressed by one offset space: the base,
+// the log prefix LoadLog adopted (read-only, and possibly a mapping of the
+// file itself rather than heap memory), and the tail, the entries interned
+// since, on the heap. Offsets count from the base's first byte, so ids,
+// offsets and the log image are those of one contiguous arena; only a
+// range that straddles the two parts is ever copied to be read whole.
+//
 // A Dict is safe for fully concurrent use (lookups take a read lock; only
 // the first intern of a value takes the write lock) and append-only: ids are
 // dense, never reused, and stable for the Dict's lifetime, so id slices
@@ -49,9 +56,14 @@ var ErrLogCorrupt = errors.New("intern: corrupt dictionary log")
 // Dict is a corpus-scoped value dictionary. The zero value is an empty,
 // usable dictionary; NewDict is the conventional constructor.
 type Dict struct {
-	mu    sync.RWMutex
-	arena []byte   // dict.log's bytes: uvarint(len) + raw value per entry, in id order
-	offs  []uint32 // id → offset of the entry's length prefix in arena
+	mu sync.RWMutex
+	// The arena: dict.log's bytes, uvarint(len) + raw value per entry, in id
+	// order. base is the prefix LoadLog adopted and is never written; tail
+	// holds every entry appended since, at offsets from len(base) on. No
+	// entry straddles the two.
+	base []byte
+	tail []byte
+	offs []uint32 // id → offset of the entry's length prefix in the arena
 	// The probe table: open-addressed, linear probing, tableSize(len(offs))
 	// slots. A slot is split over two parallel arrays so that it packs to
 	// nine bytes: where the entry's bytes are and which id they carry, and a
@@ -115,13 +127,33 @@ func home(h, mask uint64) uint64 { return (h ^ h>>32) & mask }
 func tagOf(h uint64) uint8 { return uint8(h >> 56) }
 
 // at returns the value bytes of the entry whose length prefix is at off,
-// aliasing the arena.
+// aliasing the arena part that holds it.
 func (d *Dict) at(off int) []byte {
-	if n := int(d.arena[off]); n < 0x80 { // one-byte prefix: nearly every value
-		return d.arena[off+1 : off+1+n]
+	arena := d.base
+	if off >= len(arena) {
+		arena, off = d.tail, off-len(arena)
 	}
-	n, k := binary.Uvarint(d.arena[off:])
-	return d.arena[off+k : off+k+int(n)]
+	if n := int(arena[off]); n < 0x80 { // one-byte prefix: nearly every value
+		return arena[off+1 : off+1+n]
+	}
+	n, k := binary.Uvarint(arena[off:])
+	return arena[off+k : off+k+int(n)]
+}
+
+// size is the arena's length: base and tail together.
+func (d *Dict) size() int { return len(d.base) + len(d.tail) }
+
+// span returns the arena's bytes at offsets [lo, hi), aliasing the part
+// that holds them, or a copy when the range straddles base and tail.
+func (d *Dict) span(lo, hi int) []byte {
+	b := len(d.base)
+	switch {
+	case hi <= b:
+		return d.base[lo:hi:hi]
+	case lo >= b:
+		return d.tail[lo-b : hi-b : hi-b]
+	}
+	return slices.Concat(d.base[lo:], d.tail[:hi-b])
 }
 
 // find probes d for v (whose hash is h). A hit is two dependent memory reads
@@ -177,9 +209,9 @@ func (d *Dict) place(off, id uint32, h uint64) {
 }
 
 // full names the limit that appending a vlen-byte value to a dictionary of
-// n entries and arenaLen arena bytes would cross, or returns "". Ids and
-// arena offsets are uint32: past either limit they would wrap and silently
-// alias earlier entries.
+// n entries and arenaLen arena bytes (base and tail) would cross, or returns
+// "". Ids and arena offsets are uint32: past either limit they would wrap
+// and silently alias earlier entries.
 func full(n, arenaLen, vlen uint64) string {
 	if n >= math.MaxUint32 {
 		return "intern: dictionary is full: 2^32-1 entries is the id space"
@@ -194,7 +226,7 @@ func full(n, arenaLen, vlen uint64) string {
 // writing.
 func (d *Dict) insert(v string, h uint64) uint32 {
 	n := len(d.offs)
-	if msg := full(uint64(n), uint64(len(d.arena)), uint64(len(v))); msg != "" {
+	if msg := full(uint64(n), uint64(d.size()), uint64(len(v))); msg != "" {
 		panic(msg)
 	}
 	off := d.push(v)
@@ -203,12 +235,13 @@ func (d *Dict) insert(v string, h uint64) uint32 {
 	return uint32(n)
 }
 
-// push appends v's entry to the arena and offsets, returning its offset.
+// push appends v's entry to the arena's tail and to the offsets, returning
+// its offset.
 func (d *Dict) push(v string) uint32 {
-	off := uint32(len(d.arena))
+	off := uint32(d.size())
 	d.offs = append(d.offs, off)
-	d.arena = binary.AppendUvarint(d.arena, uint64(len(v)))
-	d.arena = append(d.arena, v...)
+	d.tail = binary.AppendUvarint(d.tail, uint64(len(v)))
+	d.tail = append(d.tail, v...)
 	return off
 }
 
@@ -249,12 +282,13 @@ func (d *Dict) AppendRun(start int, vals []string) error {
 	defer d.mu.Unlock()
 	if n := len(d.offs); start >= 0 && start <= n && len(vals) > n-start {
 		// Only values from n-start on can be appended: size for all of them.
+		// They go to the tail, so a loaded base is never copied.
 		rest := vals[n-start:]
 		bytes := 0
 		for _, v := range rest {
 			bytes += uvarintLen(uint64(len(v))) + len(v)
 		}
-		d.arena = slices.Grow(d.arena, bytes)
+		d.tail = slices.Grow(d.tail, bytes)
 		d.offs = slices.Grow(d.offs, len(rest))
 		d.resize(tableSize(n + len(rest)))
 	}
@@ -276,7 +310,7 @@ func (d *Dict) AppendRun(start int, vals []string) error {
 		if present {
 			continue
 		}
-		if msg := full(uint64(got), uint64(len(d.arena)), uint64(len(v))); msg != "" {
+		if msg := full(uint64(got), uint64(d.size()), uint64(len(v))); msg != "" {
 			d.resize(tableSize(len(d.offs)))
 			return errors.New(msg)
 		}
@@ -337,7 +371,7 @@ func (d *Dict) Stats() DictStats {
 	defer d.mu.RUnlock()
 	return DictStats{
 		Entries: len(d.offs),
-		Bytes:   int64(len(d.arena)) + 4*int64(len(d.offs)) + 8*int64(len(d.slots)) + int64(len(d.tags)),
+		Bytes:   int64(d.size()) + 4*int64(len(d.offs)) + 8*int64(len(d.slots)) + int64(len(d.tags)),
 	}
 }
 
@@ -347,7 +381,7 @@ func (d *Dict) end(id int) int {
 	if id < len(d.offs) {
 		return int(d.offs[id])
 	}
-	return len(d.arena)
+	return d.size()
 }
 
 // Entries returns a copy of the values with ids in [lo, hi), in id order —
@@ -366,11 +400,11 @@ func (d *Dict) Entries(lo, hi int) []string {
 	if lo >= hi {
 		return nil
 	}
-	base := d.end(lo)
-	block := string(d.arena[base:d.end(hi)])
+	start := d.end(lo)
+	block := string(d.span(start, d.end(hi)))
 	out := make([]string, hi-lo)
 	for i := range out {
-		end := d.end(lo+i+1) - base // a value is the last bytes of its entry
+		end := d.end(lo+i+1) - start // a value is the last bytes of its entry
 		out[i] = block[end-len(d.at(int(d.offs[lo+i]))) : end]
 	}
 	return out
@@ -381,8 +415,10 @@ func (d *Dict) Entries(lo, hi int) []string {
 // uvarint length + raw value each — the byte offset off at which they start
 // in the log, and n. The image of the whole dictionary is LogTail(0), and it
 // only ever grows at the end, so a file holding the first off bytes is
-// brought up to date by writing tail at off. tail aliases the arena: the
-// caller must not modify it.
+// brought up to date by writing tail at off. tail aliases the arena when it
+// lies in one part of it — always, unless from is below the loaded base's
+// entry count and entries were interned since — and the caller must not
+// modify it.
 func (d *Dict) LogTail(from int) (tail []byte, off int64, n int) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -394,18 +430,20 @@ func (d *Dict) LogTail(from int) (tail []byte, off int64, n int) {
 		from = n
 	}
 	start := d.end(from)
-	return d.arena[start:len(d.arena):len(d.arena)], int64(start), n
+	return d.span(start, d.size()), int64(start), n
 }
 
 // LoadLog builds a dictionary from a log image: it validates the first
 // `entries` entries of buf — each length prefix minimal and in bounds, no
 // value repeated (a repeat would shift every later id) — hashing every value
 // and filling the probe table on the way, and adopts buf's consumed prefix
-// as the arena without copying it (the caller must not modify buf
-// afterwards). Bytes past the prefix, such as the tail of a save that
-// crashed before committing, are ignored and never become reachable. It
-// returns the prefix's length beside the dictionary; every failure wraps
-// ErrLogCorrupt.
+// as the arena's read-only base without copying it. buf may be a heap read
+// or a read-only mapping of the log file: the dictionary never writes it
+// (values interned later go to a heap tail), and the caller must neither
+// modify it nor, for a mapping, release it while the dictionary is in use.
+// Bytes past the prefix, such as the tail of a save that crashed before
+// committing, are ignored and never become reachable. It returns the
+// prefix's length beside the dictionary; every failure wraps ErrLogCorrupt.
 func LoadLog(buf []byte, entries int) (*Dict, int, error) {
 	// Every entry takes at least its prefix byte, so the count also bounds
 	// what the slices below may allocate by the input's own size.
@@ -413,7 +451,7 @@ func LoadLog(buf []byte, entries int) (*Dict, int, error) {
 		return nil, 0, fmt.Errorf("%w: %d entries cannot fit in %d bytes", ErrLogCorrupt, entries, len(buf))
 	}
 	d := &Dict{
-		arena: buf,
+		base:  buf,
 		offs:  make([]uint32, entries),
 		slots: make([]uint64, tableSize(entries)),
 		tags:  make([]uint8, tableSize(entries)),
@@ -439,7 +477,7 @@ func LoadLog(buf []byte, entries int) (*Dict, int, error) {
 		d.place(uint32(off), uint32(id), h)
 		off += k + int(n)
 	}
-	d.arena = buf[:off:off]
+	d.base = buf[:off:off]
 	return d, off, nil
 }
 

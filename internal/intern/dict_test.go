@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -67,17 +68,46 @@ func appendRunRef(ref *dictRef, start int, vals []string) error {
 // replaying entries already present at their ids (some running on past the
 // end), runs that fail midway on a value present elsewhere, and runs whose
 // start is one past the end or wrapped by 2^32 — the same error, then the
-// same ids, log image, Stats and table size.
+// same ids, log image, Stats and table size. The stream runs twice: from an
+// empty dictionary, and from one loaded from a log image, where every
+// value of the image lies in the read-only base and every later one in the
+// tail, and log tails and Entries ranges straddle the two.
 func TestDictMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	d, ref := NewDict(), newDictRef()
-	if got := d.Entries(0, 10); got != nil {
-		t.Fatalf("empty Entries = %q", got)
-	}
-	if _, ok := d.Lookup(""); ok {
-		t.Fatal("empty dictionary found the empty string")
-	}
 	const steps, pool = 40_000, 9_000 // > 8·2^10 entries: the table doubles ≥ 10 times
+	t.Run("interned", func(t *testing.T) {
+		d := NewDict()
+		if got := d.Entries(0, 10); got != nil {
+			t.Fatalf("empty Entries = %q", got)
+		}
+		if _, ok := d.Lookup(""); ok {
+			t.Fatal("empty dictionary found the empty string")
+		}
+		matchesReference(t, d, newDictRef(), steps, pool)
+	})
+	t.Run("loaded", func(t *testing.T) {
+		ref := newDictRef()
+		rng := rand.New(rand.NewSource(8))
+		for i := 0; i < 1_500; i++ {
+			ref.Intern(oracleValue(rng, pool))
+		}
+		d, _, err := LoadLog(logImage(ref.vals), ref.Len())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(d.base) == 0 || len(d.tail) != 0 {
+			t.Fatalf("loaded dictionary has a %d-byte base and a %d-byte tail", len(d.base), len(d.tail))
+		}
+		matchesReference(t, d, ref, steps, pool)
+		if len(d.tail) == 0 {
+			t.Fatal("the stream appended nothing past the loaded base")
+		}
+	})
+}
+
+// matchesReference is TestDictMatchesReference's call stream over d and
+// ref, which start out holding the same values at the same ids.
+func matchesReference(t *testing.T, d *Dict, ref *dictRef, steps, pool int) {
+	rng := rand.New(rand.NewSource(21))
 	var runs, doublingRuns, presentRuns, midRunFailures, startFailures int
 	logLen, logN := 0, 0 // the reference's log image length over its first logN values
 	for step := 0; step < steps; step++ {
@@ -249,6 +279,96 @@ func TestDictLogImage(t *testing.T) {
 	}
 }
 
+// TestDictLoadedBaseIsNotCopied: a dictionary loaded from a log keeps the
+// log as its base and appends short new values to a heap tail, so growing
+// it costs what the new values take, not a copy of the arena. The image's
+// 1,024 values of ≈ 1 KiB keep the offsets small beside the arena and the
+// table clear of a doubling, so a copied arena is the only allocation that
+// could pass the bound.
+func TestDictLoadedBaseIsNotCopied(t *testing.T) {
+	const entries = 1_024
+	vals := make([]string, entries+1+100)
+	for i := range vals {
+		if i < entries {
+			vals[i] = fmt.Sprintf("%04d", i) + strings.Repeat("x", 1_020)
+		} else {
+			vals[i] = fmt.Sprintf("new-%d", i)
+		}
+	}
+	image := logImage(vals[:entries])
+	if len(image) < 1<<20 {
+		t.Fatalf("image is %d bytes, want ≥ 1 MiB", len(image))
+	}
+	d, _, err := LoadLog(image, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tableSize(entries) != tableSize(len(vals)) {
+		t.Fatal("the appends double the table; the bound would measure that")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if id := d.Intern(vals[entries]); id != entries {
+		t.Fatalf("Intern after load = %d, want %d", id, entries)
+	}
+	if err := d.AppendRun(entries+1, vals[entries+1:]); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<10 {
+		t.Fatalf("one Intern and a 100-value AppendRun after loading a %d-byte log allocated %d bytes", len(image), grew)
+	}
+	if got := d.Entries(0, d.Len()); !reflect.DeepEqual(got, vals) {
+		t.Fatal("the grown dictionary's Entries differ from the values interned")
+	}
+}
+
+// TestDictBaseTailBoundary: Entries and LogTail ranges that lie in the
+// loaded base, in the tail, or straddle the two equal a dictionary built by
+// Intern from the same values, and ranges inside one part alias it instead
+// of copying.
+func TestDictBaseTailBoundary(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	built := NewDict()
+	for built.Len() < 600 {
+		built.Intern(oracleValue(rng, 2_000))
+	}
+	vals := built.Entries(0, built.Len())
+	const loaded = 350
+	d, _, err := LoadLog(logImage(vals[:loaded]), loaded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range vals[loaded:500] {
+		d.Intern(v)
+	}
+	if err := d.AppendRun(500, vals[500:]); err != nil {
+		t.Fatal(err)
+	}
+	if d.Stats() != built.Stats() {
+		t.Fatalf("Stats = %+v, built by Intern %+v", d.Stats(), built.Stats())
+	}
+	n := len(vals)
+	for lo := -1; lo <= n+1; lo++ {
+		for _, hi := range []int{lo, lo + 1, lo + 7, loaded, loaded + 1, n, n + 2} {
+			if got, want := d.Entries(lo, hi), built.Entries(lo, hi); !reflect.DeepEqual(got, want) {
+				t.Fatalf("Entries(%d, %d) = %q, built by Intern %q", lo, hi, got, want)
+			}
+		}
+		tail, off, m := d.LogTail(lo)
+		wtail, woff, wm := built.LogTail(lo)
+		if off != woff || m != wm || !bytes.Equal(tail, wtail) {
+			t.Fatalf("LogTail(%d) = %d bytes at %d of %d, built by Intern %d bytes at %d of %d", lo, len(tail), off, m, len(wtail), woff, wm)
+		}
+		if lo >= loaded && len(tail) > 0 && &tail[0] != &d.tail[int(off)-len(d.base)] {
+			t.Fatalf("LogTail(%d) lies in the tail but does not alias it", lo)
+		}
+	}
+	if whole := d.span(0, len(d.base)); &whole[0] != &d.base[0] {
+		t.Fatal("a range of the base does not alias it")
+	}
+}
+
 // TestTableSizeIsAFunctionOfCount: growing one Intern at a time lands on
 // the same table as sizing for the count outright (what LoadLog does), the
 // load never passes maxLoad, and an empty dictionary owns no table.
@@ -329,13 +449,35 @@ func TestDictFullNamesTheLimit(t *testing.T) {
 
 // TestDictReadersDuringGrowth: readers sit in Lookup and InternHash (hits
 // and misses) while one writer interns fresh values through a dozen table
-// doublings. Run under -race; ids seen by readers must be the writer's.
+// doublings. Run under -race; ids seen by readers must be the writer's. The
+// seed values are interned, or loaded from their log image so that readers
+// hit the read-only base while the writer grows the tail.
 func TestDictReadersDuringGrowth(t *testing.T) {
-	d := NewDict()
-	const seeded, grown, readers = 64, 20_000, 4
-	for i := 0; i < seeded; i++ {
-		d.Intern(fmt.Sprintf("seed-%d", i))
+	const seeded = 64
+	seeds := make([]string, seeded)
+	for i := range seeds {
+		seeds[i] = fmt.Sprintf("seed-%d", i)
 	}
+	t.Run("interned", func(t *testing.T) {
+		d := NewDict()
+		for _, v := range seeds {
+			d.Intern(v)
+		}
+		readersDuringGrowth(t, d, seeded)
+	})
+	t.Run("loaded", func(t *testing.T) {
+		d, _, err := LoadLog(logImage(seeds), seeded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		readersDuringGrowth(t, d, seeded)
+	})
+}
+
+// readersDuringGrowth is TestDictReadersDuringGrowth over d, which holds
+// "seed-0" … at ids 0 … seeded-1.
+func readersDuringGrowth(t *testing.T, d *Dict, seeded int) {
+	const grown, readers = 20_000, 4
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for r := 0; r < readers; r++ {

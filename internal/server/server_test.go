@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -241,6 +242,40 @@ func TestServerStatsCounters(t *testing.T) {
 	if stats.Catalog.DictEntries == 0 || stats.Catalog.DictBytes <= 0 {
 		t.Errorf("dictionary stats = entries %d bytes %d, want both positive",
 			stats.Catalog.DictEntries, stats.Catalog.DictBytes)
+	}
+	// A dictionary built in memory maps nothing. One loaded from a snapshot
+	// is served from a mapping of its dict.log where the platform maps
+	// (Linux), and dict_mapped_bytes reports the log's committed length.
+	if stats.Catalog.DictMappedBytes != 0 {
+		t.Errorf("dict_mapped_bytes = %d for a dictionary built in memory", stats.Catalog.DictMappedBytes)
+	}
+	dir := t.TempDir()
+	if err := srv.Index().SaveSnapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	logInfo, err := os.Stat(filepath.Join(dir, "dict.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := discovery.LoadSnapshot(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { loaded.Close() }) // after the server's own cleanup
+	_, lts := testServer(t, Config{Index: loaded})
+	var raw struct {
+		Catalog map[string]json.Number `json:"catalog"`
+	}
+	if code := doJSON(t, http.MethodGet, lts.URL+"/v1/stats", nil, &raw); code != http.StatusOK {
+		t.Fatalf("stats: status %d", code)
+	}
+	want := int64(0)
+	if runtime.GOOS == "linux" {
+		want = logInfo.Size()
+	}
+	if got, err := raw.Catalog["dict_mapped_bytes"].Int64(); err != nil || got != want || raw.Catalog["dict_bytes"] != json.Number(fmt.Sprint(stats.Catalog.DictBytes)) {
+		t.Errorf("loaded catalog: dict_mapped_bytes %q, dict_bytes %q; want %d and the saved catalog's %d",
+			raw.Catalog["dict_mapped_bytes"], raw.Catalog["dict_bytes"], want, stats.Catalog.DictBytes)
 	}
 	if srv.Index().Epoch() == 0 {
 		t.Error("epoch still zero after mutations")
