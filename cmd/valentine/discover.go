@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -62,7 +61,7 @@ func cmdDiscover(args []string) error {
 	}
 	// One engine context for the whole invocation: parallelism and deadline
 	// flow to candidate generation, index probing and matcher re-scoring.
-	ctx, cancel := engine.Options{Parallelism: *parallelism, Deadline: *timeout}.Start(context.Background())
+	ctx, cancel := runContext(*parallelism, *timeout)
 	defer cancel()
 	var stats *engine.Stats
 	if *verbose {

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -140,7 +139,7 @@ func cmdSearch(args []string) error {
 	if err != nil {
 		return err
 	}
-	ctx, cancel := engine.Options{Parallelism: *parallelism, Deadline: *timeout}.Start(context.Background())
+	ctx, cancel := runContext(*parallelism, *timeout)
 	defer cancel()
 	var stats *engine.Stats
 	if *verbose {

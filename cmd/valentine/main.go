@@ -162,6 +162,16 @@ func cmdFabricate(args []string) error {
 	return nil
 }
 
+// runContext is one command's context: the engine's worker-pool size
+// installed and, for a positive -timeout, the command's wall-clock bound.
+func runContext(parallelism int, timeout time.Duration) (context.Context, context.CancelFunc) {
+	ctx := engine.WithOptions(context.Background(), engine.Options{Parallelism: parallelism})
+	if timeout > 0 {
+		return context.WithTimeout(ctx, timeout)
+	}
+	return ctx, func() {}
+}
+
 type paramFlags struct{ p core.Params }
 
 func (pf *paramFlags) String() string { return "" }
@@ -181,36 +191,36 @@ func (pf *paramFlags) Set(s string) error {
 	return nil
 }
 
-func runMatcher(fs *flag.FlagSet, args []string) (matches []core.Match, method string, sourcePath, targetPath, truthPath string, top int, err error) {
-	methodF := fs.String("method", valentine.MethodComaSchema, "matching method")
-	sourceF := fs.String("source", "", "source CSV (required)")
-	targetF := fs.String("target", "", "target CSV (required)")
-	truthF := fs.String("truth", "", "ground truth CSV (source_column,target_column)")
-	topF := fs.Int("top", 10, "matches to print")
-	var pf paramFlags
-	fs.Var(&pf, "param", "matcher parameter key=value (repeatable)")
-	if err = fs.Parse(args); err != nil {
-		return
+// matchInputs are the flags match and evaluate share: -method, -source,
+// -target and the repeatable -param.
+type matchInputs struct {
+	method, source, target *string
+	params                 paramFlags
+}
+
+func addMatchInputs(fs *flag.FlagSet) *matchInputs {
+	in := &matchInputs{
+		method: fs.String("method", valentine.MethodComaSchema, "matching method"),
+		source: fs.String("source", "", "source CSV (required)"),
+		target: fs.String("target", "", "target CSV (required)"),
 	}
-	method, sourcePath, targetPath, truthPath, top = *methodF, *sourceF, *targetF, *truthF, *topF
-	if sourcePath == "" || targetPath == "" {
-		err = fmt.Errorf("-source and -target are required")
-		return
+	fs.Var(&in.params, "param", "matcher parameter key=value (repeatable)")
+	return in
+}
+
+// load reads both CSVs and builds the matcher, once the flags are parsed.
+func (in *matchInputs) load() (m valentine.Matcher, src, tgt *valentine.Table, err error) {
+	if *in.source == "" || *in.target == "" {
+		return nil, nil, nil, fmt.Errorf("-source and -target are required")
 	}
-	src, err := valentine.ReadCSVFile(sourcePath)
-	if err != nil {
-		return
+	if src, err = valentine.ReadCSVFile(*in.source); err != nil {
+		return nil, nil, nil, err
 	}
-	tgt, err := valentine.ReadCSVFile(targetPath)
-	if err != nil {
-		return
+	if tgt, err = valentine.ReadCSVFile(*in.target); err != nil {
+		return nil, nil, nil, err
 	}
-	m, err := valentine.NewMatcher(method, pf.p)
-	if err != nil {
-		return
-	}
-	matches, err = core.MatchWithContext(context.Background(), m, nil, src, tgt)
-	return
+	m, err = valentine.NewMatcher(*in.method, in.params.p)
+	return m, src, tgt, err
 }
 
 // cmdMatch prints the top -top column correspondences between two CSVs
@@ -221,20 +231,13 @@ func runMatcher(fs *flag.FlagSet, args []string) (matches []core.Match, method s
 // expiry yields the best-effort ranking so far instead of an error.
 func cmdMatch(args []string) error {
 	fs := flag.NewFlagSet("match", flag.ExitOnError)
-	methodF := fs.String("method", valentine.MethodComaSchema, "matching method")
-	sourceF := fs.String("source", "", "source CSV (required)")
-	targetF := fs.String("target", "", "target CSV (required)")
+	in := addMatchInputs(fs)
 	topF := fs.Int("top", 10, "matches to print (<= 0: all)")
 	budget := fs.Duration("budget", 0, "latency budget (default none); expiry prints the best-effort ranking so far")
 	epsilon := fs.Float64("epsilon", 0, "approximation budget in [0,1): cascade prunes more aggressively, every returned score stays within epsilon of the exact ranking (0 = exact)")
 	verbose := fs.Bool("v", false, "print engine pipeline stats (candidates, bounded, pruned, scored, per-matcher cascade counters)")
-	var pf paramFlags
-	fs.Var(&pf, "param", "matcher parameter key=value (repeatable)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *sourceF == "" || *targetF == "" {
-		return fmt.Errorf("-source and -target are required")
 	}
 	if err := core.ValidateBudget(*budget); err != nil {
 		return fmt.Errorf("match: -%v", err)
@@ -242,15 +245,7 @@ func cmdMatch(args []string) error {
 	if err := core.ValidateEpsilon(*epsilon); err != nil {
 		return fmt.Errorf("match: -%v", err)
 	}
-	src, err := valentine.ReadCSVFile(*sourceF)
-	if err != nil {
-		return err
-	}
-	tgt, err := valentine.ReadCSVFile(*targetF)
-	if err != nil {
-		return err
-	}
-	m, err := valentine.NewMatcher(*methodF, pf.p)
+	m, src, tgt, err := in.load()
 	if err != nil {
 		return err
 	}
@@ -270,7 +265,7 @@ func cmdMatch(args []string) error {
 		}
 		bestEffort = true
 	}
-	fmt.Printf("%s: top %d ranked matches\n", *methodF, len(matches))
+	fmt.Printf("%s: top %d ranked matches\n", *in.method, len(matches))
 	if bestEffort {
 		fmt.Printf("budget %s exhausted: best-effort ranking\n", *budget)
 	}
@@ -287,16 +282,27 @@ func cmdMatch(args []string) error {
 	return nil
 }
 
+// cmdEvaluate prints recall@ground-truth of the method's full ranked match
+// list between two CSVs against a ground-truth CSV.
 func cmdEvaluate(args []string) error {
 	fs := flag.NewFlagSet("evaluate", flag.ExitOnError)
-	matches, method, _, _, truthPath, _, err := runMatcher(fs, args)
+	in := addMatchInputs(fs)
+	truthPath := fs.String("truth", "", "ground truth CSV (source_column,target_column; required)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *truthPath == "" {
+		return fmt.Errorf("evaluate: -truth is required")
+	}
+	m, src, tgt, err := in.load()
 	if err != nil {
 		return err
 	}
-	if truthPath == "" {
-		return fmt.Errorf("evaluate: -truth is required")
+	matches, err := core.MatchWithContext(context.Background(), m, nil, src, tgt)
+	if err != nil {
+		return err
 	}
-	gt, err := readTruth(truthPath)
+	gt, err := readTruth(*truthPath)
 	if err != nil {
 		return err
 	}
@@ -304,7 +310,7 @@ func cmdEvaluate(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s: recall@ground-truth = %.3f (|GT| = %d)\n", method, recall, gt.Size())
+	fmt.Printf("%s: recall@ground-truth = %.3f (|GT| = %d)\n", *in.method, recall, gt.Size())
 	return nil
 }
 
@@ -338,11 +344,13 @@ func cmdExperiment(args []string) error {
 	seeds := fs.Int("seeds", 1, "fabrication seeds")
 	methodsF := fs.String("methods", "", "comma-separated method subset (default all)")
 	parallelism := fs.Int("parallelism", 0, "engine worker-pool size for grid rows (default GOMAXPROCS)")
-	timeout := fs.Duration("timeout", 0, "wall-clock budget for the run (default none); expiry abandons outstanding grid rows")
+	timeout := fs.Duration("timeout", 0, "wall-clock budget for the whole command, every -report artifact included (default none); expiry abandons outstanding grid rows")
 	reportF := fs.String("report", "", "print the paper's artifacts instead over all sources and methods: all, or a comma-separated subset of table1,table2,table3,table4,table5,fig4,fig5,fig6,fig7")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	ctx, cancel := runContext(0, *timeout)
+	defer cancel()
 	if *reportF != "" {
 		var conflict error
 		fs.Visit(func(f *flag.Flag) {
@@ -353,17 +361,14 @@ func cmdExperiment(args []string) error {
 		if conflict != nil {
 			return conflict
 		}
-		cfg := report.Config{Rows: *rows, Seeds: *seeds, Workers: *parallelism, Deadline: *timeout}
-		return report.Print(context.Background(), os.Stdout, cfg, strings.Split(*reportF, ","))
+		cfg := report.Config{Rows: *rows, Seeds: *seeds, Workers: *parallelism}
+		return report.Print(ctx, os.Stdout, cfg, strings.Split(*reportF, ","))
 	}
-	cfg := report.Config{
-		Rows: *rows, Seeds: *seeds, Sources: []string{*source},
-		Workers: *parallelism, Deadline: *timeout,
-	}
+	cfg := report.Config{Rows: *rows, Seeds: *seeds, Sources: []string{*source}, Workers: *parallelism}
 	if *methodsF != "" {
 		cfg.Methods = strings.Split(*methodsF, ",")
 	}
-	rs, err := report.RunFabricated(context.Background(), cfg)
+	rs, err := report.RunFabricated(ctx, cfg)
 	if errors.Is(err, context.DeadlineExceeded) {
 		fmt.Fprintln(os.Stderr, "valentine: -timeout expired; reporting the grid rows that finished")
 	} else if err != nil {

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -131,5 +133,56 @@ func TestDiscoveryScore(t *testing.T) {
 	empty, _ := planner.DiscoveryScore(nil, "join", q)
 	if empty != 0 {
 		t.Fatalf("empty score = %v", empty)
+	}
+}
+
+// TestCmdEvaluate: evaluate prints recall@ground-truth of the method's full
+// ranking on a fabricated pair — the value RecallAtGT gives directly.
+func TestCmdEvaluate(t *testing.T) {
+	dir := t.TempDir()
+	src := valentine.TPCDI(valentine.DatasetOptions{Rows: 60, Seed: 3})
+	pair, err := valentine.NewFabricator(5).Joinable(src, 0.5, 0.8, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sourcePath, targetPath := filepath.Join(dir, "s.csv"), filepath.Join(dir, "t.csv")
+	if err := pair.Source.WriteCSVFile(sourcePath); err != nil {
+		t.Fatal(err)
+	}
+	if err := pair.Target.WriteCSVFile(targetPath); err != nil {
+		t.Fatal(err)
+	}
+	var truth strings.Builder
+	truth.WriteString("source_column,target_column\n")
+	for _, p := range pair.Truth.Pairs() {
+		fmt.Fprintf(&truth, "%s,%s\n", p.Source, p.Target)
+	}
+	truthPath := filepath.Join(dir, "gt.csv")
+	if err := os.WriteFile(truthPath, []byte(truth.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	method := valentine.MethodComaSchema
+	m, err := valentine.NewMatcher(method, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matches, err := valentine.MatchWithContext(context.Background(), m, pair.Source, pair.Target, valentine.EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recall, err := valentine.RecallAtGT(matches, pair.Truth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := captureStdout(t, func() error {
+		return cmdEvaluate([]string{"-method", method, "-source", sourcePath, "-target", targetPath, "-truth", truthPath})
+	})
+	want := fmt.Sprintf("%s: recall@ground-truth = %.3f (|GT| = %d)\n", method, recall, pair.Truth.Size())
+	if out != want {
+		t.Fatalf("evaluate printed %q, want %q", out, want)
+	}
+	if err := cmdEvaluate([]string{"-source", sourcePath, "-target", targetPath}); err == nil {
+		t.Error("evaluate without -truth: expected an error")
 	}
 }

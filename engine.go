@@ -4,8 +4,9 @@ package valentine
 // (internal/engine): every scoring consumer in the suite — the nine
 // matchers, the ensemble, the experiment runner, the discovery index —
 // executes through one candidate-generation → prune → score → rank pipeline
-// with context propagation (deadlines and cancellation honored mid-scoring),
-// a bounded worker pool, and per-stage instrumentation. Scores are
+// with context propagation (the context's deadline and cancellation honored
+// mid-scoring; the context is the only place a deadline is set), a bounded
+// worker pool, and per-stage instrumentation. Scores are
 // bit-identical to sequential execution at every parallelism level. A
 // matcher enters it through its one method, Match(ctx, source, target),
 // over profiled tables; MatchWithContext profiles a table pair first.
@@ -18,8 +19,8 @@ import (
 )
 
 // EngineOptions configure the execution engine: Parallelism bounds the
-// worker pool (0 = GOMAXPROCS), Deadline is the wall-clock budget (0 =
-// none). The zero value selects the defaults.
+// worker pool (0 = GOMAXPROCS). The zero value selects the defaults. A
+// wall-clock bound is the context's own: wrap ctx with context.WithTimeout.
 type EngineOptions = engine.Options
 
 // Stats is the engine's per-stage instrumentation collector: candidates
@@ -45,14 +46,11 @@ func WithEngineStats(ctx context.Context) (context.Context, *Stats) {
 }
 
 // MatchWithContext profiles the pair for this call and runs m over it
-// through the engine: opts.Deadline (and ctx's own deadline or
-// cancellation) aborts scoring mid-pipeline, opts.Parallelism fans
-// independent scoring units out on a bounded pool, and the ranked result is
-// bit-identical at any parallelism.
+// through the engine: ctx's deadline or cancellation aborts scoring
+// mid-pipeline, opts.Parallelism fans independent scoring units out on a
+// bounded pool, and the ranked result is bit-identical at any parallelism.
 func MatchWithContext(ctx context.Context, m Matcher, source, target *Table, opts EngineOptions) ([]Match, error) {
-	ctx, cancel := opts.Start(ctx)
-	defer cancel()
-	return core.MatchWithContext(ctx, m, nil, source, target)
+	return core.MatchWithContext(engine.WithOptions(ctx, opts), m, nil, source, target)
 }
 
 // MatchProfilesWithContext is MatchWithContext over already-profiled tables

@@ -1,27 +1,28 @@
-// Package engine is the suite's unified concurrent execution layer: every
-// scoring consumer — the pairwise matchers, the ensemble, the experiment
-// runner, discover's re-ranking phase and discovery.Index.Search — routes
-// its work through one candidate-generation → prune → score → rank pipeline
-// instead of hand-rolling a sequential loop per entry point.
+// Package engine is the suite's concurrent execution layer: the pairwise
+// matchers, the ensemble, the experiment runner, the profile store's warm
+// pass, the query planner and discovery.Index.Search all fan their work out
+// on its one worker pool instead of hand-rolling a loop or a pool per entry
+// point. It imports only the standard library, so every other package can
+// build on it; the pair pipeline (column cross product → scored, ranked
+// matches) is planner.ScorePairs.
 //
-// The engine contributes three things to that pipeline:
+// The engine contributes three things:
 //
-//   - context propagation end-to-end: deadlines and cancellation are honored
-//     between scoring units inside a single match call, not just between
+//   - cancellation honored between scoring units (Map), not just between
 //     table pairs (the paper's §IX scaling lesson — query work must be
-//     cancellable and bounded to serve heavy traffic);
+//     cancellable and bounded to serve heavy traffic). Deadlines live on the
+//     context only: an entry point bounds a call with context.WithTimeout;
 //   - a bounded worker pool (Options.Parallelism, default GOMAXPROCS) that
-//     fans independent scoring units out and merges their results back in
-//     unit order, so parallel output is bit-identical to the sequential
-//     loop's;
+//     fans independent scoring units out into caller-owned slots, so
+//     parallel output is bit-identical to the sequential loop's;
 //   - per-stage instrumentation (Stats: candidates generated, pruned,
 //     scored, wall time per stage) surfaced by `valentine discover -v` and
 //     the bench/ harness's traced pass.
 //
 // Options and Stats travel on the context — callers install them once at an
-// entry point (Options.Start, WithStats) and every layer below picks them up
+// entry point (WithOptions, WithStats) and every layer below picks them up
 // without signature churn. Determinism is a hard contract: for any
-// parallelism level, every engine helper produces exactly the bytes the
+// parallelism level, every consumer produces exactly the bytes the
 // sequential loop would, enforced by the suite-wide conformance test in
 // internal/matchers/suite.
 package engine
@@ -31,19 +32,15 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Options configure how the engine executes scoring work. The zero value
-// selects the defaults: GOMAXPROCS parallelism, no deadline.
+// selects the defaults (GOMAXPROCS parallelism).
 type Options struct {
 	// Parallelism bounds the worker pool fanning scoring units out; zero or
 	// negative selects GOMAXPROCS. One worker runs the work inline, exactly
 	// as the pre-engine sequential loops did.
 	Parallelism int
-	// Deadline is the wall-clock budget Start applies to the context; zero
-	// means no deadline.
-	Deadline time.Duration
 }
 
 // Workers resolves the effective worker-pool size.
@@ -52,16 +49,6 @@ func (o Options) Workers() int {
 		return o.Parallelism
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// Start installs o as the context's ambient engine options and applies its
-// deadline, if any. Callers must call the returned cancel function.
-func (o Options) Start(ctx context.Context) (context.Context, context.CancelFunc) {
-	ctx = WithOptions(ctx, o)
-	if o.Deadline > 0 {
-		return context.WithTimeout(ctx, o.Deadline)
-	}
-	return context.WithCancel(ctx)
 }
 
 type optionsKey struct{}

@@ -4,11 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"go/build"
+	"strings"
 	"testing"
 	"time"
-
-	"valentine/internal/profile"
-	"valentine/internal/table"
 )
 
 func TestMapWritesEverySlot(t *testing.T) {
@@ -97,22 +96,6 @@ func TestMapReturnsLowestIndexError(t *testing.T) {
 	}
 }
 
-func TestOptionsStartAppliesDeadline(t *testing.T) {
-	ctx, cancel := Options{Deadline: time.Millisecond}.Start(context.Background())
-	defer cancel()
-	if _, ok := ctx.Deadline(); !ok {
-		t.Fatal("Start did not apply a deadline")
-	}
-	select {
-	case <-ctx.Done():
-	case <-time.After(time.Second):
-		t.Fatal("deadline never fired")
-	}
-	if OptionsFrom(ctx).Deadline != time.Millisecond {
-		t.Fatal("Start did not install options on the context")
-	}
-}
-
 func TestOptionsWorkersDefault(t *testing.T) {
 	if w := (Options{}).Workers(); w < 1 {
 		t.Fatalf("default workers = %d", w)
@@ -159,89 +142,16 @@ func TestStatsRoundTrip(t *testing.T) {
 	}
 }
 
-// scorePairsFixture builds a small profiled pair with distinctive scores.
-func scorePairsFixture() (*profile.TableProfile, *profile.TableProfile) {
-	src := &table.Table{Name: "src"}
-	tgt := &table.Table{Name: "tgt"}
-	for i := 0; i < 7; i++ {
-		src.Columns = append(src.Columns, table.Column{
-			Name: fmt.Sprintf("s%d", i), Values: []string{"a", "b"},
-		})
-	}
-	for j := 0; j < 5; j++ {
-		tgt.Columns = append(tgt.Columns, table.Column{
-			Name: fmt.Sprintf("t%d", j), Values: []string{"a", "c"},
-		})
-	}
-	src.RetypeColumns()
-	tgt.RetypeColumns()
-	return profile.New(src), profile.New(tgt)
-}
-
-func TestScorePairsDeterministicAcrossParallelism(t *testing.T) {
-	sp, tp := scorePairsFixture()
-	score := func(i, j int) (float64, bool) {
-		// Distinct score per pair; prune one diagonal to exercise emit=false.
-		return float64(i*31+j) / 217, (i+j)%4 != 0
-	}
-	var baseline []struct {
-		s, t  string
-		score float64
-	}
-	for _, par := range []int{1, 4, 16} {
-		ctx := WithOptions(context.Background(), Options{Parallelism: par})
-		out, err := ScorePairs(ctx, sp, tp, score)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if par == 1 {
-			for _, m := range out {
-				baseline = append(baseline, struct {
-					s, t  string
-					score float64
-				}{m.SourceColumn, m.TargetColumn, m.Score})
-			}
-			continue
-		}
-		if len(out) != len(baseline) {
-			t.Fatalf("parallelism %d: %d matches, want %d", par, len(out), len(baseline))
-		}
-		for i, m := range out {
-			b := baseline[i]
-			if m.SourceColumn != b.s || m.TargetColumn != b.t || m.Score != b.score {
-				t.Fatalf("parallelism %d rank %d: got %v, want %v/%v/%v", par, i, m, b.s, b.t, b.score)
-			}
-		}
-	}
-}
-
-func TestScorePairsStats(t *testing.T) {
-	sp, tp := scorePairsFixture()
-	ctx, stats := WithStats(context.Background())
-	_, err := ScorePairs(ctx, sp, tp, func(i, j int) (float64, bool) {
-		return 1, (i+j)%2 == 0
-	})
+// TestEngineImportsOnlyStdlib: the engine is the leaf every other package
+// builds on, so it may import nothing of this module.
+func TestEngineImportsOnlyStdlib(t *testing.T) {
+	pkg, err := build.ImportDir(".", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := stats.Snapshot()
-	if snap.Candidates != 35 {
-		t.Fatalf("candidates = %d, want 35", snap.Candidates)
-	}
-	if snap.Scored+snap.Pruned != 35 {
-		t.Fatalf("scored %d + pruned %d != 35", snap.Scored, snap.Pruned)
-	}
-	if snap.Pruned != 17 {
-		t.Fatalf("pruned = %d, want 17", snap.Pruned)
-	}
-}
-
-func TestScorePairsCanceled(t *testing.T) {
-	sp, tp := scorePairsFixture()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := ScorePairs(ctx, sp, tp, func(i, j int) (float64, bool) { return 0, true })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	for _, imp := range pkg.Imports {
+		if imp == "valentine" || strings.HasPrefix(imp, "valentine/") {
+			t.Errorf("engine imports %s; it may import only the standard library", imp)
+		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"valentine/internal/fabrication"
 )
 
-func engineTestSpec(t *testing.T, workers int, deadline time.Duration) Spec {
+func engineTestSpec(t *testing.T, workers int) Spec {
 	t.Helper()
 	src := datagen.TPCDI(datagen.Options{Rows: 40, Seed: 2})
 	pairs, err := fabrication.GridSeeds(fabrication.SourceTable{Name: "TPC-DI", Table: src}, 1, 1)
@@ -23,14 +23,13 @@ func engineTestSpec(t *testing.T, workers int, deadline time.Duration) Spec {
 		Methods:  []string{MethodComaSchema, MethodJaccardLev},
 		Pairs:    pairs[:8],
 		Workers:  workers,
-		Deadline: deadline,
 	}
 }
 
 // TestRunDeterministicAcrossWorkers: the engine-dispatched grid must produce
 // identical results at any pool size.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
-	baseline, err := Run(context.Background(), engineTestSpec(t, 1, 0))
+	baseline, err := Run(context.Background(), engineTestSpec(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +37,7 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal("empty baseline run")
 	}
 	for _, workers := range []int{4, 16} {
-		got, err := Run(context.Background(), engineTestSpec(t, workers, 0))
+		got, err := Run(context.Background(), engineTestSpec(t, workers))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,14 +55,16 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRunDeadlineAbandonsPartialWork: an expired Spec.Deadline must stop the
+// TestRunDeadlineAbandonsPartialWork: an expired context deadline must stop the
 // grid promptly, return the context error, and keep only cleanly completed
 // (or cleanly erred) rows — never a half-scored zero-value row.
 func TestRunDeadlineAbandonsPartialWork(t *testing.T) {
-	spec := engineTestSpec(t, 2, time.Nanosecond)
+	spec := engineTestSpec(t, 2)
 	spec.Methods = nil // all methods: enough work that expiry hits mid-run
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
 	start := time.Now()
-	results, err := Run(context.Background(), spec)
+	results, err := Run(ctx, spec)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -85,11 +86,13 @@ func TestRunDeadlineAbandonsPartialWork(t *testing.T) {
 // TestRunDeadlineGenerous: a deadline that never fires must not change the
 // run's outcome.
 func TestRunDeadlineGenerous(t *testing.T) {
-	want, err := Run(context.Background(), engineTestSpec(t, 4, 0))
+	want, err := Run(context.Background(), engineTestSpec(t, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(context.Background(), engineTestSpec(t, 4, time.Hour))
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	got, err := Run(ctx, engineTestSpec(t, 4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,10 +33,6 @@ type Spec struct {
 	Methods  []string // subset of grid keys to run; empty means all
 	Pairs    []core.TablePair
 	Workers  int // engine worker-pool size; 0 means GOMAXPROCS
-	// Deadline is the run's wall-clock budget; once it expires, queued jobs
-	// are abandoned and in-flight jobs are canceled mid-scoring through the
-	// engine. Zero means no deadline.
-	Deadline time.Duration
 	// Profiles is the shared column-profile store: every table of every
 	// pair is profiled once per run, not once per (method, variant)
 	// execution. Nil selects a fresh store private to the run.
@@ -45,9 +41,10 @@ type Spec struct {
 
 // Run exhaustively executes methods × parameter variants × pairs (Fig. 1,
 // step 3) on the engine's worker pool and returns results sorted
-// deterministically. The context (or Spec.Deadline) cancels outstanding
-// work; already-computed results are still returned, and jobs aborted
-// mid-scoring surface the context error in their Result.Err.
+// deterministically. The context's deadline or cancellation abandons queued
+// jobs and cancels in-flight ones mid-scoring; already-computed results are
+// still returned, and jobs aborted mid-scoring surface the context error in
+// their Result.Err.
 func Run(ctx context.Context, spec Spec) ([]Result, error) {
 	if spec.Registry == nil {
 		return nil, fmt.Errorf("experiment: nil registry")
@@ -105,15 +102,9 @@ func Run(ctx context.Context, spec Spec) ([]Result, error) {
 	// sequentially (Parallelism 1) so per-job Runtime keeps Table V's
 	// single-threaded meaning and the pool is saturated at the job level,
 	// not oversubscribed at both levels.
-	runCtx := ctx
-	if spec.Deadline > 0 {
-		var cancel context.CancelFunc
-		runCtx, cancel = context.WithTimeout(ctx, spec.Deadline)
-		defer cancel()
-	}
-	jobCtx := engine.WithOptions(runCtx, engine.Options{Parallelism: 1})
+	jobCtx := engine.WithOptions(ctx, engine.Options{Parallelism: 1})
 	results := make([]Result, len(jobs))
-	canceled := engine.Map(runCtx, spec.Workers, len(jobs), func(idx int) error {
+	canceled := engine.Map(ctx, spec.Workers, len(jobs), func(idx int) error {
 		j := jobs[idx]
 		results[idx] = runOne(jobCtx, j.method, j.params, j.pair, spec.Registry, store)
 		if evict && atomic.AddInt64(&remaining[j.pairIdx], -1) == 0 {

@@ -17,6 +17,7 @@ import (
 	"valentine/internal/core"
 	"valentine/internal/engine"
 	"valentine/internal/intern"
+	"valentine/internal/planner"
 	"valentine/internal/profile"
 	"valentine/internal/strutil"
 	"valentine/internal/table"
@@ -131,7 +132,7 @@ func (m *Matcher) Match(ctx context.Context, sp, tp *profile.TableProfile) ([]co
 		srcEls = buildElements(sp, withInstances, limit)
 		tgtEls = buildElements(tp, withInstances, limit)
 	})
-	return engine.ScorePairs(ctx, sp, tp, func(i, j int) (float64, bool) {
+	return planner.ScorePairs(ctx, sp, tp, 0, "", nil, func(i, j int) (float64, bool) {
 		// Direction "both": the matcher library is evaluated src→tgt
 		// and tgt→src and the directional aggregates are averaged. The
 		// name matchers are symmetric, so both directions share one

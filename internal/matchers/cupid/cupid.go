@@ -25,6 +25,7 @@ import (
 
 	"valentine/internal/core"
 	"valentine/internal/engine"
+	"valentine/internal/planner"
 	"valentine/internal/profile"
 	"valentine/internal/table"
 	"valentine/internal/wordnet"
@@ -123,7 +124,7 @@ func (m *Matcher) Match(ctx context.Context, sp, tp *profile.TableProfile) ([]co
 		rootStruct = float64(strong) / float64(total)
 	}
 
-	return engine.ScorePairs(ctx, sp, tp, func(i, j int) (float64, bool) {
+	return planner.ScorePairs(ctx, sp, tp, 0, "", nil, func(i, j int) (float64, bool) {
 		ssim := 0.7*leafS[i][j] + 0.3*rootStruct
 		wsim := m.WStruct*ssim + (1-m.WStruct)*lsim[i][j]
 		return wsim, wsim >= m.ThAccept

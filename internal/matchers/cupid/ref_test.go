@@ -7,8 +7,8 @@ import (
 	"testing"
 
 	"valentine/internal/core"
-	"valentine/internal/engine"
 	"valentine/internal/matchers/matchertest"
+	"valentine/internal/planner"
 	"valentine/internal/profile"
 	"valentine/internal/race"
 	"valentine/internal/strutil"
@@ -93,7 +93,7 @@ func (m *Matcher) matchRef(p passOneRef, sp, tp *profile.TableProfile) ([]core.M
 	if total > 0 {
 		rootStruct = float64(strong) / float64(total)
 	}
-	return engine.ScorePairs(context.Background(), sp, tp, func(i, j int) (float64, bool) {
+	return planner.ScorePairs(context.Background(), sp, tp, 0, "", nil, func(i, j int) (float64, bool) {
 		ssim := 0.7*p.leafS[i][j] + 0.3*rootStruct
 		wsim := m.WStruct*ssim + (1-m.WStruct)*p.lsim[i][j]
 		return wsim, wsim >= m.ThAccept

@@ -19,6 +19,7 @@ import (
 	"valentine/internal/core"
 	"valentine/internal/embedding"
 	"valentine/internal/engine"
+	"valentine/internal/planner"
 	"valentine/internal/profile"
 	"valentine/internal/table"
 )
@@ -247,7 +248,7 @@ func (m *Matcher) Match(ctx context.Context, sp, tp *profile.TableProfile) ([]co
 	if genErr != nil {
 		return nil, genErr
 	}
-	return engine.ScorePairs(ctx, sp, tp, func(i, j int) (float64, bool) {
+	return planner.ScorePairs(ctx, sp, tp, 0, "", nil, func(i, j int) (float64, bool) {
 		if !bridged {
 			return 0.5, true // disconnected graph: neutral score, no model
 		}

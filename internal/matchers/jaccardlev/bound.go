@@ -52,20 +52,22 @@ func (m *Matcher) ScoreBoundProfiles(sp, tp *profile.TableProfile) float64 {
 }
 
 // MatchCascade implements core.CascadeMatcher: the same scoring path as
-// Match, but through the planner's bound-aware pair cascade — pairs whose
-// sa/sb bound cannot reach the current kth-best score skip the quadratic
-// fuzzy phase entirely. With k <= 0 and a live context the
-// output is exactly Match's.
+// Match, but through planner.ScorePairs' cascade arm — pairs whose sa/sb
+// bound cannot reach the current kth-best score skip the quadratic fuzzy
+// phase entirely. With k <= 0 and a live context the output is exactly
+// Match's; on a context error the pairs scored so far come back as a
+// best-effort ranking.
 func (m *Matcher) MatchCascade(ctx context.Context, sp, tp *profile.TableProfile, k int) ([]core.Match, bool, error) {
 	if err := core.ValidatePair(sp, tp); err != nil {
 		return nil, false, err
 	}
 	srcSets, tgtSets, budget := m.prepare(ctx, sp, tp)
-	return planner.ScorePairsTopK(ctx, sp, tp, k, m.Name(),
+	out, err := planner.ScorePairs(ctx, sp, tp, k, m.Name(),
 		func(i, j int) float64 {
 			return pairBound(len(srcSets[i].vals), len(tgtSets[j].vals))
 		},
-		func(i, j int) float64 {
-			return fuzzyJaccard(&srcSets[i], &tgtSets[j], budget)
+		func(i, j int) (float64, bool) {
+			return fuzzyJaccard(&srcSets[i], &tgtSets[j], budget), true
 		})
+	return out, err != nil, err
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"valentine/internal/core"
-	"valentine/internal/engine"
 	"valentine/internal/table"
 )
 
@@ -71,7 +70,7 @@ func TestMatchCascadeConformance(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		src, tgt := fuzzPair(rng)
 		sp, tp := core.ProfilePair(nil, src, tgt)
-		ctx, cancel := engine.Options{}.Start(context.Background())
+		ctx, cancel := context.WithCancel(context.Background())
 		want, err := jm.Match(ctx, sp, tp)
 		if err != nil {
 			cancel()

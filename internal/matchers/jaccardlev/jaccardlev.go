@@ -26,6 +26,7 @@ import (
 
 	"valentine/internal/core"
 	"valentine/internal/engine"
+	"valentine/internal/planner"
 	"valentine/internal/profile"
 	"valentine/internal/strutil"
 )
@@ -74,7 +75,7 @@ func (m *Matcher) Match(ctx context.Context, sp, tp *profile.TableProfile) ([]co
 		return nil, err
 	}
 	srcSets, tgtSets, budget := m.prepare(ctx, sp, tp)
-	return engine.ScorePairs(ctx, sp, tp, func(i, j int) (float64, bool) {
+	return planner.ScorePairs(ctx, sp, tp, 0, "", nil, func(i, j int) (float64, bool) {
 		return fuzzyJaccard(&srcSets[i], &tgtSets[j], budget), true
 	})
 }

@@ -17,6 +17,7 @@ import (
 
 	"valentine/internal/core"
 	"valentine/internal/engine"
+	"valentine/internal/planner"
 	"valentine/internal/profile"
 )
 
@@ -102,7 +103,7 @@ func (m *Matcher) Match(ctx context.Context, sp, tp *profile.TableProfile) ([]co
 	// banding did not nominate are the pruned share (they are emitted with
 	// score 0 when IncludeMisses is set, but never estimated).
 	missed := int64(len(srcSigs))*int64(len(tgtSigs)) - int64(len(candidates))
-	out, err := engine.ScorePairs(ctx, sp, tp, func(i, j int) (float64, bool) {
+	out, err := planner.ScorePairs(ctx, sp, tp, 0, "", nil, func(i, j int) (float64, bool) {
 		if _, ok := candidates[[2]int{i, j}]; ok {
 			return profile.EstimateJaccard(srcSigs[i], tgtSigs[j]), true
 		}

@@ -8,8 +8,8 @@ import (
 
 	"valentine/internal/core"
 	"valentine/internal/embedding"
-	"valentine/internal/engine"
 	"valentine/internal/matchers/matchertest"
+	"valentine/internal/planner"
 	"valentine/internal/profile"
 	"valentine/internal/race"
 )
@@ -59,7 +59,7 @@ func (m *Matcher) linksRef(tprof *profile.TableProfile) [][]classLink {
 // search it replaced on every class pair of this ontology.
 func (m *Matcher) matchRef(sp, tp *profile.TableProfile, srcLinks, tgtLinks [][]classLink) ([]core.Match, error) {
 	srcSigs, tgtSigs := m.signatures(sp), m.signatures(tp)
-	return engine.ScorePairs(context.Background(), sp, tp, func(i, j int) (float64, bool) {
+	return planner.ScorePairs(context.Background(), sp, tp, 0, "", nil, func(i, j int) (float64, bool) {
 		sem := m.semanticScore(srcLinks[i], tgtLinks[j])
 		if sem >= m.CohSemThreshold {
 			return 0.5 + 0.5*sem, true

@@ -18,6 +18,7 @@ import (
 	"valentine/internal/embedding"
 	"valentine/internal/engine"
 	"valentine/internal/ontology"
+	"valentine/internal/planner"
 	"valentine/internal/profile"
 )
 
@@ -84,7 +85,7 @@ func (m *Matcher) Match(ctx context.Context, sp, tp *profile.TableProfile) ([]co
 		srcSigs = m.signatures(sp)
 		tgtSigs = m.signatures(tp)
 	})
-	return engine.ScorePairs(ctx, sp, tp, func(i, j int) (float64, bool) {
+	return planner.ScorePairs(ctx, sp, tp, 0, "", nil, func(i, j int) (float64, bool) {
 		sem := m.semanticScore(srcLinks[i], tgtLinks[j])
 		var score float64
 		if sem >= m.CohSemThreshold {

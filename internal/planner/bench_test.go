@@ -93,3 +93,34 @@ func BenchmarkCascadeVsFullFidelity(b *testing.B) {
 	b.Run("full", func(b *testing.B) { run(b, false) })
 	b.Run("cascade", func(b *testing.B) { run(b, true) })
 }
+
+// BenchmarkScorePairs: ScorePairs' two arms over a 12×12 column-pair grid
+// whose scores are precomputed, so what is timed is the pipeline itself —
+// row fan-out, match assembly, rank, truncation. "full" is the nil-bound arm
+// every pairwise matcher's Match runs (with an accept threshold that cuts
+// some pairs); "cascade" bounds every pair and keeps the top 5. CI runs it
+// as a smoke leg (-benchtime=1x).
+func BenchmarkScorePairs(b *testing.B) {
+	const n, k = 12, 5
+	rng := rand.New(rand.NewSource(3))
+	sp, tp := profile.New(pairTable("src", n)), profile.New(pairTable("tgt", n))
+	scores := make([]float64, n*n)
+	for p := range scores {
+		scores[p] = rng.Float64()
+	}
+	score := func(i, j int) (float64, bool) {
+		s := scores[i*n+j]
+		return s, s >= 0.2
+	}
+	bound := func(i, j int) float64 { return scores[i*n+j] + 0.1 }
+	run := func(b *testing.B, k int, bound func(i, j int) float64) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := planner.ScorePairs(context.Background(), sp, tp, k, "", bound, score); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("full", func(b *testing.B) { run(b, 0, nil) })
+	b.Run("cascade", func(b *testing.B) { run(b, k, bound) })
+}

@@ -112,7 +112,7 @@ func TestRerankConformance(t *testing.T) {
 		for name, m := range matchers {
 			for _, mode := range []string{"join", "union"} {
 				for _, k := range []int{1, 3, 5} {
-					ctx, cancel := engine.Options{}.Start(context.Background())
+					ctx, cancel := context.WithCancel(context.Background())
 					full, err := planner.RerankFull(ctx, m, qp, cands, mode, k)
 					if err != nil {
 						cancel()
@@ -158,7 +158,7 @@ func TestRerankConformanceEmbDI(t *testing.T) {
 	query, cands, store := fuzzCorpus(rng, 5)
 	qp := store.Of(query)
 	for _, mode := range []string{"join", "union"} {
-		ctx, cancel := engine.Options{}.Start(context.Background())
+		ctx, cancel := context.WithCancel(context.Background())
 		full, err := planner.RerankFull(ctx, m, qp, cands, mode, 2)
 		if err != nil {
 			cancel()
@@ -199,7 +199,7 @@ func TestRerankActuallyPrunes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := engine.Options{}.Start(context.Background())
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	rr, err := planner.Rerank(ctx, m, store.Of(query), cands, "join", 1)
 	if err != nil {
@@ -361,7 +361,7 @@ func TestRerankBudgetExpiry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outer, cancel := engine.Options{}.Start(context.Background())
+	outer, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	qctx, qcancel := core.BudgetContext(outer, time.Nanosecond)
 	defer qcancel()

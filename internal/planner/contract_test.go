@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"valentine/internal/core"
-	"valentine/internal/engine"
 	"valentine/internal/intern"
 	"valentine/internal/planner"
 	"valentine/internal/profile"
@@ -62,7 +61,7 @@ func TestMinimalMatcherNeedsNoHooks(t *testing.T) {
 	}
 	for _, mode := range []string{"join", "union"} {
 		for _, k := range []int{1, 3, 0} {
-			ctx, cancel := engine.Options{}.Start(context.Background())
+			ctx, cancel := context.WithCancel(context.Background())
 			full, err := planner.RerankFull(ctx, m, qp, cands, mode, k)
 			if err != nil {
 				cancel()

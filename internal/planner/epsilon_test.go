@@ -87,7 +87,7 @@ func TestTopKEpsilonPrunesMore(t *testing.T) {
 		exact[i] = rng.Float64()
 		bounds[i] = exact[i] + rng.Float64()*0.1
 	}
-	ctx, cancel := engine.Options{Parallelism: 1}.Start(context.Background())
+	ctx, cancel := context.WithCancel(engine.WithOptions(context.Background(), engine.Options{Parallelism: 1}))
 	defer cancel()
 	prev := -1
 	for _, eps := range []float64{0, 0.05, 0.2, 0.6} {
@@ -142,11 +142,11 @@ func TestScorePairsTopKEpsilonFromContext(t *testing.T) {
 		tk := trueKth(exact, k)
 		for _, eps := range []float64{0, 0.15} {
 			ctx := core.WithEpsilon(context.Background(), eps)
-			matches, bestEffort, err := ScorePairsTopK(ctx, sp, tp, k, "eps-test",
+			matches, err := ScorePairs(ctx, sp, tp, k, "eps-test",
 				func(i, j int) float64 { return bounds[i*nTgt+j] },
-				func(i, j int) float64 { return exact[i*nTgt+j] })
-			if err != nil || bestEffort {
-				t.Fatalf("trial %d eps %v: err=%v bestEffort=%v", trial, eps, err, bestEffort)
+				func(i, j int) (float64, bool) { return exact[i*nTgt+j], true })
+			if err != nil {
+				t.Fatalf("trial %d eps %v: %v", trial, eps, err)
 			}
 			for _, m := range matches {
 				if m.Score < tk-eps {

@@ -1,7 +1,10 @@
 // Package planner implements the cost-based matcher cascade: a
 // bound-then-refine top-k query planner over the engine's worker pool.
 // TopK is its one loop; Rerank (a candidate per discovery table) and
-// ScorePairsTopK (a candidate per column pair) are Specs over it.
+// ScorePairs' cascade arm (a candidate per column pair) are Specs over it.
+// ScorePairs is also the one full-fidelity pair pipeline: with a nil bound
+// it scores every column pair row by row on the engine pool, the path
+// every pairwise matcher's Match runs.
 //
 // The cascade scores every candidate with cheap admissible upper bounds
 // first (interned value overlap, name tokens, type coverage — all cached

@@ -113,7 +113,7 @@ func topKSet(scores []float64, k int) []int {
 // scores always include the true top-k, with bit-identical scores.
 func TestTopKExactness(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	ctx, cancel := engine.Options{}.Start(context.Background())
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	for trial := 0; trial < 50; trial++ {
 		n := 20 + rng.Intn(180)
@@ -154,7 +154,7 @@ func TestTopKExactness(t *testing.T) {
 // informative: with exact bounds and a small k over a spread of scores,
 // most candidates must be pruned, and pruned+scored covers everything.
 func TestTopKPrunes(t *testing.T) {
-	ctx, cancel := engine.Options{Parallelism: 1}.Start(context.Background())
+	ctx, cancel := context.WithCancel(engine.WithOptions(context.Background(), engine.Options{Parallelism: 1}))
 	defer cancel()
 	const n, k = 200, 5
 	scores := make([]float64, n)
@@ -187,7 +187,7 @@ func TestTopKPrunes(t *testing.T) {
 // TestTopKNoBoundScoresAll: K <= 0 or a nil Bound disables pruning — the
 // full-fidelity reference mode.
 func TestTopKNoBoundScoresAll(t *testing.T) {
-	ctx, cancel := engine.Options{}.Start(context.Background())
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	for _, spec := range []planner.Spec{
 		{N: 50, K: 0, Bound: func(i int) float64 { return 0 }},
@@ -212,7 +212,7 @@ func TestTopKNoBoundScoresAll(t *testing.T) {
 // TestTopKScoreErrorDropsOnlyThatCandidate: a non-context scoring error is
 // recorded per candidate; the rest of the cascade is unaffected.
 func TestTopKScoreErrorDropsOnlyThatCandidate(t *testing.T) {
-	ctx, cancel := engine.Options{}.Start(context.Background())
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	boom := errors.New("boom")
 	res, err := planner.TopK(ctx, planner.Spec{
@@ -249,7 +249,7 @@ func TestTopKScoreErrorDropsOnlyThatCandidate(t *testing.T) {
 // best-effort, accounting stays consistent, and no worker goroutines leak.
 func TestTopKBudgetExpiresMidCascade(t *testing.T) {
 	before := runtime.NumGoroutine()
-	outer, cancel := engine.Options{Parallelism: 2}.Start(context.Background())
+	outer, cancel := context.WithCancel(engine.WithOptions(context.Background(), engine.Options{Parallelism: 2}))
 	defer cancel()
 	qctx, qcancel := core.BudgetContext(outer, 20*time.Millisecond)
 	defer qcancel()
@@ -308,7 +308,7 @@ func TestTopKBudgetExpiresMidCascade(t *testing.T) {
 // TestTopKCancelIsError: cancellation of the outer context is never a
 // best-effort case.
 func TestTopKCancelIsError(t *testing.T) {
-	outer, cancel := engine.Options{}.Start(context.Background())
+	outer, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := planner.TopK(outer, planner.Spec{
 		N:     4,
@@ -322,12 +322,12 @@ func TestTopKCancelIsError(t *testing.T) {
 	}
 }
 
-// TestScorePairsTopKMatchesFullFidelity: the pair-level cascade with
-// admissible bounds returns exactly engine.ScorePairs' ranking (the plain
-// row loop, no bounds) truncated to k, across fuzzed score matrices.
+// TestScorePairsTopKMatchesFullFidelity: ScorePairs' cascade arm with
+// admissible bounds returns exactly its full arm's ranking (the plain row
+// loop, no bounds) truncated to k, across fuzzed score matrices.
 func TestScorePairsTopKMatchesFullFidelity(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	ctx, cancel := engine.Options{}.Start(context.Background())
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	for trial := 0; trial < 30; trial++ {
 		nSrc, nTgt := 2+rng.Intn(8), 2+rng.Intn(8)
@@ -344,18 +344,15 @@ func TestScorePairsTopKMatchesFullFidelity(t *testing.T) {
 				bounds[i][j] = scores[i][j] + rng.Float64()*float64(rng.Intn(2))
 			}
 		}
-		got, bestEffort, err := planner.ScorePairsTopK(ctx, sp, tp, k, "pairs-test",
-			func(i, j int) float64 { return bounds[i][j] },
-			func(i, j int) float64 { return scores[i][j] })
-		if err != nil || bestEffort {
-			t.Fatalf("trial %d: err=%v bestEffort=%v", trial, err, bestEffort)
-		}
-		want, err := engine.ScorePairs(ctx, sp, tp, func(i, j int) (float64, bool) { return scores[i][j], true })
+		score := func(i, j int) (float64, bool) { return scores[i][j], true }
+		got, err := planner.ScorePairs(ctx, sp, tp, k, "pairs-test",
+			func(i, j int) float64 { return bounds[i][j] }, score)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if len(want) > k {
-			want = want[:k]
+		want, err := planner.ScorePairs(ctx, sp, tp, k, "", nil, score)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: %d matches, want %d", trial, len(got), len(want))

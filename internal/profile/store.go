@@ -1,9 +1,10 @@
 package profile
 
 import (
-	"runtime"
+	"context"
 	"sync"
 
+	"valentine/internal/engine"
 	"valentine/internal/intern"
 	"valentine/internal/table"
 )
@@ -102,39 +103,18 @@ func (s *Store) Len() int {
 }
 
 // Warm precomputes every derived artifact of every listed table in parallel
-// (bounded by GOMAXPROCS), so subsequent matching and indexing only hit
-// caches. It returns the warmed profiles in input order.
+// on the engine pool (bounded by GOMAXPROCS), so subsequent matching and
+// indexing only hit caches. It returns the warmed profiles in input order.
 func (s *Store) Warm(tables ...*table.Table) []*TableProfile {
 	out := make([]*TableProfile, len(tables))
 	for i, t := range tables {
 		out[i] = s.Of(t)
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(out) {
-		workers = len(out)
-	}
-	if workers <= 1 {
-		for _, tp := range out {
-			tp.Warm()
-		}
-		return out
-	}
-	var wg sync.WaitGroup
-	work := make(chan *TableProfile)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for tp := range work {
-				tp.Warm()
-			}
-		}()
-	}
-	for _, tp := range out {
-		work <- tp
-	}
-	close(work)
-	wg.Wait()
+	// Map fails only on a context error or a unit's error; neither can occur.
+	_ = engine.Map(context.Background(), 0, len(out), func(i int) error {
+		out[i].Warm()
+		return nil
+	})
 	return out
 }
 

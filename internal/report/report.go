@@ -32,9 +32,6 @@ type Config struct {
 	Seeds   int   // fabrication seeds per source (default 1)
 	Workers int   // experiment worker pool (default GOMAXPROCS)
 	Seed    int64 // base RNG seed (default 1)
-	// Deadline bounds each experiment run's wall-clock time through the
-	// engine; zero means no deadline.
-	Deadline time.Duration
 	// Sources restricts the fabricated dataset sources (default: all three).
 	Sources []string
 	// Methods restricts the methods (default: all eight).
@@ -92,7 +89,6 @@ func RunFabricated(ctx context.Context, cfg Config) ([]experiment.Result, error)
 		Methods:  cfg.Methods,
 		Pairs:    pairs,
 		Workers:  cfg.Workers,
-		Deadline: cfg.Deadline,
 	})
 }
 
@@ -394,7 +390,6 @@ func RunCurated(ctx context.Context, cfg Config, pairs []core.TablePair) ([]expe
 		Methods:  cfg.Methods,
 		Pairs:    pairs,
 		Workers:  cfg.Workers,
-		Deadline: cfg.Deadline,
 	})
 }
 

@@ -34,6 +34,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -408,10 +409,8 @@ func (s *Server) ready() error {
 func (s *Server) wrap(h func(ctx context.Context, w http.ResponseWriter, r *http.Request) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.requests.Add(1)
-		ctx, cancel := engine.Options{
-			Parallelism: s.cfg.Parallelism,
-			Deadline:    s.cfg.RequestTimeout,
-		}.Start(r.Context())
+		ctx := engine.WithOptions(r.Context(), engine.Options{Parallelism: s.cfg.Parallelism})
+		ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 		defer cancel()
 		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 		if err := h(ctx, w, r.WithContext(ctx)); err != nil {
@@ -432,6 +431,19 @@ func (e *httpError) Error() string { return e.msg }
 
 func errBadRequest(format string, args ...any) error {
 	return &httpError{status: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
+}
+
+// maxBudgetMS is the largest budget_ms whose duration fits time.Duration.
+const maxBudgetMS = math.MaxInt64 / int64(time.Millisecond)
+
+// budgetOf converts a request's budget_ms to its per-query budget (0: none),
+// rejecting with a 400 any value outside [0, maxBudgetMS] — beyond it the
+// nanosecond count would wrap to a tiny or negative duration.
+func budgetOf(ms int64) (time.Duration, error) {
+	if ms < 0 || ms > maxBudgetMS {
+		return 0, errBadRequest("budget_ms: %d out of range [0, %d]", ms, maxBudgetMS)
+	}
+	return time.Duration(ms) * time.Millisecond, nil
 }
 
 func errNotFound(format string, args ...any) error {
@@ -582,8 +594,9 @@ func (s *Server) handleSearch(ctx context.Context, w http.ResponseWriter, r *htt
 	if err := decodeBody(r, &req); err != nil {
 		return err
 	}
-	if err := core.ValidateBudget(time.Duration(req.BudgetMS) * time.Millisecond); err != nil {
-		return errBadRequest("budget_ms: %v", err)
+	budget, err := budgetOf(req.BudgetMS)
+	if err != nil {
+		return err
 	}
 	if req.Mode == "" {
 		req.Mode = string(discovery.ModeJoin)
@@ -606,7 +619,7 @@ func (s *Server) handleSearch(ctx context.Context, w http.ResponseWriter, r *htt
 	// request context (none: qctx is ctx): its expiry yields a flagged
 	// best-effort response, while the request's own deadline (or
 	// cancellation) stays an error.
-	qctx, qcancel := core.BudgetContext(ctx, time.Duration(req.BudgetMS)*time.Millisecond)
+	qctx, qcancel := core.BudgetContext(ctx, budget)
 	defer qcancel()
 	results, epoch, bestEffort, err := s.cfg.Index.SearchBestEffortContext(qctx, q, mode, req.K, req.BruteForce)
 	if err != nil && !core.IsBudgetExpiry(ctx, err) {
@@ -803,8 +816,9 @@ func (s *Server) handleMatch(ctx context.Context, w http.ResponseWriter, r *http
 	if err := decodeBody(r, &req); err != nil {
 		return err
 	}
-	if err := core.ValidateBudget(time.Duration(req.BudgetMS) * time.Millisecond); err != nil {
-		return errBadRequest("budget_ms: %v", err)
+	budget, err := budgetOf(req.BudgetMS)
+	if err != nil {
+		return err
 	}
 	if err := core.ValidateEpsilon(req.Epsilon); err != nil {
 		return errBadRequest("%v", err)
@@ -827,7 +841,7 @@ func (s *Server) handleMatch(ctx context.Context, w http.ResponseWriter, r *http
 	s.matches.Add(1)
 	ctx, stats := engine.WithStats(ctx)
 	defer func() { s.recordEngine(stats.Snapshot()) }()
-	qctx, qcancel := core.BudgetContext(ctx, time.Duration(req.BudgetMS)*time.Millisecond)
+	qctx, qcancel := core.BudgetContext(ctx, budget)
 	defer qcancel()
 	// The engine path: context deadline and parallelism honored
 	// mid-scoring. No profile store: HTTP tables are fresh pointers a

@@ -33,9 +33,9 @@ func searchBody(budgetMS int64, epsilon float64) any {
 	}{req, epsilon}
 }
 
-// TestBoundaryValidation: negative budgets and out-of-range epsilons are
-// typed 400s at the API boundary on both scoring endpoints, and in-range
-// values pass through — except that /v1/search takes no epsilon at all, so
+// TestBoundaryValidation: negative or overflowing budgets and out-of-range
+// epsilons are typed 400s at the API boundary on both scoring endpoints, and
+// in-range values pass through — except that /v1/search takes no epsilon at all, so
 // any epsilon there is a 400 (an unknown field).
 func TestBoundaryValidation(t *testing.T) {
 	_, ts := testServer(t, Config{})
@@ -47,9 +47,14 @@ func TestBoundaryValidation(t *testing.T) {
 	}{
 		{"ok-zero", 0, 0, http.StatusOK},
 		{"ok-budget", 5000, 0, http.StatusOK},
+		{"ok-budget-max", maxBudgetMS, 0, http.StatusOK},
 		{"ok-epsilon", 0, 0.25, http.StatusOK},
 		{"ok-epsilon-max", 0, 0.999, http.StatusOK},
 		{"negative-budget", -1, 0, http.StatusBadRequest},
+		// Both overflow time.Duration once scaled to nanoseconds: the first
+		// would wrap to a 448µs budget, the second to a negative one.
+		{"budget-wraps-small", 18446744073710, 0, http.StatusBadRequest},
+		{"budget-wraps-negative", 9223372036855, 0, http.StatusBadRequest},
 		{"negative-epsilon", 0, -0.1, http.StatusBadRequest},
 		{"epsilon-one", 0, 1, http.StatusBadRequest},
 		{"epsilon-above-one", 0, 1.5, http.StatusBadRequest},
