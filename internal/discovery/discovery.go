@@ -37,10 +37,13 @@
 //     deletable-summary direction of the IBLT line of work in PAPERS.md);
 //     tombstoned columns are skipped at probe time and physically dropped by
 //     compaction, which merges sealed segments in the background once enough
-//     garbage or fragmentation accumulates. The merge is columnar: it writes
-//     the merged image section by section from its inputs' (mergeSegV2),
-//     and the catalog serves that image in place — one pointer-free heap
-//     allocation, already the bytes the next snapshot writes. A tombstone
+//     garbage or fragmentation accumulates (leaving out a large oldest
+//     segment that garbage does not call for). The merge is columnar: it
+//     writes the merged image section by section from its inputs'
+//     (mergeSegV2), and the catalog serves that image in place — one
+//     pointer-free heap allocation, already the bytes the next snapshot
+//     writes, and served from a mapping of that file once the snapshot
+//     commits. A tombstone
 //     that lands while a merge is in flight is carried over to the merged
 //     segment and reclaimed by the next one, so a compaction holds the
 //     writer lock only to swap segment lists and re-key tombstones, never to
@@ -66,6 +69,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -174,9 +178,12 @@ type Index struct {
 	compactions atomic.Int64
 	spliceMaxUS atomic.Int64
 	// afterMerge, when non-nil, runs between Compact's merge and its splice:
-	// the in-package test seam for landing writes "during" a merge. Set
-	// before concurrent use.
+	// the in-package test seam for landing writes "during" a merge. afterPin,
+	// when non-nil, runs in every search right after it pinned its snapshot:
+	// the seam for retiring what a search still reads. Set both before
+	// concurrent use.
 	afterMerge func()
+	afterPin   func()
 
 	// lineage identifies this catalog's snapshot history: segment ids are
 	// only unique within one lineage, so SaveSnapshot must not reuse
@@ -188,12 +195,19 @@ type Index struct {
 	// read-only after.
 	fsys faultfs.FS
 
-	// unmaps collects the release closures of every mapped v2 segment this
-	// index loaded, and of its mapped dict.log; guarded by wmu. A mapping must outlive the segment's
-	// presence in the live snapshot (compaction can retire a mapped segment
-	// while a pinned search still reads it), so mappings are only released
-	// by Close, never by segment turnover.
-	unmaps []func() error
+	// maps tracks the file mapping of every sealed segment served from one:
+	// loaded from a snapshot, or swapped in by a save (mapSaved). A mapping
+	// must outlive the segment's presence in the live snapshot — compaction
+	// can retire a mapped segment while a pinned search still reads it — so
+	// it is released by the collector's cleanup once nothing reaches the
+	// segment, or by Close, whichever comes first. dictUnmap releases the
+	// mapping of dict.log the load adopted (nil when none), at Close only;
+	// guarded by wmu. noMap keeps every sealed segment on the heap — the
+	// load arm that never maps, kept by saves too. Set at load, read-only
+	// after.
+	maps      *mappings
+	dictUnmap func() error
+	noMap     bool
 
 	// dict is the catalog's corpus-scoped value dictionary: ingest interns
 	// each distinct value once, by the same base hash MinHash derives from;
@@ -225,6 +239,7 @@ func New(opts Options) *Index {
 		nextSeg:   1,
 		lineage:   newLineage(),
 		dict:      intern.NewDict(),
+		maps:      &mappings{live: make(map[*mapping]struct{})},
 	}
 	ix.snap.Store(&snapshot{})
 	return ix
@@ -274,23 +289,26 @@ func (ix *Index) AdoptLineage(lineage uint64) error {
 }
 
 // Close releases the memory mappings of every mapped segment the index
-// loaded, and of its mapped dictionary log, after waiting for any
-// background compaction to finish. Neither the index nor a Dict taken from
-// it may be used afterwards: searches over mapped segments, and lookups in
-// a dictionary served from its mapped log, would read unmapped pages.
-// Indexes without mappings (fresh or heap-fallback) need no Close, but
-// calling it is always safe, including twice.
+// still serves or a search still holds — loaded, or swapped in by a save —
+// and of its mapped dictionary log, after waiting for any background
+// compaction to finish. A retired segment's mapping that the collector
+// already released is not released again. Neither the index nor a Dict
+// taken from it may be used afterwards: searches over mapped segments, and
+// lookups in a dictionary served from its mapped log, would read unmapped
+// pages. An index that never mapped anything (never loaded nor saved, or
+// heap-only) needs no Close, but calling it is always safe, including
+// twice.
 func (ix *Index) Close() error {
 	ix.compactWG.Wait()
 	ix.wmu.Lock()
 	defer ix.wmu.Unlock()
-	var first error
-	for _, unmap := range ix.unmaps {
-		if err := unmap(); err != nil && first == nil {
+	first := ix.maps.releaseAll()
+	if ix.dictUnmap != nil {
+		if err := ix.dictUnmap(); err != nil && first == nil {
 			first = err
 		}
+		ix.dictUnmap = nil
 	}
-	ix.unmaps = nil
 	return first
 }
 
@@ -319,11 +337,13 @@ func (ix *Index) Tables() []string {
 		for _, name := range seg.tableNames() {
 			if !sn.dead(seg, name) {
 				// Clone: mapped segments hand out views into the mapping,
-				// which Close would invalidate under the caller.
+				// which is released once the segment is retired and
+				// unreachable, or at Close.
 				out = append(out, strings.Clone(name))
 			}
 		}
 	}
+	runtime.KeepAlive(sn)
 	sort.Strings(out)
 	return out
 }
@@ -341,6 +361,7 @@ func (ix *Index) Profiles(tableName string) []ColumnProfile {
 	for i, id := range ids {
 		out[i] = seg.colProfile(id)
 	}
+	runtime.KeepAlive(sn)
 	return out
 }
 
@@ -391,11 +412,22 @@ type Stats struct {
 	// set, versus MappedSegmentBytes' address-space ceiling. Zero, like
 	// MappedSegmentBytes, when nothing is mapped.
 	MappedResidentBytes int64 `json:"mapped_resident_bytes"`
+	// RetiredMappedBytes counts the segment file mappings still held by
+	// segments no longer in the live snapshot: compaction retired them, and
+	// a search that pinned an older snapshot, or a collection not yet run,
+	// still holds them. Zero once those searches finish and the collector
+	// has run; a value that never returns to zero is a leaked mapping.
+	RetiredMappedBytes int64 `json:"retired_mapped_bytes"`
 }
 
 // Stats returns a consistent point-in-time summary of the catalog.
 func (ix *Index) Stats() Stats {
+	// Under the registry's lock no save can swap a mapping in between the
+	// load and the sum, so the live snapshot's mappings are all in it.
+	ix.maps.mu.Lock()
+	tracked := ix.maps.bytes
 	sn := ix.snap.Load()
+	ix.maps.mu.Unlock()
 	memTables := 0
 	if sn.mem != nil {
 		memTables = sn.mem.numTables()
@@ -407,6 +439,7 @@ func (ix *Index) Stats() Stats {
 		mappedBytes += m
 		residentBytes += seg.residentMappedBytes()
 	}
+	runtime.KeepAlive(sn)
 	ds := ix.dict.Stats()
 	return Stats{
 		Epoch:               sn.epoch,
@@ -424,6 +457,9 @@ func (ix *Index) Stats() Stats {
 		HeapSegmentBytes:    heapBytes,
 		MappedSegmentBytes:  mappedBytes,
 		MappedResidentBytes: residentBytes,
+		// After Close released the live snapshot's mappings too, nothing
+		// is retired.
+		RetiredMappedBytes: max(tracked-mappedBytes, 0),
 	}
 }
 
@@ -734,6 +770,9 @@ func (ix *Index) searchImpl(ctx context.Context, qp *profile.TableProfile, mode 
 	// search's epoch. Everything below reads frozen state, so concurrent
 	// writers never block (or are blocked by) this search.
 	sn := ix.snap.Load()
+	if ix.afterPin != nil {
+		ix.afterPin()
+	}
 	segs := sn.segments()
 
 	// The slot space of this snapshot, and the slots no candidate may score
@@ -1054,8 +1093,8 @@ func (ix *Index) searchImpl(ctx context.Context, qp *profile.TableProfile, mode 
 			seg := segs[r.seg]
 			a := &acc[base[r.seg]+int(r.ord)]
 			// Clone the names out of the snapshot: for mapped segments they
-			// are views into the mapping, and results must stay valid past
-			// an Index.Close.
+			// are views into the mapping, and results must stay valid after
+			// this search lets go of it and past an Index.Close.
 			out[i] = Result{
 				Table:       strings.Clone(seg.tableNameAt(r.ord)),
 				Score:       r.score,
@@ -1065,6 +1104,7 @@ func (ix *Index) searchImpl(ctx context.Context, qp *profile.TableProfile, mode 
 			}
 		}
 	})
+	runtime.KeepAlive(sn)
 	return out, sn.epoch, mapErr
 }
 

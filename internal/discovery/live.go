@@ -8,6 +8,7 @@ package discovery
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"time"
 
@@ -347,6 +348,7 @@ func (ix *Index) apply(ops []ReplayOp, add bool) []error {
 	}
 	ix.snap.Store(next)
 	ix.wmu.Unlock()
+	runtime.KeepAlive(cur)
 
 	ix.maybeCompact(next)
 	return errs
@@ -357,8 +359,7 @@ func (ix *Index) apply(ops []ReplayOp, add bool) []error {
 // (tombstoned columns rivaling the live corpus). At most one compaction
 // runs at a time.
 func (ix *Index) maybeCompact(sn *snapshot) {
-	garbage := sn.deadCols
-	if len(sn.sealed) <= maxSealedSegments && (garbage == 0 || garbage*2 < sn.nCols) {
+	if len(sn.sealed) <= maxSealedSegments && !sn.garbageHeavy() {
 		return
 	}
 	if !ix.compacting.CompareAndSwap(false, true) {
@@ -368,8 +369,36 @@ func (ix *Index) maybeCompact(sn *snapshot) {
 	go func() {
 		defer ix.compactWG.Done()
 		defer ix.compacting.Store(false)
-		ix.Compact()
+		ix.compact(false)
 	}()
+}
+
+// garbageHeavy reports whether tombstoned columns rival the live corpus.
+func (sn *snapshot) garbageHeavy() bool {
+	return sn.deadCols > 0 && sn.deadCols*2 >= sn.nCols
+}
+
+// mergeFrom is where a background compaction of sn starts merging its
+// sealed segments. It leaves the oldest segment as it is when that one is
+// larger than all the others together, unless garbage is what the
+// compaction is for: rewriting a large, settled segment to absorb a few
+// small seals copies it for nothing — on a restart, whose log replay seals
+// over and over, that copy would be most of what the restart allocates.
+// Once the newer segments together outgrow it, the merge takes it in again,
+// so of the segments a background compaction starts from it leaves at most
+// two.
+func mergeFrom(sn *snapshot) int {
+	if len(sn.sealed) < 3 || sn.garbageHeavy() {
+		return 0
+	}
+	rest := 0
+	for _, seg := range sn.sealed[1:] {
+		rest += len(seg.data)
+	}
+	if len(sn.sealed[0].data) > rest {
+		return 1
+	}
+	return 0
 }
 
 // WaitCompaction blocks until any in-flight background compaction finishes
@@ -383,30 +412,40 @@ func (ix *Index) WaitCompaction() { ix.compactWG.Wait() }
 // blocked only for the splice — O(#tombstones) map work, never a segment
 // rebuild. Compact is safe to call concurrently with writers; concurrent
 // Compact calls serialize.
-func (ix *Index) Compact() {
+func (ix *Index) Compact() { ix.compact(true) }
+
+// compact is Compact over the sealed segments from mergeFrom on — all of
+// them when full is set (Compact), or when mergeFrom says so (a background
+// compaction).
+func (ix *Index) compact(full bool) {
 	ix.compactMu.Lock()
 	defer ix.compactMu.Unlock()
 
-	// Phase 1 (no writer lock): merge a frozen prefix of sealed segments into
-	// one v2 image, section by section, skipping the tables tombstoned in cur
-	// — the snapshot the merge started from. Every input is an image, read in
-	// place. Writers may append segments and tombstones meanwhile; they
-	// cannot touch the prefix itself (sealed segments are immutable and only
-	// compaction — serialized by compactMu — replaces them).
+	// Phase 1 (no writer lock): merge a frozen run of sealed segments — the
+	// prefix less the first from segments — into one v2 image, section by
+	// section, skipping the tables tombstoned in cur — the snapshot the merge
+	// started from. Every input is an image, read in place. Writers may
+	// append segments and tombstones meanwhile; they cannot touch the prefix
+	// itself (sealed segments are immutable and only compaction — serialized
+	// by compactMu — replaces them).
 	cur := ix.snap.Load()
 	if len(cur.sealed) == 0 {
 		return
 	}
+	from := 0
+	if !full {
+		from = mergeFrom(cur)
+	}
 	prefix := len(cur.sealed)
-	prefixIDs := make(map[uint64]struct{}, prefix)
-	for _, seg := range cur.sealed {
-		prefixIDs[seg.id] = struct{}{}
+	runIDs := make(map[uint64]struct{}, prefix-from)
+	for _, seg := range cur.sealed[from:] {
+		runIDs[seg.id] = struct{}{}
 	}
 	ix.wmu.Lock()
 	mergedID := ix.nextSeg
 	ix.nextSeg++
 	ix.wmu.Unlock()
-	merged, reclaimed, err := ix.mergeSealed(mergedID, cur)
+	merged, reclaimed, err := ix.mergeSealed(mergedID, cur, from)
 	if err != nil {
 		// Only a merge the v2 layout cannot hold (32-bit counts exceeded)
 		// gets here. The catalog stays correct unmerged, so leave it as it
@@ -417,21 +456,28 @@ func (ix *Index) Compact() {
 		ix.afterMerge()
 	}
 
-	// Phase 2 (writer lock): splice the merged segment in place of the
-	// prefix. A prefix tombstone already present at merge time was applied
-	// by the merge's dead-table skip and is consumed. One that arrived during
+	// Phase 2 (writer lock): splice the merged segment in place of the run;
+	// the segments before it stay as they are, tombstones and all. A
+	// tombstone of the run already present at merge time was applied by the
+	// merge's dead-table skip and is consumed. One that arrived during
 	// the merge is carried, not applied: it targets exactly the occurrence
 	// phase 1 merged (that occurrence was live in cur, and a name is live at
 	// most once, so the merged segment holds at most one occurrence per name
 	// — this one), so re-keying it to the merged segment shadows the same
 	// columns, and the next merge drops them. Lookups, removals, searches
 	// and the manifest all work per {segment, table} and need nothing else.
+	//
+	// A save that committed during the merge may have swapped any segment of
+	// the prefix for its mapped twin (mapSaved): the same id and the same
+	// bytes at the same position. So the splice goes by positions and the
+	// tombstones by segment id, never by segment pointer: a twin in the run
+	// is retired with the rest of it, one before the run is kept.
 	ix.wmu.Lock()
 	locked := time.Now()
 	latest := ix.snap.Load()
 	tombs := make(map[tombKey]struct{}, len(latest.tombs))
 	for key := range latest.tombs {
-		if _, inPrefix := prefixIDs[key.seg]; inPrefix {
+		if _, inRun := runIDs[key.seg]; inRun {
 			if _, old := cur.tombs[key]; old {
 				continue
 			}
@@ -439,7 +485,8 @@ func (ix *Index) Compact() {
 		}
 		tombs[key] = struct{}{}
 	}
-	sealed := make([]*segment, 0, 1+len(latest.sealed)-prefix)
+	sealed := make([]*segment, 0, from+1+len(latest.sealed)-prefix)
+	sealed = append(sealed, latest.sealed[:from]...)
 	if merged != nil {
 		sealed = append(sealed, merged)
 	}
@@ -456,6 +503,8 @@ func (ix *Index) Compact() {
 	ix.snap.Store(next)
 	held := time.Since(locked)
 	ix.wmu.Unlock()
+	runtime.KeepAlive(cur)
+	runtime.KeepAlive(latest)
 
 	ix.compactions.Add(1)
 	if us := held.Microseconds(); us > ix.spliceMaxUS.Load() {
@@ -463,11 +512,13 @@ func (ix *Index) Compact() {
 	}
 }
 
-// mergeSealed runs compaction's merge over sn's sealed segments: the merged
-// segment under the given id — a heap-held image, nil when no table
-// survives — and the number of tombstoned columns the merge dropped.
-func (ix *Index) mergeSealed(id uint64, sn *snapshot) (*segment, int, error) {
-	return mergeSegV2(id, ix.k, ix.bands, sn.sealed, func(in int, table string) bool {
-		return sn.dead(sn.sealed[in], table)
+// mergeSealed runs compaction's merge over sn's sealed segments from the
+// first from on: the merged segment under the given id — a heap-held image,
+// nil when no table survives — and the number of tombstoned columns the
+// merge dropped.
+func (ix *Index) mergeSealed(id uint64, sn *snapshot, from int) (*segment, int, error) {
+	ins := sn.sealed[from:]
+	return mergeSegV2(id, ix.k, ix.bands, ins, func(in int, table string) bool {
+		return sn.dead(ins[in], table)
 	})
 }

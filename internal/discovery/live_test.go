@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"valentine/internal/profile"
@@ -228,6 +231,131 @@ func TestAutoCompactionTriggersOnGarbage(t *testing.T) {
 	}
 	if st.Tables != 2 {
 		t.Errorf("live tables = %d, want 2", st.Tables)
+	}
+}
+
+// TestMergeFrom: a background compaction leaves the oldest sealed segment
+// out of its merge only when that segment is larger than all the others
+// together, there are at least two others to merge, and garbage is not what
+// the compaction is for.
+func TestMergeFrom(t *testing.T) {
+	snap := func(deadCols, nCols int, sizes ...int) *snapshot {
+		sn := &snapshot{deadCols: deadCols, nCols: nCols}
+		for _, n := range sizes {
+			sn.sealed = append(sn.sealed, &segment{data: make([]byte, n)})
+		}
+		return sn
+	}
+	for _, tc := range []struct {
+		sn   *snapshot
+		want int
+	}{
+		{snap(0, 10, 100, 10, 10), 1},
+		{snap(0, 10, 100, 60, 40), 0},   // the others together are as large
+		{snap(0, 10, 100, 60, 39), 1},   // and just smaller
+		{snap(0, 10, 100, 10), 0},       // one other: nothing to gain
+		{snap(0, 10), 0},                // nothing sealed
+		{snap(5, 10, 100, 10, 10), 0},   // garbage rivals the live corpus
+		{snap(4, 10, 100, 10, 10), 1},   // garbage below it
+		{snap(0, 0, 100, 10, 10, 1), 1}, // an empty catalog has no garbage
+	} {
+		sizes := []int{}
+		for _, seg := range tc.sn.sealed {
+			sizes = append(sizes, len(seg.data))
+		}
+		if got := mergeFrom(tc.sn); got != tc.want {
+			t.Errorf("mergeFrom(sizes %v, %d dead of %d) = %d, want %d", sizes, tc.sn.deadCols, tc.sn.nCols, got, tc.want)
+		}
+	}
+}
+
+// TestBackgroundCompactionLeavesLargeBase drives a catalog whose oldest
+// sealed segment is large through background compactions: while the newer
+// seals together are smaller, each compaction merges only them and leaves
+// the large segment — and its tombstone, which keeps shadowing its table —
+// in place; once they outgrow it, a compaction takes it in and reclaims the
+// tombstone. Every state answers as a twin that only ever compacts fully.
+func TestBackgroundCompactionLeavesLargeBase(t *testing.T) {
+	ix, twin := New(Options{SealAfter: 2}), New(Options{SealAfter: 2})
+	holdBackgroundCompaction(twin)
+	upsert := func(tab *table.Table) {
+		t.Helper()
+		for _, c := range []*Index{ix, twin} {
+			if err := c.Upsert(tab); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ix.WaitCompaction()
+	}
+	for i := 0; i < 40; i++ {
+		upsert(table.New(fmt.Sprintf("b%02d", i)).
+			AddColumn("k", vals("u", i*20, i*20+120)).
+			AddColumn("v", vals(fmt.Sprintf("w%d_", i), 0, 120)))
+	}
+	ix.Compact()
+	twin.Compact()
+	for _, c := range []*Index{ix, twin} {
+		if err := c.Remove("b07"); err != nil { // a tombstone in the large segment
+			t.Fatal(err)
+		}
+	}
+	base := ix.snap.Load().sealed[0]
+	q := snapshotQuery()
+	agree := func(at string) {
+		t.Helper()
+		for _, mode := range []Mode{ModeJoin, ModeUnion} {
+			got, err := ix.Search(q, mode, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := twin.Search(q, mode, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: %s search diverged:\n got %+v\nwant %+v", at, mode, got, want)
+			}
+		}
+		names := twin.Tables()
+		if got := ix.Tables(); !reflect.DeepEqual(got, names) {
+			t.Fatalf("%s: tables %v, want %v", at, got, names)
+		}
+		for _, name := range names {
+			if got, want := valueProfiles(ix, name), valueProfiles(twin, name); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: profiles of %s diverged", at, name)
+			}
+		}
+	}
+	keptBase, tookBase := 0, false
+	compactions := ix.Stats().Compactions
+	for i := 0; i < 200 && !tookBase; i++ {
+		upsert(table.New(fmt.Sprintf("s%03d", i)).AddColumn("k", vals("u", i*7, i*7+60)))
+		sn := ix.snap.Load()
+		if len(sn.sealed) > maxSealedSegments+1 {
+			t.Fatalf("step %d: %d sealed segments", i, len(sn.sealed))
+		}
+		_, dead := sn.tombs[tombKey{base.id, "b07"}]
+		ran := ix.Stats().Compactions > compactions
+		compactions = ix.Stats().Compactions
+		switch {
+		case !ran:
+		case sn.sealed[0] == base:
+			keptBase++
+			if !dead || len(sn.sealed) != 2 {
+				t.Fatalf("step %d: a compaction kept the large segment but left %d sealed segments, its tombstone kept: %v", i, len(sn.sealed), dead)
+			}
+		default:
+			tookBase = true
+			if dead || sn.deadCols != 0 {
+				t.Fatalf("step %d: the merge took the large segment in but kept its tombstone (%d dead columns)", i, sn.deadCols)
+			}
+		}
+		if i%10 == 0 || tookBase {
+			agree(fmt.Sprintf("step %d", i))
+		}
+	}
+	if keptBase < 2 || !tookBase {
+		t.Fatalf("%d compactions left the large segment in place, then one took it in: %v; want at least 2, then true", keptBase, tookBase)
 	}
 }
 
@@ -608,6 +736,36 @@ func TestConcurrentMutateSearch(t *testing.T) {
 			}
 		}(g)
 	}
+	// A saver: every save swaps the sealed heap images for mappings of its
+	// files while searches read them, compactions retire them and Stats
+	// splits them into live and retired; the collector runs between saves,
+	// so retired mappings are released under the readers too.
+	dir := filepath.Join(t.TempDir(), "snap")
+	var sawMapped atomic.Bool
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := ix.SaveSnapshot(dir); err != nil {
+				errs <- err
+				return
+			}
+			st := ix.Stats()
+			if st.RetiredMappedBytes < 0 || st.MappedSegmentBytes < 0 {
+				errs <- fmt.Errorf("stats %+v", st)
+				return
+			}
+			if st.MappedSegmentBytes > 0 {
+				sawMapped.Store(true)
+			}
+			runtime.GC()
+		}
+	}()
 	// Writers: interleaved add/upsert/remove on a private name space each.
 	var ww sync.WaitGroup
 	for w := 0; w < 3; w++ {
@@ -654,5 +812,12 @@ func TestConcurrentMutateSearch(t *testing.T) {
 	}
 	if len(got) == 0 {
 		t.Fatal("no results after concurrent churn")
+	}
+	if mmapAvailable && !sawMapped.Load() {
+		t.Error("no save swapped a segment for its mapping")
+	}
+	waitRetiredZero(t, "after concurrent churn", ix)
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -57,7 +57,7 @@ func holdBackgroundCompaction(ix *Index) { ix.compacting.Store(true) }
 // when no table survives).
 func mergedBytes(t testing.TB, id uint64, ix *Index, sn *snapshot) (data []byte, reclaimed int) {
 	t.Helper()
-	seg, reclaimed, err := ix.mergeSealed(id, sn)
+	seg, reclaimed, err := ix.mergeSealed(id, sn, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

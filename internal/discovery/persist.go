@@ -36,6 +36,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 
 	"valentine/internal/faultfs"
@@ -122,7 +124,10 @@ func readManifest(fsys faultfs.FS, dir string) (manifest, error) {
 // of content), the memtable and manifest are rewritten, and segment files
 // no longer referenced — compacted away since the previous snapshot — are
 // deleted. Concurrent searches and writes proceed freely; the snapshot is
-// consistent as of one epoch.
+// consistent as of one epoch. Once the manifest commits, the sealed
+// segments still on the heap are served from the files just written
+// (mapSaved), so a catalog that saved, like one that loaded, releases its
+// mappings at Close.
 func (ix *Index) SaveSnapshot(dir string) error {
 	fsys := ix.fs()
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
@@ -192,6 +197,8 @@ func (ix *Index) SaveSnapshot(dir string) error {
 	if err := faultfs.SyncDir(fsys, dir); err != nil {
 		return fmt.Errorf("discovery: syncing snapshot directory: %w", err)
 	}
+	ix.mapSaved(dir, sn)
+	runtime.KeepAlive(sn)
 	// Garbage collection happens only after the manifest commit: deleting a
 	// file the previous manifest still references would, under a crash in
 	// between, strand that manifest pointing at nothing. A stale mem.seg
@@ -223,6 +230,83 @@ func (ix *Index) SaveSnapshot(dir string) error {
 		}
 	}
 	return nil
+}
+
+// mapSaved serves each sealed segment of sn — the snapshot a save just
+// committed to dir — that is still an image on the Go heap from a mapping of
+// its seg-<id>.seg instead, moving its bytes from the heap to the page
+// cache. The twin is opened by the one validated decoder over the mapping
+// (its directory's names must view the mapping, not the heap image, or they
+// would keep the image alive) and only over exactly the segment's bytes.
+// It replaces the heap segment in a successor snapshot of the same epoch —
+// the corpus did not change — and only where the current snapshot still
+// holds that segment: a compaction that retired it meanwhile wins, and the
+// unpublished twin is released. Whatever fails keeps the heap image, so a
+// swap changes where bytes live, never an answer. The memtable stays on
+// the heap: the next write batch replaces it.
+func (ix *Index) mapSaved(dir string, sn *snapshot) {
+	if !mmapAvailable || ix.noMap {
+		return
+	}
+	twins := make(map[*segment]*segment)
+	for _, seg := range sn.sealed {
+		if seg.unmap != nil {
+			continue // mapped already
+		}
+		if twin := mapTwin(filepath.Join(dir, segFileName(seg.id)), seg); twin != nil {
+			twins[seg] = twin
+		}
+	}
+	if len(twins) == 0 {
+		return
+	}
+	ix.wmu.Lock()
+	defer ix.wmu.Unlock()
+	latest := ix.snap.Load()
+	next := *latest
+	next.sealed = slices.Clone(latest.sealed)
+	var swapped []*segment
+	for i, seg := range next.sealed {
+		if twin, ok := twins[seg]; ok {
+			next.sealed[i] = twin
+			swapped = append(swapped, twin)
+			delete(twins, seg)
+		}
+	}
+	for _, twin := range twins {
+		twin.unmap() // retired by a compaction before it was published
+	}
+	if len(swapped) > 0 {
+		// Registered and published under the registry's lock: Stats never
+		// sees a live mapping the registry lacks.
+		ix.maps.mu.Lock()
+		for _, twin := range swapped {
+			ix.maps.trackLocked(twin)
+		}
+		ix.snap.Store(&next)
+		ix.maps.mu.Unlock()
+	}
+	runtime.KeepAlive(latest)
+}
+
+// mapTwin maps the segment file at path and opens it as seg's twin, or
+// returns nil when the file cannot be mapped, does not hold exactly seg's
+// bytes, or does not decode.
+func mapTwin(path string, seg *segment) *segment {
+	data, unmap, err := mapSegmentFile(path)
+	if err != nil {
+		return nil
+	}
+	if !bytes.Equal(data, seg.data) {
+		unmap()
+		return nil
+	}
+	twin, err := openSegV2(data, unmap)
+	if err != nil {
+		unmap()
+		return nil
+	}
+	return twin
 }
 
 // LoadSnapshot reads a snapshot directory written by SaveSnapshot and
@@ -265,13 +349,11 @@ func loadSnapshot(dir string, seam faultfs.FS, noMap bool) (ret *Index, err erro
 	}
 	ix := New(m.Options)
 	ix.fsys = seam
+	ix.noMap = noMap
 	// Mappings registered below must not leak if a later segment fails.
 	defer func() {
 		if err != nil {
-			for _, unmap := range ix.unmaps {
-				unmap()
-			}
-			ix.unmaps = nil
+			ix.Close()
 		}
 	}()
 	nextSeg := m.NextSeg
@@ -299,9 +381,9 @@ func loadSnapshot(dir string, seam faultfs.FS, noMap bool) (ret *Index, err erro
 		if segErr != nil {
 			return nil, fmt.Errorf("discovery: segment %d: %w", id, segErr)
 		}
-		if ms.unmap != nil {
-			ix.unmaps = append(ix.unmaps, ms.unmap)
-		}
+		ix.maps.mu.Lock()
+		ix.maps.trackLocked(ms)
+		ix.maps.mu.Unlock()
 		sn.sealed = append(sn.sealed, ms)
 	}
 	// A crash between writing segment files and the manifest can leave
@@ -366,7 +448,7 @@ func loadSnapshot(dir string, seam faultfs.FS, noMap bool) (ret *Index, err erro
 			return nil, fmt.Errorf("discovery: reading dictionary log: %w", err)
 		}
 		if unmap != nil {
-			ix.unmaps = append(ix.unmaps, unmap)
+			ix.dictUnmap = unmap
 			ix.dictMapped = m.DictLogBytes
 		}
 	}

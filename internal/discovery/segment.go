@@ -8,13 +8,24 @@ package discovery
 //   - the memtable is one image of at most SealAfter tables on the Go heap,
 //     rebuilt once per write batch (apply merges the current image with the
 //     image of the batch's fresh upserts) and sealed by a pointer move;
-//   - a compaction's merged segment is one image on the Go heap, written by
-//     mergeSegV2 and served in place until a later merge replaces it;
+//   - a seal, and a compaction's merged segment (written by mergeSegV2), is
+//     one image on the Go heap until a SaveSnapshot writes it as
+//     seg-<id>.seg; once that save commits, the catalog serves the segment
+//     from a mapping of the file instead (Index.mapSaved);
 //   - a segment loaded from a snapshot is an image mapped from its file
 //     (heap-read where mapping is unavailable), resident in the page cache.
 //
 // An image on the heap is one pointer-free allocation the collector never
-// scans. Segments are shared between epoch snapshots and never mutated after
+// scans. A mapping lives as long as its *segment does: when no snapshot
+// reaches the segment any more — neither the live one nor one a search
+// still pins — a cleanup the collector runs unmaps it, so a segment that
+// compaction retired is released when the last search lets go of it, not at
+// Close. Close releases whatever is still mapped; each release runs once,
+// whichever comes first (mapping.release). Every pin of a snapshot ends
+// with runtime.KeepAlive on it: the views into a mapping are not pointers
+// the collector follows, so only the pinned snapshot keeps it mapped.
+//
+// Segments are shared between epoch snapshots and never mutated after
 // publication, so readers holding any snapshot see frozen state without
 // taking a lock. Search names a table by its ordinal in the segment — colOrd
 // (a column's table, read from a dense array built at open rather than from
@@ -24,8 +35,10 @@ package discovery
 // (numTokens/tokenAt); everything else addresses tables by name.
 
 import (
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"unsafe"
 
 	"valentine/internal/table"
@@ -40,7 +53,7 @@ import (
 type segment struct {
 	id    uint64 // the header's segment id
 	data  []byte
-	unmap func() error // nil for an image on the Go heap
+	unmap func() error // nil for an image on the Go heap; once tracked, the mapping's release
 
 	k, bands       int
 	nCols, nTables int
@@ -69,6 +82,73 @@ func (s *segment) release() {
 	if s.unmap != nil {
 		s.unmap()
 	}
+}
+
+// mapping is one segment file mapping an index tracks. Its release runs at
+// most once — the kernel may hand a released range to the next mapping, so
+// a second unmap would tear down someone else's — whichever asks first: the
+// cleanup the collector runs once the segment is unreachable, or Close.
+// Nothing here points back at the segment, which would keep it reachable.
+type mapping struct {
+	once  sync.Once
+	unmap func() error
+	err   error
+	size  int64
+	reg   *mappings
+}
+
+func (m *mapping) release() error {
+	m.once.Do(func() {
+		m.err = m.unmap()
+		m.reg.mu.Lock()
+		delete(m.reg.live, m)
+		m.reg.bytes -= m.size
+		m.reg.mu.Unlock()
+	})
+	return m.err
+}
+
+// mappings is an index's registry of the segment mappings not yet released:
+// what Close must still release, and the bytes Stats splits into the live
+// snapshot's and retired segments'. It is its own allocation, apart from
+// the Index: a cleanup reaches it, and through an Index it would reach the
+// live snapshot's segments and never let them go.
+type mappings struct {
+	mu    sync.Mutex
+	live  map[*mapping]struct{}
+	bytes int64 // the sizes of the mappings in live
+}
+
+// trackLocked registers seg's file mapping, makes seg.unmap its once-guarded
+// release, and attaches the cleanup that runs it when seg becomes
+// unreachable. r.mu must be held; a segment on the heap is left alone.
+func (r *mappings) trackLocked(seg *segment) {
+	if seg.unmap == nil {
+		return
+	}
+	m := &mapping{unmap: seg.unmap, size: int64(len(seg.data)), reg: r}
+	seg.unmap = m.release
+	r.live[m] = struct{}{}
+	r.bytes += m.size
+	runtime.AddCleanup(seg, func(m *mapping) { m.release() }, m)
+}
+
+// releaseAll releases every mapping still registered and returns the first
+// error. Whatever segment still views one must not be read afterwards.
+func (r *mappings) releaseAll() error {
+	r.mu.Lock()
+	ms := make([]*mapping, 0, len(r.live))
+	for m := range r.live {
+		ms = append(ms, m)
+	}
+	r.mu.Unlock()
+	var first error
+	for _, m := range ms {
+		if err := m.release(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // str returns string i as a zero-copy view into the blob.
@@ -148,9 +228,10 @@ func (s *segment) colIDs(name string) []int32 {
 func (s *segment) colOrd(id int32) int32 { return s.colOrds[id] }
 
 // colTable returns the owning table name of column id as a zero-copy view
-// into the image: valid until Index.Close for a mapping, safe for transient
-// comparisons and map lookups, and cloned by any path that hands strings to
-// callers (colProfile, search results).
+// into the image: for a mapping, valid while the segment is reachable (and
+// not past Index.Close), safe for transient comparisons and map lookups, and
+// cloned by any path that hands strings to callers (colProfile, search
+// results).
 func (s *segment) colTable(id int32) string { return s.tableNameAt(s.colOrd(id)) }
 
 // colName returns the column's own name (a zero-copy view).

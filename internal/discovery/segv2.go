@@ -495,8 +495,8 @@ func siftDown(h []bandCursor, i int) {
 // dead, when non-nil, reports whether input in's table is dead (tombstoned,
 // replaced or removed); reclaimed counts the columns of the tables it
 // drops. A merge with no live table returns a nil segment. The image borrows
-// no byte from an input (inputs may be mappings that Close releases); only
-// the string table keys on input views, and it dies with the call.
+// no byte from an input (inputs may be mappings, released once retired);
+// only the string table keys on input views, and it dies with the call.
 //
 // Inputs are images openSegV2 accepted, which need not be well-formed past
 // what it checks: bucket ids are clamped exactly as search clamps them, and

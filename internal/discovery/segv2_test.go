@@ -391,7 +391,7 @@ func fuzzSeedSegments(t testing.TB) [][]byte {
 	}
 	sn := ix.snap.Load()
 	seeds := [][]byte{sn.sealed[0].data, sn.mem.data}
-	merged, _, err := ix.mergeSealed(ix.nextSeg, sn)
+	merged, _, err := ix.mergeSealed(ix.nextSeg, sn, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,8 @@ package integration
 
 import (
 	"context"
+	"slices"
+	"sync"
 	"testing"
 
 	"valentine/internal/core"
@@ -14,26 +16,54 @@ import (
 	"valentine/internal/report"
 )
 
-// run executes the quick grids over one fabricated source. The full suite
-// takes ~30s, so it is skipped under `go test -short`.
+// shapeRun is the one quick-grid run over one fabricated source that every
+// fabricated shape test reads: the union of their methods, run once per
+// test binary, so that no method (EmbDI above all, the slowest) runs twice.
+// A method's results do not depend on which others run beside it.
+var shapeRun struct {
+	once sync.Once
+	rs   []experiment.Result
+	err  error
+}
+
+// shapeMethods is the union of the methods the fabricated shape tests pass
+// to run: the schema-based, instance-based and hybrid sets.
+func shapeMethods() []string {
+	return slices.Concat(experiment.SchemaBasedMethods(), experiment.InstanceBasedMethods(), experiment.HybridMethods())
+}
+
+// run returns the shared quick-grid run's results for methods. The full
+// suite takes ~30s, so it is skipped under `go test -short`.
 func run(t *testing.T, methods []string) []experiment.Result {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("integration shape run")
 	}
-	rs, err := report.RunFabricated(context.Background(), report.Config{
-		Rows:    60,
-		Seeds:   1,
-		Sources: []string{"TPC-DI"},
-		Methods: methods,
+	shapeRun.once.Do(func() {
+		shapeRun.rs, shapeRun.err = report.RunFabricated(context.Background(), report.Config{
+			Rows:    60,
+			Seeds:   1,
+			Sources: []string{"TPC-DI"},
+			Methods: shapeMethods(),
+		})
 	})
-	if err != nil {
-		t.Fatal(err)
+	if shapeRun.err != nil {
+		t.Fatal(shapeRun.err)
 	}
-	for _, r := range rs {
+	var rs []experiment.Result
+	for _, m := range methods {
+		if !slices.Contains(shapeMethods(), m) {
+			t.Fatalf("method %s is not in the shared shape run", m)
+		}
+	}
+	for _, r := range shapeRun.rs {
+		if !slices.Contains(methods, r.Method) {
+			continue
+		}
 		if r.Err != nil {
 			t.Fatalf("%s on %s: %v", r.Method, r.Pair, r.Err)
 		}
+		rs = append(rs, r)
 	}
 	return rs
 }

@@ -277,6 +277,11 @@ func TestServerStatsCounters(t *testing.T) {
 		t.Errorf("loaded catalog: dict_mapped_bytes %q, dict_bytes %q; want %d and the saved catalog's %d",
 			raw.Catalog["dict_mapped_bytes"], raw.Catalog["dict_bytes"], want, stats.Catalog.DictBytes)
 	}
+	// Mappings of segments compaction retired while a search held them: the
+	// field is always reported, and a catalog that retired none reports 0.
+	if got, err := raw.Catalog["retired_mapped_bytes"].Int64(); err != nil || got != 0 {
+		t.Errorf("loaded catalog: retired_mapped_bytes %q, want 0", raw.Catalog["retired_mapped_bytes"])
+	}
 	if srv.Index().Epoch() == 0 {
 		t.Error("epoch still zero after mutations")
 	}
