@@ -10,9 +10,8 @@ import (
 // Churn generates one small mixed-type table for ingest traffic: the
 // benchmark's serving workloads and the WAL's restart fixtures upsert
 // these against a live catalog. Values draw from the same pools as the fabrication
-// sources, so churn ingest exercises the catalog's shared value dictionary
-// (re-interning known values) the way a real feed of related tables would,
-// instead of flooding it with disjoint junk. Deterministic in (i, Seed):
+// sources, so churn tables overlap the lake's columns the way a real feed
+// of related tables would, instead of being disjoint junk. Deterministic in (i, Seed):
 // the same index and seed always yield the same table.
 func Churn(i int, opts Options) *table.Table {
 	opts.defaults()

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
-	"slices"
 	"sync"
 	"testing"
 
@@ -238,8 +237,8 @@ func BenchmarkApplyBatch(b *testing.B) {
 // BenchmarkCompact measures one compaction of the shape ingest-heavy keeps
 // producing: an 800-table lake already merged into one segment, eight fresh
 // 16-table seals behind it, 5 % of the lake tombstoned. Tables are
-// lake-shaped (13 to 28 columns, 128-slot signatures in near-private buckets,
-// a few dozen set ids and two name tokens a column) but synthetic, so set-up
+// lake-shaped (13 to 28 columns, 128-slot signatures in near-private
+// buckets, two name tokens a column) but synthetic, so set-up
 // profiles nothing. Every iteration compacts the same snapshot: snapshots
 // are immutable, and the loop puts the starting one back.
 func BenchmarkCompact(b *testing.B) {
@@ -256,15 +255,10 @@ func BenchmarkCompact(b *testing.B) {
 				for j := range sig {
 					sig[j] = rng.Uint64() >> 1
 				}
-				set := make([]uint32, 24+rng.Intn(48))
-				for j := range set {
-					set[j] = rng.Uint32()
-				}
-				slices.Sort(set)
 				field := fmt.Sprintf("%02d", (c*7+i)%40)
 				op.Cols[c] = ColumnProfile{
-					Table: op.Name, Column: "field_" + field, Rows: 100, Distinct: len(set),
-					Tokens: []string{"field", field}, Signature: sig, SetIDs: slices.Compact(set),
+					Table: op.Name, Column: "field_" + field, Rows: 100, Distinct: 24 + rng.Intn(48),
+					Tokens: []string{"field", field}, Signature: sig,
 				}
 			}
 			ops[i] = op

@@ -144,12 +144,6 @@ type ColumnProfile struct {
 	Distinct  int      // distinct non-empty values
 	Tokens    []string // lowercase name tokens ("customerID" → [customer id])
 	Signature []uint64
-	// SetIDs is the column's distinct values as sorted interned ids in the
-	// catalog dictionary's id space — the exact-kernel payload the columnar
-	// segment format persists. Only populated when the column's profile
-	// interned into this catalog's dictionary (Add and Upsert always do);
-	// empty for a profile on another dictionary or none, such as a query's.
-	SetIDs []uint32
 }
 
 // Index is the live catalog: a segmented, copy-on-write column index safe
@@ -200,26 +194,16 @@ type Index struct {
 	// must outlive the segment's presence in the live snapshot — compaction
 	// can retire a mapped segment while a pinned search still reads it — so
 	// it is released by the collector's cleanup once nothing reaches the
-	// segment, or by Close, whichever comes first. dictUnmap releases the
-	// mapping of dict.log the load adopted (nil when none), at Close only;
-	// guarded by wmu. noMap keeps every sealed segment on the heap — the
-	// load arm that never maps, kept by saves too. Set at load, read-only
-	// after.
-	maps      *mappings
-	dictUnmap func() error
-	noMap     bool
+	// segment, or by Close, whichever comes first. noMap keeps every sealed
+	// segment on the heap — the load arm that never maps, kept by saves
+	// too. Set at load, read-only after.
+	maps  *mappings
+	noMap bool
 
-	// dict is the catalog's corpus-scoped value dictionary: ingest interns
-	// each distinct value once, by the same base hash MinHash derives from;
-	// queries hash their values the same way without a dictionary, so they
-	// never read or grow it. The dict is append-only (removals do not
-	// shrink it; its size is bounded by the vocabulary ever ingested and
-	// reported in Stats); snapshots persist it incrementally so a resumed
-	// catalog keeps the exact id space.
+	// dict is handed out by Dict and sized by Stats, and nothing else: the
+	// catalog profiles, stores, persists and searches without a value
+	// dictionary.
 	dict *intern.Dict
-	// dictMapped is the length of dict.log's committed prefix when the
-	// load mapped it as dict's base, else 0. Set at load, read-only after.
-	dictMapped int64
 }
 
 // New returns an empty index with the given options (zero value selects the
@@ -290,32 +274,24 @@ func (ix *Index) AdoptLineage(lineage uint64) error {
 
 // Close releases the memory mappings of every mapped segment the index
 // still serves or a search still holds — loaded, or swapped in by a save —
-// and of its mapped dictionary log, after waiting for any background
-// compaction to finish. A retired segment's mapping that the collector
-// already released is not released again. Neither the index nor a Dict
-// taken from it may be used afterwards: searches over mapped segments, and
-// lookups in a dictionary served from its mapped log, would read unmapped
-// pages. An index that never mapped anything (never loaded nor saved, or
-// heap-only) needs no Close, but calling it is always safe, including
-// twice.
+// after waiting for any background compaction to finish. A retired
+// segment's mapping that the collector already released is not released
+// again. The index may not be used afterwards: searches over mapped
+// segments would read unmapped pages. An index that never mapped anything
+// (never loaded nor saved, or heap-only) needs no Close, but calling it is
+// always safe, including twice.
 func (ix *Index) Close() error {
 	ix.compactWG.Wait()
 	ix.wmu.Lock()
 	defer ix.wmu.Unlock()
-	first := ix.maps.releaseAll()
-	if ix.dictUnmap != nil {
-		if err := ix.dictUnmap(); err != nil && first == nil {
-			first = err
-		}
-		ix.dictUnmap = nil
-	}
-	return first
+	return ix.maps.releaseAll()
 }
 
-// Dict returns the catalog's corpus-scoped value dictionary. Ingest paths
-// that profile tables themselves (the serving layer's per-request
-// profiling) should attach it via profile.NewInterned so their id sets
-// live in the catalog's id space.
+// Dict returns a value dictionary that belongs to the index but that no
+// catalog code interns into, reads or persists: what a caller interns there
+// lives and dies with the index, and Stats reports its size. The catalog
+// itself keeps no value ids — its signatures hash values directly, so a
+// profile built with or without this dictionary indexes identically.
 func (ix *Index) Dict() *intern.Dict { return ix.dict }
 
 // NumTables returns the number of live (non-removed) tables.
@@ -389,15 +365,11 @@ type Stats struct {
 	// write wait.
 	Compactions        int64 `json:"compactions"`
 	CompactSpliceMaxUS int64 `json:"compact_splice_max_us"`
-	// DictEntries/DictBytes size the catalog's append-only value dictionary
-	// (distinct values ever ingested): DictBytes is the exact size of its
-	// value arena, offsets and probe table, wherever they live.
-	// DictMappedBytes is the part of the arena served from a mapping of
-	// dict.log rather than the heap: the committed log length when the load
-	// mapped it, else 0.
-	DictEntries     int   `json:"dict_entries"`
-	DictBytes       int64 `json:"dict_bytes"`
-	DictMappedBytes int64 `json:"dict_mapped_bytes"`
+	// DictEntries/DictBytes size the dictionary Dict returns: the values
+	// callers interned there, and the exact size of its value arena,
+	// offsets and probe table. Nothing the catalog does grows it.
+	DictEntries int   `json:"dict_entries"`
+	DictBytes   int64 `json:"dict_bytes"`
 	// HeapSegmentBytes is the exact length of every segment image held on
 	// the Go heap: the memtable, seals not yet merged, a compaction's
 	// output, and a loaded segment where mapping is unavailable — plus the
@@ -453,7 +425,6 @@ func (ix *Index) Stats() Stats {
 		CompactSpliceMaxUS:  ix.spliceMaxUS.Load(),
 		DictEntries:         ds.Entries,
 		DictBytes:           ds.Bytes,
-		DictMappedBytes:     ix.dictMapped,
 		HeapSegmentBytes:    heapBytes,
 		MappedSegmentBytes:  mappedBytes,
 		MappedResidentBytes: residentBytes,
@@ -533,11 +504,9 @@ func (ix *Index) SearchBestEffortContext(ctx context.Context, q *table.Table, mo
 	return results, epoch, err != nil, err
 }
 
-// queryProfile profiles a query table without a dictionary: it hashes
-// every query value — the base hash the corpus's own copy of it was
-// interned by, so signatures match the catalog's bit for bit — and never
-// interns one. A flood of junk queries can neither grow a served catalog's
-// dictionary nor contend with its ingest.
+// queryProfile profiles a query table without a dictionary, as ingest
+// profiles the catalog's tables: both hash every value with the one base
+// hash, so signatures match bit for bit.
 func (ix *Index) queryProfile(q *table.Table) *profile.TableProfile {
 	return profile.New(q)
 }

@@ -101,7 +101,6 @@ func encodeHeapRef(t testing.TB, s *heapSeg, k int) []byte {
 	strs := newStrTable(nTables + 2*nCols)
 	names := make([]uint32, 0, nTables+nCols) // table and column name indices, in record order
 	var tokenIDs []uint32
-	nSetIDs := 0
 	for _, name := range s.order {
 		names = append(names, strs.intern(name))
 		for _, id := range s.tables[name] {
@@ -113,7 +112,6 @@ func encodeHeapRef(t testing.TB, s *heapSeg, k int) []byte {
 			for _, tok := range p.Tokens {
 				tokenIDs = append(tokenIDs, strs.intern(tok))
 			}
-			nSetIDs += len(p.SetIDs)
 		}
 	}
 	// Band keys, band after band and ascending within each.
@@ -127,14 +125,14 @@ func encodeHeapRef(t testing.TB, s *heapSeg, k int) []byte {
 		}
 		slices.Sort(keys[lo:])
 	}
-	out, secs, err := assembleSegV2(s.id, k, len(s.shards), nCols, nTables, strs, tokenIDs, len(keys), nBucketIDs, nSetIDs)
+	out, secs, err := assembleSegV2(s.id, k, len(s.shards), nCols, nTables, strs, tokenIDs, len(keys), nBucketIDs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pass 2: records, signatures and set ids, then the band sections.
+	// Pass 2: records and signatures, then the band sections.
 	tblRecs, colRecs := viewU32(secs[secTblRecs]), viewU32(secs[secColRecs])
-	sigs, setIDs := viewU64(secs[secSigs]), viewU32(secs[secSetIDs])
-	name, tok, set := 0, 0, 0
+	sigs := viewU64(secs[secSigs])
+	name, tok := 0, 0
 	for ti, tbl := range s.order {
 		ids := s.tables[tbl]
 		rec := tblRecs[ti*tblRecWords:][:tblRecWords]
@@ -155,10 +153,7 @@ func encodeHeapRef(t testing.TB, s *heapSeg, k int) []byte {
 			col[4] = uint32(p.Distinct)
 			col[5] = uint32(tok)
 			col[6] = uint32(len(p.Tokens))
-			col[7] = uint32(set)
-			col[8] = uint32(len(p.SetIDs))
 			tok += len(p.Tokens)
-			set += copy(setIDs[set:], p.SetIDs)
 			copy(sigs[int(id)*k:], p.Signature)
 		}
 	}

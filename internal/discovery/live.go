@@ -37,7 +37,6 @@ func (ix *Index) profileOp(tp *profile.TableProfile) (ReplayOp, error) {
 		return ReplayOp{}, err
 	}
 	cols := make([]ColumnProfile, tp.NumColumns())
-	interned := tp.Dict() == ix.dict
 	for i := range cols {
 		p := tp.Column(i)
 		cols[i] = ColumnProfile{
@@ -49,14 +48,6 @@ func (ix *Index) profileOp(tp *profile.TableProfile) (ReplayOp, error) {
 			Tokens:    p.NameTokens(),
 			Signature: p.Signature(ix.k),
 		}
-		// Carry the sorted interned distinct-value ids only when they live
-		// in this catalog's id space — ids minted by a foreign dictionary
-		// would alias unrelated values once persisted next to ours.
-		if interned {
-			if set := p.InternedDistinct(); set != nil {
-				cols[i].SetIDs = set.IDs()
-			}
-		}
 	}
 	return ReplayOp{Name: t.Name, Cols: cols}, nil
 }
@@ -65,7 +56,7 @@ func (ix *Index) profileOp(tp *profile.TableProfile) (ReplayOp, error) {
 // Table names must be unique within an index. Callers holding a warmed
 // profile.Store should use AddProfiled to reuse its cached work.
 func (ix *Index) Add(t *table.Table) error {
-	return ix.AddProfiled(profile.NewInterned(t, ix.dict))
+	return ix.AddProfiled(profile.New(t))
 }
 
 // AddProfiled ingests an already-profiled table, reusing the profile
@@ -81,7 +72,7 @@ func (ix *Index) AddProfiled(tp *profile.TableProfile) error {
 
 // Upsert ingests t, replacing any live table of the same name.
 func (ix *Index) Upsert(t *table.Table) error {
-	return ix.UpsertProfiled(profile.NewInterned(t, ix.dict))
+	return ix.UpsertProfiled(profile.New(t))
 }
 
 // UpsertProfiled is Upsert over an already-profiled table.

@@ -321,7 +321,7 @@ func TestBackgroundCompactionLeavesLargeBase(t *testing.T) {
 			t.Fatalf("%s: tables %v, want %v", at, got, names)
 		}
 		for _, name := range names {
-			if got, want := valueProfiles(ix, name), valueProfiles(twin, name); !reflect.DeepEqual(got, want) {
+			if got, want := ix.Profiles(name), twin.Profiles(name); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: profiles of %s diverged", at, name)
 			}
 		}

@@ -128,7 +128,7 @@ func TestMergeSegV2MatchesHeapMerge(t *testing.T) {
 		}
 		upsert := func(name string) ReplayOp {
 			t.Helper()
-			op, err := ix.profileOp(profile.NewInterned(makeTable(name), ix.dict))
+			op, err := ix.profileOp(profile.New(makeTable(name)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -393,7 +393,7 @@ func TestEncodeTablesMatchesMerge(t *testing.T) {
 					cols[c] = ColumnProfile{
 						Table: name, Column: fmt.Sprintf("c%d", rng.Intn(4)), Type: table.Type(rng.Intn(3)),
 						Rows: rng.Intn(100), Distinct: rng.Intn(50), Tokens: []string{"c", fmt.Sprint(rng.Intn(4))},
-						Signature: sig, SetIDs: []uint32{uint32(rng.Intn(9)), 9 + uint32(rng.Intn(9))},
+						Signature: sig,
 					}
 				}
 				group[ti] = ReplayOp{Name: name, Cols: cols}

@@ -3,18 +3,14 @@
 package discovery
 
 // Portable arm of the mmap gate: platforms without the Linux mmap path read
-// segment files into aligned heap buffers, and dict.log into a sized one,
-// instead. Every byte past the read is served by the same code, so behavior
-// is identical — only memory residency differs.
+// segment files into aligned heap buffers instead. Every byte past the read
+// is served by the same code, so behavior is identical — only memory
+// residency differs.
 
 const mmapAvailable = false
 
-// mapFile and mapSegmentFile are never called when mmapAvailable is false;
-// they exist so both build arms expose the same symbols.
-func mapFile(path string) (data []byte, unmap func() error, err error) {
-	panic("discovery: mapFile called with mmap unavailable")
-}
-
+// mapSegmentFile is never called when mmapAvailable is false; it exists so
+// both build arms expose the same symbols.
 func mapSegmentFile(path string) (data []byte, unmap func() error, err error) {
 	panic("discovery: mapSegmentFile called with mmap unavailable")
 }

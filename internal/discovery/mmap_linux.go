@@ -2,10 +2,10 @@
 
 package discovery
 
-// Memory mapping for sealed segment files and the committed prefix of
-// dict.log on Linux. The mapping is read-only and shared: the bytes live in
-// the page cache, not on the Go heap, so a catalog's resident size is
-// bounded by the working set the kernel keeps hot — not by the corpus. Other platforms take the portable
+// Memory mapping for sealed segment files on Linux. The mapping is
+// read-only and shared: the bytes live in the page cache, not on the Go
+// heap, so a catalog's resident size is bounded by the working set the
+// kernel keeps hot — not by the corpus. Other platforms take the portable
 // heap-read arm (mmap_fallback.go).
 
 import (
@@ -17,14 +17,17 @@ import (
 
 const mmapAvailable = true
 
-// mapFile maps path read-only and returns the bytes plus the unmap
-// function. The file descriptor is closed before returning — the mapping
-// keeps the pages alive on its own. Empty files return empty data (the
-// caller rejects them as truncated). The mapping is shared, so it sees
-// every later write to the file in place, and a file truncated under it
-// faults the reader: callers only ever append to a mapped file or replace
-// it by rename.
-func mapFile(path string) (data []byte, unmap func() error, err error) {
+// mapSegmentFile maps the segment file at path read-only and returns the
+// bytes plus the unmap function. The file descriptor is closed before
+// returning — the mapping keeps the pages alive on its own. Empty files
+// return empty data (the caller rejects them as truncated). The mapping is
+// shared, so it sees every later write to the file in place, and a file
+// truncated under it faults the reader: segment files are only ever
+// replaced by rename. LSH probes and column reads hop across the segment,
+// so sequential readahead would fault in pages the query never touches and
+// evict hotter ones; MADV_RANDOM is advisory only — failure changes
+// performance, not behavior.
+func mapSegmentFile(path string) (data []byte, unmap func() error, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
@@ -45,19 +48,8 @@ func mapFile(path string) (data []byte, unmap func() error, err error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("discovery: mmap %s: %w", path, err)
 	}
+	_ = syscall.Madvise(data, syscall.MADV_RANDOM)
 	return data, func() error { return syscall.Munmap(data) }, nil
-}
-
-// mapSegmentFile is mapFile for a sealed segment. LSH probes and column
-// reads hop across the segment, so sequential readahead would fault in
-// pages the query never touches and evict hotter ones. Advisory only —
-// failure changes performance, not behavior.
-func mapSegmentFile(path string) (data []byte, unmap func() error, err error) {
-	data, unmap, err = mapFile(path)
-	if len(data) > 0 {
-		_ = syscall.Madvise(data, syscall.MADV_RANDOM)
-	}
-	return data, unmap, err
 }
 
 // mincoreResidentBytes estimates how many of the mapping's bytes are

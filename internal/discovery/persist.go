@@ -3,8 +3,7 @@ package discovery
 // Index persistence: SaveSnapshot/LoadSnapshot write and read a snapshot
 // directory — a manifest (MANIFEST.gob), one immutable columnar file per
 // sealed segment (seg-<id>.seg), the memtable in the same columnar encoding
-// (mem.seg — it is just an unsealed segment), and the catalog's value
-// dictionary as an append-only log (dict.log). Every segment is an image, so
+// (mem.seg — it is just an unsealed segment). Every segment is an image, so
 // a save writes each one's own bytes. Every column byte that comes off disk
 // goes through the one validated decoder in segv2.go: sealed segments are
 // memory-mapped and searched in place; the memtable is heap-read and adopted
@@ -13,35 +12,27 @@ package discovery
 //
 // Sealed segments are immutable, so a periodic snapshot rewrites only the
 // manifest, the memtable file, and segment files that did not exist yet;
-// files of compacted-away segments are pruned. dict.log is the dictionary's
-// own value arena — length-prefixed entries in id order — so a save appends
-// the arena's new tail and a load adopts the file's committed prefix back
-// as the arena's base, mapped like the sealed segments where mapping is
-// available: the id-space "remap" lives entirely in that one log. Because a
-// loaded catalog — this process's or another's — may be serving that prefix
-// from a shared mapping, dict.log is only ever written in place past a
-// committed prefix of its own lineage; a log written from its first byte
-// replaces the file by rename.
+// files of compacted-away segments are pruned, and so is the dict.log value
+// dictionary older releases kept beside the segments, which nothing reads.
+// A snapshot's bytes are therefore a function of the catalog's contents.
 //
-// Durability: every save syncs its data files (segments, memtable,
-// dict.log) and the directory before committing the manifest via
+// Durability: every save syncs its data files (segments, memtable) and the
+// directory before committing the manifest via
 // temp-file + fsync + atomic rename, then syncs the directory again — a
 // crash at any point leaves either the previous manifest or the new one,
 // never a manifest referencing torn segment files.
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/gob"
 	"fmt"
-	"io"
-	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
 
 	"valentine/internal/faultfs"
-	"valentine/internal/intern"
 )
 
 // snapshotVersion guards the snapshot manifest layout.
@@ -54,7 +45,9 @@ const manifestFormat = "v2"
 const (
 	manifestName = "MANIFEST.gob"
 	memName      = "mem.seg"
-	dictName     = "dict.log"
+	// dictName is the value dictionary older releases saved beside the
+	// segments: never read, deleted by the first save after an upgrade.
+	dictName = "dict.log"
 )
 
 // manifest is the snapshot directory's table of contents.
@@ -72,18 +65,10 @@ type manifest struct {
 	Tombs   []tombRecord
 	// Format names the segment encoding: always manifestFormat. Manifests
 	// of the retired gob segment format carry "v1" or (older still) "", and
-	// LoadSnapshot refuses them by name.
+	// LoadSnapshot refuses them by name. (Manifests of older releases also
+	// carry DictEntries and DictLogBytes, which described dict.log; gob
+	// skips them on decode, and a manifest written here reads them as 0.)
 	Format string
-	// DictEntries/DictLogBytes describe the persisted prefix of the value
-	// dictionary in dict.log: its first DictEntries values, which end at
-	// byte DictLogBytes, are the exact id space the catalog used (entry i is
-	// id i), so any id-derived state stays valid across a resume while the
-	// sealed segment files — which are id-free — stay immutable. The
-	// dictionary is append-only, so an incremental save appends only the new
-	// entries; the recorded byte offset lets the next save truncate away the
-	// tail of a save that crashed before committing its manifest.
-	DictEntries  int
-	DictLogBytes int64
 }
 
 type tombRecord struct {
@@ -148,22 +133,19 @@ func (ix *Index) SaveSnapshot(dir string) error {
 	for key := range sn.tombs {
 		m.Tombs = append(m.Tombs, tombRecord{Seg: key.seg, Table: key.table})
 	}
+	// In a fixed order, so a manifest's bytes are a function of the catalog.
+	slices.SortFunc(m.Tombs, func(a, b tombRecord) int {
+		return cmp.Or(cmp.Compare(a.Seg, b.Seg), strings.Compare(a.Table, b.Table))
+	})
 	// The skip-if-exists fast path is only sound for segment files this
 	// catalog's own lineage wrote: a directory holding another catalog's
 	// snapshot can contain same-named files with unrelated content (segment
 	// ids always start at 0), which must be overwritten, not adopted.
 	sameLineage := false
-	prevEntries, prevBytes := 0, int64(0)
 	if ix.lineage != 0 {
 		if prev, err := readManifest(fsys, dir); err == nil && prev.Lineage == ix.lineage {
 			sameLineage = true
-			prevEntries, prevBytes = prev.DictEntries, prev.DictLogBytes
 		}
-	}
-	var err error
-	m.DictEntries, m.DictLogBytes, err = appendDictLog(fsys, filepath.Join(dir, dictName), ix.dict, prevEntries, prevBytes)
-	if err != nil {
-		return fmt.Errorf("discovery: writing dictionary log: %w", err)
 	}
 	for _, seg := range sn.sealed {
 		m.Sealed = append(m.Sealed, seg.id)
@@ -183,8 +165,8 @@ func (ix *Index) SaveSnapshot(dir string) error {
 			return fmt.Errorf("discovery: writing memtable: %w", err)
 		}
 	}
-	// Barrier between data and manifest: every segment, memtable and dict
-	// byte — and the directory entries naming them — must be durable before
+	// Barrier between data and manifest: every segment and memtable byte —
+	// and the directory entries naming them — must be durable before
 	// the manifest can reference them. The manifest itself then commits via
 	// WriteFileAtomic's fsync + atomic rename, made durable by the second
 	// sync.
@@ -203,10 +185,13 @@ func (ix *Index) SaveSnapshot(dir string) error {
 	// file the previous manifest still references would, under a crash in
 	// between, strand that manifest pointing at nothing. A stale mem.seg
 	// left by a crash before this point is ignored (HasMem false) and
-	// collected by the next save.
+	// collected by the next save. Likewise an older release's dict.log:
+	// until this manifest committed, the previous one, which that release
+	// reads the log under, was the directory's state.
 	if !m.HasMem {
 		fsys.Remove(filepath.Join(dir, memName))
 	}
+	fsys.Remove(filepath.Join(dir, dictName))
 	// Prune files of segments compacted away since the previous snapshot,
 	// and the seg-<id>.seg.tmp a save that crashed mid-write left behind:
 	// once its id is compacted away no later write would ever reuse (and so
@@ -313,22 +298,22 @@ func mapTwin(path string, seg *segment) *segment {
 // reconstructs the catalog: segment layout, tombstones and epoch included.
 // Sealed segments are memory-mapped (heap-read where mapping is
 // unavailable) and searched in place — restart cost is opening and
-// validating files, not decoding the corpus. The dictionary's committed
-// prefix is mapped the same way. Call Close when done to release the
-// mappings. Any corrupt or unreadable file fails the whole load with an
-// error naming it, and is left in place.
+// validating files, not decoding the corpus. A dict.log an older release
+// left is never opened. Call Close when done to release the mappings. Any
+// corrupt or unreadable file fails the whole load with an error naming it,
+// and is left in place.
 func LoadSnapshot(dir string) (*Index, error) {
 	return loadSnapshot(dir, nil, false)
 }
 
 // loadSnapshot is LoadSnapshot through an injectable filesystem (nil: the
 // real disk) — the in-package seam for read faults. The one asymmetry: the
-// mmap arm maps sealed segment files and dict.log through the OS
-// regardless, so corruption tests flip bytes on disk directly; the
-// heap-read arm (the memtable, and sealed segments and dict.log where
-// mapping is unavailable) reads through seam. noMap forces the heap-read
-// arm for sealed segments and dict.log even where mmap is available, so one
-// test binary can hold the mapped and heap-read arms to the same results.
+// mmap arm maps sealed segment files through the OS regardless, so
+// corruption tests flip bytes on disk directly; the heap-read arm (the
+// memtable, and sealed segments where mapping is unavailable) reads through
+// seam. noMap forces the heap-read arm for sealed segments even where mmap
+// is available, so one test binary can hold the mapped and heap-read arms to
+// the same results.
 func loadSnapshot(dir string, seam faultfs.FS, noMap bool) (ret *Index, err error) {
 	fsys := faultfs.Or(seam)
 	if info, err := fsys.Stat(dir); err != nil {
@@ -441,17 +426,6 @@ func loadSnapshot(dir string, seam faultfs.FS, noMap bool) (ret *Index, err erro
 			sn.nCols += seg.tableLen(name)
 		}
 	}
-	if m.DictEntries > 0 {
-		var unmap func() error
-		ix.dict, unmap, err = loadDictLog(fsys, filepath.Join(dir, dictName), m.DictEntries, m.DictLogBytes, noMap)
-		if err != nil {
-			return nil, fmt.Errorf("discovery: reading dictionary log: %w", err)
-		}
-		if unmap != nil {
-			ix.dictUnmap = unmap
-			ix.dictMapped = m.DictLogBytes
-		}
-	}
 	ix.lineage = m.Lineage
 	if ix.lineage == 0 {
 		// Pre-lineage manifest: adopt a fresh lineage so future saves can
@@ -472,65 +446,6 @@ func loadSnapshot(dir string, seam faultfs.FS, noMap bool) (ret *Index, err erro
 	return ix, nil
 }
 
-// appendDictLog brings the log at path up to the dictionary's current
-// image — the arena's own bytes, length-prefixed raw values in id order —
-// writing only the tail past prevEntries when the existing log (prevBytes
-// long) was written by this catalog. A log shorter than prevBytes, a
-// (prevEntries, prevBytes) pair that is not an entry boundary of this
-// dictionary, or a fresh directory forces a full rewrite; a log longer than
-// prevBytes carries the tail of a save that crashed before its manifest
-// committed, and is truncated back first. Returns the entry count and byte
-// length the caller's manifest must record.
-//
-// The save rule: write in place only past a same-lineage prevBytes. A
-// catalog loaded from this directory may serve the log's committed prefix
-// from a shared mapping, which sees every in-place write, and a file
-// truncated under a mapping faults its reader. Appending and trimming a
-// crashed save's tail touch only bytes past that prefix, which no loader
-// reads; a log written from offset 0 — a fresh directory, a foreign
-// lineage, an inconsistent log — goes to a temporary file renamed over the
-// old one, whose mappings keep the old bytes.
-func appendDictLog(fsys faultfs.FS, path string, d *intern.Dict, prevEntries int, prevBytes int64) (int, int64, error) {
-	tail, off, n := d.LogTail(prevEntries)
-	if info, err := fsys.Stat(path); err != nil || info.Size() < prevBytes || prevEntries > n || off != prevBytes {
-		tail, off, n = d.LogTail(0) // missing or inconsistent: rewrite
-	}
-	if off == 0 {
-		if err := faultfs.WriteFileAtomic(fsys, path, tail); err != nil {
-			return 0, 0, err
-		}
-		return n, int64(len(tail)), nil
-	}
-	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return 0, 0, err
-	}
-	err = func() error {
-		if err := f.Truncate(off); err != nil {
-			return err
-		}
-		if _, err := f.Seek(off, io.SeekStart); err != nil {
-			return err
-		}
-		_, err := f.Write(tail)
-		return err
-	}()
-	if err != nil {
-		f.Close()
-		return 0, 0, err
-	}
-	// fsync, then close: the manifest is about to commit a byte count, so
-	// those bytes must be durable — not merely written back — first.
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return 0, 0, err
-	}
-	if err := f.Close(); err != nil {
-		return 0, 0, err
-	}
-	return n, off + int64(len(tail)), nil
-}
-
 // SnapshotLineage reads the manifest in dir and returns the lineage id of
 // the catalog that wrote it — the pre-flight fence `valentine serve` checks
 // before accepting writes it would later fail to snapshot into a foreign
@@ -538,76 +453,4 @@ func appendDictLog(fsys faultfs.FS, path string, d *intern.Dict, prevEntries int
 func SnapshotLineage(dir string) (uint64, error) {
 	m, err := readManifest(faultfs.OS, dir)
 	return m.Lineage, err
-}
-
-// loadDictLog reads the dictionary the manifest committed — entries values
-// in the first logBytes bytes of the log at path. Where mapping is
-// available and noMap is unset, a log with a recorded byte count is mapped
-// and its committed prefix becomes the dictionary's base in place; unmap,
-// non-nil only then, releases the mapping, and the dictionary must not be
-// used after it. Mapping bypasses fsys, like sealed segments; where it
-// fails, and for a manifest from before DictLogBytes was recorded, the log
-// is read through fsys (readDictLog).
-func loadDictLog(fsys faultfs.FS, path string, entries int, logBytes int64, noMap bool) (d *intern.Dict, unmap func() error, err error) {
-	if logBytes > 0 && !noMap && mmapAvailable {
-		if data, release, err := mapFile(path); err == nil {
-			d, err := adoptDictLog(data, entries, logBytes)
-			if err != nil {
-				release()
-				return nil, nil, err
-			}
-			return d, release, nil
-		}
-		// Mapping failed: the sized read below serves identically.
-	}
-	f, err := fsys.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return nil, nil, err
-	}
-	d, err = readDictLog(f, info.Size(), entries, logBytes)
-	return d, nil, err
-}
-
-// readDictLog loads a dictionary from a size-byte log with one sized read
-// and adoptDictLog's validating scan. The read stops at the committed
-// prefix, so the tail of a save that crashed before its manifest moved is
-// never even in memory. A manifest from before DictLogBytes was recorded
-// carries 0: the whole file is read and the scan's own end is trusted.
-func readDictLog(r io.Reader, size int64, entries int, logBytes int64) (*intern.Dict, error) {
-	if logBytes > 0 && size > logBytes {
-		size = logBytes
-	}
-	buf := make([]byte, size)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return adoptDictLog(buf, entries, logBytes)
-}
-
-// adoptDictLog validates the first entries entries of log — a heap read or
-// a mapping of the whole file — against the manifest's byte count and
-// adopts them as the dictionary's base (intern.LoadLog). Every rejection of
-// the log's content wraps intern.ErrLogCorrupt: a log that decodes to
-// different values, or to the same values at different ids, would silently
-// repoint every interned id in every segment.
-func adoptDictLog(log []byte, entries int, logBytes int64) (*intern.Dict, error) {
-	if logBytes > 0 {
-		if int64(len(log)) < logBytes {
-			return nil, fmt.Errorf("%w: log is %d bytes, manifest records %d", intern.ErrLogCorrupt, len(log), logBytes)
-		}
-		log = log[:logBytes]
-	}
-	d, consumed, err := intern.LoadLog(log, entries)
-	if err != nil {
-		return nil, err
-	}
-	if logBytes > 0 && int64(consumed) != logBytes {
-		return nil, fmt.Errorf("%w: %d entries end at byte %d, manifest records %d", intern.ErrLogCorrupt, entries, consumed, logBytes)
-	}
-	return d, nil
 }

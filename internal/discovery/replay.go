@@ -2,8 +2,7 @@ package discovery
 
 // The replayable-mutation surface the write-ahead log rides on. A ReplayOp
 // is one catalog mutation in already-profiled form — the one form apply()
-// executes — with signatures and interned set ids in this catalog's id
-// space. The serving layer's batcher converts incoming ops once via
+// executes. The serving layer's batcher converts incoming ops once via
 // ReplayForm, logs the result, then applies the same value via
 // ApplyReplayOps — so what the WAL records is, byte for byte, what the
 // catalog executed, and replaying the log after a crash re-executes it
@@ -46,15 +45,15 @@ type ReplayOp struct {
 	// Remove names the table to delete; empty for upserts.
 	Remove string
 	// Name and Cols carry an upsert: the table name and its indexed column
-	// summaries, profiled against this catalog's dictionary.
+	// summaries, profiled to this catalog's signature length.
 	Name string
 	Cols []ColumnProfile
 }
 
 // ReplayForm profiles one mutation into its logged form, and is the one
 // place an Op's shape is checked: exactly one of Upsert and Remove must be
-// set. Upserts run the full profiling path (signatures, tokens, interned
-// distinct ids) — the expensive work happens exactly once, before the WAL
+// set. Upserts run the full profiling path (signatures, tokens, distinct
+// counts) — the expensive work happens exactly once, before the WAL
 // append and before the writer lock.
 func (ix *Index) ReplayForm(op Op) (ReplayOp, error) {
 	switch {
@@ -174,31 +173,28 @@ func decodeUpsertImage(img []byte, scratch *[]uint64) (ReplayOp, error) {
 		return ReplayOp{}, fmt.Errorf("%w: table columns [%d, %d) do not cover the image's %d", ErrSegmentCorrupt, first, first+n, m.nCols)
 	}
 	// The columns of one upsert are ingested and replaced together, so they
-	// share one copy of each kind of payload — strings, tokens, signatures,
-	// set ids — instead of colProfile's copies per column. Sub-slices are
-	// capped: appending to one never writes into its neighbour.
+	// share one copy of each kind of payload — strings, tokens, signatures —
+	// instead of colProfile's copies per column. Sub-slices are capped:
+	// appending to one never writes into its neighbour. Set ids an image
+	// from an older release carries in section 10 are ignored.
 	blob := string(m.strBlob)
 	str := func(i uint32) string { return blob[m.strOffs[i]:m.strOffs[i+1]] }
 	op := ReplayOp{Name: str(m.tblRecs[0])}
 	if m.nCols == 0 {
 		return op, nil
 	}
-	nTok, nSet := 0, 0
+	nTok := 0
 	for c := 0; c < m.nCols; c++ {
-		rec := m.colRecs[c*colRecWords:]
-		nTok += int(rec[6])
-		nSet += int(rec[8])
+		nTok += int(m.colRecs[c*colRecWords+6])
 	}
-	// encodeTable lays the columns' token and set-id runs end to end; runs
-	// that overlap would let a small image size a huge allocation.
-	if nTok != len(m.tokenIDs) || nSet != len(m.setIDs) {
-		return ReplayOp{}, fmt.Errorf("%w: columns take %d of %d token ids and %d of %d set ids",
-			ErrSegmentCorrupt, nTok, len(m.tokenIDs), nSet, len(m.setIDs))
+	// encodeTable lays the columns' token runs end to end; runs that
+	// overlap would let a small image size a huge allocation.
+	if nTok != len(m.tokenIDs) {
+		return ReplayOp{}, fmt.Errorf("%w: columns take %d of %d token ids", ErrSegmentCorrupt, nTok, len(m.tokenIDs))
 	}
 	k := m.k
 	sigs := append([]uint64(nil), m.sigs...)
 	tokens := make([]string, 0, nTok)
-	setIDs := make([]uint32, 0, nSet)
 	op.Cols = make([]ColumnProfile, m.nCols)
 	for c := range op.Cols {
 		rec := m.colRecs[c*colRecWords:]
@@ -212,11 +208,6 @@ func decodeUpsertImage(img []byte, scratch *[]uint64) (ReplayOp, error) {
 				tokens = append(tokens, str(s))
 			}
 			p.Tokens = tokens[t:len(tokens):len(tokens)]
-		}
-		if n := int(rec[8]); n > 0 {
-			s := len(setIDs)
-			setIDs = append(setIDs, m.setIDs[rec[7]:][:n]...)
-			p.SetIDs = setIDs[s:len(setIDs):len(setIDs)]
 		}
 		op.Cols[c] = p
 	}

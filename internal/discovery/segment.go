@@ -67,7 +67,6 @@ type segment struct {
 	bucketEnds     []uint32
 	bucketIDs      []int32
 	tokenIDs       []uint32
-	setIDs         []uint32
 	fps            []byte           // per slot its signature's low byte (empty with zero bands)
 	ownFps         bool             // fps derived at open onto the heap: an 11-section image
 	keyStart       []int            // per band start into bandKeys/bucketEnds (len bands+1)
@@ -300,12 +299,6 @@ next:
 	return float64(inter) / float64(len(q)+distinct-inter)
 }
 
-func (s *segment) colSetIDs(id int32) []uint32 {
-	rec := s.colRecs[int(id)*colRecWords:]
-	off, n := rec[7], rec[8]
-	return s.setIDs[off : off+n]
-}
-
 // colProfile returns one column's profile as an owned copy — strings cloned
 // out of the image, slices fresh — safe to retain past any snapshot or
 // mapping lifetime. Profiles materializes through it.
@@ -323,7 +316,6 @@ func (s *segment) colProfile(id int32) ColumnProfile {
 		Distinct:  int(rec[4]),
 		Tokens:    tokens,
 		Signature: append([]uint64(nil), s.colSig(id)...),
-		SetIDs:    append([]uint32(nil), s.colSetIDs(id)...),
 	}
 }
 

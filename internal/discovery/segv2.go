@@ -30,16 +30,21 @@ package discovery
 //	  1 strBlob    raw string bytes (names + tokens, deduplicated)
 //	  2 tblRecs    nTables × {name u32, firstCol u32, nCols u32}  insertion order
 //	  3 colRecs    nCols × {tbl u32, name u32, type u32, rows u32, distinct u32,
-//	                        tokOff u32, tokLen u32, setOff u32, setLen u32}
+//	                        tokOff u32, tokLen u32, 0 u32, 0 u32}
 //	  4 sigs       nCols × k × u64      signature matrix, row-major per column
 //	  5 bandCounts bands × u32          LSH keys per band
 //	  6 bandKeys   Σcounts × u64        per band, keys ascending
 //	  7 bucketEnds Σcounts × u32        per band, cumulative exclusive id ends
 //	  8 bucketIDs  ΣbandIDs × u32       bucket contents, insertion order preserved
 //	  9 tokenIDs   × u32                flat name-token string indices
-//	 10 setIDs     × u32                flat sorted interned distinct-value ids
+//	 10 (unused)   empty
 //	 11 fps        nCols × k × u8       per slot its signature's low byte,
 //	                                    row-major per column; empty when bands is 0
+//
+// Section 10 and a column record's last two words once held each column's
+// distinct values as ids in a catalog-wide value dictionary, which nothing
+// read. Writers leave them empty and zero; readers ignore what an older file
+// holds there, so its bytes still open and search the same.
 //
 // fps is derived from sigs and never logged: a zero-band image (an upsert's
 // logged form) leaves it empty, like the band sections. It is what search
@@ -57,9 +62,9 @@ package discovery
 // candidates in the same order, whichever writer made it: the
 // bit-identical-search contract costs the format nothing.
 //
-// Bytes past the last section are ignored, mirroring the dict.log contract:
-// a crash that appends a torn tail to a segment file cannot poison a reader
-// that only trusts the section table.
+// Bytes past the last section are ignored: a crash that appends a torn tail
+// to a segment file cannot poison a reader that only trusts the section
+// table.
 //
 // The format is little-endian and readers view it in place, so a reader
 // assumes a little-endian host — true of every platform this suite targets.
@@ -110,7 +115,7 @@ const (
 	secBucketEnds
 	secBucketIDs
 	secTokenIDs
-	secSetIDs
+	secUnused // once the columns' value ids; empty
 	secFps
 )
 
@@ -160,11 +165,11 @@ func (t *strTable) intern(v string) uint32 {
 // the same views readers use, so they share the readers'
 // little-endian-host assumption. Every count and offset the layout stores in
 // 32 bits is checked here, so no writer emits a wrapped one.
-func assembleSegV2(id uint64, k, bands, nCols, nTables int, strs *strTable, tokenIDs []uint32, nKeys, nBucketIDs, nSetIDs int) ([]byte, [segV2Sections][]byte, error) {
+func assembleSegV2(id uint64, k, bands, nCols, nTables int, strs *strTable, tokenIDs []uint32, nKeys, nBucketIDs int) ([]byte, [segV2Sections][]byte, error) {
 	var secs [segV2Sections][]byte
 	nStrings := len(strs.offs)
 	// Column ids are int32 in every reader; the rest are u32 fields.
-	if nCols > math.MaxInt32 || uint64(max(k, bands, nTables, nStrings, len(strs.blob), len(tokenIDs), nBucketIDs, nSetIDs)) > math.MaxUint32 {
+	if nCols > math.MaxInt32 || uint64(max(k, bands, nTables, nStrings, len(strs.blob), len(tokenIDs), nBucketIDs)) > math.MaxUint32 {
 		return nil, secs, fmt.Errorf("discovery: segment %d overflows the v2 layout's 32-bit counts", id)
 	}
 	sizes := [segV2Sections]uint64{
@@ -178,7 +183,6 @@ func assembleSegV2(id uint64, k, bands, nCols, nTables int, strs *strTable, toke
 		secBucketEnds: uint64(nKeys) * 4,
 		secBucketIDs:  uint64(nBucketIDs) * 4,
 		secTokenIDs:   uint64(len(tokenIDs)) * 4,
-		secSetIDs:     uint64(nSetIDs) * 4,
 		secFps:        fpsLen(k, bands, nCols),
 	}
 	var offs [segV2Sections]uint64
@@ -276,7 +280,6 @@ func encodeTables(id uint64, k, bands, rows int, tables []ReplayOp) ([]byte, err
 	strs := newStrTable(len(tables) + 2*nCols)
 	names := make([]uint32, 0, len(tables)+nCols) // table and column name indices, in record order
 	tokenIDs := make([]uint32, 0, 2*nCols)
-	nSetIDs := 0
 	var banked [][]uint64 // the non-empty signatures, beside their columns
 	var bankedCols []uint32
 	col := uint32(0)
@@ -288,7 +291,6 @@ func encodeTables(id uint64, k, bands, rows int, tables []ReplayOp) ([]byte, err
 			for _, tok := range p.Tokens {
 				tokenIDs = append(tokenIDs, strs.intern(tok))
 			}
-			nSetIDs += len(p.SetIDs)
 			if !profile.IsEmptySignature(p.Signature) {
 				banked = append(banked, p.Signature)
 				bankedCols = append(bankedCols, col)
@@ -316,16 +318,16 @@ func encodeTables(id uint64, k, bands, rows int, tables []ReplayOp) ([]byte, err
 		nKeys += int(bandCounts[b])
 	}
 
-	out, secs, err := assembleSegV2(id, k, bands, nCols, len(tables), strs, tokenIDs, nKeys, len(entries), nSetIDs)
+	out, secs, err := assembleSegV2(id, k, bands, nCols, len(tables), strs, tokenIDs, nKeys, len(entries))
 	if err != nil {
 		return nil, err
 	}
 
-	// Pass 2: the records, signatures, fingerprints and set ids, then the
-	// band sections.
+	// Pass 2: the records, signatures and fingerprints, then the band
+	// sections.
 	tblRecs, colRecs := viewU32(secs[secTblRecs]), viewU32(secs[secColRecs])
-	sigs, setIDs := viewU64(secs[secSigs]), viewU32(secs[secSetIDs])
-	name, tok, set := 0, 0, 0
+	sigs := viewU64(secs[secSigs])
+	name, tok := 0, 0
 	col = 0
 	for ti, t := range tables {
 		rec := tblRecs[ti*tblRecWords:][:tblRecWords]
@@ -345,9 +347,7 @@ func encodeTables(id uint64, k, bands, rows int, tables []ReplayOp) ([]byte, err
 			dst[3] = uint32(p.Rows)
 			dst[4] = uint32(p.Distinct)
 			dst[5], dst[6] = uint32(tok), uint32(len(p.Tokens))
-			dst[7], dst[8] = uint32(set), uint32(len(p.SetIDs))
 			tok += len(p.Tokens)
-			set += copy(setIDs[set:], p.SetIDs)
 			copy(sigs[int(col)*k:], p.Signature)
 			col++
 		}
@@ -483,10 +483,10 @@ func siftDown(h []bandCursor, i int) {
 // batch's fresh upserts, and a loaded memtable's adoption under a fresh id. It
 // writes the merged image directly: strings re-interned in first-encounter
 // order, table and column records renumbered, each live table's signature
-// and fingerprint rows copied as one block each and its columns' set-id runs
-// one by one, and per band a merge of the inputs' already-sorted key runs
-// with bucket ids renumbered through a per-input old→new id table (ids of
-// dead tables dropped; a bucket left empty vanishes). The result is
+// and fingerprint rows copied as one block each, and per band a merge of
+// the inputs' already-sorted key runs with bucket ids renumbered through a
+// per-input old→new id table (ids of dead tables dropped; a bucket left
+// empty vanishes). The result is
 // byte-identical to the heap segment the catalog once built by adding those
 // tables in that order, encoded — encodeHeapRef in the tests is that oracle
 // — so a probe of the merged image visits candidates exactly as the inputs'
@@ -523,7 +523,7 @@ func mergeSegV2(id uint64, k, bands int, ins []*segment, dead func(in int, table
 	strs := newStrTable(stringsIn)
 	names := make([]uint32, 0, colsIn) // table and column name indices, in record order
 	tokenIDs := make([]uint32, 0, 2*colsIn)
-	nCols, nSetIDs := 0, 0
+	nCols := 0
 	remaps := make([][]uint32, len(ins)) // per input: old column id → merged id, or droppedCol
 	for i, m := range ins {
 		remap := make([]uint32, m.nCols)
@@ -548,7 +548,6 @@ func mergeSegV2(id uint64, k, bands int, ins []*segment, dead func(in int, table
 				for _, tok := range m.tokenIDs[rec[5]:][:rec[6]] {
 					tokenIDs = append(tokenIDs, strs.intern(m.str(tok)))
 				}
-				nSetIDs += int(rec[8])
 			}
 		}
 	}
@@ -558,7 +557,7 @@ func mergeSegV2(id uint64, k, bands int, ins []*segment, dead func(in int, table
 
 	// Band sections. Their sizes are only known once merged (keys shared
 	// between inputs fuse, emptied buckets vanish) and they sit before the
-	// token and set-id sections, so they alone are staged.
+	// token section, so they alone are staged.
 	bandCounts := make([]uint32, bands)
 	keys := make([]uint64, 0, keysIn)
 	ends := make([]uint32, 0, keysIn)
@@ -604,20 +603,20 @@ func mergeSegV2(id uint64, k, bands int, ins []*segment, dead func(in int, table
 		bandCounts[b] = uint32(len(keys) - keyBase)
 	}
 
-	out, secs, err := assembleSegV2(id, k, bands, nCols, len(tables), strs, tokenIDs, len(keys), len(ids), nSetIDs)
+	out, secs, err := assembleSegV2(id, k, bands, nCols, len(tables), strs, tokenIDs, len(keys), len(ids))
 	if err != nil {
 		return nil, 0, err
 	}
 
-	// Pass 2: records, signatures, fingerprints and set ids straight into
-	// their sections.
+	// Pass 2: records, signatures and fingerprints straight into their
+	// sections.
 	copy(viewU32(secs[secBandCounts]), bandCounts)
 	copy(viewU64(secs[secBandKeys]), keys)
 	copy(viewU32(secs[secBucketEnds]), ends)
 	copy(viewU32(secs[secBucketIDs]), ids)
 	tblRecs, colRecs := viewU32(secs[secTblRecs]), viewU32(secs[secColRecs])
-	sigs, setIDs, fps := viewU64(secs[secSigs]), viewU32(secs[secSetIDs]), secs[secFps]
-	name, col, tok, set := 0, 0, 0, 0
+	sigs, fps := viewU64(secs[secSigs]), secs[secFps]
+	name, col, tok := 0, 0, 0
 	for ti, t := range tables {
 		m := ins[t.in]
 		rec := tblRecs[ti*tblRecWords:][:tblRecWords]
@@ -639,9 +638,7 @@ func mergeSegV2(id uint64, k, bands int, ins []*segment, dead func(in int, table
 			name++
 			dst[2], dst[3], dst[4] = src[2], src[3], src[4] // type, rows, distinct
 			dst[5], dst[6] = uint32(tok), src[6]
-			dst[7], dst[8] = uint32(set), src[8]
 			tok += int(src[6])
-			set += copy(setIDs[set:], m.setIDs[src[7]:][:src[8]])
 			col++
 		}
 	}
@@ -759,7 +756,6 @@ func openSegV2(data []byte, unmap func() error) (*segment, error) {
 	m.colRecs = viewU32(secs[secColRecs])
 	m.sigs = viewU64(secs[secSigs])
 	m.tokenIDs = viewU32(secs[secTokenIDs])
-	m.setIDs = viewU32(secs[secSetIDs])
 	if nSecs == segV2Legacy {
 		// Written before the fingerprint section: derive it onto the heap.
 		m.fps = make([]byte, fpsLen(m.k, m.bands, m.nCols))
@@ -844,9 +840,6 @@ func openSegV2(data []byte, unmap func() error) (*segment, error) {
 		}
 		if uint64(rec[5])+uint64(rec[6]) > uint64(len(m.tokenIDs)) {
 			return fail(ErrSegmentCorrupt, "column %d tokens [%d, %d) out of %d", c, rec[5], uint64(rec[5])+uint64(rec[6]), len(m.tokenIDs))
-		}
-		if uint64(rec[7])+uint64(rec[8]) > uint64(len(m.setIDs)) {
-			return fail(ErrSegmentCorrupt, "column %d set ids [%d, %d) out of %d", c, rec[7], uint64(rec[7])+uint64(rec[8]), len(m.setIDs))
 		}
 	}
 	for i, s := range m.tokenIDs {

@@ -2,7 +2,7 @@ package discovery
 
 import (
 	"bytes"
-	"cmp"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -44,14 +43,14 @@ func snapshotQuery() *table.Table {
 	return table.New("q").AddColumn("k", vals("u", 0, 90))
 }
 
-// normalizeResidency zeros the residency byte counters of segments and
-// dictionary: they describe the physical representation (heap segments,
+// normalizeResidency zeros the residency byte counters of segments: they
+// describe the physical representation (heap segments,
 // heap-held images, mapped file bytes), which legitimately differs between
 // a catalog and its reloaded twin, while every other Stats field must
 // survive a round trip exactly.
 func normalizeResidency(st Stats) Stats {
 	st.HeapSegmentBytes, st.MappedSegmentBytes, st.MappedResidentBytes = 0, 0, 0
-	st.DictMappedBytes, st.RetiredMappedBytes = 0, 0
+	st.RetiredMappedBytes = 0
 	return st
 }
 
@@ -75,30 +74,25 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	// the platform maps (heap-held images, counted as heap, where it does
 	// not) — the loaded one's mapped at load, the saving one's swapped for a
 	// mapping of the file its save committed. Both memtables stay on the
-	// heap, and a catalog that never loaded maps no dictionary.
+	// heap. Neither catalog holds a value dictionary, and the save wrote
+	// none.
 	st := loaded.Stats()
 	orig := ix.Stats()
 	if mmapAvailable {
-		if orig.MappedSegmentBytes != st.MappedSegmentBytes || orig.HeapSegmentBytes == 0 || orig.DictMappedBytes != 0 || orig.RetiredMappedBytes != 0 {
-			t.Errorf("saved catalog reports heap %d, mapped %d, retired %d, dictionary mapped %d bytes; want its %d sealed bytes mapped as the loaded catalog's are, its memtable on the heap, no dictionary mapped",
-				orig.HeapSegmentBytes, orig.MappedSegmentBytes, orig.RetiredMappedBytes, orig.DictMappedBytes, st.MappedSegmentBytes)
+		if orig.MappedSegmentBytes != st.MappedSegmentBytes || orig.HeapSegmentBytes == 0 || orig.RetiredMappedBytes != 0 {
+			t.Errorf("saved catalog reports heap %d, mapped %d, retired %d bytes; want its %d sealed bytes mapped as the loaded catalog's are, its memtable on the heap",
+				orig.HeapSegmentBytes, orig.MappedSegmentBytes, orig.RetiredMappedBytes, st.MappedSegmentBytes)
 		}
-	} else if orig.HeapSegmentBytes == 0 || orig.MappedSegmentBytes != 0 || orig.MappedResidentBytes != 0 || orig.DictMappedBytes != 0 {
-		t.Errorf("saved catalog reports heap %d, mapped %d, resident %d, dictionary mapped %d bytes; want heap only",
-			orig.HeapSegmentBytes, orig.MappedSegmentBytes, orig.MappedResidentBytes, orig.DictMappedBytes)
+	} else if orig.HeapSegmentBytes == 0 || orig.MappedSegmentBytes != 0 || orig.MappedResidentBytes != 0 {
+		t.Errorf("saved catalog reports heap %d, mapped %d, resident %d bytes; want heap only",
+			orig.HeapSegmentBytes, orig.MappedSegmentBytes, orig.MappedResidentBytes)
 	}
-	// The dictionary's committed log is mapped where segments are: all of
-	// dict.log's committed bytes, and nothing where mapping is unavailable.
-	m, err := readManifest(faultfs.OS, dir)
-	if err != nil {
-		t.Fatal(err)
+	if orig.DictEntries != 0 || orig.DictBytes != 0 || st.DictEntries != 0 || st.DictBytes != 0 {
+		t.Errorf("dictionaries hold %d entries (%d bytes) saved and %d (%d bytes) loaded; the catalog interns nothing",
+			orig.DictEntries, orig.DictBytes, st.DictEntries, st.DictBytes)
 	}
-	want := int64(0)
-	if mmapAvailable {
-		want = m.DictLogBytes
-	}
-	if st.DictMappedBytes != want || m.DictLogBytes == 0 {
-		t.Errorf("dict_mapped_bytes = %d, want %d (log %d bytes, mmap available %v)", st.DictMappedBytes, want, m.DictLogBytes, mmapAvailable)
+	if _, err := os.Stat(filepath.Join(dir, dictName)); !os.IsNotExist(err) {
+		t.Errorf("the save wrote %s (stat: %v)", dictName, err)
 	}
 	if st.HeapSegmentBytes == 0 {
 		t.Errorf("loaded catalog reports no heap bytes for its memtable: %+v", st)
@@ -118,10 +112,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if heapRead, err := loadSnapshot(dir, nil, true); err != nil {
 		t.Error(err)
-	} else if hs := heapRead.Stats(); hs.MappedSegmentBytes != 0 || hs.MappedResidentBytes != 0 || hs.DictMappedBytes != 0 ||
-		hs.HeapSegmentBytes != st.HeapSegmentBytes+st.MappedSegmentBytes || hs.DictBytes != st.DictBytes {
-		t.Errorf("heap-read load reports heap %d, mapped %d, resident %d, dictionary %d (mapped %d) bytes; want the mapped load's %d + %d as heap, its %d dictionary bytes and nothing mapped",
-			hs.HeapSegmentBytes, hs.MappedSegmentBytes, hs.MappedResidentBytes, hs.DictBytes, hs.DictMappedBytes, st.HeapSegmentBytes, st.MappedSegmentBytes, st.DictBytes)
+	} else if hs := heapRead.Stats(); hs.MappedSegmentBytes != 0 || hs.MappedResidentBytes != 0 ||
+		hs.HeapSegmentBytes != st.HeapSegmentBytes+st.MappedSegmentBytes {
+		t.Errorf("heap-read load reports heap %d, mapped %d, resident %d bytes; want the mapped load's %d + %d as heap and nothing mapped",
+			hs.HeapSegmentBytes, hs.MappedSegmentBytes, hs.MappedResidentBytes, st.HeapSegmentBytes, st.MappedSegmentBytes)
 	}
 	if !reflect.DeepEqual(loaded.Tables(), ix.Tables()) {
 		t.Errorf("tables = %v, want %v", loaded.Tables(), ix.Tables())
@@ -455,6 +449,10 @@ func TestLoadSnapshotNamesRetiredFormats(t *testing.T) {
 			if len(res) != 1 || res[0].Table != "t0" || res[0].Score != 1 {
 				t.Errorf("search = %+v, want t0 at 1.0 as at the parent commit", res)
 			}
+			upgradeFixture(t, tc.path(t), []*table.Table{
+				table.New("q").AddColumn("k", vals("u", 0, 12)),
+				table.New("q").AddColumn("customer_id", vals("u", 8, 20)).AddColumn("v", vals("p", 0, 12)),
+			})
 		})
 	}
 }
@@ -469,19 +467,7 @@ func pinnedCatalog(t *testing.T) *Index {
 	t.Helper()
 	ix := New(Options{Signature: 16, Bands: 4, SealAfter: 3})
 	holdBackgroundCompaction(ix)
-	// Every value is interned up front, in table and column order: profiling
-	// interns a column's distinct values in map order, which would number
-	// them, and so write dict.log and the set ids, differently run to run.
-	upsert := func(tab *table.Table) Op {
-		for _, c := range tab.Columns {
-			for _, v := range c.Values {
-				if v != "" {
-					ix.Dict().Intern(v)
-				}
-			}
-		}
-		return Op{Upsert: profile.NewInterned(tab, ix.Dict())}
-	}
+	upsert := func(tab *table.Table) Op { return Op{Upsert: profile.New(tab)} }
 	tab := func(i int) Op {
 		return upsert(table.New(fmt.Sprintf("t%02d", i)).
 			AddColumn("customer_id", vals("u", i*7, i*7+40)).
@@ -511,12 +497,15 @@ func pinnedCatalog(t *testing.T) *Index {
 }
 
 // TestSnapshotBytesPinned holds what SaveSnapshot writes to the bytes the
-// build that added the fingerprint section wrote for the same op stream
-// (testdata/snapshot-pinned, pinnedCatalog): every seg-*.seg, mem.seg and
-// dict.log byte for byte, and the manifest field for field but for its
-// random lineage, with tombstones compared as a set. The checked-in
+// build that dropped the catalog's value dictionary wrote for the same op
+// stream (testdata/snapshot-pinned, pinnedCatalog): every seg-*.seg and
+// mem.seg byte for byte, no dict.log, and the manifest field for field but
+// for its random lineage, tombstones in order. The checked-in
 // directory loads and answers join and union searches as the rebuilt
-// catalog does.
+// catalog does. testdata/snapshot-pr45 is the same op stream as the build
+// before wrote it — a dict.log beside it and value ids in every segment's
+// section 10 — and takes the upgrade path (upgradeFixture) to the same
+// answers.
 func TestSnapshotBytesPinned(t *testing.T) {
 	pinned := filepath.Join("testdata", "snapshot-pinned")
 	ix := pinnedCatalog(t)
@@ -530,7 +519,7 @@ func TestSnapshotBytesPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := []string{memName, dictName}
+		out := []string{memName}
 		for _, path := range segs {
 			out = append(out, filepath.Base(path))
 		}
@@ -560,16 +549,23 @@ func TestSnapshotBytesPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.Lineage = 0
-		slices.SortFunc(m.Tombs, func(a, b tombRecord) int {
-			return cmp.Or(cmp.Compare(a.Seg, b.Seg), strings.Compare(a.Table, b.Table))
-		})
 		manifests[i] = m
 	}
 	if manifests[0].Options != ix.Options() || !reflect.DeepEqual(manifests[0], manifests[1]) {
 		t.Errorf("manifest %+v, pinned %+v", manifests[0], manifests[1])
 	}
-	if m := manifests[1]; len(m.Sealed) < 2 || len(m.Tombs) != 2 || !m.HasMem || m.DictEntries == 0 {
+	if m := manifests[1]; len(m.Sealed) < 2 || len(m.Tombs) != 2 || !m.HasMem {
 		t.Fatalf("the pinned snapshot lost its shape: %+v", m)
+	}
+	for _, d := range []string{dir, pinned} {
+		if _, err := os.Stat(filepath.Join(d, dictName)); !os.IsNotExist(err) {
+			t.Fatalf("%s holds %s (stat: %v)", d, dictName, err)
+		}
+		for name, sec := range segSections(t, d, secUnused) {
+			if len(sec) != 0 {
+				t.Fatalf("%s/%s: section %d holds %d bytes, want none", d, name, secUnused, len(sec))
+			}
+		}
 	}
 	loaded, err := LoadSnapshot(pinned)
 	if err != nil {
@@ -590,6 +586,129 @@ func TestSnapshotBytesPinned(t *testing.T) {
 			t.Errorf("%s search over the pinned snapshot:\n got %+v\nwant %+v", mode, got, want)
 		}
 	}
+	old := upgradeFixture(t, filepath.Join("testdata", "snapshot-pr45"), pinnedQueries())
+	for _, q := range pinnedQueries() {
+		for _, mode := range []Mode{ModeJoin, ModeUnion} {
+			want, err := ix.Search(q, mode, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := old.Search(q, mode, 0); err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s search over the pre-upgrade snapshot: %+v, %v; the rebuilt catalog answers %+v", mode, got, err, want)
+			}
+		}
+	}
+}
+
+// pinnedQueries are the tables the pinnedCatalog fixtures are searched with:
+// a query overlapping several tables, one named like an indexed table, and
+// each indexed table's own columns.
+func pinnedQueries() []*table.Table {
+	queries := []*table.Table{
+		table.New("q").AddColumn("customer_id", vals("u", 20, 90)).AddColumn("city", vals("c1_", 0, 70)),
+		table.New("t12").AddColumn("customer_id", vals("u", 0, 40)),
+	}
+	for i := 0; i < 12; i++ {
+		queries = append(queries, table.New("").
+			AddColumn("customer_id", vals("u", i*7, i*7+40)).
+			AddColumn("city", vals(fmt.Sprintf("c%d_", i%3), 0, 40)))
+	}
+	return queries
+}
+
+// segSections returns section sec of every segment file in a snapshot
+// directory, by file name.
+func segSections(t *testing.T, dir string, sec int) map[string][]byte {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte, len(paths))
+	for _, path := range paths {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		off, size := leU64(b[segV2Header+sec*16:]), leU64(b[segV2Header+sec*16+8:])
+		out[filepath.Base(path)] = b[off : off+size]
+	}
+	return out
+}
+
+// upgradeFixture takes a copy of a snapshot directory an older release
+// wrote — a dict.log beside it, value ids in every segment's section 10 —
+// through the upgrade path: the copy loads without reading either, with an
+// empty dictionary, and answers every query in both modes as searchRef
+// does over it; the first save into the copy deletes dict.log and reloads
+// to the same answers. It returns the loaded copy, closed at cleanup.
+func upgradeFixture(t *testing.T, fixture string, queries []*table.Table) *Index {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "snap")
+	if err := os.CopyFS(dir, os.DirFS(fixture)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, dictName)); err != nil {
+		t.Fatalf("fixture %s: %v", fixture, err)
+	}
+	for name, sec := range segSections(t, dir, secUnused) {
+		if len(sec) == 0 {
+			t.Fatalf("fixture %s: %s holds no value ids", fixture, name)
+		}
+	}
+	answers := func(ix *Index, ref bool) (out [][]Result) {
+		t.Helper()
+		for _, q := range queries {
+			for _, mode := range []Mode{ModeJoin, ModeUnion} {
+				var res []Result
+				var err error
+				if ref {
+					res, _, err = ix.searchRef(context.Background(), profile.New(q), mode, 0, false, false)
+				} else {
+					res, err = ix.Search(q, mode, 0)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, res)
+			}
+		}
+		return out
+	}
+	ix, err := LoadSnapshot(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ix.Close() })
+	if st := ix.Stats(); st.DictEntries != 0 || st.DictBytes != 0 {
+		t.Fatalf("fixture %s loaded a dictionary of %d entries", fixture, st.DictEntries)
+	}
+	want := answers(ix, true)
+	if got := answers(ix, false); !reflect.DeepEqual(got, want) {
+		t.Fatalf("fixture %s: search %+v, searchRef %+v", fixture, got, want)
+	}
+	answered := 0
+	for _, res := range want {
+		answered += len(res)
+	}
+	if answered == 0 {
+		t.Fatalf("fixture %s: no query found a table", fixture)
+	}
+	if err := ix.SaveSnapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, dictName)); !os.IsNotExist(err) {
+		t.Fatalf("fixture %s: the first save kept %s (stat: %v)", fixture, dictName, err)
+	}
+	again, err := LoadSnapshot(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if got := answers(again, false); !reflect.DeepEqual(got, want) {
+		t.Fatalf("fixture %s after its first save: search %+v, want %+v", fixture, got, want)
+	}
+	return ix
 }
 
 // segSectionCounts reads the section count from the header of every segment
@@ -611,12 +730,13 @@ func segSectionCounts(t *testing.T, dir string) map[string]uint32 {
 	return out
 }
 
-// TestLoadElevenSectionSnapshot: testdata/snapshot-pr39 is
-// testdata/snapshot-pinned as the build before the fingerprint section wrote
-// it, every segment file in 11 sections. It still loads — its sealed
-// segments with fingerprints derived onto the heap and counted there, its
-// memtable adopted as a 12-section image — and answers every search as the
-// same catalog saved in 12 sections (pinnedCatalog) does.
+// TestLoadElevenSectionSnapshot: testdata/snapshot-pr39 is pinnedCatalog's
+// op stream as the build before the fingerprint section wrote it, every
+// segment file in 11 sections, with a dict.log. It takes the upgrade path
+// (upgradeFixture), and it still loads — its sealed segments with
+// fingerprints derived onto the heap and counted there, its memtable
+// adopted as a 12-section image — and answers every search as the same
+// catalog saved in 12 sections (pinnedCatalog) does.
 func TestLoadElevenSectionSnapshot(t *testing.T) {
 	legacyDir := filepath.Join("testdata", "snapshot-pr39")
 	counts := segSectionCounts(t, legacyDir)
@@ -670,16 +790,8 @@ func TestLoadElevenSectionSnapshot(t *testing.T) {
 		}
 	}
 
-	queries := []*table.Table{
-		table.New("q").AddColumn("customer_id", vals("u", 20, 90)).AddColumn("city", vals("c1_", 0, 70)),
-		table.New("t12").AddColumn("customer_id", vals("u", 0, 40)),
-	}
-	for i := 0; i < 12; i++ {
-		queries = append(queries, table.New("").
-			AddColumn("customer_id", vals("u", i*7, i*7+40)).
-			AddColumn("city", vals(fmt.Sprintf("c%d_", i%3), 0, 40)))
-	}
-	for _, q := range queries {
+	upgradeFixture(t, legacyDir, pinnedQueries())
+	for _, q := range pinnedQueries() {
 		for _, mode := range []Mode{ModeJoin, ModeUnion} {
 			for _, k := range []int{0, 1, 3} {
 				want, err := current.Search(q, mode, k)

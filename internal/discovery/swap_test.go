@@ -13,7 +13,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"slices"
 	"testing"
 	"time"
 
@@ -51,28 +50,6 @@ func waitRetiredZero(t *testing.T, at string, ix *Index) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-}
-
-// valueProfiles returns a table's profiles with each column's interned ids
-// replaced by the sorted values they name: two catalogs fed one op stream
-// number a column's values in orders of their own.
-func valueProfiles(ix *Index, name string) (out []struct {
-	ColumnProfile
-	Values []string
-}) {
-	for _, p := range ix.Profiles(name) {
-		vs := make([]string, len(p.SetIDs))
-		for i, id := range p.SetIDs {
-			vs[i] = ix.Dict().Entries(int(id), int(id)+1)[0]
-		}
-		slices.Sort(vs)
-		p.SetIDs = nil
-		out = append(out, struct {
-			ColumnProfile
-			Values []string
-		}{p, vs})
-	}
-	return out
 }
 
 // TestSearchPinnedAcrossCompactions: a search that pinned its snapshot keeps
@@ -235,7 +212,7 @@ func TestSnapshotSwapMatchesHeap(t *testing.T) {
 			t.Fatalf("%s: tables %v, want %v", at, got, names)
 		}
 		for _, name := range names {
-			if got, want := valueProfiles(saving, name), valueProfiles(twin, name); !reflect.DeepEqual(got, want) {
+			if got, want := saving.Profiles(name), twin.Profiles(name); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: profiles of %s diverged:\n got %+v\nwant %+v", at, name, got, want)
 			}
 		}
@@ -254,8 +231,8 @@ func TestSnapshotSwapMatchesHeap(t *testing.T) {
 				continue
 			}
 			tab := makeTable(name)
-			opsS = append(opsS, Op{Upsert: profile.NewInterned(tab, saving.Dict())})
-			opsT = append(opsT, Op{Upsert: profile.NewInterned(tab, twin.Dict())})
+			opsS = append(opsS, Op{Upsert: profile.New(tab)})
+			opsT = append(opsT, Op{Upsert: profile.New(tab)})
 		}
 		errS, errT := saving.Apply(opsS), twin.Apply(opsT)
 		for i := range errS {

@@ -17,21 +17,11 @@
 //     touching string bytes again.
 //
 // A Dict holds no pointers: every value lives in one append-only byte arena
-// laid out exactly as the catalog's dict.log file (uvarint length + raw
-// bytes per entry, in id order), beside one offset per id and one
-// open-addressed table of (arena offset, id, hash tag) slots probed by the
-// value's base hash. The arena is therefore its own file image — LogTail hands
-// persistence the bytes to append, LoadLog adopts a file's bytes as the
-// arena after one validating scan — and the garbage collector has nothing
-// in it to trace. The base hash itself is not stored: the probe computes
-// it, so a hit returns it for free.
-//
-// The arena is kept in two parts addressed by one offset space: the base,
-// the log prefix LoadLog adopted (read-only, and possibly a mapping of the
-// file itself rather than heap memory), and the tail, the entries interned
-// since, on the heap. Offsets count from the base's first byte, so ids,
-// offsets and the log image are those of one contiguous arena; only a
-// range that straddles the two parts is ever copied to be read whole.
+// (uvarint length + raw bytes per entry, in id order), beside one offset per
+// id and one open-addressed table of (arena offset, id, hash tag) slots
+// probed by the value's base hash, so the garbage collector has nothing in
+// it to trace. The base hash itself is not stored: the probe computes it,
+// so a hit returns it for free.
 //
 // A Dict is safe for fully concurrent use (lookups take a read lock; only
 // the first intern of a value takes the write lock) and append-only: ids are
@@ -41,29 +31,18 @@ package intern
 
 import (
 	"encoding/binary"
-	"errors"
-	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 	"sync"
 )
-
-// ErrLogCorrupt is wrapped by every LoadLog failure: the bytes are not the
-// log image of a dictionary with the requested entry count.
-var ErrLogCorrupt = errors.New("intern: corrupt dictionary log")
 
 // Dict is a corpus-scoped value dictionary. The zero value is an empty,
 // usable dictionary; NewDict is the conventional constructor.
 type Dict struct {
 	mu sync.RWMutex
-	// The arena: dict.log's bytes, uvarint(len) + raw value per entry, in id
-	// order. base is the prefix LoadLog adopted and is never written; tail
-	// holds every entry appended since, at offsets from len(base) on. No
-	// entry straddles the two.
-	base []byte
-	tail []byte
-	offs []uint32 // id → offset of the entry's length prefix in the arena
+	// The arena: uvarint(len) + raw value per entry, in id order.
+	arena []byte
+	offs  []uint32 // id → offset of the entry's length prefix in the arena
 	// The probe table: open-addressed, linear probing, tableSize(len(offs))
 	// slots. A slot is split over two parallel arrays so that it packs to
 	// nine bytes: where the entry's bytes are and which id they carry, and a
@@ -78,8 +57,7 @@ type DictStats struct {
 	Entries int `json:"entries"`
 	// Bytes is the memory the dictionary's contents occupy: value arena,
 	// offsets and probe table. It is computed from lengths, not
-	// capacities, so a dictionary reloaded from its log reports the same
-	// figure as the one that wrote it.
+	// capacities, so it is a function of the values interned.
 	Bytes int64 `json:"bytes"`
 }
 
@@ -101,9 +79,8 @@ const (
 )
 
 // tableSize is the probe table's slot count for n entries — a pure function
-// of n, so a dictionary grown one Intern at a time and one loaded from its
-// log agree on it: 0 when empty, else the smallest power of two ≥ minTable
-// whose load stays within maxLoad.
+// of n: 0 when empty, else the smallest power of two ≥ minTable whose load
+// stays within maxLoad.
 func tableSize(n int) int {
 	if n == 0 {
 		return 0
@@ -127,39 +104,19 @@ func home(h, mask uint64) uint64 { return (h ^ h>>32) & mask }
 func tagOf(h uint64) uint8 { return uint8(h >> 56) }
 
 // at returns the value bytes of the entry whose length prefix is at off,
-// aliasing the arena part that holds it.
+// aliasing the arena.
 func (d *Dict) at(off int) []byte {
-	arena := d.base
-	if off >= len(arena) {
-		arena, off = d.tail, off-len(arena)
+	if n := int(d.arena[off]); n < 0x80 { // one-byte prefix: nearly every value
+		return d.arena[off+1 : off+1+n]
 	}
-	if n := int(arena[off]); n < 0x80 { // one-byte prefix: nearly every value
-		return arena[off+1 : off+1+n]
-	}
-	n, k := binary.Uvarint(arena[off:])
-	return arena[off+k : off+k+int(n)]
-}
-
-// size is the arena's length: base and tail together.
-func (d *Dict) size() int { return len(d.base) + len(d.tail) }
-
-// span returns the arena's bytes at offsets [lo, hi), aliasing the part
-// that holds them, or a copy when the range straddles base and tail.
-func (d *Dict) span(lo, hi int) []byte {
-	b := len(d.base)
-	switch {
-	case hi <= b:
-		return d.base[lo:hi:hi]
-	case lo >= b:
-		return d.tail[lo-b : hi-b : hi-b]
-	}
-	return slices.Concat(d.base[lo:], d.tail[:hi-b])
+	n, k := binary.Uvarint(d.arena[off:])
+	return d.arena[off+k : off+k+int(n)]
 }
 
 // find probes d for v (whose hash is h). A hit is two dependent memory reads
 // after the hash — the slot, then the value's bytes — with the id riding in
 // the slot. The caller holds d.mu.
-func find[T string | []byte](d *Dict, v T, h uint64) (uint32, bool) {
+func find(d *Dict, v string, h uint64) (uint32, bool) {
 	slots := d.slots
 	if len(slots) == 0 {
 		return 0, false
@@ -172,26 +129,8 @@ func find[T string | []byte](d *Dict, v T, h uint64) (uint32, bool) {
 		if s == 0 {
 			return 0, false
 		}
-		if tags[i] == tag && string(d.at(int(s>>32))) == string(v) {
+		if tags[i] == tag && string(d.at(int(s>>32))) == v {
 			return uint32(s) - 1, true
-		}
-	}
-}
-
-// probe is find for AppendRun: it also returns the slot the walk ended at —
-// v's if v is present, else the free slot that ends its probe sequence,
-// where place would put v. find stays a separate loop because every intern
-// hit runs it. The caller holds d.mu and d's table is not empty.
-func (d *Dict) probe(v string, h uint64) (slot uint64, id uint32, ok bool) {
-	mask := uint64(len(d.slots) - 1)
-	tag := tagOf(h)
-	for i := home(h, mask); ; i = (i + 1) & mask {
-		s := d.slots[i]
-		if s == 0 {
-			return i, 0, false
-		}
-		if d.tags[i] == tag && string(d.at(int(s>>32))) == v {
-			return i, uint32(s) - 1, true
 		}
 	}
 }
@@ -209,7 +148,7 @@ func (d *Dict) place(off, id uint32, h uint64) {
 }
 
 // full names the limit that appending a vlen-byte value to a dictionary of
-// n entries and arenaLen arena bytes (base and tail) would cross, or returns
+// n entries and arenaLen arena bytes would cross, or returns
 // "". Ids and arena offsets are uint32: past either limit they would wrap
 // and silently alias earlier entries.
 func full(n, arenaLen, vlen uint64) string {
@@ -226,7 +165,7 @@ func full(n, arenaLen, vlen uint64) string {
 // writing.
 func (d *Dict) insert(v string, h uint64) uint32 {
 	n := len(d.offs)
-	if msg := full(uint64(n), uint64(d.size()), uint64(len(v))); msg != "" {
+	if msg := full(uint64(n), uint64(len(d.arena)), uint64(len(v))); msg != "" {
 		panic(msg)
 	}
 	off := d.push(v)
@@ -235,13 +174,13 @@ func (d *Dict) insert(v string, h uint64) uint32 {
 	return uint32(n)
 }
 
-// push appends v's entry to the arena's tail and to the offsets, returning
-// its offset.
+// push appends v's entry to the arena and to the offsets, returning its
+// offset.
 func (d *Dict) push(v string) uint32 {
-	off := uint32(d.size())
+	off := uint32(len(d.arena))
 	d.offs = append(d.offs, off)
-	d.tail = binary.AppendUvarint(d.tail, uint64(len(v)))
-	d.tail = append(d.tail, v...)
+	d.arena = binary.AppendUvarint(d.arena, uint64(len(v)))
+	d.arena = append(d.arena, v...)
 	return off
 }
 
@@ -262,63 +201,6 @@ func (d *Dict) resize(size int) {
 			d.place(uint32(s>>32), uint32(s)-1, Hash64(d.at(int(s>>32))))
 		}
 	}
-}
-
-// AppendRun interns vals as the entries at ids start, start+1, …: the
-// positional delta a write-ahead log record carries, replayed under one
-// write lock with the probe table and arena grown once for the whole run.
-// Value j passes when it is already interned at exactly start+j (a replay
-// over a snapshot that already absorbed the record) and is appended when it
-// is absent and the next id is start+j. Anything else stops the run with an
-// error naming the value, the id it is interned at — or, if absent, the id
-// it would have been appended at — and start+j. The values before it stay
-// interned; neither it nor any later value is. Ids compare as ints, so no
-// start, however large, wraps onto an id that fits.
-func (d *Dict) AppendRun(start int, vals []string) error {
-	if len(vals) == 0 {
-		return nil
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if n := len(d.offs); start >= 0 && start <= n && len(vals) > n-start {
-		// Only values from n-start on can be appended: size for all of them.
-		// They go to the tail, so a loaded base is never copied.
-		rest := vals[n-start:]
-		bytes := 0
-		for _, v := range rest {
-			bytes += uvarintLen(uint64(len(v))) + len(v)
-		}
-		d.tail = slices.Grow(d.tail, bytes)
-		d.offs = slices.Grow(d.offs, len(rest))
-		d.resize(tableSize(n + len(rest)))
-	}
-	for j, v := range vals {
-		want := start + j
-		h := Hash64(v)
-		// One probe both checks the fence and finds the slot to fill.
-		got, slot, present := len(d.offs), uint64(0), false
-		if len(d.slots) > 0 {
-			var id uint32
-			if slot, id, present = d.probe(v, h); present {
-				got = int(id)
-			}
-		}
-		if got != want {
-			d.resize(tableSize(len(d.offs))) // give back what the run reserved
-			return fmt.Errorf("%q interned at id %d, log expects %d", v, got, want)
-		}
-		if present {
-			continue
-		}
-		if msg := full(uint64(got), uint64(d.size()), uint64(len(v))); msg != "" {
-			d.resize(tableSize(len(d.offs)))
-			return errors.New(msg)
-		}
-		off := d.push(v)
-		d.slots[slot] = uint64(off)<<32 | uint64(got+1)
-		d.tags[slot] = tagOf(h)
-	}
-	return nil
 }
 
 // Intern returns v's dense id, assigning the next one on first sight.
@@ -371,7 +253,7 @@ func (d *Dict) Stats() DictStats {
 	defer d.mu.RUnlock()
 	return DictStats{
 		Entries: len(d.offs),
-		Bytes:   int64(d.size()) + 4*int64(len(d.offs)) + 8*int64(len(d.slots)) + int64(len(d.tags)),
+		Bytes:   int64(len(d.arena)) + 4*int64(len(d.offs)) + 8*int64(len(d.slots)) + int64(len(d.tags)),
 	}
 }
 
@@ -381,13 +263,13 @@ func (d *Dict) end(id int) int {
 	if id < len(d.offs) {
 		return int(d.offs[id])
 	}
-	return d.size()
+	return len(d.arena)
 }
 
-// Entries returns a copy of the values with ids in [lo, hi), in id order —
-// what the write-ahead log records per batch: replaying the returned values
-// through Intern in order reconstructs the exact id space. The returned
-// strings share one allocation.
+// Entries returns a copy of the values with ids in [lo, hi), in id order:
+// interning the returned values in order into an empty dictionary
+// reconstructs the exact id space. The returned strings share one
+// allocation.
 func (d *Dict) Entries(lo, hi int) []string {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -401,7 +283,7 @@ func (d *Dict) Entries(lo, hi int) []string {
 		return nil
 	}
 	start := d.end(lo)
-	block := string(d.span(start, d.end(hi)))
+	block := string(d.arena[start:d.end(hi)])
 	out := make([]string, hi-lo)
 	for i := range out {
 		end := d.end(lo+i+1) - start // a value is the last bytes of its entry
@@ -409,80 +291,6 @@ func (d *Dict) Entries(lo, hi int) []string {
 	}
 	return out
 }
-
-// LogTail returns the dictionary's log image from entry `from` (clamped to
-// [0, Len]) to the end: the bytes dict.log holds for entries [from, n) —
-// uvarint length + raw value each — the byte offset off at which they start
-// in the log, and n. The image of the whole dictionary is LogTail(0), and it
-// only ever grows at the end, so a file holding the first off bytes is
-// brought up to date by writing tail at off. tail aliases the arena when it
-// lies in one part of it — always, unless from is below the loaded base's
-// entry count and entries were interned since — and the caller must not
-// modify it.
-func (d *Dict) LogTail(from int) (tail []byte, off int64, n int) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	n = len(d.offs)
-	if from < 0 {
-		from = 0
-	}
-	if from > n {
-		from = n
-	}
-	start := d.end(from)
-	return d.span(start, d.size()), int64(start), n
-}
-
-// LoadLog builds a dictionary from a log image: it validates the first
-// `entries` entries of buf — each length prefix minimal and in bounds, no
-// value repeated (a repeat would shift every later id) — hashing every value
-// and filling the probe table on the way, and adopts buf's consumed prefix
-// as the arena's read-only base without copying it. buf may be a heap read
-// or a read-only mapping of the log file: the dictionary never writes it
-// (values interned later go to a heap tail), and the caller must neither
-// modify it nor, for a mapping, release it while the dictionary is in use.
-// Bytes past the prefix, such as the tail of a save that crashed before
-// committing, are ignored and never become reachable. It returns the
-// prefix's length beside the dictionary; every failure wraps ErrLogCorrupt.
-func LoadLog(buf []byte, entries int) (*Dict, int, error) {
-	// Every entry takes at least its prefix byte, so the count also bounds
-	// what the slices below may allocate by the input's own size.
-	if entries < 0 || entries > len(buf) {
-		return nil, 0, fmt.Errorf("%w: %d entries cannot fit in %d bytes", ErrLogCorrupt, entries, len(buf))
-	}
-	d := &Dict{
-		base:  buf,
-		offs:  make([]uint32, entries),
-		slots: make([]uint64, tableSize(entries)),
-		tags:  make([]uint8, tableSize(entries)),
-	}
-	off := 0
-	for id := 0; id < entries; id++ {
-		if uint64(off) > math.MaxUint32 { // also keeps id below 2^32: an entry is at least a byte
-			return nil, 0, fmt.Errorf("%w: entry %d of %d starts past 4 GiB, the range of a uint32 offset", ErrLogCorrupt, id, entries)
-		}
-		n, k := binary.Uvarint(buf[off:])
-		if k <= 0 || k != uvarintLen(n) {
-			return nil, 0, fmt.Errorf("%w: entry %d of %d: bad length prefix at byte %d", ErrLogCorrupt, id, entries, off)
-		}
-		if n > uint64(len(buf)-off-k) {
-			return nil, 0, fmt.Errorf("%w: entry %d of %d: length %d exceeds the %d bytes left", ErrLogCorrupt, id, entries, n, len(buf)-off-k)
-		}
-		v := buf[off+k : off+k+int(n)]
-		h := Hash64(v)
-		if prev, dup := find(d, v, h); dup {
-			return nil, 0, fmt.Errorf("%w: entry %d of %d repeats entry %d (%q)", ErrLogCorrupt, id, entries, prev, v)
-		}
-		d.offs[id] = uint32(off)
-		d.place(uint32(off), uint32(id), h)
-		off += k + int(n)
-	}
-	d.base = buf[:off:off]
-	return d, off, nil
-}
-
-// uvarintLen is the length of n's minimal uvarint encoding.
-func uvarintLen(n uint64) int { return (bits.Len64(n|1) + 6) / 7 }
 
 // Hash64 is the suite's allocation-free FNV-1a base hash (identical to
 // hash/fnv.New64a over the same bytes). It is the single hash every MinHash

@@ -107,9 +107,9 @@ func TestInternedKernelsConformance(t *testing.T) {
 }
 
 // TestDiscoveryTopKConformance fuzzes a corpus and asserts that discovery
-// search over the catalog (whose ingest interns into the catalog
-// dictionary; queries never do) returns exactly the results
-// of a catalog fed dictionary-less profiles — top-k order, scores, best
+// search over a catalog fed interned profiles (the bench's set-up ingests
+// through a dictionary) returns exactly the results of a catalog fed
+// dictionary-less profiles, as Add profiles — top-k order, scores, best
 // correspondences and candidate counts included — in both modes, for both
 // the sharded and brute-force paths.
 func TestDiscoveryTopKConformance(t *testing.T) {
@@ -123,10 +123,10 @@ func TestDiscoveryTopKConformance(t *testing.T) {
 		plain := discovery.New(discovery.Options{SealAfter: 3})
 		for i := 0; i < 10; i++ {
 			tab := fuzzTable(rng, fmt.Sprintf("t%d", i), 60)
-			if err := interned.Add(tab); err != nil { // interns into the catalog dict
+			if err := interned.AddProfiled(profile.NewInterned(tab, interned.Dict())); err != nil {
 				t.Fatal(err)
 			}
-			if err := plain.AddProfiled(profile.New(tab.Clone())); err != nil { // dictionary-less
+			if err := plain.Add(tab.Clone()); err != nil { // dictionary-less
 				t.Fatal(err)
 			}
 		}

@@ -23,8 +23,8 @@
 // sorted interned-id slices. The matchers' value-overlap kernels run on
 // those id slices only, so a pair handed to a matcher must intern into one
 // dictionary (Dict; internal/core enforces it). A dictionary-less profile
-// (New) hashes and never interns: that is how a catalog profiles a query,
-// so transient query values never grow the corpus's dictionary.
+// (New) hashes and never interns: that is how a catalog profiles the tables
+// it ingests and the queries it answers, which need signatures only.
 //
 // The cached slices and maps returned by accessors are shared, not copied:
 // callers must treat them as read-only.
@@ -358,8 +358,7 @@ func NewColumn(tableName string, c *table.Column) *Profile {
 // dictionary: MinHash hashes raw values, and no interned id sets exist, so
 // a matcher given a New profile directly rejects it (core.ValidatePair);
 // core.MatchProfilesWithContext re-pairs it through NewPair instead. A
-// catalog profiles its queries this way, so they never grow its dictionary.
-// Derived data is still computed lazily and at most once.
+// catalog profiles its tables and queries this way. Derived data is still computed lazily and at most once.
 func New(t *table.Table) *TableProfile {
 	return newWith(t, nil)
 }

@@ -73,10 +73,6 @@ type batcher struct {
 	closed   bool
 	inflight sync.WaitGroup
 
-	// dictLow is the dictionary length already covered by WAL records: the
-	// next record's delta starts here. Only the loop goroutine touches it
-	// after construction.
-	dictLow int
 	// lastApplied is the highest WAL sequence whose batch has been applied
 	// to the catalog — the snapshot loop samples it (before saving) as the
 	// truncation low-water mark.
@@ -96,7 +92,6 @@ func newBatcher(ix *discovery.Index, log *wal.Log) *batcher {
 		drained: make(chan struct{}),
 	}
 	if log != nil {
-		b.dictLow = ix.Dict().Len()
 		b.lastApplied.Store(log.LastSeq())
 	}
 	go b.loop()
@@ -202,15 +197,8 @@ func (b *batcher) apply(batch []ingestOp) {
 	}
 	var seq uint64
 	if b.log != nil && len(rops) > 0 {
-		// The record carries the positional dictionary delta since the last
-		// logged record. Conversion above interned this batch's new values;
-		// a concurrent request may have interned a few more that belong to a
-		// later batch — harmless, the delta is positional and replay
-		// re-interns it in the same order.
-		hi := b.ix.Dict().Len()
-		vals := b.ix.Dict().Entries(b.dictLow, hi)
 		var err error
-		seq, err = b.log.Append(rops, b.dictLow, vals)
+		seq, err = b.log.Append(rops, 0, nil)
 		if err != nil {
 			// Not logged ⇒ not applied, not acknowledged. The catalog and the
 			// log stay consistent; every submitter sees the failure.
@@ -222,7 +210,6 @@ func (b *batcher) apply(batch []ingestOp) {
 			}
 			return
 		}
-		b.dictLow = hi
 	}
 	for i, err := range b.ix.ApplyReplayOps(rops) {
 		errs[slot[i]] = err

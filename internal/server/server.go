@@ -223,10 +223,11 @@ func New(cfg Config) (*Server, error) {
 }
 
 // recover replays the WAL's surviving records into the catalog, then flips
-// the server out of the recovering state. A replay failure (a dictionary
-// fence violation — the log does not match the catalog underneath) parks the
-// server in "failed": everything sheds, and Close will neither snapshot nor
-// truncate, so the evidence survives for the operator.
+// the server out of the recovering state. A replay failure (an op the
+// catalog underneath rejects, such as an upsert whose signatures have
+// another length) parks the server in "failed": everything sheds, and Close
+// will neither snapshot nor truncate, so the evidence survives for the
+// operator.
 func (s *Server) recover(recs []wal.Record) {
 	defer close(s.recoveryDone)
 	if s.cfg.recoveryGate != nil {
@@ -238,11 +239,10 @@ func (s *Server) recover(recs []wal.Record) {
 		s.state.Store(stateFailed)
 		return
 	}
-	// The batcher was built before replay grew the dictionary and assigned
-	// sequence numbers; refresh its low-water marks. Safe: every mutating
-	// request is shed until the state flips below, and the state store /
-	// handler load pair orders these writes before any batch runs.
-	s.batcher.dictLow = s.cfg.Index.Dict().Len()
+	// The batcher was built before replay applied the log; refresh its
+	// low-water mark. Safe: every mutating request is shed until the state
+	// flips below, and the state store / handler load pair orders this write
+	// before any batch runs.
 	s.batcher.lastApplied.Store(s.wal.LastSeq())
 	s.state.Store(stateOK)
 }
@@ -718,12 +718,12 @@ func (s *Server) handleUpsert(ctx context.Context, w http.ResponseWriter, r *htt
 	// parallel; only the batched catalog apply is serialized. The profile
 	// is private to the request (HTTP tables are fresh pointers, so a
 	// shared store could never hit on them — it would only pin the table),
-	// and only the artifacts catalog ingestion reads are precomputed. The
-	// catalog's value dictionary is attached, so the one base hash that
-	// interns a value (the dictionary is probed by it) is also the hash its
-	// MinHash slots mix — signature work per request is mixing hashes the
-	// ingest already paid for.
-	tp := profile.NewInterned(t, s.cfg.Index.Dict())
+	// and only the artifacts catalog ingestion reads are precomputed. No
+	// dictionary is attached: the catalog keeps no value ids, so the
+	// profile hashes each distinct value once and its MinHash slots mix
+	// those hashes, and nothing the batcher orders depends on the order in
+	// which concurrent handlers ran.
+	tp := profile.New(t)
 	for i := 0; i < tp.NumColumns(); i++ {
 		p := tp.Column(i)
 		p.Signature(s.sigLen)

@@ -14,6 +14,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -432,5 +433,148 @@ func TestServerRemoveWALFailureIsNot404(t *testing.T) {
 	}
 	if code := doJSON(t, http.MethodDelete, ts.URL+"/v1/tables/absent", nil, nil); code != http.StatusNotFound {
 		t.Fatalf("delete of an unknown table: status %d, want 404", code)
+	}
+}
+
+// TestServerSnapshotBytesFollowLoggedOps: a live server's snapshot is a
+// function of the op sequence its log records, whatever order concurrent
+// handlers ran in. The same upserts and removes, sent by 1, 2 and 8
+// concurrent clients, leave a final snapshot byte-equal — manifest included
+// — to a fresh catalog of the server's lineage that applies each logged
+// record's ops with ApplyReplayOps; no record carries a dictionary delta.
+// The log as it stood before the shutdown (what a kill leaves) replays in a
+// fresh server into a catalog whose snapshot is byte-equal to the same ops
+// applied as one write, as replay applies up to 64 ops.
+func TestServerSnapshotBytesFollowLoggedOps(t *testing.T) {
+	type op struct {
+		name   string
+		remove bool
+		body   UpsertRequest
+	}
+	// 48 ops: upserts of overlapping value ranges, four of them replacing a
+	// table, and removes of tables written a few ops earlier — which another
+	// client may not have sent yet (a 404, logged all the same). Few enough
+	// tombstones and seals that no background compaction runs.
+	var ops []op
+	for i := 0; i < 48; i++ {
+		if i%8 == 7 {
+			ops = append(ops, op{name: fmt.Sprintf("t%02d", (i-3)%44), remove: true})
+			continue
+		}
+		ops = append(ops, op{name: fmt.Sprintf("t%02d", i%44), body: UpsertRequest{Columns: []ColumnJSON{
+			{Name: "cust", Values: vals("v", i*5, i*5+40)},
+			{Name: "city", Values: vals("c", i%5, i%5+40)},
+		}}})
+	}
+	files := func(t *testing.T, dir string) map[string][]byte {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string][]byte, len(entries))
+		for _, e := range entries {
+			if out[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	sameFiles := func(t *testing.T, what string, got, want map[string][]byte) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d snapshot files, the library catalog's %d", what, len(got), len(want))
+		}
+		for name, b := range want {
+			if !bytes.Equal(got[name], b) {
+				t.Fatalf("%s: %s is %d bytes, not the library catalog's %d", what, name, len(got[name]), len(b))
+			}
+		}
+	}
+	library := func(t *testing.T, lineage uint64, writes [][]discovery.ReplayOp) map[string][]byte {
+		t.Helper()
+		ix := discovery.New(discovery.Options{})
+		if err := ix.AdoptLineage(lineage); err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range writes {
+			ix.ApplyReplayOps(w)
+		}
+		dir := filepath.Join(t.TempDir(), "lib")
+		if err := ix.SaveSnapshot(dir); err != nil {
+			t.Fatal(err)
+		}
+		return files(t, dir)
+	}
+	for _, clients := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("clients=%d", clients), func(t *testing.T) {
+			dir := t.TempDir()
+			walPath, snapDir := filepath.Join(dir, "ops.wal"), filepath.Join(dir, "snap")
+			s, ts := mustServer(t, Config{WALPath: walPath, WALSync: wal.SyncNone, SnapshotDir: snapDir, SnapshotEvery: time.Hour})
+			var wg sync.WaitGroup
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					for i := c; i < len(ops); i += clients {
+						o := ops[i]
+						var code int
+						if o.remove {
+							code = doJSON(t, http.MethodDelete, ts.URL+"/v1/tables/"+o.name, nil, nil)
+						} else {
+							code = doJSON(t, http.MethodPut, ts.URL+"/v1/tables/"+o.name, o.body, nil)
+						}
+						if code != http.StatusOK && !(o.remove && code == http.StatusNotFound) {
+							t.Errorf("op %d on %s: status %d", i, o.name, code)
+						}
+					}
+				}(c)
+			}
+			wg.Wait()
+			img, err := os.ReadFile(walPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lineage := s.Index().Lineage()
+			ts.Close()
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if n := s.Index().Stats().Compactions; n != 0 {
+				t.Fatalf("%d background compactions ran: the layout depends on their timing", n)
+			}
+
+			recs := walRecords(t, img)
+			var perRecord [][]discovery.ReplayOp
+			var all []discovery.ReplayOp
+			for _, rec := range recs {
+				if rec.DictStart != 0 || len(rec.DictVals) != 0 {
+					t.Fatalf("record %d carries a dictionary delta of %d values at %d", rec.Seq, len(rec.DictVals), rec.DictStart)
+				}
+				perRecord = append(perRecord, rec.Ops)
+				all = append(all, rec.Ops...)
+			}
+			if len(all) != len(ops) {
+				t.Fatalf("the log holds %d ops, %d were sent", len(all), len(ops))
+			}
+			want := library(t, lineage, perRecord)
+			if len(want) < 3 {
+				t.Fatalf("the snapshot holds %d files: no sealed segment", len(want))
+			}
+			sameFiles(t, "live server", files(t, snapDir), want)
+
+			crash := filepath.Join(dir, "crash.wal")
+			if err := os.WriteFile(crash, img, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			replayDir := filepath.Join(dir, "replayed")
+			s2, ts2 := mustServer(t, Config{WALPath: crash, WALSync: wal.SyncNone, SnapshotDir: replayDir, SnapshotEvery: time.Hour})
+			waitStatus(t, ts2.URL, "ok")
+			ts2.Close()
+			if err := s2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			sameFiles(t, "replayed server", files(t, replayDir), library(t, lineage, [][]discovery.ReplayOp{all}))
+		})
 	}
 }

@@ -16,20 +16,11 @@ import (
 
 // churnRecords builds the records ingest-heavy's restart tail leaves in the
 // log: 440 one-op records of datagen.Churn upserts (60 rows), every 11th op
-// removing the table written 10 ops before it, each record carrying the
-// dictionary delta its profiling appended.
+// removing the table written 10 ops before it.
 func churnRecords(t testing.TB) []Record {
 	t.Helper()
 	ix := discovery.New(discovery.Options{})
 	defer ix.Close()
-	return churnRecordsOn(t, ix)
-}
-
-// churnRecordsOn is churnRecords profiled against ix: the records' deltas
-// start at its dictionary's end, and ix is left holding them (but not the
-// ops).
-func churnRecordsOn(t testing.TB, ix *discovery.Index) []Record {
-	t.Helper()
 	var recs []Record
 	var names []string
 	for i := 0; i < 440; i++ {
@@ -37,28 +28,28 @@ func churnRecordsOn(t testing.TB, ix *discovery.Index) []Record {
 		if i%11 == 10 {
 			op.Remove = names[i-10]
 		} else {
-			op.Upsert = profile.NewInterned(datagen.Churn(200_000+i, datagen.Options{Rows: 60, Seed: 7}), ix.Dict())
+			op.Upsert = profile.New(datagen.Churn(200_000+i, datagen.Options{Rows: 60, Seed: 7}))
 		}
-		lo := ix.Dict().Len()
 		rop, err := ix.ReplayForm(op)
 		if err != nil {
 			t.Fatal(err)
 		}
 		names = append(names, rop.Name)
-		recs = append(recs, Record{Seq: uint64(i + 1), Ops: []discovery.ReplayOp{rop}, DictStart: lo, DictVals: ix.Dict().Entries(lo, ix.Dict().Len())})
+		recs = append(recs, Record{Seq: uint64(i + 1), Ops: []discovery.ReplayOp{rop}})
 	}
 	return recs
 }
 
 // edgeRecords are the shapes the churn tail never produces: a batch that
 // upserts, removes and re-upserts one name; zero-column tables; empty
-// tokens, set ids and dictionary deltas; non-ASCII names; an op-less record.
+// tokens; dictionary deltas of the kind older releases logged (one empty,
+// one starting past 2^32); non-ASCII names; an op-less record.
 func edgeRecords(t testing.TB) []Record {
 	t.Helper()
 	ix := discovery.New(discovery.Options{})
 	defer ix.Close()
 	form := func(tab *table.Table) discovery.ReplayOp {
-		rop, err := ix.ReplayForm(discovery.Op{Upsert: profile.NewInterned(tab, ix.Dict())})
+		rop, err := ix.ReplayForm(discovery.Op{Upsert: profile.New(tab)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,11 +60,11 @@ func edgeRecords(t testing.TB) []Record {
 	uni := form(table.New("données_客户").AddColumn("名前 Ünïcode", []string{"ü", "客", "Ωmega", "ü"}))
 	sig := []uint64{1, 2, 3, 4}
 	return []Record{
-		{Seq: 1, Ops: []discovery.ReplayOp{x1, {Remove: "X"}, x2}, DictStart: 0, DictVals: ix.Dict().Entries(0, ix.Dict().Len())},
+		{Seq: 1, Ops: []discovery.ReplayOp{x1, {Remove: "X"}, x2}, DictStart: 0, DictVals: append(vals("x", 0, 20), vals("y", 0, 30)...)},
 		{Seq: 2, Ops: []discovery.ReplayOp{{Name: "bare"}, {Name: "bare-empty", Cols: []discovery.ColumnProfile{}}, {Name: ""}}},
 		{Seq: 3, DictStart: 17, DictVals: []string{}, Ops: []discovery.ReplayOp{{Name: "hollow", Cols: []discovery.ColumnProfile{
-			{Table: "hollow", Column: "a", Tokens: []string{}, Signature: sig, SetIDs: []uint32{}},
-			{Table: "hollow", Column: "a", Type: table.Type(2), Rows: 1 << 31, Distinct: 3, Tokens: []string{"a", "", "a"}, Signature: sig, SetIDs: []uint32{0, 9, 1 << 30}},
+			{Table: "hollow", Column: "a", Tokens: []string{}, Signature: sig},
+			{Table: "hollow", Column: "a", Type: table.Type(2), Rows: 1 << 31, Distinct: 3, Tokens: []string{"a", "", "a"}, Signature: sig},
 			{Table: "hollow", Column: "", Signature: sig},
 		}}}},
 		{Seq: 4, DictStart: 1 << 40, Ops: []discovery.ReplayOp{uni, {Remove: "Ωmega"}}, DictVals: []string{"", "é", "\x00\xff"}},

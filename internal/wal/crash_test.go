@@ -59,12 +59,12 @@ func crashBatches() [][]crashStep {
 	}
 }
 
-func stepOp(ix *discovery.Index, st crashStep) discovery.Op {
+func stepOp(st crashStep) discovery.Op {
 	if st.remove != "" {
 		return discovery.Op{Remove: st.remove}
 	}
 	tab := table.New(st.name).AddColumn("k", vals(st.prefix, st.lo, st.hi))
-	return discovery.Op{Upsert: profile.NewInterned(tab, ix.Dict())}
+	return discovery.Op{Upsert: profile.New(tab)}
 }
 
 // runCrashWorkload drives the full workload with all I/O — WAL, snapshots,
@@ -86,16 +86,15 @@ func runCrashWorkload(dir string, fsys faultfs.FS) (acked, inflight int, err err
 	l := res.Log
 	defer l.Close()
 	for i, batch := range crashBatches() {
-		lo := ix.Dict().Len()
 		rops := make([]discovery.ReplayOp, 0, len(batch))
 		for _, st := range batch {
-			rop, ferr := ix.ReplayForm(stepOp(ix, st))
+			rop, ferr := ix.ReplayForm(stepOp(st))
 			if ferr != nil {
 				return acked, -1, fmt.Errorf("harness: ReplayForm: %w", ferr)
 			}
 			rops = append(rops, rop)
 		}
-		seq, aerr := l.Append(rops, lo, ix.Dict().Entries(lo, ix.Dict().Len()))
+		seq, aerr := l.Append(rops, 0, nil)
 		if aerr != nil {
 			return acked, i, aerr
 		}
@@ -171,7 +170,7 @@ func refCatalog(t *testing.T, n int) *discovery.Index {
 	for _, batch := range crashBatches()[:n] {
 		rops := make([]discovery.ReplayOp, 0, len(batch))
 		for _, st := range batch {
-			rop, err := ix.ReplayForm(stepOp(ix, st))
+			rop, err := ix.ReplayForm(stepOp(st))
 			if err != nil {
 				t.Fatal(err)
 			}

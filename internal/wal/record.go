@@ -131,7 +131,7 @@ func (r *payloadReader) count() int {
 
 // strs reads n length-prefixed strings. They are substrings of one copy of
 // their section — one allocation per record, not one per value: a record's
-// dictionary delta is interned at replay and dropped as a whole.
+// dictionary delta lives and dies as a whole.
 func (r *payloadReader) strs(n int) []string {
 	sec := r.buf
 	for range n {

@@ -5,8 +5,8 @@ package wal
 // round trip of every record to equal the gob round trip, nil-vs-empty
 // slices included. headerRef is the version-1 header frame's gob form, which
 // the retired-format fixture is checked against. replayIntoRef is the replay
-// loop that re-interned a record's dictionary delta one value at a time,
-// which TestReplayMatchesInternLoop holds ReplayInto to.
+// loop that applied each record as a catalog write of its own, which
+// TestReplayMatchesInternLoop holds ReplayInto to.
 
 import (
 	"bytes"
@@ -41,42 +41,16 @@ func decodeHeaderRef(p []byte) (headerRef, error) {
 	return h, err
 }
 
-// replayIntoRef is ReplayInto with each dictionary value re-interned
-// through Intern and its id checked on its own. The one change from the
-// loop it was: ids compare as ints — that loop truncated the expected id to
-// uint32, so a record starting at 2^32+Len() passed. After a fence failure
-// the value that failed stays interned here if it was absent, where
-// AppendRun leaves it out.
+// replayIntoRef is ReplayInto applying each record's ops as one catalog
+// write, as replay did before it coalesced records into writes of up to
+// replayBatchOps ops.
 func replayIntoRef(ix *discovery.Index, recs []Record) error {
-	dict := ix.Dict()
-	var ops []discovery.ReplayOp
-	var seqs []uint64
-	flush := func() error {
-		for i, err := range ix.ApplyReplayOps(ops) {
-			if err != nil && ops[i].Remove == "" {
-				return fmt.Errorf("wal: record %d: %w", seqs[i], err)
-			}
-		}
-		ops, seqs = ops[:0], seqs[:0]
-		return nil
-	}
 	for _, rec := range recs {
-		for j, v := range rec.DictVals {
-			want := rec.DictStart + j
-			if got := int(dict.Intern(v)); got != want {
-				return fmt.Errorf("wal: record %d dictionary fence: %q interned at id %d, log expects %d — log does not match this catalog",
-					rec.Seq, v, got, want)
+		for i, err := range ix.ApplyReplayOps(rec.Ops) {
+			if err != nil && rec.Ops[i].Remove == "" {
+				return fmt.Errorf("wal: record %d: %w", rec.Seq, err)
 			}
-		}
-		if len(ops) > 0 && len(ops)+len(rec.Ops) > replayBatchOps {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-		ops = append(ops, rec.Ops...)
-		for range rec.Ops {
-			seqs = append(seqs, rec.Seq)
 		}
 	}
-	return flush()
+	return nil
 }

@@ -3,9 +3,8 @@
 // closed with one append-only file.
 //
 // The serving layer's ingest batcher converts each micro-batch to its
-// replay form (already-profiled ops in the catalog's interned id space),
-// appends one record here, and only then applies the batch and acknowledges
-// the clients. On restart, LoadSnapshot plus a replay of the surviving
+// replay form (already-profiled ops), appends one record here, and only
+// then applies the batch and acknowledges the clients. On restart, LoadSnapshot plus a replay of the surviving
 // records reconstructs exactly the pre-crash catalog: replay is idempotent
 // (upserts replace, removes of unknown tables are ignored), so a batch that
 // was both applied-and-snapshotted and still in the log re-applies to an
@@ -44,12 +43,11 @@
 // records past the snapshot — the log stays proportional to one snapshot
 // interval of writes, not catalog history.
 //
-// Dictionary carriage: the catalog's value dictionary is append-only with
-// dense ids, so each record carries the positional delta {DictStart,
-// DictVals} its batch appended. Replay appends the delta as one run
-// (intern.Dict.AppendRun), which verifies every id lands where the record
-// says — a cheap consistency fence that catches a log replayed over the
-// wrong dictionary.
+// A record can also carry a run of values, {DictStart, DictVals}: the
+// positional dictionary delta older releases logged beside every batch.
+// The catalog keeps no value dictionary any more, so the serving layer
+// logs none and replay ignores any it reads; the codec still writes and
+// reads one it is handed.
 package wal
 
 import (
@@ -133,10 +131,9 @@ type Record struct {
 	// Ops is the batch in replay form: profiled upserts and removes, in
 	// application order.
 	Ops []discovery.ReplayOp
-	// DictStart/DictVals are the positional dictionary delta this batch
-	// appended: DictVals[j] was interned at id DictStart+j. Replay verifies
-	// the positions — a mismatch means the log is being replayed over the
-	// wrong dictionary and must not proceed.
+	// DictStart/DictVals are a positional dictionary delta — DictVals[j]
+	// at id DictStart+j — as older releases logged one per batch. Append
+	// encodes what it is handed and Open decodes it; ReplayInto ignores it.
 	DictStart int
 	DictVals  []string
 }
@@ -518,17 +515,13 @@ func (l *Log) Policy() SyncPolicy { return l.policy }
 // serving batcher's default cap, the largest write the catalog sees live.
 const replayBatchOps = 64
 
-// ReplayInto applies recovered records to the catalog in order: each
-// record's dictionary delta is appended as one run, every id checked
-// against the record's positions (intern.Dict.AppendRun: a value already at
-// its position passes, which at-least-once replay over a snapshot holding
-// the delta needs), and the ops of consecutive records are applied
-// together, up to replayBatchOps per catalog write (ops apply in order
-// within a write, so the outcome is the record-by-record one). Removes of
+// ReplayInto applies recovered records to the catalog in order: the ops of
+// consecutive records are applied together, up to replayBatchOps per
+// catalog write (ops apply in order within a write, so the outcome is the
+// record-by-record one). A record's dictionary delta is ignored. Removes of
 // unknown tables are ignored — at-least-once replay over a snapshot that
 // already contains the batch's effects must be a no-op, not an error; any
-// other op error names its record. Any dictionary fence violation aborts
-// the replay: the catalog underneath does not match the log.
+// other op error names its record and aborts the replay.
 func ReplayInto(ix *discovery.Index, recs []Record) error {
 	var ops []discovery.ReplayOp
 	var seqs []uint64 // seqs[i]: the record ops[i] came from
@@ -542,9 +535,6 @@ func ReplayInto(ix *discovery.Index, recs []Record) error {
 		return nil
 	}
 	for _, rec := range recs {
-		if err := ix.Dict().AppendRun(rec.DictStart, rec.DictVals); err != nil {
-			return fmt.Errorf("wal: record %d dictionary fence: %w — log does not match this catalog", rec.Seq, err)
-		}
 		if len(ops) > 0 && len(ops)+len(rec.Ops) > replayBatchOps {
 			if err := flush(); err != nil {
 				return err

@@ -27,18 +27,15 @@ func vals(prefix string, lo, hi int) []string {
 	return out
 }
 
-// upsertOp profiles one small table into ix's replay form, returning the op
-// plus the dictionary delta the profiling appended.
-func upsertOp(t *testing.T, ix *discovery.Index, name string, lo, hi int) (discovery.ReplayOp, int, []string) {
+// upsertOp profiles one small table into ix's replay form.
+func upsertOp(t *testing.T, ix *discovery.Index, name string, lo, hi int) discovery.ReplayOp {
 	t.Helper()
-	dictLow := ix.Dict().Len()
 	tab := table.New(name).AddColumn("k", vals("w", lo, hi))
-	rop, err := ix.ReplayForm(discovery.Op{Upsert: profile.NewInterned(tab, ix.Dict())})
+	rop, err := ix.ReplayForm(discovery.Op{Upsert: profile.New(tab)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := ix.Dict().Len()
-	return rop, dictLow, ix.Dict().Entries(dictLow, n)
+	return rop
 }
 
 func mustOpen(t *testing.T, path string, lineage, snapEpoch uint64, o Options) *OpenResult {
@@ -50,6 +47,10 @@ func mustOpen(t *testing.T, path string, lineage, snapEpoch uint64, o Options) *
 	return res
 }
 
+// TestFreshOpenAppendReplay: records appended to a fresh log come back on
+// reopen and replay into a fresh catalog adopting the log's lineage, which
+// then holds exactly the logged tables. The upserts' records carry
+// dictionary deltas, as older releases logged them; replay ignores them.
 func TestFreshOpenAppendReplay(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ops.wal")
@@ -62,8 +63,8 @@ func TestFreshOpenAppendReplay(t *testing.T) {
 	l := res.Log
 
 	for i := 0; i < 5; i++ {
-		rop, lo, delta := upsertOp(t, ix, fmt.Sprintf("t%d", i), i*10, i*10+20)
-		seq, err := l.Append([]discovery.ReplayOp{rop}, lo, delta)
+		rop := upsertOp(t, ix, fmt.Sprintf("t%d", i), i*10, i*10+20)
+		seq, err := l.Append([]discovery.ReplayOp{rop}, 1<<20+i*10, vals("w", i*10, i*10+20))
 		if err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
@@ -78,7 +79,7 @@ func TestFreshOpenAppendReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append([]discovery.ReplayOp{rm}, ix.Dict().Len(), nil); err != nil {
+	if _, err := l.Append([]discovery.ReplayOp{rm}, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	ix.ApplyReplayOps([]discovery.ReplayOp{rm})
@@ -94,8 +95,8 @@ func TestFreshOpenAppendReplay(t *testing.T) {
 	if re.Lineage != ix.Lineage() || re.SnapEpoch != 0 || re.TornBytes != 0 {
 		t.Fatalf("reopen fence: %+v", re)
 	}
-	if len(re.Records) != 6 {
-		t.Fatalf("recovered %d records, want 6", len(re.Records))
+	if len(re.Records) != 6 || re.Records[4].DictStart != 1<<20+40 || !reflect.DeepEqual(re.Records[4].DictVals, vals("w", 40, 60)) {
+		t.Fatalf("recovered %d records (%+v), want 6, the fifth with its delta", len(re.Records), re.Records)
 	}
 	ix2 := discovery.New(discovery.Options{SealAfter: 2})
 	if err := ix2.AdoptLineage(re.Lineage); err != nil {
@@ -107,8 +108,13 @@ func TestFreshOpenAppendReplay(t *testing.T) {
 	if !reflect.DeepEqual(ix.Tables(), ix2.Tables()) {
 		t.Fatalf("replayed tables %v != reference %v", ix2.Tables(), ix.Tables())
 	}
-	if ix.Dict().Len() != ix2.Dict().Len() {
-		t.Fatalf("replayed dict %d entries != reference %d", ix2.Dict().Len(), ix.Dict().Len())
+	for _, name := range ix.Tables() {
+		if !reflect.DeepEqual(ix2.Profiles(name), ix.Profiles(name)) {
+			t.Fatalf("table %s replayed with different content", name)
+		}
+	}
+	if n := ix2.Dict().Len(); n != 0 {
+		t.Fatalf("replay interned %d values", n)
 	}
 	if re.Log.LastSeq() != 6 {
 		t.Fatalf("LastSeq = %d, want 6", re.Log.LastSeq())
@@ -121,12 +127,12 @@ func TestTornTailTruncatedNeverMisreplayed(t *testing.T) {
 	path := filepath.Join(dir, "ops.wal")
 	ix := discovery.New(discovery.Options{})
 	res := mustOpen(t, path, ix.Lineage(), 0, Options{})
-	rop, lo, delta := upsertOp(t, ix, "a", 0, 30)
-	if _, err := res.Log.Append([]discovery.ReplayOp{rop}, lo, delta); err != nil {
+	rop := upsertOp(t, ix, "a", 0, 30)
+	if _, err := res.Log.Append([]discovery.ReplayOp{rop}, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	rop2, lo2, delta2 := upsertOp(t, ix, "b", 20, 50)
-	if _, err := res.Log.Append([]discovery.ReplayOp{rop2}, lo2, delta2); err != nil {
+	rop2 := upsertOp(t, ix, "b", 20, 50)
+	if _, err := res.Log.Append([]discovery.ReplayOp{rop2}, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	res.Log.Close()
@@ -177,8 +183,8 @@ func TestTornTailTruncatedNeverMisreplayed(t *testing.T) {
 		}
 		// And appends go to the right place.
 		ix2 := discovery.New(discovery.Options{})
-		rop3, lo3, delta3 := upsertOp(t, ix2, "c", 0, 10)
-		if _, err := re.Log.Append([]discovery.ReplayOp{rop3}, lo3, delta3); err != nil {
+		rop3 := upsertOp(t, ix2, "c", 0, 10)
+		if _, err := re.Log.Append([]discovery.ReplayOp{rop3}, 0, nil); err != nil {
 			t.Fatalf("cut %d: append after truncation: %v", cut, err)
 		}
 		re.Log.Close()
@@ -242,8 +248,8 @@ func TestTruncateThrough(t *testing.T) {
 	l := res.Log
 	var seqs []uint64
 	for i := 0; i < 6; i++ {
-		rop, lo, delta := upsertOp(t, ix, fmt.Sprintf("t%d", i), i*10, i*10+15)
-		seq, err := l.Append([]discovery.ReplayOp{rop}, lo, delta)
+		rop := upsertOp(t, ix, fmt.Sprintf("t%d", i), i*10, i*10+15)
+		seq, err := l.Append([]discovery.ReplayOp{rop}, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,8 +302,8 @@ func TestTruncateThrough(t *testing.T) {
 	// Appends continue with monotone seqs, behind the kept frames.
 	var late []uint64
 	for i := 0; i < 2; i++ {
-		rop, lo, delta := upsertOp(t, ix, fmt.Sprintf("late%d", i), 0, 5+i)
-		seq, err := l.Append([]discovery.ReplayOp{rop}, lo, delta)
+		rop := upsertOp(t, ix, fmt.Sprintf("late%d", i), 0, 5+i)
+		seq, err := l.Append([]discovery.ReplayOp{rop}, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -323,46 +329,6 @@ func TestTruncateThrough(t *testing.T) {
 	}
 }
 
-func TestDictFenceAbortsWrongCatalogReplay(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ops.wal")
-	ix := discovery.New(discovery.Options{})
-	res := mustOpen(t, path, ix.Lineage(), 0, Options{})
-	rop, lo, delta := upsertOp(t, ix, "a", 0, 20)
-	if _, err := res.Log.Append([]discovery.ReplayOp{rop}, lo, delta); err != nil {
-		t.Fatal(err)
-	}
-	res.Log.Close()
-
-	re := mustOpen(t, path, 0, 0, Options{})
-	defer re.Log.Close()
-	// A catalog whose dictionary already holds foreign values at the logged
-	// positions must be rejected.
-	wrong := discovery.New(discovery.Options{})
-	wrong.Dict().Intern("poison-value-not-in-log")
-	if err := ReplayInto(wrong, re.Records); err == nil {
-		t.Fatal("replay over a mismatched dictionary succeeded")
-	} else if !strings.Contains(err.Error(), "dictionary fence") {
-		t.Fatalf("error %v does not name the dictionary fence", err)
-	}
-
-	// A delta that starts one past the dictionary's end, or at its end plus
-	// 2^32 — which an id truncated to 32 bits would take for the end — is
-	// refused, and its value is not interned.
-	for _, skew := range []int{1, 1 << 32} {
-		ix := discovery.New(discovery.Options{})
-		n := ix.Dict().Len()
-		rec := Record{Seq: 9, DictStart: n + skew, DictVals: []string{"fresh-value"}}
-		want := fmt.Sprintf("wal: record 9 dictionary fence: %q interned at id %d, log expects %d", "fresh-value", n, n+skew)
-		if err := ReplayInto(ix, []Record{rec}); err == nil || !strings.HasPrefix(err.Error(), want) {
-			t.Fatalf("delta starting at Len()+%d: err = %v, want %q", skew, err, want)
-		}
-		if _, ok := ix.Dict().Lookup("fresh-value"); ok || ix.Dict().Len() != n {
-			t.Fatalf("delta starting at Len()+%d interned its value", skew)
-		}
-	}
-}
-
 // TestReplayCoalescesRecordsIntoCatalogWrites: a log of one-op records —
 // what a sequential writer leaves — replays as a few catalog writes of up to
 // replayBatchOps ops, not one per record, and lands exactly where
@@ -371,8 +337,8 @@ func TestDictFenceAbortsWrongCatalogReplay(t *testing.T) {
 func TestReplayCoalescesRecordsIntoCatalogWrites(t *testing.T) {
 	ref := discovery.New(discovery.Options{SealAfter: 4})
 	var recs []Record
-	log := func(rop discovery.ReplayOp, lo int, delta []string) {
-		recs = append(recs, Record{Seq: uint64(len(recs) + 1), Ops: []discovery.ReplayOp{rop}, DictStart: lo, DictVals: delta})
+	log := func(rop discovery.ReplayOp) {
+		recs = append(recs, Record{Seq: uint64(len(recs) + 1), Ops: []discovery.ReplayOp{rop}})
 		ref.ApplyReplayOps([]discovery.ReplayOp{rop})
 	}
 	const n = 150
@@ -380,12 +346,11 @@ func TestReplayCoalescesRecordsIntoCatalogWrites(t *testing.T) {
 		name := fmt.Sprintf("t%d", i%40) // names recur: later upserts replace
 		switch i % 5 {
 		case 3:
-			log(discovery.ReplayOp{Remove: name}, ref.Dict().Len(), nil)
+			log(discovery.ReplayOp{Remove: name})
 		case 4:
-			log(discovery.ReplayOp{Remove: "never-indexed"}, ref.Dict().Len(), nil)
+			log(discovery.ReplayOp{Remove: "never-indexed"})
 		default:
-			rop, lo, delta := upsertOp(t, ref, name, i*7, i*7+25)
-			log(rop, lo, delta)
+			log(upsertOp(t, ref, name, i*7, i*7+25))
 		}
 	}
 	ref.WaitCompaction()
@@ -403,9 +368,6 @@ func TestReplayCoalescesRecordsIntoCatalogWrites(t *testing.T) {
 			t.Fatalf("table %s replayed with different content", name)
 		}
 	}
-	if got.Dict().Len() != ref.Dict().Len() {
-		t.Fatalf("replayed dict %d entries != reference %d", got.Dict().Len(), ref.Dict().Len())
-	}
 	// Every catalog write and every compaction publishes one epoch.
 	st := got.Stats()
 	if writes, max := int64(st.Epoch)-st.Compactions, int64((n+replayBatchOps-1)/replayBatchOps); writes > max {
@@ -415,7 +377,6 @@ func TestReplayCoalescesRecordsIntoCatalogWrites(t *testing.T) {
 	bad := recs[n-1]
 	bad.Seq = 4242
 	bad.Ops = []discovery.ReplayOp{{Name: "short", Cols: []discovery.ColumnProfile{{Table: "short", Column: "k", Signature: []uint64{1}}}}}
-	bad.DictStart, bad.DictVals = got.Dict().Len(), nil
 	if err := ReplayInto(got, []Record{bad}); err == nil || !strings.Contains(err.Error(), "record 4242") {
 		t.Fatalf("bad upsert error = %v, want one naming record 4242", err)
 	}
@@ -465,8 +426,8 @@ func TestSyncPolicies(t *testing.T) {
 			fsys := countFS{inner: faultfs.OS, syncs: &syncs}
 			res := mustOpen(t, path, ix.Lineage(), 0, Options{FS: fsys, Sync: pol})
 			before := syncs.Load()
-			rop, lo, delta := upsertOp(t, ix, "a", 0, 10)
-			if _, err := res.Log.Append([]discovery.ReplayOp{rop}, lo, delta); err != nil {
+			rop := upsertOp(t, ix, "a", 0, 10)
+			if _, err := res.Log.Append([]discovery.ReplayOp{rop}, 0, nil); err != nil {
 				t.Fatal(err)
 			}
 			switch pol {
@@ -515,8 +476,8 @@ func TestAppendFsyncErrorSurfaces(t *testing.T) {
 	ff := faultfs.New(nil)
 	res := mustOpen(t, path, ix.Lineage(), 0, Options{FS: ff, Sync: SyncAlways})
 	ff.AddRule(faultfs.Rule{Op: faultfs.OpSync, Path: "ops.wal", Fault: faultfs.Fault{Err: syscall.EIO}})
-	rop, lo, delta := upsertOp(t, ix, "a", 0, 10)
-	if _, err := res.Log.Append([]discovery.ReplayOp{rop}, lo, delta); !errors.Is(err, syscall.EIO) {
+	rop := upsertOp(t, ix, "a", 0, 10)
+	if _, err := res.Log.Append([]discovery.ReplayOp{rop}, 0, nil); !errors.Is(err, syscall.EIO) {
 		t.Fatalf("append err = %v, want EIO", err)
 	}
 	res.Log.Close()
@@ -529,18 +490,18 @@ func TestAppendShortWriteRollsBack(t *testing.T) {
 	ff := faultfs.New(nil)
 	res := mustOpen(t, path, ix.Lineage(), 0, Options{FS: ff})
 	l := res.Log
-	rop, lo, delta := upsertOp(t, ix, "a", 0, 10)
-	if _, err := l.Append([]discovery.ReplayOp{rop}, lo, delta); err != nil {
+	rop := upsertOp(t, ix, "a", 0, 10)
+	if _, err := l.Append([]discovery.ReplayOp{rop}, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	ff.AddRule(faultfs.Rule{Op: faultfs.OpWrite, Path: "ops.wal", Fault: faultfs.Fault{Err: syscall.ENOSPC}})
-	rop2, lo2, delta2 := upsertOp(t, ix, "b", 5, 15)
-	if _, err := l.Append([]discovery.ReplayOp{rop2}, lo2, delta2); !errors.Is(err, syscall.ENOSPC) {
+	rop2 := upsertOp(t, ix, "b", 5, 15)
+	if _, err := l.Append([]discovery.ReplayOp{rop2}, 0, nil); !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("append err = %v, want ENOSPC", err)
 	}
 	// The failed append rolled the file back: a retry succeeds and the log
 	// stays parseable end to end.
-	seq, err := l.Append([]discovery.ReplayOp{rop2}, lo2, delta2)
+	seq, err := l.Append([]discovery.ReplayOp{rop2}, 0, nil)
 	if err != nil {
 		t.Fatalf("retry append: %v", err)
 	}
