@@ -142,10 +142,10 @@ func runOne(ctx context.Context, method string, params core.Params, pair core.Ta
 	// first (method, variant) job to touch a pair would absorb the shared
 	// profiling cost into its Runtime while later methods hit warm caches,
 	// biasing Table V by worker scheduling. Warm covers both suite
-	// signature lengths (128 and SemProp's 64), so every method is timed
-	// on fully cached profiles. Tables shared between pairs may be
-	// re-profiled after an eviction — that only costs time outside the
-	// timed region, never correctness.
+	// signature lengths (128, and SemProp's 64 as its prefix at no extra
+	// cost), so every method is timed on fully cached profiles. Tables
+	// shared between pairs may be re-profiled after an eviction — that
+	// only costs time outside the timed region, never correctness.
 	sp, tp := store.Of(pair.Source), store.Of(pair.Target)
 	sp.Warm()
 	tp.Warm()

@@ -8,7 +8,7 @@ package intern
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // bitmapMinLen and bitmapMaxSpanFactor gate the bitmap container: a set gets
@@ -40,7 +40,7 @@ func NewSet(ids []uint32) *Set {
 	if len(ids) == 0 {
 		return &Set{}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	w := 1
 	for i := 1; i < len(ids); i++ {
 		if ids[i] != ids[w-1] {

@@ -7,16 +7,18 @@
 // re-derived by every matcher on every Match call.
 //
 // A Profile is lazy (nothing is computed until first use) and
-// concurrency-safe (each artifact is guarded by a sync.Once, signatures by a
-// mutex-guarded per-length cache), so one profile can feed an ensemble's
-// members, a worker-pool experiment grid, and concurrent discovery queries
-// at the same time. A TableProfile bundles the profiles of one table; a
+// concurrency-safe (each artifact is guarded by a sync.Once, the signature by
+// a mutex), so one profile can feed an ensemble's members, a worker-pool
+// experiment grid, and concurrent discovery queries at the same time. A TableProfile bundles the profiles of one table; a
 // Store (store.go) caches TableProfiles per corpus with explicit
 // invalidation, stale detection, and a parallel Warm pass.
 //
 // A profile either interns or it does not. Every profile hashes each
 // distinct value once (intern.Hash64) and derives every MinHash signature
 // from those base hashes, so signatures are bit-identical in both modes.
+// A MinHash slot does not depend on the signature's length, so a profile
+// keeps one signature, the longest asked for, and serves every shorter
+// length as a read-only prefix of it.
 // A profile built against a value dictionary (internal/intern — the Store
 // attaches its own automatically; NewPair attaches a private one to a
 // one-shot pair) also interns its values and caches its distinct sets as
@@ -32,7 +34,6 @@ package profile
 
 import (
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -84,7 +85,7 @@ type Profile struct {
 	stats     table.ColumnStats
 
 	sigMu sync.Mutex
-	sigs  map[int][]uint64
+	sig   []uint64 // the longest signature computed so far
 }
 
 // ParsedValue is one distinct column value in its derived forms: trimmed,
@@ -199,18 +200,29 @@ func (p *Profile) ParsedDistinct() []ParsedValue {
 	p.parsedOnce.Do(func() {
 		sorted := p.SortedDistinct()
 		out := make([]ParsedValue, 0, len(sorted))
-		seen := make(map[string]struct{}, len(sorted))
+		// Distinct raw values that trim to themselves cannot collide, so
+		// the duplicate map starts at the first value that trims, seeded
+		// with every value kept before it.
+		var seen map[string]struct{}
 		for _, raw := range sorted {
 			v := strings.TrimSpace(raw)
+			if seen == nil && len(v) != len(raw) {
+				seen = make(map[string]struct{}, len(sorted))
+				for _, pv := range out {
+					seen[pv.Value] = struct{}{}
+				}
+			}
 			if v == "" {
 				continue
 			}
-			if _, dup := seen[v]; dup {
-				continue
+			if seen != nil {
+				if _, dup := seen[v]; dup {
+					continue
+				}
+				seen[v] = struct{}{}
 			}
-			seen[v] = struct{}{}
 			pv := ParsedValue{Value: v, Lower: strings.ToLower(v)}
-			if f, err := strconv.ParseFloat(v, 64); err == nil {
+			if f, err := table.ParseNumber(v); err == nil {
 				pv.Num, pv.IsNum = f, true
 			}
 			out = append(out, pv)
@@ -301,11 +313,15 @@ func (p *Profile) hash() {
 	})
 }
 
-// Signature returns the cached k-slot MinHash signature of the column's
-// distinct values, computing and memoizing it per requested length. It
-// mixes the memoized base hashes — one hash per distinct value, whatever
-// the number of signature lengths — so it is bit-identical whether or not
-// a dictionary is attached.
+// Signature returns the k-slot MinHash signature of the column's distinct
+// values. Slot s is the minimum over the values of mix(base hash, s),
+// whatever k is, so a shorter signature is a prefix of a longer one: the
+// profile keeps the longest signature computed so far, returns its first k
+// slots for any k up to its length, and computes a new one only for a
+// longer k. The result is read-only and may share memory with other
+// results; its capacity is k, so an append to it copies. It mixes the
+// memoized base hashes — one hash per distinct value — so it is
+// bit-identical whether or not a dictionary is attached.
 func (p *Profile) Signature(k int) []uint64 {
 	if k <= 0 {
 		k = DefaultSignature
@@ -313,20 +329,16 @@ func (p *Profile) Signature(k int) []uint64 {
 	p.hash() // outside the lock: sync.Once-guarded
 	p.sigMu.Lock()
 	defer p.sigMu.Unlock()
-	if sig, ok := p.sigs[k]; ok {
-		return sig
+	if k > len(p.sig) {
+		p.sig = SignatureFromHashes(p.baseHashes, k)
 	}
-	sig := SignatureFromHashes(p.baseHashes, k)
-	if p.sigs == nil {
-		p.sigs = make(map[int][]uint64, 2)
-	}
-	p.sigs[k] = sig
-	return sig
+	return p.sig[:k:k]
 }
 
 // warm forces every artifact of the profile, including both suite
-// signature lengths — except the prepared names, which only the
-// name-similarity matchers read and the discovery index never does.
+// signature lengths (the longer first, so the shorter is its prefix) —
+// except the prepared names, which only the name-similarity matchers read
+// and the discovery index never does.
 func (p *Profile) warm() {
 	p.SortedDistinct()
 	p.NameTokens()

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -91,11 +92,74 @@ func TestSignatureCachePerLength(t *testing.T) {
 	if &a[0] != &b[0] {
 		t.Error("same-length signatures should share one cached slice")
 	}
-	if len(p.Signature(128)) != 128 {
-		t.Error("second length should compute independently")
+	full := p.Signature(128)
+	if len(full) != 128 {
+		t.Error("a longer length should compute a longer signature")
+	}
+	if c := p.Signature(64); &c[0] != &full[0] {
+		t.Error("a shorter length should be a prefix of the longest signature")
 	}
 	if len(p.Signature(0)) != DefaultSignature {
 		t.Error("k<=0 should select the default length")
+	}
+}
+
+// TestSignaturePrefixMatchesFull requests every order of five lengths from
+// fresh profiles, with and without a dictionary: each result must equal
+// SignatureFromHashes at its length with capacity k, and an append to one
+// result must never reach a later one.
+func TestSignaturePrefixMatchesFull(t *testing.T) {
+	tab := fixtureTable()
+	tab.AddColumn("empty", []string{"", "", "", "", ""})
+	wide := make([]string, 300)
+	for i := range wide {
+		wide[i] = fmt.Sprintf("v%d", i%257)
+	}
+	wideTab := table.New("wide")
+	wideTab.AddColumn("v", wide)
+	tables := []*table.Table{tab, wideTab}
+	want := map[*table.Column]map[int][]uint64{}
+	for _, tb := range tables {
+		for i := range tb.Columns {
+			c := &tb.Columns[i]
+			var hashes []uint64
+			for v := range c.DistinctValues() {
+				hashes = append(hashes, intern.Hash64(v))
+			}
+			want[c] = map[int][]uint64{}
+			for _, k := range []int{1, 16, 64, 128, 200} {
+				want[c][k] = SignatureFromHashes(hashes, k)
+			}
+		}
+	}
+	var orders [][]int
+	var permute func(prefix, rest []int)
+	permute = func(prefix, rest []int) {
+		if len(rest) == 0 {
+			orders = append(orders, prefix)
+			return
+		}
+		for i := range rest {
+			next := append(append([]int(nil), rest[:i]...), rest[i+1:]...)
+			permute(append(append([]int(nil), prefix...), rest[i]), next)
+		}
+	}
+	permute(nil, []int{1, 16, 64, 128, 200})
+	for _, dict := range []*intern.Dict{nil, intern.NewDict()} {
+		for _, order := range orders {
+			for _, tb := range tables {
+				for _, p := range NewInterned(tb, dict).Columns() {
+					for _, k := range order {
+						sig := p.Signature(k)
+						if cap(sig) != k || !reflect.DeepEqual(sig, want[p.Column()][k]) {
+							t.Fatalf("dict=%v order %v column %s.%s: Signature(%d) (cap %d) differs from SignatureFromHashes",
+								dict != nil, order, tb.Name, p.Name(), k, cap(sig))
+						}
+						_ = append(sig, 0xdeadbeef)
+					}
+				}
+			}
+		}
 	}
 }
 

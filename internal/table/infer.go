@@ -1,9 +1,45 @@
 package table
 
 import (
+	"errors"
 	"strconv"
 	"strings"
 )
+
+// ErrNotNumber is ParseNumber's error for a string whose first byte after an
+// optional sign cannot start any number strconv.ParseFloat accepts.
+var ErrNotNumber = errors.New("table: not a number")
+
+// ParseNumber is strconv.ParseFloat(s, 64) with a fast rejection: a string
+// whose first byte after an optional sign is not a digit, '.', 'i'/'I' (inf,
+// infinity) or 'n'/'N' (nan) returns ErrNotNumber without calling strconv,
+// which would allocate a *NumError for it. Every other string goes to
+// strconv.ParseFloat unchanged, so the two accept the same strings with the
+// same values.
+func ParseNumber(s string) (float64, error) {
+	if !mayStartNumber(s, true) {
+		return 0, ErrNotNumber
+	}
+	return strconv.ParseFloat(s, 64)
+}
+
+// mayStartNumber reports whether the first byte of s after an optional sign
+// can start a number: a digit, or with float also '.', 'i'/'I' and 'n'/'N'.
+func mayStartNumber(s string, float bool) bool {
+	if len(s) > 0 && (s[0] == '+' || s[0] == '-') {
+		s = s[1:]
+	}
+	if len(s) == 0 {
+		return false
+	}
+	switch c := s[0]; {
+	case c >= '0' && c <= '9':
+		return true
+	case c == '.', c == 'i', c == 'I', c == 'n', c == 'N':
+		return float
+	}
+	return false
+}
 
 // InferType infers the type of a column from its values. Empty cells are
 // ignored; a column of only empty cells is String. The inferred type is the
@@ -52,12 +88,15 @@ func InferType(values []string) Type {
 }
 
 func isInt(s string) bool {
+	if !mayStartNumber(s, false) {
+		return false
+	}
 	_, err := strconv.ParseInt(s, 10, 64)
 	return err == nil
 }
 
 func isFloat(s string) bool {
-	_, err := strconv.ParseFloat(s, 64)
+	_, err := ParseNumber(s)
 	return err == nil
 }
 
@@ -103,7 +142,7 @@ func (c *Column) NumericValues() ([]float64, int) {
 		if v == "" {
 			continue
 		}
-		f, err := strconv.ParseFloat(v, 64)
+		f, err := ParseNumber(v)
 		if err != nil {
 			continue
 		}
