@@ -105,17 +105,15 @@ func BenchmarkSearchUnderIngest(b *testing.B) {
 	b.ReportMetric(float64(ingested)/float64(b.N), "upserts/search")
 }
 
-// lakeCatalog builds bench/lake.go's corpus at families × 8 tables — family f
-// is a datagen source put through the four fabrication recipes, so a query
-// collides with its family and, on the low-cardinality columns, with much of
-// the rest — merges it into one segment, snapshots it and loads the snapshot
-// back: the single mapped image search-heavy serves from.
-func lakeCatalog(tb testing.TB, families int) (*Index, []*table.Table) {
+// lakeTables generates bench/lake.go's corpus at families × 8 tables:
+// family f is a datagen source put through the four fabrication recipes, so
+// a query collides with its family and, on the low-cardinality columns, with
+// much of the rest.
+func lakeTables(tb testing.TB, families int) []*table.Table {
 	tb.Helper()
 	const seed, rows = 7, 120
 	kinds, variants, sources := fabrication.RecipeKinds(), fabrication.AllVariants(), datagen.SourceNames()
 	var tables []*table.Table
-	ix := New(Options{})
 	for f := 0; f < families; f++ {
 		src, err := datagen.Source(sources[f%len(sources)], datagen.Options{Rows: rows, Seed: seed*1000 + int64(f)})
 		if err != nil {
@@ -131,10 +129,22 @@ func lakeCatalog(tb testing.TB, families int) (*Index, []*table.Table) {
 			for _, t := range []*table.Table{pair.Source, pair.Target} {
 				t.Name = fmt.Sprintf("c%05d_%s", len(tables), t.Name)
 				tables = append(tables, t)
-				if err := ix.Add(t); err != nil {
-					tb.Fatal(err)
-				}
 			}
+		}
+	}
+	return tables
+}
+
+// lakeCatalog indexes lakeTables, merges them into one segment, snapshots
+// it and loads the snapshot back: the single mapped image search-heavy
+// serves from.
+func lakeCatalog(tb testing.TB, families int) (*Index, []*table.Table) {
+	tb.Helper()
+	tables := lakeTables(tb, families)
+	ix := New(Options{})
+	for _, t := range tables {
+		if err := ix.Add(t); err != nil {
+			tb.Fatal(err)
 		}
 	}
 	ix.WaitCompaction()
@@ -154,26 +164,37 @@ func lakeCatalog(tb testing.TB, families int) (*Index, []*table.Table) {
 	return loaded, tables
 }
 
-// BenchmarkSearchLake is the search alone — query already profiled, no
-// server, no writer — over a lake in one mapped image, at two sizes: 400
-// tables, and search-heavy's 2,000. Queries are a rotation of the lake's own
-// tables (13 to 28 columns wide, every recipe and role), join:union 3:1, top
-// 10, as search-heavy asks. It reports the pairs a search bounds
-// (candidates/op) and the pairs it refines with full signatures
-// (scored/op).
+// BenchmarkSearchLake is the search alone — no server, no writer — over a
+// lake in one mapped image, at two sizes: 400 tables, and search-heavy's
+// 2,000. Queries are a rotation of the lake's own tables (13 to 28 columns
+// wide, every recipe and role), join:union 3:1, top 10, as search-heavy
+// asks. The plain arms search with queries profiled and signed beforehand;
+// the cold arm hands every search a fresh profile.New, as /v1/search does,
+// so that the query's MinHash signatures are computed inside the search. It
+// reports the pairs a search bounds (candidates/op) and the pairs it refines
+// with full signatures (scored/op).
 func BenchmarkSearchLake(b *testing.B) {
-	for _, tables := range []int{400, 2000} {
-		b.Run(fmt.Sprintf("tables=%d", tables), func(b *testing.B) { benchSearchLake(b, tables/8) })
+	for _, arm := range []struct {
+		tables int
+		cold   bool
+	}{{400, false}, {2000, false}, {2000, true}} {
+		name := fmt.Sprintf("tables=%d", arm.tables)
+		if arm.cold {
+			name += ",cold"
+		}
+		b.Run(name, func(b *testing.B) { benchSearchLake(b, arm.tables/8, arm.cold) })
 	}
 }
 
-func benchSearchLake(b *testing.B, families int) {
+func benchSearchLake(b *testing.B, families int, cold bool) {
 	ix, tables := lakeCatalog(b, families)
-	queries := make([]*profile.TableProfile, 48)
+	queries := make([]*table.Table, 48)
+	profiled := make([]*profile.TableProfile, len(queries))
 	for i := range queries {
-		queries[i] = ix.queryProfile(tables[i*37%len(tables)])
+		queries[i] = tables[i*37%len(tables)]
+		profiled[i] = ix.queryProfile(queries[i])
 		for _, mode := range []Mode{ModeJoin, ModeUnion} { // fill the signature caches
-			if _, err := ix.SearchProfiledContext(context.Background(), queries[i], mode, 10); err != nil {
+			if _, err := ix.SearchProfiledContext(context.Background(), profiled[i], mode, 10); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -186,7 +207,11 @@ func benchSearchLake(b *testing.B, families int) {
 		if i%4 == 3 {
 			mode = ModeUnion
 		}
-		if _, err := ix.SearchProfiledContext(ctx, queries[i%len(queries)], mode, 10); err != nil {
+		qp := profiled[i%len(queries)]
+		if cold {
+			qp = ix.queryProfile(queries[i%len(queries)])
+		}
+		if _, err := ix.SearchProfiledContext(ctx, qp, mode, 10); err != nil {
 			b.Fatal(err)
 		}
 	}

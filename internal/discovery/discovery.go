@@ -708,32 +708,41 @@ func (ix *Index) searchImpl(ctx context.Context, qp *profile.TableProfile, mode 
 	}
 	stats := engine.StatsFrom(ctx)
 	// Query-side work needs no catalog state: signatures and tokens come
-	// from the query profile's caches and depend only on q.
+	// from the query profile's caches and depend only on q. Each pass-1 unit
+	// derives its own column's — signature, fingerprint row, token set —
+	// before it probes, so that a cold query's MinHash mixing runs on the
+	// pool beside the probing rather than ahead of it. A unit the context
+	// leaves unrun leaves its column's entries unset, and such a column has
+	// no candidate through which pass 2 could read them.
 	nq := qp.NumColumns()
 	qSigs := make([][]uint64, nq)
 	var qTokens []map[string]struct{} // per query column, its name tokens as a set
-	var qFps []byte                   // per query column, its signature's fingerprint row
-	stats.Timed(engine.StageGenerate, func() {
-		for i := range qSigs {
-			qSigs[i] = qp.Column(i).Signature(ix.k)
-		}
+	if ix.opts.TokenBoost != 0 {
+		qTokens = make([]map[string]struct{}, nq)
+	}
+	var qFps []byte // per query column, its signature's fingerprint row
+	if !brute {
+		qFps = make([]byte, nq*ix.k)
+	}
+	generate := func(qi int) []uint64 {
+		t0 := time.Now()
+		p := qp.Column(qi)
+		sig := p.Signature(ix.k)
+		qSigs[qi] = sig
 		if !brute {
-			qFps = make([]byte, nq*ix.k)
-			for i, sig := range qSigs {
-				fingerprint(qFps[i*ix.k:][:ix.k], sig)
-			}
+			fingerprint(qFps[qi*ix.k:][:ix.k], sig)
 		}
-		if ix.opts.TokenBoost != 0 {
-			qTokens = make([]map[string]struct{}, nq)
-			for i := range qTokens {
-				toks := qp.Column(i).NameTokens()
-				qTokens[i] = make(map[string]struct{}, len(toks))
-				for _, t := range toks {
-					qTokens[i][t] = struct{}{}
-				}
+		if qTokens != nil {
+			toks := p.NameTokens()
+			set := make(map[string]struct{}, len(toks))
+			for _, t := range toks {
+				set[t] = struct{}{}
 			}
+			qTokens[qi] = set
 		}
-	})
+		stats.Observe(engine.StageGenerate, time.Since(t0))
+		return sig
+	}
 
 	// The hot path's only synchronization: one atomic load pins this
 	// search's epoch. Everything below reads frozen state, so concurrent
@@ -807,7 +816,7 @@ func (ix *Index) searchImpl(ctx context.Context, qp *profile.TableProfile, mode 
 	}
 	start := time.Now()
 	err := engine.Map(ctx, workers, nq, func(qi int) error {
-		sig := qSigs[qi]
+		sig := generate(qi)
 		if profile.IsEmptySignature(sig) {
 			return nil // can only hit empty columns, all at score 0
 		}

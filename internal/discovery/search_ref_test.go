@@ -553,6 +553,97 @@ func searchMatchesRef(t *testing.T, boost float64) {
 	}
 }
 
+// TestSearchColdQueryMatchesRef: a query no one has signed before — a fresh
+// profile.New per search, as /v1/search hands over — has its signatures,
+// fingerprint rows and token sets derived inside pass 1's units, and must
+// answer exactly as searchRef and as the same search over a profile signed
+// beforehand: results, pinned epoch and engine counters, at parallelism 1, 2
+// and 4, join and union, TokenBoost 0 and 0.25, over a lake of sealed
+// segments, a memtable and tombstones. Best-effort contexts that expire
+// before pass 1 and midway through it leave later columns unsigned; pass 2
+// must read nothing of theirs. The units still time their signing under
+// StageGenerate, so a cold query reports Generate > 0.
+func TestSearchColdQueryMatchesRef(t *testing.T) {
+	tables := lakeTables(t, 3)
+	for _, boost := range []float64{0, 0.25} {
+		ix := New(Options{SealAfter: 7, TokenBoost: boost})
+		holdBackgroundCompaction(ix)
+		for _, tab := range tables {
+			if err := ix.Add(tab); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, tab := range []*table.Table{tables[2], tables[17]} {
+			if err := ix.Remove(tab.Name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := ix.Stats(); st.SealedSegments < 2 || st.Tombstones == 0 || st.MemTables == 0 {
+			t.Fatalf("fixture: %+v, want sealed segments, a memtable and tombstones", st)
+		}
+		anonymous := *tables[5]
+		anonymous.Name = ""
+		// Named like a live table (skipped), like a tombstoned one, and none.
+		for _, q := range []*table.Table{tables[1], tables[9], tables[2], &anonymous} {
+			signed := ix.queryProfile(q)
+			for i := 0; i < signed.NumColumns(); i++ {
+				signed.Column(i).Signature(ix.k)
+				signed.Column(i).NameTokens()
+			}
+			type arm struct {
+				name  string
+				ctx   func() context.Context
+				k     int
+				brute bool
+			}
+			arms := []arm{
+				{"expired before pass 1", func() context.Context { return expiringAfter(0) }, 10, false},
+				{"expiring midway", func() context.Context { return expiringAfter(int64(q.NumColumns() / 2)) }, 10, false},
+				{"expiring midway, brute force", func() context.Context { return expiringAfter(int64(q.NumColumns() / 2)) }, 0, true},
+			}
+			for _, workers := range []int{1, 2, 4} {
+				live := func() context.Context {
+					return engine.WithOptions(context.Background(), engine.Options{Parallelism: workers})
+				}
+				arms = append(arms,
+					arm{fmt.Sprintf("parallelism %d", workers), live, 10, false},
+					arm{fmt.Sprintf("parallelism %d, all", workers), live, 0, false},
+					arm{fmt.Sprintf("parallelism %d, brute force", workers), live, 10, true})
+			}
+			for _, a := range arms {
+				for _, mode := range []Mode{ModeJoin, ModeUnion} {
+					at := fmt.Sprintf("TokenBoost %v, query %q, %s, %s", boost, q.Name, a.name, mode)
+					run := func(search func(context.Context, *profile.TableProfile, Mode, int, bool, bool) ([]Result, uint64, error), qp *profile.TableProfile) ([]Result, uint64, error, searchCounters, time.Duration) {
+						ctx, stats := engine.WithStats(a.ctx())
+						res, epoch, err := search(ctx, qp, mode, a.k, a.brute, true)
+						sn := stats.Snapshot()
+						return res, epoch, err, searchCounters{sn.Candidates, sn.Bounded, sn.Scored, sn.Pruned}, sn.Generate
+					}
+					want, wantEpoch, wantErr, wantN, _ := run(ix.searchRef, ix.queryProfile(q))
+					for _, side := range []struct {
+						name string
+						qp   *profile.TableProfile
+					}{{"cold", ix.queryProfile(q)}, {"signed", signed}} {
+						got, gotEpoch, gotErr, gotN, generate := run(ix.searchImpl, side.qp)
+						switch {
+						case gotEpoch != wantEpoch:
+							t.Fatalf("%s, %s profile: pinned epoch %d, oracle %d", at, side.name, gotEpoch, wantEpoch)
+						case !errors.Is(gotErr, wantErr):
+							t.Fatalf("%s, %s profile: err %v, oracle %v", at, side.name, gotErr, wantErr)
+						case !reflect.DeepEqual(got, want):
+							t.Fatalf("%s, %s profile: results diverge:\n got %+v\nwant %+v", at, side.name, got, want)
+						case gotN != wantN:
+							t.Fatalf("%s, %s profile: engine counters %+v, oracle %+v", at, side.name, gotN, wantN)
+						case side.name == "cold" && a.name != "expired before pass 1" && generate <= 0:
+							t.Fatalf("%s: a cold query reported no Generate time", at)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // tieLake is the shape that makes pass 2's stop rule lean on names: 600
 // tables share a two-value column with the query, so a join's k-th score is
 // that column's — 1, plus the TokenBoost its equal name earns — for any k up

@@ -541,15 +541,6 @@ func (tj TableJSON) toQueryTable() (*table.Table, error) {
 	return t, nil
 }
 
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return errBadRequest("decoding request body: %v", err)
-	}
-	return nil
-}
-
 // --- search ---
 
 // SearchRequest asks for the top-k tables related to the query table.
@@ -591,7 +582,7 @@ func (s *Server) handleSearch(ctx context.Context, w http.ResponseWriter, r *htt
 		return err
 	}
 	var req SearchRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeWith(r, &req, (*bodyDecoder).searchRequest); err != nil {
 		return err
 	}
 	budget, err := budgetOf(req.BudgetMS)
@@ -707,7 +698,7 @@ func (s *Server) handleUpsert(ctx context.Context, w http.ResponseWriter, r *htt
 	}
 	name := r.PathValue("name")
 	var req UpsertRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeWith(r, &req, (*bodyDecoder).upsertRequest); err != nil {
 		return err
 	}
 	t, err := TableJSON{Name: req.Name, Columns: req.Columns}.toTable(name)
@@ -813,7 +804,7 @@ func (s *Server) handleMatch(ctx context.Context, w http.ResponseWriter, r *http
 		return err
 	}
 	var req MatchRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeJSON(r.Body, &req); err != nil {
 		return err
 	}
 	budget, err := budgetOf(req.BudgetMS)
