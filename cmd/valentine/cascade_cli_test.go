@@ -38,10 +38,9 @@ func writeCorpusDir(t *testing.T) (dir, queryPath string) {
 }
 
 // TestCmdDiscoverMatchesRerankFull: the user-visible contract — with no
-// budget in play, discover's printed ranking (prescreen, cascade and all)
-// is planner.RerankFull's full-fidelity ranking of the corpus truncated to
-// -top. -top <= 0 prints every candidate, led by the same top three; the
-// tables the union prescreen drops follow at score 0.
+// budget in play, discover -mode union prints exactly planner.RerankFull's
+// ranking of every CSV in the directory truncated to -top: the same lines,
+// in the same order, and no others. -top <= 0 prints every table, scored.
 func TestCmdDiscoverMatchesRerankFull(t *testing.T) {
 	dir, query := writeCorpusDir(t)
 	q, err := valentine.ReadCSVFile(query)
@@ -61,18 +60,18 @@ func TestCmdDiscoverMatchesRerankFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const head = 3
-	full, err := planner.RerankFull(context.Background(), m, store.Of(q), cands, "union", head)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full.Ranked) != head {
-		t.Fatalf("RerankFull ranks %d candidates, want %d", len(full.Ranked), head)
-	}
-	for _, top := range []int{head, 0, -1} {
-		out := captureStdout(t, func() error {
-			return cmdDiscover([]string{"-query", query, "-dir", dir, "-mode", "union", "-method", "coma-instance", "-top", strconv.Itoa(top)})
-		})
+	for _, top := range []int{3, 0, -1} {
+		full, err := planner.RerankFull(context.Background(), m, store.Of(q), cands, "union", top)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantLen := top
+		if top <= 0 {
+			wantLen = len(tables)
+		}
+		if len(full.Ranked) != wantLen {
+			t.Fatalf("-top %d: RerankFull ranks %d candidates, want %d", top, len(full.Ranked), wantLen)
+		}
 		var want strings.Builder
 		for i, r := range full.Ranked {
 			fmt.Fprintf(&want, "%2d. %-30s %.3f", i+1, r.Name, r.Score)
@@ -81,26 +80,20 @@ func TestCmdDiscoverMatchesRerankFull(t *testing.T) {
 			}
 			want.WriteByte('\n')
 		}
-		if !strings.Contains(out, want.String()) {
-			t.Fatalf("-top %d: discover diverges from RerankFull\n--- discover ---\n%s--- RerankFull top-%d ---\n%s", top, out, head, want.String())
-		}
-		printed := 0
-		for _, line := range strings.Split(out, "\n") {
+		out := captureStdout(t, func() error {
+			return cmdDiscover([]string{"-query", query, "-dir", dir, "-mode", "union", "-method", "coma-instance", "-top", strconv.Itoa(top)})
+		})
+		var got strings.Builder
+		for _, line := range strings.SplitAfter(out, "\n") {
 			if rankLine.MatchString(line) {
-				printed++
+				got.WriteString(line)
 			}
 		}
-		wantPrinted := top
-		if top <= 0 {
-			wantPrinted = len(tables) // every candidate
-			for _, name := range files {
-				if !strings.Contains(out, " "+name+" ") {
-					t.Fatalf("-top %d: candidate %s not printed:\n%s", top, name, out)
-				}
-			}
+		if got.String() != want.String() {
+			t.Fatalf("-top %d: discover diverges from RerankFull over every table\n--- discover ---\n%s--- RerankFull ---\n%s", top, out, want.String())
 		}
-		if printed != wantPrinted {
-			t.Fatalf("-top %d: printed %d candidates, want %d:\n%s", top, printed, wantPrinted, out)
+		if !strings.Contains(out, "0 pruned before matching") {
+			t.Fatalf("-top %d: union discover dropped tables before matching:\n%s", top, out)
 		}
 		if !strings.Contains(out, "related_a") {
 			t.Fatalf("-top %d: expected related_a in the top ranking:\n%s", top, out)

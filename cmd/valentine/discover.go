@@ -12,7 +12,6 @@ import (
 	"valentine/internal/core"
 	"valentine/internal/discovery"
 	"valentine/internal/engine"
-	"valentine/internal/intern"
 	"valentine/internal/planner"
 	"valentine/internal/table"
 )
@@ -29,12 +28,12 @@ import (
 // Join-mode discover is a two-phase pipeline: an in-memory column index
 // prunes the corpus to candidate tables (columns colliding with the query
 // in an LSH band), then only those candidates are re-scored with the
-// requested matcher. Union mode cannot prune by value sketch — a
-// schema-identical table with disjoint values (last year's export) would
-// never collide — so it prescreens on schema signals instead: a candidate
-// that cannot type-cover the query's columns and shares no name token
-// with them is skipped. Tables pruned by either phase are appended with
-// score 0, so the output still covers the whole corpus.
+// requested matcher; tables the index drops are appended with score 0, so
+// the output still covers the whole corpus. Union mode cannot prune by
+// value sketch — a schema-identical table with disjoint values (last
+// year's export) would never collide — so every table enters the
+// re-scoring phase, where the planner's admissible bounds are the only
+// pruning rule.
 func cmdDiscover(args []string) error {
 	fs := flag.NewFlagSet("discover", flag.ExitOnError)
 	query := fs.String("query", "", "query CSV (required)")
@@ -102,12 +101,12 @@ func cmdDiscover(args []string) error {
 	store.Warm(q)
 
 	// Phase 1 (join mode): index the corpus once and let the LSH shards
-	// nominate candidate tables. Union mode prescreens on schema signals.
+	// nominate candidate tables. Union mode nominates every table.
 	byName := make(map[string]*table.Table, len(tables))
 	for _, t := range tables {
 		byName[t.Name] = t
 	}
-	var nominate []string
+	nominated := tables
 	if dmode == valentine.DiscoverJoin {
 		ix := valentine.NewDiscoveryIndex(valentine.DiscoveryOptions{})
 		for _, t := range tables {
@@ -124,31 +123,22 @@ func cmdDiscover(args []string) error {
 			searchQ = q.Clone()
 			searchQ.Name = q.Name + "\x00query"
 		}
-		nominated, err := ix.SearchProfiledContext(ctx, store.Of(searchQ), dmode, 0)
+		results, err := ix.SearchProfiledContext(ctx, store.Of(searchQ), dmode, 0)
 		if err != nil {
 			return err
 		}
-		for _, r := range nominated {
-			nominate = append(nominate, r.Table)
+		nominated = make([]*table.Table, 0, len(results))
+		for _, r := range results {
+			if t := byName[r.Table]; t != nil {
+				nominated = append(nominated, t)
+			}
 		}
-	} else {
-		cands := make([]*valentine.TableProfile, 0, len(tables))
-		for _, t := range tables {
-			cands = append(cands, store.Of(t))
-		}
-		nominate = unionPrescreen(store.Of(q), cands)
 	}
 
 	// Phase 2: re-scoring of nominated candidates through the planner's
 	// cost-based cascade — cheap admissible bounds first, the full matcher
 	// only on candidates whose bound reaches the top-k cutoff, so pruned
 	// candidates skip full profiling entirely.
-	nominated := make([]*table.Table, 0, len(nominate))
-	for _, name := range nominate {
-		if t := byName[name]; t != nil {
-			nominated = append(nominated, t)
-		}
-	}
 	cands := make([]planner.Candidate, len(nominated))
 	for i, t := range nominated {
 		cands[i] = planner.Candidate{Name: files[t.Name], Profile: store.Of(t)}
@@ -176,7 +166,7 @@ func cmdDiscover(args []string) error {
 	for _, r := range rr.Ranked {
 		ranked = append(ranked, candidate{name: r.Name, score: r.Score, best: r.Best})
 	}
-	// Tables pruned before matching (phase 1) still appear, at score 0, so
+	// Tables the join index dropped (phase 1) still appear, at score 0, so
 	// the output covers the whole corpus; candidates the cascade pruned or
 	// a budget skipped are provably (resp. knowably) outside the top-k and
 	// are reported via the counters instead.
@@ -222,105 +212,4 @@ func cmdDiscover(args []string) error {
 			engine.OptionsFrom(ctx).Workers())
 	}
 	return nil
-}
-
-// unionPrescreen cheaply screens union-search candidates on signals cached
-// in their profiles, before any full matcher runs. A candidate survives
-// when it could plausibly union with the query:
-//
-//   - type coverage: every query column has at least one type-compatible
-//     candidate column (a union needs every query column covered, so a
-//     table that cannot cover even the types will score near zero), or
-//   - name evidence: any candidate column shares a name token with a query
-//     column — a name match is always worth the full matcher's judgment,
-//     whatever the types say, or
-//   - value evidence: any candidate column's MinHash signature estimates a
-//     positive Jaccard against a query column — shared values make any
-//     instance matcher score the pair regardless of names and types.
-//
-// The screen is a conservative heuristic, not a guarantee: it only drops
-// tables with none of the three signals, which full schema-coverage
-// scoring ranks at or near the bottom. A matcher can still assign such a
-// table a nonzero score (e.g. from fuzzy name similarity alone), so in
-// principle the bottom of a top-k could differ; on the test corpus the
-// top-k is unchanged (TestUnionPrescreenPreservesTopK pins this).
-//
-// Reach: because String is type-compatible with everything, any candidate
-// with a string column passes type coverage outright — the screen's teeth
-// are in all-numeric/sensor-style tables with unrelated names and values,
-// a common species in data lakes. Cost: type and token checks read cheap
-// cached profile fields; valueEvidence — consulted only when both cheap
-// signals fail — forces the candidate's distinct sets and MinHash
-// signatures, roughly the same one-off cost `valentine index` pays per
-// table, and still well below the full matcher run a pruned table skips.
-func unionPrescreen(qp *valentine.TableProfile, cands []*valentine.TableProfile) []string {
-	keep := make([]string, 0, len(cands))
-	for _, cp := range cands {
-		if unionTypeCoverage(qp, cp) || nameTokenEvidence(qp, cp) || valueEvidence(qp, cp) {
-			keep = append(keep, cp.Name())
-		}
-	}
-	return keep
-}
-
-// unionTypeCoverage reports whether every query column has a
-// type-compatible candidate column.
-func unionTypeCoverage(qp, cp *valentine.TableProfile) bool {
-	for _, qc := range qp.Columns() {
-		covered := false
-		for _, cc := range cp.Columns() {
-			if qc.Type().Compatible(cc.Type()) {
-				covered = true
-				break
-			}
-		}
-		if !covered {
-			return false
-		}
-	}
-	return true
-}
-
-// valueEvidence reports whether any (query, candidate) column pair has a
-// positive estimated Jaccard similarity, from the profiles' cached MinHash
-// signatures. Profiles sharing the store's value dictionary first run the
-// integer-set exact-overlap kernel as a prescreen: a pair with zero true
-// overlap cannot estimate positive (two disjoint sets would need a 64-bit
-// hash collision to agree on a signature slot), so the — strictly more
-// expensive — signature computation is skipped for it entirely.
-func valueEvidence(qp, cp *valentine.TableProfile) bool {
-	for _, qc := range qp.Columns() {
-		qset := qc.InternedDistinct()
-		qsig := qc.Signature(0)
-		for _, cc := range cp.Columns() {
-			if qset != nil && qc.Dict() == cc.Dict() {
-				if cset := cc.InternedDistinct(); cset != nil && intern.IntersectCount(qset, cset) == 0 {
-					continue
-				}
-			}
-			if valentine.EstimateJaccard(qsig, cc.Signature(0)) > 0 {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// nameTokenEvidence reports whether any candidate column shares a name
-// token with any query column (token sets come from the profile cache).
-func nameTokenEvidence(qp, cp *valentine.TableProfile) bool {
-	for _, qc := range qp.Columns() {
-		qset := qc.NameTokenSet()
-		if len(qset) == 0 {
-			continue
-		}
-		for _, cc := range cp.Columns() {
-			for tok := range cc.NameTokenSet() {
-				if _, ok := qset[tok]; ok {
-					return true
-				}
-			}
-		}
-	}
-	return false
 }

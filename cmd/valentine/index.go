@@ -26,28 +26,15 @@ func cmdIndex(args []string) error {
 	dir := fs.String("dir", ".", "directory of CSVs to index")
 	out := fs.String("out", "valentine.idx", "output index (a snapshot directory)")
 	appendF := fs.Bool("append", false, "upsert into the existing -out index instead of rebuilding")
-	signature := fs.Int("signature", 0, "MinHash signature length (default 128)")
-	bands := fs.Int("bands", 0, "LSH bands (default 32)")
-	tokenBoost := fs.Float64("token-boost", 0, "blend column-name token overlap into scores")
+	catalog := addCatalogFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	var ix *valentine.DiscoveryIndex
 	action := "indexed"
 	if *appendF {
-		// The loaded index's geometry/scoring always wins on append;
-		// silently discarding explicit flags would let the user believe a
-		// new configuration took effect.
-		var conflicting []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "signature", "bands", "token-boost":
-				conflicting = append(conflicting, "-"+f.Name)
-			}
-		})
-		if len(conflicting) > 0 {
-			return fmt.Errorf("index: %s cannot be combined with -append (the existing index keeps its options)",
-				strings.Join(conflicting, ", "))
+		if err := catalog.rejectOnLoad("-append"); err != nil {
+			return err
 		}
 		var err error
 		ix, err = valentine.LoadDiscoverySnapshot(*out)
@@ -57,11 +44,7 @@ func cmdIndex(args []string) error {
 		defer ix.Close()
 		action = "appended"
 	} else {
-		ix = valentine.NewDiscoveryIndex(valentine.DiscoveryOptions{
-			Signature:  *signature,
-			Bands:      *bands,
-			TokenBoost: *tokenBoost,
-		})
+		ix = valentine.NewDiscoveryIndex(catalog.opts)
 	}
 	tables, _, err := readCSVDir(*dir, "")
 	if err != nil {
@@ -87,6 +70,43 @@ func cmdIndex(args []string) error {
 	fmt.Printf("%s %d tables (%d columns) from %s → %s (%d bytes)\n",
 		action, ix.NumTables(), ix.NumColumns(), *dir, *out, size)
 	return nil
+}
+
+// catalogFlags are the options `index` and `serve` build a fresh catalog
+// with. A loaded catalog keeps the options it was saved with, so naming one
+// of these flags over it would be silently discarded; rejectOnLoad makes it
+// an error instead.
+type catalogFlags struct {
+	fs   *flag.FlagSet
+	opts valentine.DiscoveryOptions
+}
+
+// addCatalogFlags registers -signature, -bands and -token-boost on fs.
+// serve registers -seal-after into opts itself.
+func addCatalogFlags(fs *flag.FlagSet) *catalogFlags {
+	c := &catalogFlags{fs: fs}
+	fs.IntVar(&c.opts.Signature, "signature", 0, "MinHash signature length for a fresh catalog (default 128)")
+	fs.IntVar(&c.opts.Bands, "bands", 0, "LSH bands for a fresh catalog (default 32)")
+	fs.Float64Var(&c.opts.TokenBoost, "token-boost", 0, "blend column-name token overlap into scores (fresh catalog)")
+	return c
+}
+
+// rejectOnLoad fails, naming them, when catalog flags (-seal-after
+// included, where registered) were given on the command line and the
+// catalog is loaded from source instead.
+func (c *catalogFlags) rejectOnLoad(source string) error {
+	var set []string
+	c.fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "signature", "bands", "token-boost", "seal-after":
+			set = append(set, "-"+f.Name)
+		}
+	})
+	if len(set) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%s: %s cannot be combined with %s (the loaded catalog keeps its options)",
+		c.fs.Name(), strings.Join(set, ", "), source)
 }
 
 // indexBytes sizes a persisted index: the sum of the snapshot directory's
@@ -148,7 +168,7 @@ func cmdSearch(args []string) error {
 	started := time.Now()
 	qctx, qcancel := core.BudgetContext(ctx, *budget)
 	defer qcancel()
-	results, _, bestEffort, err := ix.SearchBestEffortContext(qctx, q, m, *top, false)
+	results, _, bestEffort, err := ix.SearchBestEffortContext(qctx, q, m, *top)
 	if err != nil && !core.IsBudgetExpiry(ctx, err) {
 		return err
 	}

@@ -18,7 +18,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
@@ -45,10 +44,8 @@ func cmdServe(args []string) error {
 	snapshotEvery := fs.Duration("snapshot-every", 30*time.Second, "interval between periodic snapshots")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request deadline")
 	parallelism := fs.Int("parallelism", 0, "engine worker-pool size per request (default GOMAXPROCS)")
-	signature := fs.Int("signature", 0, "MinHash signature length for a fresh catalog (default 128)")
-	bands := fs.Int("bands", 0, "LSH bands for a fresh catalog (default 32)")
-	tokenBoost := fs.Float64("token-boost", 0, "blend column-name token overlap into scores (fresh catalog)")
-	sealAfter := fs.Int("seal-after", 0, "tables per memtable segment before sealing (default 16)")
+	catalog := addCatalogFlags(fs)
+	fs.IntVar(&catalog.opts.SealAfter, "seal-after", 0, "tables per memtable segment before sealing (default 16)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this extra address (e.g. localhost:6060; default off)")
 	walPath := fs.String("wal", "", "write-ahead log file: ingest is logged before it is acknowledged and replayed on restart (optional)")
 	fsync := fs.String("fsync", "always", "WAL fsync policy: always (every ack durable), batch (background interval), none")
@@ -62,27 +59,12 @@ func cmdServe(args []string) error {
 
 	// Resolve the starting catalog: an explicit -index wins; otherwise an
 	// existing -snapshot directory is resumed; otherwise a fresh catalog.
-	// A loaded catalog keeps its persisted options, so explicit geometry/
-	// scoring flags would be silently discarded — reject them instead
-	// (mirroring `index -append`).
-	var catalogFlags []string
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "signature", "bands", "token-boost", "seal-after":
-			catalogFlags = append(catalogFlags, "-"+f.Name)
-		}
-	})
-	rejectCatalogFlags := func(source string) error {
-		if len(catalogFlags) == 0 {
-			return nil
-		}
-		return fmt.Errorf("serve: %s cannot be combined with %s (the loaded catalog keeps its options)",
-			strings.Join(catalogFlags, ", "), source)
-	}
+	// A loaded catalog keeps its persisted options, so catalog flags are
+	// rejected over it (as on `index -append`).
 	var ix *valentine.DiscoveryIndex
 	switch {
 	case *indexPath != "":
-		if err := rejectCatalogFlags("-index"); err != nil {
+		if err := catalog.rejectOnLoad("-index"); err != nil {
 			return err
 		}
 		ix, err = valentine.LoadDiscoverySnapshot(*indexPath)
@@ -92,7 +74,7 @@ func cmdServe(args []string) error {
 		fmt.Fprintf(os.Stderr, "serve: loaded %d tables (%d columns) from %s\n",
 			ix.NumTables(), ix.NumColumns(), *indexPath)
 	case *snapshotDir != "" && snapshotExists(*snapshotDir):
-		if err := rejectCatalogFlags("an existing -snapshot directory"); err != nil {
+		if err := catalog.rejectOnLoad("an existing -snapshot directory"); err != nil {
 			return err
 		}
 		ix, err = discovery.LoadSnapshot(*snapshotDir)
@@ -102,12 +84,7 @@ func cmdServe(args []string) error {
 		fmt.Fprintf(os.Stderr, "serve: resumed %d tables (%d columns) from snapshot %s\n",
 			ix.NumTables(), ix.NumColumns(), *snapshotDir)
 	default:
-		ix = valentine.NewDiscoveryIndex(valentine.DiscoveryOptions{
-			Signature:  *signature,
-			Bands:      *bands,
-			TokenBoost: *tokenBoost,
-			SealAfter:  *sealAfter,
-		})
+		ix = valentine.NewDiscoveryIndex(catalog.opts)
 	}
 	if *dir != "" {
 		tables, _, err := readCSVDir(*dir, "")

@@ -12,13 +12,14 @@ import (
 
 // TestSearchBestEffortMatchesSearchWithoutBudget: with a generous context
 // the best-effort entry point must be bit-identical to the plain search
-// (SearchContext, or SearchBruteForce when brute) — it is the same
-// pipeline, only the error contract differs — and report the pinned
-// snapshot's epoch.
+// (SearchContext; on the brute-force arm, which only searchImpl reaches
+// best-effort, SearchBruteForce) — it is the same pipeline, only the error
+// contract differs — and report the pinned snapshot's epoch.
 func TestSearchBestEffortMatchesSearchWithoutBudget(t *testing.T) {
 	ix, q := contextTestIndex(t)
 	for _, brute := range []bool{false, true} {
-		var want []Result
+		var want, got []Result
+		var epoch uint64
 		var err error
 		if brute {
 			want, err = ix.SearchBruteForce(q, ModeUnion, 5)
@@ -28,9 +29,13 @@ func TestSearchBestEffortMatchesSearchWithoutBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, epoch, partial, err := ix.SearchBestEffortContext(context.Background(), q, ModeUnion, 5, brute)
-		if err != nil || partial {
-			t.Fatalf("brute=%v: err=%v partial=%v", brute, err, partial)
+		if brute {
+			got, epoch, err = ix.searchImpl(context.Background(), ix.queryProfile(q), ModeUnion, 5, true, true)
+		} else {
+			got, epoch, _, err = ix.SearchBestEffortContext(context.Background(), q, ModeUnion, 5)
+		}
+		if err != nil {
+			t.Fatalf("brute=%v: err=%v", brute, err)
 		}
 		if epoch != ix.Epoch() {
 			t.Fatalf("brute=%v: pinned epoch %d != current epoch %d on a quiescent index", brute, epoch, ix.Epoch())
@@ -51,7 +56,7 @@ func TestSearchBestEffortBudgetExpiry(t *testing.T) {
 	qctx, qcancel := core.BudgetContext(outer, time.Nanosecond)
 	defer qcancel()
 	time.Sleep(time.Millisecond) // deterministically spent
-	_, _, partial, err := ix.SearchBestEffortContext(qctx, q, ModeJoin, 5, false)
+	_, _, partial, err := ix.SearchBestEffortContext(qctx, q, ModeJoin, 5)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
@@ -64,7 +69,7 @@ func TestSearchBestEffortBudgetExpiry(t *testing.T) {
 	// A dead outer request is NOT a budget case.
 	canceled, cancel := context.WithCancel(outer)
 	cancel()
-	_, _, _, err = ix.SearchBestEffortContext(canceled, q, ModeJoin, 5, false)
+	_, _, _, err = ix.SearchBestEffortContext(canceled, q, ModeJoin, 5)
 	if core.IsBudgetExpiry(canceled, err) {
 		t.Fatal("cancellation must not classify as budget expiry")
 	}

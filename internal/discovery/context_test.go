@@ -58,15 +58,15 @@ func TestSearchContextDeadline(t *testing.T) {
 }
 
 // TestSearchBruteForceContextCanceled: the full-corpus sweep — the most
-// expensive search path — must honor cancellation too; served callers rely
-// on it (SearchBestEffortContext with brute set) for per-request deadlines.
-// The live-context equality with SearchBruteForce is
+// expensive search path — must honor cancellation too, on its best-effort
+// entry as well (searchImpl with brute and bestEffort set). The
+// live-context equality with SearchBruteForce is
 // TestSearchBestEffortMatchesSearchWithoutBudget's.
 func TestSearchBruteForceContextCanceled(t *testing.T) {
 	ix, q := contextTestIndex(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, _, err := ix.SearchBestEffortContext(ctx, q, ModeJoin, 5, true); !errors.Is(err, context.Canceled) {
+	if _, _, err := ix.searchImpl(ctx, ix.queryProfile(q), ModeJoin, 5, true, true); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -78,7 +78,7 @@ func TestSearchBruteForceContextCanceled(t *testing.T) {
 func TestSearchContextEpochPinsSnapshot(t *testing.T) {
 	ix, q := contextTestIndex(t)
 	before := ix.Epoch()
-	res, epoch, _, err := ix.SearchBestEffortContext(context.Background(), q, ModeJoin, 5, false)
+	res, epoch, _, err := ix.SearchBestEffortContext(context.Background(), q, ModeJoin, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

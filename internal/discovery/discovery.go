@@ -487,20 +487,19 @@ func (ix *Index) SearchBruteForce(q *table.Table, mode Mode, k int) ([]Result, e
 	return out, err
 }
 
-// SearchBestEffortContext is SearchContext (or SearchBruteForce when brute
-// is set) under a context that may carry a latency budget, returning also
-// the epoch of the snapshot the search pinned — under concurrent writers
-// the only value safe to correlate with Stats().Epoch or mutation
-// responses (sampling Epoch() around the call can race past an intervening
-// publish). When ctx expires mid-scoring, the query columns that finished
-// are merged into a correctly ranked — but possibly incomplete — result
-// instead of being discarded. partial reports that truncation happened;
-// the context error is returned alongside so the caller can tell a spent
-// per-query budget from a dead request (core.IsBudgetExpiry). With a live
-// context the output is exactly SearchContext's (SearchBruteForce's) and
-// partial is false.
-func (ix *Index) SearchBestEffortContext(ctx context.Context, q *table.Table, mode Mode, k int, brute bool) (results []Result, epoch uint64, partial bool, err error) {
-	results, epoch, err = ix.searchImpl(ctx, ix.queryProfile(q), mode, k, brute, true)
+// SearchBestEffortContext is SearchContext under a context that may carry a
+// latency budget, returning also the epoch of the snapshot the search
+// pinned — under concurrent writers the only value safe to correlate with
+// Stats().Epoch or mutation responses (sampling Epoch() around the call
+// can race past an intervening publish). When ctx expires mid-scoring, the
+// query columns that finished are merged into a correctly ranked — but
+// possibly incomplete — result instead of being discarded. partial reports
+// that truncation happened; the context error is returned alongside so the
+// caller can tell a spent per-query budget from a dead request
+// (core.IsBudgetExpiry). With a live context the output is exactly
+// SearchContext's and partial is false.
+func (ix *Index) SearchBestEffortContext(ctx context.Context, q *table.Table, mode Mode, k int) (results []Result, epoch uint64, partial bool, err error) {
+	results, epoch, err = ix.searchImpl(ctx, ix.queryProfile(q), mode, k, false, true)
 	return results, epoch, err != nil, err
 }
 

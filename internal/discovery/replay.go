@@ -2,9 +2,9 @@ package discovery
 
 // The replayable-mutation surface the write-ahead log rides on. A ReplayOp
 // is one catalog mutation in already-profiled form — the one form apply()
-// executes. The serving layer's batcher converts incoming ops once via
-// ReplayForm, logs the result, then applies the same value via
-// ApplyReplayOps — so what the WAL records is, byte for byte, what the
+// executes. The serving layer's handlers convert each incoming op once via
+// ReplayForm, and its batcher logs the result, then applies the same value
+// via ApplyReplayOps — so what the WAL records is, byte for byte, what the
 // catalog executed, and replaying the log after a crash re-executes it
 // exactly.
 //
@@ -37,7 +37,7 @@ import (
 // ReplayOp is the one internal form of a catalog mutation, from Apply down
 // to the memtable image: a remove (Remove non-empty) or a profiled upsert
 // (Name + Cols). Every write path converts its input to ReplayOps before
-// the writer lock (Apply and the server batcher via ReplayForm), and an
+// the writer lock (Apply and the server's handlers via ReplayForm), and an
 // upsert's table is encoded into segment images in this form.
 // AppendReplayOp and DecodeReplayOp are its byte form — the WAL's per-op
 // payload.

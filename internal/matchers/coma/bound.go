@@ -1,7 +1,6 @@
 package coma
 
 import (
-	"valentine/internal/intern"
 	"valentine/internal/profile"
 	"valentine/internal/table"
 )
@@ -138,36 +137,24 @@ func columnsWithTokens(tpf *profile.TableProfile) int {
 
 // overlapBound caps overlapMatcher: sampled sets are subsets of the
 // columns' distinct sets, so a positive sample Jaccard needs the distinct
-// sets to intersect — or two empty sets, which score 1. The distinct sets
-// intersect as interned ids; tables that do not intern into one dictionary
-// (which Match rejects anyway) bound at 1.
+// sets to intersect (profile.SharesValue, which answers "may share" for
+// tables that do not intern into one dictionary: such a pair is re-paired
+// onto one dictionary and scored, so it only loses pruning) — or two empty
+// sets, which score 1.
 func overlapBound(sp, tp *profile.TableProfile) float64 {
-	if d := sp.Dict(); d == nil || d != tp.Dict() {
+	if (hasEmptyColumn(sp) && hasEmptyColumn(tp)) || profile.SharesValue(sp, tp) {
 		return 1
-	}
-	srcZero, tgtZero := false, false
-	for _, c := range sp.Columns() {
-		if c.Distinct() == 0 {
-			srcZero = true
-			break
-		}
-	}
-	for _, c := range tp.Columns() {
-		if c.Distinct() == 0 {
-			tgtZero = true
-			break
-		}
-	}
-	if srcZero && tgtZero {
-		return 1
-	}
-	for _, sc := range sp.Columns() {
-		sset := sc.InternedDistinct()
-		for _, tc := range tp.Columns() {
-			if intern.IntersectCount(sset, tc.InternedDistinct()) > 0 {
-				return 1
-			}
-		}
 	}
 	return 0
+}
+
+// hasEmptyColumn reports whether some column of tpf has no distinct
+// non-empty value.
+func hasEmptyColumn(tpf *profile.TableProfile) bool {
+	for _, c := range tpf.Columns() {
+		if c.Distinct() == 0 {
+			return true
+		}
+	}
+	return false
 }

@@ -19,37 +19,14 @@ import (
 	"valentine/internal/profile"
 )
 
-// ScoreBoundProfiles implements core.ScoreBounder (see above).
+// ScoreBoundProfiles implements core.ScoreBounder (see above). Distinct
+// sets exclude empty cells, exactly like buildGraph. Tables on two
+// dictionaries, or none, keep the conservative bound: they are re-paired
+// onto one dictionary and scored (core.MatchProfilesWithContext), so they
+// lose only pruning, not correctness.
 func (m *Matcher) ScoreBoundProfiles(sp, tp *profile.TableProfile) float64 {
-	if m.Flatten {
+	if m.Flatten || profile.SharesValue(sp, tp) {
 		return 1
 	}
-	// Union the smaller side's distinct values, then probe with the other
-	// side's. Distinct sets exclude empty cells, exactly like buildGraph.
-	var small, large *profile.TableProfile = sp, tp
-	if totalDistinct(tp) < totalDistinct(sp) {
-		small, large = tp, sp
-	}
-	union := make(map[string]struct{}, totalDistinct(small))
-	for _, p := range small.Columns() {
-		for v := range p.DistinctValues() {
-			union[v] = struct{}{}
-		}
-	}
-	for _, p := range large.Columns() {
-		for v := range p.DistinctValues() {
-			if _, shared := union[v]; shared {
-				return 1
-			}
-		}
-	}
 	return 0.5
-}
-
-func totalDistinct(tp *profile.TableProfile) int {
-	n := 0
-	for _, p := range tp.Columns() {
-		n += p.Distinct()
-	}
-	return n
 }

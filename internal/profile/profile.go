@@ -450,3 +450,24 @@ func (tp *TableProfile) Warm() {
 		p.warm()
 	}
 }
+
+// SharesValue reports whether some column of a and some column of b may
+// hold a common distinct non-empty value. Tables on one dictionary answer
+// exactly, through their interned id sets (intern.IntersectCount); tables
+// on two dictionaries, or without one, cannot be compared by id and answer
+// true ("may share"). It is the one value-sharing test behind the
+// matchers' score bounds.
+func SharesValue(a, b *TableProfile) bool {
+	if d := a.Dict(); d == nil || d != b.Dict() {
+		return true
+	}
+	for _, ac := range a.cols {
+		aset := ac.InternedDistinct()
+		for _, bc := range b.cols {
+			if intern.IntersectCount(aset, bc.InternedDistinct()) > 0 {
+				return true
+			}
+		}
+	}
+	return false
+}

@@ -1,12 +1,13 @@
 package server
 
-// The ingest batcher: concurrent PUT/DELETE requests profile their tables in
-// their own goroutines, then queue catalog ops here. A single background
-// loop takes the first queued op, drains whatever else is already queued
-// (up to the batch cap) without waiting, and applies the lot as one
-// discovery.Apply call — one copy-on-write memtable rebuild and one epoch
-// publish per batch instead of per request — then fans the per-op results
-// back to the waiting handlers.
+// The ingest batcher: concurrent PUT/DELETE requests convert their ops to
+// replay form (discovery.Index.ReplayForm: the profiling, signatures
+// included) in their own goroutines, then queue them here. A single
+// background loop takes the first queued op, drains whatever else is
+// already queued (up to the batch cap) without waiting, and applies the lot
+// as one discovery.ApplyReplayOps call — one copy-on-write memtable rebuild
+// and one epoch publish per batch instead of per request — then fans the
+// per-op results back to the waiting handlers.
 //
 // This is natural group commit: there is no gathering window and no timer.
 // While one batch is being logged and applied, later arrivals queue; the
@@ -16,10 +17,10 @@ package server
 // fsync per round.
 //
 // Durability rides the same chokepoint: when a write-ahead log is attached,
-// the loop converts each batch to its replay form, appends one WAL record,
-// and only then applies the batch. The apply and the acknowledgement both
-// happen after the append, so under fsync policy "always" every op a client
-// saw a 200 for is on the platter before the 200 existed.
+// the loop appends each batch as one WAL record, and only then applies the
+// batch. The apply and the acknowledgement both happen after the append, so
+// under fsync policy "always" every op a client saw a 200 for is on the
+// platter before the 200 existed.
 //
 // Admission control is the queue itself: the channel is the bounded ingest
 // queue, and a submit that would block on a full queue is shed immediately
@@ -53,7 +54,7 @@ const (
 var errOverloaded = errors.New("server: ingest queue full")
 
 type ingestOp struct {
-	op   discovery.Op
+	op   discovery.ReplayOp
 	done chan error
 }
 
@@ -103,7 +104,7 @@ func newBatcher(ix *discovery.Index, log *wal.Log) *batcher {
 // control, not backpressure-by-goroutine-pileup. An op accepted into the
 // queue is applied even if the submitter stops waiting (the write survives a
 // client disconnect; only the response is lost).
-func (b *batcher) submit(ctx context.Context, op discovery.Op) error {
+func (b *batcher) submit(ctx context.Context, op discovery.ReplayOp) error {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
@@ -176,45 +177,31 @@ func (b *batcher) gather(batch []ingestOp) []ingestOp {
 	return batch
 }
 
-// apply converts one batch to replay form, logs it (when a WAL is attached),
-// applies it to the catalog, and fans the per-op errors back. Order is the
-// durability contract: WAL append strictly before catalog apply, apply
-// strictly before any done channel fires.
+// apply logs one batch (when a WAL is attached), applies it to the catalog,
+// and fans the per-op errors back. Order is the durability contract: WAL
+// append strictly before catalog apply, apply strictly before any done
+// channel fires.
 func (b *batcher) apply(batch []ingestOp) {
-	// Convert every op first; a conversion failure (e.g. a malformed op)
-	// fails that op alone and keeps it out of the logged record.
-	rops := make([]discovery.ReplayOp, 0, len(batch))
-	slot := make([]int, 0, len(batch))
-	errs := make([]error, len(batch))
+	rops := make([]discovery.ReplayOp, len(batch))
 	for i, q := range batch {
-		rop, err := b.ix.ReplayForm(q.op)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		rops = append(rops, rop)
-		slot = append(slot, i)
+		rops[i] = q.op
 	}
 	var seq uint64
-	if b.log != nil && len(rops) > 0 {
+	if b.log != nil {
 		var err error
 		seq, err = b.log.Append(rops, 0, nil)
 		if err != nil {
 			// Not logged ⇒ not applied, not acknowledged. The catalog and the
 			// log stay consistent; every submitter sees the failure.
-			for _, i := range slot {
-				errs[i] = fmt.Errorf("server: write-ahead log append failed: %w", err)
-			}
-			for i, q := range batch {
-				q.done <- errs[i]
+			err = fmt.Errorf("server: write-ahead log append failed: %w", err)
+			for _, q := range batch {
+				q.done <- err
 			}
 			return
 		}
 	}
-	for i, err := range b.ix.ApplyReplayOps(rops) {
-		errs[slot[i]] = err
-	}
-	if b.log != nil && seq > 0 {
+	errs := b.ix.ApplyReplayOps(rops)
+	if b.log != nil {
 		b.lastApplied.Store(seq)
 	}
 	b.batches.Add(1)

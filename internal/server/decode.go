@@ -124,8 +124,6 @@ func (d *bodyDecoder) searchRequest(req *SearchRequest) error {
 			err = d.str(&req.Mode)
 		case "K":
 			err = decodeInt(d, &req.K)
-		case "BRUTE_FORCE":
-			err = d.bool(&req.BruteForce)
 		case "BUDGET_MS":
 			err = decodeInt(d, &req.BudgetMS)
 		default:
@@ -287,20 +285,6 @@ func (d *bodyDecoder) str(s *string) error {
 	}
 	d.key = b
 	*s = string(b)
-	return nil
-}
-
-// bool decodes true, false or null (which leaves *b as it was) into *b.
-func (d *bodyDecoder) bool(b *bool) error {
-	d.skipSpace()
-	switch {
-	case d.literal("true"):
-		*b = true
-	case d.literal("false"):
-		*b = false
-	case !d.literal("null"):
-		return errDecode
-	}
 	return nil
 }
 

@@ -128,7 +128,7 @@ func TestDecodeRandomBodies(t *testing.T) {
 		}
 		req := SearchRequest{
 			Table: TableJSON{Name: text(), Columns: cols}, Mode: text(),
-			K: rng.Intn(41) - 20, BruteForce: rng.Intn(2) == 0, BudgetMS: rng.Int63() >> rng.Intn(64),
+			K: rng.Intn(41) - 20, BudgetMS: rng.Int63() >> rng.Intn(64),
 		}
 		body, err := json.Marshal(req)
 		if err != nil {

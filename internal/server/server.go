@@ -129,7 +129,6 @@ type Server struct {
 	registry *core.Registry
 	batcher  *batcher
 	start    time.Time
-	sigLen   int // the catalog's MinHash signature length
 
 	requests atomic.Int64
 	searches atomic.Int64
@@ -167,13 +166,10 @@ type Server struct {
 // loaded — serving writes over the wrong catalog is worse than not starting.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	opts := cfg.Index.Options()
-	sigLen, _, _ := profile.Geometry(opts.Signature, opts.Bands)
 	s := &Server{
 		cfg:      cfg,
 		registry: experiment.NewRegistry(),
 		start:    time.Now(),
-		sigLen:   sigLen,
 	}
 	var recovered []wal.Record
 	if cfg.WALPath != "" {
@@ -548,8 +544,6 @@ type SearchRequest struct {
 	Table TableJSON `json:"table"`
 	Mode  string    `json:"mode"` // "join" (default) | "union"
 	K     int       `json:"k"`    // <= 0: all
-	// BruteForce bypasses the LSH shards (debugging/regression tool).
-	BruteForce bool `json:"brute_force,omitempty"`
 	// BudgetMS is the per-query latency budget in milliseconds (0: none).
 	// It is a sub-deadline of the request timeout: when it expires
 	// mid-scoring the response carries whatever completed, flagged
@@ -612,7 +606,7 @@ func (s *Server) handleSearch(ctx context.Context, w http.ResponseWriter, r *htt
 	// cancellation) stays an error.
 	qctx, qcancel := core.BudgetContext(ctx, budget)
 	defer qcancel()
-	results, epoch, bestEffort, err := s.cfg.Index.SearchBestEffortContext(qctx, q, mode, req.K, req.BruteForce)
+	results, epoch, bestEffort, err := s.cfg.Index.SearchBestEffortContext(qctx, q, mode, req.K)
 	if err != nil && !core.IsBudgetExpiry(ctx, err) {
 		return err
 	}
@@ -705,23 +699,19 @@ func (s *Server) handleUpsert(ctx context.Context, w http.ResponseWriter, r *htt
 	if err != nil {
 		return err
 	}
-	// Profile in this request's goroutine — concurrent upserts profile in
-	// parallel; only the batched catalog apply is serialized. The profile
-	// is private to the request (HTTP tables are fresh pointers, so a
-	// shared store could never hit on them — it would only pin the table),
-	// and only the artifacts catalog ingestion reads are precomputed. No
-	// dictionary is attached: the catalog keeps no value ids, so the
-	// profile hashes each distinct value once and its MinHash slots mix
-	// those hashes, and nothing the batcher orders depends on the order in
-	// which concurrent handlers ran.
-	tp := profile.New(t)
-	for i := 0; i < tp.NumColumns(); i++ {
-		p := tp.Column(i)
-		p.Signature(s.sigLen)
-		p.NameTokens()
-		p.Distinct()
+	// Convert to replay form in this request's goroutine — concurrent
+	// upserts profile in parallel; only the batched catalog apply is
+	// serialized. The profile is private to the request (HTTP tables are
+	// fresh pointers, so a shared store could never hit on them — it would
+	// only pin the table). No dictionary is attached: the catalog keeps no
+	// value ids, so the profile hashes each distinct value once and its
+	// MinHash slots mix those hashes, and nothing the batcher orders
+	// depends on the order in which concurrent handlers ran.
+	op, err := s.cfg.Index.ReplayForm(discovery.Op{Upsert: profile.New(t)})
+	if err != nil {
+		return errBadRequest("invalid table: %v", err)
 	}
-	if err := s.batcher.submit(ctx, discovery.Op{Upsert: tp}); err != nil {
+	if err := s.batcher.submit(ctx, op); err != nil {
 		if errors.Is(err, errOverloaded) {
 			return errTooManyRequests("%v", err)
 		}
@@ -740,7 +730,7 @@ func (s *Server) handleRemove(ctx context.Context, w http.ResponseWriter, r *htt
 		return err
 	}
 	name := r.PathValue("name")
-	if err := s.batcher.submit(ctx, discovery.Op{Remove: name}); err != nil {
+	if err := s.batcher.submit(ctx, discovery.ReplayOp{Remove: name}); err != nil {
 		switch {
 		case errors.Is(err, errOverloaded):
 			return errTooManyRequests("%v", err)

@@ -275,9 +275,9 @@ func TestServerStatsCounters(t *testing.T) {
 
 // TestQueriesNeverGrowDictionary: a catalog profiles ingest and queries
 // without a dictionary, so an upsert through /v1/tables and searches for
-// values it has never ingested — through every library search and through
-// /v1/search, LSH and brute force — leave the dictionary Index.Dict returns
-// empty, and the query still finds the table it overlaps.
+// values it has never ingested — through every library search, LSH and
+// brute force, and through /v1/search — leave the dictionary Index.Dict
+// returns empty, and the query still finds the table it overlaps.
 func TestQueriesNeverGrowDictionary(t *testing.T) {
 	srv, ts := testServer(t, Config{})
 	if code := doJSON(t, http.MethodPut, ts.URL+"/v1/tables/a", upsertBody("a", 0, 30), nil); code != http.StatusOK {
@@ -319,23 +319,21 @@ func TestQueriesNeverGrowDictionary(t *testing.T) {
 		check("Search "+string(mode), res, err)
 		res, err = ix.SearchBruteForce(q, mode, 5)
 		check("SearchBruteForce "+string(mode), res, err)
-		for _, brute := range []bool{false, true} {
-			res, _, _, err = ix.SearchBestEffortContext(context.Background(), q, mode, 5, brute)
-			check(fmt.Sprintf("SearchBestEffortContext %s brute=%v", mode, brute), res, err)
+		res, _, _, err = ix.SearchBestEffortContext(context.Background(), q, mode, 5)
+		check("SearchBestEffortContext "+string(mode), res, err)
 
-			req := SearchRequest{Table: TableJSON{Name: "q", Columns: []ColumnJSON{
-				{Name: "fresh", Values: q.Columns[0].Values}, {Name: "cust", Values: q.Columns[1].Values},
-			}}, Mode: string(mode), K: 5, BruteForce: brute}
-			var resp SearchResponse
-			if code := doJSON(t, http.MethodPost, ts.URL+"/v1/search", req, &resp); code != http.StatusOK {
-				t.Fatalf("/v1/search %s brute=%v: status %d", mode, brute, code)
-			}
-			res = res[:0]
-			for _, r := range resp.Results {
-				res = append(res, discovery.Result{Table: r.Table})
-			}
-			check(fmt.Sprintf("/v1/search %s brute=%v", mode, brute), res, nil)
+		req := SearchRequest{Table: TableJSON{Name: "q", Columns: []ColumnJSON{
+			{Name: "fresh", Values: q.Columns[0].Values}, {Name: "cust", Values: q.Columns[1].Values},
+		}}, Mode: string(mode), K: 5}
+		var resp SearchResponse
+		if code := doJSON(t, http.MethodPost, ts.URL+"/v1/search", req, &resp); code != http.StatusOK {
+			t.Fatalf("/v1/search %s: status %d", mode, code)
 		}
+		res = res[:0]
+		for _, r := range resp.Results {
+			res = append(res, discovery.Result{Table: r.Table})
+		}
+		check("/v1/search "+string(mode), res, nil)
 	}
 }
 
@@ -559,8 +557,12 @@ func TestBatcherCloseConcurrentSubmit(t *testing.T) {
 			go func(i int) {
 				defer wg.Done()
 				tab := fmt.Sprintf("t%d_%d", round, i)
-				outcomes[i] = b.submit(context.Background(),
-					discovery.Op{Upsert: profile.New(newTestTable(tab))})
+				op, err := ix.ReplayForm(discovery.Op{Upsert: profile.New(newTestTable(tab))})
+				if err != nil {
+					outcomes[i] = err
+					return
+				}
+				outcomes[i] = b.submit(context.Background(), op)
 			}(i)
 		}
 		b.close() // races with the submits above
