@@ -457,7 +457,7 @@ type Result struct {
 // Search is lock-free: it reads the epoch snapshot current at its start and
 // never observes, nor waits for, concurrent writers.
 func (ix *Index) Search(q *table.Table, mode Mode, k int) ([]Result, error) {
-	out, _, err := ix.search(context.Background(), ix.queryProfile(q), mode, k, false)
+	out, _, err := ix.searchImpl(context.Background(), ix.queryProfile(q), mode, k, false, false)
 	return out, err
 }
 
@@ -467,7 +467,7 @@ func (ix *Index) Search(q *table.Table, mode Mode, k int) ([]Result, error) {
 // abandons the partial search and returns ctx.Err() promptly. Results are
 // bit-identical to Search's at any parallelism.
 func (ix *Index) SearchContext(ctx context.Context, q *table.Table, mode Mode, k int) ([]Result, error) {
-	out, _, err := ix.search(ctx, ix.queryProfile(q), mode, k, false)
+	out, _, err := ix.searchImpl(ctx, ix.queryProfile(q), mode, k, false, false)
 	return out, err
 }
 
@@ -475,7 +475,7 @@ func (ix *Index) SearchContext(ctx context.Context, q *table.Table, mode Mode, k
 // repeated queries with the same profile never recompute signatures or
 // name tokens.
 func (ix *Index) SearchProfiledContext(ctx context.Context, qp *profile.TableProfile, mode Mode, k int) ([]Result, error) {
-	out, _, err := ix.search(ctx, qp, mode, k, false)
+	out, _, err := ix.searchImpl(ctx, qp, mode, k, false, false)
 	return out, err
 }
 
@@ -483,7 +483,7 @@ func (ix *Index) SearchProfiledContext(ctx context.Context, qp *profile.TablePro
 // bypassing the LSH shards. It is the reference implementation Search is
 // tested against, and the honest baseline for benchmarks.
 func (ix *Index) SearchBruteForce(q *table.Table, mode Mode, k int) ([]Result, error) {
-	out, _, err := ix.search(context.Background(), ix.queryProfile(q), mode, k, true)
+	out, _, err := ix.searchImpl(context.Background(), ix.queryProfile(q), mode, k, true, false)
 	return out, err
 }
 
@@ -508,12 +508,6 @@ func (ix *Index) SearchBestEffortContext(ctx context.Context, q *table.Table, mo
 // hash, so signatures match bit for bit.
 func (ix *Index) queryProfile(q *table.Table) *profile.TableProfile {
 	return profile.New(q)
-}
-
-// search is the one scoring path behind every Search variant. It returns
-// the ranked results plus the epoch of the snapshot it pinned.
-func (ix *Index) search(ctx context.Context, qp *profile.TableProfile, mode Mode, k int, brute bool) ([]Result, uint64, error) {
-	return ix.searchImpl(ctx, qp, mode, k, brute, false)
 }
 
 // bitset is a fixed-size set of small non-negative integers.
@@ -681,10 +675,11 @@ func (t *topK) sorted() []ranked {
 	return t.ents
 }
 
-// searchImpl additionally supports best-effort mode: a context error
-// mid-scoring folds whatever query columns completed (unfinished ones
-// contribute nothing) and returns the partial ranking alongside the error,
-// instead of dropping it.
+// searchImpl is the one scoring path behind every Search variant. It returns
+// the ranked results plus the epoch of the snapshot it pinned. In
+// best-effort mode a context error mid-scoring folds whatever query columns
+// completed (unfinished ones contribute nothing) and returns the partial
+// ranking alongside the error, instead of dropping it.
 //
 // Nothing here touches a string or a Go map per candidate. A table of the
 // pinned snapshot is a slot — base[segment] + its ordinal in that segment —

@@ -12,7 +12,6 @@ import (
 	"math/bits"
 	"math/rand"
 	"path/filepath"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -505,29 +504,6 @@ func TestMergeAllDeadPublishesNothing(t *testing.T) {
 // mappings. An image merged out of mappings borrows nothing from them: it
 // still serves after Close has unmapped every input.
 func TestCompactPublishesImage(t *testing.T) {
-	q := snapshotQuery()
-	type answers struct {
-		search, brute map[Mode][]Result
-		profiles      map[string][]ColumnProfile
-		tables        []string
-	}
-	ask := func(ix *Index) answers {
-		t.Helper()
-		a := answers{search: map[Mode][]Result{}, brute: map[Mode][]Result{}, profiles: map[string][]ColumnProfile{}, tables: ix.Tables()}
-		for _, mode := range []Mode{ModeJoin, ModeUnion} {
-			var err error
-			if a.search[mode], err = ix.Search(q, mode, 0); err != nil {
-				t.Fatal(err)
-			}
-			if a.brute[mode], err = ix.SearchBruteForce(q, mode, 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, name := range a.tables {
-			a.profiles[name] = ix.Profiles(name)
-		}
-		return a
-	}
 	live := liveCatalog(t) // three fresh seals, one tombstone, a non-empty memtable
 	dir := filepath.Join(t.TempDir(), "snap")
 	if err := live.SaveSnapshot(dir); err != nil {
@@ -537,8 +513,9 @@ func TestCompactPublishesImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	qs := []*table.Table{snapshotQuery()}
 	for how, ix := range map[string]*Index{"fresh seals": live, "loaded segments": loaded} {
-		before := ask(ix)
+		before := observe(t, how, ix, ix.Tables(), qs)
 		ix.Compact()
 		sn := ix.snap.Load()
 		if len(sn.sealed) != 1 {
@@ -558,15 +535,11 @@ func TestCompactPublishesImage(t *testing.T) {
 		if st.Tombstones != 0 || st.TombstonedColumns != 0 {
 			t.Errorf("%s: tombstones survived the compaction: %+v", how, st)
 		}
-		if after := ask(ix); !reflect.DeepEqual(after, before) {
-			t.Errorf("%s: compaction changed the catalog's answers:\nbefore %+v\n after %+v", how, before, after)
-		}
+		sameAnswers(t, how+": after the compaction", observe(t, how, ix, ix.Tables(), qs), before)
 	}
-	want := ask(live)
+	want := observe(t, "fresh seals", live, live.Tables(), qs)
 	if err := loaded.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := ask(loaded); !reflect.DeepEqual(got, want) {
-		t.Errorf("after Close unmapped the merge's inputs, the merged image answers differently:\n got %+v\nwant %+v", got, want)
-	}
+	sameAnswers(t, "after Close unmapped the merge's inputs", observe(t, "loaded segments", loaded, loaded.Tables(), qs), want)
 }

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"reflect"
 	"slices"
 	"sort"
@@ -403,154 +402,6 @@ func compareSearch(t *testing.T, ix *Index, at string, mkctx func() context.Cont
 		t.Fatalf("%s: engine counters %+v, oracle %+v", at, gotN, wantN)
 	}
 	return gotN
-}
-
-// TestSearchMatchesRef holds searchImpl to the body it replaced over
-// TestRandomizedLiveConformance's op stream: every segment a snapshot can
-// hold (memtable, fresh seals, a compaction's image, images mapped from a
-// snapshot directory) under live tombstones, queries that skip
-// nothing, a live table and a tombstoned one, all-empty columns on both
-// sides, and a best-effort search whose context expires before and midway
-// through scoring. Results, pinned epoch and the engine's counters must be
-// equal — not close.
-func TestSearchMatchesRef(t *testing.T) {
-	for _, boost := range []float64{0, 0.25} {
-		t.Run(fmt.Sprintf("TokenBoost=%v", boost), func(t *testing.T) { searchMatchesRef(t, boost) })
-	}
-}
-
-func searchMatchesRef(t *testing.T, boost float64) {
-	rng := rand.New(rand.NewSource(17))
-	// Names share tokens across columns and repeat one within a column
-	// ("id_id"), so the TokenBoost arm sees every overlap from none to full.
-	colNames := []string{"customer_id", "customerName", "order_id", "city", "id_id", "zip code"}
-	makeTable := func(name string) *table.Table {
-		tab := table.New(name)
-		nrows := 80 + rng.Intn(120) // columns must be row-aligned
-		blank := rng.Intn(6)        // 0: every column empty; 1: all but the first
-		for i, c := range rng.Perm(len(colNames))[:1+rng.Intn(3)] {
-			values := make([]string, nrows)
-			if blank > 1 || blank == 1 && i == 0 {
-				lo := rng.Intn(300)
-				values = vals("u", lo, lo+nrows)
-			}
-			tab.AddColumn(colNames[c], values)
-		}
-		return tab
-	}
-	names := make([]string, 30)
-	for i := range names {
-		names[i] = fmt.Sprintf("t%02d", i)
-	}
-	ix := New(Options{SealAfter: 3, TokenBoost: boost}) // frequent seals → many segments
-	holdBackgroundCompaction(ix)                        // the stream's own Compact calls are the only ones
-
-	compare := func(at string, mkctx func() context.Context, qp *profile.TableProfile, mode Mode, k int, brute, bestEffort bool) {
-		t.Helper()
-		compareSearch(t, ix, at, mkctx, qp, mode, k, brute, bestEffort)
-	}
-
-	// What the checked snapshots held beside a tombstone, over the whole run.
-	var sawFreshSeal, sawCompacted, sawMappedImage, sawPartial bool
-	compacted := map[uint64]bool{} // ids of the images Compact published
-	compact := func() {
-		ix.Compact()
-		if sn := ix.snap.Load(); len(sn.sealed) > 0 {
-			compacted[sn.sealed[0].id] = true
-		}
-	}
-	check := func(step int) {
-		t.Helper()
-		at := fmt.Sprintf("step %d", step)
-		sn := ix.snap.Load()
-		queries := []*table.Table{makeTable("")}
-		for _, name := range ix.Tables() {
-			queries = append(queries, makeTable(name)) // named like a live table
-			break
-		}
-		for key := range sn.tombs {
-			queries = append(queries, makeTable(key.table)) // named like a tombstoned occurrence
-			break
-		}
-		if len(sn.tombs) > 0 {
-			for _, seg := range sn.sealed {
-				switch {
-				case seg.unmap != nil:
-					sawMappedImage = true
-				case compacted[seg.id]:
-					sawCompacted = true
-				default:
-					sawFreshSeal = true
-				}
-			}
-		}
-		for _, q := range queries {
-			qp := ix.queryProfile(q)
-			for _, mode := range []Mode{ModeJoin, ModeUnion} {
-				for _, brute := range []bool{false, true} {
-					for _, k := range []int{0, 1, 5, 1000} {
-						compare(at, context.Background, qp, mode, k, brute, false)
-					}
-					compare(at+" (expired)", func() context.Context {
-						ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-						t.Cleanup(cancel)
-						return ctx
-					}, qp, mode, 5, brute, true)
-					if n := int64(qp.NumColumns()); n > 1 {
-						compare(at+" (expiring)", func() context.Context { return expiringAfter(n - 1) }, qp, mode, 0, brute, true)
-						sawPartial = true
-					}
-				}
-			}
-		}
-	}
-
-	steps := 150
-	if testing.Short() {
-		steps = 60
-	}
-	for step := 0; step < steps; step++ {
-		name := names[rng.Intn(len(names))]
-		switch op := rng.Intn(10); {
-		case op < 4:
-			if err := ix.Upsert(makeTable(name)); err != nil {
-				t.Fatalf("step %d upsert %s: %v", step, name, err)
-			}
-		case op < 7:
-			ix.Add(makeTable(name)) // fails iff live: TestRandomizedLiveConformance checks that
-		default:
-			ix.Remove(name) // fails iff not live
-		}
-		switch step {
-		case steps / 3:
-			compact() // every seal so far becomes one image
-			check(step)
-		case 2 * steps / 3:
-			dir := filepath.Join(t.TempDir(), "snap")
-			if err := ix.SaveSnapshot(dir); err != nil {
-				t.Fatal(err)
-			}
-			loaded, err := LoadSnapshot(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer loaded.Close()
-			ix = loaded // the stream carries on over mapped images
-			holdBackgroundCompaction(ix)
-			check(step)
-		}
-		if step%8 == 7 {
-			check(step)
-		}
-	}
-	check(steps)
-	ix.compacting.Store(false)
-	compact()
-	check(steps + 1)
-	if !sawFreshSeal || !sawCompacted || !sawPartial || mmapAvailable && !sawMappedImage {
-		t.Errorf("stream never checked a snapshot with tombstones beside a fresh seal (%v), a compacted image (%v), a mapped image (%v), or a search cut short (%v)",
-			sawFreshSeal, sawCompacted, sawMappedImage, sawPartial)
-	}
 }
 
 // TestSearchColdQueryMatchesRef: a query no one has signed before — a fresh

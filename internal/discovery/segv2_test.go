@@ -22,109 +22,6 @@ import (
 	"valentine/internal/table"
 )
 
-// TestSegV2RandomizedConformance is the format's acceptance criterion:
-// after an arbitrary interleaving of Add/Upsert/Remove/Compact, a catalog
-// snapshotted and loaded both ways — mapped and heap-read — answers every
-// search bit-identically to the live in-memory original, full Result
-// structs included. Runs under -race in CI's serving leg.
-func TestSegV2RandomizedConformance(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	makeTable := func(name string) *table.Table {
-		tab := table.New(name)
-		ncols := 1 + rng.Intn(3)
-		nrows := 60 + rng.Intn(90)
-		for c := 0; c < ncols; c++ {
-			lo := rng.Intn(250)
-			tab.AddColumn(fmt.Sprintf("col%d", c), vals("u", lo, lo+nrows))
-		}
-		return tab
-	}
-	ix := New(Options{SealAfter: 3})
-	names := make([]string, 24)
-	for i := range names {
-		names[i] = fmt.Sprintf("t%02d", i)
-	}
-	live := make(map[string]bool)
-
-	check := func(step int) {
-		t.Helper()
-		ix.WaitCompaction() // freeze the layout the snapshot records
-		dir := filepath.Join(t.TempDir(), fmt.Sprintf("s%d", step))
-		if err := ix.SaveSnapshot(dir); err != nil {
-			t.Fatal(err)
-		}
-		mapped, err := loadSnapshot(dir, nil, false)
-		if err != nil {
-			t.Fatalf("step %d: load mapped: %v", step, err)
-		}
-		defer mapped.Close()
-		heap, err := loadSnapshot(dir, nil, true)
-		if err != nil {
-			t.Fatalf("step %d: load heap-read: %v", step, err)
-		}
-		loads := map[string]*Index{"mapped": mapped, "heap-read": heap}
-		for qi := 0; qi < 3; qi++ {
-			q := makeTable("query")
-			for _, mode := range []Mode{ModeJoin, ModeUnion} {
-				want, err := ix.Search(q, mode, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantBrute, err := ix.SearchBruteForce(q, mode, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for how, loaded := range loads {
-					got, err := loaded.Search(q, mode, 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("step %d %s %s search diverged:\n got %+v\nwant %+v", step, how, mode, got, want)
-					}
-					gotBrute, err := loaded.SearchBruteForce(q, mode, 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(gotBrute, wantBrute) {
-						t.Fatalf("step %d %s %s brute search diverged:\n got %+v\nwant %+v", step, how, mode, gotBrute, wantBrute)
-					}
-				}
-			}
-		}
-		if !reflect.DeepEqual(mapped.Tables(), ix.Tables()) {
-			t.Fatalf("step %d: mapped tables = %v, want %v", step, mapped.Tables(), ix.Tables())
-		}
-	}
-
-	steps := 120
-	if testing.Short() {
-		steps = 50
-	}
-	for step := 0; step < steps; step++ {
-		name := names[rng.Intn(len(names))]
-		switch op := rng.Intn(10); {
-		case op < 5: // upsert
-			if err := ix.Upsert(makeTable(name)); err != nil {
-				t.Fatalf("step %d upsert %s: %v", step, name, err)
-			}
-			live[name] = true
-		case op < 8: // remove (may fail if not live)
-			if err := ix.Remove(name); err == nil {
-				delete(live, name)
-			} else if live[name] {
-				t.Fatalf("step %d remove %s: %v", step, name, err)
-			}
-		default:
-			ix.Compact()
-		}
-		if step%30 == 29 {
-			check(step)
-		}
-	}
-	check(steps)
-}
-
 // buildV2Snapshot builds a small multi-segment catalog and snapshots it,
 // returning the index and the directory.
 func buildV2Snapshot(t *testing.T) (*Index, string) {
@@ -263,10 +160,8 @@ func leU64(b []byte) uint64 {
 // bit-identical.
 func TestSegV2CrashTailIgnored(t *testing.T) {
 	ix, dir := buildV2Snapshot(t)
-	want, err := ix.Search(snapshotQuery(), ModeJoin, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	qs := []*table.Table{snapshotQuery()}
+	want := observe(t, "saved", ix, ix.Tables(), qs)
 	segPath := firstSegFile(t, dir)
 	f, err := os.OpenFile(segPath, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -283,13 +178,8 @@ func TestSegV2CrashTailIgnored(t *testing.T) {
 		if err != nil {
 			t.Fatalf("noMap=%v: crash tail rejected: %v", noMap, err)
 		}
-		got, err := loaded.Search(snapshotQuery(), ModeJoin, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("noMap=%v: search diverged over tailed segment:\n got %+v\nwant %+v", noMap, got, want)
-		}
+		at := fmt.Sprintf("noMap=%v, over the tailed segment", noMap)
+		sameAnswers(t, at, observe(t, at, loaded, ix.Tables(), qs), want)
 		loaded.Close()
 	}
 }
@@ -330,36 +220,6 @@ func TestSegV2RandomCorruptionNeverPanics(t *testing.T) {
 			t.Fatalf("iter %d: search errored (should score or skip): %v", i, err)
 		}
 		ix.Close()
-	}
-}
-
-// TestMappedProfilesMatchHeapLoad: every column's profile read straight off
-// a mapped snapshot equals the profile of the same snapshot read onto the
-// heap and the profile the saving catalog serves.
-func TestMappedProfilesMatchHeapLoad(t *testing.T) {
-	ix, dir := buildV2Snapshot(t)
-	loaded, err := loadSnapshot(dir, nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer loaded.Close()
-	heap, err := loadSnapshot(dir, nil, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer heap.Close()
-	if mmapAvailable && loaded.Stats().MappedSegmentBytes == 0 {
-		t.Fatal("the mapped load maps no segment")
-	}
-	names := ix.Tables()
-	if len(names) < 2 {
-		t.Fatalf("catalog holds %d tables, want several", len(names))
-	}
-	for _, name := range names {
-		want := ix.Profiles(name)
-		if m, h := loaded.Profiles(name), heap.Profiles(name); len(want) == 0 || !reflect.DeepEqual(m, want) || !reflect.DeepEqual(h, want) {
-			t.Fatalf("%s: mapped profiles %+v, heap profiles %+v, want %+v", name, m, h, want)
-		}
 	}
 }
 

@@ -117,9 +117,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Errorf("heap-read load reports heap %d, mapped %d, resident %d bytes; want the mapped load's %d + %d as heap and nothing mapped",
 			hs.HeapSegmentBytes, hs.MappedSegmentBytes, hs.MappedResidentBytes, st.HeapSegmentBytes, st.MappedSegmentBytes)
 	}
-	if !reflect.DeepEqual(loaded.Tables(), ix.Tables()) {
-		t.Errorf("tables = %v, want %v", loaded.Tables(), ix.Tables())
-	}
 	// The memtable is non-empty (t6 never sealed) and travels as a columnar
 	// mem.seg: its profiles — and every sealed table's — come back exactly.
 	if magic, err := os.ReadFile(filepath.Join(dir, memName)); err != nil || !strings.HasPrefix(string(magic), segV2Magic) {
@@ -128,25 +125,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if st := ix.Stats(); st.MemTables == 0 {
 		t.Fatalf("fixture has an empty memtable: %+v", st)
 	}
-	for _, name := range ix.Tables() {
-		if got, want := loaded.Profiles(name), ix.Profiles(name); !reflect.DeepEqual(got, want) {
-			t.Errorf("profiles of %s diverged after round trip:\n got %+v\nwant %+v", name, got, want)
-		}
-	}
-	q := snapshotQuery()
-	for _, mode := range []Mode{ModeJoin, ModeUnion} {
-		want, err := ix.Search(q, mode, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := loaded.Search(q, mode, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s search diverged after round trip:\n got %+v\nwant %+v", mode, got, want)
-		}
-	}
+	qs := []*table.Table{snapshotQuery()}
+	sameAnswers(t, "after the round trip", observe(t, "loaded", loaded, ix.Tables(), qs), observe(t, "saved", ix, ix.Tables(), qs))
+
 	// The loaded catalog stays live: tombstoned names can return, new
 	// writes land, removal still works.
 	if err := loaded.Add(table.New("t1").AddColumn("k", vals("u", 0, 40))); err != nil {
@@ -226,9 +207,7 @@ func TestSnapshotIsIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(loaded.Tables(), ix.Tables()) {
-		t.Errorf("tables after pruned snapshot = %v, want %v", loaded.Tables(), ix.Tables())
-	}
+	sameAnswers(t, "the pruned snapshot", observe(t, "loaded", loaded, ix.Tables(), nil), observe(t, "saved", ix, ix.Tables(), nil))
 }
 
 // failReadDirFS fails every directory listing with err.
@@ -572,32 +551,10 @@ func TestSnapshotBytesPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer loaded.Close()
-	q := table.New("q").AddColumn("customer_id", vals("u", 20, 90)).AddColumn("city", vals("c1_", 0, 70))
-	for _, mode := range []Mode{ModeJoin, ModeUnion} {
-		want, err := ix.Search(q, mode, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := loaded.Search(q, mode, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(want) == 0 || !reflect.DeepEqual(got, want) {
-			t.Errorf("%s search over the pinned snapshot:\n got %+v\nwant %+v", mode, got, want)
-		}
-	}
 	old := upgradeFixture(t, filepath.Join("testdata", "snapshot-pr45"), pinnedQueries())
-	for _, q := range pinnedQueries() {
-		for _, mode := range []Mode{ModeJoin, ModeUnion} {
-			want, err := ix.Search(q, mode, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, err := old.Search(q, mode, 0); err != nil || !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s search over the pre-upgrade snapshot: %+v, %v; the rebuilt catalog answers %+v", mode, got, err, want)
-			}
-		}
-	}
+	answers := observe(t, "rebuilt", ix, ix.Tables(), pinnedQueries()) // every one non-empty, as old's are
+	sameAnswers(t, "the pinned snapshot", observe(t, "pinned", loaded, ix.Tables(), pinnedQueries()), answers)
+	sameAnswers(t, "the pre-upgrade snapshot", observe(t, "pre-upgrade", old, ix.Tables(), pinnedQueries()), answers)
 }
 
 // pinnedQueries are the tables the pinnedCatalog fixtures are searched with:
@@ -639,9 +596,9 @@ func segSections(t *testing.T, dir string, sec int) map[string][]byte {
 // upgradeFixture takes a copy of a snapshot directory an older release
 // wrote — a dict.log beside it, value ids in every segment's section 10 —
 // through the upgrade path: the copy loads without reading either, with an
-// empty dictionary, and answers every query in both modes as searchRef
-// does over it; the first save into the copy deletes dict.log and reloads
-// to the same answers. It returns the loaded copy, closed at cleanup.
+// empty dictionary, answers every query in both modes as searchRef does
+// over it, and finds a table for each; the first save into the copy
+// deletes dict.log and reloads to the same answers. It returns the loaded copy, closed at cleanup.
 func upgradeFixture(t *testing.T, fixture string, queries []*table.Table) *Index {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "snap")
@@ -656,25 +613,6 @@ func upgradeFixture(t *testing.T, fixture string, queries []*table.Table) *Index
 			t.Fatalf("fixture %s: %s holds no value ids", fixture, name)
 		}
 	}
-	answers := func(ix *Index, ref bool) (out [][]Result) {
-		t.Helper()
-		for _, q := range queries {
-			for _, mode := range []Mode{ModeJoin, ModeUnion} {
-				var res []Result
-				var err error
-				if ref {
-					res, _, err = ix.searchRef(context.Background(), profile.New(q), mode, 0, false, false)
-				} else {
-					res, err = ix.Search(q, mode, 0)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				out = append(out, res)
-			}
-		}
-		return out
-	}
 	ix, err := LoadSnapshot(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -683,16 +621,17 @@ func upgradeFixture(t *testing.T, fixture string, queries []*table.Table) *Index
 	if st := ix.Stats(); st.DictEntries != 0 || st.DictBytes != 0 {
 		t.Fatalf("fixture %s loaded a dictionary of %d entries", fixture, st.DictEntries)
 	}
-	want := answers(ix, true)
-	if got := answers(ix, false); !reflect.DeepEqual(got, want) {
-		t.Fatalf("fixture %s: search %+v, searchRef %+v", fixture, got, want)
+	for _, q := range queries {
+		for _, mode := range []Mode{ModeJoin, ModeUnion} {
+			compareSearch(t, ix, "fixture "+fixture, context.Background, ix.queryProfile(q), mode, 0, false, false)
+		}
 	}
-	answered := 0
-	for _, res := range want {
-		answered += len(res)
-	}
-	if answered == 0 {
-		t.Fatalf("fixture %s: no query found a table", fixture)
+	names := ix.Tables()
+	want := observe(t, fixture, ix, names, queries)
+	for key, res := range want { // and every query finds a table
+		if strings.HasSuffix(key, " Search") && len(res.([]Result)) == 0 {
+			t.Fatalf("fixture %s: %s answered nothing", fixture, key)
+		}
 	}
 	if err := ix.SaveSnapshot(dir); err != nil {
 		t.Fatal(err)
@@ -705,9 +644,7 @@ func upgradeFixture(t *testing.T, fixture string, queries []*table.Table) *Index
 		t.Fatal(err)
 	}
 	defer again.Close()
-	if got := answers(again, false); !reflect.DeepEqual(got, want) {
-		t.Fatalf("fixture %s after its first save: search %+v, want %+v", fixture, got, want)
-	}
+	sameAnswers(t, "fixture "+fixture+" after its first save", observe(t, fixture, again, names, queries), want)
 	return ix
 }
 
@@ -791,21 +728,6 @@ func TestLoadElevenSectionSnapshot(t *testing.T) {
 	}
 
 	upgradeFixture(t, legacyDir, pinnedQueries())
-	for _, q := range pinnedQueries() {
-		for _, mode := range []Mode{ModeJoin, ModeUnion} {
-			for _, k := range []int{0, 1, 3} {
-				want, err := current.Search(q, mode, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := legacy.Search(q, mode, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(want) == 0 || !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s k=%d search over the 11-section snapshot:\n got %+v\nwant %+v", mode, k, got, want)
-				}
-			}
-		}
-	}
+	names := current.Tables() // upgradeFixture has held the fixture to answer every query
+	sameAnswers(t, "the 11-section snapshot", observe(t, "11 sections", legacy, names, pinnedQueries(), 0, 1, 3), observe(t, "12 sections", current, names, pinnedQueries(), 0, 1, 3))
 }

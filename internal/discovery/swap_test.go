@@ -8,7 +8,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -17,7 +16,6 @@ import (
 	"time"
 
 	"valentine/internal/faultfs"
-	"valentine/internal/profile"
 	"valentine/internal/table"
 )
 
@@ -161,131 +159,11 @@ func TestSearchPinnedAcrossCompactions(t *testing.T) {
 	}
 }
 
-// TestSnapshotSwapMatchesHeap drives one random op stream through a catalog
-// that saves every few batches — its sealed images become mappings, one
-// save lands during a compaction's merge — and through a twin that never
-// saves, and holds every search, the table list and every table's profiles
-// to be identical after each batch. The saving catalog also compacts in the
-// background, beside its saves. A save whose write of one segment file
-// flips a signature bit keeps that segment's heap image: only the others are
-// swapped, and the answers stay the heap's.
-func TestSnapshotSwapMatchesHeap(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	saving, twin := New(Options{SealAfter: 3}), New(Options{SealAfter: 3})
-	holdBackgroundCompaction(twin) // the saving catalog compacts in the background too, beside its saves
-	dir := filepath.Join(t.TempDir(), "snap")
-	save := func() {
-		t.Helper()
-		if err := saving.SaveSnapshot(dir); err != nil {
-			t.Fatal(err)
-		}
-	}
-	makeTable := func(name string) *table.Table {
-		rows := 30 + rng.Intn(50)
-		lo := rng.Intn(200)
-		return table.New(name).
-			AddColumn("k", vals("u", lo, lo+rows)).
-			AddColumn(fmt.Sprintf("c%d", rng.Intn(4)), vals(fmt.Sprintf("p%d_", rng.Intn(5)), 0, rows))
-	}
-	queries := []*table.Table{snapshotQuery(), makeTable(""), makeTable("t03")}
-	agree := func(at string) {
-		t.Helper()
-		for _, q := range queries {
-			for _, mode := range []Mode{ModeJoin, ModeUnion} {
-				for _, k := range []int{0, 3} {
-					got, err := saving.Search(q, mode, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, err := twin.Search(q, mode, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s: %s k=%d search over %q diverged:\n got %+v\nwant %+v", at, mode, k, q.Name, got, want)
-					}
-				}
-			}
-		}
-		names := twin.Tables()
-		if got := saving.Tables(); !reflect.DeepEqual(got, names) {
-			t.Fatalf("%s: tables %v, want %v", at, got, names)
-		}
-		for _, name := range names {
-			if got, want := saving.Profiles(name), twin.Profiles(name); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: profiles of %s diverged:\n got %+v\nwant %+v", at, name, got, want)
-			}
-		}
-	}
-
-	swapsDuringMerge, explicit := 0, 0
-	steps := 60
-	for step := 0; step < steps; step++ {
-		at := fmt.Sprintf("step %d", step)
-		var opsS, opsT []Op
-		for n := 1 + rng.Intn(4); n > 0; n-- {
-			name := fmt.Sprintf("t%02d", rng.Intn(16))
-			if rng.Intn(4) == 0 {
-				opsS = append(opsS, Op{Remove: name})
-				opsT = append(opsT, Op{Remove: name})
-				continue
-			}
-			tab := makeTable(name)
-			opsS = append(opsS, Op{Upsert: profile.New(tab)})
-			opsT = append(opsT, Op{Upsert: profile.New(tab)})
-		}
-		errS, errT := saving.Apply(opsS), twin.Apply(opsT)
-		for i := range errS {
-			if (errS[i] == nil) != (errT[i] == nil) {
-				t.Fatalf("%s op %d: error %v, twin's %v", at, i, errS[i], errT[i])
-			}
-		}
-		switch {
-		case step%10 == 9:
-			// The save commits between the merge and its splice, swapping
-			// prefix segments for their mapped twins.
-			saving.WaitCompaction()
-			holdBackgroundCompaction(saving) // none may run the seam meanwhile
-			saving.afterMerge = func() {
-				saving.afterMerge = nil
-				save()
-				for _, seg := range saving.snap.Load().sealed {
-					if seg.unmap != nil {
-						swapsDuringMerge++
-						break
-					}
-				}
-			}
-			saving.Compact()
-			saving.compacting.Store(false)
-			twin.Compact()
-			if saving.afterMerge != nil {
-				t.Fatalf("%s: the compaction merged nothing", at)
-			}
-			explicit++
-		case step%3 == 2:
-			save()
-		}
-		agree(at)
-	}
-	if mmapAvailable && swapsDuringMerge == 0 {
-		t.Error("no save swapped a mapping in during a merge")
-	}
-	saving.WaitCompaction()
-	if n := saving.Stats().Compactions; n <= int64(explicit) {
-		t.Errorf("%d compactions, all %d of them explicit: none ran in the background", n, explicit)
-	}
-	save()
-	agree("after the last save")
-	st := saving.Stats()
-	if mmapAvailable && st.MappedSegmentBytes == 0 {
-		t.Errorf("the saving catalog maps nothing: %+v", st)
-	}
-	waitRetiredZero(t, "end of stream", saving)
-
-	// A save whose write of one segment file flips a signature bit: the
-	// file is not the segment's bytes, so the segment keeps its heap image,
-	// and every other sealed segment is swapped.
+// TestSnapshotSwapKeepsFlippedSegment: a save whose write of one segment
+// file flips a signature bit keeps that segment's heap image, since the file
+// is not the segment's bytes; every other sealed segment is swapped for its
+// mapping, and the answers stay the heap's.
+func TestSnapshotSwapKeepsFlippedSegment(t *testing.T) {
 	flipped := New(Options{SealAfter: 2})
 	holdBackgroundCompaction(flipped)
 	for i := 0; i < 7; i++ {
@@ -303,10 +181,8 @@ func TestSnapshotSwapMatchesHeap(t *testing.T) {
 	ff := faultfs.New(nil)
 	ff.AddRule(faultfs.Rule{Op: faultfs.OpWrite, Path: segFileName(victim.id), Fault: faultfs.BitFlip(int64(sigsAt)*8 + 3)})
 	flipped.SetFS(ff)
-	want := map[string][]ColumnProfile{}
-	for _, name := range flipped.Tables() {
-		want[name] = flipped.Profiles(name)
-	}
+	names, qs := flipped.Tables(), []*table.Table{snapshotQuery()}
+	want := observe(t, "before the faulted save", flipped, names, qs)
 	if err := flipped.SaveSnapshot(filepath.Join(t.TempDir(), "flipped")); err != nil {
 		t.Fatal(err)
 	}
@@ -318,11 +194,6 @@ func TestSnapshotSwapMatchesHeap(t *testing.T) {
 			t.Errorf("sealed segment %d (position %d) was not swapped for its mapping", seg.id, i)
 		}
 	}
-	for name, w := range want {
-		if got := flipped.Profiles(name); !reflect.DeepEqual(got, w) {
-			t.Errorf("profiles of %s changed across the faulted save", name)
-		}
-	}
+	sameAnswers(t, "across the faulted save", observe(t, "after the faulted save", flipped, names, qs), want)
 	flipped.Close()
-	saving.Close()
 }
