@@ -99,6 +99,13 @@ func (m *model) upsert(name string) Op { return Op{Upsert: profile.New(m.table(n
 // where it is made, and so is the first step after it that lays a
 // tombstone, on that layout or beside it; so are five steps spread evenly
 // over the stream, the last among them.
+//
+// Two steps are fixed rather than drawn, so the layouts the entry points
+// assert they reached do not hang on the draw. Halfway through, a batch
+// seals more than maxSealedSegments times, which starts a background
+// compaction unless compaction is held; the next step is drawn and may run
+// beside that compaction; the step after it is a seam save, which needs a
+// sealed segment to merge, and the batch left some.
 func runModel(t *testing.T, run modelRun) *model {
 	m := &model{
 		modelRun: run, t: t, rng: rand.New(rand.NewSource(run.seed)),
@@ -120,7 +127,15 @@ func runModel(t *testing.T, run modelRun) *model {
 	for step := 0; step < steps; step++ {
 		at := fmt.Sprintf("step %d", step)
 		tombs := len(m.ix.snap.Load().tombs)
-		made := m.step(at)
+		var made bool
+		switch step {
+		case steps / 2:
+			m.sealPastLimit(at)
+		case steps/2 + 2:
+			made = m.seamSave()
+		default:
+			made = m.step(at)
+		}
 		checkDeadCols(t, at, m.ix)
 		if n := m.ix.NumTables(); n != len(m.live) {
 			t.Fatalf("%s: NumTables = %d, want %d", at, n, len(m.live))
@@ -169,24 +184,8 @@ func (m *model) step(at string) bool {
 	case r < 16:
 		m.compact()
 		return true
-	case r < 17: // a save that commits between a compaction's merge and its splice
-		m.ix.WaitCompaction()
-		holdBackgroundCompaction(m.ix) // no other compaction may run the seam
-		ix := m.ix
-		ix.afterMerge = func() {
-			ix.afterMerge = nil
-			m.save()
-			if slices.ContainsFunc(ix.snap.Load().sealed, func(seg *segment) bool { return seg.unmap != nil }) {
-				m.swapsDuringMerge++
-			}
-		}
-		m.compact()
-		if ix.afterMerge != nil { // nothing sealed: the merge never ran
-			ix.afterMerge = nil
-			m.save()
-		}
-		ix.compacting.Store(m.hold)
-		return true
+	case r < 17:
+		return m.seamSave()
 	case r < 19:
 		m.save()
 	default: // a reload: the stream carries on over the loaded catalog
@@ -205,6 +204,41 @@ func (m *model) step(at string) bool {
 		return true
 	}
 	return false
+}
+
+// seamSave is a save that commits between a compaction's merge and its
+// splice. It reports that it made a new layout.
+func (m *model) seamSave() bool {
+	m.ix.WaitCompaction()
+	holdBackgroundCompaction(m.ix) // no other compaction may run the seam
+	ix := m.ix
+	ix.afterMerge = func() {
+		ix.afterMerge = nil
+		m.save()
+		if slices.ContainsFunc(ix.snap.Load().sealed, func(seg *segment) bool { return seg.unmap != nil }) {
+			m.swapsDuringMerge++
+		}
+	}
+	m.compact()
+	if ix.afterMerge != nil { // nothing sealed: the merge never ran
+		ix.afterMerge = nil
+		m.save()
+	}
+	ix.compacting.Store(m.hold)
+	return true
+}
+
+// sealPastLimit upserts the pool's names in order, round after round, in
+// one batch of (maxSealedSegments+1)·sealAfter tables: a name comes back
+// only after a seal has taken it, so the batch seals more than
+// maxSealedSegments times and, unless compaction is held or one is running
+// already, Apply starts a background compaction on its way out.
+func (m *model) sealPastLimit(at string) {
+	ops := make([]Op, (maxSealedSegments+1)*m.ix.sealAfter)
+	for i := range ops {
+		ops[i] = m.upsert(fmt.Sprintf("t%02d", i%modelNames))
+	}
+	m.apply(at, ops)
 }
 
 // apply runs one batch through the catalog and the model alike, in order:

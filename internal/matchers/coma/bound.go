@@ -20,12 +20,14 @@ import (
 
 // ScoreBoundProfiles implements core.ScoreBounder.
 func (m *Matcher) ScoreBoundProfiles(sp, tp *profile.TableProfile) float64 {
+	src, tgt := summarizeTokens(sp), summarizeTokens(tp)
+	intersect := tokensIntersect(src.union, tgt.union)
 	comps := []float64{
 		1, // nameMatcher: NameSim ≤ 1, not worth per-pair distances here
-		tokenBound(sp, tp),
+		tokenBound(src, tgt, intersect),
 		1, // namePathMatcher: ≤ 1 likewise
 		typeBound(sp, tp),
-		contextBound(sp, tp),
+		contextBound(src, tgt, intersect),
 	}
 	if m.Strategy == StrategyInstance {
 		// constraintMatcher is 1/(1+√d) ≤ 1; feature vectors always have
@@ -35,37 +37,38 @@ func (m *Matcher) ScoreBoundProfiles(sp, tp *profile.TableProfile) float64 {
 	return m.combine(comps)
 }
 
-// tokenBound caps nameTokenMatcher: Dice is positive only for token sets
-// that intersect — or for two empty sets, which score 1 — so the bound is
-// 1 when either is possible and 0 otherwise.
-func tokenBound(sp, tp *profile.TableProfile) float64 {
-	srcU, srcEmpty := tokenUnion(sp)
-	tgtU, tgtEmpty := tokenUnion(tp)
-	if srcEmpty && tgtEmpty {
-		return 1
-	}
-	if tokensIntersect(srcU, tgtU) {
-		return 1
-	}
-	return 0
+// tokenSummary is what the two token bounds read of one table.
+type tokenSummary struct {
+	union      map[string]struct{} // the union of its columns' name-token sets
+	anyEmpty   bool                // some column has no name token
+	withTokens int                 // the columns that have one
 }
 
-// tokenUnion returns the union of a table's column name-token sets and
-// whether any column has no tokens at all.
-func tokenUnion(tpf *profile.TableProfile) (map[string]struct{}, bool) {
-	union := make(map[string]struct{})
-	anyEmpty := false
+func summarizeTokens(tpf *profile.TableProfile) tokenSummary {
+	s := tokenSummary{union: make(map[string]struct{})}
 	for _, c := range tpf.Columns() {
 		set := c.NameTokenSet()
 		if len(set) == 0 {
-			anyEmpty = true
+			s.anyEmpty = true
 			continue
 		}
+		s.withTokens++
 		for tok := range set {
-			union[tok] = struct{}{}
+			s.union[tok] = struct{}{}
 		}
 	}
-	return union, anyEmpty
+	return s
+}
+
+// tokenBound caps nameTokenMatcher: Dice is positive only for token sets
+// that intersect — or for two empty sets, which score 1 — so the bound is
+// 1 when either is possible and 0 otherwise. intersect reports whether the
+// two unions intersect.
+func tokenBound(src, tgt tokenSummary, intersect bool) float64 {
+	if src.anyEmpty && tgt.anyEmpty || intersect {
+		return 1
+	}
+	return 0
 }
 
 func tokensIntersect(a, b map[string]struct{}) bool {
@@ -112,27 +115,11 @@ func typeSet(tpf *profile.TableProfile) map[table.Type]struct{} {
 // implies full token-union intersection (checked conservatively on the
 // unions); two empty contexts score 1, and a table has an empty-context
 // column exactly when at most one of its columns carries tokens.
-func contextBound(sp, tp *profile.TableProfile) float64 {
-	srcU, _ := tokenUnion(sp)
-	tgtU, _ := tokenUnion(tp)
-	srcTok, tgtTok := columnsWithTokens(sp), columnsWithTokens(tp)
-	if srcTok <= 1 && tgtTok <= 1 {
-		return 1
-	}
-	if tokensIntersect(srcU, tgtU) {
+func contextBound(src, tgt tokenSummary, intersect bool) float64 {
+	if src.withTokens <= 1 && tgt.withTokens <= 1 || intersect {
 		return 1
 	}
 	return 0
-}
-
-func columnsWithTokens(tpf *profile.TableProfile) int {
-	n := 0
-	for _, c := range tpf.Columns() {
-		if len(c.NameTokenSet()) > 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // overlapBound caps overlapMatcher: sampled sets are subsets of the

@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"valentine/internal/core"
 	"valentine/internal/engine"
@@ -104,14 +105,25 @@ func (m *Matcher) Name() string {
 }
 
 // element is a schema-DAG leaf with its precomputed match features.
+//
+// An element's sibling context, sib, is the set of name tokens the other
+// columns of its table hold. It is not stored: of the tokens its table
+// holds, T, sib lacks exactly excl, the tokens no other column holds, so
+// |sib| = |T| − |excl|, and for a pair across tables A and B
+//
+//	|sib(a) ∩ sib(b)| = |T_A ∩ T_B| − |excl(a) ∩ T_B| − |excl(b) ∩ T_A| + |excl(a) ∩ excl(b)|.
+//
+// Only the last term depends on both elements; excl holds a few ids.
 type element struct {
 	column   *table.Column
 	name     *strutil.Name // the column name, prepared once by the profile
 	path     *strutil.Name // name path from the root, e.g. "orders.city"
-	tokens   map[string]struct{}
-	siblings map[string]struct{} // token context of sibling columns
-	features []float64           // instance feature vector
-	sample   *intern.Set         // sampled distinct values, as interned ids
+	tokens   []int32       // name-token ids, ascending (see linkTokens)
+	excl     []int32       // the tokens no other column of its table holds, ascending
+	sibLen   int           // |sib| = |T| − |excl|
+	exclOut  int           // |excl ∩ T| of the other table
+	features []float64     // instance feature vector
+	sample   *intern.Set   // sampled distinct values, as interned ids
 }
 
 // Match implements core.Matcher. Name tokens, distinct-value samples and
@@ -128,20 +140,22 @@ func (m *Matcher) Match(ctx context.Context, sp, tp *profile.TableProfile) ([]co
 	}
 	withInstances := m.Strategy == StrategyInstance
 	var srcEls, tgtEls []element
+	shared := 0
 	engine.StatsFrom(ctx).Timed(engine.StageGenerate, func() {
 		srcEls = buildElements(sp, withInstances, limit)
 		tgtEls = buildElements(tp, withInstances, limit)
+		shared = linkTokens(sp, tp, srcEls, tgtEls)
 	})
 	return planner.ScorePairs(ctx, sp, tp, 0, "", nil, func(i, j int) (float64, bool) {
 		// Direction "both": the matcher library is evaluated src→tgt
 		// and tgt→src and the directional aggregates are averaged. The
-		// name matchers are symmetric, so both directions share one
-		// evaluation of them.
+		// name matchers and the sibling-context intersection are
+		// symmetric, so both directions share one evaluation of them.
 		a, b := &srcEls[i], &tgtEls[j]
-		names := nameScores(a, b)
-		score := m.aggregate(names, a, b)
+		sym := pairScores(a, b, shared)
+		score := m.aggregate(sym, a, b)
 		if m.Direction == DirBoth {
-			score = (score + m.aggregate(names, b, a)) / 2
+			score = (score + m.aggregate(sym, b, a)) / 2
 		}
 		return score, score >= m.Threshold
 	})
@@ -156,16 +170,6 @@ func buildElements(tp *profile.TableProfile, withInstances bool, limit int) []el
 			column: p.Column(),
 			name:   p.PreparedName(),
 			path:   p.PreparedPath(),
-			tokens: p.NameTokenSet(),
-		}
-		e.siblings = make(map[string]struct{})
-		for j := range t.Columns {
-			if j == i {
-				continue
-			}
-			for tok := range tp.Column(j).NameTokenSet() {
-				e.siblings[tok] = struct{}{}
-			}
 		}
 		if withInstances {
 			e.features = instanceFeatures(p)
@@ -186,21 +190,90 @@ func buildElements(tp *profile.TableProfile, withInstances bool, limit int) []el
 	return els
 }
 
-// nameScores evaluates the three name matchers of the library — name, name
-// tokens, name path — for an element pair. Each is symmetric in its
-// arguments, bit for bit.
-func nameScores(a, b *element) [3]float64 {
-	return [3]float64{nameMatcher(a, b), nameTokenMatcher(a, b), namePathMatcher(a, b)}
+// linkTokens gives every name token of the two tables' columns an id, in
+// the order it is first met, and counts per table how many columns hold
+// each. From those counts it fills every element's token ids and sibling-
+// context counts (see element), and it returns |T_A ∩ T_B|, the number of
+// tokens both tables hold.
+func linkTokens(sp, tp *profile.TableProfile, srcEls, tgtEls []element) int {
+	ids := make(map[string]int32)
+	var counts [2][]int32 // per table, per id: the columns holding the token
+	sides := [2][]element{srcEls, tgtEls}
+	for s, tpf := range [2]*profile.TableProfile{sp, tp} {
+		els := sides[s]
+		for i := range els {
+			set := tpf.Column(i).NameTokenSet()
+			toks := make([]int32, 0, len(set))
+			for tok := range set {
+				id, ok := ids[tok]
+				if !ok {
+					id = int32(len(ids))
+					ids[tok] = id
+					counts[0], counts[1] = append(counts[0], 0), append(counts[1], 0)
+				}
+				counts[s][id]++
+				toks = append(toks, id)
+			}
+			slices.Sort(toks)
+			els[i].tokens = toks
+		}
+	}
+	var held [2]int // |T_A|, |T_B|
+	shared := 0
+	for id := range counts[0] {
+		na, nb := counts[0][id] > 0, counts[1][id] > 0
+		held[0] += b2i(na)
+		held[1] += b2i(nb)
+		shared += b2i(na && nb)
+	}
+	for s, els := range sides {
+		mine, other := counts[s], counts[1-s]
+		for i := range els {
+			e := &els[i]
+			for _, id := range e.tokens {
+				if mine[id] == 1 {
+					e.excl = append(e.excl, id)
+					e.exclOut += b2i(other[id] > 0)
+				}
+			}
+			e.sibLen = held[s] - len(e.excl)
+		}
+	}
+	return shared
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// symmetric holds what the library computes once for an element pair and
+// both directions: the three name matchers — name, name tokens, name path —
+// each symmetric in its arguments bit for bit, and |sib(a) ∩ sib(b)|.
+type symmetric struct {
+	names     [3]float64
+	sibShared int
+}
+
+// pairScores evaluates the symmetric part of the library for a pair;
+// shared is |T_A ∩ T_B|, the tokens both tables hold.
+func pairScores(a, b *element, shared int) symmetric {
+	return symmetric{
+		names:     [3]float64{nameMatcher(a, b), nameTokenMatcher(a, b), namePathMatcher(a, b)},
+		sibShared: shared - a.exclOut - b.exclOut + strutil.CommonSorted(a.excl, b.excl),
+	}
 }
 
 // aggregate combines the applicable matcher-library scores for a directed
 // element pair: the (symmetric, precomputed) name scores, then the
 // directional matchers.
-func (m *Matcher) aggregate(names [3]float64, a, b *element) float64 {
+func (m *Matcher) aggregate(sym symmetric, a, b *element) float64 {
 	scores := [7]float64{
-		names[0], names[1], names[2],
+		sym.names[0], sym.names[1], sym.names[2],
 		typeMatcher(a, b),
-		contextMatcher(a, b),
+		contextMatcher(a, b, sym.sibShared),
 	}
 	n := 5
 	if m.Strategy == StrategyInstance {
@@ -256,8 +329,9 @@ func nameMatcher(a, b *element) float64 {
 	return a.name.Sim(b.name)
 }
 
+// nameTokenMatcher is the Dice coefficient of the two name-token sets.
 func nameTokenMatcher(a, b *element) float64 {
-	return strutil.DiceSets(a.tokens, b.tokens)
+	return strutil.DiceSorted(a.tokens, b.tokens)
 }
 
 func namePathMatcher(a, b *element) float64 {
@@ -291,20 +365,16 @@ func typeScore(ta, tb table.Type) float64 {
 // element's context covers (COMA's structural/neighborhood signal on flat
 // schemata). The measure is directional — containment of a's context in
 // b's — which is what makes COMA's "both"-direction combination meaningful.
-func contextMatcher(a, b *element) float64 {
-	if len(a.siblings) == 0 && len(b.siblings) == 0 {
+// sibShared is |sib(a) ∩ sib(b)|, which pairScores computes once for both
+// directions.
+func contextMatcher(a, b *element, sibShared int) float64 {
+	if a.sibLen == 0 && b.sibLen == 0 {
 		return 1
 	}
-	if len(a.siblings) == 0 || len(b.siblings) == 0 {
+	if a.sibLen == 0 || b.sibLen == 0 {
 		return 0
 	}
-	inter := 0
-	for tok := range a.siblings {
-		if _, ok := b.siblings[tok]; ok {
-			inter++
-		}
-	}
-	return float64(inter) / float64(len(a.siblings))
+	return float64(sibShared) / float64(a.sibLen)
 }
 
 // overlapMatcher is the exact value-overlap instance matcher: the Jaccard

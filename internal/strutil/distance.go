@@ -7,9 +7,12 @@
 // counts: a similarity normalized by length and a length filter in front
 // of it must agree on the unit.
 //
-// Levenshtein distance has one implementation (levenshtein.go): a banded,
-// one-row DP on stack buffers behind Levenshtein, LevenshteinSim,
-// LevenshteinWithin (distance if it is at most k) and (*Value).Within.
+// Levenshtein distance has one entry (distanceWithin in levenshtein.go)
+// behind Levenshtein, LevenshteinSim, LevenshteinWithin (distance if it is
+// at most k) and (*Value).Within. It has two arms, picked from the input:
+// a bit-parallel DP for ASCII pairs whose shorter side, stripped of the
+// common prefix and suffix, fits one 64-bit word, and a banded, one-row DP
+// on stack buffers for every other pair.
 // Callers that test one value against many prepare each once (Value,
 // PrepareValue): Within rejects on a symbol-class mask before it runs the
 // band, and SimBudgets turns a similarity threshold into the distance

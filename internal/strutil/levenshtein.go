@@ -21,10 +21,11 @@ func Levenshtein(a, b string) int {
 }
 
 // LevenshteinWithin returns (Levenshtein(a, b), true) when that distance is
-// at most maxDist, and (_, false) otherwise — without filling the DP table:
-// only the diagonals a path of cost ≤ maxDist can visit are computed
-// (Ukkonen's band), and the scan stops at the first row whose band holds no
-// value ≤ maxDist.
+// at most maxDist, and (_, false) otherwise. A length gap over maxDist
+// answers at once. Past it, the bit-parallel arm computes the distance; the
+// banded arm does not fill the DP table: only the diagonals a path of cost
+// ≤ maxDist can visit are computed (Ukkonen's band), and the scan stops at
+// the first row whose band holds no value ≤ maxDist.
 func LevenshteinWithin(a, b string, maxDist int) (int, bool) {
 	_, ascii := shape(a, b)
 	return distanceWithin(a, b, ascii, maxDist)
@@ -150,16 +151,93 @@ func runeLen(s string) (n int, ascii bool) {
 	return len(s), true
 }
 
-// distanceWithin is the one entry to the kernel: it lays both strings out
-// as symbol slices — bytes when both are ASCII (the caller has checked),
-// decoded runes otherwise — in stack buffers and runs the banded DP.
+// wordBits is the longest shorter side, in bytes, the bit-parallel arm
+// takes: one machine word holds a whole DP column.
+const wordBits = 64
+
+// distanceWithin is the one entry to the kernel. It picks one of two arms
+// from the input alone (bitParallelPair): the bit-parallel DP (myers) over
+// the strings' bytes, or the banded DP over symbol slices — bytes when both
+// are ASCII (the caller has checked), decoded runes otherwise — laid out in
+// stack buffers.
 func distanceWithin(a, b string, ascii bool, maxDist int) (int, bool) {
+	if a, b, ok := bitParallelPair(a, b, ascii); ok {
+		if len(b)-len(a) > maxDist {
+			return 0, false
+		}
+		d := myers(a, b)
+		return d, d <= maxDist
+	}
 	if ascii {
 		var ba, bb [stackSyms]byte
 		return banded(append(ba[:0], a...), append(bb[:0], b...), maxDist)
 	}
 	var ra, rb [stackSyms]rune
 	return banded(appendRunes(ra[:0], a), appendRunes(rb[:0], b), maxDist)
+}
+
+// bitParallelPair reports whether the bit-parallel arm takes a pair: both
+// strings are all ASCII and, once their common prefix and suffix are
+// stripped, the shorter is at most wordBits bytes. When it does, it also
+// returns the stripped pair, shorter first.
+func bitParallelPair(a, b string, ascii bool) (string, string, bool) {
+	if !ascii {
+		return a, b, false
+	}
+	a, b = trimCommon(a, b)
+	if len(a) > len(b) {
+		a, b = b, a
+	}
+	return a, b, len(a) <= wordBits
+}
+
+// trimCommon drops the bytes a and b share at their start and at their end.
+func trimCommon(a, b string) (string, string) {
+	for len(a) > 0 && len(b) > 0 && a[0] == b[0] {
+		a, b = a[1:], b[1:]
+	}
+	for len(a) > 0 && len(b) > 0 && a[len(a)-1] == b[len(b)-1] {
+		a, b = a[:len(a)-1], b[:len(b)-1]
+	}
+	return a, b
+}
+
+// myers is the edit distance of a and b, both all ASCII and a at most
+// wordBits bytes, by the bit-parallel DP (Myers 1999, in Hyyrö's form for
+// the global distance). It walks the DP column by column, one column per
+// byte of b. Bit i of a column's vectors stands for row i+1: pv marks the
+// rows whose value is one more than the row above, mv one less, and every
+// other row equals the one above. Column 0 is 0, 1, …, n, all +1 steps,
+// and row 0 rises by one a column, so a 1 shifts into the horizontal
+// +1 vector at row 0. d follows the bottom row, D(n, j).
+func myers(a, b string) int {
+	if len(a) == 0 {
+		return len(b)
+	}
+	var peq [utf8.RuneSelf]uint64 // bit i of peq[c]: a[i] == c
+	for i := 0; i < len(a); i++ {
+		peq[a[i]] |= 1 << i
+	}
+	pv, mv := ^uint64(0), uint64(0)
+	last := uint64(1) << (len(a) - 1)
+	d := len(a)
+	for j := 0; j < len(b); j++ {
+		eq := peq[b[j]]
+		xv := eq | mv
+		xh := ((eq & pv) + pv) ^ pv | eq
+		ph := mv | ^(xh | pv)
+		mh := pv & xh
+		if ph&last != 0 {
+			d++
+		} else if mh&last != 0 {
+			d--
+		}
+		ph = ph<<1 | 1
+		mh <<= 1
+		pv = mh | ^(xv | ph)
+		mv = ph & xv
+	}
+	return d
 }
 
 func appendRunes(dst []rune, s string) []rune {

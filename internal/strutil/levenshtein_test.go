@@ -116,7 +116,7 @@ func FuzzLevenshteinWithin(f *testing.F) {
 // TestLevenshteinKernelRandom runs the fuzz property over seeded random
 // pairs of related strings — mutations of a common ancestor, ASCII and
 // mixed-width, short and longer than the stack buffers — so every plain
-// `go test` exercises the band on near and far pairs.
+// `go test` exercises both arms of the kernel on near and far pairs.
 func TestLevenshteinKernelRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	// The last two exercise the class mask: 'a'/'!' and 'b'/'"' share a
@@ -154,6 +154,27 @@ func TestLevenshteinKernelRandom(t *testing.T) {
 		a := mutate(base, alpha, rng.Intn(4))
 		b := mutate(base, alpha, rng.Intn(1+n/2))
 		checkAgainstRef(t, string(a), string(b))
+	}
+	// ASCII pairs whose shorter side is 0, 1, 63, 64 and 65 bytes once the
+	// common prefix and suffix are stripped: the bit-parallel arm takes all
+	// but the last, the band the last. a never starts with '<' nor ends with
+	// '>', and b does both, so nothing is stripped; b keeps at least n + 2
+	// bytes whatever the edits delete.
+	for _, n := range []int{0, 1, 63, 64, 65} {
+		for i := 0; i < 40; i++ {
+			alpha := alphabets[[]int{0, 1, 4}[rng.Intn(3)]]
+			a := make([]rune, n)
+			for j := range a {
+				a[j] = alpha[rng.Intn(len(alpha))]
+			}
+			edits := rng.Intn(1 + n/3)
+			b := "<" + string(mutate(a, alpha, edits)) + strings.Repeat(">", 1+edits)
+			if _, _, ok := bitParallelPair(string(a), b, true); ok != (n <= wordBits) {
+				t.Fatalf("shorter side %d bytes: bit-parallel arm %v, want %v", n, ok, n <= wordBits)
+			}
+			checkAgainstRef(t, string(a), b)
+			checkAgainstRef(t, b, string(a))
+		}
 	}
 }
 

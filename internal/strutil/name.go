@@ -1,17 +1,21 @@
 package strutil
 
+import "slices"
+
 // Name is a schema element name prepared once for repeated comparison: its
 // normalized form and its token set. Matchers that score every column pair
 // prepare each name once per column (the profile layer caches them) instead
 // of re-normalizing and re-tokenizing both names for every pair.
 type Name struct {
 	norm   string
-	tokens map[string]struct{}
+	tokens []string // the distinct tokens, ascending
 }
 
 // PrepareName normalizes and tokenizes s.
 func PrepareName(s string) Name {
-	return Name{norm: Normalize(s), tokens: ToSet(Tokenize(s))}
+	tokens := Tokenize(s)
+	slices.Sort(tokens)
+	return Name{norm: Normalize(s), tokens: slices.Compact(tokens)}
 }
 
 // Sim is the blended schema-name similarity used as a default across
@@ -22,7 +26,7 @@ func (n *Name) Sim(o *Name) float64 {
 	if n.norm == o.norm {
 		return 1
 	}
-	return max(JaccardSets(n.tokens, o.tokens), LevenshteinSim(n.norm, o.norm))
+	return max(JaccardSorted(n.tokens, o.tokens), LevenshteinSim(n.norm, o.norm))
 }
 
 // NameSim is (*Name).Sim for two names compared once.

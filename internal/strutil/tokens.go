@@ -1,6 +1,7 @@
 package strutil
 
 import (
+	"cmp"
 	"slices"
 	"strings"
 	"unicode"
@@ -69,15 +70,8 @@ func Trigrams(s string) []uint64 {
 	return slices.Compact(keys)
 }
 
-// DiceSorted returns 2|A∩B| / (|A|+|B|) for sets given as sorted distinct
-// keys (Trigrams); two empty sets score 1.
-func DiceSorted(a, b []uint64) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
+// CommonSorted returns |A∩B| for sets given as ascending distinct keys.
+func CommonSorted[T cmp.Ordered](a, b []T) int {
 	inter := 0
 	for i, j := 0, 0; i < len(a) && j < len(b); {
 		switch {
@@ -91,7 +85,34 @@ func DiceSorted(a, b []uint64) float64 {
 			j++
 		}
 	}
-	return 2 * float64(inter) / float64(len(a)+len(b))
+	return inter
+}
+
+// DiceSorted returns 2|A∩B| / (|A|+|B|) for sets given as ascending
+// distinct keys (Trigrams, token ids); two empty sets score 1. It is
+// DiceSets, bit for bit, on the same sets.
+func DiceSorted[T cmp.Ordered](a, b []T) float64 {
+	if len(a) == 0 && len(b) == 0 {
+		return 1
+	}
+	if len(a) == 0 || len(b) == 0 {
+		return 0
+	}
+	return 2 * float64(CommonSorted(a, b)) / float64(len(a)+len(b))
+}
+
+// JaccardSorted returns |A∩B| / |A∪B| for sets given as ascending distinct
+// keys; two empty sets score 1. It is JaccardSets, bit for bit, on the same
+// sets.
+func JaccardSorted[T cmp.Ordered](a, b []T) float64 {
+	if len(a) == 0 && len(b) == 0 {
+		return 1
+	}
+	if len(a) == 0 || len(b) == 0 {
+		return 0
+	}
+	inter := CommonSorted(a, b)
+	return float64(inter) / float64(len(a)+len(b)-inter)
 }
 
 // TrigramSim is the Dice similarity of the trigram sets of a and b.
